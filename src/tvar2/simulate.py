@@ -1,15 +1,17 @@
 """Monte Carlo path generation for time-varying AR(2) schedules.
 
-Every path owns a counter-based random stream keyed by (master seed, path
-index), so ensembles are bit-identical regardless of how paths are chunked
-across worker threads.  Statistics are collected at fixed anchor times,
-never time-averaged: the moments are themselves functions of time.
+Every path owns a counter-based Philox stream keyed by (master seed, path
+index), so a path's values depend on neither the ensemble size nor how
+paths are chunked.  The kernel is serial: one generator per chunk is
+re-keyed for each path, the innovations are stored time-major, and the
+recursion runs in place over whole time steps.  Statistics are collected
+at fixed anchor times, never time-averaged: the moments are themselves
+functions of time.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +20,8 @@ from .schedules import Schedule
 from .solution import general_solution
 
 DEFAULT_BURN_IN = 500
-CHUNK_TARGET = 20_000
+CHUNK_TARGET = 20_000   # paths per chunk; bounds the time-major scratch array
+SUB_BLOCK = 256         # paths drawn path-major before the transposed copy
 
 
 @dataclass(frozen=True)
@@ -83,55 +86,60 @@ class EmpiricalMoments:
     autocovariances: tuple[EstimateWithSE, ...] = field(default=())
 
 
-def _innovation_block(rng: np.random.Generator, family: str, n: int) -> np.ndarray:
-    if family == "uniform":
-        root3 = math.sqrt(3.0)
-        return rng.uniform(-root3, root3, n)
-    return rng.standard_normal(n)
-
-
-def _simulate_chunk(config: SimulationConfig, first_path: int, n_paths: int,
-                    sigma: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _simulate_chunk(config: SimulationConfig, first_path: int,
+                    sigma: np.ndarray, coeffs: np.ndarray,
+                    out: np.ndarray) -> None:
+    """Simulate paths first_path .. first_path + len(out) - 1 into ``out``."""
+    n_paths = len(out)
     total = config.burn_in + config.length
-    eps = np.empty((n_paths, total))
-    for p in range(n_paths):
-        rng = np.random.Generator(
-            np.random.Philox(key=[config.seed, first_path + p]))
-        eps[p] = _innovation_block(rng, config.innovations, total)
-    eps *= sigma
-    y_prev = np.zeros(n_paths)
-    y_prev2 = np.zeros(n_paths)
-    out = np.empty((n_paths, config.length))
-    for j in range(total):
-        phi0, phi1, phi2 = coeffs[j]
-        y = phi0 + phi1 * y_prev + phi2 * y_prev2 + eps[:, j]
-        y_prev2, y_prev = y_prev, y
-        if j >= config.burn_in:
-            out[:, j - config.burn_in] = y
-    return out
+    bitgen = np.random.Philox(key=[config.seed, first_path])
+    rng = np.random.Generator(bitgen)
+    # a fresh state: counter zero, empty buffer; only key[1] changes per path
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    root3 = math.sqrt(3.0)
+    # y[j + 2] holds step j; rows 0 and 1 are the zero initial conditions
+    y = np.empty((total + 2, n_paths))
+    y[:2] = 0.0
+    block = np.empty((min(SUB_BLOCK, n_paths), total))
+    for b in range(0, n_paths, SUB_BLOCK):
+        rows = block[:min(SUB_BLOCK, n_paths - b)]
+        for i, row in enumerate(rows):
+            key[1] = first_path + b + i
+            bitgen.state = fresh
+            if config.innovations == "uniform":
+                row[:] = rng.uniform(-root3, root3, total)
+            else:
+                rng.standard_normal(out=row)
+        y[2:, b:b + len(rows)] = rows.T
+    y[2:] *= sigma[:, None]
+    # ((phi0 + phi1*y1) + phi2*y2) + eps, operand order kept bit for bit
+    acc = np.empty(n_paths)
+    tmp = np.empty(n_paths)
+    for j, (phi0, phi1, phi2) in enumerate(coeffs.tolist()):
+        np.multiply(phi1, y[j + 1], out=acc)
+        np.add(phi0, acc, out=acc)
+        np.multiply(phi2, y[j], out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.add(acc, y[j + 2], out=y[j + 2])
+    out[:] = y[2 + config.burn_in:].T
 
 
 def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     """Generate the ensemble; bit-identical for a given config and seed,
-    independent of ``workers``."""
+    whatever ``workers`` and ``CHUNK_TARGET``."""
     total = config.burn_in + config.length
     t_first = config.t_end - total + 1
     tuples = [config.schedule.at(t) for t in range(t_first, config.t_end + 1)]
     sigma = np.sqrt(np.array([tup.sigma2 for tup in tuples]))
     coeffs = np.array([(tup.phi0, tup.phi1, tup.phi2) for tup in tuples])
 
-    starts = list(range(0, config.n_paths, CHUNK_TARGET))
-    sizes = [min(CHUNK_TARGET, config.n_paths - s) for s in starts]
-    if config.workers == 1 or len(starts) == 1:
-        chunks = [_simulate_chunk(config, s, n, sigma, coeffs)
-                  for s, n in zip(starts, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(
-                lambda sn: _simulate_chunk(config, sn[0], sn[1], sigma, coeffs),
-                zip(starts, sizes)))
+    values = np.empty((config.n_paths, config.length))
+    for first in range(0, config.n_paths, CHUNK_TARGET):
+        _simulate_chunk(config, first, sigma, coeffs,
+                        values[first:first + CHUNK_TARGET])
     times = np.arange(config.t_end - config.length + 1, config.t_end + 1)
-    return PathEnsemble(times, np.vstack(chunks))
+    return PathEnsemble(times, values)
 
 
 def _mean_se(sample: np.ndarray) -> EstimateWithSE:

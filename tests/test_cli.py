@@ -1,3 +1,5 @@
+import pytest
+
 import tvar2.cli as cli
 
 CONSTANT = """
@@ -165,6 +167,17 @@ def test_simulate_deterministic_and_thread_invariant(tmp_path):
     assert first == second == threaded
     assert first.splitlines()[0] == "path,t,y"
     assert len(first.splitlines()) == 1 + 50 * 3
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--paths", "-5", "n_paths"), ("--length", "0", "length"),
+    ("--burn-in", "-1", "burn_in"), ("--workers", "0", "workers")])
+def test_simulate_bad_flag_exits_2(tmp_path, capsys, flag, value, message):
+    cfg = _write(tmp_path, "c.yaml", CONSTANT)
+    code = cli.main(["simulate", "--config", cfg, "--t", "40", "--paths", "10",
+                     "--burn-in", "5", flag, value])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_aggregate(tmp_path):

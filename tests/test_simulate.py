@@ -1,12 +1,18 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
+import tvar2.simulate as sim
 from tvar2 import (ConstantSchedule, PeriodicSchedule, SimulationConfig,
                    autocovariance, empirical_forecast_error, empirical_moments,
                    forecast, simulate_paths, unconditional_mean,
                    unconditional_variance)
 
 STABLE = ConstantSchedule(0.4, 1.2, -0.32, 1.0)
+SEASONS = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
+                            (0.1, 0.8, -0.3, 0.8), (0.3, 0.1, 0.25, 1.2)])
 
 
 def _config(**overrides):
@@ -38,8 +44,8 @@ def test_different_seed_differs():
 
 
 def test_worker_count_does_not_change_results():
-    # chunking is keyed per path, so threading cannot reorder randomness
-    import tvar2.simulate as sim
+    # streams are keyed per path and the kernel is serial: workers is
+    # accepted but has no effect, whatever the chunking
     old = sim.CHUNK_TARGET
     sim.CHUNK_TARGET = 64
     try:
@@ -48,6 +54,64 @@ def test_worker_count_does_not_change_results():
     finally:
         sim.CHUNK_TARGET = old
     assert np.array_equal(one.values, eight.values)
+
+
+def _reference_paths(config):
+    """The stream contract, spelled out: one Generator(Philox(key=[seed, p]))
+    per path, sigma scaling, then the path-major recursion
+    ((phi0 + phi1*y1) + phi2*y2) + eps from zero initial conditions."""
+    total = config.burn_in + config.length
+    tuples = [config.schedule.at(t)
+              for t in range(config.t_end - total + 1, config.t_end + 1)]
+    sigma = np.sqrt(np.array([tup.sigma2 for tup in tuples]))
+    coeffs = np.array([(tup.phi0, tup.phi1, tup.phi2) for tup in tuples])
+    eps = np.empty((config.n_paths, total))
+    for p in range(config.n_paths):
+        rng = np.random.Generator(np.random.Philox(key=[config.seed, p]))
+        if config.innovations == "uniform":
+            eps[p] = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), total)
+        else:
+            eps[p] = rng.standard_normal(total)
+    eps *= sigma
+    y_prev = np.zeros(config.n_paths)
+    y_prev2 = np.zeros(config.n_paths)
+    out = np.empty((config.n_paths, config.length))
+    for j in range(total):
+        phi0, phi1, phi2 = coeffs[j]
+        y = phi0 + phi1 * y_prev + phi2 * y_prev2 + eps[:, j]
+        y_prev2, y_prev = y_prev, y
+        if j >= config.burn_in:
+            out[:, j - config.burn_in] = y
+    return out
+
+
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+def test_kernel_matches_per_path_reference(monkeypatch, innovations):
+    # 700 paths in chunks of 300, 300 and 100; none a multiple of SUB_BLOCK
+    monkeypatch.setattr(sim, "CHUNK_TARGET", 300)
+    cfg = _config(schedule=SEASONS, n_paths=700, t_end=64, burn_in=60,
+                  innovations=innovations)
+    assert cfg.n_paths % sim.SUB_BLOCK != 0
+    ens = simulate_paths(cfg)
+    assert np.array_equal(ens.values, _reference_paths(cfg))
+
+
+# sha256 of the float64 bytes, recorded with the per-path-generator kernel
+PINNED_DIGESTS = {
+    "normal":
+        "bee9f0a2c59ccd0ed383b5d7de7191ad1303a7fb6c7ced0558c1c8812666ec68",
+    "uniform":
+        "c333c71e6f5eb9851f4ec2af3cdaf3fd9430b7b1fb28a0e41fb2c8d24b54d73c",
+}
+
+
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+def test_ensemble_digest_is_pinned(innovations):
+    cfg = _config(schedule=SEASONS, n_paths=300, t_end=64, burn_in=50,
+                  innovations=innovations)
+    values = simulate_paths(cfg).values
+    assert (hashlib.sha256(values.tobytes()).hexdigest()
+            == PINNED_DIGESTS[innovations])
 
 
 def test_path_prefix_stability():
@@ -107,11 +171,9 @@ def test_forecast_error_three_step_matches_analytic():
 
 
 def test_forecast_error_periodic_instance():
-    s = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
-                          (0.1, 0.8, -0.3, 0.8), (0.3, 0.1, 0.25, 1.2)])
-    cfg = _config(schedule=s, n_paths=40000, t_end=64)
+    cfg = _config(schedule=SEASONS, n_paths=40000, t_end=64)
     mean, variance = empirical_forecast_error(cfg, 64, 4)
-    analytic = forecast(s, 64, 4, (0.0, 0.0)).mse
+    analytic = forecast(SEASONS, 64, 4, (0.0, 0.0)).mse
     assert abs(mean.value) < 4 * mean.se
     assert abs(variance.value - analytic) < 4 * variance.se
 

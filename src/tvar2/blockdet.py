@@ -18,7 +18,8 @@ import numpy as np
 
 from .schedules import (BreakSchedule, CyclicalSchedule, PeriodicSchedule,
                         Schedule, ScheduleError, season_of)
-from .xi import ORACLE_CAP, OracleCapError, constant_xi, green_functions
+from .xi import (ORACLE_CAP, OracleCapError, constant_xi,
+                 fundamental_matrix, green_functions)
 
 
 @dataclass(frozen=True)
@@ -141,31 +142,16 @@ def xi_abar_decomposed(schedule: BreakSchedule, t: int, k: int) -> float:
 
 def assemble_block_matrix(schedule: Schedule, t: int, spec: BlockSpec,
                           cap: int = ORACLE_CAP) -> np.ndarray:
-    """Dense block-tridiagonal matrix built segment by segment: each diagonal
-    block is the within-segment continuant matrix, each subdiagonal block a
-    single coupling phi2, each superdiagonal block a single -1.  Test oracle:
-    its determinant equals the recurrence value of xi_{t,total}."""
+    """Dense block-tridiagonal matrix: the within-segment continuant
+    matrices on the diagonal, joined at each boundary by its coupling phi2
+    below the diagonal and -1 above.  Test oracle: its determinant equals
+    the recurrence value of xi_{t,total}."""
     k = spec.total
     if k > cap:
         raise OracleCapError(f"oracle cap {cap} exceeded (size={k})")
-    mat = np.zeros((k, k))
-    b = (0,) + spec.boundaries + (k,)
-    n_blocks = len(b) - 1
-    # block j = 1 is the most recent segment (bottom-right corner)
-    for j in range(1, n_blocks + 1):
-        lo, hi = b[j - 1], b[j]          # offsets from t, newest to oldest
-        rows = range(k - hi + 1, k - lo + 1)   # 1-based global indices
-        for i in rows:
-            tup = schedule.at(t - k + i)
-            mat[i - 1, i - 1] = tup.phi1
-            if i > k - hi + 1:
-                mat[i - 1, i - 2] = tup.phi2
-            if i < k - lo:
-                mat[i - 1, i] = -1.0
-    for j, bj in enumerate(spec.boundaries):
-        row = k - bj + 1                 # first row of the newer block
-        mat[row - 1, row - 2] = spec.couplings[j]
-        mat[row - 2, row - 1] = -1.0
+    mat = fundamental_matrix(schedule, t, k)
+    for b, coupling in zip(spec.boundaries, spec.couplings):
+        mat[k - b, k - b - 1] = coupling   # first row of the newer segment
     return mat
 
 

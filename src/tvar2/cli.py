@@ -9,6 +9,7 @@ run parameters; command-line flags override config values.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import config as config_mod
@@ -136,6 +137,12 @@ def _cmd_acf(args, schedule, params, out):
     max_lag = int(_param(args, params, "max_lag", 4))
     tol = float(_param(args, params, "tol", DEFAULT_TOL))
     nmax = int(_param(args, params, "nmax", DEFAULT_N_MAX))
+    if max_lag < 0:
+        raise ConfigError("key 'max_lag' must be >= 0")
+    if not tol > 0:
+        raise ConfigError("key 'tol' must be > 0")
+    if nmax < 1:
+        raise ConfigError("key 'nmax' must be >= 1")
     out.write("t,k,gamma,converged\n")
     for k in range(max_lag + 1):
         cov = autocovariance(schedule, t, k, tol, nmax)
@@ -262,9 +269,9 @@ def _cmd_verify(args, schedule, params, out):
         report("config-round-trip", True)  # generic schedules are exempt
     if text is not None:
         reparsed, _ = config_mod.load(text)
-        times = range(t - 49, t + 51)
         report("config-round-trip",
-               all(reparsed.at(s) == schedule.at(s) for s in times))
+               np.array_equal(reparsed.window(t - 49, t + 50),
+                              schedule.window(t - 49, t + 50)))
 
     if isinstance(schedule, PeriodicSchedule):
         l = schedule.period
@@ -287,6 +294,29 @@ _COMMANDS = {
 }
 
 
+class _OutFile:
+    """The --out file, created on the first write and removed if the
+    command then raises, so a rejected run leaves no file behind."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.fh = None
+
+    def write(self, text: str) -> int:
+        if self.fh is None:
+            self.fh = open(self.path, "w", newline="")
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.fh is not None:
+            self.fh.close()
+            if exc_type is not None:
+                os.remove(self.path)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -303,7 +333,7 @@ def main(argv=None) -> int:
     try:
         if args.out is None:
             return command(args, schedule, params, sys.stdout)
-        with open(args.out, "w", newline="") as out:
+        with _OutFile(args.out) as out:
             return command(args, schedule, params, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

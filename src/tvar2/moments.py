@@ -10,17 +10,19 @@ schedules are legitimate forecasting inputs).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .schedules import Schedule
-from .xi import green_functions, xi_stream
+from .solution import general_solution
+from .xi import green_functions
 
 DEFAULT_TOL = 1e-12
 DEFAULT_N_MAX = 10_000
+FIRST_BLOCK = 64   # terms in a series' first block; later blocks double it
 
 
 @dataclass(frozen=True)
@@ -57,18 +59,17 @@ class Autocovariance:
 def forecast(schedule: Schedule, t: int, k: int,
              y_init: tuple[float, float]) -> ForecastResult:
     """Optimal (least-squares) linear k-step predictor of y_t from
-    (y_{t-k}, y_{t-k-1}), with its error weights and mean square error."""
+    (y_{t-k}, y_{t-k-1}): the general solution without innovations, with
+    its error weights and mean square error."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = green_functions(schedule, t, k)
-    weights = table.values[:k].copy()
-    point = table.xi(k) * y_init[0] + schedule.at(t - k + 1).phi2 * table.xi(k - 1) * y_init[1]
-    mse = 0.0
-    for i in range(k):
-        tup = schedule.at(t - i)
-        point += weights[i] * tup.phi0
-        mse += weights[i] ** 2 * tup.sigma2
-    return ForecastResult(int(t), int(k), float(point), weights, float(mse))
+    sol = general_solution(schedule, t, k)
+    point = sol.w0 * y_init[0] + sol.w1 * y_init[1] + sol.drift
+    sigma2 = schedule.window(t - k + 1, t)[::-1, 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mse = sum((sol.innovation_weights ** 2 * sigma2).tolist())
+    return ForecastResult(int(t), int(k), float(point), sol.innovation_weights,
+                          float(mse))
 
 
 def forecast_error_weights(schedule: Schedule, t: int, k: int) -> np.ndarray:
@@ -83,54 +84,87 @@ def _tail_window(tol: float) -> int:
     return max(10, math.ceil(math.log(1.0 / tol)))
 
 
-def _truncated_sum(terms: Iterator[float], tol: float, n_max: int
-                   ) -> tuple[float, int, float, bool]:
-    """Sum terms until the last window of them is negligible relative to the
-    partial sum, or n_max is hit.
+def _truncated_sum(terms_to: Callable[[int], np.ndarray], tol: float,
+                   n_max: int) -> tuple[float, int, float, bool]:
+    """Sum terms until the last window of them is negligible relative to a
+    finite partial sum, or n_max is hit, or a term is not finite.
 
+    ``terms_to(n)`` gives the first n terms, read at depths doubling from
+    FIRST_BLOCK; each depth is tested as if adding one term at a time.
     Returns (value, n_used, tail_bound, converged); tail_bound is the sum of
     absolute values over the final window, an empirical residual indicator.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     window = _tail_window(tol)
-    recent: deque[float] = deque(maxlen=window)
-    total = 0.0
-    n = 0
-    for term in terms:
-        if not math.isfinite(term):
-            recent.append(math.inf)
-            return total, n, math.inf, False
-        total += term
-        recent.append(abs(term))
-        n += 1
-        if n >= window and max(recent) < tol * max(1.0, abs(total)):
-            return total, n, float(sum(recent)), True
-        if n >= n_max:
-            break
-    return total, n, float(sum(recent)), False
+    size = min(FIRST_BLOCK, n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            terms = terms_to(size)
+            finite = np.isfinite(terms)
+            n = size if finite.all() else int(np.argmin(finite))
+            # totals[j]: the first j terms summed one at a time from 0.0
+            totals = np.cumsum(np.append(0.0, terms[:n]))
+            mags = np.abs(terms[:n])
+            if n >= window:
+                ends = totals[window:]
+                hits = np.flatnonzero(
+                    (sliding_window_view(mags, window).max(axis=1)
+                     < tol * np.maximum(1.0, np.abs(ends))) & np.isfinite(ends))
+                if len(hits):
+                    n = window + int(hits[0])
+                    return (float(totals[n]), n,
+                            float(sum(mags[n - window:n].tolist())), True)
+            if n < size:
+                return float(totals[n]), n, math.inf, False
+            if size == n_max:
+                return float(totals[n]), n, float(sum(mags[-window:].tolist())), False
+            size = min(2 * size, n_max)
+
+
+def _series(schedule: Schedule, t: int, terms_to, tol: float,
+            n_max: int) -> tuple[float, int, float, bool]:
+    """``_truncated_sum`` of terms whose i-th reads back to time t - i, no
+    deeper than the schedule's earliest time: a series that needs a term
+    past it raises what reading that term raises."""
+    reach = max(1, t - schedule.earliest + 1)
+    value, n, tail, converged = _truncated_sum(terms_to, tol, min(n_max, reach))
+    if n == reach < n_max and not converged:
+        terms_to(reach + 1)
+    return value, n, tail, converged
+
+
+def _covariance_terms(schedule: Schedule, t: int, k: int):
+    """terms_to for Cov(y_t, y_{t-k}): xi_{t,k+i} * xi_{t-k,i} * sigma2(t-k-i)."""
+    def terms_to(n: int) -> np.ndarray:
+        anchor = green_functions(schedule, t, k + n - 1).values[k:]
+        lagged = green_functions(schedule, t - k, n - 1).values if k else anchor
+        sigma2 = schedule.window(t - k - n + 1, t - k)[::-1, 3]
+        return anchor * lagged * sigma2
+    return terms_to
 
 
 def unconditional_mean(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
                        n_max: int = DEFAULT_N_MAX) -> MomentSummary:
     """Truncated series for E(y_t): sum of xi_{t,i} * phi0(t-i)."""
-    def terms():
-        for i, x in enumerate(xi_stream(schedule, t)):
-            yield x * schedule.at(t - i).phi0
-    value, n, tail, converged = _truncated_sum(terms(), tol, n_max)
+    def terms_to(n: int) -> np.ndarray:
+        return (green_functions(schedule, t, n - 1).values
+                * schedule.window(t - n + 1, t)[::-1, 0])
+    value, n, tail, converged = _series(schedule, t, terms_to, tol, n_max)
     return MomentSummary(int(t), n, value, math.nan, tail, converged)
 
 
 def unconditional_variance(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
                            n_max: int = DEFAULT_N_MAX) -> MomentSummary:
-    """Truncated series for Var(y_t): sum of xi_{t,i}^2 * sigma2(t-i).
+    """Truncated series for Var(y_t), the lag-0 autocovariance:
+    sum of xi_{t,i}^2 * sigma2(t-i).
 
     The summary also carries the mean, so ``second_moment`` is available.
     """
-    def terms():
-        for i, x in enumerate(xi_stream(schedule, t)):
-            yield x * x * schedule.at(t - i).sigma2
-    variance, n, tail, converged = _truncated_sum(terms(), tol, n_max)
+    variance, n, tail, converged = _series(
+        schedule, t, _covariance_terms(schedule, t, 0), tol, n_max)
     mean = unconditional_mean(schedule, t, tol, n_max)
     return MomentSummary(int(t), max(n, mean.depth), mean.mean, variance,
                          max(tail, mean.tail_bound),
@@ -143,16 +177,8 @@ def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
     xi_{t,k+i} * xi_{t-k,i} * sigma2(t-k-i)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-
-    def terms():
-        anchor_stream = xi_stream(schedule, t)
-        for _ in range(k):
-            next(anchor_stream)
-        lagged_stream = xi_stream(schedule, t - k)
-        for i, (xa, xl) in enumerate(zip(anchor_stream, lagged_stream)):
-            yield xa * xl * schedule.at(t - k - i).sigma2
-
-    value, _, _, converged = _truncated_sum(terms(), tol, n_max)
+    value, _, _, converged = _series(
+        schedule, t - k, _covariance_terms(schedule, t, k), tol, n_max)
     return Autocovariance(int(t), int(k), value, converged)
 
 
@@ -201,18 +227,12 @@ def assumption_a1_diagnostic(schedule: Schedule, t_window: Iterable[int],
     max_sq = 0.0
     max_inc = 0.0
     for t in t_window:
-        sq_sum = 0.0
-        drift_sum = 0.0
-        recent: deque[float] = deque(maxlen=window)
-        for i, x in enumerate(xi_stream(schedule, t)):
-            if i > n:
-                break
-            tup = schedule.at(t - i)
-            sq_sum += x * x * tup.sigma2
-            drift_sum += x * tup.phi0
-            recent.append(abs(x * tup.phi0))
-        max_sq = max(max_sq, sq_sum)
-        scale = max(1.0, abs(drift_sum))
-        max_inc = max(max_inc, max(recent) / scale if recent else 0.0)
+        xis = green_functions(schedule, t, n).values
+        newest_first = schedule.window(t - n, t)[::-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            max_sq = max(max_sq, sum((xis * xis * newest_first[:, 3]).tolist()))
+            drift = (xis * newest_first[:, 0]).tolist()
+        scale = max(1.0, abs(sum(drift)))
+        max_inc = max(max_inc, max(abs(d) for d in drift[-window:]) / scale)
     return TailDiagnostic(max_sq, bool(max_sq < bound),
                           max_inc, bool(max_inc < tol))

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 DEFAULT_SIGMA2_BOUNDS = (1e-12, 1e12)
 
@@ -30,6 +32,12 @@ class CoefficientTuple:
     phi2: float
     sigma2: float
 
+    def __post_init__(self):
+        for name in ("phi0", "phi1", "phi2", "sigma2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScheduleError(
+                    f"{name} must be finite (got {getattr(self, name)})")
+
 
 def _as_tuple(value) -> CoefficientTuple:
     if isinstance(value, CoefficientTuple):
@@ -38,6 +46,10 @@ def _as_tuple(value) -> CoefficientTuple:
         return CoefficientTuple(**{k: float(v) for k, v in value.items()})
     phi0, phi1, phi2, sigma2 = value
     return CoefficientTuple(float(phi0), float(phi1), float(phi2), float(sigma2))
+
+
+def _rows(tuples) -> np.ndarray:
+    return np.array([(c.phi0, c.phi1, c.phi2, c.sigma2) for c in tuples])
 
 
 def _check_sigma2(sigma2: float, where: str = "") -> None:
@@ -50,11 +62,15 @@ class Schedule:
     """Base class: a pure map from integer time to a CoefficientTuple.
 
     Schedules are immutable after construction and safe to evaluate
-    concurrently.  ``sigma2_bounds`` are the user-declared lower/upper
-    variance bounds, enforced on every evaluation.
+    concurrently.  Consumers read coefficients through ``window``, the one
+    place where sigma2 is checked against zero and the user-declared
+    ``sigma2_bounds``; ``at`` is its one-row view.
     """
 
     kind = "generic"
+    earliest: float = -math.inf   # earliest time the schedule answers for
+    # (phi0, phi1, phi2, sigma2) of seasons 1..period, for kinds tiled by season
+    _season_rows: np.ndarray | None = None
 
     def __init__(self, sigma2_bounds: tuple[float, float] = DEFAULT_SIGMA2_BOUNDS):
         lo, hi = float(sigma2_bounds[0]), float(sigma2_bounds[1])
@@ -65,16 +81,29 @@ class Schedule:
     def _tuple_at(self, t: int) -> CoefficientTuple:
         raise NotImplementedError
 
+    def window(self, t_lo: int, t_hi: int) -> np.ndarray:
+        """Coefficients for times t_lo..t_hi (none if t_hi < t_lo) as an
+        (n, 4) float array of (phi0, phi1, phi2, sigma2), oldest first.
+        An error names the first bad time met walking back from t_hi."""
+        t_lo, t_hi = int(t_lo), int(t_hi)
+        if self._season_rows is not None:
+            seasons = (np.arange(t_lo, t_hi + 1) - 1) % len(self._season_rows)
+            rows = self._season_rows[seasons]
+        else:
+            newest_first = [self._tuple_at(t) for t in range(t_hi, t_lo - 1, -1)]
+            rows = _rows(reversed(newest_first)).reshape(-1, 4)
+        lo, hi = self.sigma2_bounds
+        bad = np.flatnonzero(~((lo < rows[:, 3]) & (rows[:, 3] < hi)))
+        if len(bad):
+            t, value = t_lo + int(bad[-1]), float(rows[bad[-1], 3])
+            _check_sigma2(value, f"t={t}")
+            raise ScheduleError(
+                f"sigma2={value} at t={t} outside declared bounds ({lo}, {hi})")
+        return rows
+
     def at(self, t: int) -> CoefficientTuple:
         """Coefficients governing time t; deterministic in t."""
-        tup = self._tuple_at(int(t))
-        _check_sigma2(tup.sigma2, f"t={t}")
-        lo, hi = self.sigma2_bounds
-        if not lo < tup.sigma2 < hi:
-            raise ScheduleError(
-                f"sigma2={tup.sigma2} at t={t} outside declared bounds ({lo}, {hi})"
-            )
-        return tup
+        return CoefficientTuple(*self.window(t, t)[0].tolist())
 
 
 class GenericSchedule(Schedule):
@@ -102,9 +131,7 @@ class ConstantSchedule(Schedule):
         _check_sigma2(float(sigma2))
         self.coefficients = CoefficientTuple(float(phi0), float(phi1),
                                              float(phi2), float(sigma2))
-
-    def _tuple_at(self, t: int) -> CoefficientTuple:
-        return self.coefficients
+        self._season_rows = _rows([self.coefficients])
 
 
 def season_of(t: int, period: int) -> int:
@@ -125,9 +152,7 @@ class PeriodicSchedule(Schedule):
         for s, tup in enumerate(self.seasons, start=1):
             _check_sigma2(tup.sigma2, f"season {s}")
         self.period = len(self.seasons)
-
-    def _tuple_at(self, t: int) -> CoefficientTuple:
-        return self.seasons[season_of(t, self.period) - 1]
+        self._season_rows = _rows(self.seasons)
 
 
 class CyclicalSchedule(Schedule):
@@ -159,13 +184,12 @@ class CyclicalSchedule(Schedule):
         self.cycles = tuple(_as_tuple(c) for c in cycles)
         for j, tup in enumerate(self.cycles, start=1):
             _check_sigma2(tup.sigma2, f"cycle {j}")
+        self._season_rows = _rows(self.cycles[self.cycle_of_season(s) - 1]
+                                  for s in range(1, period + 1))
 
     def cycle_of_season(self, s: int) -> int:
         """1-based cycle index containing season s."""
         return bisect_right(self.boundaries, s - 1) + 1
-
-    def _tuple_at(self, t: int) -> CoefficientTuple:
-        return self.cycles[self.cycle_of_season(season_of(t, self.period)) - 1]
 
 
 class BreakSchedule(Schedule):
@@ -185,6 +209,7 @@ class BreakSchedule(Schedule):
         self.horizon = int(horizon)
         if self.horizon < 1:
             raise ScheduleError("horizon must be >= 1")
+        self.earliest = self.anchor - self.horizon
         offs = [int(o) for o in offsets]
         if any(o2 <= o1 for o1, o2 in zip([0] + offs, offs + [self.horizon])):
             raise ScheduleError(
@@ -236,29 +261,17 @@ def validate(schedule: Schedule, t_start: int, t_stop: int) -> ValidationReport:
     if t_stop < t_start:
         raise ScheduleError("validation window is empty")
     findings: list[str] = []
-
-    def note(msg: str) -> None:
-        if msg not in findings:
-            findings.append(msg)
-
+    period = getattr(schedule, "period", None)
     for t in range(int(t_start), int(t_stop) + 1):
         try:
             tup = schedule.at(t)
+            if schedule.at(t) != tup:
+                findings.append(f"evaluation at t={t} is not deterministic")
+            if period is not None and schedule.at(t + period) != tup:
+                findings.append(f"period-{period} shift invariance violated at t={t}")
         except ScheduleError as exc:
-            note(str(exc))
-            continue
-        if schedule.at(t) != tup:
-            note(f"evaluation at t={t} is not deterministic")
-        period = getattr(schedule, "period", None)
-        if period is not None:
-            try:
-                shifted = schedule.at(t + period)
-            except ScheduleError as exc:
-                note(str(exc))
-                continue
-            if shifted != tup:
-                note(f"period-{period} shift invariance violated at t={t}")
-    return ValidationReport(tuple(findings))
+            findings.append(str(exc))
+    return ValidationReport(tuple(dict.fromkeys(findings)))
 
 
 def validate_params(builder: Callable[[], Schedule],

@@ -87,9 +87,9 @@ class EmpiricalMoments:
 
 
 def _simulate_chunk(config: SimulationConfig, first_path: int,
-                    sigma: np.ndarray, coeffs: np.ndarray,
-                    out: np.ndarray) -> None:
-    """Simulate paths first_path .. first_path + len(out) - 1 into ``out``."""
+                    coeffs: np.ndarray, out: np.ndarray) -> None:
+    """Simulate paths first_path .. first_path + len(out) - 1 into ``out``,
+    given the coefficient window ``coeffs`` of every simulated time."""
     n_paths = len(out)
     total = config.burn_in + config.length
     bitgen = np.random.Philox(key=[config.seed, first_path])
@@ -112,16 +112,17 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
             else:
                 rng.standard_normal(out=row)
         y[2:, b:b + len(rows)] = rows.T
-    y[2:] *= sigma[:, None]
+    y[2:] *= np.sqrt(coeffs[:, 3])[:, None]
     # ((phi0 + phi1*y1) + phi2*y2) + eps, operand order kept bit for bit
     acc = np.empty(n_paths)
     tmp = np.empty(n_paths)
-    for j, (phi0, phi1, phi2) in enumerate(coeffs.tolist()):
-        np.multiply(phi1, y[j + 1], out=acc)
-        np.add(phi0, acc, out=acc)
-        np.multiply(phi2, y[j], out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.add(acc, y[j + 2], out=y[j + 2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (phi0, phi1, phi2, _) in enumerate(coeffs.tolist()):
+            np.multiply(phi1, y[j + 1], out=acc)
+            np.add(phi0, acc, out=acc)
+            np.multiply(phi2, y[j], out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.add(acc, y[j + 2], out=y[j + 2])
     out[:] = y[2 + config.burn_in:].T
 
 
@@ -130,14 +131,10 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     whatever ``workers`` and ``CHUNK_TARGET``."""
     total = config.burn_in + config.length
     t_first = config.t_end - total + 1
-    tuples = [config.schedule.at(t) for t in range(t_first, config.t_end + 1)]
-    sigma = np.sqrt(np.array([tup.sigma2 for tup in tuples]))
-    coeffs = np.array([(tup.phi0, tup.phi1, tup.phi2) for tup in tuples])
-
+    coeffs = config.schedule.window(t_first, config.t_end)
     values = np.empty((config.n_paths, config.length))
     for first in range(0, config.n_paths, CHUNK_TARGET):
-        _simulate_chunk(config, first, sigma, coeffs,
-                        values[first:first + CHUNK_TARGET])
+        _simulate_chunk(config, first, coeffs, values[first:first + CHUNK_TARGET])
     times = np.arange(config.t_end - config.length + 1, config.t_end + 1)
     return PathEnsemble(times, values)
 

@@ -41,9 +41,11 @@ def general_solution(schedule: Schedule, t: int, k: int) -> GeneralSolution:
         return GeneralSolution(int(t), 0, 1.0, 0.0, 0.0, np.empty(0))
     table = green_functions(schedule, t, k)
     weights = table.values[:k].copy()
-    drift = float(sum(weights[i] * schedule.at(t - i).phi0 for i in range(k)))
+    newest_first = schedule.window(t - k + 1, t)[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = float(sum((weights * newest_first[:, 0]).tolist()))
     w0 = table.xi(k)
-    w1 = schedule.at(t - k + 1).phi2 * table.xi(k - 1)
+    w1 = float(newest_first[-1, 2]) * table.xi(k - 1)
     return GeneralSolution(int(t), int(k), w0, w1, drift, weights)
 
 
@@ -70,9 +72,9 @@ def forward_recursion(schedule: Schedule, t: int, k: int,
     if len(innovations) != k:
         raise ValueError(f"expected {k} innovations, got {len(innovations)}")
     y_prev, y_prev2 = y_init
-    for step, tau in enumerate(range(t - k + 1, t + 1)):
-        tup = schedule.at(tau)
-        y = tup.phi0 + tup.phi1 * y_prev + tup.phi2 * y_prev2 + innovations[step]
+    rows = schedule.window(t - k + 1, t).tolist()
+    for (phi0, phi1, phi2, _), eps in zip(rows, innovations):
+        y = phi0 + phi1 * y_prev + phi2 * y_prev2 + eps
         y_prev2, y_prev = y_prev, y
     return float(y_prev)
 
@@ -93,6 +95,5 @@ def particular_solution_determinant_oracle(schedule: Schedule, t: int, k: int,
     if len(innovations) != k:
         raise ValueError(f"expected {k} innovations, got {len(innovations)}")
     mat = fundamental_matrix(schedule, t, k)
-    for i in range(1, k + 1):
-        mat[i - 1, 0] = schedule.at(t - k + i).phi0 + innovations[i - 1]
+    mat[:, 0] = schedule.window(t - k + 1, t)[:, 0] + np.asarray(innovations, float)
     return float(np.linalg.det(mat))

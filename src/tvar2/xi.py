@@ -3,7 +3,8 @@
 xi(schedule, t, k) is the determinant of the k x k tridiagonal matrix
 holding the lag coefficients from time t-k+1 up to t.  These determinants
 are the Green functions (moving-average weights) of the process anchored
-at time t.  The production path is the three-term recurrence; a direct
+at time t.  ``green_functions``, the three-term recurrence over one
+coefficient window, is the one kernel every other result reads; a direct
 determinant of the assembled matrix is kept as a test-only oracle.
 """
 
@@ -49,41 +50,39 @@ class XiTable:
 
 
 def xi_stream(schedule: Schedule, t: int) -> Iterator[float]:
-    """Yield xi_{t,0}, xi_{t,1}, ... lazily for a fixed anchor t.
-
-    Uses the first-row expansion of the determinant:
-    xi_{t,i} = phi1(t-i+1) * xi_{t,i-1} + phi2(t-i+2) * xi_{t,i-2}.
-    """
-    yield 1.0
-    prev2 = 1.0
-    prev = schedule.at(t).phi1
-    yield prev
-    i = 2
+    """Yield xi_{t,0}, xi_{t,1}, ... lazily for a fixed anchor t, from
+    ``green_functions`` tables of depth 8, 16, ... that stop at the
+    schedule's earliest time: only a value past it raises."""
+    taken, depth = 0, 8
     while True:
-        cur = schedule.at(t - i + 1).phi1 * prev + schedule.at(t - i + 2).phi2 * prev2
-        yield cur
-        prev2, prev = prev, cur
-        i += 1
+        k = max(min(depth, t - schedule.earliest + 1), taken)
+        values = green_functions(schedule, t, k).values
+        yield from values[taken:].tolist()
+        taken, depth = len(values), 2 * depth
 
 
 def green_functions(schedule: Schedule, t: int, k_max: int) -> XiTable:
-    """Table of xi_{t,0..k_max}: the Green functions anchored at time t."""
+    """Table of xi_{t,0..k_max}: the Green functions anchored at time t.
+
+    Uses the first-row expansion of the determinant,
+    xi_{t,i} = phi1(t-i+1) * xi_{t,i-1} + phi2(t-i+2) * xi_{t,i-2},
+    over the coefficient window t-k_max+1 .. t.
+    """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    values = np.empty(k_max + 1)
-    stream = xi_stream(schedule, t)
-    for i in range(k_max + 1):
-        values[i] = next(stream)
-    return XiTable(int(t), values)
+    newest_first = schedule.window(t - k_max + 1, t)[::-1]
+    phi1, phi2 = newest_first[:, 1].tolist(), newest_first[:, 2].tolist()
+    values = [1.0] + phi1[:1]
+    for a, b in zip(phi1[1:], phi2):
+        values.append(a * values[-1] + b * values[-2])
+    return XiTable(int(t), np.array(values))
 
 
 def xi(schedule: Schedule, t: int, k: int) -> float:
     """Fundamental solution xi_{t,k}; xi_{t,0} = 1, xi_{t,-1} = 0."""
     if k < -1:
         raise ValueError("k must be >= -1")
-    if k == -1:
-        return 0.0
-    return green_functions(schedule, t, k).xi(k)
+    return green_functions(schedule, t, max(k, 0)).xi(k)
 
 
 def xi_second(schedule: Schedule, t: int, k: int) -> float:
@@ -101,14 +100,11 @@ def fundamental_matrix(schedule: Schedule, t: int, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    mat = np.zeros((k, k))
-    for i in range(1, k + 1):
-        tup = schedule.at(t - k + i)
-        mat[i - 1, i - 1] = tup.phi1
-        if i >= 2:
-            mat[i - 1, i - 2] = tup.phi2
-        if i < k:
-            mat[i - 1, i] = -1.0
+    rows = schedule.window(t - k + 1, t)
+    mat = np.diag(rows[:, 1])
+    i = np.arange(k - 1)
+    mat[i + 1, i] = rows[1:, 2]
+    mat[i, i + 1] = -1.0
     return mat
 
 

@@ -1,0 +1,57 @@
+"""The names the benchmark in perfbench/ hooks into must keep existing.
+
+perfbench/layertrace.py wraps tvar2 functions by name for ``--trace 1``,
+and perfbench/selftest.py patches names bound in ``tvar2.cli``.  A
+refactor that drops one should fail here, not in a benchmark run.
+"""
+
+import importlib
+import os
+
+import tvar2
+import tvar2.cli
+import tvar2.moments
+import tvar2.schedules
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+XI = importlib.import_module("tvar2.xi")
+
+# names perfbench/selftest.py replaces in tvar2.cli
+SELFTEST_CLI_NAMES = ("forecast", "green_functions", "autocovariance",
+                      "xi_par_decomposed", "stationarity_check",
+                      "empirical_moments")
+
+
+def test_cli_binds_the_names_the_selftest_patches():
+    for name in SELFTEST_CLI_NAMES:
+        assert callable(getattr(tvar2.cli, name)), name
+
+
+def test_layer_tracer_installs_counts_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    layertrace = importlib.import_module("layertrace")
+    originals = (XI.xi_stream, tvar2.moments._truncated_sum,
+                 tvar2.schedules.Schedule.at, tvar2.cli.forecast)
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        s = tvar2.PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5)])
+        tvar2.unconditional_variance(s, 41)
+        tvar2.forecast(s, 41, 5, (1.0, 0.0))
+        stream = XI.xi_stream(s, 41)
+        for _ in range(4):
+            next(stream)
+        stream.close()
+        s.at(3)
+        metrics = layertrace.layer_metrics(tracer, 0, 0, 0)
+    finally:
+        tracer.uninstall()
+    assert metrics["moments.series.calls"][0] == 2
+    assert metrics["moments.series.terms"][0] > 0
+    assert metrics["xi.steps"][0] == 4
+    assert metrics["schedules.at.calls"][0] == 1
+    assert tracer.span_counts()["moments.forecast"] == 1
+    assert (XI.xi_stream, tvar2.moments._truncated_sum,
+            tvar2.schedules.Schedule.at, tvar2.cli.forecast) == originals

@@ -208,3 +208,31 @@ def test_all_subcommands_deterministic(tmp_path):
         _, first = _run(tmp_path, argv, "r1.csv")
         _, second = _run(tmp_path, argv, "r2.csv")
         assert first == second
+
+
+@pytest.mark.parametrize("config, argv, exit_code", [
+    (PERIODIC, ["acf", "--t", "5", "--tol", "0"], 2),
+    (PERIODIC, ["acf", "--t", "5", "--nmax", "0"], 2),
+    (PERIODIC, ["acf", "--t", "5", "--max-lag", "-1"], 2),
+    (PERIODIC, ["green", "--t", "5", "--k", "-3"], 2),
+    (PERIODIC, ["simulate", "--t", "5", "--paths", "-5"], 2),
+    # fails after the header is written: the series runs past the window
+    (BREAKS, ["acf", "--t", "50", "--max-lag", "2"], 1),
+], ids=["acf-tol-0", "acf-nmax-0", "acf-max-lag-negative", "green-k-negative",
+        "simulate-paths-negative", "acf-past-break-window"])
+def test_failed_command_leaves_no_out_file(tmp_path, config, argv, exit_code):
+    cfg = _write(tmp_path, "c.yaml", config)
+    out = tmp_path / "out.csv"
+    code = cli.main([argv[0], "--config", cfg, "--out", str(out)] + argv[1:])
+    assert code == exit_code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_nonfinite_coefficient_in_config_exits_2(tmp_path, capsys, value):
+    cfg = _write(tmp_path, "c.yaml", CONSTANT.replace("phi1: 1.2", f"phi1: {value}"))
+    out = tmp_path / "out.csv"
+    code = cli.main(["forecast", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert "phi1 must be finite" in capsys.readouterr().err
+    assert not out.exists()

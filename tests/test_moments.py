@@ -1,12 +1,16 @@
 import math
+import warnings
+from collections import deque
 
 import pytest
 
-from tvar2 import (ConstantSchedule, GenericSchedule, PeriodicSchedule,
-                   autocovariance, autocovariance_recursion, forecast,
-                   forecast_error_weights, unconditional_mean,
-                   unconditional_variance)
-from tvar2.moments import assumption_a1_diagnostic
+import tvar2.moments
+from tvar2 import (BreakSchedule, ConstantSchedule, CyclicalSchedule,
+                   PeriodicSchedule, ScheduleError, autocovariance,
+                   autocovariance_recursion, forecast, forecast_error_weights,
+                   general_solution, unconditional_mean, unconditional_variance)
+from tvar2.moments import (DEFAULT_TOL, _tail_window,
+                           assumption_a1_diagnostic)
 from conftest import random_schedule
 
 
@@ -99,6 +103,8 @@ def test_tol_validation():
     s = ConstantSchedule(0.0, 0.5, 0.0, 1.0)
     with pytest.raises(ValueError, match="tol must be > 0"):
         unconditional_variance(s, 5, tol=0.0)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        autocovariance(s, 5, 1, n_max=0)
 
 
 def test_summability_diagnostic_stable_vs_explosive():
@@ -108,3 +114,147 @@ def test_summability_diagnostic_stable_vs_explosive():
     explosive = ConstantSchedule(1.0, 1.4, 0.2, 1.0)
     bad = assumption_a1_diagnostic(explosive, range(10, 14), n=200, bound=50.0)
     assert not bad.passed
+
+
+# --- per-step reference: one schedule evaluation per coefficient, one term
+# at a time, as the series were summed before they read windows in blocks
+
+def _reference_stream(s, t):
+    yield 1.0
+    prev2, prev = 1.0, s.at(t).phi1
+    yield prev
+    i = 2
+    while True:
+        cur = s.at(t - i + 1).phi1 * prev + s.at(t - i + 2).phi2 * prev2
+        yield cur
+        prev2, prev = prev, cur
+        i += 1
+
+
+def _reference_sum(terms, tol, n_max):
+    window = _tail_window(tol)
+    recent = deque(maxlen=window)
+    total = 0.0
+    n = 0
+    for term in terms:
+        if not math.isfinite(term):
+            return total, n, math.inf, False
+        total += term
+        recent.append(abs(term))
+        n += 1
+        if (n >= window and math.isfinite(total)
+                and max(recent) < tol * max(1.0, abs(total))):
+            return total, n, float(sum(recent)), True
+        if n >= n_max:
+            break
+    return total, n, float(sum(recent)), False
+
+
+def _reference_mean(s, t, tol, n_max):
+    return _reference_sum((x * s.at(t - i).phi0
+                           for i, x in enumerate(_reference_stream(s, t))),
+                          tol, n_max)
+
+
+def _reference_cov(s, t, k, tol, n_max):
+    def terms():
+        anchor = _reference_stream(s, t)
+        for _ in range(k):
+            next(anchor)
+        for i, (xa, xl) in enumerate(zip(anchor, _reference_stream(s, t - k))):
+            yield xa * xl * s.at(t - k - i).sigma2
+    return _reference_sum(terms(), tol, n_max)
+
+
+SERIES_CASES = [
+    ("periodic", PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
+                                   (0.1, 0.8, -0.3, 0.8), (0.3, 0.1, 0.25, 1.2)])),
+    ("cyclical", CyclicalSchedule(6, [2, 4], [(0.0, 0.5, -0.2, 1.0),
+                                              (0.1, -0.3, 0.4, 1.0),
+                                              (0.0, 0.8, -0.1, 1.3)])),
+    ("near-unit-root", ConstantSchedule(0.01, 1.0, -0.02, 1.0)),
+    ("explosive", ConstantSchedule(0.1, 1.5, -0.02, 1.0)),
+]
+
+
+@pytest.mark.parametrize("name, s", SERIES_CASES, ids=[c[0] for c in SERIES_CASES])
+@pytest.mark.parametrize("tol, n_max", [(1e-12, 10_000), (1e-12, 100),
+                                        (1e-12, 777), (1e-3, 5), (1e-3, 33)])
+def test_series_equal_the_per_step_reference(monkeypatch, name, s, tol, n_max):
+    sums = []
+    original = tvar2.moments._truncated_sum
+    monkeypatch.setattr(tvar2.moments, "_truncated_sum",
+                        lambda *a: sums.append(original(*a)) or sums[-1])
+    for t in (501, 502, 506):
+        mean = unconditional_mean(s, t, tol, n_max)
+        assert (mean.mean, mean.depth, mean.tail_bound, mean.converged) == \
+            _reference_mean(s, t, tol, n_max)
+        var = unconditional_variance(s, t, tol, n_max)
+        want = _reference_cov(s, t, 0, tol, n_max)
+        assert sums[-2] == want
+        assert var.variance == want[0]
+        for k in (1, 5):
+            cov = autocovariance(s, t, k, tol, n_max)
+            want = _reference_cov(s, t, k, tol, n_max)
+            assert sums[-1] == want
+            assert (cov.value, cov.converged) == (want[0], want[3])
+    if name == "near-unit-root" and n_max == 10_000:
+        assert sums[1][1] == 621
+
+
+def test_overflowing_series_is_not_converged():
+    s = ConstantSchedule(0.0, 1.5, -0.02, 1.0)
+    var = unconditional_variance(s, 40)
+    assert math.isinf(var.variance) and not var.converged
+    for k in (0, 1, 4):
+        cov = autocovariance(s, 40, k)
+        assert math.isinf(cov.value) and not cov.converged
+
+
+def test_break_series_converges_inside_a_short_window():
+    regimes = [(0.5, 0.3, 0.1, 1.0), (0.2, 0.2, -0.1, 2.0)]
+    s = BreakSchedule(100, 40, [15], regimes)
+    # 41 times in the window: fewer than the first block of a series
+    assert 40 < tvar2.moments.FIRST_BLOCK
+    var = unconditional_variance(s, 100, tol=1e-6)
+    want_var = _reference_cov(s, 100, 0, 1e-6, 10_000)
+    want_mean = _reference_mean(s, 100, 1e-6, 10_000)
+    assert var.converged and var.depth < 41
+    assert (var.variance, var.mean, var.depth) == (
+        want_var[0], want_mean[0], max(want_var[1], want_mean[1]))
+    cov = autocovariance(s, 100, 3, tol=1e-6)
+    assert (cov.value, cov.converged) == \
+        _reference_cov(s, 100, 3, 1e-6, 10_000)[::3]
+    # a series that needs a term past the edge raises as reading it does
+    with pytest.raises(ScheduleError) as info:
+        unconditional_variance(s, 100)
+    with pytest.raises(ScheduleError) as want:
+        _reference_cov(s, 100, 0, DEFAULT_TOL, 10_000)
+    assert str(info.value) == str(want.value) == (
+        "t=59 outside break-schedule window [60, 100]")
+    with pytest.raises(ScheduleError, match="t=101 outside"):
+        autocovariance(s, 101, 1, tol=1e-6)
+
+
+def test_forecast_point_is_the_general_solution(rng):
+    for _ in range(10):
+        s = random_schedule(rng, -40, 10)
+        t = int(rng.integers(-5, 10))
+        k = int(rng.integers(1, 30))
+        y0, y1 = (float(v) for v in rng.normal(size=2))
+        sol = general_solution(s, t, k)
+        result = forecast(s, t, k, (y0, y1))
+        assert result.point == sol.w0 * y0 + sol.w1 * y1 + sol.drift
+        assert list(result.error_weights) == list(sol.innovation_weights)
+        # both sums run one term at a time, newest first
+        weights = list(enumerate(sol.innovation_weights))
+        assert sol.drift == sum(w * s.at(t - i).phi0 for i, w in weights)
+        assert result.mse == sum(w ** 2 * s.at(t - i).sigma2 for i, w in weights)
+
+
+def test_explosive_forecast_emits_no_warnings():
+    s = ConstantSchedule(0.0, 2.5, -0.02, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = forecast(s, 5000, 1000, (0.5, -0.5))
+    assert math.isnan(result.point) and math.isnan(result.mse)

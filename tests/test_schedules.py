@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from tvar2 import (BreakSchedule, ConstantSchedule, CyclicalSchedule,
@@ -137,3 +140,64 @@ def test_validate_params_accepts_good_builder():
     report = validate_params(lambda: PeriodicSchedule([(0, 0.5, -0.2, 1.0),
                                                        (0, 0.3, 0.1, 1.0)]))
     assert report.ok
+
+
+WINDOW_KINDS = {
+    "constant": lambda: ConstantSchedule(0.5, 1.2, -0.32, 2.0),
+    "periodic": lambda: PeriodicSchedule([(0.1, 0.5, -0.2, 1.0),
+                                          (0.2, -0.4, 0.3, 1.5),
+                                          (0.3, 0.8, -0.1, 0.5)]),
+    "cyclical": lambda: CyclicalSchedule(5, [2], [(0.0, 0.5, -0.2, 1.0),
+                                                  (0.1, -0.3, 0.4, 2.0)]),
+    "breaks": lambda: BreakSchedule(100, 10, [3, 7],
+                                    [(0.0, 0.5, -0.2, 1.0), (0.0, -0.4, 0.3, 2.0),
+                                     (0.0, 0.9, -0.5, 0.5)]),
+    "generic": lambda: GenericSchedule(
+        lambda t: (0.01 * t, math.sin(t), math.cos(t), 1.0 + 0.5 * math.sin(3 * t))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+def test_window_is_the_stacked_at_rows(kind):
+    s = WINDOW_KINDS[kind]()
+    spans = [(90, 100), (97, 97), (97, 96)]
+    if kind != "breaks":
+        spans.append((-7, 12))   # negative times wrap onto the right seasons
+    for t_lo, t_hi in spans:
+        rows = s.window(t_lo, t_hi)
+        stacked = [[c.phi0, c.phi1, c.phi2, c.sigma2]
+                   for c in map(s.at, range(t_lo, t_hi + 1))]
+        assert rows.shape == (len(stacked), 4)
+        assert rows.tolist() == stacked
+
+
+def _message(call):
+    with pytest.raises(ScheduleError) as info:
+        call()
+    return str(info.value)
+
+
+def test_window_errors_keep_their_messages():
+    bounded = ConstantSchedule(0, 0.5, 0.1, 5.0, sigma2_bounds=(1e-6, 1.0))
+    assert _message(lambda: bounded.window(1, 3)) == _message(lambda: bounded.at(3))
+    assert "sigma2=5.0 at t=3 outside declared bounds" in _message(
+        lambda: bounded.window(1, 3))
+    negative = GenericSchedule(lambda t: (0.0, 0.5, 0.1, -1.0 if t == 3 else 1.0))
+    assert _message(lambda: negative.window(1, 5)) == "sigma2 must be > 0 (t=3)"
+    breaks = BreakSchedule(50, 5, [2], [(0, 0.5, 0.1, 1), (0, 0.2, 0.1, 1)])
+    # a window past either edge names the first bad time walking back from t_hi
+    assert _message(lambda: breaks.window(40, 50)) == _message(lambda: breaks.at(44))
+    assert _message(lambda: breaks.window(48, 52)) == _message(lambda: breaks.at(52))
+    assert "outside break-schedule window [45, 50]" in _message(
+        lambda: breaks.window(40, 50))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_coefficients_rejected(bad):
+    with pytest.raises(ScheduleError, match="phi1 must be finite"):
+        ConstantSchedule(0.0, bad, 0.1, 1.0)
+    with pytest.raises(ScheduleError, match="sigma2 must be finite"):
+        PeriodicSchedule([(0.0, 0.5, 0.1, 1.0), (0.0, 0.5, 0.1, bad)])
+    generic = GenericSchedule(lambda t: (bad, 0.5, 0.1, 1.0))
+    with pytest.raises(ScheduleError, match="phi0 must be finite"):
+        generic.window(1, 3)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,3 +185,12 @@ def test_window_checked():
         empirical_forecast_error(cfg, 60, 3)
     with pytest.raises(ValueError, match="100 paths"):
         empirical_forecast_error(_config(n_paths=10), 60, 1)
+
+
+def test_explosive_paths_emit_no_warnings():
+    explosive = ConstantSchedule(0.0, 2.5, 0.3, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ensemble = simulate_paths(SimulationConfig(explosive, 50, 900, 3, seed=1,
+                                                   burn_in=900))
+    assert not np.isfinite(ensemble.values).any()

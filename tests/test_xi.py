@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tvar2 import (ConstantSchedule, constant_xi, green_functions, xi,
-                   xi_determinant_oracle, xi_second,
-                   xi_second_determinant_oracle, xi_stream)
+from tvar2 import (BreakSchedule, ConstantSchedule, ScheduleError,
+                   constant_xi, green_functions, xi, xi_determinant_oracle,
+                   xi_second, xi_second_determinant_oracle, xi_stream)
 from tvar2.xi import OracleCapError, fundamental_matrix
 from conftest import random_schedule
 
@@ -52,6 +52,27 @@ def test_stream_is_lazy_and_consistent_with_table(rng):
     head = [next(stream) for _ in range(8)]
     table = green_functions(s, 5, 7)
     assert np.allclose(head, table.values)
+
+
+def test_kernel_keeps_the_per_step_operand_order(rng):
+    s = random_schedule(rng, -60, 10)
+    want = [1.0, s.at(5).phi1]
+    for i in range(2, 61):
+        want.append(s.at(5 - i + 1).phi1 * want[-1]
+                    + s.at(5 - i + 2).phi2 * want[-2])
+    assert green_functions(s, 5, 60).values.tolist() == want
+    stream = xi_stream(s, 5)
+    assert [next(stream) for _ in range(61)] == want
+
+
+def test_stream_stops_at_the_break_window_edge():
+    s = BreakSchedule(50, 5, [2], [(0, 0.5, 0.1, 1), (0, 0.2, 0.1, 1)])
+    stream = xi_stream(s, 50)
+    # xi_{50,i} reads back to time 51 - i: i = 6 reaches the edge at 45
+    head = [next(stream) for _ in range(7)]
+    assert head == green_functions(s, 50, 6).values.tolist()
+    with pytest.raises(ScheduleError, match="t=44 outside break-schedule window"):
+        next(stream)
 
 
 def test_second_solution_identity(rng):

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: green, forecast, acf, simulate, stationarity,
-decompose-verify, verify.  A YAML config supplies the schedule and default
-run parameters; command-line flags override config values.  Exit codes:
-0 success, 2 config error, 1 computation-domain error.
+decompose-verify, verify; each accepts only the flags it reads.  A YAML
+config supplies the schedule and default run parameters; command-line
+flags override config values.  Exit codes: 0 success, 2 config error
+(including a flag out of range or over a size cap), 1 computation-domain
+error.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import sys
 from . import config as config_mod
 from .blockdet import (block_spec, decomposition_report, xi_abar_decomposed,
                        xi_car_decomposed, xi_par_decomposed)
-from .config import ConfigError
-from .moments import DEFAULT_N_MAX, DEFAULT_TOL, autocovariance, forecast
+from .config import PARAMS, ConfigError
+from .moments import autocovariance, forecast
 from .schedules import (BreakSchedule, CyclicalSchedule, PeriodicSchedule,
                         ScheduleError)
 from .simulate import (SimulationConfig, empirical_moments, simulate_paths)
@@ -29,6 +31,27 @@ EXIT_DOMAIN = 1
 EXIT_CONFIG = 2
 FLOAT_FORMAT = "%.15g"
 
+# Output size caps.  A request beyond one is a config error (exit 2),
+# rejected before anything is computed or written.
+MAX_DEPTH = 10**6          # green k + 1, forecast k, acf max_lag + 1 and nmax
+MAX_PATH_STEPS = 10**8     # simulate paths * (burn_in + length)
+
+_HELP = {
+    "t": "anchor time",
+    "k": "maximum depth (green) or forecast horizon (forecast)",
+    "y0": "value of y at t-k",
+    "y1": "value of y at t-k-1",
+    "tol": "series truncation tolerance",
+    "nmax": "series truncation cap",
+    "seed": "master seed",
+    "workers": "accepted (>= 1) but has no effect: the kernel is serial and "
+               "each path's stream is keyed by (seed, path)",
+    "innovations": "normal or uniform",
+    "aggregate": "emit per-time mean/variance instead of raw paths",
+    "matrices": "also print the stacked parameter matrices",
+    "n": "number of periods (periodic schedules)",
+}
+
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -38,136 +61,58 @@ def _fmt(x) -> str:
     return FLOAT_FORMAT % x
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tvar2",
-        description="Closed-form solutions, forecasts and moments of "
-                    "time-varying AR(2) processes.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="YAML config path")
-        p.add_argument("--out", default=None,
-                       help="output path (default standard output)")
-        p.add_argument("--t", type=int, default=None, help="anchor time")
-        p.add_argument("--tol", type=float, default=None,
-                       help="series truncation tolerance")
-        p.add_argument("--nmax", type=int, default=None,
-                       help="series truncation cap")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        return p
-
-    p = add("green", "table of Green functions (fundamental solutions)")
-    p.add_argument("--k", type=int, default=None, help="maximum depth")
-
-    p = add("forecast", "k-step point forecast and its mean square error")
-    p.add_argument("--k", type=int, default=None, help="forecast horizon")
-    p.add_argument("--y0", type=float, default=None, help="value of y at t-k")
-    p.add_argument("--y1", type=float, default=None, help="value of y at t-k-1")
-
-    p = add("acf", "autocovariances of y_t at lags 0..max_lag")
-    p.add_argument("--max-lag", type=int, default=None, dest="max_lag")
-
-    p = add("simulate", "Monte Carlo path ensemble")
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted (>= 1) but has no effect: the kernel is "
-                        "serial and each path's stream is keyed by "
-                        "(seed, path)")
-    p.add_argument("--innovations", choices=["normal", "uniform"], default=None)
-    p.add_argument("--aggregate", action="store_true",
-                   help="emit per-time mean/variance instead of raw paths")
-
-    p = add("stationarity", "stacked-form stationarity verdict (periodic only)")
-    p.add_argument("--matrices", action="store_true",
-                   help="also print the stacked parameter matrices")
-
-    p = add("decompose-verify",
-            "three-way check of the boundary decomposition of xi")
-    p.add_argument("--n", type=int, default=None,
-                   help="number of periods (periodic schedules)")
-    p.add_argument("--horizon", type=int, default=None)
-
-    add("verify", "run the internal cross-check suite")
-    return parser
+def _check_range(args, name: str, low, high=None) -> None:
+    value = getattr(args, name)
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"key {name!r} must be {bound} (got {value})")
 
 
-def _param(args, params: dict, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is None:
-        value = params.get(name, default)
-    return value
-
-
-def _require(args, params: dict, name: str):
-    value = _param(args, params, name)
-    if value is None:
-        raise ConfigError(f"missing key {name!r} (set it in params or via --{name})")
-    return value
-
-
-def _cmd_green(args, schedule, params, out):
-    t = int(_require(args, params, "t"))
-    k = int(_require(args, params, "k"))
-    if k < 0:
-        raise ConfigError("key 'k' must be >= 0")
-    table = green_functions(schedule, t, k)
+def _cmd_green(args, schedule, out):
+    _check_range(args, "k", 0, MAX_DEPTH - 1)
+    table = green_functions(schedule, args.t, args.k)
     out.write("t,i,xi\n")
-    for i in range(k + 1):
-        out.write(f"{t},{i},{_fmt(table.xi(i))}\n")
+    for i in range(args.k + 1):
+        out.write(f"{args.t},{i},{_fmt(table.xi(i))}\n")
     return EXIT_OK
 
 
-def _cmd_forecast(args, schedule, params, out):
-    t = int(_require(args, params, "t"))
-    k = int(_require(args, params, "k"))
-    y0 = float(_param(args, params, "y0", 0.0))
-    y1 = float(_param(args, params, "y1", 0.0))
-    result = forecast(schedule, t, k, (y0, y1))
+def _cmd_forecast(args, schedule, out):
+    _check_range(args, "k", 1, MAX_DEPTH)
+    result = forecast(schedule, args.t, args.k, (args.y0, args.y1))
     out.write("t,k,point,mse\n")
-    out.write(f"{t},{k},{_fmt(result.point)},{_fmt(result.mse)}\n")
+    out.write(f"{args.t},{args.k},{_fmt(result.point)},{_fmt(result.mse)}\n")
     return EXIT_OK
 
 
-def _cmd_acf(args, schedule, params, out):
-    t = int(_require(args, params, "t"))
-    max_lag = int(_param(args, params, "max_lag", 4))
-    tol = float(_param(args, params, "tol", DEFAULT_TOL))
-    nmax = int(_param(args, params, "nmax", DEFAULT_N_MAX))
-    if max_lag < 0:
-        raise ConfigError("key 'max_lag' must be >= 0")
-    if not tol > 0:
+def _cmd_acf(args, schedule, out):
+    _check_range(args, "max_lag", 0, MAX_DEPTH - 1)
+    _check_range(args, "nmax", 1, MAX_DEPTH)
+    if not args.tol > 0:
         raise ConfigError("key 'tol' must be > 0")
-    if nmax < 1:
-        raise ConfigError("key 'nmax' must be >= 1")
     out.write("t,k,gamma,converged\n")
-    for k in range(max_lag + 1):
-        cov = autocovariance(schedule, t, k, tol, nmax)
-        out.write(f"{t},{k},{_fmt(cov.value)},{_fmt(cov.converged)}\n")
+    for k in range(args.max_lag + 1):
+        cov = autocovariance(schedule, args.t, k, args.tol, args.nmax)
+        out.write(f"{args.t},{k},{_fmt(cov.value)},{_fmt(cov.converged)}\n")
     return EXIT_OK
 
 
-def _cmd_simulate(args, schedule, params, out):
+def _cmd_simulate(args, schedule, out):
     try:
         cfg = SimulationConfig(
-            schedule=schedule,
-            n_paths=int(_param(args, params, "paths", 1000)),
-            t_end=int(_require(args, params, "t")),
-            length=int(_param(args, params, "length", 1)),
-            seed=int(_param(args, params, "seed", 0)),
-            burn_in=int(_param(args, params, "burn_in", 500)),
-            innovations=str(_param(args, params, "innovations", "normal")),
-            workers=int(_param(args, params, "workers", 1)))
+            schedule=schedule, n_paths=args.paths, t_end=args.t,
+            length=args.length, seed=args.seed, burn_in=args.burn_in,
+            innovations=args.innovations, workers=args.workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if cfg.n_paths * (cfg.burn_in + cfg.length) > MAX_PATH_STEPS:
+        raise ConfigError(f"key 'paths' times (burn_in + length) must be <= "
+                          f"{MAX_PATH_STEPS}")
     ensemble = simulate_paths(cfg)
     if args.aggregate:
         out.write("t,stat,value,se\n")
-        for t in ensemble.times:
-            stats = empirical_moments(ensemble, int(t))
+        for t in ensemble.times.tolist():
+            stats = empirical_moments(ensemble, t)
             out.write(f"{t},mean,{_fmt(stats.mean.value)},"
                       f"{_fmt(stats.mean.se)}\n")
             out.write(f"{t},variance,{_fmt(stats.variance.value)},"
@@ -186,7 +131,7 @@ def _cmd_simulate(args, schedule, params, out):
     return EXIT_OK
 
 
-def _cmd_stationarity(args, schedule, params, out):
+def _cmd_stationarity(args, schedule, out):
     if not isinstance(schedule, PeriodicSchedule):
         raise ScheduleError(
             "stationarity check needs a periodic schedule "
@@ -205,17 +150,17 @@ def _cmd_stationarity(args, schedule, params, out):
     return EXIT_OK
 
 
-def _cmd_decompose_verify(args, schedule, params, out):
+def _cmd_decompose_verify(args, schedule, out):
+    _check_range(args, "n", 1)
     if isinstance(schedule, PeriodicSchedule):
-        n = int(_param(args, params, "n", 2))
         l = schedule.period
-        t = int(_param(args, params, "t", n * l))
-        value = xi_par_decomposed(schedule, t, n)
-        spec = block_spec(schedule, t, [j * l for j in range(1, n)], n * l,
-                          "periodic")
+        t = args.n * l if args.t is None else args.t
+        value = xi_par_decomposed(schedule, t, args.n)
+        spec = block_spec(schedule, t, [j * l for j in range(1, args.n)],
+                          args.n * l, "periodic")
     elif isinstance(schedule, CyclicalSchedule):
         l = schedule.period
-        t = int(_param(args, params, "t", l))
+        t = l if args.t is None else args.t
         value = xi_car_decomposed(schedule, t)
         spec = block_spec(schedule, t,
                           [l - b for b in reversed(schedule.boundaries)], l,
@@ -234,11 +179,10 @@ def _cmd_decompose_verify(args, schedule, params, out):
     return EXIT_OK
 
 
-def _cmd_verify(args, schedule, params, out):
+def _cmd_verify(args, schedule, out):
     import numpy as np
-    seed = int(_param(args, params, "seed", 0))
-    rng = np.random.default_rng(seed)
-    t = int(_param(args, params, "t", 40))
+    rng = np.random.default_rng(args.seed)
+    t = args.t
     failures = 0
 
     def report(name: str, ok: bool):
@@ -283,15 +227,59 @@ def _cmd_verify(args, schedule, params, out):
     return EXIT_OK if failures == 0 else EXIT_DOMAIN
 
 
+# subcommand -> (handler, help text, the flags it reads, its own defaults).
+# A flag is a run parameter of config.PARAMS or a switch; an own default of
+# None means the handler works the value out from the schedule.
 _COMMANDS = {
-    "green": _cmd_green,
-    "forecast": _cmd_forecast,
-    "acf": _cmd_acf,
-    "simulate": _cmd_simulate,
-    "stationarity": _cmd_stationarity,
-    "decompose-verify": _cmd_decompose_verify,
-    "verify": _cmd_verify,
+    "green": (_cmd_green, "table of Green functions (fundamental solutions)",
+              ("t", "k"), {}),
+    "forecast": (_cmd_forecast, "k-step point forecast and its mean square "
+                 "error", ("t", "k", "y0", "y1"), {}),
+    "acf": (_cmd_acf, "autocovariances of y_t at lags 0..max_lag",
+            ("t", "max_lag", "tol", "nmax"), {}),
+    "simulate": (_cmd_simulate, "Monte Carlo path ensemble",
+                 ("t", "seed", "paths", "length", "burn_in", "workers",
+                  "innovations", "aggregate"), {}),
+    "stationarity": (_cmd_stationarity, "stacked-form stationarity verdict "
+                     "(periodic only)", ("matrices",), {}),
+    "decompose-verify": (_cmd_decompose_verify, "three-way check of the "
+                         "boundary decomposition of xi", ("t", "n"),
+                         {"t": None}),
+    "verify": (_cmd_verify, "run the internal cross-check suite",
+               ("t", "seed"), {"t": 40}),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tvar2",
+        description="Closed-form solutions, forecasts and moments of "
+                    "time-varying AR(2) processes.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="YAML config path")
+        p.add_argument("--out", help="output path (default standard output)")
+        for flag in flags:
+            option = "--" + flag.replace("_", "-")
+            if flag in PARAMS:
+                p.add_argument(option, type=PARAMS[flag][0],
+                               help=_HELP.get(flag))
+            else:
+                p.add_argument(option, action="store_true", help=_HELP[flag])
+    return parser
+
+
+def _resolve(args, params: dict, flags, defaults: dict) -> None:
+    """Fill each flag left unset on the command line from the config's
+    params, else from the subcommand's or the parameter table's default."""
+    for name in flags:
+        if getattr(args, name) is None:
+            value = params.get(name, defaults.get(name, PARAMS[name][1]))
+            if value is None and name not in defaults:
+                raise ConfigError(
+                    f"missing key {name!r} (set it in params or via --{name})")
+            setattr(args, name, value)
 
 
 class _OutFile:
@@ -319,22 +307,20 @@ class _OutFile:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    run, _, flags, defaults = _COMMANDS[args.command]
     try:
         with open(args.config) as fh:
             schedule, params = config_mod.load(fh)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, ScheduleError) as exc:
+        _resolve(args, params, flags, defaults)
+    except (OSError, ConfigError, ScheduleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    command = _COMMANDS[args.command]
     try:
         if args.out is None:
-            return command(args, schedule, params, sys.stdout)
+            return run(args, schedule, sys.stdout)
         with _OutFile(args.out) as out:
-            return command(args, schedule, params, out)
+            return run(args, schedule, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,26 +2,56 @@
 
 A config file is a mapping with ``schema_version: 1``, a ``schedule``
 section keyed by kind, and an optional ``params`` section of run defaults
-that command-line flags may override.  Unknown keys are rejected by name,
-so typos fail loudly instead of being silently ignored.
+that command-line flags may override.  Unknown keys and values of the
+wrong type are rejected by name, so typos fail loudly instead of being
+silently ignored or truncated.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import IO, Any
 
 import yaml
 
+from .moments import DEFAULT_N_MAX, DEFAULT_TOL
 from .schedules import (DEFAULT_SIGMA2_BOUNDS, BreakSchedule, ConstantSchedule,
                         CyclicalSchedule, PeriodicSchedule, Schedule)
+from .simulate import DEFAULT_BURN_IN
 
 SCHEMA_VERSION = 1
 
 _TUPLE_KEYS = ("phi0", "phi1", "phi2", "sigma2")
 
-_PARAM_KEYS = ("t", "k", "y0", "y1", "max_lag", "tol", "nmax", "seed",
-               "paths", "horizon", "length", "burn_in", "workers",
-               "innovations", "n")
+# kind -> (class, integer keys, integer-list keys, coefficient-list key).
+# Every key is an argument of the class's constructor; a kind with no
+# coefficient-list key has the four coefficient keys in its section.
+KINDS = {
+    "constant": (ConstantSchedule, (), (), None),
+    "periodic": (PeriodicSchedule, (), (), "seasons"),
+    "cyclical": (CyclicalSchedule, ("period",), ("boundaries",), "cycles"),
+    "abrupt-breaks": (BreakSchedule, ("anchor", "horizon"), ("offsets",),
+                      "regimes"),
+}
+
+# run parameter -> (type, default); a subcommand that reads a parameter
+# with no default needs a value for it
+PARAMS = {
+    "t": (int, None),
+    "k": (int, None),
+    "y0": (float, 0.0),
+    "y1": (float, 0.0),
+    "max_lag": (int, 4),
+    "tol": (float, DEFAULT_TOL),
+    "nmax": (int, DEFAULT_N_MAX),
+    "seed": (int, 0),
+    "paths": (int, 1000),
+    "length": (int, 1),
+    "burn_in": (int, DEFAULT_BURN_IN),
+    "workers": (int, 1),
+    "innovations": (str, "normal"),
+    "n": (int, 2),
+}
 
 
 class ConfigError(ValueError):
@@ -34,84 +64,75 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
-def _reject_unknown(mapping: dict, allowed, where: str) -> None:
+def _check_keys(mapping: dict, allowed, required, where: str) -> None:
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
+    for key in required:
+        if key not in mapping:
+            raise ConfigError(f"missing key {key!r} in {where}")
+
+
+def _typed(value, name: str, kind: type = int):
+    """``value`` as ``kind`` (int, float or str), never from a bool.  An int
+    takes no float, not even an integral one; a float takes numeric strings,
+    since PyYAML reads 1e-3 (no dot) as a string."""
+    if not isinstance(value, bool):
+        try:
+            if kind is int:
+                return operator.index(value)
+            if kind is float or isinstance(value, str):
+                return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"key {name!r} must be of type {kind.__name__} "
+                      f"(got {value!r})")
+
+
+def _number(value, name: str) -> float:
+    return _typed(value, name, float)
+
+
+def _list(mapping: dict, key: str, read, size: int | None = None) -> list:
+    """``mapping[key]`` as a list, each item read by ``read(item, name)``."""
+    value = mapping[key]
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        length = "" if size is None else f" of {size}"
+        raise ConfigError(
+            f"key {key!r} must be a list{length} (got {value!r})")
+    return [read(item, f"{key}[{i}]") for i, item in enumerate(value)]
+
+
+def _coefficients(mapping: dict, prefix: str = "") -> dict:
+    return {key: _number(mapping[key], prefix + key) for key in _TUPLE_KEYS}
 
 
 def _tuple_dict(value, where: str) -> dict:
     mapping = _require_mapping(value, where)
-    _reject_unknown(mapping, _TUPLE_KEYS, where)
-    out = {}
-    for key in _TUPLE_KEYS:
-        if key not in mapping:
-            raise ConfigError(f"missing key {key!r} in {where}")
-        try:
-            out[key] = float(mapping[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"key {key!r} in {where} must be a number")
-    return out
+    _check_keys(mapping, _TUPLE_KEYS, _TUPLE_KEYS, where)
+    return _coefficients(mapping, f"{where}.")
 
 
 def schedule_from_dict(section: dict) -> Schedule:
     """Build a schedule from the ``schedule`` config section."""
     mapping = _require_mapping(section, "schedule")
     kind = mapping.get("kind")
-    common = {"kind"}
-    if "sigma2_bounds" in mapping:
-        common.add("sigma2_bounds")
-        bounds = mapping["sigma2_bounds"]
-        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
-            raise ConfigError("key 'sigma2_bounds' must be a pair of numbers")
-        extra = {"sigma2_bounds": (float(bounds[0]), float(bounds[1]))}
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ConfigError(f"key 'kind' must be one of {', '.join(KINDS)} "
+                          f"(got {kind!r})")
+    cls, ints, int_lists, tuples = KINDS[kind]
+    keys = ints + int_lists + ((tuples,) if tuples else _TUPLE_KEYS)
+    _check_keys(mapping, ("kind", "sigma2_bounds") + keys, keys, "schedule")
+    args = {key: _typed(mapping[key], key) for key in ints}
+    args.update((key, _list(mapping, key, _typed)) for key in int_lists)
+    if tuples:
+        args[tuples] = _list(mapping, tuples, _tuple_dict)
     else:
-        extra = {}
-    if kind == "constant":
-        _reject_unknown(mapping, common | set(_TUPLE_KEYS), "schedule")
-        coeffs = {k: mapping[k] for k in _TUPLE_KEYS if k in mapping}
-        missing = [k for k in _TUPLE_KEYS if k not in coeffs]
-        if missing:
-            raise ConfigError(f"missing key {missing[0]!r} in schedule")
-        return ConstantSchedule(**coeffs, **extra)
-    if kind == "periodic":
-        _reject_unknown(mapping, common | {"seasons"}, "schedule")
-        seasons = mapping.get("seasons")
-        if not isinstance(seasons, list) or not seasons:
-            raise ConfigError("key 'seasons' must be a non-empty list")
-        tuples = [_tuple_dict(s, f"seasons[{i}]")
-                  for i, s in enumerate(seasons)]
-        return PeriodicSchedule(tuples, **extra)
-    if kind == "cyclical":
-        _reject_unknown(mapping, common | {"period", "boundaries", "cycles"},
-                        "schedule")
-        for key in ("period", "boundaries", "cycles"):
-            if key not in mapping:
-                raise ConfigError(f"missing key {key!r} in schedule")
-        cycles = mapping["cycles"]
-        if not isinstance(cycles, list) or not cycles:
-            raise ConfigError("key 'cycles' must be a non-empty list")
-        tuples = [_tuple_dict(c, f"cycles[{i}]") for i, c in enumerate(cycles)]
-        return CyclicalSchedule(int(mapping["period"]),
-                                [int(b) for b in mapping["boundaries"]],
-                                tuples, **extra)
-    if kind == "abrupt-breaks":
-        _reject_unknown(mapping,
-                        common | {"anchor", "horizon", "offsets", "regimes"},
-                        "schedule")
-        for key in ("anchor", "horizon", "offsets", "regimes"):
-            if key not in mapping:
-                raise ConfigError(f"missing key {key!r} in schedule")
-        regimes = mapping["regimes"]
-        if not isinstance(regimes, list) or not regimes:
-            raise ConfigError("key 'regimes' must be a non-empty list")
-        tuples = [_tuple_dict(r, f"regimes[{i}]")
-                  for i, r in enumerate(regimes)]
-        return BreakSchedule(int(mapping["anchor"]), int(mapping["horizon"]),
-                             [int(o) for o in mapping["offsets"]],
-                             tuples, **extra)
-    raise ConfigError(f"key 'kind' must be one of constant, periodic, "
-                      f"cyclical, abrupt-breaks (got {kind!r})")
+        args.update(_coefficients(mapping))
+    if "sigma2_bounds" in mapping:
+        args["sigma2_bounds"] = tuple(
+            _list(mapping, "sigma2_bounds", _number, 2))
+    return cls(**args)
 
 
 def _tuple_to_dict(tup) -> dict:
@@ -121,41 +142,40 @@ def _tuple_to_dict(tup) -> dict:
 def schedule_to_dict(schedule: Schedule) -> dict:
     """Inverse of ``schedule_from_dict`` (function-backed schedules are not
     serializable)."""
-    out: dict[str, Any] = {"kind": schedule.kind}
-    if isinstance(schedule, ConstantSchedule):
-        out.update(_tuple_to_dict(schedule.coefficients))
-    elif isinstance(schedule, PeriodicSchedule):
-        out["seasons"] = [_tuple_to_dict(s) for s in schedule.seasons]
-    elif isinstance(schedule, CyclicalSchedule):
-        out["period"] = schedule.period
-        out["boundaries"] = list(schedule.boundaries)
-        out["cycles"] = [_tuple_to_dict(c) for c in schedule.cycles]
-    elif isinstance(schedule, BreakSchedule):
-        out["anchor"] = schedule.anchor
-        out["horizon"] = schedule.horizon
-        out["offsets"] = list(schedule.offsets)
-        out["regimes"] = [_tuple_to_dict(r) for r in schedule.regimes]
-    else:
+    if schedule.kind not in KINDS:
         raise ConfigError(f"schedule kind {schedule.kind!r} is not serializable")
+    _, ints, int_lists, tuples = KINDS[schedule.kind]
+    out: dict[str, Any] = {"kind": schedule.kind}
+    out.update((key, getattr(schedule, key)) for key in ints)
+    out.update((key, list(getattr(schedule, key))) for key in int_lists)
+    if tuples:
+        out[tuples] = [_tuple_to_dict(c) for c in getattr(schedule, tuples)]
+    else:
+        out.update(_tuple_to_dict(schedule.coefficients))
     if schedule.sigma2_bounds != DEFAULT_SIGMA2_BOUNDS:
         out["sigma2_bounds"] = [float(b) for b in schedule.sigma2_bounds]
     return out
 
 
+def _params(section) -> dict:
+    """The given run parameters, each read as its ``PARAMS`` type."""
+    mapping = _require_mapping(section, "params")
+    _check_keys(mapping, PARAMS, (), "params")
+    return {name: _typed(value, name, PARAMS[name][0])
+            for name, value in mapping.items()}
+
+
 def parse_config(data) -> tuple[Schedule, dict]:
     """Validate a loaded config mapping; return (schedule, run parameters)."""
     mapping = _require_mapping(data, "config")
-    _reject_unknown(mapping, ("schema_version", "schedule", "params"), "config")
+    _check_keys(mapping, ("schema_version", "schedule", "params"),
+                ("schedule",), "config")
     version = mapping.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"key 'schema_version' must be {SCHEMA_VERSION} (got {version!r})")
-    if "schedule" not in mapping:
-        raise ConfigError("missing key 'schedule' in config")
     schedule = schedule_from_dict(mapping["schedule"])
-    params = _require_mapping(mapping.get("params", {}), "params")
-    _reject_unknown(params, _PARAM_KEYS, "params")
-    return schedule, dict(params)
+    return schedule, _params(mapping.get("params", {}))
 
 
 def load(stream: IO[str] | str) -> tuple[Schedule, dict]:
@@ -172,6 +192,5 @@ def dump(schedule: Schedule, params: dict | None = None) -> str:
     doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION,
                            "schedule": schedule_to_dict(schedule)}
     if params:
-        _reject_unknown(params, _PARAM_KEYS, "params")
-        doc["params"] = dict(params)
+        doc["params"] = _params(params)
     return yaml.safe_dump(doc, sort_keys=False)

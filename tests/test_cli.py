@@ -1,3 +1,6 @@
+import argparse
+import hashlib
+
 import pytest
 
 import tvar2.cli as cli
@@ -216,10 +219,13 @@ def test_all_subcommands_deterministic(tmp_path):
     (PERIODIC, ["acf", "--t", "5", "--max-lag", "-1"], 2),
     (PERIODIC, ["green", "--t", "5", "--k", "-3"], 2),
     (PERIODIC, ["simulate", "--t", "5", "--paths", "-5"], 2),
+    (PERIODIC, ["forecast", "--t", "5", "--k", "0"], 2),
+    (PERIODIC, ["decompose-verify", "--n", "0"], 2),
     # fails after the header is written: the series runs past the window
     (BREAKS, ["acf", "--t", "50", "--max-lag", "2"], 1),
 ], ids=["acf-tol-0", "acf-nmax-0", "acf-max-lag-negative", "green-k-negative",
-        "simulate-paths-negative", "acf-past-break-window"])
+        "simulate-paths-negative", "forecast-k-0", "decompose-verify-n-0",
+        "acf-past-break-window"])
 def test_failed_command_leaves_no_out_file(tmp_path, config, argv, exit_code):
     cfg = _write(tmp_path, "c.yaml", config)
     out = tmp_path / "out.csv"
@@ -236,3 +242,120 @@ def test_nonfinite_coefficient_in_config_exits_2(tmp_path, capsys, value):
     assert code == 2
     assert "phi1 must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("an over-cap request reached the library")
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--t", "5", "--k", "{depth}"],          # k + 1 = depth cap + 1
+    ["forecast", "--t", "5", "--k", "{depth_over}"],
+    ["acf", "--t", "5", "--max-lag", "{depth}"],
+    ["acf", "--t", "5", "--nmax", "{depth_over}"],
+    # 1 * (steps + 1) = path-step cap + 1
+    ["simulate", "--t", "5", "--paths", "1", "--burn-in", "{steps}",
+     "--length", "1"],
+], ids=["green-k", "forecast-k", "acf-max-lag", "acf-nmax", "simulate-size"])
+def test_over_cap_request_exits_2_before_computing(tmp_path, monkeypatch, argv):
+    for name in ("green_functions", "forecast", "autocovariance",
+                 "simulate_paths"):
+        monkeypatch.setattr(cli, name, _not_called)
+    depth, steps = cli.MAX_DEPTH, cli.MAX_PATH_STEPS
+    assert (depth, steps) == (10**6, 10**8)
+    argv = [a.format(depth=depth, depth_over=depth + 1, steps=steps)
+            for a in argv]
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    out = tmp_path / "out.csv"
+    code = cli.main([argv[0], "--config", cfg, "--out", str(out)] + argv[1:])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, old, new", [
+    (CYCLICAL, "period: 6", "period: x"),
+    (BREAKS, "anchor: 50", "anchor: 1.5"),
+    (BREAKS, "offsets: [3, 7]", "offsets: 3"),
+    (CYCLICAL, "boundaries: [2, 4]", "boundaries: [2, x]"),
+    (CONSTANT, "sigma2: 1.0", "sigma2: 1.0\n  sigma2_bounds: [a, 2]"),
+    (CONSTANT, "t: 10", "t: abc"),
+    (CONSTANT, "k: 4", "k: 3.7"),
+    (CONSTANT, "t: 10", "t: true"),
+    (CONSTANT, "k: 4", "horizon: 3"),
+], ids=["period-x", "anchor-float", "offsets-scalar", "boundaries-item",
+        "sigma2-bounds-item", "t-string", "k-float", "t-bool", "horizon-param"])
+def test_mistyped_config_exits_2_without_out_file(tmp_path, config, old, new):
+    assert old in config
+    cfg = _write(tmp_path, "c.yaml", config.replace(old, new))
+    out = tmp_path / "out.csv"
+    code = cli.main(["green", "--config", cfg, "--out", str(out),
+                     "--t", "50", "--k", "3"])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--t", "5", "--k", "3", "--tol", "1e-3"],
+    ["stationarity", "--seed", "3"],
+    ["decompose-verify", "--horizon", "5"],
+], ids=["green-tol", "stationarity-seed", "decompose-verify-horizon"])
+def test_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv):
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "--config", cfg] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    reads = {"green": "--t --k",
+             "forecast": "--t --k --y0 --y1",
+             "acf": "--t --max-lag --tol --nmax",
+             "simulate": "--t --seed --paths --length --burn-in --workers "
+                         "--innovations --aggregate",
+             "stationarity": "--matrices",
+             "decompose-verify": "--t --n",
+             "verify": "--t --seed"}
+    parser = cli._build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert set(sub.choices) == set(reads)
+    for name, subparser in sub.choices.items():
+        flags = {option for action in subparser._actions
+                 for option in action.option_strings}
+        assert flags == {"-h", "--help", "--config", "--out",
+                         *reads[name].split()}, name
+
+
+# sha256 of the CSV each README command writes on the README periodic
+# config (simulate on a small ensemble, aggregated and raw), so that a
+# change to how the CLI reads its flags and config cannot change its bytes
+README_DIGESTS = [
+    (["green", "--t", "10", "--k", "4"],
+     "9f64bc39258e336b03327a91587833def7f1ded127d54b9791bc6edf26a2d8b8"),
+    (["forecast", "--t", "10", "--k", "3", "--y0", "1", "--y1", "2"],
+     "5a80d76c4e842ddd8c33ebc55d9c9053108b7b3744cfe9efe89ac2eb26d3c350"),
+    (["acf", "--t", "10", "--max-lag", "4"],
+     "5c82096836d734b50cbd532c6db3712758b4890cf990e0f3430f1a39911ddc16"),
+    (["simulate", "--t", "40", "--paths", "200", "--seed", "7", "--aggregate"],
+     "37648cd4216d52d998892bbbcb9061e5d0cc126d9e551ca288c328d050a3a2a2"),
+    (["simulate", "--t", "40", "--length", "3", "--paths", "20", "--burn-in",
+      "50", "--seed", "7"],
+     "76a16da6d3fdeaeb0d4a8024d5c34ac415336e36fbc8e1f83843f9251ee70cd6"),
+    (["stationarity", "--matrices"],
+     "6d3395fd844f893db8fb30902c6081c62e1a0b7e6279a8f3f490fbd61e2929b6"),
+    (["decompose-verify", "--n", "3", "--t", "12"],
+     "560398458c1be2edf182f99caa5ef9979b5e71c2300ce92e672398a8f12f9b90"),
+    (["verify"],
+     "0d978ac58a4ac1bb053470e3de2426460cf68c3f4ac2ab185f5dac830a0fef27"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", README_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in README_DIGESTS])
+def test_readme_command_bytes_pinned(tmp_path, argv, digest):
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    out = tmp_path / "out.csv"
+    code = cli.main([argv[0], "--config", cfg, "--out", str(out)] + argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

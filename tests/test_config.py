@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from tvar2 import (BreakSchedule, ConfigError, ConstantSchedule,
@@ -15,6 +17,32 @@ schedule:
 params:
   t: 10
   k: 3
+"""
+
+
+CYCLICAL_YAML = """
+schema_version: 1
+schedule:
+  kind: cyclical
+  period: 6
+  boundaries: [2, 4]
+  cycles:
+    - {phi0: 0.0, phi1: 0.5, phi2: -0.2, sigma2: 1.0}
+    - {phi0: 0.0, phi1: -0.3, phi2: 0.4, sigma2: 1.0}
+    - {phi0: 0.0, phi1: 0.8, phi2: -0.1, sigma2: 1.0}
+"""
+
+BREAKS_YAML = """
+schema_version: 1
+schedule:
+  kind: abrupt-breaks
+  anchor: 50
+  horizon: 10
+  offsets: [3, 7]
+  regimes:
+    - {phi0: 0.0, phi1: 0.5, phi2: -0.2, sigma2: 1.0}
+    - {phi0: 0.0, phi1: -0.4, phi2: 0.3, sigma2: 1.0}
+    - {phi0: 0.0, phi1: 0.9, phi2: -0.5, sigma2: 1.0}
 """
 
 
@@ -98,3 +126,29 @@ def test_sigma2_bounds_round_trip_default_only():
             "sigma2": 1.0, "sigma2_bounds": [1e-6, 1e6]}
     rebuilt = schedule_from_dict(data)
     assert rebuilt.sigma2_bounds == s.sigma2_bounds
+
+
+@pytest.mark.parametrize("text, old, new, key", [
+    (CYCLICAL_YAML, "period: 6", "period: x", "period"),
+    (BREAKS_YAML, "anchor: 50", "anchor: 1.5", "anchor"),
+    (BREAKS_YAML, "offsets: [3, 7]", "offsets: 3", "offsets"),
+    (CYCLICAL_YAML, "boundaries: [2, 4]", "boundaries: [2, x]", "boundaries[1]"),
+    (CONSTANT_YAML, "sigma2: 2.0", "sigma2: 2.0\n  sigma2_bounds: [a, 2]",
+     "sigma2_bounds[0]"),
+    (CONSTANT_YAML, "t: 10", "t: abc", "t"),
+    (CONSTANT_YAML, "k: 3", "k: 3.7", "k"),
+    (CONSTANT_YAML, "k: 3", "k: 3.0", "k"),
+    (CONSTANT_YAML, "t: 10", "t: true", "t"),
+    (CONSTANT_YAML, "k: 3", "horizon: 3", "horizon"),
+], ids=["period-x", "anchor-float", "offsets-scalar", "boundaries-item",
+        "sigma2-bounds-item", "t-string", "k-float", "k-integral-float",
+        "t-bool", "horizon-param"])
+def test_mistyped_value_rejected_by_name(text, old, new, key):
+    assert old in text
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        load(text.replace(old, new))
+
+
+def test_params_read_as_their_type():
+    text = CONSTANT_YAML.replace("k: 3", "y0: 1\n  tol: 1e-3")
+    assert load(text)[1] == {"t": 10, "y0": 1.0, "tol": 1e-3}

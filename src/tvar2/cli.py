@@ -24,7 +24,7 @@ from .schedules import (BreakSchedule, CyclicalSchedule, PeriodicSchedule,
 from .simulate import (SimulationConfig, empirical_moments, simulate_paths)
 from .solution import evaluate_solution, forward_recursion, general_solution
 from .vs import build_vs, stationarity_check
-from .xi import green_functions, xi_determinant_oracle
+from .xi import ORACLE_CAP, green_functions, xi_determinant_oracle
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -155,24 +155,30 @@ def _cmd_decompose_verify(args, schedule, out):
     if isinstance(schedule, PeriodicSchedule):
         l = schedule.period
         t = args.n * l if args.t is None else args.t
-        value = xi_par_decomposed(schedule, t, args.n)
-        spec = block_spec(schedule, t, [j * l for j in range(1, args.n)],
-                          args.n * l, "periodic")
+        total, offsets = args.n * l, [j * l for j in range(1, args.n)]
+        decompose = lambda: xi_par_decomposed(schedule, t, args.n)
     elif isinstance(schedule, CyclicalSchedule):
         l = schedule.period
         t = l if args.t is None else args.t
-        value = xi_car_decomposed(schedule, t)
-        spec = block_spec(schedule, t,
-                          [l - b for b in reversed(schedule.boundaries)], l,
-                          "cyclical")
+        total, offsets = l, [l - b for b in reversed(schedule.boundaries)]
+        decompose = lambda: xi_car_decomposed(schedule, t)
     elif isinstance(schedule, BreakSchedule):
-        t, k = schedule.anchor, schedule.horizon
-        value = xi_abar_decomposed(schedule, t, k)
-        spec = block_spec(schedule, t, schedule.offsets, k, "abrupt-breaks")
+        t, total, offsets = schedule.anchor, schedule.horizon, schedule.offsets
+        if args.t is not None and args.t != t:
+            raise ConfigError(f"key 't' must be the abrupt-breaks anchor {t} "
+                              f"or left unset (got {args.t})")
+        decompose = lambda: xi_abar_decomposed(schedule, t, total)
     else:
         raise ScheduleError(
             "decomposition needs a periodic, cyclical or abrupt-breaks "
             f"schedule (got kind {schedule.kind!r})")
+    # the block-determinant oracle of the report refuses deeper layouts,
+    # and the decomposition's cost doubles with each boundary
+    if total > ORACLE_CAP:
+        raise ConfigError(f"decomposition depth {total} must be <= "
+                          f"{ORACLE_CAP} (the block-determinant oracle's cap)")
+    value = decompose()
+    spec = block_spec(schedule, t, offsets, total, schedule.kind)
     out.write("method,value,rel_dev\n")
     for method, val, dev in decomposition_report(schedule, t, spec, value):
         out.write(f"{method},{_fmt(val)},{_fmt(dev)}\n")

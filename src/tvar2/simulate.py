@@ -7,11 +7,16 @@ re-keyed for each path, the innovations are stored time-major, and the
 recursion runs in place over whole time steps.  Statistics are collected
 at fixed anchor times, never time-averaged: the moments are themselves
 functions of time.
+
+Ensembles are read-only.  The last one simulated is remembered by a weak
+reference, so ``empirical_forecast_error`` on an equal config reuses it
+while its caller still holds it, instead of simulating it again.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +27,10 @@ from .solution import general_solution
 DEFAULT_BURN_IN = 500
 CHUNK_TARGET = 20_000   # paths per chunk; bounds the time-major scratch array
 SUB_BLOCK = 256         # paths drawn path-major before the transposed copy
+
+# (config, weak reference to its ensemble) of the last simulate_paths call;
+# the weak reference keeps no ensemble alive after its caller drops it
+_last_ensemble = (None, None)
 
 
 @dataclass(frozen=True)
@@ -58,10 +67,17 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated values: ``values[p, j]`` is path p at time ``times[j]``."""
+    """Simulated values: ``values[p, j]`` is path p at time ``times[j]``.
+    ``simulate_paths`` hands out both arrays read-only."""
 
     times: np.ndarray
     values: np.ndarray
+
+    @property
+    def nonfinite_paths(self) -> int:
+        """Number of paths holding an infinite or NaN value: an explosive
+        schedule overflows its paths instead of raising."""
+        return int(np.count_nonzero(~np.isfinite(self.values).all(axis=1)))
 
     def at(self, t: int) -> np.ndarray:
         """Cross-section of all paths at time t."""
@@ -128,7 +144,9 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
 
 def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     """Generate the ensemble; bit-identical for a given config and seed,
-    whatever ``workers`` and ``CHUNK_TARGET``."""
+    whatever ``workers`` and ``CHUNK_TARGET``.  Every call runs the kernel
+    and returns a new ensemble."""
+    global _last_ensemble
     total = config.burn_in + config.length
     t_first = config.t_end - total + 1
     coeffs = config.schedule.window(t_first, config.t_end)
@@ -136,7 +154,11 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     for first in range(0, config.n_paths, CHUNK_TARGET):
         _simulate_chunk(config, first, coeffs, values[first:first + CHUNK_TARGET])
     times = np.arange(config.t_end - config.length + 1, config.t_end + 1)
-    return PathEnsemble(times, values)
+    values.flags.writeable = False
+    times.flags.writeable = False
+    ensemble = PathEnsemble(times, values)
+    _last_ensemble = (config, weakref.ref(ensemble))
+    return ensemble
 
 
 def _mean_se(sample: np.ndarray) -> EstimateWithSE:
@@ -181,7 +203,9 @@ def empirical_forecast_error(config: SimulationConfig, t: int, k: int
     Each path's realized y_t is compared with the analytic predictor built
     from that path's own (y_{t-k}, y_{t-k-1}).  Returns (error mean, error
     variance), each with a standard error; the variance estimates the
-    forecast mean square error.
+    forecast mean square error.  The ensemble is the one ``simulate_paths``
+    last returned if its config equals ``config`` and it is still alive,
+    and a fresh simulation otherwise; both give the same bits.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -191,7 +215,10 @@ def empirical_forecast_error(config: SimulationConfig, t: int, k: int
     if config.t_end - config.length + 1 > t - k - 1 or t > config.t_end:
         raise ValueError(
             f"ensemble window must cover t-k-1..t; need length >= {needed}")
-    ensemble = simulate_paths(config)
+    recorded, ref = _last_ensemble
+    ensemble = ref() if recorded == config else None
+    if ensemble is None:
+        ensemble = simulate_paths(config)
     sol = general_solution(config.schedule, t, k)
     predicted = (sol.drift + sol.w0 * ensemble.at(t - k)
                  + sol.w1 * ensemble.at(t - k - 1))

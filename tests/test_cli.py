@@ -149,6 +149,19 @@ def test_decompose_verify_each_kind(tmp_path):
         assert all(float(r[2]) < 1e-11 for r in rows)
 
 
+@pytest.mark.parametrize("config, extra", [
+    (BREAKS, ["--t", "50"]),
+    (BREAKS + "params:\n  t: 49\n", ["--t", "50"]),
+], ids=["flag", "flag-over-yaml"])
+def test_decompose_verify_breaks_accepts_its_anchor(tmp_path, config, extra):
+    _, unset = _run(tmp_path, ["decompose-verify", "--config",
+                               _write(tmp_path, "b.yaml", BREAKS)], "unset.csv")
+    cfg = _write(tmp_path, "t.yaml", config)
+    code, out = _run(tmp_path, ["decompose-verify", "--config", cfg] + extra)
+    assert code == 0
+    assert out == unset
+
+
 def test_verify_passes(tmp_path):
     for text in (CONSTANT, PERIODIC, CYCLICAL):
         cfg = _write(tmp_path, "v.yaml", text)
@@ -221,10 +234,13 @@ def test_all_subcommands_deterministic(tmp_path):
     (PERIODIC, ["simulate", "--t", "5", "--paths", "-5"], 2),
     (PERIODIC, ["forecast", "--t", "5", "--k", "0"], 2),
     (PERIODIC, ["decompose-verify", "--n", "0"], 2),
+    (BREAKS, ["decompose-verify", "--t", "49"], 2),
+    (BREAKS + "params:\n  t: 49\n", ["decompose-verify"], 2),
     # fails after the header is written: the series runs past the window
     (BREAKS, ["acf", "--t", "50", "--max-lag", "2"], 1),
 ], ids=["acf-tol-0", "acf-nmax-0", "acf-max-lag-negative", "green-k-negative",
         "simulate-paths-negative", "forecast-k-0", "decompose-verify-n-0",
+        "decompose-verify-breaks-t-flag", "decompose-verify-breaks-t-yaml",
         "acf-past-break-window"])
 def test_failed_command_leaves_no_out_file(tmp_path, config, argv, exit_code):
     cfg = _write(tmp_path, "c.yaml", config)
@@ -256,14 +272,18 @@ def _not_called(*args, **kwargs):
     # 1 * (steps + 1) = path-step cap + 1
     ["simulate", "--t", "5", "--paths", "1", "--burn-in", "{steps}",
      "--length", "1"],
-], ids=["green-k", "forecast-k", "acf-max-lag", "acf-nmax", "simulate-size"])
+    # n * period = 17 * 4 > oracle cap 64
+    ["decompose-verify", "--n", "{n_over}"],
+], ids=["green-k", "forecast-k", "acf-max-lag", "acf-nmax", "simulate-size",
+        "decompose-verify-n"])
 def test_over_cap_request_exits_2_before_computing(tmp_path, monkeypatch, argv):
     for name in ("green_functions", "forecast", "autocovariance",
-                 "simulate_paths"):
+                 "simulate_paths", "xi_par_decomposed"):
         monkeypatch.setattr(cli, name, _not_called)
-    depth, steps = cli.MAX_DEPTH, cli.MAX_PATH_STEPS
-    assert (depth, steps) == (10**6, 10**8)
-    argv = [a.format(depth=depth, depth_over=depth + 1, steps=steps)
+    depth, steps, oracle = cli.MAX_DEPTH, cli.MAX_PATH_STEPS, cli.ORACLE_CAP
+    assert (depth, steps, oracle) == (10**6, 10**8, 64)
+    argv = [a.format(depth=depth, depth_over=depth + 1, steps=steps,
+                     n_over=oracle // 4 + 1)
             for a in argv]
     cfg = _write(tmp_path, "c.yaml", PERIODIC)
     out = tmp_path / "out.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import hashlib
 import math
 import warnings
@@ -194,3 +196,71 @@ def test_explosive_paths_emit_no_warnings():
         ensemble = simulate_paths(SimulationConfig(explosive, 50, 900, 3, seed=1,
                                                    burn_in=900))
     assert not np.isfinite(ensemble.values).any()
+    assert ensemble.nonfinite_paths == 50
+
+
+def test_nonfinite_paths_counts_paths_not_values():
+    ensemble = simulate_paths(_config(n_paths=200))
+    assert ensemble.nonfinite_paths == 0
+    values = ensemble.values.copy()
+    values[3, :] = np.inf
+    values[7, 2] = np.nan
+    assert dataclasses.replace(ensemble, values=values).nonfinite_paths == 2
+
+
+def test_ensemble_is_read_only():
+    ensemble = simulate_paths(_config(n_paths=200))
+    with pytest.raises(ValueError):
+        ensemble.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ensemble.times[0] = 0
+
+
+def test_each_call_runs_the_kernel():
+    cfg = _config(n_paths=200)
+    a = simulate_paths(cfg)
+    b = simulate_paths(cfg)
+    assert a is not b and not np.shares_memory(a.values, b.values)
+    assert np.array_equal(a.values, b.values)
+
+
+def _count_simulations(monkeypatch):
+    """Patch the module-global simulate_paths to record each config."""
+    calls = []
+    real = sim.simulate_paths
+    monkeypatch.setattr(sim, "simulate_paths",
+                        lambda config: calls.append(config) or real(config))
+    return calls
+
+
+def test_forecast_error_reuses_live_ensemble_bit_for_bit(monkeypatch):
+    ensemble = simulate_paths(_config(n_paths=2000))
+    calls = _count_simulations(monkeypatch)
+    warm = empirical_forecast_error(_config(n_paths=2000), 60, 3)  # equal config
+    assert calls == []
+    del ensemble
+    gc.collect()
+    cold = empirical_forecast_error(_config(n_paths=2000), 60, 3)
+    assert calls == [_config(n_paths=2000)]
+    assert warm == cold
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=1), dict(n_paths=2001), dict(innovations="uniform"),
+    dict(schedule=ConstantSchedule(0.4, 1.2, -0.32, 1.0)),
+], ids=["seed", "n_paths", "innovations", "equal-schedule-other-object"])
+def test_forecast_error_simulates_an_unequal_config(monkeypatch, change):
+    ensemble = simulate_paths(_config(n_paths=2000))  # alive through the call
+    calls = _count_simulations(monkeypatch)
+    other = _config(**{"n_paths": 2000, **change})
+    empirical_forecast_error(other, 60, 3)
+    assert calls == [other]
+
+
+def test_recorded_ensemble_is_not_kept_alive():
+    ensemble = simulate_paths(_config(n_paths=200))
+    _, ref = sim._last_ensemble
+    assert ref() is ensemble
+    del ensemble
+    gc.collect()
+    assert ref() is None

@@ -1,9 +1,9 @@
 """Exact solutions, forecasts and moments of time-varying AR(2) processes."""
 
 from .blockdet import (BlockSpec, block_determinant_oracle, block_spec,
-                       decomposition_report, xi_abar_decomposed,
-                       xi_block_decomposed, xi_car_decomposed,
-                       xi_par_decomposed)
+                       decomposition_report, segment_layout,
+                       xi_abar_decomposed, xi_block_decomposed,
+                       xi_car_decomposed, xi_par_decomposed)
 from .config import ConfigError, dump, load, schedule_from_dict, schedule_to_dict
 from .moments import (Autocovariance, ForecastResult, MomentSummary,
                       assumption_a1_diagnostic, autocovariance,

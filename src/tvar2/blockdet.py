@@ -1,17 +1,20 @@
 """Block-determinant decompositions of the fundamental solutions.
 
-When the coefficient history behind the anchor splits into segments
+When the coefficient history behind the anchor splits into d + 1 segments
 (periods of a seasonal model, cycles inside a period, or regimes between
-abrupt breaks), the tridiagonal determinant xi factors into a sum over
-binary selector vectors, each addend a product of within-segment
-continuants joined by the lag-2 coupling coefficient at each segment
-boundary.  An assembled block-matrix determinant is kept as a test oracle.
+abrupt breaks), the tridiagonal determinant xi factors into a sum over the
+2^d binary selector vectors, one bit per boundary: each addend is a
+product of within-segment continuants, and a set bit couples its two
+segments through the lag-2 coefficient at that boundary.  A segment's
+factor depends only on the bits at its two ends, so the sum is one entry
+of a product of d + 1 2x2 transfer matrices and is evaluated in linear
+time.  An assembled block-matrix determinant is kept as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +22,7 @@ import numpy as np
 from .schedules import (BreakSchedule, CyclicalSchedule, PeriodicSchedule,
                         Schedule, ScheduleError, season_of)
 from .xi import (ORACLE_CAP, OracleCapError, constant_xi,
-                 fundamental_matrix, green_functions)
+                 fundamental_matrix, green_functions, xi)
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,6 @@ class BlockSpec:
     total: int
     boundaries: tuple[int, ...]
     couplings: tuple[float, ...]
-    kind: str = "generic"
 
     def __post_init__(self):
         bounds = self.boundaries
@@ -42,98 +44,99 @@ class BlockSpec:
             raise ScheduleError("need one coupling per boundary")
 
 
-def block_spec(schedule: Schedule, t: int, boundaries: Sequence[int], total: int,
-               kind: str = "generic") -> BlockSpec:
+def block_spec(schedule: Schedule, t: int, boundaries: Sequence[int],
+               total: int) -> BlockSpec:
     bounds = tuple(int(b) for b in boundaries)
     couplings = tuple(schedule.at(t - b + 1).phi2 for b in bounds)
-    return BlockSpec(int(total), bounds, couplings, kind)
+    return BlockSpec(int(total), bounds, couplings)
 
 
-def _kahan_sum(terms) -> float:
-    total = 0.0
-    comp = 0.0
-    for term in terms:
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
+def segment_layout(schedule: Schedule, t: int | None = None,
+                   n: int = 1) -> tuple[int, BlockSpec]:
+    """The anchor and segment layout of a structured schedule's
+    decomposition: n periods (periodic) or one period of cycles (cyclical)
+    behind an anchor at the end of a period, by default n periods or one
+    period; or the regimes behind an abrupt-breaks schedule's own anchor
+    over its horizon, where ``t`` is not read."""
+    if isinstance(schedule, BreakSchedule):
+        t = schedule.anchor
+        return t, block_spec(schedule, t, schedule.offsets, schedule.horizon)
+    if isinstance(schedule, PeriodicSchedule):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        l = schedule.period
+        total, offsets = n * l, range(l, n * l, l)
+    elif isinstance(schedule, CyclicalSchedule):
+        l = schedule.period
+        total, offsets = l, [l - b for b in reversed(schedule.boundaries)]
+    else:
+        raise ScheduleError(
+            "decomposition needs a periodic, cyclical or abrupt-breaks "
+            f"schedule (got kind {schedule.kind!r})")
+    t = total if t is None else t
+    if season_of(t, l) != l:
+        raise ScheduleError(f"anchor t={t} is not at the last season of a "
+                            f"period (period {l})")
+    return t, block_spec(schedule, t, offsets, total)
 
 
 def xi_block_decomposed(schedule: Schedule, t: int, spec: BlockSpec,
                         segment_xi: Callable[[int, int], float] | None = None
                         ) -> float:
-    """Evaluate xi_{t,total} as the 2^d-term boundary decomposition.
+    """Evaluate xi_{t,total} as the boundary decomposition, in at most
+    4(d + 1) calls of ``segment_xi``.
 
-    ``segment_xi(anchor, depth)`` evaluates a within-segment continuant;
-    by default the plain recurrence is used.  Selector vectors are
-    enumerated in binary-counter order with compensated summation, so the
-    result is reproducible.
+    ``segment_xi(anchor, depth)`` evaluates a within-segment continuant,
+    depths -1 and 0 included; by default the plain recurrence is used.  A
+    set selector bit takes one step off each of the two segments it joins.
+    Walking the segments from the anchor backwards, ``weights[p]`` sums the
+    partial addends whose bit at the current segment's newer end is p, with
+    that boundary's coupling applied; the segment's 2x2 transfer matrix,
+    over p and the bit c at its older end, carries them to the next
+    boundary.  The oldest segment has no older boundary, so c = 0 there.
     """
     if segment_xi is None:
-        def segment_xi(anchor: int, depth: int) -> float:
-            if depth <= 0:
-                return 1.0 if depth == 0 else 0.0
-            return green_functions(schedule, anchor, depth).xi(depth)
+        segment_xi = partial(xi, schedule)
 
     b = (0,) + spec.boundaries + (spec.total,)
-    d = len(spec.boundaries)
-    if d == 0:
-        return segment_xi(t, spec.total)
-
-    def term(sel: tuple[int, ...]) -> float:
-        value = segment_xi(t, b[1] - sel[0])
-        for j in range(2, d + 2):
-            i_prev = sel[j - 2]
-            i_cur = sel[j - 1] if j - 1 < d else 0
-            coupling = spec.couplings[j - 2] if i_prev else 1.0
-            depth = b[j] - b[j - 1] - i_cur - i_prev
-            value *= coupling * segment_xi(t - b[j - 1] - i_prev, depth)
-        return value
-
-    return _kahan_sum(term(sel) for sel in product((0, 1), repeat=d))
-
-
-def _require_period_end(schedule, t: int) -> None:
-    if season_of(t, schedule.period) != schedule.period:
-        raise ScheduleError(
-            f"anchor t={t} is not at the last season of a period "
-            f"(period {schedule.period})")
+    last = len(spec.boundaries)
+    weights = (1.0,)
+    for j in range(last + 1):
+        start, length = b[j], b[j + 1] - b[j]
+        row = [sum(w * segment_xi(t - start - p, length - p - c)
+                   for p, w in enumerate(weights))
+               for c in ((0, 1) if j < last else (0,))]
+        if j < last:
+            weights = (row[0], spec.couplings[j] * row[1])
+    return row[0]
 
 
 def xi_par_decomposed(schedule: PeriodicSchedule, t: int, n: int) -> float:
-    """xi_{t,n*l} for a periodic schedule, decomposed at period boundaries
-    into 2^(n-1) addends of within-period continuants."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _require_period_end(schedule, t)
-    l = schedule.period
-    spec = block_spec(schedule, t, [j * l for j in range(1, n)], n * l, "periodic")
+    """xi_{t,n*l} for a periodic schedule, decomposed at the n - 1 period
+    boundaries: a sum of 2^(n-1) addends of within-period continuants,
+    evaluated as a transfer product."""
+    t, spec = segment_layout(schedule, t, n)
     return xi_block_decomposed(schedule, t, spec)
 
 
 def xi_car_decomposed(schedule: CyclicalSchedule, t: int) -> float:
     """xi_{t,l} for a cyclical schedule, decomposed at the d cycle
-    boundaries into 2^d addends."""
-    _require_period_end(schedule, t)
-    l = schedule.period
-    offsets = [l - b for b in reversed(schedule.boundaries)]
-    spec = block_spec(schedule, t, offsets, l, "cyclical")
+    boundaries: a sum of 2^d addends, evaluated as a transfer product."""
+    t, spec = segment_layout(schedule, t)
     return xi_block_decomposed(schedule, t, spec)
 
 
 def xi_abar_decomposed(schedule: BreakSchedule, t: int, k: int) -> float:
-    """xi_{t,k} for a break schedule, decomposed at the break offsets into
-    2^r addends whose within-regime continuants use the constant-coefficient
-    root closed form."""
-    if t != schedule.anchor or k != schedule.horizon:
+    """xi_{t,k} for a break schedule, decomposed at the r break offsets: a
+    sum of 2^r addends whose within-regime continuants use the
+    constant-coefficient root closed form, evaluated as a transfer
+    product."""
+    own_t, spec = segment_layout(schedule)
+    if (t, k) != (own_t, spec.total):
         raise ScheduleError(
             "decomposition requires the schedule's own anchor and horizon")
-    spec = block_spec(schedule, t, schedule.offsets, k, "abrupt-breaks")
 
     def segment_xi(anchor: int, depth: int) -> float:
-        if depth <= 0:
-            return 1.0 if depth == 0 else 0.0
         tup = schedule.at(anchor)  # segments never straddle a break
         return constant_xi(tup.phi1, tup.phi2, depth)
 
@@ -161,14 +164,19 @@ def block_determinant_oracle(schedule: Schedule, t: int, spec: BlockSpec,
     return float(np.linalg.det(assemble_block_matrix(schedule, t, spec, cap)))
 
 
+def relative_deviation(value: float, reference: float) -> float:
+    """|value - reference| / |reference|, or the absolute deviation when
+    the reference is exactly 0."""
+    return abs(value - reference) / (abs(reference) or 1.0)
+
+
 def decomposition_report(schedule: Schedule, t: int, spec: BlockSpec,
                          decomposed: float) -> list[tuple[str, float, float]]:
     """Three-way comparison (method, value, relative deviation from the
     recurrence) for the verification table."""
     reference = green_functions(schedule, t, spec.total).xi(spec.total)
-    rows = [("recurrence", reference, 0.0)]
-    scale = max(1.0, abs(reference))
-    rows.append(("decomposition", decomposed, abs(decomposed - reference) / scale))
     det = block_determinant_oracle(schedule, t, spec)
-    rows.append(("block-determinant", det, abs(det - reference) / scale))
-    return rows
+    return [("recurrence", reference, 0.0),
+            ("decomposition", decomposed,
+             relative_deviation(decomposed, reference)),
+            ("block-determinant", det, relative_deviation(det, reference))]

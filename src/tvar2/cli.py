@@ -15,12 +15,12 @@ import os
 import sys
 
 from . import config as config_mod
-from .blockdet import (block_spec, decomposition_report, xi_abar_decomposed,
-                       xi_car_decomposed, xi_par_decomposed)
+from .blockdet import (decomposition_report, relative_deviation,
+                       segment_layout, xi_abar_decomposed, xi_car_decomposed,
+                       xi_par_decomposed)
 from .config import PARAMS, ConfigError
 from .moments import autocovariance, forecast
-from .schedules import (BreakSchedule, CyclicalSchedule, PeriodicSchedule,
-                        ScheduleError)
+from .schedules import CyclicalSchedule, PeriodicSchedule, ScheduleError
 from .simulate import (SimulationConfig, empirical_moments, simulate_paths)
 from .solution import evaluate_solution, forward_recursion, general_solution
 from .vs import build_vs, stationarity_check
@@ -151,34 +151,22 @@ def _cmd_stationarity(args, schedule, out):
 
 
 def _cmd_decompose_verify(args, schedule, out):
-    _check_range(args, "n", 1)
-    if isinstance(schedule, PeriodicSchedule):
-        l = schedule.period
-        t = args.n * l if args.t is None else args.t
-        total, offsets = args.n * l, [j * l for j in range(1, args.n)]
-        decompose = lambda: xi_par_decomposed(schedule, t, args.n)
-    elif isinstance(schedule, CyclicalSchedule):
-        l = schedule.period
-        t = l if args.t is None else args.t
-        total, offsets = l, [l - b for b in reversed(schedule.boundaries)]
-        decompose = lambda: xi_car_decomposed(schedule, t)
-    elif isinstance(schedule, BreakSchedule):
-        t, total, offsets = schedule.anchor, schedule.horizon, schedule.offsets
-        if args.t is not None and args.t != t:
-            raise ConfigError(f"key 't' must be the abrupt-breaks anchor {t} "
-                              f"or left unset (got {args.t})")
-        decompose = lambda: xi_abar_decomposed(schedule, t, total)
-    else:
-        raise ScheduleError(
-            "decomposition needs a periodic, cyclical or abrupt-breaks "
-            f"schedule (got kind {schedule.kind!r})")
-    # the block-determinant oracle of the report refuses deeper layouts,
-    # and the decomposition's cost doubles with each boundary
-    if total > ORACLE_CAP:
-        raise ConfigError(f"decomposition depth {total} must be <= "
+    # n bounds the layout before it is built; the total bounds the report's
+    # block-determinant oracle
+    _check_range(args, "n", 1, ORACLE_CAP)
+    t, spec = segment_layout(schedule, args.t, args.n)
+    if args.t is not None and args.t != t:
+        raise ConfigError(f"key 't' must be the {schedule.kind} anchor {t} "
+                          f"or left unset (got {args.t})")
+    if spec.total > ORACLE_CAP:
+        raise ConfigError(f"decomposition depth {spec.total} must be <= "
                           f"{ORACLE_CAP} (the block-determinant oracle's cap)")
-    value = decompose()
-    spec = block_spec(schedule, t, offsets, total, schedule.kind)
+    if isinstance(schedule, PeriodicSchedule):
+        value = xi_par_decomposed(schedule, t, args.n)
+    elif isinstance(schedule, CyclicalSchedule):
+        value = xi_car_decomposed(schedule, t)
+    else:
+        value = xi_abar_decomposed(schedule, t, spec.total)
     out.write("method,value,rel_dev\n")
     for method, val, dev in decomposition_report(schedule, t, spec, value):
         out.write(f"{method},{_fmt(val)},{_fmt(dev)}\n")
@@ -228,8 +216,7 @@ def _cmd_verify(args, schedule, out):
         anchor = 2 * l
         dec = xi_par_decomposed(schedule, anchor, 2)
         ref = green_functions(schedule, anchor, 2 * l).xi(2 * l)
-        report("periodic-decomposition",
-               abs(dec - ref) <= 1e-11 * max(1.0, abs(ref)))
+        report("periodic-decomposition", relative_deviation(dec, ref) <= 1e-11)
     return EXIT_OK if failures == 0 else EXIT_DOMAIN
 
 

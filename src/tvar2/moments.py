@@ -52,7 +52,9 @@ class MomentSummary:
 class Autocovariance:
     anchor: int
     lag: int
+    depth: int
     value: float
+    tail_bound: float
     converged: bool
 
 
@@ -177,9 +179,9 @@ def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
     xi_{t,k+i} * xi_{t-k,i} * sigma2(t-k-i)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    value, _, _, converged = _series(
+    value, n, tail, converged = _series(
         schedule, t - k, _covariance_terms(schedule, t, k), tol, n_max)
-    return Autocovariance(int(t), int(k), value, converged)
+    return Autocovariance(int(t), int(k), n, value, tail, converged)
 
 
 def autocovariance_recursion(schedule: Schedule, t: int, k: int,
@@ -191,11 +193,12 @@ def autocovariance_recursion(schedule: Schedule, t: int, k: int,
     if k < 1:
         raise ValueError("recursion form requires k >= 1")
     table = green_functions(schedule, t, k)
-    var = unconditional_variance(schedule, t - k, tol, n_max)
+    var = autocovariance(schedule, t - k, 0, tol, n_max)
     cov1 = autocovariance(schedule, t - k, 1, tol, n_max)
-    value = (table.xi(k) * var.variance
+    value = (table.xi(k) * var.value
              + schedule.at(t - k + 1).phi2 * table.xi(k - 1) * cov1.value)
-    return Autocovariance(int(t), int(k), float(value),
+    return Autocovariance(int(t), int(k), max(var.depth, cov1.depth),
+                          float(value), max(var.tail_bound, cov1.tail_bound),
                           var.converged and cov1.converged)
 
 

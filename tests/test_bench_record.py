@@ -1,0 +1,90 @@
+"""bench/record.py's summarize: when a BENCH_<n>.json may claim a gain."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench", "record.py")
+_spec = importlib.util.spec_from_file_location("bench_record", _PATH)
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
+
+END_TO_END = {"requests_per_s": "higher", "latency_p50_ms": "lower"}
+
+
+def _entry(base, change, name="requests_per_s"):
+    """A workload entry with one metric's per-seed values on each side,
+    plus a per-layer metric that no gain is computed for."""
+    return {"runs": {side: [{"metrics": {name: v, "xi.steps": 1.0}}
+                            for v in values]
+                     for side, values in (("base", base), ("change", change))}}
+
+
+def test_fewer_than_min_pairs_has_no_gain_entry():
+    n = record.MIN_PAIRS - 1
+    entry = _entry([10.0] * n, [20.0] * n)
+    entry["gain"] = {"stale": True}
+    record.summarize(entry, END_TO_END)
+    assert "gain" not in entry
+    assert entry["summary"]["requests_per_s"]["change"]["median"] == 20.0
+
+
+def test_gain_counts_pairs_and_skips_per_layer_metrics():
+    base = [10.0 + 0.1 * i for i in range(10)]
+    entry = _entry(base, [b + 5.0 for b in base])
+    record.summarize(entry, END_TO_END)
+    assert set(entry["gain"]) == {"requests_per_s"}
+    gain = entry["gain"]["requests_per_s"]
+    assert (gain["wins"], gain["losses"], gain["pairs"]) == (10, 0, 10)
+    assert gain["claimable"]
+    summary = entry["summary"]["requests_per_s"]["base"]
+    assert gain["base_iqr"] == pytest.approx(summary["q3"] - summary["q1"])
+    assert gain["median_ratio"] == pytest.approx(
+        entry["summary"]["requests_per_s"]["change"]["median"]
+        / summary["median"])
+
+
+@pytest.mark.parametrize("losses, claimable", [(1, True), (2, False)],
+                         ids=["9-of-10", "8-of-10"])
+def test_claim_needs_nine_tenths_of_the_pairs(losses, claimable):
+    base = [10.0 + 0.1 * i for i in range(10)]
+    change = [b - 1.0 if i < losses else b + 5.0 for i, b in enumerate(base)]
+    entry = _entry(base, change)
+    record.summarize(entry, END_TO_END)
+    gain = entry["gain"]["requests_per_s"]
+    assert (gain["wins"], gain["losses"]) == (10 - losses, losses)
+    assert gain["claimable"] is claimable
+
+
+def test_claim_needs_a_median_shift_beyond_the_base_iqr():
+    base = [10.0 + i for i in range(10)]          # interquartile distance 5.5
+    entry = _entry(base, [b + 0.5 for b in base])
+    record.summarize(entry, END_TO_END)
+    gain = entry["gain"]["requests_per_s"]
+    assert (gain["wins"], gain["losses"]) == (10, 0)
+    assert gain["base_iqr"] > 0.5
+    assert not gain["claimable"]
+
+
+def test_ties_count_for_neither_side():
+    base = [10.0 + 0.1 * i for i in range(10)]
+    change = [b if i < 3 else b + 5.0 for i, b in enumerate(base)]
+    entry = _entry(base, change)
+    record.summarize(entry, END_TO_END)
+    gain = entry["gain"]["requests_per_s"]
+    assert (gain["wins"], gain["losses"], gain["pairs"]) == (7, 0, 10)
+    assert not gain["claimable"]
+
+
+@pytest.mark.parametrize("name, claimable", [("requests_per_s", False),
+                                             ("latency_p50_ms", True)])
+def test_sign_follows_the_better_direction(name, claimable):
+    base = [10.0 + 0.1 * i for i in range(10)]
+    entry = _entry(base, [b - 5.0 for b in base], name)
+    record.summarize(entry, END_TO_END)
+    gain = entry["gain"][name]
+    assert (gain["wins"] == 10) is claimable
+    assert (gain["losses"] == 10) is not claimable
+    assert gain["claimable"] is claimable

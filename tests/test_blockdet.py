@@ -1,18 +1,85 @@
+import functools
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from tvar2 import (BreakSchedule, CyclicalSchedule, PeriodicSchedule,
-                   ScheduleError, block_determinant_oracle, block_spec,
-                   decomposition_report, green_functions, xi_abar_decomposed,
-                   xi_block_decomposed, xi_car_decomposed, xi_par_decomposed)
-from tvar2.blockdet import BlockSpec
+from tvar2 import (BreakSchedule, ConstantSchedule, CyclicalSchedule,
+                   PeriodicSchedule, ScheduleError, block_determinant_oracle,
+                   block_spec, constant_xi, decomposition_report,
+                   green_functions, xi_abar_decomposed, xi_block_decomposed,
+                   xi_car_decomposed, xi_par_decomposed)
+from tvar2.blockdet import BlockSpec, relative_deviation, segment_layout
 from conftest import random_schedule
 
 
+def _random_tuple(rng):
+    return (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
+            float(rng.uniform(-1, 1)), 1.0)
+
+
 def _random_periodic(rng, l):
-    return PeriodicSchedule(
-        [(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
-          float(rng.uniform(-1, 1)), 1.0) for _ in range(l)])
+    return PeriodicSchedule([_random_tuple(rng) for _ in range(l)])
+
+
+def _random_cyclical(rng, d):
+    l = d + 1 + int(rng.integers(0, 5))
+    bounds = sorted(int(b) for b in rng.choice(range(1, l), size=d,
+                                               replace=False))
+    return CyclicalSchedule(l, bounds, [_random_tuple(rng)
+                                        for _ in range(d + 1)])
+
+
+def _random_breaks(rng, r):
+    horizon = r + 1 + int(rng.integers(0, 2 * r + 3))
+    offsets = sorted(int(o) for o in rng.choice(range(1, horizon), size=r,
+                                                replace=False))
+    return BreakSchedule(60, horizon, offsets, [_random_tuple(rng)
+                                                for _ in range(r + 1)])
+
+
+def _recurrence_segment(schedule):
+    def segment_xi(anchor, depth):
+        if depth <= 0:
+            return 1.0 if depth == 0 else 0.0
+        return green_functions(schedule, anchor, depth).xi(depth)
+    return segment_xi
+
+
+def _closed_form_segment(schedule):
+    def segment_xi(anchor, depth):
+        if depth <= 0:
+            return 1.0 if depth == 0 else 0.0
+        tup = schedule.at(anchor)
+        return constant_xi(tup.phi1, tup.phi2, depth)
+    return segment_xi
+
+
+def _enumerated(t, spec, segment_xi):
+    """The paper's sum over the 2^d selector vectors, term by term.
+
+    Bit j of a selector says whether the addend crosses boundary j: the
+    segments on either side of it each lose the step next to it, and the
+    coupling phi2 there joins them.  The addends are products of the same
+    float segment values the transfer product reads, multiplied and summed
+    exactly, so the oracle itself loses no digits to cancellation.
+    """
+    b = (0,) + spec.boundaries + (spec.total,)
+    couplings = (1.0,) + spec.couplings
+
+    @functools.cache
+    def factor(j, p, c):   # segment j, bits p at its newer end, c at its older
+        return (Fraction(couplings[j] if p else 1.0)
+                * Fraction(segment_xi(t - b[j] - p, b[j + 1] - b[j] - p - c)))
+
+    total = Fraction(0)
+    for sel in itertools.product((0, 1), repeat=len(spec.boundaries)):
+        bits = (0,) + sel + (0,)
+        total += math.prod((factor(j, bits[j], bits[j + 1])
+                            for j in range(len(b) - 1)), start=Fraction(1))
+    return float(total)
 
 
 def test_block_spec_validation():
@@ -139,3 +206,99 @@ def test_report_rows(rng):
                                     "block-determinant"]
     assert rows[0][2] == 0.0
     assert all(r[2] < 1e-11 for r in rows)
+
+
+@pytest.mark.parametrize("d", range(11))
+def test_transfer_product_equals_the_enumeration(rng, d):
+    rng = np.random.default_rng(1000 + d)
+    s = _random_periodic(rng, int(rng.integers(2, 6)))
+    t = (d + 2) * s.period
+    _, spec = segment_layout(s, t, d + 1)
+    want = _enumerated(t, spec, _recurrence_segment(s))
+    assert xi_par_decomposed(s, t, d + 1) == pytest.approx(want, rel=1e-12,
+                                                           abs=0)
+
+    s = _random_cyclical(rng, d)
+    t = 3 * s.period
+    _, spec = segment_layout(s, t)
+    want = _enumerated(t, spec, _recurrence_segment(s))
+    assert xi_car_decomposed(s, t) == pytest.approx(want, rel=1e-12, abs=0)
+
+    s = _random_breaks(rng, d)
+    _, spec = segment_layout(s)
+    want = _enumerated(60, spec, _closed_form_segment(s))
+    assert xi_abar_decomposed(s, 60, s.horizon) == pytest.approx(
+        want, rel=1e-12, abs=0)
+
+    for _ in range(3):
+        s = random_schedule(rng, -40, 40)
+        t = int(rng.integers(0, 20))
+        total = d + 1 + int(rng.integers(0, 15))
+        bounds = sorted(int(b) for b in rng.choice(range(1, total), size=d,
+                                                   replace=False))
+        spec = block_spec(s, t, bounds, total)
+        want = _enumerated(t, spec, _recurrence_segment(s))
+        assert xi_block_decomposed(s, t, spec) == pytest.approx(
+            want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 7, 14])
+def test_transfer_product_evaluates_each_segment_at_most_four_times(rng, d):
+    s = random_schedule(rng, -60, 40)
+    total = 3 * (d + 1)
+    spec = block_spec(s, 30, range(3, total, 3), total)
+    calls = []
+    recurrence = _recurrence_segment(s)
+
+    def counting(anchor, depth):
+        calls.append((anchor, depth))
+        return recurrence(anchor, depth)
+
+    value = xi_block_decomposed(s, 30, spec, counting)
+    assert len(calls) <= 4 * (d + 1)
+    assert value == pytest.approx(green_functions(s, 30, total).xi(total),
+                                  rel=1e-11, abs=0)
+
+
+def test_segment_layout_declares_each_kind():
+    s = PeriodicSchedule([(0.0, 0.5, -0.2, 1.0), (0.0, 0.3, 0.1, 1.0),
+                          (0.0, 0.2, 0.4, 1.0)])
+    assert segment_layout(s, None, 3) == (9, BlockSpec(9, (3, 6), (-0.2, -0.2)))
+    assert segment_layout(s, 12, 2) == (12, BlockSpec(6, (3,), (-0.2,)))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        segment_layout(s, None, 0)
+    with pytest.raises(ScheduleError, match="last season"):
+        segment_layout(s, 10, 2)
+
+    s = CyclicalSchedule(6, [2, 4], [(0.0, 0.5, -0.2, 1.0),
+                                     (0.0, -0.3, 0.4, 1.0),
+                                     (0.0, 0.8, -0.1, 1.0)])
+    # offsets back from the anchor: cycle 3 (seasons 5-6) is the newest
+    assert segment_layout(s) == (6, BlockSpec(6, (2, 4), (-0.1, 0.4)))
+    assert segment_layout(s, 18, 5) == segment_layout(s, 18)
+    with pytest.raises(ScheduleError, match="last season"):
+        segment_layout(s, 7)
+
+    s = BreakSchedule(50, 10, [3, 7], [(0.0, 0.5, -0.2, 1.0),
+                                       (0.0, -0.4, 0.3, 1.0),
+                                       (0.0, 0.9, -0.5, 1.0)])
+    # each coupling is phi2 at the oldest time of the newer regime
+    assert segment_layout(s) == (50, BlockSpec(10, (3, 7), (-0.2, 0.3)))
+    assert segment_layout(s, 49) == segment_layout(s)
+
+    with pytest.raises(ScheduleError, match="periodic, cyclical or abrupt"):
+        segment_layout(ConstantSchedule(0.0, 0.5, -0.2, 1.0))
+
+
+def test_report_deviation_is_relative_to_the_recurrence():
+    s = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
+                          (0.1, 0.8, -0.3, 0.8), (0.3, 0.1, 0.25, 1.2)])
+    t, spec = segment_layout(s, None, 3)
+    reference = green_functions(s, t, spec.total).xi(spec.total)
+    assert abs(reference) < 1e-4
+    rows = decomposition_report(s, t, spec, reference * (1 + 1e-9))
+    assert rows[1][2] == pytest.approx(1e-9, rel=1e-6)
+    assert rows[2][2] < 1e-14
+    assert relative_deviation(-3.0, -2.0) == 0.5
+    assert relative_deviation(1e-3, 0.0) == 1e-3
+    assert relative_deviation(1e-3, -0.0) == 1e-3

@@ -149,6 +149,22 @@ def test_decompose_verify_each_kind(tmp_path):
         assert all(float(r[2]) < 1e-11 for r in rows)
 
 
+def test_decompose_verify_deepest_periodic_layout_is_accurate(tmp_path):
+    # 16 periods of 4 seasons: 15 boundaries, the deepest layout under the
+    # oracle cap; the decomposition stays within 1e-13 of the recurrence
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    code, out = _run(tmp_path, ["decompose-verify", "--config", cfg,
+                                "--n", "16"])
+    assert code == 0
+    recurrence, decomposition = [line.split(",")
+                                 for line in out.splitlines()[1:3]]
+    assert (recurrence[0], decomposition[0]) == ("recurrence", "decomposition")
+    reference, value = float(recurrence[1]), float(decomposition[1])
+    assert reference != 0.0
+    assert abs(value - reference) <= 1e-13 * abs(reference)
+    assert float(decomposition[2]) <= 1e-13
+
+
 @pytest.mark.parametrize("config, extra", [
     (BREAKS, ["--t", "50"]),
     (BREAKS + "params:\n  t: 49\n", ["--t", "50"]),
@@ -274,8 +290,10 @@ def _not_called(*args, **kwargs):
      "--length", "1"],
     # n * period = 17 * 4 > oracle cap 64
     ["decompose-verify", "--n", "{n_over}"],
+    # n itself over the oracle cap, rejected before the layout is built
+    ["decompose-verify", "--n", "{oracle_over}"],
 ], ids=["green-k", "forecast-k", "acf-max-lag", "acf-nmax", "simulate-size",
-        "decompose-verify-n"])
+        "decompose-verify-n", "decompose-verify-n-key"])
 def test_over_cap_request_exits_2_before_computing(tmp_path, monkeypatch, argv):
     for name in ("green_functions", "forecast", "autocovariance",
                  "simulate_paths", "xi_par_decomposed"):
@@ -283,7 +301,7 @@ def test_over_cap_request_exits_2_before_computing(tmp_path, monkeypatch, argv):
     depth, steps, oracle = cli.MAX_DEPTH, cli.MAX_PATH_STEPS, cli.ORACLE_CAP
     assert (depth, steps, oracle) == (10**6, 10**8, 64)
     argv = [a.format(depth=depth, depth_over=depth + 1, steps=steps,
-                     n_over=oracle // 4 + 1)
+                     n_over=oracle // 4 + 1, oracle_over=oracle + 1)
             for a in argv]
     cfg = _write(tmp_path, "c.yaml", PERIODIC)
     out = tmp_path / "out.csv"
@@ -365,7 +383,7 @@ README_DIGESTS = [
     (["stationarity", "--matrices"],
      "6d3395fd844f893db8fb30902c6081c62e1a0b7e6279a8f3f490fbd61e2929b6"),
     (["decompose-verify", "--n", "3", "--t", "12"],
-     "560398458c1be2edf182f99caa5ef9979b5e71c2300ce92e672398a8f12f9b90"),
+     "c892d3041a2f7242615620ebb17487a8e38d06d9a07af02a0bf4c014cea3016d"),
     (["verify"],
      "0d978ac58a4ac1bb053470e3de2426460cf68c3f4ac2ab185f5dac830a0fef27"),
 ]

@@ -77,6 +77,25 @@ def test_series_and_recursion_autocovariances_agree(rng):
                                                 abs=1e-9)
 
 
+@pytest.mark.parametrize("s, t", [
+    (PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
+                       (0.1, 0.8, -0.3, 0.8), (0.3, 0.1, 0.25, 1.2)]), 10),
+    (ConstantSchedule(0.0, 1.0, -0.02, 1.0), 40),      # near the unit root
+    (ConstantSchedule(0.0, 1.5, 0.0, 1.0), 40),        # explosive
+], ids=["periodic", "near-unit-root", "explosive"])
+def test_autocovariance_carries_its_series_depth_and_tail(s, t):
+    n, tail = tvar2.moments._series(
+        s, t, tvar2.moments._covariance_terms(s, t, 0), DEFAULT_TOL, 10_000)[1:3]
+    cov = autocovariance(s, t, 0)
+    assert (cov.depth, cov.tail_bound) == (n, tail)
+    assert cov.depth <= unconditional_variance(s, t).depth
+    rec = autocovariance_recursion(s, t, 2)
+    lagged = [autocovariance(s, t - 2, k) for k in (0, 1)]
+    assert rec.depth == max(c.depth for c in lagged)
+    assert rec.tail_bound == max(c.tail_bound for c in lagged)
+    assert rec.converged == cov.converged
+
+
 def test_periodic_variance_differs_by_season():
     s = PeriodicSchedule([(0.0, 0.2, 0.0, 1.0), (0.0, 0.9, 0.0, 1.0)])
     v1 = unconditional_variance(s, 101)  # season 1

@@ -53,11 +53,11 @@ def block_spec(schedule: Schedule, t: int, boundaries: Sequence[int],
 
 def segment_layout(schedule: Schedule, t: int | None = None,
                    n: int = 1) -> tuple[int, BlockSpec]:
-    """The anchor and segment layout of a structured schedule's
-    decomposition: n periods (periodic) or one period of cycles (cyclical)
-    behind an anchor at the end of a period, by default n periods or one
-    period; or the regimes behind an abrupt-breaks schedule's own anchor
-    over its horizon, where ``t`` is not read."""
+    """The anchor and segment layout a structured schedule decomposes at:
+    n periods (periodic) or the cycles of one period (cyclical) behind
+    ``t``, which must end a period and defaults to that depth; or the
+    regimes over the horizon behind an abrupt-breaks schedule's own anchor,
+    where ``t`` is not read."""
     if isinstance(schedule, BreakSchedule):
         t = schedule.anchor
         return t, block_spec(schedule, t, schedule.offsets, schedule.horizon)
@@ -131,10 +131,10 @@ def xi_abar_decomposed(schedule: BreakSchedule, t: int, k: int) -> float:
     sum of 2^r addends whose within-regime continuants use the
     constant-coefficient root closed form, evaluated as a transfer
     product."""
-    own_t, spec = segment_layout(schedule)
-    if (t, k) != (own_t, spec.total):
+    if t != schedule.anchor or k != schedule.horizon:
         raise ScheduleError(
             "decomposition requires the schedule's own anchor and horizon")
+    _, spec = segment_layout(schedule)
 
     def segment_xi(anchor: int, depth: int) -> float:
         tup = schedule.at(anchor)  # segments never straddle a break
@@ -165,8 +165,7 @@ def block_determinant_oracle(schedule: Schedule, t: int, spec: BlockSpec,
 
 
 def relative_deviation(value: float, reference: float) -> float:
-    """|value - reference| / |reference|, or the absolute deviation when
-    the reference is exactly 0."""
+    """|value - reference| / |reference|; absolute where the reference is 0."""
     return abs(value - reference) / (abs(reference) or 1.0)
 
 

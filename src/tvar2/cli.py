@@ -212,10 +212,9 @@ def _cmd_verify(args, schedule, out):
                               schedule.window(t - 49, t + 50)))
 
     if isinstance(schedule, PeriodicSchedule):
-        l = schedule.period
-        anchor = 2 * l
+        anchor, spec = segment_layout(schedule, None, 2)
         dec = xi_par_decomposed(schedule, anchor, 2)
-        ref = green_functions(schedule, anchor, 2 * l).xi(2 * l)
+        ref = green_functions(schedule, anchor, spec.total).xi(spec.total)
         report("periodic-decomposition", relative_deviation(dec, ref) <= 1e-11)
     return EXIT_OK if failures == 0 else EXIT_DOMAIN
 

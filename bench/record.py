@@ -2,15 +2,17 @@
 
 Usage, from the root of a checkout:
 
-    python3 bench/record.py --base COMMIT --workload NAME --seeds A-B
-                            --out BENCH_n.json [--seconds S]
+    python3 bench/record.py --base COMMIT [--change COMMIT] --workload NAME
+                            --seeds A-B --out BENCH_n.json [--seconds S]
 
-For each seed it runs perfbench/run.py once on the working tree (the
-"change") and once on the committed files of the base commit, extracted
-with `git archive` into a temporary directory, alternating which side
-runs first.  It then makes one --trace 1 run per side at the first seed.
-Runs use the settings of BENCHMARK.json (run_seconds, unless --seconds is
-given) and the benchmark code each side holds.
+For each seed it runs perfbench/run.py once on the change commit (HEAD
+unless --change is given) and once on the base commit, alternating which
+side runs first.  Each side runs in the committed files of its commit,
+extracted with `git archive` into a temporary directory, so an edit made
+to the working tree while a recording runs is not measured under the
+change's commit id.  It then makes one --trace 1 run per side at the
+first seed.  Runs use the settings of BENCHMARK.json (run_seconds, unless
+--seconds is given) and the benchmark code each side holds.
 
 The workload's entry in --out holds both commit ids, each run's raw
 metrics, correctness and failures, each side's environment record, and
@@ -115,22 +117,22 @@ def summarize(entry: dict, end_to_end: dict) -> None:
         entry.pop("gain", None)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="commit to compare against")
+    parser.add_argument("--change", default="HEAD", help="commit to measure")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="A-B or a comma list")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--seconds", type=float, default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     with open("BENCHMARK.json") as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    commits = {"base": git("rev-parse", "--verify", args.base + "^{commit}"),
-               "change": git("rev-parse", "HEAD")}
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    commits = {side: git("rev-parse", "--verify", rev + "^{commit}")
+               for side, rev in (("base", args.base), ("change", args.change))}
 
     record = {}
     if os.path.exists(args.out):
@@ -139,9 +141,8 @@ def main() -> int:
         if (record.get("base", {}).get("commit"), record.get("change", {}).get("commit")) \
                 != (commits["base"], commits["change"]):
             record = {}
-    record.update({"base": {"commit": commits["base"]},
-                   "change": {"commit": commits["change"], "working_tree_dirty": dirty},
-                   "seconds": seconds})
+    record.update({side: {"commit": commits[side]} for side in commits})
+    record["seconds"] = seconds
     entry = {"seeds": [], "first": [], "runs": {"base": [], "change": []}}
     record.setdefault("workloads", {})[args.workload] = entry
 
@@ -150,10 +151,10 @@ def main() -> int:
             json.dump(record, fh, indent=1)
             fh.write("\n")
 
-    base_root = tempfile.mkdtemp(prefix="bench-base-")
+    roots = {side: tempfile.mkdtemp(prefix=f"bench-{side}-") for side in commits}
     try:
-        extract(commits["base"], base_root)
-        roots = {"base": base_root, "change": os.getcwd()}
+        for side, root in roots.items():
+            extract(commits[side], root)
         for i, seed in enumerate(seed_list(args.seeds)):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
@@ -170,7 +171,8 @@ def main() -> int:
                           for side in ("base", "change")}
         write()
     finally:
-        shutil.rmtree(base_root, ignore_errors=True)
+        for root in roots.values():
+            shutil.rmtree(root, ignore_errors=True)
     return 0
 
 

@@ -25,6 +25,11 @@ from .xi import (ORACLE_CAP, OracleCapError, constant_xi,
                  fundamental_matrix, green_functions, xi)
 
 
+class PeriodEndError(ScheduleError):
+    """A periodic or cyclical decomposition anchored off the end of a
+    period."""
+
+
 @dataclass(frozen=True)
 class BlockSpec:
     """Segment layout behind an anchor: strictly increasing boundary offsets
@@ -75,8 +80,8 @@ def segment_layout(schedule: Schedule, t: int | None = None,
             f"schedule (got kind {schedule.kind!r})")
     t = total if t is None else t
     if season_of(t, l) != l:
-        raise ScheduleError(f"anchor t={t} is not at the last season of a "
-                            f"period (period {l})")
+        raise PeriodEndError(f"anchor t={t} is not at the last season of a "
+                             f"period (period {l})")
     return t, block_spec(schedule, t, offsets, total)
 
 

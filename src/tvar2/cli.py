@@ -11,13 +11,14 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from . import config as config_mod
-from .blockdet import (decomposition_report, relative_deviation,
-                       segment_layout, xi_abar_decomposed, xi_car_decomposed,
-                       xi_par_decomposed)
+from .blockdet import (PeriodEndError, decomposition_report,
+                       relative_deviation, segment_layout, xi_abar_decomposed,
+                       xi_car_decomposed, xi_par_decomposed)
 from .config import PARAMS, ConfigError
 from .moments import autocovariance, forecast
 from .schedules import CyclicalSchedule, PeriodicSchedule, ScheduleError
@@ -154,7 +155,10 @@ def _cmd_decompose_verify(args, schedule, out):
     # n bounds the layout before it is built; the total bounds the report's
     # block-determinant oracle
     _check_range(args, "n", 1, ORACLE_CAP)
-    t, spec = segment_layout(schedule, args.t, args.n)
+    try:
+        t, spec = segment_layout(schedule, args.t, args.n)
+    except PeriodEndError as exc:
+        raise ConfigError(f"key 't' must end a period: {exc}") from None
     if args.t is not None and args.t != t:
         raise ConfigError(f"key 't' must be the {schedule.kind} anchor {t} "
                           f"or left unset (got {args.t})")
@@ -242,7 +246,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and kept for the
+    process; each ``parse_args`` call still fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="tvar2",
         description="Closed-form solutions, forecasts and moments of "

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import yaml
 
+import tvar2.config
 from tvar2 import CoefficientTuple, GenericSchedule
 
 
@@ -24,3 +26,13 @@ def random_schedule(rng, t_lo, t_hi, coeff_range=1.0, sigma2=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(params=["default", "pure-python"])
+def yaml_pair(request, monkeypatch):
+    """Run the test with tvar2.config's own YAML loader and dumper (libyaml's
+    when PyYAML has it), and again with PyYAML's pure-Python pair."""
+    if request.param == "pure-python":
+        monkeypatch.setattr(tvar2.config, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(tvar2.config, "_DUMPER", yaml.SafeDumper)
+    return request.param

@@ -1,7 +1,9 @@
 """bench/record.py's summarize: when a BENCH_<n>.json may claim a gain."""
 
 import importlib.util
+import json
 import os
+import subprocess
 
 import pytest
 
@@ -88,3 +90,54 @@ def test_sign_follows_the_better_direction(name, claimable):
     assert (gain["wins"] == 10) is claimable
     assert (gain["losses"] == 10) is not claimable
     assert gain["claimable"] is claimable
+
+
+# a stand-in for perfbench/run.py: one metric, read from the tree it runs in
+FAKE_RUN = """import json
+with open("src/value.txt") as fh:
+    value = float(fh.read())
+print(json.dumps({"detail": {"environment": {"python": "stand-in"}}}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"requests_per_s": {"value": value}}}))
+"""
+
+
+def _commit(repo, value: str) -> str:
+    (repo / "src" / "value.txt").write_text(value)
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c",
+           "user.email=bench@example.invalid", "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", value], check=True)
+    return subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_each_side_runs_its_committed_files(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "src").mkdir()
+    (repo / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1,
+         "end_to_end": [{"name": "requests_per_s", "better": "higher"}]}))
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    base = _commit(repo, "1.0")
+    change = _commit(repo, "2.0")
+    (repo / "src" / "value.txt").write_text("3.0")     # an uncommitted edit
+    monkeypatch.chdir(repo)
+
+    assert record.main(["--base", base, "--workload", "w", "--seeds", "5",
+                        "--out", "BENCH_t.json"]) == 0
+    with open(repo / "BENCH_t.json") as fh:
+        written = json.load(fh)
+    assert (written["base"]["commit"], written["change"]["commit"]) == (base, change)
+    entry = written["workloads"]["w"]
+    assert [[r["metrics"]["requests_per_s"] for r in entry["runs"][side]]
+            for side in ("base", "change")] == [[1.0], [2.0]]
+    assert entry["trace"] == {"base": {"requests_per_s": 1.0},
+                              "change": {"requests_per_s": 2.0}}
+
+    dest = tmp_path / "extracted"
+    record.extract(change, str(dest))
+    assert (dest / "src" / "value.txt").read_text() == "2.0"
+    assert not (dest / "BENCH_t.json").exists()

@@ -178,6 +178,21 @@ def test_decompose_verify_breaks_accepts_its_anchor(tmp_path, config, extra):
     assert out == unset
 
 
+@pytest.mark.parametrize("config, extra", [
+    (PERIODIC, ["--n", "2", "--t", "9"]),
+    (CYCLICAL, ["--t", "5"]),
+    (CYCLICAL + "params:\n  t: 13\n", []),
+], ids=["periodic-flag", "cyclical-flag", "cyclical-yaml"])
+def test_decompose_verify_t_off_a_period_end_exits_2(tmp_path, capsys, config,
+                                                      extra):
+    cfg = _write(tmp_path, "c.yaml", config)
+    code = cli.main(["decompose-verify", "--config", cfg] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 't' must end a period")
+    assert "not at the last season of a period" in err
+
+
 def test_verify_passes(tmp_path):
     for text in (CONSTANT, PERIODIC, CYCLICAL):
         cfg = _write(tmp_path, "v.yaml", text)
@@ -252,12 +267,13 @@ def test_all_subcommands_deterministic(tmp_path):
     (PERIODIC, ["decompose-verify", "--n", "0"], 2),
     (BREAKS, ["decompose-verify", "--t", "49"], 2),
     (BREAKS + "params:\n  t: 49\n", ["decompose-verify"], 2),
+    (PERIODIC, ["decompose-verify", "--n", "2", "--t", "9"], 2),
     # fails after the header is written: the series runs past the window
     (BREAKS, ["acf", "--t", "50", "--max-lag", "2"], 1),
 ], ids=["acf-tol-0", "acf-nmax-0", "acf-max-lag-negative", "green-k-negative",
         "simulate-paths-negative", "forecast-k-0", "decompose-verify-n-0",
         "decompose-verify-breaks-t-flag", "decompose-verify-breaks-t-yaml",
-        "acf-past-break-window"])
+        "decompose-verify-t-off-period-end", "acf-past-break-window"])
 def test_failed_command_leaves_no_out_file(tmp_path, config, argv, exit_code):
     cfg = _write(tmp_path, "c.yaml", config)
     out = tmp_path / "out.csv"
@@ -310,19 +326,26 @@ def test_over_cap_request_exits_2_before_computing(tmp_path, monkeypatch, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config, old, new", [
-    (CYCLICAL, "period: 6", "period: x"),
-    (BREAKS, "anchor: 50", "anchor: 1.5"),
-    (BREAKS, "offsets: [3, 7]", "offsets: 3"),
-    (CYCLICAL, "boundaries: [2, 4]", "boundaries: [2, x]"),
-    (CONSTANT, "sigma2: 1.0", "sigma2: 1.0\n  sigma2_bounds: [a, 2]"),
-    (CONSTANT, "t: 10", "t: abc"),
-    (CONSTANT, "k: 4", "k: 3.7"),
-    (CONSTANT, "t: 10", "t: true"),
-    (CONSTANT, "k: 4", "horizon: 3"),
-], ids=["period-x", "anchor-float", "offsets-scalar", "boundaries-item",
-        "sigma2-bounds-item", "t-string", "k-float", "t-bool", "horizon-param"])
-def test_mistyped_config_exits_2_without_out_file(tmp_path, config, old, new):
+MISTYPED = [
+    (CYCLICAL, "period: 6", "period: x", "period"),
+    (BREAKS, "anchor: 50", "anchor: 1.5", "anchor"),
+    (BREAKS, "offsets: [3, 7]", "offsets: 3", "offsets"),
+    (CYCLICAL, "boundaries: [2, 4]", "boundaries: [2, x]", "boundaries[1]"),
+    (CONSTANT, "sigma2: 1.0", "sigma2: 1.0\n  sigma2_bounds: [a, 2]",
+     "sigma2_bounds[0]"),
+    (CONSTANT, "t: 10", "t: abc", "t"),
+    (CONSTANT, "k: 4", "k: 3.7", "k"),
+    (CONSTANT, "t: 10", "t: true", "t"),
+    (CONSTANT, "k: 4", "horizon: 3", "horizon"),
+]
+MISTYPED_IDS = ["period-x", "anchor-float", "offsets-scalar", "boundaries-item",
+                "sigma2-bounds-item", "t-string", "k-float", "t-bool",
+                "horizon-param"]
+
+
+@pytest.mark.parametrize("config, old, new, key", MISTYPED, ids=MISTYPED_IDS)
+def test_mistyped_config_exits_2_without_out_file(tmp_path, capsys, config,
+                                                  old, new, key):
     assert old in config
     cfg = _write(tmp_path, "c.yaml", config.replace(old, new))
     out = tmp_path / "out.csv"
@@ -330,6 +353,34 @@ def test_mistyped_config_exits_2_without_out_file(tmp_path, config, old, new):
                      "--t", "50", "--k", "3"])
     assert code == 2
     assert not out.exists()
+    assert f"key {key!r}" in capsys.readouterr().err
+
+
+# every config the CLI rejects at load time, and what its message must hold
+YAML_REJECTIONS = [
+    (CONSTANT.replace("sigma2: 1.0", "sigma2: -1.0"), "sigma2 must be > 0"),
+    (CONSTANT.replace("phi0:", "psi0:"), "unknown key 'psi0'"),
+    (CONSTANT.replace("phi1: 1.2", "phi1: .nan"), "phi1 must be finite"),
+    (CONSTANT.replace("phi1: 1.2", "phi1: [1.2"), "invalid YAML"),
+    (CONSTANT.replace("  kind", "kind"), "invalid YAML"),
+] + [(config.replace(old, new), f"key {key!r}")
+     for config, old, new, key in MISTYPED]
+
+
+@pytest.mark.parametrize("config, message", YAML_REJECTIONS,
+                         ids=["sigma2-negative", "unknown-key", "phi1-nan",
+                              "unclosed-list", "bad-indent"] + MISTYPED_IDS)
+def test_yaml_rejection_exits_2_with_either_yaml_pair(tmp_path, capsys,
+                                                      yaml_pair, config,
+                                                      message):
+    cfg = _write(tmp_path, "c.yaml", config)
+    out = tmp_path / "out.csv"
+    code = cli.main(["green", "--config", cfg, "--out", str(out),
+                     "--t", "50", "--k", "3"])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -397,3 +448,43 @@ def test_readme_command_bytes_pinned(tmp_path, argv, digest):
     code = cli.main([argv[0], "--config", cfg, "--out", str(out)] + argv[1:])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    cli._build_parser.cache_clear()
+    cfg = _write(tmp_path, "c.yaml", CONSTANT)
+    for argv in (["green"], ["forecast", "--k", "2"], ["acf"], ["green"]):
+        code, _ = _run(tmp_path, [argv[0], "--config", cfg] + argv[1:])
+        assert code == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_flag_does_not_leak_into_the_next_call(tmp_path):
+    cfg = _write(tmp_path, "c.yaml", CONSTANT)     # params: t 10, k 4
+    _, flagged = _run(tmp_path, ["green", "--config", cfg, "--k", "3"], "a.csv")
+    _, from_yaml = _run(tmp_path, ["green", "--config", cfg], "b.csv")
+    assert flagged.splitlines()[-1].startswith("10,3,")
+    assert from_yaml.splitlines()[-1] == "10,4,0.7936"
+
+
+def test_resolved_value_does_not_persist(tmp_path, capsys):
+    # the first call fills k from its config's params; the second config
+    # has none, so the second call must fail for want of k
+    with_k = _write(tmp_path, "c.yaml", CONSTANT)
+    without_k = _write(tmp_path, "p.yaml", PERIODIC)
+    assert _run(tmp_path, ["green", "--config", with_k])[0] == 0
+    code = cli.main(["green", "--config", without_k, "--t", "10"])
+    assert code == 2
+    assert "missing key 'k'" in capsys.readouterr().err
+
+
+def test_argparse_error_leaves_the_next_call_working(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.yaml", CONSTANT)
+    _, before = _run(tmp_path, ["green", "--config", cfg, "--k", "3"], "a.csv")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["green", "--config", cfg, "--k", "x3"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x3'" in capsys.readouterr().err
+    code, after = _run(tmp_path, ["green", "--config", cfg, "--k", "3"], "b.csv")
+    assert code == 0 and after == before

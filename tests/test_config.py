@@ -1,7 +1,14 @@
+import ast
+import glob
+import importlib.util
+import os
 import re
+import sys
 
 import pytest
+import yaml
 
+import tvar2.config
 from tvar2 import (BreakSchedule, ConfigError, ConstantSchedule,
                    CyclicalSchedule, GenericSchedule, PeriodicSchedule, dump,
                    load, schedule_from_dict, schedule_to_dict)
@@ -128,7 +135,7 @@ def test_sigma2_bounds_round_trip_default_only():
     assert rebuilt.sigma2_bounds == s.sigma2_bounds
 
 
-@pytest.mark.parametrize("text, old, new, key", [
+MISTYPED = [
     (CYCLICAL_YAML, "period: 6", "period: x", "period"),
     (BREAKS_YAML, "anchor: 50", "anchor: 1.5", "anchor"),
     (BREAKS_YAML, "offsets: [3, 7]", "offsets: 3", "offsets"),
@@ -140,9 +147,13 @@ def test_sigma2_bounds_round_trip_default_only():
     (CONSTANT_YAML, "k: 3", "k: 3.0", "k"),
     (CONSTANT_YAML, "t: 10", "t: true", "t"),
     (CONSTANT_YAML, "k: 3", "horizon: 3", "horizon"),
-], ids=["period-x", "anchor-float", "offsets-scalar", "boundaries-item",
-        "sigma2-bounds-item", "t-string", "k-float", "k-integral-float",
-        "t-bool", "horizon-param"])
+]
+MISTYPED_IDS = ["period-x", "anchor-float", "offsets-scalar", "boundaries-item",
+                "sigma2-bounds-item", "t-string", "k-float", "k-integral-float",
+                "t-bool", "horizon-param"]
+
+
+@pytest.mark.parametrize("text, old, new, key", MISTYPED, ids=MISTYPED_IDS)
 def test_mistyped_value_rejected_by_name(text, old, new, key):
     assert old in text
     with pytest.raises(ConfigError, match=re.escape(repr(key))):
@@ -152,3 +163,105 @@ def test_mistyped_value_rejected_by_name(text, old, new, key):
 def test_params_read_as_their_type():
     text = CONSTANT_YAML.replace("k: 3", "y0: 1\n  tol: 1e-3")
     assert load(text)[1] == {"t": 10, "y0": 1.0, "tol": 1e-3}
+
+
+# every config text load rejects, and the pattern its message must match
+REJECTED = [
+    ("schema_version: 1\nschedul: {kind: constant}\n", "'schedul'"),
+    (CONSTANT_YAML.replace("k: 3", "horizn: 3"), "'horizn'"),
+    ("schedule: {kind: constant, phi0: 0, phi1: 0, phi2: 0, sigma2: 1}",
+     "schema_version"),
+    ("schedule: [unclosed", "invalid YAML"),
+    (CONSTANT_YAML.replace("phi1: 1.2", "phi1: {1.2"), "invalid YAML"),
+] + [(text.replace(old, new), re.escape(repr(key)))
+     for text, old, new, key in MISTYPED]
+REJECTED_IDS = ["unknown-top-level-key", "unknown-param-key", "no-schema-version",
+                "unclosed-list", "unclosed-mapping"] + MISTYPED_IDS
+
+
+@pytest.mark.parametrize("text, pattern", REJECTED, ids=REJECTED_IDS)
+def test_rejection_names_the_problem_with_either_yaml_pair(yaml_pair, text,
+                                                           pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        load(text)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _config_texts() -> dict:
+    """Every config the project ships or tests: the README's YAML blocks, each
+    module-level config string of tests/, and the benchmark's CLI configs."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"```yaml\n(.*?)```", fh.read(), re.S)
+    texts = {f"README-{i}": block for i, block in enumerate(blocks)}
+    for path in sorted(glob.glob(os.path.join(ROOT, "tests", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Constant)
+                    and "schema_version" in str(node.value.value)):
+                name = f"{os.path.basename(path)}-{node.targets[0].id}"
+                texts[name] = node.value.value
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_models", os.path.join(ROOT, "perfbench", "models.py"))
+    models = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = models   # its dataclasses look the module up
+    spec.loader.exec_module(models)
+    texts.update((f"perfbench-{name}", text)
+                 for name, text in models.CLI_CONFIGS.items())
+    return texts
+
+
+CONFIG_TEXTS = _config_texts()
+
+
+def test_every_shipped_config_is_found():
+    names = set(CONFIG_TEXTS)
+    assert {"README-0", "README-3", "test_cli.py-BREAKS",
+            "test_config.py-CONSTANT_YAML", "test_acceptance.py-CLI_CONFIG",
+            "perfbench-bad-version"} <= names
+    assert len(names) >= 20
+
+
+def _read(text, loader):
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError:
+        return yaml.YAMLError
+
+
+LOADED_TEXTS = {**CONFIG_TEXTS, **{f"rejected-{name}": text for name, (text, _)
+                                   in zip(REJECTED_IDS, REJECTED)}}
+
+
+@pytest.mark.parametrize("name", sorted(LOADED_TEXTS))
+def test_config_loader_reads_what_the_pure_python_loader_reads(name):
+    text = LOADED_TEXTS[name]
+    ours = _read(text, tvar2.config._LOADER)
+    pure = _read(text, yaml.SafeLoader)
+    assert ours == pure
+    assert repr(ours) == repr(pure)   # the same types too: 1 is not 1.0
+
+
+DUMPED = [
+    ConstantSchedule(0.1, 0.5, -0.2, 1.0),
+    ConstantSchedule(0.0, 1.0 / 3.0, -1e-17, 2.5e300, sigma2_bounds=(1e-9, 1e301)),
+    PeriodicSchedule([(0.1, 0.5, -0.2, 1.0), (0.2, -0.3, 0.4, 2.0)]),
+    CyclicalSchedule(5, [2], [(0.0, 0.5, -0.2, 1.0), (0.0, -0.3, 0.4, 2.0)]),
+    BreakSchedule(100, 8, [3, 6], [(0.0, 0.5, -0.2, 1.0), (0.0, -0.3, 0.4, 2.0),
+                                   (0.1, 0.2, 0.1, 0.5)]),
+]
+
+
+@pytest.mark.parametrize("schedule", DUMPED,
+                         ids=[s.kind + str(i) for i, s in enumerate(DUMPED)])
+def test_dump_writes_the_pure_python_dumpers_text(monkeypatch, schedule):
+    params = {"t": 12, "tol": 1e-3, "innovations": "uniform"}
+    ours = [dump(schedule), dump(schedule, params)]
+    monkeypatch.setattr(tvar2.config, "_DUMPER", yaml.SafeDumper)
+    assert [dump(schedule), dump(schedule, params)] == ours
+    assert ours[0] == yaml.safe_dump(
+        {"schema_version": 1, "schedule": schedule_to_dict(schedule)},
+        sort_keys=False)

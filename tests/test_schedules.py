@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tvar2 import (BreakSchedule, ConstantSchedule, CyclicalSchedule,
-                   GenericSchedule, PeriodicSchedule, ScheduleError,
+from tvar2 import (BreakSchedule, CoefficientTuple, ConstantSchedule,
+                   CyclicalSchedule, GenericSchedule, PeriodicSchedule, ScheduleError,
                    season_of, validate, validate_params)
 
 
@@ -190,6 +190,50 @@ def test_window_errors_keep_their_messages():
     assert _message(lambda: breaks.window(48, 52)) == _message(lambda: breaks.at(52))
     assert "outside break-schedule window [45, 50]" in _message(
         lambda: breaks.window(40, 50))
+
+
+# each kind with sigma2 bounds that some times break, and times that cover
+# every season (breaks: both edges of the window)
+BOUNDED_KINDS = {
+    "constant": (lambda: ConstantSchedule(0.5, 1.2, -0.32, 2.0,
+                                          sigma2_bounds=(1e-6, 1.5)), (-3, 3)),
+    "periodic": (lambda: PeriodicSchedule([(0.1, 0.5, -0.2, 1.0),
+                                           (0.2, -0.4, 0.3, 3.0),
+                                           (0.3, 0.8, -0.1, 0.5)],
+                                          sigma2_bounds=(0.6, 2.0)), (-7, 12)),
+    "cyclical": (lambda: CyclicalSchedule(5, [2], [(0.0, 0.5, -0.2, 1.0),
+                                                   (0.1, -0.3, 0.4, 4.0)],
+                                          sigma2_bounds=(1e-3, 2.0)), (-7, 12)),
+    "breaks": (lambda: BreakSchedule(20, 6, [2, 4],
+                                     [(0.0, 0.5, -0.2, 1.0), (0.0, -0.4, 0.3, 5.0),
+                                      (0.0, 0.9, -0.5, 1.0)],
+                                     sigma2_bounds=(1e-3, 2.0)), (11, 23)),
+    "generic": (lambda: GenericSchedule(
+        lambda t: (0.01 * t, math.sin(t), math.cos(t),
+                   0.0 if t % 5 == 0 else 1.0 + t % 3),
+        sigma2_bounds=(1e-3, 2.5)), (-7, 12)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDED_KINDS))
+def test_at_is_the_one_row_window(kind):
+    build, (t_lo, t_hi) = BOUNDED_KINDS[kind]
+    s = build()
+
+    def read(call):
+        try:
+            return call()
+        except ScheduleError as exc:
+            return f"error: {exc}"
+
+    outcomes = set()
+    for t in range(t_lo, t_hi + 1):
+        got = read(lambda: s.at(t))
+        assert got == read(lambda: CoefficientTuple(*s.window(t, t)[0])), t
+        outcomes.add(type(got))
+    # every constant time is out of bounds; the other kinds meet both paths
+    assert outcomes == ({str} if kind == "constant"
+                        else {CoefficientTuple, str})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

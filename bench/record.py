@@ -2,17 +2,18 @@
 
 Usage, from the root of a checkout:
 
-    python3 bench/record.py --base COMMIT [--change COMMIT] --workload NAME
-                            --seeds A-B --out BENCH_n.json [--seconds S]
+    python3 bench/record.py --base COMMIT --workload NAME --seeds A-B
+                            --out BENCH_n.json [--seconds S]
 
-For each seed it runs perfbench/run.py once on the change commit (HEAD
-unless --change is given) and once on the base commit, alternating which
-side runs first.  Each side runs in the committed files of its commit,
-extracted with `git archive` into a temporary directory, so an edit made
-to the working tree while a recording runs is not measured under the
-change's commit id.  It then makes one --trace 1 run per side at the
-first seed.  Runs use the settings of BENCHMARK.json (run_seconds, unless
---seconds is given) and the benchmark code each side holds.
+For each seed it runs perfbench/run.py once on the change, the commit
+HEAD names when the recording starts, and once on the base commit,
+alternating which side runs first.  Each side runs in the committed
+files of its commit, extracted with `git archive` into a temporary
+directory, so an edit made to the working tree while a recording runs
+is not measured under the change's commit id.  It then makes one
+--trace 1 run per side at the first seed.  Runs use the settings of
+BENCHMARK.json (run_seconds, unless --seconds is given) and the
+benchmark code each side holds.
 
 The workload's entry in --out holds both commit ids, each run's raw
 metrics, correctness and failures, each side's environment record, and
@@ -120,7 +121,6 @@ def summarize(entry: dict, end_to_end: dict) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="commit to compare against")
-    parser.add_argument("--change", default="HEAD", help="commit to measure")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="A-B or a comma list")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
@@ -131,8 +131,8 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    commits = {side: git("rev-parse", "--verify", rev + "^{commit}")
-               for side, rev in (("base", args.base), ("change", args.change))}
+    commits = {"base": git("rev-parse", "--verify", args.base + "^{commit}"),
+               "change": git("rev-parse", "HEAD")}
 
     record = {}
     if os.path.exists(args.out):

@@ -62,17 +62,14 @@ class Schedule:
     """Base class: a pure map from integer time to a CoefficientTuple.
 
     Schedules are immutable after construction and safe to evaluate
-    concurrently.  Consumers read coefficients through ``window``, which
-    checks sigma2 against zero and the user-declared ``sigma2_bounds``;
-    ``at`` is its one-row view, and reads a kind tiled by season without
-    building a window.
+    concurrently.  Consumers read coefficients through ``window``, the one
+    place where sigma2 is checked against zero and the user-declared
+    ``sigma2_bounds``; ``at`` is its one-row view.
     """
 
     kind = "generic"
     earliest: float = -math.inf   # earliest time the schedule answers for
-    # seasons 1..period, as tuples and as (phi0, phi1, phi2, sigma2) rows, for
-    # kinds tiled by season
-    _season_tuples: tuple[CoefficientTuple, ...] | None = None
+    # (phi0, phi1, phi2, sigma2) of seasons 1..period, for kinds tiled by season
     _season_rows: np.ndarray | None = None
 
     def __init__(self, sigma2_bounds: tuple[float, float] = DEFAULT_SIGMA2_BOUNDS):
@@ -98,31 +95,15 @@ class Schedule:
         lo, hi = self.sigma2_bounds
         bad = np.flatnonzero(~((lo < rows[:, 3]) & (rows[:, 3] < hi)))
         if len(bad):
-            self._reject_sigma2(float(rows[bad[-1], 3]), t_lo + int(bad[-1]))
+            t, value = t_lo + int(bad[-1]), float(rows[bad[-1], 3])
+            _check_sigma2(value, f"t={t}")
+            raise ScheduleError(
+                f"sigma2={value} at t={t} outside declared bounds ({lo}, {hi})")
         return rows
-
-    def _reject_sigma2(self, value: float, t: int) -> None:
-        _check_sigma2(value, f"t={t}")
-        lo, hi = self.sigma2_bounds
-        raise ScheduleError(
-            f"sigma2={value} at t={t} outside declared bounds ({lo}, {hi})")
 
     def at(self, t: int) -> CoefficientTuple:
         """Coefficients governing time t; deterministic in t."""
-        if self._season_tuples is None:
-            return CoefficientTuple(*self.window(t, t)[0].tolist())
-        t = int(t)
-        tup = self._season_tuples[(t - 1) % len(self._season_tuples)]
-        lo, hi = self.sigma2_bounds
-        if not lo < tup.sigma2 < hi:
-            self._reject_sigma2(tup.sigma2, t)
-        return tup
-
-    def _tile(self, seasons) -> None:
-        """Tile the schedule by season: ``seasons`` holds the tuples of
-        seasons 1..period."""
-        self._season_tuples = tuple(seasons)
-        self._season_rows = _rows(self._season_tuples)
+        return CoefficientTuple(*self.window(t, t)[0].tolist())
 
 
 class GenericSchedule(Schedule):
@@ -150,7 +131,7 @@ class ConstantSchedule(Schedule):
         _check_sigma2(float(sigma2))
         self.coefficients = CoefficientTuple(float(phi0), float(phi1),
                                              float(phi2), float(sigma2))
-        self._tile([self.coefficients])
+        self._season_rows = _rows([self.coefficients])
 
 
 def season_of(t: int, period: int) -> int:
@@ -171,7 +152,7 @@ class PeriodicSchedule(Schedule):
         for s, tup in enumerate(self.seasons, start=1):
             _check_sigma2(tup.sigma2, f"season {s}")
         self.period = len(self.seasons)
-        self._tile(self.seasons)
+        self._season_rows = _rows(self.seasons)
 
 
 class CyclicalSchedule(Schedule):
@@ -203,8 +184,8 @@ class CyclicalSchedule(Schedule):
         self.cycles = tuple(_as_tuple(c) for c in cycles)
         for j, tup in enumerate(self.cycles, start=1):
             _check_sigma2(tup.sigma2, f"cycle {j}")
-        self._tile(self.cycles[self.cycle_of_season(s) - 1]
-                   for s in range(1, period + 1))
+        self._season_rows = _rows(self.cycles[self.cycle_of_season(s) - 1]
+                                  for s in range(1, period + 1))
 
     def cycle_of_season(self, s: int) -> int:
         """1-based cycle index containing season s."""

@@ -28,11 +28,15 @@ def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(params=["default", "pure-python"])
-def yaml_pair(request, monkeypatch):
-    """Run the test with tvar2.config's own YAML loader and dumper (libyaml's
-    when PyYAML has it), and again with PyYAML's pure-Python pair."""
-    if request.param == "pure-python":
+@pytest.fixture
+def yaml_pairs(monkeypatch):
+    """Iterate over the YAML pairs tvar2.config may read and write through:
+    its own loader and dumper (libyaml's when PyYAML has it), then PyYAML's
+    pure-Python pair, patched in for the second pass and for the rest of
+    the test."""
+    def passes():
+        yield "default"
         monkeypatch.setattr(tvar2.config, "_LOADER", yaml.SafeLoader)
         monkeypatch.setattr(tvar2.config, "_DUMPER", yaml.SafeDumper)
-    return request.param
+        yield "pure-python"
+    return passes

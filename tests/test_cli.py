@@ -343,44 +343,35 @@ MISTYPED_IDS = ["period-x", "anchor-float", "offsets-scalar", "boundaries-item",
                 "horizon-param"]
 
 
-@pytest.mark.parametrize("config, old, new, key", MISTYPED, ids=MISTYPED_IDS)
-def test_mistyped_config_exits_2_without_out_file(tmp_path, capsys, config,
-                                                  old, new, key):
-    assert old in config
-    cfg = _write(tmp_path, "c.yaml", config.replace(old, new))
-    out = tmp_path / "out.csv"
-    code = cli.main(["green", "--config", cfg, "--out", str(out),
-                     "--t", "50", "--k", "3"])
-    assert code == 2
-    assert not out.exists()
-    assert f"key {key!r}" in capsys.readouterr().err
+def _edit(text, old, new):
+    assert old in text
+    return text.replace(old, new)
 
 
 # every config the CLI rejects at load time, and what its message must hold
-YAML_REJECTIONS = [
+REJECTED = [
     (CONSTANT.replace("sigma2: 1.0", "sigma2: -1.0"), "sigma2 must be > 0"),
     (CONSTANT.replace("phi0:", "psi0:"), "unknown key 'psi0'"),
     (CONSTANT.replace("phi1: 1.2", "phi1: .nan"), "phi1 must be finite"),
     (CONSTANT.replace("phi1: 1.2", "phi1: [1.2"), "invalid YAML"),
     (CONSTANT.replace("  kind", "kind"), "invalid YAML"),
-] + [(config.replace(old, new), f"key {key!r}")
-     for config, old, new, key in MISTYPED]
+] + [(_edit(config, old, new), f"key {key!r}") for config, old, new, key in MISTYPED]
 
 
-@pytest.mark.parametrize("config, message", YAML_REJECTIONS,
+@pytest.mark.parametrize("config, message", REJECTED,
                          ids=["sigma2-negative", "unknown-key", "phi1-nan",
                               "unclosed-list", "bad-indent"] + MISTYPED_IDS)
-def test_yaml_rejection_exits_2_with_either_yaml_pair(tmp_path, capsys,
-                                                      yaml_pair, config,
-                                                      message):
+def test_mistyped_config_exits_2_without_out_file(tmp_path, capsys, yaml_pairs,
+                                                  config, message):
     cfg = _write(tmp_path, "c.yaml", config)
     out = tmp_path / "out.csv"
-    code = cli.main(["green", "--config", cfg, "--out", str(out),
-                     "--t", "50", "--k", "3"])
-    assert code == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err
+    for pair in yaml_pairs():
+        code = cli.main(["green", "--config", cfg, "--out", str(out),
+                         "--t", "50", "--k", "3"])
+        assert code == 2, pair
+        assert not out.exists(), pair
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, pair
 
 
 @pytest.mark.parametrize("argv", [

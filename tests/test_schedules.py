@@ -193,13 +193,15 @@ def test_window_errors_keep_their_messages():
 
 
 # each kind with sigma2 bounds that some times break, and times that cover
-# every season (breaks: both edges of the window)
+# every season (breaks: both edges of the window); one periodic season is
+# given as integers
 BOUNDED_KINDS = {
     "constant": (lambda: ConstantSchedule(0.5, 1.2, -0.32, 2.0,
                                           sigma2_bounds=(1e-6, 1.5)), (-3, 3)),
     "periodic": (lambda: PeriodicSchedule([(0.1, 0.5, -0.2, 1.0),
                                            (0.2, -0.4, 0.3, 3.0),
-                                           (0.3, 0.8, -0.1, 0.5)],
+                                           (0.3, 0.8, -0.1, 0.5),
+                                           CoefficientTuple(0, 1, 0, 1)],
                                           sigma2_bounds=(0.6, 2.0)), (-7, 12)),
     "cyclical": (lambda: CyclicalSchedule(5, [2], [(0.0, 0.5, -0.2, 1.0),
                                                    (0.1, -0.3, 0.4, 4.0)],
@@ -230,8 +232,11 @@ def test_at_is_the_one_row_window(kind):
     for t in range(t_lo, t_hi + 1):
         got = read(lambda: s.at(t))
         assert got == read(lambda: CoefficientTuple(*s.window(t, t)[0])), t
+        if isinstance(got, CoefficientTuple):
+            assert all(type(getattr(got, name)) is float
+                       for name in ("phi0", "phi1", "phi2", "sigma2")), t
         outcomes.add(type(got))
-    # every constant time is out of bounds; the other kinds meet both paths
+    # every constant time is out of bounds; the other kinds meet both outcomes
     assert outcomes == ({str} if kind == "constant"
                         else {CoefficientTuple, str})
 

@@ -46,7 +46,7 @@ _HELP = {
     "nmax": "series truncation cap",
     "seed": "master seed",
     "workers": "accepted (>= 1) but has no effect: the kernel is serial and "
-               "each path's stream is keyed by (seed, path)",
+               "each block of 256 paths draws one stream keyed by (seed, block)",
     "innovations": "normal or uniform",
     "aggregate": "emit per-time mean/variance instead of raw paths",
     "matrices": "also print the stacked parameter matrices",

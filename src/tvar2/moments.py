@@ -33,6 +33,12 @@ class ForecastResult:
     error_weights: np.ndarray   # xi_{t,i}, i = 0..k-1
     mse: float
 
+    @property
+    def finite(self) -> bool:
+        """Whether the point forecast and its mean square error are both
+        finite: an explosive schedule overflows them instead of raising."""
+        return math.isfinite(self.point) and math.isfinite(self.mse)
+
 
 @dataclass(frozen=True)
 class MomentSummary:

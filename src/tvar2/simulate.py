@@ -1,12 +1,14 @@
 """Monte Carlo path generation for time-varying AR(2) schedules.
 
-Every path owns a counter-based Philox stream keyed by (master seed, path
-index), so a path's values depend on neither the ensemble size nor how
-paths are chunked.  The kernel is serial: one generator per chunk is
-re-keyed for each path, the innovations are stored time-major, and the
-recursion runs in place over whole time steps.  Statistics are collected
-at fixed anchor times, never time-averaged: the moments are themselves
-functions of time.
+Random stream contract, version ``STREAM_VERSION``: path p belongs to the
+block b = p // SUB_BLOCK, and block b is one counter-based Philox stream
+keyed by (master seed, b), drawn time-major at full block width.  A path's
+values therefore depend on neither the ensemble size nor how paths are
+chunked.  The kernel is serial: chunks hold whole blocks, each block is
+drawn in one call and copied into the columns of a time-major array, and
+the recursion runs in place over whole time steps.  Statistics are
+collected at fixed anchor times, never time-averaged: the moments are
+themselves functions of time.
 
 Ensembles are read-only.  The last one simulated is remembered by a weak
 reference, so ``empirical_forecast_error`` on an equal config reuses it
@@ -26,7 +28,11 @@ from .solution import general_solution
 
 DEFAULT_BURN_IN = 500
 CHUNK_TARGET = 20_000   # paths per chunk; bounds the time-major scratch array
-SUB_BLOCK = 256         # paths drawn path-major before the transposed copy
+SUB_BLOCK = 256         # paths per random stream; chunks hold whole blocks
+DRAW_ROWS = 4096        # time steps per draw call; bounds the block buffer
+# the version of the stream contract above; any change to the simulated
+# bits (and so to a pinned ensemble digest) must bump it
+STREAM_VERSION = 2
 
 # (config, weak reference to its ensemble) of the last simulate_paths call;
 # the weak reference keeps no ensemble alive after its caller drops it
@@ -105,30 +111,32 @@ class EmpiricalMoments:
 def _simulate_chunk(config: SimulationConfig, first_path: int,
                     coeffs: np.ndarray, out: np.ndarray) -> None:
     """Simulate paths first_path .. first_path + len(out) - 1 into ``out``,
-    given the coefficient window ``coeffs`` of every simulated time."""
+    given the coefficient window ``coeffs`` of every simulated time;
+    first_path is a multiple of SUB_BLOCK."""
     n_paths = len(out)
     total = config.burn_in + config.length
-    bitgen = np.random.Philox(key=[config.seed, first_path])
-    rng = np.random.Generator(bitgen)
-    # a fresh state: counter zero, empty buffer; only key[1] changes per path
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
     root3 = math.sqrt(3.0)
+    sigma = np.sqrt(coeffs[:, 3])[:, None]
     # y[j + 2] holds step j; rows 0 and 1 are the zero initial conditions
     y = np.empty((total + 2, n_paths))
     y[:2] = 0.0
-    block = np.empty((min(SUB_BLOCK, n_paths), total))
+    block = np.empty((min(DRAW_ROWS, total), SUB_BLOCK))
     for b in range(0, n_paths, SUB_BLOCK):
-        rows = block[:min(SUB_BLOCK, n_paths - b)]
-        for i, row in enumerate(rows):
-            key[1] = first_path + b + i
-            bitgen.state = fresh
+        rng = np.random.Generator(np.random.Philox(
+            key=[config.seed, (first_path + b) // SUB_BLOCK]))
+        width = min(SUB_BLOCK, n_paths - b)
+        # the block is drawn at full width even where the ensemble ends
+        # inside it; consecutive draws continue one stream
+        for j in range(0, total, DRAW_ROWS):
+            rows = block[:min(DRAW_ROWS, total - j)]
             if config.innovations == "uniform":
-                row[:] = rng.uniform(-root3, root3, total)
+                rng.random(out=rows)
+                rows *= 2.0 * root3
+                rows -= root3
             else:
-                rng.standard_normal(out=row)
-        y[2:, b:b + len(rows)] = rows.T
-    y[2:] *= np.sqrt(coeffs[:, 3])[:, None]
+                rng.standard_normal(out=rows)
+            np.multiply(rows[:, :width], sigma[j:j + len(rows)],
+                        out=y[2 + j:2 + j + len(rows), b:b + width])
     # ((phi0 + phi1*y1) + phi2*y2) + eps, operand order kept bit for bit
     acc = np.empty(n_paths)
     tmp = np.empty(n_paths)
@@ -151,8 +159,9 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     t_first = config.t_end - total + 1
     coeffs = config.schedule.window(t_first, config.t_end)
     values = np.empty((config.n_paths, config.length))
-    for first in range(0, config.n_paths, CHUNK_TARGET):
-        _simulate_chunk(config, first, coeffs, values[first:first + CHUNK_TARGET])
+    chunk = max(1, CHUNK_TARGET // SUB_BLOCK) * SUB_BLOCK
+    for first in range(0, config.n_paths, chunk):
+        _simulate_chunk(config, first, coeffs, values[first:first + chunk])
     times = np.arange(config.t_end - config.length + 1, config.t_end + 1)
     values.flags.writeable = False
     times.flags.writeable = False

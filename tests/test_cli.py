@@ -418,10 +418,10 @@ README_DIGESTS = [
     (["acf", "--t", "10", "--max-lag", "4"],
      "5c82096836d734b50cbd532c6db3712758b4890cf990e0f3430f1a39911ddc16"),
     (["simulate", "--t", "40", "--paths", "200", "--seed", "7", "--aggregate"],
-     "37648cd4216d52d998892bbbcb9061e5d0cc126d9e551ca288c328d050a3a2a2"),
+     "62dfa4ac02a49818a296b203769ee062d47b6f65dc2128869729c0199e78e5c1"),
     (["simulate", "--t", "40", "--length", "3", "--paths", "20", "--burn-in",
       "50", "--seed", "7"],
-     "76a16da6d3fdeaeb0d4a8024d5c34ac415336e36fbc8e1f83843f9251ee70cd6"),
+     "42b1cd945c1646d0ff1ceb5435d62eb9a509d279da9d7eab0101624988c7c7eb"),
     (["stationarity", "--matrices"],
      "6d3395fd844f893db8fb30902c6081c62e1a0b7e6279a8f3f490fbd61e2929b6"),
     (["decompose-verify", "--n", "3", "--t", "12"],

@@ -277,3 +277,13 @@ def test_explosive_forecast_emits_no_warnings():
         warnings.simplefilter("error")
         result = forecast(s, 5000, 1000, (0.5, -0.5))
     assert math.isnan(result.point) and math.isnan(result.mse)
+
+
+def test_forecast_finite_flags_overflow():
+    stationary = forecast(ConstantSchedule(0.0, 1.2, -0.32, 1.0), 10, 3,
+                          (1.0, 2.0))
+    assert stationary.finite
+    explosive = forecast(ConstantSchedule(0.0, 2.5, 0.3, 1.0), 10**4, 10**4,
+                         (1.0, 0.5))
+    assert not explosive.finite
+    assert not (math.isfinite(explosive.point) and math.isfinite(explosive.mse))

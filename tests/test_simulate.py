@@ -47,8 +47,8 @@ def test_different_seed_differs():
 
 
 def test_worker_count_does_not_change_results():
-    # streams are keyed per path and the kernel is serial: workers is
-    # accepted but has no effect, whatever the chunking
+    # streams are keyed per block of SUB_BLOCK paths and the kernel is
+    # serial: workers is accepted but has no effect, whatever the chunking
     old = sim.CHUNK_TARGET
     sim.CHUNK_TARGET = 64
     try:
@@ -60,22 +60,26 @@ def test_worker_count_does_not_change_results():
 
 
 def _reference_paths(config):
-    """The stream contract, spelled out: one Generator(Philox(key=[seed, p]))
-    per path, sigma scaling, then the path-major recursion
+    """The stream contract (version 2), spelled out: one
+    Generator(Philox(key=[seed, b])) per block b of SUB_BLOCK paths, drawn
+    as one full-width time-major array (uniform draws u mapped to
+    u * 2 sqrt(3) - sqrt(3)), sigma scaling, then the path-major recursion
     ((phi0 + phi1*y1) + phi2*y2) + eps from zero initial conditions."""
     total = config.burn_in + config.length
     tuples = [config.schedule.at(t)
               for t in range(config.t_end - total + 1, config.t_end + 1)]
     sigma = np.sqrt(np.array([tup.sigma2 for tup in tuples]))
     coeffs = np.array([(tup.phi0, tup.phi1, tup.phi2) for tup in tuples])
-    eps = np.empty((config.n_paths, total))
-    for p in range(config.n_paths):
-        rng = np.random.Generator(np.random.Philox(key=[config.seed, p]))
+    root3 = math.sqrt(3.0)
+    blocks = []
+    for b in range(-(-config.n_paths // sim.SUB_BLOCK)):
+        rng = np.random.Generator(np.random.Philox(key=[config.seed, b]))
         if config.innovations == "uniform":
-            eps[p] = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), total)
+            draw = rng.random((total, sim.SUB_BLOCK)) * (2.0 * root3) - root3
         else:
-            eps[p] = rng.standard_normal(total)
-    eps *= sigma
+            draw = rng.standard_normal((total, sim.SUB_BLOCK))
+        blocks.append(draw)
+    eps = np.hstack(blocks)[:, :config.n_paths].T * sigma
     y_prev = np.zeros(config.n_paths)
     y_prev2 = np.zeros(config.n_paths)
     out = np.empty((config.n_paths, config.length))
@@ -90,7 +94,8 @@ def _reference_paths(config):
 
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])
 def test_kernel_matches_per_path_reference(monkeypatch, innovations):
-    # 700 paths in chunks of 300, 300 and 100; none a multiple of SUB_BLOCK
+    # 700 paths; CHUNK_TARGET 300 holds one block, so the chunks are 256,
+    # 256 and 188 paths and the ensemble ends inside its last block
     monkeypatch.setattr(sim, "CHUNK_TARGET", 300)
     cfg = _config(schedule=SEASONS, n_paths=700, t_end=64, burn_in=60,
                   innovations=innovations)
@@ -99,12 +104,12 @@ def test_kernel_matches_per_path_reference(monkeypatch, innovations):
     assert np.array_equal(ens.values, _reference_paths(cfg))
 
 
-# sha256 of the float64 bytes, recorded with the per-path-generator kernel
+# sha256 of the float64 bytes, recorded with stream contract version 2
 PINNED_DIGESTS = {
     "normal":
-        "bee9f0a2c59ccd0ed383b5d7de7191ad1303a7fb6c7ced0558c1c8812666ec68",
+        "15e458281d65aca849287d24b2689ddbd82d7a6b85b98f0188c0abce388f38f2",
     "uniform":
-        "c333c71e6f5eb9851f4ec2af3cdaf3fd9430b7b1fb28a0e41fb2c8d24b54d73c",
+        "b487a8ceb9724b50f77abc47dde6f4d180d5c0b91eb7f97106b7dde85e11a470",
 }
 
 
@@ -122,6 +127,41 @@ def test_path_prefix_stability():
     small = simulate_paths(_config(n_paths=100))
     large = simulate_paths(_config(n_paths=300))
     assert np.array_equal(large.values[:100], small.values)
+
+
+@pytest.mark.parametrize("n_paths", [255, 256, 257])
+def test_path_prefix_stability_at_block_edges(n_paths):
+    # blocks are drawn at full width, so an ensemble ending inside, at or
+    # just past a block edge holds the first paths of a larger one
+    small = simulate_paths(_config(n_paths=n_paths, burn_in=40))
+    large = simulate_paths(_config(n_paths=600, burn_in=40))
+    assert np.array_equal(large.values[:n_paths], small.values)
+
+
+@pytest.mark.parametrize("target", [100, 1000])
+def test_chunk_boundaries_cut_no_block(monkeypatch, target):
+    # CHUNK_TARGET 100 gives chunks of one block, 1000 of three; the
+    # default holds the whole ensemble in one chunk
+    cfg = _config(n_paths=1300, burn_in=40)
+    default = simulate_paths(cfg).values
+    monkeypatch.setattr(sim, "CHUNK_TARGET", target)
+    assert np.array_equal(simulate_paths(cfg).values, default)
+
+
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+def test_block_drawn_over_several_calls_continues_its_stream(monkeypatch,
+                                                             innovations):
+    cfg = _config(n_paths=300, burn_in=40, innovations=innovations)
+    one_call = simulate_paths(cfg).values
+    monkeypatch.setattr(sim, "DRAW_ROWS", 7)    # 48 time steps: 7 calls
+    assert np.array_equal(simulate_paths(cfg).values, one_call)
+
+
+def test_stream_version():
+    # PINNED_DIGESTS and the simulate README digests in test_cli.py pin
+    # this version of the stream contract: any change to those digests
+    # requires bumping STREAM_VERSION
+    assert sim.STREAM_VERSION == 2
 
 
 def test_pure_noise_limit():
@@ -197,6 +237,18 @@ def test_explosive_paths_emit_no_warnings():
                                                    burn_in=900))
     assert not np.isfinite(ensemble.values).any()
     assert ensemble.nonfinite_paths == 50
+
+
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+def test_explosive_blocks_emit_no_warnings(innovations):
+    # 300 paths: one full block and one that the ensemble ends inside
+    explosive = ConstantSchedule(0.0, 2.5, 0.3, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ensemble = simulate_paths(SimulationConfig(
+            explosive, 300, 900, 3, seed=1, burn_in=900,
+            innovations=innovations))
+    assert ensemble.nonfinite_paths == 300
 
 
 def test_nonfinite_paths_counts_paths_not_values():

@@ -5,10 +5,10 @@ block b = p // SUB_BLOCK, and block b is one counter-based Philox stream
 keyed by (master seed, b), drawn time-major at full block width.  A path's
 values therefore depend on neither the ensemble size nor how paths are
 chunked.  The kernel is serial: chunks hold whole blocks, each block is
-drawn in one call and copied into the columns of a time-major array, and
-the recursion runs in place over whole time steps.  Statistics are
-collected at fixed anchor times, never time-averaged: the moments are
-themselves functions of time.
+drawn in one call (one per DRAW_ROWS time steps on longer ensembles) and
+copied into the columns of a time-major array, and the recursion runs in
+place over whole time steps.  Statistics are collected at fixed anchor
+times, never time-averaged: the moments are themselves functions of time.
 
 Ensembles are read-only.  The last one simulated is remembered by a weak
 reference, so ``empirical_forecast_error`` on an equal config reuses it

@@ -22,7 +22,8 @@ from .blockdet import (PeriodEndError, decomposition_report,
 from .config import PARAMS, ConfigError
 from .moments import autocovariance, forecast
 from .schedules import CyclicalSchedule, PeriodicSchedule, ScheduleError
-from .simulate import (SimulationConfig, empirical_moments, simulate_paths)
+from .simulate import (SUB_BLOCK, SimulationConfig, empirical_moments,
+                       simulate_paths)
 from .solution import evaluate_solution, forward_recursion, general_solution
 from .vs import build_vs, stationarity_check
 from .xi import ORACLE_CAP, green_functions, xi_determinant_oracle
@@ -35,7 +36,9 @@ FLOAT_FORMAT = "%.15g"
 # Output size caps.  A request beyond one is a config error (exit 2),
 # rejected before anything is computed or written.
 MAX_DEPTH = 10**6          # green k + 1, forecast k, acf max_lag + 1 and nmax
-MAX_PATH_STEPS = 10**8     # simulate paths * (burn_in + length)
+# simulate values drawn: paths rounded up to whole SUB_BLOCK blocks, since
+# every block is drawn at full width, times (burn_in + length)
+MAX_PATH_STEPS = 10**8
 
 _HELP = {
     "t": "anchor time",
@@ -45,8 +48,9 @@ _HELP = {
     "tol": "series truncation tolerance",
     "nmax": "series truncation cap",
     "seed": "master seed",
-    "workers": "accepted (>= 1) but has no effect: the kernel is serial and "
-               "each block of 256 paths draws one stream keyed by (seed, block)",
+    "workers": "accepted (>= 1) but has no effect: each block of 256 paths "
+               "draws one stream keyed by (seed, block), the blocks are drawn "
+               "on one thread per usable core, and the recursion is serial",
     "innovations": "normal or uniform",
     "aggregate": "emit per-time mean/variance instead of raw paths",
     "matrices": "also print the stacked parameter matrices",
@@ -106,9 +110,11 @@ def _cmd_simulate(args, schedule, out):
             innovations=args.innovations, workers=args.workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.n_paths * (cfg.burn_in + cfg.length) > MAX_PATH_STEPS:
-        raise ConfigError(f"key 'paths' times (burn_in + length) must be <= "
-                          f"{MAX_PATH_STEPS}")
+    drawn = -(-cfg.n_paths // SUB_BLOCK) * SUB_BLOCK
+    if drawn * (cfg.burn_in + cfg.length) > MAX_PATH_STEPS:
+        raise ConfigError(f"key 'paths', rounded up to a multiple of "
+                          f"{SUB_BLOCK}, times (burn_in + length) must be "
+                          f"<= {MAX_PATH_STEPS}")
     ensemble = simulate_paths(cfg)
     if args.aggregate:
         out.write("t,stat,value,se\n")

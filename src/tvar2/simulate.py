@@ -4,11 +4,15 @@ Random stream contract, version ``STREAM_VERSION``: path p belongs to the
 block b = p // SUB_BLOCK, and block b is one counter-based Philox stream
 keyed by (master seed, b), drawn time-major at full block width.  A path's
 values therefore depend on neither the ensemble size nor how paths are
-chunked.  The kernel is serial: chunks hold whole blocks, each block is
-drawn in one call (one per DRAW_ROWS time steps on longer ensembles) and
-copied into the columns of a time-major array, and the recursion runs in
-place over whole time steps.  Statistics are collected at fixed anchor
-times, never time-averaged: the moments are themselves functions of time.
+chunked.  Chunks hold whole blocks.  Each block is drawn in one call (one
+per DRAW_ROWS time steps on longer ensembles) and scaled by sigma into its
+own columns of a time-major array; a chunk's blocks are shared out over
+LANES threads, one per usable core, since numpy releases the interpreter
+lock while it draws and multiplies.  The recursion then runs serially, in
+place over whole time steps, so the bits depend on neither the number of
+lanes nor ``workers``, which has no effect.  Statistics are collected at
+fixed anchor times, never time-averaged: the moments are themselves
+functions of time.
 
 Ensembles are read-only.  The last one simulated is remembered by a weak
 reference, so ``empirical_forecast_error`` on an equal config reuses it
@@ -18,6 +22,8 @@ while its caller still holds it, instead of simulating it again.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -30,6 +36,9 @@ DEFAULT_BURN_IN = 500
 CHUNK_TARGET = 20_000   # paths per chunk; bounds the time-major scratch array
 SUB_BLOCK = 256         # paths per random stream; chunks hold whole blocks
 DRAW_ROWS = 4096        # time steps per draw call; bounds the block buffer
+# lanes that draw a chunk's blocks at once: one per core this process may use
+LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 # the version of the stream contract above; any change to the simulated
 # bits (and so to a pinned ensemble digest) must bump it
 STREAM_VERSION = 2
@@ -37,6 +46,10 @@ STREAM_VERSION = 2
 # (config, weak reference to its ensemble) of the last simulate_paths call;
 # the weak reference keeps no ensemble alive after its caller drops it
 _last_ensemble = (None, None)
+
+# the thread pool of the lanes after the first, made by _lane_pool
+_pool = None
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -108,20 +121,37 @@ class EmpiricalMoments:
     autocovariances: tuple[EstimateWithSE, ...] = field(default=())
 
 
-def _simulate_chunk(config: SimulationConfig, first_path: int,
-                    coeffs: np.ndarray, out: np.ndarray) -> None:
-    """Simulate paths first_path .. first_path + len(out) - 1 into ``out``,
-    given the coefficient window ``coeffs`` of every simulated time;
-    first_path is a multiple of SUB_BLOCK."""
-    n_paths = len(out)
-    total = config.burn_in + config.length
+def _lane_pool():
+    """The process-wide pool that draws blocks beside the calling thread,
+    made on first use so that importing tvar2 starts no thread."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max(1, LANES - 1),
+                                       thread_name_prefix="tvar2-draw")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the pool's threads; it makes its own
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _draw_lane(config: SimulationConfig, first_path: int, sigma: np.ndarray,
+               y: np.ndarray, block: np.ndarray, lane: int, lanes: int) -> None:
+    """Draw blocks lane, lane + lanes, ... of the chunk that starts at
+    first_path through the buffer ``block``, and write each, scaled by
+    sigma, into its own columns of ``y``."""
+    n_paths = y.shape[1]
+    total = len(sigma)
     root3 = math.sqrt(3.0)
-    sigma = np.sqrt(coeffs[:, 3])[:, None]
-    # y[j + 2] holds step j; rows 0 and 1 are the zero initial conditions
-    y = np.empty((total + 2, n_paths))
-    y[:2] = 0.0
-    block = np.empty((min(DRAW_ROWS, total), SUB_BLOCK))
-    for b in range(0, n_paths, SUB_BLOCK):
+    for b in range(lane * SUB_BLOCK, n_paths, lanes * SUB_BLOCK):
         rng = np.random.Generator(np.random.Philox(
             key=[config.seed, (first_path + b) // SUB_BLOCK]))
         width = min(SUB_BLOCK, n_paths - b)
@@ -137,16 +167,47 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
                 rng.standard_normal(out=rows)
             np.multiply(rows[:, :width], sigma[j:j + len(rows)],
                         out=y[2 + j:2 + j + len(rows), b:b + width])
+
+
+def _simulate_chunk(config: SimulationConfig, first_path: int,
+                    coeffs: np.ndarray, out: np.ndarray) -> None:
+    """Simulate paths first_path .. first_path + len(out) - 1 into ``out``,
+    given the coefficient window ``coeffs`` of every simulated time;
+    first_path is a multiple of SUB_BLOCK."""
+    n_paths = len(out)
+    total = config.burn_in + config.length
+    sigma = np.sqrt(coeffs[:, 3])[:, None]
+    # y[j + 2] holds step j; rows 0 and 1 are the zero initial conditions
+    y = np.empty((total + 2, n_paths))
+    y[:2] = 0.0
+    # the calling thread draws lane 0 and the pool the others; every lane
+    # writes only its own blocks' columns, so the bits do not depend on
+    # the number of lanes
+    lanes = min(LANES, -(-n_paths // SUB_BLOCK))
+    blocks = [np.empty((min(DRAW_ROWS, total), SUB_BLOCK))
+              for _ in range(lanes)]
+    futures = [_lane_pool().submit(_draw_lane, config, first_path, sigma, y,
+                                   blocks[lane], lane, lanes)
+               for lane in range(1, lanes)]
+    try:
+        _draw_lane(config, first_path, sigma, y, blocks[0], 0, lanes)
+    finally:
+        for future in futures:
+            future.result()
     # ((phi0 + phi1*y1) + phi2*y2) + eps, operand order kept bit for bit
     acc = np.empty(n_paths)
     tmp = np.empty(n_paths)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (phi0, phi1, phi2, _) in enumerate(coeffs.tolist()):
-            np.multiply(phi1, y[j + 1], out=acc)
-            np.add(phi0, acc, out=acc)
-            np.multiply(phi2, y[j], out=tmp)
-            np.add(acc, tmp, out=acc)
-            np.add(acc, y[j + 2], out=y[j + 2])
+        # one DRAW_ROWS slice of rows at a time: a Python list of every
+        # row would cost several times the window itself
+        for j0 in range(0, total, DRAW_ROWS):
+            rows = coeffs[j0:j0 + DRAW_ROWS].tolist()
+            for j, (phi0, phi1, phi2, _) in enumerate(rows, j0):
+                np.multiply(phi1, y[j + 1], out=acc)
+                np.add(phi0, acc, out=acc)
+                np.multiply(phi2, y[j], out=tmp)
+                np.add(acc, tmp, out=acc)
+                np.add(acc, y[j + 2], out=y[j + 2])
     out[:] = y[2 + config.burn_in:].T
 
 

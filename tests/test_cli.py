@@ -326,6 +326,18 @@ def test_over_cap_request_exits_2_before_computing(tmp_path, monkeypatch, argv):
     assert not out.exists()
 
 
+def test_path_step_cap_counts_whole_blocks(tmp_path, monkeypatch):
+    # one path draws a full block of SUB_BLOCK: 256 * 390 626 > 10**8
+    monkeypatch.setattr(cli, "simulate_paths", _not_called)
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    out = tmp_path / "out.csv"
+    code = cli.main(["simulate", "--config", cfg, "--out", str(out), "--t",
+                     "5", "--paths", "1", "--burn-in", "390625",
+                     "--length", "1"])
+    assert code == 2
+    assert not out.exists()
+
+
 MISTYPED = [
     (CYCLICAL, "period: 6", "period: x", "period"),
     (BREAKS, "anchor: 50", "anchor: 1.5", "anchor"),

@@ -2,11 +2,18 @@ import dataclasses
 import gc
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tvar2
 import tvar2.simulate as sim
 from tvar2 import (ConstantSchedule, PeriodicSchedule, SimulationConfig,
                    autocovariance, empirical_forecast_error, empirical_moments,
@@ -47,8 +54,9 @@ def test_different_seed_differs():
 
 
 def test_worker_count_does_not_change_results():
-    # streams are keyed per block of SUB_BLOCK paths and the kernel is
-    # serial: workers is accepted but has no effect, whatever the chunking
+    # streams are keyed per block of SUB_BLOCK paths and the blocks are
+    # shared out over LANES threads, not workers: workers is accepted but
+    # has no effect, whatever the chunking
     old = sim.CHUNK_TARGET
     sim.CHUNK_TARGET = 64
     try:
@@ -146,6 +154,107 @@ def test_chunk_boundaries_cut_no_block(monkeypatch, target):
     default = simulate_paths(cfg).values
     monkeypatch.setattr(sim, "CHUNK_TARGET", target)
     assert np.array_equal(simulate_paths(cfg).values, default)
+
+
+@pytest.mark.parametrize("target", [64, 300, 1000, sim.CHUNK_TARGET])
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_lane_count_does_not_change_results(monkeypatch, lanes, target):
+    # six blocks, the last one partial: CHUNK_TARGET 64 and 300 give chunks
+    # of one block (drawn inline), 1000 of three, the default one of six
+    cfg = _config(n_paths=1300, burn_in=40)
+    default = simulate_paths(cfg).values
+    monkeypatch.setattr(sim, "LANES", lanes)
+    monkeypatch.setattr(sim, "CHUNK_TARGET", target)
+    assert np.array_equal(simulate_paths(cfg).values, default)
+
+
+def _no_pool():
+    raise AssertionError("a single lane reached the thread pool")
+
+
+@pytest.mark.parametrize("lanes, n_paths", [(1, 1300), (3, 256)])
+def test_single_lane_draws_inline(monkeypatch, lanes, n_paths):
+    monkeypatch.setattr(sim, "LANES", lanes)
+    monkeypatch.setattr(sim, "_lane_pool", _no_pool)
+    simulate_paths(_config(n_paths=n_paths, burn_in=40))
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    # more callers than cores, each over three lanes, on a pool that one of
+    # them makes; a short switch interval interleaves them often
+    cfg = _config(n_paths=1300, burn_in=40)
+    expected = simulate_paths(cfg).values
+    monkeypatch.setattr(sim, "LANES", 3)
+    monkeypatch.setattr(sim, "_pool", None)
+    same = []
+    callers = [threading.Thread(target=lambda: same.append(np.array_equal(
+        simulate_paths(cfg).values, expected))) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert same == [True] * 6
+
+
+def _run_python(code):
+    env = {**os.environ, "PYTHONPATH": str(Path(tvar2.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+
+
+def test_import_starts_no_thread_pool():
+    done = _run_python(
+        "import sys, threading, tvar2\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert threading.active_count() == 1\n")
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_draws_on_its_own_pool():
+    # the parent's pool threads do not exist in a forked child; without a
+    # pool of its own the child would wait on them forever
+    done = _run_python(
+        "import os, signal, sys\n"
+        "import numpy as np\n"
+        "import tvar2.simulate as sim\n"
+        "from tvar2 import ConstantSchedule, SimulationConfig\n"
+        "sim.LANES = 2\n"
+        "cfg = SimulationConfig(ConstantSchedule(0.4, 1.2, -0.32, 1.0),\n"
+        "                       600, 60, 8, seed=1)\n"
+        "parent = sim.simulate_paths(cfg).values\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(30)    # a hung child ends itself\n"
+        "    same = np.array_equal(sim.simulate_paths(cfg).values, parent)\n"
+        "    os._exit(0 if same else 1)\n"
+        "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+    assert done.returncode == 0, done.stderr
+
+
+def test_long_narrow_ensemble_builds_no_per_step_list(monkeypatch):
+    # one path over 20 001 steps: the coefficient rows are read one
+    # DRAW_ROWS slice at a time, never as one Python list of every row
+    monkeypatch.setattr(sim, "DRAW_ROWS", 128)
+    cfg = SimulationConfig(SEASONS, 1, 20_000, 1, seed=1, burn_in=20_000)
+    tracemalloc.start()
+    try:
+        simulate_paths(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        rows = SEASONS.window(0, 20_000).tolist()
+        full_list = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 20_001
+    assert peak < 0.6 * full_list
 
 
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])

@@ -12,8 +12,7 @@ from .moments import (Autocovariance, ForecastResult, MomentSummary,
                       unconditional_variance)
 from .schedules import (BreakSchedule, CoefficientTuple, ConstantSchedule,
                         CyclicalSchedule, GenericSchedule, PeriodicSchedule,
-                        Schedule, ScheduleError, ValidationReport, season_of,
-                        validate, validate_params)
+                        Schedule, ScheduleError, season_of)
 from .simulate import (EmpiricalMoments, PathEnsemble, SimulationConfig,
                        empirical_forecast_error, empirical_moments,
                        simulate_paths)

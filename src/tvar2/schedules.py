@@ -240,52 +240,3 @@ class BreakSchedule(Schedule):
         """Copy with the same relative structure at a new anchor time."""
         return BreakSchedule(anchor, self.horizon, self.offsets, self.regimes,
                              self.sigma2_bounds)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def validate(schedule: Schedule, t_start: int, t_stop: int) -> ValidationReport:
-    """Evaluate the schedule over [t_start, t_stop] and report violations.
-
-    Checks sigma2 positivity/bounds at each point, determinism of repeated
-    evaluation, and period-l shift invariance for periodic/cyclical kinds.
-    Findings are reported, never raised.
-    """
-    if t_stop < t_start:
-        raise ScheduleError("validation window is empty")
-    findings: list[str] = []
-    period = getattr(schedule, "period", None)
-    for t in range(int(t_start), int(t_stop) + 1):
-        try:
-            tup = schedule.at(t)
-            if schedule.at(t) != tup:
-                findings.append(f"evaluation at t={t} is not deterministic")
-            if period is not None and schedule.at(t + period) != tup:
-                findings.append(f"period-{period} shift invariance violated at t={t}")
-        except ScheduleError as exc:
-            findings.append(str(exc))
-    return ValidationReport(tuple(dict.fromkeys(findings)))
-
-
-def validate_params(builder: Callable[[], Schedule],
-                    window: tuple[int, int] | None = None) -> ValidationReport:
-    """Construct a schedule via ``builder`` and validate it, reporting
-    construction errors as findings instead of raising."""
-    try:
-        schedule = builder()
-    except ScheduleError as exc:
-        return ValidationReport((str(exc),))
-    if window is None:
-        if isinstance(schedule, BreakSchedule):
-            window = (schedule.anchor - schedule.horizon, schedule.anchor)
-        else:
-            period = getattr(schedule, "period", 1)
-            window = (1, max(40, 2 * period))
-    return validate(schedule, *window)

@@ -4,15 +4,17 @@ Random stream contract, version ``STREAM_VERSION``: path p belongs to the
 block b = p // SUB_BLOCK, and block b is one counter-based Philox stream
 keyed by (master seed, b), drawn time-major at full block width.  A path's
 values therefore depend on neither the ensemble size nor how paths are
-chunked.  Chunks hold whole blocks.  Each block is drawn in one call (one
-per DRAW_ROWS time steps on longer ensembles) and scaled by sigma into its
-own columns of a time-major array; a chunk's blocks are shared out over
-LANES threads, one per usable core, since numpy releases the interpreter
-lock while it draws and multiplies.  The recursion then runs serially, in
-place over whole time steps, so the bits depend on neither the number of
-lanes nor ``workers``, which has no effect.  Statistics are collected at
-fixed anchor times, never time-averaged: the moments are themselves
-functions of time.
+chunked.  Chunks hold whole blocks and are simulated in slabs of DRAW_ROWS
+time steps: each block continues its stream, scaled by sigma, into its own
+columns of a time-major (DRAW_ROWS + 2) x chunk array whose first two rows
+carry the last two steps of the slab before.  The blocks are shared out
+over LANES threads, one per usable core, since numpy releases the
+interpreter lock while it draws and multiplies.  The recursion then runs
+serially over the slab, in place, and only kept steps are copied out, so
+the bits depend on neither the slab height, the number of lanes nor
+``workers``, which has no effect.  Statistics are collected at fixed
+anchor times, never time-averaged: the moments are themselves functions
+of time.
 
 Ensembles are read-only.  The last one simulated is remembered by a weak
 reference, so ``empirical_forecast_error`` on an equal config reuses it
@@ -33,9 +35,9 @@ from .schedules import Schedule
 from .solution import general_solution
 
 DEFAULT_BURN_IN = 500
-CHUNK_TARGET = 20_000   # paths per chunk; bounds the time-major scratch array
+CHUNK_TARGET = 20_000   # paths per chunk; bounds the width of a slab
 SUB_BLOCK = 256         # paths per random stream; chunks hold whole blocks
-DRAW_ROWS = 4096        # time steps per draw call; bounds the block buffer
+DRAW_ROWS = 128         # time steps per slab; bounds its height
 # lanes that draw a chunk's blocks at once: one per core this process may use
 LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
@@ -143,30 +145,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _draw_lane(config: SimulationConfig, first_path: int, sigma: np.ndarray,
+def _draw_lane(config: SimulationConfig, streams: list, sigma: np.ndarray,
                y: np.ndarray, block: np.ndarray, lane: int, lanes: int) -> None:
-    """Draw blocks lane, lane + lanes, ... of the chunk that starts at
-    first_path through the buffer ``block``, and write each, scaled by
-    sigma, into its own columns of ``y``."""
+    """Draw the next len(sigma) steps of blocks lane, lane + lanes, ... of a
+    chunk from their ``streams`` through the buffer ``block``, and write
+    each, scaled by sigma, into its own columns of ``y[2:]``."""
     n_paths = y.shape[1]
-    total = len(sigma)
+    rows = block[:len(sigma)]
     root3 = math.sqrt(3.0)
     for b in range(lane * SUB_BLOCK, n_paths, lanes * SUB_BLOCK):
-        rng = np.random.Generator(np.random.Philox(
-            key=[config.seed, (first_path + b) // SUB_BLOCK]))
-        width = min(SUB_BLOCK, n_paths - b)
         # the block is drawn at full width even where the ensemble ends
-        # inside it; consecutive draws continue one stream
-        for j in range(0, total, DRAW_ROWS):
-            rows = block[:min(DRAW_ROWS, total - j)]
-            if config.innovations == "uniform":
-                rng.random(out=rows)
-                rows *= 2.0 * root3
-                rows -= root3
-            else:
-                rng.standard_normal(out=rows)
-            np.multiply(rows[:, :width], sigma[j:j + len(rows)],
-                        out=y[2 + j:2 + j + len(rows), b:b + width])
+        # inside it; each draw continues the block's stream
+        rng = streams[b // SUB_BLOCK]
+        if config.innovations == "uniform":
+            rng.random(out=rows)
+            rows *= 2.0 * root3
+            rows -= root3
+        else:
+            rng.standard_normal(out=rows)
+        width = min(SUB_BLOCK, n_paths - b)
+        np.multiply(rows[:, :width], sigma, out=y[2:2 + len(rows), b:b + width])
 
 
 def _simulate_chunk(config: SimulationConfig, first_path: int,
@@ -177,38 +175,44 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
     n_paths = len(out)
     total = config.burn_in + config.length
     sigma = np.sqrt(coeffs[:, 3])[:, None]
-    # y[j + 2] holds step j; rows 0 and 1 are the zero initial conditions
-    y = np.empty((total + 2, n_paths))
-    y[:2] = 0.0
+    streams = [np.random.Generator(np.random.Philox(
+        key=[config.seed, (first_path + b) // SUB_BLOCK]))
+        for b in range(0, n_paths, SUB_BLOCK)]
+    # the slab of steps j0 .. j0 + height - 1: y[i + 2] holds step j0 + i,
+    # rows 0 and 1 the two steps before j0 (the zero initial conditions)
+    height = min(DRAW_ROWS, total)
+    y = np.zeros((height + 2, n_paths))
     # the calling thread draws lane 0 and the pool the others; every lane
     # writes only its own blocks' columns, so the bits do not depend on
     # the number of lanes
-    lanes = min(LANES, -(-n_paths // SUB_BLOCK))
-    blocks = [np.empty((min(DRAW_ROWS, total), SUB_BLOCK))
-              for _ in range(lanes)]
-    futures = [_lane_pool().submit(_draw_lane, config, first_path, sigma, y,
-                                   blocks[lane], lane, lanes)
-               for lane in range(1, lanes)]
-    try:
-        _draw_lane(config, first_path, sigma, y, blocks[0], 0, lanes)
-    finally:
-        for future in futures:
-            future.result()
-    # ((phi0 + phi1*y1) + phi2*y2) + eps, operand order kept bit for bit
-    acc = np.empty(n_paths)
-    tmp = np.empty(n_paths)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one DRAW_ROWS slice of rows at a time: a Python list of every
-        # row would cost several times the window itself
-        for j0 in range(0, total, DRAW_ROWS):
-            rows = coeffs[j0:j0 + DRAW_ROWS].tolist()
-            for j, (phi0, phi1, phi2, _) in enumerate(rows, j0):
-                np.multiply(phi1, y[j + 1], out=acc)
+    lanes = min(LANES, len(streams))
+    blocks = [np.empty((height, SUB_BLOCK)) for _ in range(lanes)]
+    acc, tmp = np.empty((2, n_paths))
+    for j0 in range(0, total, height):
+        n = min(height, total - j0)
+        slab = (config, streams, sigma[j0:j0 + n], y)
+        futures = [_lane_pool().submit(_draw_lane, *slab, blocks[lane], lane,
+                                       lanes) for lane in range(1, lanes)]
+        try:
+            _draw_lane(*slab, blocks[0], 0, lanes)
+        finally:
+            for future in futures:
+                future.result()
+        # ((phi0 + phi1*y1) + phi2*y2) + eps, operand order kept bit for bit;
+        # a list of the slab's coefficient rows, never of the whole window
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (phi0, phi1, phi2, _) in enumerate(
+                    coeffs[j0:j0 + n].tolist()):
+                np.multiply(phi1, y[i + 1], out=acc)
                 np.add(phi0, acc, out=acc)
-                np.multiply(phi2, y[j], out=tmp)
+                np.multiply(phi2, y[i], out=tmp)
                 np.add(acc, tmp, out=acc)
-                np.add(acc, y[j + 2], out=y[j + 2])
-    out[:] = y[2 + config.burn_in:].T
+                np.add(acc, y[i + 2], out=y[i + 2])
+        kept = max(j0, config.burn_in)    # the slab's first kept step
+        if kept < j0 + n:
+            out[:, kept - config.burn_in:j0 + n - config.burn_in] = \
+                y[2 + kept - j0:2 + n].T
+        y[:2] = y[n:n + 2]
 
 
 def simulate_paths(config: SimulationConfig) -> PathEnsemble:

@@ -301,7 +301,7 @@ def _not_called(*args, **kwargs):
     ["forecast", "--t", "5", "--k", "{depth_over}"],
     ["acf", "--t", "5", "--max-lag", "{depth}"],
     ["acf", "--t", "5", "--nmax", "{depth_over}"],
-    # 1 * (steps + 1) = path-step cap + 1
+    # one path draws a block of 256: 256 * (steps + 1), over 256 times the cap
     ["simulate", "--t", "5", "--paths", "1", "--burn-in", "{steps}",
      "--length", "1"],
     # n * period = 17 * 4 > oracle cap 64

@@ -112,6 +112,28 @@ def test_kernel_matches_per_path_reference(monkeypatch, innovations):
     assert np.array_equal(ens.values, _reference_paths(cfg))
 
 
+# (burn_in, length) against slabs of 8 steps: no burn-in, a burn-in ending
+# one step before, at and one step after a slab edge, a total shorter than
+# one slab, a total of two whole slabs and a kept window over several slabs
+SLAB_SHAPES = [(0, 20), (7, 5), (8, 5), (9, 5), (2, 3), (8, 8), (5, 30)]
+
+
+@pytest.mark.parametrize("burn_in, length", SLAB_SHAPES)
+@pytest.mark.parametrize("target", [64, 300, 1000])
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+def test_slab_edges_match_per_path_reference(monkeypatch, innovations, lanes,
+                                             target, burn_in, length):
+    # 700 paths: CHUNK_TARGET 64 and 300 give chunks of one block, 1000 of
+    # three, so only the last can share a chunk's blocks over the lanes
+    monkeypatch.setattr(sim, "DRAW_ROWS", 8)
+    monkeypatch.setattr(sim, "LANES", lanes)
+    monkeypatch.setattr(sim, "CHUNK_TARGET", target)
+    cfg = _config(schedule=SEASONS, n_paths=700, t_end=64, burn_in=burn_in,
+                  length=length, innovations=innovations)
+    assert np.array_equal(simulate_paths(cfg).values, _reference_paths(cfg))
+
+
 # sha256 of the float64 bytes, recorded with stream contract version 2
 PINNED_DIGESTS = {
     "normal":
@@ -255,6 +277,20 @@ def test_long_narrow_ensemble_builds_no_per_step_list(monkeypatch):
         tracemalloc.stop()
     assert len(rows) == 20_001
     assert peak < 0.6 * full_list
+
+
+def test_wide_long_ensemble_keeps_one_slab_of_scratch():
+    # 2048 paths over 2000 steps: the scratch array holds one slab of
+    # DRAW_ROWS steps, not one row per simulated step of the chunk
+    cfg = SimulationConfig(SEASONS, 2048, 2000, 10, seed=1, burn_in=1990)
+    full_window = (cfg.burn_in + cfg.length + 2) * cfg.n_paths * 8
+    tracemalloc.start()
+    try:
+        simulate_paths(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_window / 4
 
 
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])

@@ -39,6 +39,8 @@ MAX_DEPTH = 10**6          # green k + 1, forecast k, acf max_lag + 1 and nmax
 # simulate values drawn: paths rounded up to whole SUB_BLOCK blocks, since
 # every block is drawn at full width, times (burn_in + length)
 MAX_PATH_STEPS = 10**8
+# |t|: every window a subcommand reads around t stays inside numpy's int64
+MAX_ANCHOR = 2**62
 
 _HELP = {
     "t": "anchor time",
@@ -47,7 +49,7 @@ _HELP = {
     "y1": "value of y at t-k-1",
     "tol": "series truncation tolerance",
     "nmax": "series truncation cap",
-    "seed": "master seed",
+    "seed": "master seed, in [0, 2**63)",
     "workers": "accepted (>= 1) but has no effect: each block of 256 paths "
                "draws one stream keyed by (seed, block), the blocks are drawn "
                "on one thread per usable core, and the recursion is serial",
@@ -185,6 +187,7 @@ def _cmd_decompose_verify(args, schedule, out):
 
 def _cmd_verify(args, schedule, out):
     import numpy as np
+    _check_range(args, "seed", 0, 2**63 - 1)
     rng = np.random.default_rng(args.seed)
     t = args.t
     failures = 0
@@ -317,6 +320,8 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             schedule, params = config_mod.load(fh)
         _resolve(args, params, flags, defaults)
+        if "t" in flags and args.t is not None:
+            _check_range(args, "t", -MAX_ANCHOR, MAX_ANCHOR)
     except (OSError, ConfigError, ScheduleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,8 +9,9 @@ time steps: each block continues its stream, scaled by sigma, into its own
 columns of a time-major (DRAW_ROWS + 2) x chunk array whose first two rows
 carry the last two steps of the slab before.  The blocks are shared out
 over LANES threads, one per usable core, since numpy releases the
-interpreter lock while it draws and multiplies.  The recursion then runs
-serially over the slab, in place, and only kept steps are copied out, so
+interpreter lock while it draws and multiplies; the threads belong to the
+``simulate_paths`` call and are joined before it returns.  The recursion
+then runs serially over the slab, in place, and only kept steps go out, so
 the bits depend on neither the slab height, the number of lanes nor
 ``workers``, which has no effect.  Statistics are collected at fixed
 anchor times, never time-averaged: the moments are themselves functions
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -48,10 +48,6 @@ STREAM_VERSION = 2
 # (config, weak reference to its ensemble) of the last simulate_paths call;
 # the weak reference keeps no ensemble alive after its caller drops it
 _last_ensemble = (None, None)
-
-# the thread pool of the lanes after the first, made by _lane_pool
-_pool = None
-_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -80,6 +76,8 @@ class SimulationConfig:
             raise ValueError("length must be >= 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
+        if not 0 <= self.seed < 2**63:
+            raise ValueError(f"seed must be in [0, 2**63) (got {self.seed})")
         if self.innovations not in ("normal", "uniform"):
             raise ValueError(f"unknown innovation family {self.innovations!r}")
         if self.workers < 1:
@@ -123,28 +121,6 @@ class EmpiricalMoments:
     autocovariances: tuple[EstimateWithSE, ...] = field(default=())
 
 
-def _lane_pool():
-    """The process-wide pool that draws blocks beside the calling thread,
-    made on first use so that importing tvar2 starts no thread."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(max(1, LANES - 1),
-                                       thread_name_prefix="tvar2-draw")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of the pool's threads; it makes its own
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _draw_lane(config: SimulationConfig, streams: list, sigma: np.ndarray,
                y: np.ndarray, block: np.ndarray, lane: int, lanes: int) -> None:
     """Draw the next len(sigma) steps of blocks lane, lane + lanes, ... of a
@@ -168,9 +144,9 @@ def _draw_lane(config: SimulationConfig, streams: list, sigma: np.ndarray,
 
 
 def _simulate_chunk(config: SimulationConfig, first_path: int,
-                    coeffs: np.ndarray, out: np.ndarray) -> None:
+                    coeffs: np.ndarray, out: np.ndarray, pool) -> None:
     """Simulate paths first_path .. first_path + len(out) - 1 into ``out``,
-    given the coefficient window ``coeffs`` of every simulated time;
+    given the coefficient window ``coeffs``, drawing lanes 1.. on ``pool``;
     first_path is a multiple of SUB_BLOCK."""
     n_paths = len(out)
     total = config.burn_in + config.length
@@ -191,8 +167,8 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
     for j0 in range(0, total, height):
         n = min(height, total - j0)
         slab = (config, streams, sigma[j0:j0 + n], y)
-        futures = [_lane_pool().submit(_draw_lane, *slab, blocks[lane], lane,
-                                       lanes) for lane in range(1, lanes)]
+        futures = [pool.submit(_draw_lane, *slab, blocks[lane], lane, lanes)
+                   for lane in range(1, lanes)]
         try:
             _draw_lane(*slab, blocks[0], 0, lanes)
         finally:
@@ -219,14 +195,18 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     """Generate the ensemble; bit-identical for a given config and seed,
     whatever ``workers`` and ``CHUNK_TARGET``.  Every call runs the kernel
     and returns a new ensemble."""
+    from concurrent.futures import ThreadPoolExecutor
     global _last_ensemble
     total = config.burn_in + config.length
     t_first = config.t_end - total + 1
     coeffs = config.schedule.window(t_first, config.t_end)
     values = np.empty((config.n_paths, config.length))
     chunk = max(1, CHUNK_TARGET // SUB_BLOCK) * SUB_BLOCK
-    for first in range(0, config.n_paths, chunk):
-        _simulate_chunk(config, first, coeffs, values[first:first + chunk])
+    with ThreadPoolExecutor(max(1, LANES - 1),
+                            thread_name_prefix="tvar2-draw") as pool:
+        for first in range(0, config.n_paths, chunk):
+            _simulate_chunk(config, first, coeffs, values[first:first + chunk],
+                            pool)
     times = np.arange(config.t_end - config.length + 1, config.t_end + 1)
     values.flags.writeable = False
     times.flags.writeable = False

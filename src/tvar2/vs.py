@@ -80,8 +80,8 @@ def par24_restriction(schedule: PeriodicSchedule) -> tuple[float, bool]:
 
     The two nonzero eigenvalues of the stacked companion are those of the
     2 x 2 period matrix M = A_4 A_3 A_2 A_1, A_s = [[phi1(s), phi2(s)],
-    [1, 0]]: the roots of z^2 - a z + b with a = tr M (seven monomials)
-    and b = det M = phi2(1) phi2(2) phi2(3) phi2(4).
+    [1, 0]]: the roots of z^2 - a z + b with a = tr M and b = det M, both
+    read from the product M itself.
 
     Returns (value, satisfied). ``value`` is the eight-term expression
     |a - b|; on its own it is not a stationarity test, since
@@ -94,16 +94,9 @@ def par24_restriction(schedule: PeriodicSchedule) -> tuple[float, bool]:
     """
     if schedule.period != 4:
         raise ScheduleError("restriction is defined for 4 seasons")
-    p1 = [s.phi1 for s in schedule.seasons]
-    p2 = [s.phi2 for s in schedule.seasons]
-    a = (
-        p2[1] * p1[2] * p1[3]
-        + p2[1] * p2[3]
-        + p2[0] * p1[1] * p1[2]
-        + p2[0] * p2[2]
-        + p1[0] * p1[1] * p1[2] * p1[3]
-        + p1[0] * p1[1] * p2[3]
-        + p1[0] * p1[3] * p2[2]
-    )
-    b = p2[0] * p2[1] * p2[2] * p2[3]
+    m = np.eye(2)
+    for s in schedule.seasons:
+        m = np.array([[s.phi1, s.phi2], [1.0, 0.0]]) @ m
+    a = float(m[0, 0] + m[1, 1])
+    b = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
     return abs(a - b), abs(b) < 1.0 and abs(a) < 1.0 + b

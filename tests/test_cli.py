@@ -338,6 +338,74 @@ def test_path_step_cap_counts_whole_blocks(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["simulate", "--seed", str(-2**63)],
+    ["simulate", "--seed", str(2**63)],
+    ["simulate", "--seed", str(2**64)],
+    ["verify", "--seed", "-3"],
+    ["verify", "--seed", str(2**63)],
+], ids=["simulate-minus-1", "simulate-minus-2-63", "simulate-2-63",
+        "simulate-2-64", "verify-minus-3", "verify-2-63"])
+def test_seed_outside_its_range_exits_2(tmp_path, capsys, argv):
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    out = tmp_path / "out.csv"
+    code = cli.main([argv[0], "--config", cfg, "--out", str(out),
+                     "--t", "40"] + argv[1:])
+    assert code == 2
+    assert not out.exists()
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_largest_seed_runs(tmp_path, command):
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    extra = ["--paths", "20", "--burn-in", "5"] if command == "simulate" else []
+    code, text = _run(tmp_path, [command, "--config", cfg, "--t", "40",
+                                 "--seed", str(2**63 - 1)] + extra)
+    assert code == 0 and text
+
+
+ANCHOR_COMMANDS = [["green", "--k", "3"], ["forecast", "--k", "3"],
+                   ["acf", "--max-lag", "1"],
+                   ["simulate", "--paths", "20", "--burn-in", "5"],
+                   ["decompose-verify"], ["verify"]]
+
+
+@pytest.mark.parametrize("t", [2**62 + 1, -2**62 - 1, 2**63, -2**63, 10**20])
+@pytest.mark.parametrize("argv", ANCHOR_COMMANDS,
+                         ids=[argv[0] for argv in ANCHOR_COMMANDS])
+def test_anchor_outside_its_range_exits_2(tmp_path, capsys, argv, t):
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    out = tmp_path / "out.csv"
+    code = cli.main([argv[0], "--config", cfg, "--out", str(out),
+                     "--t", str(t)] + argv[1:])
+    assert code == 2
+    assert not out.exists()
+    assert "key 't'" in capsys.readouterr().err
+
+
+def test_anchor_outside_its_range_in_params_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.yaml", PERIODIC + f"params:\n  t: {10**20}\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["green", "--config", cfg, "--out", str(out),
+                     "--k", "3"]) == 2
+    assert not out.exists()
+    assert "key 't'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [2**62, -2**62])
+def test_anchor_at_the_range_edge_runs(tmp_path, t):
+    # t = +-2**62 is a multiple of the period 4, so its xi equal those at 12
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    code, edge = _run(tmp_path, ["green", "--config", cfg, "--t", str(t),
+                                 "--k", "6"], "edge.csv")
+    assert code == 0
+    _, near = _run(tmp_path, ["green", "--config", cfg, "--t", "12",
+                              "--k", "6"], "near.csv")
+    assert edge.replace(str(t), "12") == near
+
+
 MISTYPED = [
     (CYCLICAL, "period: 6", "period: x", "period"),
     (BREAKS, "anchor: 50", "anchor: 1.5", "anchor"),

@@ -41,6 +41,14 @@ def test_config_validation():
         _config(innovations="cauchy")
 
 
+@pytest.mark.parametrize("seed", [-1, -2**63, 2**63, 2**64])
+def test_seed_outside_the_key_range_is_rejected(seed):
+    # Philox keys are 64-bit words, so -2**63 would wrap onto 2**63
+    with pytest.raises(ValueError, match="seed"):
+        _config(seed=seed)
+    assert _config(seed=2**63 - 1).seed == 2**63 - 1
+
+
 def test_same_seed_bit_identical():
     a = simulate_paths(_config(n_paths=500))
     b = simulate_paths(_config(n_paths=500))
@@ -190,24 +198,24 @@ def test_lane_count_does_not_change_results(monkeypatch, lanes, target):
     assert np.array_equal(simulate_paths(cfg).values, default)
 
 
-def _no_pool():
-    raise AssertionError("a single lane reached the thread pool")
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a single lane reached a draw thread")
 
 
 @pytest.mark.parametrize("lanes, n_paths", [(1, 1300), (3, 256)])
 def test_single_lane_draws_inline(monkeypatch, lanes, n_paths):
+    from concurrent.futures import ThreadPoolExecutor
     monkeypatch.setattr(sim, "LANES", lanes)
-    monkeypatch.setattr(sim, "_lane_pool", _no_pool)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", _no_thread)
     simulate_paths(_config(n_paths=n_paths, burn_in=40))
 
 
-def test_concurrent_callers_share_one_pool(monkeypatch):
-    # more callers than cores, each over three lanes, on a pool that one of
-    # them makes; a short switch interval interleaves them often
+def test_concurrent_callers_get_the_same_bits(monkeypatch):
+    # more callers than cores, each over three lanes on draw threads of its
+    # own; a short switch interval interleaves them often
     cfg = _config(n_paths=1300, burn_in=40)
     expected = simulate_paths(cfg).values
     monkeypatch.setattr(sim, "LANES", 3)
-    monkeypatch.setattr(sim, "_pool", None)
     same = []
     callers = [threading.Thread(target=lambda: same.append(np.array_equal(
         simulate_paths(cfg).values, expected))) for _ in range(6)]
@@ -222,6 +230,15 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert same == [True] * 6
+
+
+def test_no_draw_thread_outlives_the_call(monkeypatch):
+    # six blocks over two lanes: the second lane draws on a thread that the
+    # call starts and joins before it returns
+    monkeypatch.setattr(sim, "LANES", 2)
+    simulate_paths(_config(n_paths=1300, burn_in=40))
+    assert not [thread.name for thread in threading.enumerate()
+                if thread.name.startswith("tvar2-draw")]
 
 
 def _run_python(code):

@@ -21,8 +21,7 @@ import numpy as np
 
 from .schedules import (BreakSchedule, CyclicalSchedule, PeriodicSchedule,
                         Schedule, ScheduleError, season_of)
-from .xi import (ORACLE_CAP, OracleCapError, constant_xi,
-                 fundamental_matrix, green_functions, xi)
+from .xi import _capped, constant_xi, fundamental_matrix, green_functions, xi
 
 
 class PeriodEndError(ScheduleError):
@@ -148,25 +147,24 @@ def xi_abar_decomposed(schedule: BreakSchedule, t: int, k: int) -> float:
     return xi_block_decomposed(schedule, t, spec, segment_xi)
 
 
-def assemble_block_matrix(schedule: Schedule, t: int, spec: BlockSpec,
-                          cap: int = ORACLE_CAP) -> np.ndarray:
+def assemble_block_matrix(schedule: Schedule, t: int,
+                          spec: BlockSpec) -> np.ndarray:
     """Dense block-tridiagonal matrix: the within-segment continuant
     matrices on the diagonal, joined at each boundary by its coupling phi2
     below the diagonal and -1 above.  Test oracle: its determinant equals
     the recurrence value of xi_{t,total}."""
     k = spec.total
-    if k > cap:
-        raise OracleCapError(f"oracle cap {cap} exceeded (size={k})")
+    _capped(k)
     mat = fundamental_matrix(schedule, t, k)
     for b, coupling in zip(spec.boundaries, spec.couplings):
         mat[k - b, k - b - 1] = coupling   # first row of the newer segment
     return mat
 
 
-def block_determinant_oracle(schedule: Schedule, t: int, spec: BlockSpec,
-                             cap: int = ORACLE_CAP) -> float:
+def block_determinant_oracle(schedule: Schedule, t: int,
+                             spec: BlockSpec) -> float:
     """Determinant of the assembled block matrix."""
-    return float(np.linalg.det(assemble_block_matrix(schedule, t, spec, cap)))
+    return float(np.linalg.det(assemble_block_matrix(schedule, t, spec)))
 
 
 def relative_deviation(value: float, reference: float) -> float:

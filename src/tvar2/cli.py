@@ -14,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+from itertools import chain, count, islice, repeat
 
 from . import config as config_mod
 from .blockdet import (PeriodEndError, decomposition_report,
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_CONFIG = 2
 FLOAT_FORMAT = "%.15g"
+BATCH_ROWS = 1024   # CSV rows formatted and written per out.write call
 
 # Output size caps.  A request beyond one is a config error (exit 2),
 # rejected before anything is computed or written.
@@ -39,7 +41,7 @@ MAX_DEPTH = 10**6          # green k + 1, forecast k, acf max_lag + 1 and nmax
 # simulate values drawn: paths rounded up to whole SUB_BLOCK blocks, since
 # every block is drawn at full width, times (burn_in + length)
 MAX_PATH_STEPS = 10**8
-# |t|: every window a subcommand reads around t stays inside numpy's int64
+# |t|: every time a subcommand reads, simulated ones too, stays in int64
 MAX_ANCHOR = 2**62
 
 _HELP = {
@@ -60,12 +62,24 @@ _HELP = {
 }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    return FLOAT_FORMAT % x
+# each subcommand's %-template of one CSV row, built once per process
+_INDEXED = f"%d,%d,{FLOAT_FORMAT}\n"       # green t,i,xi; simulate path,t,y
+_FORECAST = f"%d,%d,{FLOAT_FORMAT},{FLOAT_FORMAT}\n"
+_ACF = f"%d,%d,{FLOAT_FORMAT},%s\n"
+_MOMENTS = (f"%d,mean,{FLOAT_FORMAT},{FLOAT_FORMAT}\n"
+            f"%d,variance,{FLOAT_FORMAT},{FLOAT_FORMAT}\n")
+_METHOD = f"%s,{FLOAT_FORMAT},{FLOAT_FORMAT}\n"
+_LABELLED = "%s,%s\n"
+_WORD = {True: "true", False: "false", None: "indeterminate"}
+
+
+def _write_rows(out, header: str, template: str, rows) -> None:
+    """Write ``header``, then the tuples of ``rows`` through the one-row
+    ``template``, one batch of BATCH_ROWS rows per % and write at a time."""
+    out.write(header)
+    rows = iter(rows)
+    while batch := list(islice(rows, BATCH_ROWS)):
+        out.write((template * len(batch)) % tuple(chain.from_iterable(batch)))
 
 
 def _check_range(args, name: str, low, high=None) -> None:
@@ -77,18 +91,16 @@ def _check_range(args, name: str, low, high=None) -> None:
 
 def _cmd_green(args, schedule, out):
     _check_range(args, "k", 0, MAX_DEPTH - 1)
-    table = green_functions(schedule, args.t, args.k)
-    out.write("t,i,xi\n")
-    for i in range(args.k + 1):
-        out.write(f"{args.t},{i},{_fmt(table.xi(i))}\n")
+    values = green_functions(schedule, args.t, args.k).values.tolist()
+    _write_rows(out, "t,i,xi\n", _INDEXED, zip(repeat(args.t), count(), values))
     return EXIT_OK
 
 
 def _cmd_forecast(args, schedule, out):
     _check_range(args, "k", 1, MAX_DEPTH)
     result = forecast(schedule, args.t, args.k, (args.y0, args.y1))
-    out.write("t,k,point,mse\n")
-    out.write(f"{args.t},{args.k},{_fmt(result.point)},{_fmt(result.mse)}\n")
+    _write_rows(out, "t,k,point,mse\n", _FORECAST,
+                [(args.t, args.k, result.point, result.mse)])
     return EXIT_OK
 
 
@@ -97,10 +109,10 @@ def _cmd_acf(args, schedule, out):
     _check_range(args, "nmax", 1, MAX_DEPTH)
     if not args.tol > 0:
         raise ConfigError("key 'tol' must be > 0")
-    out.write("t,k,gamma,converged\n")
-    for k in range(args.max_lag + 1):
-        cov = autocovariance(schedule, args.t, k, args.tol, args.nmax)
-        out.write(f"{args.t},{k},{_fmt(cov.value)},{_fmt(cov.converged)}\n")
+    covs = (autocovariance(schedule, args.t, k, args.tol, args.nmax)
+            for k in range(args.max_lag + 1))
+    _write_rows(out, "t,k,gamma,converged\n", _ACF,
+                ((c.anchor, c.lag, c.value, _WORD[c.converged]) for c in covs))
     return EXIT_OK
 
 
@@ -118,44 +130,33 @@ def _cmd_simulate(args, schedule, out):
                           f"{SUB_BLOCK}, times (burn_in + length) must be "
                           f"<= {MAX_PATH_STEPS}")
     ensemble = simulate_paths(cfg)
+    times = ensemble.times.tolist()
     if args.aggregate:
-        out.write("t,stat,value,se\n")
-        for t in ensemble.times.tolist():
-            stats = empirical_moments(ensemble, t)
-            out.write(f"{t},mean,{_fmt(stats.mean.value)},"
-                      f"{_fmt(stats.mean.se)}\n")
-            out.write(f"{t},variance,{_fmt(stats.variance.value)},"
-                      f"{_fmt(stats.variance.se)}\n")
+        stats = (empirical_moments(ensemble, t) for t in times)
+        _write_rows(out, "t,stat,value,se\n", _MOMENTS,
+                    ((m.anchor, m.mean.value, m.mean.se,
+                      m.anchor, m.variance.value, m.variance.se)
+                     for m in stats))
     else:
-        times = ensemble.times.tolist()
-        out.write("path,t,y\n")
-        row_format = "%d,%d," + FLOAT_FORMAT + "\n"
-        # one join per 1024 paths: as fast as one join for the whole
-        # ensemble, without holding every row string at once
-        for first in range(0, cfg.n_paths, 1024):
-            rows = ensemble.values[first:first + 1024].tolist()
-            out.write("".join([row_format % (p, t, y)
-                               for p, row in enumerate(rows, first)
-                               for t, y in zip(times, row)]))
+        paths = (zip(repeat(p), times, ensemble.values[p].tolist())
+                 for p in range(cfg.n_paths))
+        _write_rows(out, "path,t,y\n", _INDEXED, chain.from_iterable(paths))
     return EXIT_OK
 
 
 def _cmd_stationarity(args, schedule, out):
     if not isinstance(schedule, PeriodicSchedule):
-        raise ScheduleError(
-            "stationarity check needs a periodic schedule "
-            f"(got kind {schedule.kind!r})")
+        raise ScheduleError("stationarity check needs a periodic schedule "
+                            f"(got kind {schedule.kind!r})")
     vs = build_vs(schedule)
     verdict = stationarity_check(vs)
-    if args.matrices:
-        for label, mat in (("phi0_mat", vs.phi0_mat), ("phi1_mat", vs.phi1_mat)):
-            for row in mat:
-                out.write(f"{label}," + ",".join(_fmt(v) for v in row) + "\n")
-    out.write(f"spectral_radius,{_fmt(verdict.spectral_radius)}\n")
-    out.write(f"margin,{_fmt(verdict.margin)}\n")
-    state = ("indeterminate" if verdict.stationary is None
-             else _fmt(verdict.stationary))
-    out.write(f"stationary,{state}\n")
+    matrices = (("phi0_mat", vs.phi0_mat), ("phi1_mat", vs.phi1_mat))
+    rows = [(label, ",".join([FLOAT_FORMAT % v for v in row]))
+            for label, mat in matrices if args.matrices for row in mat.tolist()]
+    rows += [("spectral_radius", FLOAT_FORMAT % verdict.spectral_radius),
+             ("margin", FLOAT_FORMAT % verdict.margin),
+             ("stationary", _WORD[verdict.stationary])]
+    _write_rows(out, "", _LABELLED, rows)
     return EXIT_OK
 
 
@@ -179,9 +180,8 @@ def _cmd_decompose_verify(args, schedule, out):
         value = xi_car_decomposed(schedule, t)
     else:
         value = xi_abar_decomposed(schedule, t, spec.total)
-    out.write("method,value,rel_dev\n")
-    for method, val, dev in decomposition_report(schedule, t, spec, value):
-        out.write(f"{method},{_fmt(val)},{_fmt(dev)}\n")
+    _write_rows(out, "method,value,rel_dev\n", _METHOD,
+                decomposition_report(schedule, t, spec, value))
     return EXIT_OK
 
 
@@ -190,19 +190,11 @@ def _cmd_verify(args, schedule, out):
     _check_range(args, "seed", 0, 2**63 - 1)
     rng = np.random.default_rng(args.seed)
     t = args.t
-    failures = 0
-
-    def report(name: str, ok: bool):
-        nonlocal failures
-        out.write(f"{name},{'pass' if ok else 'fail'}\n")
-        if not ok:
-            failures += 1
-
-    table = green_functions(schedule, t, 12)
-    ok = all(abs(table.xi(k) - xi_determinant_oracle(schedule, t, k))
-             <= 1e-10 * max(1.0, abs(table.xi(k)))
-             for k in range(1, 13))
-    report("green-recurrence-vs-determinant", ok)
+    # (name, passed) of each check, written once all have run
+    xis = green_functions(schedule, t, 12).values.tolist()
+    checks = [("green-recurrence-vs-determinant", all(
+        abs(xis[k] - xi_determinant_oracle(schedule, t, k))
+        <= 1e-10 * max(1.0, abs(xis[k])) for k in range(1, 13)))]
 
     k = 8
     y_init = (float(rng.normal()), float(rng.normal()))
@@ -210,26 +202,27 @@ def _cmd_verify(args, schedule, out):
     sol = general_solution(schedule, t, k)
     direct = forward_recursion(schedule, t, k, y_init, eps)
     closed = evaluate_solution(sol, y_init, eps)
-    report("solution-closed-form-vs-recursion",
-           abs(direct - closed) <= 1e-10 * max(1.0, abs(direct)))
+    checks.append(("solution-closed-form-vs-recursion",
+                   abs(direct - closed) <= 1e-10 * max(1.0, abs(direct))))
 
-    text = None
     try:
         text = config_mod.dump(schedule)
     except ConfigError:
-        report("config-round-trip", True)  # generic schedules are exempt
-    if text is not None:
-        reparsed, _ = config_mod.load(text)
-        report("config-round-trip",
-               np.array_equal(reparsed.window(t - 49, t + 50),
-                              schedule.window(t - 49, t + 50)))
+        text = None     # generic schedules are exempt
+    # a dumped text that does not load again raises ConfigError: exit 2
+    checks.append(("config-round-trip", text is None or np.array_equal(
+        config_mod.load(text)[0].window(t - 49, t + 50),
+        schedule.window(t - 49, t + 50))))
 
     if isinstance(schedule, PeriodicSchedule):
         anchor, spec = segment_layout(schedule, None, 2)
         dec = xi_par_decomposed(schedule, anchor, 2)
         ref = green_functions(schedule, anchor, spec.total).xi(spec.total)
-        report("periodic-decomposition", relative_deviation(dec, ref) <= 1e-11)
-    return EXIT_OK if failures == 0 else EXIT_DOMAIN
+        checks.append(("periodic-decomposition",
+                       relative_deviation(dec, ref) <= 1e-11))
+    _write_rows(out, "", _LABELLED,
+                [(name, "pass" if ok else "fail") for name, ok in checks])
+    return EXIT_OK if all(ok for _, ok in checks) else EXIT_DOMAIN
 
 
 # subcommand -> (handler, help text, the flags it reads, its own defaults).

@@ -87,7 +87,9 @@ class Schedule:
         An error names the first bad time met walking back from t_hi."""
         t_lo, t_hi = int(t_lo), int(t_hi)
         if self._season_rows is not None:
-            seasons = (np.arange(t_lo, t_hi + 1) - 1) % len(self._season_rows)
+            # the season of t_lo, then offsets from it: any Python int works
+            period = len(self._season_rows)
+            seasons = ((t_lo - 1) % period + np.arange(t_hi - t_lo + 1)) % period
             rows = self._season_rows[seasons]
         else:
             newest_first = [self._tuple_at(t) for t in range(t_hi, t_lo - 1, -1)]

@@ -76,6 +76,9 @@ class SimulationConfig:
             raise ValueError("length must be >= 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
+        if not -2**63 <= self.t_end - self.length + 1 <= self.t_end < 2**63:
+            raise ValueError("t_end must keep the kept times t_end - length "
+                             f"+ 1 .. t_end in int64 (got {self.t_end})")
         if not 0 <= self.seed < 2**63:
             raise ValueError(f"seed must be in [0, 2**63) (got {self.seed})")
         if self.innovations not in ("normal", "uniform"):
@@ -207,7 +210,8 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
         for first in range(0, config.n_paths, chunk):
             _simulate_chunk(config, first, coeffs, values[first:first + chunk],
                             pool)
-    times = np.arange(config.t_end - config.length + 1, config.t_end + 1)
+    times = np.arange(config.t_end - config.length + 1, config.t_end + 1,
+                      dtype=np.int64)
     values.flags.writeable = False
     times.flags.writeable = False
     ensemble = PathEnsemble(times, values)

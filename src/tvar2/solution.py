@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .schedules import Schedule
-from .xi import ORACLE_CAP, OracleCapError, fundamental_matrix, green_functions
+from .xi import _capped, fundamental_matrix, green_functions
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ def forward_recursion(schedule: Schedule, t: int, k: int,
 
 
 def particular_solution_determinant_oracle(schedule: Schedule, t: int, k: int,
-                                           innovations: Sequence[float],
-                                           cap: int = ORACLE_CAP) -> float:
+                                           innovations: Sequence[float]
+                                           ) -> float:
     """Test oracle for the particular part: determinant of the core matrix
     augmented on the left by the forcing column phi0 + innovation.
 
@@ -90,8 +90,7 @@ def particular_solution_determinant_oracle(schedule: Schedule, t: int, k: int,
     """
     if k < 1:
         raise ValueError("oracle requires k >= 1")
-    if k > cap:
-        raise OracleCapError(f"oracle cap {cap} exceeded (k={k})")
+    _capped(k)
     if len(innovations) != k:
         raise ValueError(f"expected {k} innovations, got {len(innovations)}")
     mat = fundamental_matrix(schedule, t, k)

@@ -118,26 +118,26 @@ def second_fundamental_matrix(schedule: Schedule, t: int, k: int) -> np.ndarray:
     return mat
 
 
-def _capped(k: int, cap: int) -> None:
-    if k > cap:
-        raise OracleCapError(f"oracle cap {cap} exceeded (k={k})")
+def _capped(k: int) -> None:
+    """The size check every determinant oracle makes before it builds its
+    k x k matrix."""
+    if k > ORACLE_CAP:
+        raise OracleCapError(f"oracle cap {ORACLE_CAP} exceeded (k={k})")
 
 
-def xi_determinant_oracle(schedule: Schedule, t: int, k: int,
-                          cap: int = ORACLE_CAP) -> float:
+def xi_determinant_oracle(schedule: Schedule, t: int, k: int) -> float:
     """Test oracle: xi_{t,k} via direct LU determinant of the assembled matrix."""
     if k < 1:
         raise ValueError("oracle requires k >= 1")
-    _capped(k, cap)
+    _capped(k)
     return float(np.linalg.det(fundamental_matrix(schedule, t, k)))
 
 
-def xi_second_determinant_oracle(schedule: Schedule, t: int, k: int,
-                                 cap: int = ORACLE_CAP) -> float:
+def xi_second_determinant_oracle(schedule: Schedule, t: int, k: int) -> float:
     """Test oracle for the second fundamental solution."""
     if k < 1:
         raise ValueError("oracle requires k >= 1")
-    _capped(k, cap)
+    _capped(k)
     return float(np.linalg.det(second_fundamental_matrix(schedule, t, k)))
 
 

@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+import tvar2
 import tvar2.cli as cli
 
 CONSTANT = """
@@ -559,3 +560,121 @@ def test_argparse_error_leaves_the_next_call_working(tmp_path, capsys):
     assert "invalid int value: 'x3'" in capsys.readouterr().err
     code, after = _run(tmp_path, ["green", "--config", cfg, "--k", "3"], "b.csv")
     assert code == 0 and after == before
+
+
+def _reference_csv(header, rows):
+    """Rows formatted one at a time, each value on its own: ints as str,
+    bools as true/false, strings as they are, floats through %.15g."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (int, str)):
+            return str(value)
+        return "%.15g" % value
+    return "".join(line + "\n" for line in [header] if line) + "".join(
+        ",".join(map(cell, row)) + "\n" for row in rows)
+
+
+def _schedule(text):
+    return tvar2.load(text)[0]
+
+
+@pytest.mark.parametrize("k", [1022, 1023, 2047])
+def test_green_rows_at_the_batch_edges(tmp_path, k):
+    # k + 1 rows: one short of a batch, one batch, two batches
+    assert cli.BATCH_ROWS == 1024
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    code, text = _run(tmp_path, ["green", "--config", cfg, "--t", "97",
+                                 "--k", str(k)])
+    values = tvar2.green_functions(_schedule(PERIODIC), 97, k).values
+    assert code == 0
+    assert text == _reference_csv("t,i,xi", [(97, i, v) for i, v in
+                                             enumerate(values.tolist())])
+
+
+@pytest.mark.parametrize("paths", [256, 257])
+def test_raw_simulate_rows_at_the_batch_edges(tmp_path, paths):
+    # 4 rows per path: exactly one batch, and one batch and four rows
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    code, text = _run(tmp_path, ["simulate", "--config", cfg, "--t", "40",
+                                 "--length", "4", "--paths", str(paths),
+                                 "--burn-in", "30", "--seed", "11"])
+    ensemble = tvar2.simulate_paths(tvar2.SimulationConfig(
+        _schedule(PERIODIC), paths, 40, 4, 11, burn_in=30))
+    times = ensemble.times.tolist()
+    assert code == 0
+    assert text == _reference_csv("path,t,y", [
+        (p, t, y) for p in range(paths)
+        for t, y in zip(times, ensemble.values[p].tolist())])
+
+
+def test_acf_nonfinite_rows(tmp_path):
+    config = CONSTANT.replace("phi1: 1.2", "phi1: 1.5").replace(
+        "phi2: -0.32", "phi2: 0.0")
+    cfg = _write(tmp_path, "c.yaml", config)
+    code, text = _run(tmp_path, ["acf", "--config", cfg, "--max-lag", "3"])
+    covs = [tvar2.autocovariance(_schedule(config), 10, k) for k in range(4)]
+    assert code == 0
+    assert "10,0,inf,false" in text.splitlines()
+    assert text == _reference_csv("t,k,gamma,converged", [
+        (10, c.lag, c.value, c.converged) for c in covs])
+
+
+@pytest.mark.parametrize("k", [390, 2000])
+def test_forecast_nonfinite_rows(tmp_path, k):
+    # an infinite mse, then a nan point and mse
+    config = CONSTANT.replace("phi1: 1.2", "phi1: 2.5").replace(
+        "phi2: -0.32", "phi2: 0.0")
+    cfg = _write(tmp_path, "c.yaml", config)
+    code, text = _run(tmp_path, ["forecast", "--config", cfg, "--k", str(k),
+                                 "--y0", "1", "--y1", "2"])
+    result = tvar2.forecast(_schedule(config), 10, k, (1.0, 2.0))
+    assert code == 0 and not result.finite
+    assert text == _reference_csv("t,k,point,mse",
+                                  [(10, k, result.point, result.mse)])
+
+
+def test_stationarity_rows_match_the_reference(tmp_path):
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    code, text = _run(tmp_path, ["stationarity", "--config", cfg,
+                                 "--matrices"])
+    vs = tvar2.build_vs(_schedule(PERIODIC))
+    verdict = tvar2.stationarity_check(vs)
+    assert code == 0
+    assert text == _reference_csv("", [
+        (label, *row) for label, mat in (("phi0_mat", vs.phi0_mat),
+                                         ("phi1_mat", vs.phi1_mat))
+        for row in mat.tolist()] + [
+        ("spectral_radius", verdict.spectral_radius),
+        ("margin", verdict.margin), ("stationary", verdict.stationary)])
+
+
+@pytest.mark.parametrize("argv, digest", README_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in README_DIGESTS])
+def test_standard_output_holds_the_pinned_bytes(tmp_path, capsys, argv,
+                                                digest):
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    assert cli.main([argv[0], "--config", cfg] + argv[1:]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_failed_run_on_standard_output_stops_at_a_whole_batch(tmp_path,
+                                                              capsys):
+    # the series at lag 0 runs past the break window: the header is out,
+    # the rows of the batch being formatted are not
+    cfg = _write(tmp_path, "b.yaml", BREAKS)
+    assert cli.main(["acf", "--config", cfg, "--t", "50",
+                     "--max-lag", "2"]) == 1
+    assert capsys.readouterr().out == "t,k,gamma,converged\n"
+
+
+def test_verify_exits_2_when_the_dumped_config_does_not_load(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.config_mod, "dump",
+                        lambda schedule: "schema_version: 99\n")
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    out = tmp_path / "out.csv"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""

@@ -6,7 +6,7 @@ import pytest
 
 from tvar2 import (BreakSchedule, CoefficientTuple, ConstantSchedule,
                    CyclicalSchedule, GenericSchedule, PeriodicSchedule, ScheduleError,
-                   season_of)
+                   forecast, green_functions, season_of, unconditional_variance)
 
 
 @dataclass(frozen=True)
@@ -288,6 +288,21 @@ def test_at_is_the_one_row_window(kind):
     # every constant time is out of bounds; the other kinds meet both outcomes
     assert outcomes == ({str} if kind == "constant"
                         else {CoefficientTuple, str})
+
+
+@pytest.mark.parametrize("t", [2**63 - 1, 10**20, -2**63])
+def test_tiled_kinds_answer_far_outside_int64(t):
+    # a periodic table at t equals the one at the congruent small anchor,
+    # and so do the forecast and variance read from it
+    s = WINDOW_KINDS["periodic"]()
+    near = (t - 1) % s.period + 1 + 30
+    assert np.array_equal(s.window(t - 40, t), s.window(near - 40, near))
+    assert np.array_equal(green_functions(s, t, 40).values,
+                          green_functions(s, near, 40).values)
+    far, close = forecast(s, t, 6, (1.0, -0.5)), forecast(s, near, 6, (1.0, -0.5))
+    assert (far.point, far.mse) == (close.point, close.mse)
+    assert (unconditional_variance(s, t).variance
+            == unconditional_variance(s, near).variance)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -49,6 +49,25 @@ def test_seed_outside_the_key_range_is_rejected(seed):
     assert _config(seed=2**63 - 1).seed == 2**63 - 1
 
 
+@pytest.mark.parametrize("t_end", [10**20, 2**63, -2**63, -2**63 + 2])
+def test_time_axis_outside_int64_is_rejected(t_end):
+    with pytest.raises(ValueError, match="t_end"):
+        _config(t_end=t_end, length=4)
+
+
+@pytest.mark.parametrize("t_end", [2**63 - 1, -2**63 + 3])
+def test_time_axis_at_the_int64_edge_runs(t_end):
+    # the kept times reach the edge; the burn-in behind them may leave int64
+    far = simulate_paths(_config(schedule=SEASONS, t_end=t_end, length=4,
+                                 n_paths=300, burn_in=20))
+    near_t = (t_end - 1) % SEASONS.period + 1 + 40
+    near = simulate_paths(_config(schedule=SEASONS, t_end=near_t, length=4,
+                                  n_paths=300, burn_in=20))
+    assert far.times.dtype == np.int64
+    assert far.times.tolist() == list(range(t_end - 3, t_end + 1))
+    assert np.array_equal(far.values, near.values)
+
+
 def test_same_seed_bit_identical():
     a = simulate_paths(_config(n_paths=500))
     b = simulate_paths(_config(n_paths=500))

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from tvar2 import (BreakSchedule, ConstantSchedule, ScheduleError,
-                   constant_xi, green_functions, xi, xi_determinant_oracle,
-                   xi_second, xi_second_determinant_oracle, xi_stream)
-from tvar2.xi import OracleCapError, fundamental_matrix
+                   block_determinant_oracle, block_spec, constant_xi,
+                   green_functions, xi, xi_determinant_oracle, xi_second,
+                   xi_second_determinant_oracle, xi_stream)
+from tvar2.blockdet import assemble_block_matrix
+from tvar2.solution import particular_solution_determinant_oracle
+from tvar2.xi import ORACLE_CAP, OracleCapError, fundamental_matrix
 from conftest import random_schedule
 
 
@@ -105,6 +108,19 @@ def test_oracle_cap():
     s = ConstantSchedule(0.0, 0.5, 0.1, 1.0)
     with pytest.raises(OracleCapError):
         xi_determinant_oracle(s, 0, 65)
+    # every determinant oracle refuses ORACLE_CAP + 1 and answers at the cap
+    over, at = ORACLE_CAP + 1, ORACLE_CAP
+    oracles = [
+        lambda k: xi_determinant_oracle(s, 0, k),
+        lambda k: xi_second_determinant_oracle(s, 0, k),
+        lambda k: particular_solution_determinant_oracle(s, 0, k, [0.0] * k),
+        lambda k: assemble_block_matrix(s, 0, block_spec(s, 0, [k // 2], k)),
+        lambda k: block_determinant_oracle(s, 0, block_spec(s, 0, [k // 2], k)),
+    ]
+    for oracle in oracles:
+        with pytest.raises(OracleCapError, match=f"oracle cap {at} exceeded"):
+            oracle(over)
+        assert np.all(np.isfinite(oracle(at)))
 
 
 def test_constant_closed_form_distinct_roots():

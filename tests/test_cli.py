@@ -571,8 +571,9 @@ def _reference_csv(header, rows):
         if isinstance(value, (int, str)):
             return str(value)
         return "%.15g" % value
-    return "".join(line + "\n" for line in [header] if line) + "".join(
-        ",".join(map(cell, row)) + "\n" for row in rows)
+    lines = ([header] if header else []) + [",".join(map(cell, row))
+                                            for row in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def _schedule(text):

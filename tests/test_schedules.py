@@ -291,11 +291,13 @@ def test_at_is_the_one_row_window(kind):
 
 
 @pytest.mark.parametrize("t", [2**63 - 1, 10**20, -2**63])
-def test_tiled_kinds_answer_far_outside_int64(t):
-    # a periodic table at t equals the one at the congruent small anchor,
-    # and so do the forecast and variance read from it
-    s = WINDOW_KINDS["periodic"]()
-    near = (t - 1) % s.period + 1 + 30
+@pytest.mark.parametrize("kind", ["constant", "periodic", "cyclical"])
+def test_tiled_kinds_answer_far_outside_int64(kind, t):
+    # a table at t equals the one at the congruent small anchor, and so do
+    # the forecast and variance read from it
+    s = WINDOW_KINDS[kind]()
+    period = getattr(s, "period", 1)
+    near = (t - 1) % period + 1 + 30 * period
     assert np.array_equal(s.window(t - 40, t), s.window(near - 40, near))
     assert np.array_equal(green_functions(s, t, 40).values,
                           green_functions(s, near, 40).values)

@@ -10,7 +10,6 @@ piecewise-constant regimes separated by abrupt breaks.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,6 +57,28 @@ def _check_sigma2(sigma2: float, where: str = "") -> None:
         raise ScheduleError(f"sigma2 must be > 0{suffix}")
 
 
+def _table(tuples: Sequence, label: str, expected: int | None = None):
+    """A declared kind's tuples (``expected`` many) and rows; sigma2 > 0."""
+    if expected is not None and len(tuples) != expected:
+        raise ScheduleError(
+            f"expected {expected} {label} tuples, got {len(tuples)}")
+    tuples = tuple(_as_tuple(c) for c in tuples)
+    for j, tup in enumerate(tuples, start=1):
+        _check_sigma2(tup.sigma2, f"{label} {j}")
+    return tuples, _rows(tuples)
+
+
+def cut_list(cuts: Sequence[int], total: int, name: str,
+             total_name: str) -> tuple[int, ...]:
+    """Cycle boundaries, break or block offsets as integers, strictly
+    increasing inside (0, total)."""
+    cuts = tuple(int(c) for c in cuts)
+    if any(b <= a for a, b in zip((0,) + cuts, cuts + (total,))):
+        raise ScheduleError(f"{name} must be strictly increasing inside "
+                            f"(0, {total_name})")
+    return cuts
+
+
 class Schedule:
     """Base class: a pure map from integer time to a CoefficientTuple.
 
@@ -78,22 +99,18 @@ class Schedule:
             raise ScheduleError("sigma2 bounds must satisfy 0 <= lower < upper")
         self.sigma2_bounds = (lo, hi)
 
-    def _tuple_at(self, t: int) -> CoefficientTuple:
-        raise NotImplementedError
+    def _rows_between(self, t_lo: int, t_hi: int) -> np.ndarray:
+        # the season of t_lo, then offsets from it: any Python int works
+        period = len(self._season_rows)
+        seasons = ((t_lo - 1) % period + np.arange(t_hi - t_lo + 1)) % period
+        return self._season_rows[seasons]
 
     def window(self, t_lo: int, t_hi: int) -> np.ndarray:
         """Coefficients for times t_lo..t_hi (none if t_hi < t_lo) as an
         (n, 4) float array of (phi0, phi1, phi2, sigma2), oldest first.
         An error names the first bad time met walking back from t_hi."""
         t_lo, t_hi = int(t_lo), int(t_hi)
-        if self._season_rows is not None:
-            # the season of t_lo, then offsets from it: any Python int works
-            period = len(self._season_rows)
-            seasons = ((t_lo - 1) % period + np.arange(t_hi - t_lo + 1)) % period
-            rows = self._season_rows[seasons]
-        else:
-            newest_first = [self._tuple_at(t) for t in range(t_hi, t_lo - 1, -1)]
-            rows = _rows(reversed(newest_first)).reshape(-1, 4)
+        rows = self._rows_between(t_lo, t_hi)
         lo, hi = self.sigma2_bounds
         bad = np.flatnonzero(~((lo < rows[:, 3]) & (rows[:, 3] < hi)))
         if len(bad):
@@ -109,7 +126,8 @@ class Schedule:
 
 
 class GenericSchedule(Schedule):
-    """Schedule backed by an arbitrary pure function of t."""
+    """Schedule backed by an arbitrary pure function of t, the one kind
+    evaluated time by time."""
 
     kind = "generic"
 
@@ -120,6 +138,10 @@ class GenericSchedule(Schedule):
 
     def _tuple_at(self, t: int) -> CoefficientTuple:
         return _as_tuple(self._fn(t))
+
+    def _rows_between(self, t_lo: int, t_hi: int) -> np.ndarray:
+        newest_first = [self._tuple_at(t) for t in range(t_hi, t_lo - 1, -1)]
+        return _rows(reversed(newest_first)).reshape(-1, 4)
 
 
 class ConstantSchedule(Schedule):
@@ -150,11 +172,8 @@ class PeriodicSchedule(Schedule):
         super().__init__(sigma2_bounds)
         if len(seasons) < 1:
             raise ScheduleError("need at least one season")
-        self.seasons = tuple(_as_tuple(s) for s in seasons)
-        for s, tup in enumerate(self.seasons, start=1):
-            _check_sigma2(tup.sigma2, f"season {s}")
+        self.seasons, self._season_rows = _table(seasons, "season")
         self.period = len(self.seasons)
-        self._season_rows = _rows(self.seasons)
 
 
 class CyclicalSchedule(Schedule):
@@ -169,29 +188,14 @@ class CyclicalSchedule(Schedule):
     def __init__(self, period: int, boundaries: Sequence[int], cycles: Sequence,
                  sigma2_bounds=DEFAULT_SIGMA2_BOUNDS):
         super().__init__(sigma2_bounds)
-        period = int(period)
+        self.period = period = int(period)
         if period < 1:
             raise ScheduleError("period must be >= 1")
-        bounds = [int(b) for b in boundaries]
-        if any(b2 <= b1 for b1, b2 in zip([0] + bounds, bounds + [period])):
-            raise ScheduleError(
-                "cycle boundaries must be strictly increasing inside (0, period)")
-        if not 0 <= len(bounds) <= period - 1:
-            raise ScheduleError("need 0 <= d <= period - 1 cycle boundaries")
-        if len(cycles) != len(bounds) + 1:
-            raise ScheduleError(
-                f"expected {len(bounds) + 1} cycle tuples, got {len(cycles)}")
-        self.period = period
-        self.boundaries = tuple(bounds)
-        self.cycles = tuple(_as_tuple(c) for c in cycles)
-        for j, tup in enumerate(self.cycles, start=1):
-            _check_sigma2(tup.sigma2, f"cycle {j}")
-        self._season_rows = _rows(self.cycles[self.cycle_of_season(s) - 1]
-                                  for s in range(1, period + 1))
-
-    def cycle_of_season(self, s: int) -> int:
-        """1-based cycle index containing season s."""
-        return bisect_right(self.boundaries, s - 1) + 1
+        self.boundaries = cut_list(boundaries, period, "cycle boundaries",
+                                   "period")
+        self.cycles, rows = _table(cycles, "cycle", len(self.boundaries) + 1)
+        lengths = np.diff((0,) + self.boundaries + (period,))
+        self._season_rows = np.repeat(rows, lengths, axis=0)
 
 
 class BreakSchedule(Schedule):
@@ -212,31 +216,24 @@ class BreakSchedule(Schedule):
         if self.horizon < 1:
             raise ScheduleError("horizon must be >= 1")
         self.earliest = self.anchor - self.horizon
-        offs = [int(o) for o in offsets]
-        if any(o2 <= o1 for o1, o2 in zip([0] + offs, offs + [self.horizon])):
-            raise ScheduleError(
-                "break offsets must be strictly increasing inside (0, horizon)")
-        if len(regimes) != len(offs) + 1:
-            raise ScheduleError(
-                f"expected {len(offs) + 1} regime tuples, got {len(regimes)}")
-        self.offsets = tuple(offs)
-        self.regimes = tuple(_as_tuple(r) for r in regimes)
-        for j, tup in enumerate(self.regimes, start=1):
-            _check_sigma2(tup.sigma2, f"regime {j}")
+        self.offsets = cut_list(offsets, self.horizon, "break offsets",
+                                "horizon")
+        self.regimes, self._regime_rows = _table(regimes, "regime",
+                                                 len(self.offsets) + 1)
 
-    def regime_of(self, t: int) -> int:
-        """1-based regime index governing time t (must be in window)."""
-        offset = self.anchor - int(t)
-        if not 0 <= offset <= self.horizon:
-            raise ScheduleError(
-                f"t={t} outside break-schedule window "
-                f"[{self.anchor - self.horizon}, {self.anchor}]")
-        # regime j covers offsets offsets[j-1] .. offsets[j]-1; the oldest
-        # regime also answers for the window edge offset == horizon
-        return min(bisect_right(self.offsets, offset), len(self.regimes) - 1) + 1
-
-    def _tuple_at(self, t: int) -> CoefficientTuple:
-        return self.regimes[self.regime_of(t) - 1]
+    def _rows_between(self, t_lo: int, t_hi: int) -> np.ndarray:
+        # walking back from t_hi, the first time outside the window
+        bad = t_hi if t_hi > self.anchor else min(t_hi, self.earliest - 1)
+        if t_lo <= bad:
+            raise ScheduleError(f"t={bad} outside break-schedule window "
+                                f"[{self.earliest}, {self.anchor}]")
+        # the window's rows in each regime, newest regime first, from the
+        # offsets of its ends: any Python int works
+        near, far = self.anchor - t_hi, self.anchor - t_lo
+        cuts = (0,) + self.offsets + (self.horizon + 1,)
+        counts = [max(0, min(b, far + 1) - max(a, near))
+                  for a, b in zip(cuts, cuts[1:])]
+        return np.repeat(self._regime_rows[::-1], counts[::-1], axis=0)
 
     def re_anchored(self, anchor: int) -> "BreakSchedule":
         """Copy with the same relative structure at a new anchor time."""

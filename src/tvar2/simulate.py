@@ -38,6 +38,9 @@ DEFAULT_BURN_IN = 500
 CHUNK_TARGET = 20_000   # paths per chunk; bounds the width of a slab
 SUB_BLOCK = 256         # paths per random stream; chunks hold whole blocks
 DRAW_ROWS = 128         # time steps per slab; bounds its height
+# cap on the values an ensemble draws: paths rounded up to whole SUB_BLOCK
+# blocks, since every block is drawn at full width, times (burn_in + length)
+MAX_PATH_STEPS = 10**8
 # lanes that draw a chunk's blocks at once: one per core this process may use
 LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
@@ -85,6 +88,11 @@ class SimulationConfig:
             raise ValueError(f"unknown innovation family {self.innovations!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        steps = self.burn_in + self.length     # drawn per path
+        if -(-self.n_paths // SUB_BLOCK) * SUB_BLOCK * steps > MAX_PATH_STEPS:
+            raise ValueError(f"n_paths, rounded up to a multiple of {SUB_BLOCK}"
+                             f", times (burn_in + length) must be <= "
+                             f"{MAX_PATH_STEPS}")
 
 
 @dataclass(frozen=True)

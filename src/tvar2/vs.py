@@ -43,22 +43,19 @@ class StationarityVerdict:
 
 def build_vs(schedule: PeriodicSchedule) -> VSMatrices:
     """Stack the periodic schedule into its vector-of-seasons matrices."""
+    if not isinstance(schedule, PeriodicSchedule):
+        raise ScheduleError("stationarity check needs a periodic schedule "
+                            f"(got kind {schedule.kind!r})")
     l = schedule.period
     if l < 2:
         raise ScheduleError("vector-of-seasons form needs at least 2 seasons")
-    phi = {(1, s): schedule.seasons[s - 1].phi1 for s in range(1, l + 1)}
-    phi.update({(2, s): schedule.seasons[s - 1].phi2 for s in range(1, l + 1)})
-    m0 = np.eye(l)
-    m1 = np.zeros((l, l))
-    for i in range(1, l + 1):
-        for j in range(1, l + 1):
-            lag = i - j
-            if j < i and lag in (1, 2):
-                m0[i - 1, j - 1] = -phi[(lag, i)]
-            lag_prev = i + l - j
-            if lag_prev in (1, 2):
-                m1[i - 1, j - 1] = phi[(lag_prev, i)]
-    return VSMatrices(l, m0, m1)
+    # season s's row of [phi1_mat | phi0_mat] holds phi2(s), phi1(s) at
+    # y_{s-2}, y_{s-1}, negated where they fall in this period
+    rows = np.hstack([np.zeros((l, l)), np.eye(l)])
+    cols = np.arange(l)[:, None] + np.arange(l - 2, l)
+    phi = schedule._season_rows[:, 2:0:-1]
+    np.put_along_axis(rows, cols, np.where(cols < l, phi, -phi), axis=1)
+    return VSMatrices(l, rows[:, l:], rows[:, :l])
 
 
 def stationarity_check(vs: VSMatrices) -> StationarityVerdict:

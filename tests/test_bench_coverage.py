@@ -1,0 +1,52 @@
+"""bench/coverage.py's tracer: what a run executes is not listed."""
+
+import importlib
+import importlib.util
+import os
+import sys
+
+import pytest
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench")
+
+MODULE = '''\
+def called(x):
+    return x + 1
+
+
+def never(x):
+    y = x * 2
+    return y
+'''
+
+
+@pytest.fixture
+def coverage():
+    # loaded from its path: the name would find a coverage package first
+    spec = importlib.util.spec_from_file_location(
+        "bench_coverage", os.path.join(BENCH, "coverage.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_function_never_called_is_listed(coverage, tmp_path, monkeypatch):
+    package = tmp_path / "throwaway"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(MODULE)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "throwaway.mod", raising=False)
+    trace_before = sys.gettrace()
+
+    def run():
+        return importlib.import_module("throwaway.mod").called(1)
+
+    result, missed = coverage.unexecuted(str(package), run)
+    assert result == 2
+    mod = str(package / "mod.py")
+    # the body of never (lines 6 and 7) is listed; the defs, run at
+    # import, and the body of called are not
+    assert missed == [(mod, 6), (mod, 7)]
+    assert sys.gettrace() is trace_before

@@ -208,6 +208,16 @@ def test_report_rows(rng):
     assert all(r[2] < 1e-11 for r in rows)
 
 
+def test_report_past_the_oracle_cap_leaves_out_the_block_determinant():
+    # two periods of 40 seasons: 80 > ORACLE_CAP, so no 80 x 80 matrix
+    s = PeriodicSchedule([(0.1, 0.9 + 0.005 * (j % 5), 0.05, 1.0)
+                          for j in range(40)])
+    t, spec = segment_layout(s, None, 2)
+    rows = decomposition_report(s, t, spec, xi_par_decomposed(s, t, 2))
+    assert [r[0] for r in rows] == ["recurrence", "decomposition"]
+    assert rows[0][2] == 0.0 and rows[1][2] < 1e-14
+
+
 @pytest.mark.parametrize("d", range(11))
 def test_transfer_product_equals_the_enumeration(rng, d):
     rng = np.random.default_rng(1000 + d)

@@ -679,3 +679,40 @@ def test_verify_exits_2_when_the_dumped_config_does_not_load(
     assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().out == ""
+
+
+def test_stationarity_prints_indeterminate_on_the_boundary(tmp_path):
+    # phi1 multiplies to exactly 1 over the period: radius 1, margin 0
+    seasons = "".join(f"    - {{phi0: 0.0, phi1: {p}, phi2: 0.0, sigma2: 1.0}}\n"
+                      for p in (2, 0.5, 1, 1))
+    cfg = _write(tmp_path, "b.yaml", PERIODIC.split("  seasons:")[0]
+                 + "  seasons:\n" + seasons)
+    code, text = _run(tmp_path, ["stationarity", "--config", cfg])
+    assert code == 0
+    assert text.splitlines()[-2:] == ["margin,0", "stationary,indeterminate"]
+
+
+def test_verify_passes_past_the_block_determinant_cap(tmp_path):
+    # two periods of 40 seasons exceed the oracle's 64: the decomposition
+    # check still runs, against the recurrence
+    seasons = "".join(f"    - {{phi0: 0.1, phi1: {0.9 + 0.005 * (j % 5):.3f}, "
+                      "phi2: 0.05, sigma2: 1.0}\n" for j in range(40))
+    cfg = _write(tmp_path, "p40.yaml", PERIODIC.split("  seasons:")[0]
+                 + "  seasons:\n" + seasons)
+    code, text = _run(tmp_path, ["verify", "--config", cfg, "--t", "80"])
+    assert code == 0
+    assert text.splitlines() == [
+        "green-recurrence-vs-determinant,pass",
+        "solution-closed-form-vs-recursion,pass", "config-round-trip,pass",
+        "periodic-decomposition,pass"]
+
+
+def test_verify_fails_a_decomposition_off_the_recurrence(tmp_path,
+                                                        monkeypatch):
+    real = cli.xi_par_decomposed
+    monkeypatch.setattr(cli, "xi_par_decomposed",
+                        lambda *args: real(*args) * (1 + 1e-9))
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    code, text = _run(tmp_path, ["verify", "--config", cfg, "--t", "24"])
+    assert code == 1
+    assert text.splitlines()[-1] == "periodic-decomposition,fail"

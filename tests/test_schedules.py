@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tvar2 import (BreakSchedule, CoefficientTuple, ConstantSchedule,
+from tvar2 import (BlockSpec, BreakSchedule, CoefficientTuple, ConstantSchedule,
                    CyclicalSchedule, GenericSchedule, PeriodicSchedule, ScheduleError,
                    forecast, green_functions, season_of, unconditional_variance)
 
@@ -316,3 +316,74 @@ def test_nonfinite_coefficients_rejected(bad):
     generic = GenericSchedule(lambda t: (bad, 0.5, 0.1, 1.0))
     with pytest.raises(ScheduleError, match="phi0 must be finite"):
         generic.window(1, 3)
+
+
+# the README abrupt-breaks schedule
+README_BREAKS = BreakSchedule(50, 10, [3, 7], [(0.0, 0.5, -0.2, 1.0),
+                                               (0.0, -0.4, 0.3, 1.0),
+                                               (0.0, 0.9, -0.5, 1.0)])
+
+
+@pytest.mark.parametrize("anchor", [10**20, 2**63 + 5, -2**63 - 50])
+def test_break_schedules_answer_far_outside_int64(anchor):
+    # the window, green table and forecast at a far anchor are those at 50
+    far, near = README_BREAKS.re_anchored(anchor), README_BREAKS
+    assert np.array_equal(far.window(anchor - 10, anchor), near.window(40, 50))
+    assert np.array_equal(green_functions(far, anchor, 8).values,
+                          green_functions(near, 50, 8).values)
+    got, want = (forecast(far, anchor, 6, (1.0, -0.5)),
+                 forecast(near, 50, 6, (1.0, -0.5)))
+    assert (got.point, got.mse) == (want.point, want.mse)
+
+
+def test_break_schedule_horizon_beyond_int64():
+    # the regime rows come from the offsets of the window's ends, so a
+    # window far behind the anchor of a huge horizon reads as one near it
+    huge = BreakSchedule(0, 2**64, [2**63], README_BREAKS.regimes[:2])
+    rows = huge.window(-2**63 - 2, -2**63 + 2)
+    assert ([CoefficientTuple(*row) for row in rows.tolist()]
+            == [huge.regimes[1]] * 3 + [huge.regimes[0]] * 2)
+
+
+@pytest.mark.parametrize("t_lo, t_hi", [(45, 44), (47, 40), (70, 60),
+                                        (10, -10)])
+def test_empty_break_window_has_no_rows(t_lo, t_hi):
+    # no time to walk back over, so nothing raises, out of window or not
+    assert README_BREAKS.window(t_lo, t_hi).shape == (0, 4)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CyclicalSchedule(6, [4, 2], [(0, 0.1, 0.1, 1)] * 3),
+     "cycle boundaries must be strictly increasing inside (0, period)"),
+    (lambda: CyclicalSchedule(6, [2, 6], [(0, 0.1, 0.1, 1)] * 3),
+     "cycle boundaries must be strictly increasing inside (0, period)"),
+    (lambda: BreakSchedule(50, 10, [3, 3], [(0, 0.1, 0.1, 1)] * 3),
+     "break offsets must be strictly increasing inside (0, horizon)"),
+    (lambda: BlockSpec(8, (4, 8), (0.5, 0.5)),
+     "block boundaries must be strictly increasing inside (0, total)"),
+    (lambda: CyclicalSchedule(6, [2, 4], [(0, 0.1, 0.1, 1)] * 2),
+     "expected 3 cycle tuples, got 2"),
+    (lambda: BreakSchedule(50, 10, [3], [(0, 0.1, 0.1, 1)] * 3),
+     "expected 2 regime tuples, got 3"),
+    (lambda: PeriodicSchedule([(0, 0.1, 0.1, 1), (0, 0.1, 0.1, 0)]),
+     "sigma2 must be > 0 (season 2)"),
+    (lambda: CyclicalSchedule(6, [2], [(0, 0.1, 0.1, 1), (0, 0.1, 0.1, -1)]),
+     "sigma2 must be > 0 (cycle 2)"),
+    (lambda: BreakSchedule(50, 10, [3], [(0, 0.1, 0.1, 0), (0, 0.1, 0.1, 1)]),
+     "sigma2 must be > 0 (regime 1)"),
+], ids=["cycle-order", "cycle-edge", "break-order", "block-edge",
+        "cycle-count", "regime-count", "season-sigma2", "cycle-sigma2",
+        "regime-sigma2"])
+def test_declared_tables_keep_their_messages(build, message):
+    assert _message(build) == message
+
+
+@pytest.mark.parametrize("boundaries", [[], [1], [2, 5], [1, 2, 3, 4, 5]])
+def test_cyclical_table_repeats_each_cycle_over_its_seasons(boundaries):
+    cycles = [(0.1 * j, 0.5 - 0.1 * j, 0.2, 1.0 + j)
+              for j in range(len(boundaries) + 1)]
+    s = CyclicalSchedule(6, boundaries, cycles)
+    edges = [0] + boundaries + [6]
+    want = [cycles[j] for j in range(len(cycles))
+            for _ in range(edges[j], edges[j + 1])]
+    assert s.window(1, 6).tolist() == [list(c) for c in want]

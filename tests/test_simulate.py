@@ -41,6 +41,26 @@ def test_config_validation():
         _config(innovations="cauchy")
 
 
+@pytest.mark.parametrize("n_paths, burn_in, length", [
+    (1, 390_625, 1),      # one path draws a block of 256: 256 * 390 626
+    (257, 195_312, 1),    # two blocks: 512 * 195 313
+    (25_000, 4_000, 4),
+])
+def test_over_cap_ensemble_is_rejected(n_paths, burn_in, length):
+    with pytest.raises(ValueError, match="paths"):
+        _config(n_paths=n_paths, burn_in=burn_in, length=length)
+
+
+@pytest.mark.parametrize("n_paths, burn_in, length", [
+    (24_000, 500, 10), (25_000, 500, 4),   # the largest benchmark shapes
+    (1, 390_624, 1), (256, 390_624, 1),    # 256 * 390 625 = MAX_PATH_STEPS
+])
+def test_ensemble_at_or_under_the_cap_is_accepted(n_paths, burn_in, length):
+    assert _config(n_paths=n_paths, burn_in=burn_in,
+                   length=length).n_paths == n_paths
+    assert sim.MAX_PATH_STEPS == 10**8
+
+
 @pytest.mark.parametrize("seed", [-1, -2**63, 2**63, 2**64])
 def test_seed_outside_the_key_range_is_rejected(seed):
     # Philox keys are 64-bit words, so -2**63 would wrap onto 2**63

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tvar2 import (PeriodicSchedule, ScheduleError, build_vs,
+from tvar2 import (BreakSchedule, ConstantSchedule, CyclicalSchedule,
+                   GenericSchedule, PeriodicSchedule, ScheduleError, build_vs,
                    par24_restriction, stationarity_check,
                    unconditional_variance)
 
@@ -115,3 +116,51 @@ def test_variance_converges_when_stationary(rng):
                 assert unconditional_variance(s, anchor).converged
         elif verdict.stationary is False and verdict.margin < -0.05:
             assert not unconditional_variance(s, 101, n_max=3000).converged
+
+
+def _entry_rule_matrices(s):
+    """The stacked matrices entry by entry from their definition: row i of
+    phi0_mat holds -phi_lag(i) at column i - lag inside the period, and
+    row i of phi1_mat holds phi_lag(i) at column i + l - lag behind it."""
+    l = s.period
+    m0, m1 = np.eye(l), np.zeros((l, l))
+    for i in range(1, l + 1):
+        for lag, phi in ((1, s.seasons[i - 1].phi1), (2, s.seasons[i - 1].phi2)):
+            if i - lag >= 1:
+                m0[i - 1, i - lag - 1] = -phi
+            else:
+                m1[i - 1, i + l - lag - 1] = phi
+    return m0, m1
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 7])
+def test_matrices_match_the_entry_rules_bit_for_bit(rng, l):
+    # signed zeros included: a zero coefficient inside the period is -0.0
+    phis = [[0.0, -0.0, float(rng.normal())][int(rng.integers(3))]
+            for _ in range(2 * l)]
+    s = _par(phis[:l], phis[l:])
+    vs = build_vs(s)
+    m0, m1 = _entry_rule_matrices(s)
+    assert vs.phi0_mat.tobytes() == m0.tobytes()
+    assert vs.phi1_mat.tobytes() == m1.tobytes()
+
+
+@pytest.mark.parametrize("schedule", [
+    ConstantSchedule(0.0, 0.5, 0.1, 1.0),
+    CyclicalSchedule(4, [2], [(0, 0.5, 0.1, 1), (0, 0.2, 0.1, 1)]),
+    BreakSchedule(10, 5, [2], [(0, 0.5, 0.1, 1), (0, 0.2, 0.1, 1)]),
+    GenericSchedule(lambda t: (0.0, 0.5, 0.1, 1.0)),
+], ids=lambda s: s.kind)
+def test_stacked_form_needs_a_periodic_schedule(schedule):
+    with pytest.raises(ScheduleError) as info:
+        build_vs(schedule)
+    assert str(info.value) == ("stationarity check needs a periodic schedule "
+                               f"(got kind {schedule.kind!r})")
+
+
+def test_unit_period_product_is_indeterminate():
+    # phi1 multiplies to exactly 1 over the period: radius 1, margin 0
+    verdict = stationarity_check(build_vs(_par([2.0, 0.5, 1.0, 1.0])))
+    assert verdict.stationary is None
+    assert verdict.indeterminate
+    assert verdict.margin == 0.0

@@ -13,7 +13,7 @@ src/tvar2 module that holds an instruction of some code object of that
 module and raised no trace event, and exits with pytest's exit status.
 pytest's own report goes to standard error, so standard output holds the
 list alone.  Only the standard library is used.  Tracing slows the suite
-down by about 1.7x.
+down about twofold.
 """
 
 from __future__ import annotations

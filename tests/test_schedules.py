@@ -376,14 +376,3 @@ def test_empty_break_window_has_no_rows(t_lo, t_hi):
         "regime-sigma2"])
 def test_declared_tables_keep_their_messages(build, message):
     assert _message(build) == message
-
-
-@pytest.mark.parametrize("boundaries", [[], [1], [2, 5], [1, 2, 3, 4, 5]])
-def test_cyclical_table_repeats_each_cycle_over_its_seasons(boundaries):
-    cycles = [(0.1 * j, 0.5 - 0.1 * j, 0.2, 1.0 + j)
-              for j in range(len(boundaries) + 1)]
-    s = CyclicalSchedule(6, boundaries, cycles)
-    edges = [0] + boundaries + [6]
-    want = [cycles[j] for j in range(len(cycles))
-            for _ in range(edges[j], edges[j + 1])]
-    assert s.window(1, 6).tolist() == [list(c) for c in want]

@@ -22,7 +22,13 @@ n=4) over the seeds.  With at least MIN_PAIRS pairs it also holds a
 "gain" entry per end-to-end metric: wins and losses of the change over
 the pairs, the ratio of medians, the base's interquartile distance, and
 whether a gain may be claimed (at least nine tenths of the pairs won and
-a median difference larger than the base's interquartile distance).
+a median difference larger than the base's interquartile distance).  At
+any pair count it holds a "check" entry per end-to-end metric that has a
+bound in BENCHMARK.json: the no-regression state of the change, one of
+"worse" (its median worse than the base's by more than the bound),
+"unresolved" (the base's interquartile distance over its median wider
+than the bound, and not every change run better than every base run) or
+"ok".
 Entries for other workloads already in --out are kept when both commit
 ids match.  The file is rewritten after every pair, so an interrupted
 recording keeps the pairs it finished.
@@ -89,16 +95,36 @@ def spread(values: list) -> dict:
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(entry: dict, end_to_end: dict) -> None:
+def regression_state(base: dict, change: dict, sign: int, bound: float) -> str:
+    """The no-regression state of one end-to-end metric from the two sides'
+    spreads; ``sign`` is 1 where higher is better, -1 where lower is."""
+    if sign * (change["median"] - base["median"]) < -bound * abs(base["median"]):
+        return "worse"
+    best_base = max(sign * v for v in base["values"])
+    if ((base["q3"] - base["q1"]) > bound * abs(base["median"])
+            and not min(sign * v for v in change["values"]) > best_base):
+        return "unresolved"
+    return "ok"
+
+
+def summarize(entry: dict, end_to_end: dict, bounds: dict | None = None) -> None:
+    """Fill the entry's summary, its gain entries (from MIN_PAIRS pairs)
+    and, for the metrics in ``bounds``, its no-regression checks."""
     runs = entry["runs"]
-    summary, gain = {}, {}
+    summary, gain, check = {}, {}, {}
     for name in runs["base"][0]["metrics"]:
         sides = {side: spread([r["metrics"][name] for r in runs[side]])
                  for side in ("base", "change")}
         summary[name] = sides
-        if name not in end_to_end or len(runs["base"]) < MIN_PAIRS:
+        if name not in end_to_end:
             continue
         sign = 1 if end_to_end[name] == "higher" else -1
+        if bounds and name in bounds:
+            check[name] = {"state": regression_state(sides["base"], sides["change"],
+                                                     sign, bounds[name]),
+                           "bound": bounds[name]}
+        if len(runs["base"]) < MIN_PAIRS:
+            continue
         diffs = [sign * (c["metrics"][name] - b["metrics"][name])
                  for b, c in zip(runs["base"], runs["change"])]
         wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
@@ -112,10 +138,11 @@ def summarize(entry: dict, end_to_end: dict) -> None:
                           and sign * (change["median"] - base["median"]) > iqr),
         }
     entry["summary"] = summary
-    if gain:
-        entry["gain"] = gain
-    else:
-        entry.pop("gain", None)
+    for key, value in (("gain", gain), ("check", check)):
+        if value:
+            entry[key] = value
+        else:
+            entry.pop(key, None)
 
 
 def main(argv=None) -> int:
@@ -131,6 +158,7 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     commits = {"base": git("rev-parse", "--verify", args.base + "^{commit}"),
                "change": git("rev-parse", "HEAD")}
 
@@ -164,7 +192,7 @@ def main(argv=None) -> int:
                       + json.dumps(result["metrics"]), file=sys.stderr)
             entry["seeds"].append(seed)
             entry["first"].append(order[0])
-            summarize(entry, end_to_end)
+            summarize(entry, end_to_end, bounds)
             write()
         entry["trace"] = {side: run(roots[side], args.workload, entry["seeds"][0],
                                     seconds, 1)["metrics"]

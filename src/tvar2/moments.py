@@ -10,19 +10,20 @@ schedules are legitimate forecasting inputs).
 from __future__ import annotations
 
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .schedules import Schedule
 from .solution import general_solution
-from .xi import green_functions
+from .xi import green_functions, xi_stream
 
 DEFAULT_TOL = 1e-12
 DEFAULT_N_MAX = 10_000
-FIRST_BLOCK = 64   # terms in a series' first block; later blocks double it
 
 
 @dataclass(frozen=True)
@@ -92,13 +93,12 @@ def _tail_window(tol: float) -> int:
     return max(10, math.ceil(math.log(1.0 / tol)))
 
 
-def _truncated_sum(terms_to: Callable[[int], np.ndarray], tol: float,
+def _truncated_sum(terms: Iterable[float], tol: float,
                    n_max: int) -> tuple[float, int, float, bool]:
-    """Sum terms until the last window of them is negligible relative to a
-    finite partial sum, or n_max is hit, or a term is not finite.
+    """Sum terms one at a time until the last window of them is negligible
+    relative to a finite partial sum, or n_max is hit, or a term is not
+    finite; no term past the one that decides is read.
 
-    ``terms_to(n)`` gives the first n terms, read at depths doubling from
-    FIRST_BLOCK; each depth is tested as if adding one term at a time.
     Returns (value, n_used, tail_bound, converged); tail_bound is the sum of
     absolute values over the final window, an empirical residual indicator.
     """
@@ -107,60 +107,53 @@ def _truncated_sum(terms_to: Callable[[int], np.ndarray], tol: float,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     window = _tail_window(tol)
-    size = min(FIRST_BLOCK, n_max)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            terms = terms_to(size)
-            finite = np.isfinite(terms)
-            n = size if finite.all() else int(np.argmin(finite))
-            # totals[j]: the first j terms summed one at a time from 0.0
-            totals = np.cumsum(np.append(0.0, terms[:n]))
-            mags = np.abs(terms[:n])
-            if n >= window:
-                ends = totals[window:]
-                hits = np.flatnonzero(
-                    (sliding_window_view(mags, window).max(axis=1)
-                     < tol * np.maximum(1.0, np.abs(ends))) & np.isfinite(ends))
-                if len(hits):
-                    n = window + int(hits[0])
-                    return (float(totals[n]), n,
-                            float(sum(mags[n - window:n].tolist())), True)
-            if n < size:
-                return float(totals[n]), n, math.inf, False
-            if size == n_max:
-                return float(totals[n]), n, float(sum(mags[-window:].tolist())), False
-            size = min(2 * size, n_max)
+    recent = deque(maxlen=window)
+    total, n = 0.0, 0
+    for term in terms:
+        if not math.isfinite(term):
+            return total, n, math.inf, False
+        total += term
+        size = abs(term)
+        recent.append(size)
+        n += 1
+        bar = tol * max(1.0, abs(total))
+        # the window holds this term, so its maximum is under the bar only
+        # if this term is: most terms of a long series stop at the first test
+        if (size < bar and n >= window and math.isfinite(total)
+                and max(recent) < bar):
+            return total, n, float(sum(recent)), True
+        if n >= n_max:
+            break
+    return total, n, float(sum(recent)), False
 
 
-def _series(schedule: Schedule, t: int, terms_to, tol: float,
-            n_max: int) -> tuple[float, int, float, bool]:
-    """``_truncated_sum`` of terms whose i-th reads back to time t - i, no
-    deeper than the schedule's earliest time: a series that needs a term
-    past it raises what reading that term raises."""
-    reach = max(1, t - schedule.earliest + 1)
-    value, n, tail, converged = _truncated_sum(terms_to, tol, min(n_max, reach))
-    if n == reach < n_max and not converged:
-        terms_to(reach + 1)
-    return value, n, tail, converged
+def _column(schedule: Schedule, t: int, j: int) -> Iterator[float]:
+    """Coefficient column j (phi0, phi1, phi2, sigma2) at times t, t-1, ...,
+    down to the schedule's earliest time: only a value past it raises."""
+    for rows in schedule.walk_back(t, schedule.earliest):
+        yield from rows[:, j].tolist()
 
 
-def _covariance_terms(schedule: Schedule, t: int, k: int):
-    """terms_to for Cov(y_t, y_{t-k}): xi_{t,k+i} * xi_{t-k,i} * sigma2(t-k-i)."""
-    def terms_to(n: int) -> np.ndarray:
-        anchor = green_functions(schedule, t, k + n - 1).values[k:]
-        lagged = green_functions(schedule, t - k, n - 1).values if k else anchor
-        sigma2 = schedule.window(t - k - n + 1, t - k)[::-1, 3]
-        return anchor * lagged * sigma2
-    return terms_to
+def _mean_terms(schedule: Schedule, t: int) -> Iterator[float]:
+    """Terms of E(y_t): xi_{t,i} * phi0(t-i)."""
+    return map(operator.mul, xi_stream(schedule, t), _column(schedule, t, 0))
+
+
+def _covariance_terms(schedule: Schedule, t: int, k: int) -> Iterator[float]:
+    """Terms of Cov(y_t, y_{t-k}): xi_{t,k+i} * xi_{t-k,i} * sigma2(t-k-i)."""
+    anchor = islice(xi_stream(schedule, t), k, None)
+    sigma2 = _column(schedule, t - k, 3)
+    if not k:
+        return (x * x * s for x, s in zip(anchor, sigma2))
+    lagged = xi_stream(schedule, t - k)
+    return (a * b * s for a, b, s in zip(anchor, lagged, sigma2))
 
 
 def unconditional_mean(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
                        n_max: int = DEFAULT_N_MAX) -> MomentSummary:
     """Truncated series for E(y_t): sum of xi_{t,i} * phi0(t-i)."""
-    def terms_to(n: int) -> np.ndarray:
-        return (green_functions(schedule, t, n - 1).values
-                * schedule.window(t - n + 1, t)[::-1, 0])
-    value, n, tail, converged = _series(schedule, t, terms_to, tol, n_max)
+    value, n, tail, converged = _truncated_sum(_mean_terms(schedule, t), tol,
+                                               n_max)
     return MomentSummary(int(t), n, value, math.nan, tail, converged)
 
 
@@ -171,12 +164,11 @@ def unconditional_variance(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
 
     The summary also carries the mean, so ``second_moment`` is available.
     """
-    variance, n, tail, converged = _series(
-        schedule, t, _covariance_terms(schedule, t, 0), tol, n_max)
+    var = autocovariance(schedule, t, 0, tol, n_max)
     mean = unconditional_mean(schedule, t, tol, n_max)
-    return MomentSummary(int(t), max(n, mean.depth), mean.mean, variance,
-                         max(tail, mean.tail_bound),
-                         converged and mean.converged)
+    return MomentSummary(int(t), max(var.depth, mean.depth), mean.mean,
+                         var.value, max(var.tail_bound, mean.tail_bound),
+                         var.converged and mean.converged)
 
 
 def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
@@ -185,8 +177,8 @@ def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
     xi_{t,k+i} * xi_{t-k,i} * sigma2(t-k-i)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    value, n, tail, converged = _series(
-        schedule, t - k, _covariance_terms(schedule, t, k), tol, n_max)
+    value, n, tail, converged = _truncated_sum(
+        _covariance_terms(schedule, t, k), tol, n_max)
     return Autocovariance(int(t), int(k), n, value, tail, converged)
 
 
@@ -236,11 +228,9 @@ def assumption_a1_diagnostic(schedule: Schedule, t_window: Iterable[int],
     max_sq = 0.0
     max_inc = 0.0
     for t in t_window:
-        xis = green_functions(schedule, t, n).values
-        newest_first = schedule.window(t - n, t)[::-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            max_sq = max(max_sq, sum((xis * xis * newest_first[:, 3]).tolist()))
-            drift = (xis * newest_first[:, 0]).tolist()
+        max_sq = max(max_sq, sum(islice(_covariance_terms(schedule, t, 0),
+                                        n + 1)))
+        drift = list(islice(_mean_terms(schedule, t), n + 1))
         scale = max(1.0, abs(sum(drift)))
         max_inc = max(max_inc, max(abs(d) for d in drift[-window:]) / scale)
     return TailDiagnostic(max_sq, bool(max_sq < bound),

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_SIGMA2_BOUNDS = (1e-12, 1e12)
+# rows in a walk's first window: a smaller one makes short series pay for
+# more window calls; later windows double the depth read
+WALK_FIRST_ROWS = 32
 
 
 class ScheduleError(ValueError):
@@ -119,6 +122,18 @@ class Schedule:
             raise ScheduleError(
                 f"sigma2={value} at t={t} outside declared bounds ({lo}, {hi})")
         return rows
+
+    def walk_back(self, t: int, floor: float) -> Iterator[np.ndarray]:
+        """Windows of times t, t-1, ..., each newest first: 32 rows, then
+        as many as read so far, none reaching below ``floor``.  Past the
+        floor, each next window is the one time below it, so reading on
+        raises what reading that time raises."""
+        t = hi = int(t)
+        size = WALK_FIRST_ROWS
+        while True:
+            lo = max(hi - size + 1, min(floor, hi))
+            yield self.window(lo, hi)[::-1]
+            hi, size = lo - 1, t - lo + 1
 
     def at(self, t: int) -> CoefficientTuple:
         """Coefficients governing time t; deterministic in t."""

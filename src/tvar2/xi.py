@@ -3,9 +3,10 @@
 xi(schedule, t, k) is the determinant of the k x k tridiagonal matrix
 holding the lag coefficients from time t-k+1 up to t.  These determinants
 are the Green functions (moving-average weights) of the process anchored
-at time t.  ``green_functions``, the three-term recurrence over one
-coefficient window, is the one kernel every other result reads; a direct
-determinant of the assembled matrix is kept as a test-only oracle.
+at time t.  One generator runs their three-term recurrence, window by
+window back from the anchor; ``green_functions`` tables and ``xi_stream``
+streams are its values, and every other result reads one of them.  A
+direct determinant of the assembled matrix is kept as a test-only oracle.
 """
 
 from __future__ import annotations
@@ -49,33 +50,37 @@ class XiTable:
         return float(self.values[i])
 
 
+def _walk(schedule: Schedule, t: int, floor: float) -> Iterator[float]:
+    """xi_{t,0}, xi_{t,1}, ...: the one run of the first-row recurrence
+    xi_{t,i} = phi1(t-i+1) * xi_{t,i-1} + phi2(t-i+2) * xi_{t,i-2},
+    over ``Schedule.walk_back`` windows from t that stop at ``floor``;
+    xi_{t,i} reads back to time t-i+1, so only a value past it reads on."""
+    yield 1.0
+    prev2, prev, phi2 = 1.0, None, []
+    for rows in schedule.walk_back(t, floor):
+        phi1 = rows[:, 1].tolist()
+        phi2 = phi2[-1:] + rows[:, 2].tolist()
+        if prev is None:   # xi_{t,1} = phi1(t) exactly, a -0.0 included
+            prev = phi1.pop(0)
+            yield prev
+        for a, b in zip(phi1, phi2):
+            prev2, prev = prev, a * prev + b * prev2
+            yield prev
+
+
 def xi_stream(schedule: Schedule, t: int) -> Iterator[float]:
-    """Yield xi_{t,0}, xi_{t,1}, ... lazily for a fixed anchor t, from
-    ``green_functions`` tables of depth 8, 16, ... that stop at the
-    schedule's earliest time: only a value past it raises."""
-    taken, depth = 0, 8
-    while True:
-        k = max(min(depth, t - schedule.earliest + 1), taken)
-        values = green_functions(schedule, t, k).values
-        yield from values[taken:].tolist()
-        taken, depth = len(values), 2 * depth
+    """Yield xi_{t,0}, xi_{t,1}, ... lazily for a fixed anchor t, down to
+    the schedule's earliest time: only a value past it raises."""
+    return _walk(schedule, t, schedule.earliest)
 
 
 def green_functions(schedule: Schedule, t: int, k_max: int) -> XiTable:
-    """Table of xi_{t,0..k_max}: the Green functions anchored at time t.
-
-    Uses the first-row expansion of the determinant,
-    xi_{t,i} = phi1(t-i+1) * xi_{t,i-1} + phi2(t-i+2) * xi_{t,i-2},
-    over the coefficient window t-k_max+1 .. t.
-    """
+    """Table of xi_{t,0..k_max}: the Green functions anchored at time t,
+    read from the coefficient window t-k_max+1 .. t."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    newest_first = schedule.window(t - k_max + 1, t)[::-1]
-    phi1, phi2 = newest_first[:, 1].tolist(), newest_first[:, 2].tolist()
-    values = [1.0] + phi1[:1]
-    for a, b in zip(phi1[1:], phi2):
-        values.append(a * values[-1] + b * values[-2])
-    return XiTable(int(t), np.array(values))
+    return XiTable(int(t), np.fromiter(_walk(schedule, t, t - k_max + 1),
+                                       float, k_max + 1))
 
 
 def xi(schedule: Schedule, t: int, k: int) -> float:

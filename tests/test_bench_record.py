@@ -92,6 +92,45 @@ def test_sign_follows_the_better_direction(name, claimable):
     assert gain["claimable"] is claimable
 
 
+BOUNDS = {"requests_per_s": 0.24, "latency_p50_ms": 0.24}
+
+
+@pytest.mark.parametrize("name, base, change, state", [
+    # medians 10 and 7.5: 25 % worse, over the 24 % bound
+    ("requests_per_s", [10.0] * 3, [7.5] * 3, "worse"),
+    ("latency_p50_ms", [10.0] * 3, [12.5] * 3, "worse"),
+    # 20 % worse is inside the bound, and the base runs agree
+    ("requests_per_s", [10.0] * 3, [8.0] * 3, "ok"),
+    ("latency_p50_ms", [10.0] * 3, [8.0] * 3, "ok"),
+    # the base's quartiles 7.5 and 12.5 spread 50 % of its median 10
+    ("requests_per_s", [7.0, 8.0, 10.0, 12.0, 13.0], [9.0, 10.0, 11.0, 12.0, 14.0],
+     "unresolved"),
+    # ... unless every change run beats every base run
+    ("requests_per_s", [7.0, 8.0, 10.0, 12.0, 13.0], [13.5, 14.0, 15.0, 16.0, 17.0],
+     "ok"),
+    ("latency_p50_ms", [7.0, 8.0, 10.0, 12.0, 13.0], [5.0, 5.5, 6.0, 6.5, 6.9],
+     "ok"),
+    # a median worse beyond the bound is worse, however wide the spread
+    ("latency_p50_ms", [7.0, 8.0, 10.0, 12.0, 13.0], [13.0] * 5, "worse"),
+], ids=["higher-worse", "lower-worse", "higher-ok", "lower-ok", "unresolved",
+        "higher-every-run-better", "lower-every-run-better", "wide-and-worse"])
+def test_check_states_the_no_regression_rule(name, base, change, state):
+    entry = _entry(base, change, name)
+    record.summarize(entry, END_TO_END, BOUNDS)
+    assert entry["check"] == {name: {"state": state, "bound": 0.24}}
+    assert "gain" not in entry       # fewer than MIN_PAIRS pairs
+
+
+def test_check_is_kept_beside_the_gain_and_dropped_without_bounds():
+    base = [10.0 + 0.1 * i for i in range(10)]
+    entry = _entry(base, [b + 5.0 for b in base])
+    record.summarize(entry, END_TO_END, BOUNDS)
+    assert entry["check"]["requests_per_s"]["state"] == "ok"
+    assert entry["gain"]["requests_per_s"]["claimable"]
+    record.summarize(entry, END_TO_END)
+    assert "check" not in entry and "gain" in entry
+
+
 # a stand-in for perfbench/run.py: one metric, read from the tree it runs in
 FAKE_RUN = """import json
 with open("src/value.txt") as fh:

@@ -50,7 +50,8 @@ def test_layer_tracer_installs_counts_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert metrics["moments.series.calls"][0] == 2
     assert metrics["moments.series.terms"][0] > 0
-    assert metrics["xi.steps"][0] == 4
+    assert tracer.counters["xi.steps.none"] == 4
+    assert tracer.counters["xi.steps.moments"] == metrics["moments.series.terms"][0]
     assert metrics["schedules.at.calls"][0] == 1
     assert tracer.span_counts()["moments.forecast"] == 1
     assert (XI.xi_stream, tvar2.moments._truncated_sum,

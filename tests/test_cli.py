@@ -716,3 +716,16 @@ def test_verify_fails_a_decomposition_off_the_recurrence(tmp_path,
     code, text = _run(tmp_path, ["verify", "--config", cfg, "--t", "24"])
     assert code == 1
     assert text.splitlines()[-1] == "periodic-decomposition,fail"
+
+
+def test_verify_passes_a_decomposition_where_xi_cancels_to_tiny(tmp_path):
+    # xi_{80,80} is 9.1e-53, while the terms either method adds are bounded
+    # by the |phi1|, |phi2| recurrence, 3.6e-38: the two methods' relative
+    # deviation of 1.8e-9 is cancellation, not a wrong decomposition
+    seasons = "".join(f"    - {{phi0: 0.1, phi1: {0.02 * j - 0.4:.2f}, "
+                      "phi2: 0.05, sigma2: 1.0}\n" for j in range(40))
+    cfg = _write(tmp_path, "p40.yaml", PERIODIC.split("  seasons:")[0]
+                 + "  seasons:\n" + seasons)
+    code, text = _run(tmp_path, ["verify", "--config", cfg, "--t", "80"])
+    assert code == 0
+    assert text.splitlines()[-1] == "periodic-decomposition,pass"

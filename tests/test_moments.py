@@ -1,6 +1,6 @@
 import math
 import warnings
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -84,8 +84,8 @@ def test_series_and_recursion_autocovariances_agree(rng):
     (ConstantSchedule(0.0, 1.5, 0.0, 1.0), 40),        # explosive
 ], ids=["periodic", "near-unit-root", "explosive"])
 def test_autocovariance_carries_its_series_depth_and_tail(s, t):
-    n, tail = tvar2.moments._series(
-        s, t, tvar2.moments._covariance_terms(s, t, 0), DEFAULT_TOL, 10_000)[1:3]
+    n, tail = tvar2.moments._truncated_sum(
+        tvar2.moments._covariance_terms(s, t, 0), DEFAULT_TOL, 10_000)[1:3]
     cov = autocovariance(s, t, 0)
     assert (cov.depth, cov.tail_bound) == (n, tail)
     assert cov.depth <= unconditional_variance(s, t).depth
@@ -233,8 +233,7 @@ def test_overflowing_series_is_not_converged():
 def test_break_series_converges_inside_a_short_window():
     regimes = [(0.5, 0.3, 0.1, 1.0), (0.2, 0.2, -0.1, 2.0)]
     s = BreakSchedule(100, 40, [15], regimes)
-    # 41 times in the window: fewer than the first block of a series
-    assert 40 < tvar2.moments.FIRST_BLOCK
+    # 41 times in the window
     var = unconditional_variance(s, 100, tol=1e-6)
     want_var = _reference_cov(s, 100, 0, 1e-6, 10_000)
     want_mean = _reference_mean(s, 100, 1e-6, 10_000)
@@ -253,6 +252,23 @@ def test_break_series_converges_inside_a_short_window():
         "t=59 outside break-schedule window [60, 100]")
     with pytest.raises(ScheduleError, match="t=101 outside"):
         autocovariance(s, 101, 1, tol=1e-6)
+
+
+def test_one_autocovariance_reads_each_time_once_per_walk(monkeypatch):
+    # the anchor, lagged and sigma2 walks each read a time once: no table
+    # is rebuilt as the series deepens
+    s = ConstantSchedule(0.0, 1.0, -0.02, 1.0)
+    reads = Counter()
+    window = s.window
+
+    def counted(t_lo, t_hi):
+        reads.update(range(t_lo, t_hi + 1))
+        return window(t_lo, t_hi)
+
+    monkeypatch.setattr(s, "window", counted)
+    cov = autocovariance(s, 5000, 5)
+    assert cov.converged and cov.depth > 500
+    assert max(reads.values()) == 3
 
 
 def test_forecast_point_is_the_general_solution(rng):

@@ -1,7 +1,10 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from tvar2 import (BreakSchedule, ConstantSchedule, ScheduleError,
+from tvar2 import (BreakSchedule, ConstantSchedule, PeriodicSchedule,
+                   ScheduleError,
                    block_determinant_oracle, block_spec, constant_xi,
                    green_functions, xi, xi_determinant_oracle, xi_second,
                    xi_second_determinant_oracle, xi_stream)
@@ -76,6 +79,39 @@ def test_stream_stops_at_the_break_window_edge():
     assert head == green_functions(s, 50, 6).values.tolist()
     with pytest.raises(ScheduleError, match="t=44 outside break-schedule window"):
         next(stream)
+
+
+EDGE_DEPTHS = (31, 32, 33, 63, 64, 65, 1000)
+
+
+@pytest.mark.parametrize("kind", ["periodic", "generic", "breaks"])
+def test_stream_and_table_agree_bit_for_bit_across_window_edges(rng, kind):
+    t = 2000
+    if kind == "periodic":   # phi1(t) = -0.0: xi_{t,1} keeps its sign
+        s = PeriodicSchedule([(0.1, 0.5, 0.3, 1.0), (0.0, -0.4, 0.2, 1.5),
+                              (0.2, 0.7, -0.3, 0.8), (0.0, -0.0, 0.25, 1.2)])
+    elif kind == "generic":
+        s = random_schedule(rng, t - 1100, t, coeff_range=0.6)
+    else:   # runs up to the window edge at t - 1001
+        s = BreakSchedule(t, 1001, [31, 64, 500], [
+            (0.0, 0.5, 0.3, 1.0), (0.1, -0.4, 0.2, 1.0),
+            (0.0, 0.7, -0.3, 2.0), (0.2, 0.1, 0.25, 1.0)])
+    stream = xi_stream(s, t)
+    head = np.array(list(islice(stream, 1003 if kind == "breaks" else 1001)))
+    for k in EDGE_DEPTHS + ((1002,) if kind == "breaks" else ()):
+        assert green_functions(s, t, k).values.tobytes() == head[:k + 1].tobytes()
+    if kind == "periodic":
+        assert str(head[1]) == "-0.0"
+    if kind == "breaks":
+        with pytest.raises(ScheduleError, match="t=998 outside"):
+            next(stream)
+
+
+def test_depth_zero_table_reads_no_window(monkeypatch):
+    s = ConstantSchedule(0.0, 0.7, -0.1, 1.0)
+    monkeypatch.setattr(s, "window", lambda *args: pytest.fail("window read"))
+    assert green_functions(s, 5, 0).values.tolist() == [1.0]
+    assert next(xi_stream(s, 5)) == 1.0
 
 
 def test_second_solution_identity(rng):

@@ -10,7 +10,6 @@ schedules are legitimate forecasting inputs).
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -136,7 +135,7 @@ def _column(schedule: Schedule, t: int, j: int) -> Iterator[float]:
 
 def _mean_terms(schedule: Schedule, t: int) -> Iterator[float]:
     """Terms of E(y_t): xi_{t,i} * phi0(t-i)."""
-    return map(operator.mul, xi_stream(schedule, t), _column(schedule, t, 0))
+    return (x * p for x, p in zip(xi_stream(schedule, t), _column(schedule, t, 0)))
 
 
 def _covariance_terms(schedule: Schedule, t: int, k: int) -> Iterator[float]:

@@ -16,9 +16,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_SIGMA2_BOUNDS = (1e-12, 1e12)
-# rows in a walk's first window: a smaller one makes short series pay for
-# more window calls; later windows double the depth read
-WALK_FIRST_ROWS = 32
 
 
 class ScheduleError(ValueError):
@@ -129,7 +126,7 @@ class Schedule:
         floor, each next window is the one time below it, so reading on
         raises what reading that time raises."""
         t = hi = int(t)
-        size = WALK_FIRST_ROWS
+        size = 32   # a smaller first window costs short series more calls
         while True:
             lo = max(hi - size + 1, min(floor, hi))
             yield self.window(lo, hi)[::-1]

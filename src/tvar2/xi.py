@@ -53,8 +53,9 @@ class XiTable:
 def _walk(schedule: Schedule, t: int, floor: float) -> Iterator[float]:
     """xi_{t,0}, xi_{t,1}, ...: the one run of the first-row recurrence
     xi_{t,i} = phi1(t-i+1) * xi_{t,i-1} + phi2(t-i+2) * xi_{t,i-2},
-    over ``Schedule.walk_back`` windows from t that stop at ``floor``;
-    xi_{t,i} reads back to time t-i+1, so only a value past it reads on."""
+    over ``Schedule.walk_back`` windows from t that stop at ``floor``.
+    xi_{t,i} reads back to time t-i+1, so only a value that needs a time
+    below the floor reads one."""
     yield 1.0
     prev2, prev, phi2 = 1.0, None, []
     for rows in schedule.walk_back(t, floor):

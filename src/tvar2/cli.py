@@ -34,8 +34,9 @@ EXIT_CONFIG = 2
 FLOAT_FORMAT = "%.15g"
 BATCH_ROWS = 1024   # CSV rows formatted and written per out.write call
 
-# Output size caps, and SimulationConfig's MAX_PATH_STEPS: a request over
-# one is a config error (exit 2), before anything is computed or written.
+# Output size caps, and SimulationConfig's MAX_PATH_STEPS and MAX_BURN_IN: a
+# request over one is a config error (exit 2), before anything is computed
+# or written.
 MAX_DEPTH = 10**6          # green k + 1, forecast k, acf max_lag + 1 and nmax
 # |t|: every time a subcommand reads, simulated ones too, stays in int64
 MAX_ANCHOR = 2**62
@@ -51,6 +52,9 @@ _HELP = {
     "workers": "accepted (>= 1) but has no effect: each block of 256 paths "
                "draws one stream keyed by (seed, block), the blocks are drawn "
                "on one thread per usable core, and the recursion is serial",
+    "burn_in": "steps run from zero before the kept values, in [0, 10**6]; "
+               "a normal path draws its state after them from its exact "
+               "Gaussian law, a uniform path runs them",
     "innovations": "normal or uniform",
     "aggregate": "emit per-time mean/variance instead of raw paths",
     "matrices": "also print the stacked parameter matrices",

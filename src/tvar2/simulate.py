@@ -4,24 +4,29 @@ Random stream contract, version ``STREAM_VERSION``: path p belongs to the
 block b = p // SUB_BLOCK, and block b is one counter-based Philox stream
 keyed by (master seed, b), drawn time-major at full block width.  A path's
 values therefore depend on neither the ensemble size nor how paths are
-chunked.  Chunks hold whole blocks and are simulated in slabs of DRAW_ROWS
-time steps: each block continues its stream, scaled by sigma, into its own
-columns of a time-major (DRAW_ROWS + 2) x chunk array whose first two rows
-carry the last two steps of the slab before.  The blocks are shared out
-over LANES threads, one per usable core, since numpy releases the
-interpreter lock while it draws and multiplies; the threads belong to the
-``simulate_paths`` call and are joined before it returns.  The recursion
-then runs serially over the slab, in place, and only kept steps go out, so
-the bits depend on neither the slab height, the number of lanes nor
-``workers``, which has no effect.  Statistics are collected at fixed
-anchor times, never time-averaged: the moments are themselves functions
-of time.
+chunked.  With normal innovations the state x_B = (y_B, y_{B-1}) after
+the burn-in is exactly Gaussian, so no burn-in step is drawn: its mean m
+and covariance P are propagated over the burn-in coefficients, and the
+block's first two rows z give x_B = m + L z, L the lower Cholesky factor
+of P; the next ``length`` rows are the kept innovations.  Uniform
+innovations start from zero and draw every burn-in step, since their x_B
+is not Gaussian.  Chunks hold whole blocks and are simulated in slabs of
+DRAW_ROWS time steps: each block continues its stream, scaled by sigma,
+into its own columns of a time-major (DRAW_ROWS + 2) x chunk array whose
+first two rows carry the last two steps of the slab before (the start
+state, at the first slab).  The blocks are shared out over LANES threads,
+one per usable core, since numpy releases the interpreter lock while it
+draws and multiplies; the threads belong to the ``simulate_paths`` call
+and are joined before it returns.  The recursion then runs serially over
+the slab, in place, and only kept steps go out, so the bits depend on
+neither the slab height, the number of lanes nor ``workers``, which has
+no effect.  Statistics are collected at fixed anchor times, never
+time-averaged: the moments are themselves functions of time.
 
 Ensembles are read-only.  The last one simulated is remembered by a weak
 reference, so ``empirical_forecast_error`` on an equal config reuses it
 while its caller still holds it, instead of simulating it again.
 """
-
 from __future__ import annotations
 
 import math
@@ -39,14 +44,18 @@ CHUNK_TARGET = 20_000   # paths per chunk; bounds the width of a slab
 SUB_BLOCK = 256         # paths per random stream; chunks hold whole blocks
 DRAW_ROWS = 128         # time steps per slab; bounds its height
 # cap on the values an ensemble draws: paths rounded up to whole SUB_BLOCK
-# blocks, since every block is drawn at full width, times (burn_in + length)
+# blocks, since every block is drawn at full width, times the rows each
+# block draws, 2 + length (normal) or burn_in + length (uniform)
 MAX_PATH_STEPS = 10**8
+# cap on burn_in, the CLI's MAX_DEPTH: a normal ensemble walks its burn-in
+# coefficients once in Python to find the law of its start state
+MAX_BURN_IN = 10**6
 # lanes that draw a chunk's blocks at once: one per core this process may use
 LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 # the version of the stream contract above; any change to the simulated
 # bits (and so to a pinned ensemble digest) must bump it
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 # (config, weak reference to its ensemble) of the last simulate_paths call;
 # the weak reference keeps no ensemble alive after its caller drops it
@@ -57,10 +66,12 @@ _last_ensemble = (None, None)
 class SimulationConfig:
     """Everything that determines an ensemble.
 
-    Paths iterate the recursion from zero initial conditions, discard
-    ``burn_in`` values and keep the final ``length`` values ending at
-    ``t_end``.  ``innovations`` is "normal" or "uniform" (scaled to unit
-    variance either way, then by sigma_t).
+    Each path is the recursion run ``burn_in`` steps from zero initial
+    conditions, then the final ``length`` values ending at ``t_end``, which
+    are kept.  ``innovations`` is "normal" or "uniform" (scaled to unit
+    variance either way, then by sigma_t).  A normal path draws its state
+    after the burn-in from that state's exact Gaussian law instead of
+    running the burn-in steps; a uniform path runs them.
     """
 
     schedule: Schedule
@@ -77,8 +88,9 @@ class SimulationConfig:
             raise ValueError("n_paths must be >= 1")
         if self.length < 1:
             raise ValueError("length must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        if not 0 <= self.burn_in <= MAX_BURN_IN:
+            raise ValueError(f"burn_in must be in [0, {MAX_BURN_IN}] "
+                             f"(got {self.burn_in})")
         if not -2**63 <= self.t_end - self.length + 1 <= self.t_end < 2**63:
             raise ValueError("t_end must keep the kept times t_end - length "
                              f"+ 1 .. t_end in int64 (got {self.t_end})")
@@ -88,11 +100,14 @@ class SimulationConfig:
             raise ValueError(f"unknown innovation family {self.innovations!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        steps = self.burn_in + self.length     # drawn per path
+        # rows drawn per block: a normal block draws its start state from
+        # two rows, a uniform one every burn-in step
+        normal = self.innovations == "normal"
+        steps = (2 if normal else self.burn_in) + self.length
         if -(-self.n_paths // SUB_BLOCK) * SUB_BLOCK * steps > MAX_PATH_STEPS:
             raise ValueError(f"n_paths, rounded up to a multiple of {SUB_BLOCK}"
-                             f", times (burn_in + length) must be <= "
-                             f"{MAX_PATH_STEPS}")
+                             f", times ({'2' if normal else 'burn_in'} + "
+                             f"length) must be <= {MAX_PATH_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -154,21 +169,62 @@ def _draw_lane(config: SimulationConfig, streams: list, sigma: np.ndarray,
         np.multiply(rows[:, :width], sigma, out=y[2:2 + len(rows), b:b + width])
 
 
+def _propagate(coeffs: np.ndarray, mean=(0.0, 0.0), cov=(0.0, 0.0, 0.0)):
+    """The law of the state x_s = (y_s, y_{s-1}) after the coefficient rows
+    ``coeffs`` (oldest first), from a state of mean ``mean`` and covariance
+    ``cov`` = (P00, P01, P11): m_s = A_s m_{s-1} + (phi0, 0) and
+    P_s = A_s P_{s-1} A_s^T + diag(sigma2, 0), A_s = [[phi1, phi2], [1, 0]].
+    The rows are read DRAW_ROWS at a time, never as one list.  Python
+    floats overflow to inf and nan without a warning."""
+    (m0, m1), (p00, p01, p11) = mean, cov
+    for j0 in range(0, len(coeffs), DRAW_ROWS):
+        for phi0, phi1, phi2, sigma2 in coeffs[j0:j0 + DRAW_ROWS].tolist():
+            a = phi1 * p00 + phi2 * p01     # (A P)[0, 0]
+            b = phi1 * p01 + phi2 * p11     # (A P)[0, 1]
+            p00, p01, p11 = (a * phi1 + b * phi2) + sigma2, a, p00
+            m0, m1 = (phi0 + phi1 * m0) + phi2 * m1, m0
+    return (m0, m1), (p00, p01, p11)
+
+
+def _start_law(burn: np.ndarray):
+    """(m, L) of the state after the burn-in rows ``burn`` from zero: its
+    mean and the lower Cholesky factor (L00, L10, L11) of its covariance,
+    each diagonal entry's square clamped at 0, so a singular P (no or one
+    burn-in step) gives no nan.  An overflowed P gives a non-finite L."""
+    mean, (p00, p01, p11) = _propagate(burn)
+    l00 = math.sqrt(p00) if not p00 < 0.0 else 0.0
+    l10 = p01 / l00 if l00 else 0.0
+    d = p11 - l10 * l10
+    return mean, (l00, l10, math.sqrt(d) if not d < 0.0 else 0.0)
+
+
 def _simulate_chunk(config: SimulationConfig, first_path: int,
-                    coeffs: np.ndarray, out: np.ndarray, pool) -> None:
-    """Simulate paths first_path .. first_path + len(out) - 1 into ``out``,
-    given the coefficient window ``coeffs``, drawing lanes 1.. on ``pool``;
-    first_path is a multiple of SUB_BLOCK."""
+                    coeffs: np.ndarray, start, out: np.ndarray, pool) -> None:
+    """Simulate paths first_path .. first_path + len(out) - 1 into ``out``
+    over the coefficient rows ``coeffs``, whose last len(out[0]) are kept,
+    drawing lanes 1.. on ``pool``; first_path is a multiple of SUB_BLOCK.
+    ``start`` is None for a zero start, or the (m, L) of ``_start_law``:
+    each block then draws z from its first two rows, and x = m + L z."""
     n_paths = len(out)
-    total = config.burn_in + config.length
+    total = len(coeffs)
+    skip = total - config.length       # burn-in steps the kernel runs
     sigma = np.sqrt(coeffs[:, 3])[:, None]
     streams = [np.random.Generator(np.random.Philox(
         key=[config.seed, (first_path + b) // SUB_BLOCK]))
         for b in range(0, n_paths, SUB_BLOCK)]
     # the slab of steps j0 .. j0 + height - 1: y[i + 2] holds step j0 + i,
-    # rows 0 and 1 the two steps before j0 (the zero initial conditions)
+    # rows 0 and 1 the two steps before j0 (at j0 = 0, the start state)
     height = min(DRAW_ROWS, total)
     y = np.zeros((height + 2, n_paths))
+    if start is not None:
+        (m0, m1), (l00, l10, l11) = start
+        z = np.empty((len(streams), 2, SUB_BLOCK))
+        for rng, rows in zip(streams, z):
+            rng.standard_normal(out=rows)
+        z0, z1 = (z[:, i].reshape(-1)[:n_paths] for i in (0, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            y[1] = m0 + l00 * z0                     # y_B
+            y[0] = (m1 + l10 * z0) + l11 * z1        # y_{B-1}
     # the calling thread draws lane 0 and the pool the others; every lane
     # writes only its own blocks' columns, so the bits do not depend on
     # the number of lanes
@@ -195,10 +251,9 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
                 np.multiply(phi2, y[i], out=tmp)
                 np.add(acc, tmp, out=acc)
                 np.add(acc, y[i + 2], out=y[i + 2])
-        kept = max(j0, config.burn_in)    # the slab's first kept step
+        kept = max(j0, skip)    # the slab's first kept step
         if kept < j0 + n:
-            out[:, kept - config.burn_in:j0 + n - config.burn_in] = \
-                y[2 + kept - j0:2 + n].T
+            out[:, kept - skip:j0 + n - skip] = y[2 + kept - j0:2 + n].T
         y[:2] = y[n:n + 2]
 
 
@@ -208,16 +263,19 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     and returns a new ensemble."""
     from concurrent.futures import ThreadPoolExecutor
     global _last_ensemble
-    total = config.burn_in + config.length
-    t_first = config.t_end - total + 1
-    coeffs = config.schedule.window(t_first, config.t_end)
+    coeffs = config.schedule.window(
+        config.t_end - config.length - config.burn_in + 1, config.t_end)
+    start = None
+    if config.innovations == "normal":
+        start = _start_law(coeffs[:config.burn_in])
+        coeffs = coeffs[config.burn_in:]
     values = np.empty((config.n_paths, config.length))
     chunk = max(1, CHUNK_TARGET // SUB_BLOCK) * SUB_BLOCK
     with ThreadPoolExecutor(max(1, LANES - 1),
                             thread_name_prefix="tvar2-draw") as pool:
         for first in range(0, config.n_paths, chunk):
-            _simulate_chunk(config, first, coeffs, values[first:first + chunk],
-                            pool)
+            _simulate_chunk(config, first, coeffs, start,
+                            values[first:first + chunk], pool)
     times = np.arange(config.t_end - config.length + 1, config.t_end + 1,
                       dtype=np.int64)
     values.flags.writeable = False

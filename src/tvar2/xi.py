@@ -69,10 +69,13 @@ def _walk(schedule: Schedule, t: int, floor: float) -> Iterator[float]:
             yield prev
 
 
-def xi_stream(schedule: Schedule, t: int) -> Iterator[float]:
-    """Yield xi_{t,0}, xi_{t,1}, ... lazily for a fixed anchor t, down to
-    the schedule's earliest time: only a value past it raises."""
-    return _walk(schedule, t, schedule.earliest)
+def xi_stream(schedule: Schedule, t: int,
+              floor: float | None = None) -> Iterator[float]:
+    """Yield xi_{t,0}, xi_{t,1}, ... lazily for a fixed anchor t, reading
+    coefficient windows down to ``floor`` (default the schedule's earliest
+    time): only a value past it reads one time at a time, and past the
+    schedule's earliest time raises."""
+    return _walk(schedule, t, schedule.earliest if floor is None else floor)
 
 
 def green_functions(schedule: Schedule, t: int, k_max: int) -> XiTable:
@@ -80,7 +83,7 @@ def green_functions(schedule: Schedule, t: int, k_max: int) -> XiTable:
     read from the coefficient window t-k_max+1 .. t."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    return XiTable(int(t), np.fromiter(_walk(schedule, t, t - k_max + 1),
+    return XiTable(int(t), np.fromiter(xi_stream(schedule, t, t - k_max + 1),
                                        float, k_max + 1))
 
 

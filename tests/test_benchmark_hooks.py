@@ -56,3 +56,21 @@ def test_layer_tracer_installs_counts_and_uninstalls(monkeypatch):
     assert tracer.span_counts()["moments.forecast"] == 1
     assert (XI.xi_stream, tvar2.moments._truncated_sum,
             tvar2.schedules.Schedule.at, tvar2.cli.forecast) == originals
+
+
+def test_layer_tracer_counts_the_steps_of_a_green_table(monkeypatch):
+    # green_functions reads xi_stream through its module global, so the
+    # tracer's wrapper counts its steps in the xi layer
+    monkeypatch.syspath_prepend(PERFBENCH)
+    layertrace = importlib.import_module("layertrace")
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        s = tvar2.PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5)])
+        table = tvar2.green_functions(s, 41, 30)
+        metrics = layertrace.layer_metrics(tracer, 0, 0, 0)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["xi.steps.xi"] == table.depth + 1 == 31
+    assert metrics["xi.ns_per_step"][0] > 0

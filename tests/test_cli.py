@@ -302,7 +302,7 @@ def _not_called(*args, **kwargs):
     ["forecast", "--t", "5", "--k", "{depth_over}"],
     ["acf", "--t", "5", "--max-lag", "{depth}"],
     ["acf", "--t", "5", "--nmax", "{depth_over}"],
-    # one path draws a block of 256: 256 * (steps + 1), over 256 times the cap
+    # burn_in = path-step cap, over the burn-in cap of 10**6
     ["simulate", "--t", "5", "--paths", "1", "--burn-in", "{steps}",
      "--length", "1"],
     # n * period = 17 * 4 > oracle cap 64
@@ -328,15 +328,35 @@ def test_over_cap_request_exits_2_before_computing(tmp_path, monkeypatch, argv):
 
 
 def test_path_step_cap_counts_whole_blocks(tmp_path, monkeypatch):
-    # one path draws a full block of SUB_BLOCK: 256 * 390 626 > 10**8
+    # one uniform path draws a full block of SUB_BLOCK: 256 * 390 626 > 10**8
     monkeypatch.setattr(cli, "simulate_paths", _not_called)
     cfg = _write(tmp_path, "c.yaml", PERIODIC)
     out = tmp_path / "out.csv"
     code = cli.main(["simulate", "--config", cfg, "--out", str(out), "--t",
                      "5", "--paths", "1", "--burn-in", "390625",
-                     "--length", "1"])
+                     "--length", "1", "--innovations", "uniform"])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--burn-in", "1000001", "--length", "1"], "burn_in"),
+    (["--burn-in", "1000001", "--length", "1", "--innovations", "uniform"],
+     "burn_in"),
+    # a normal block draws 2 + length rows: 256 * (2 + 390 624) > 10**8
+    (["--burn-in", "0", "--length", "390624"], "(2 + length)"),
+], ids=["burn-in-normal", "burn-in-uniform", "normal-start-rows"])
+def test_over_cap_simulate_exits_2_before_computing(tmp_path, monkeypatch,
+                                                    capsys, argv, message):
+    monkeypatch.setattr(cli, "simulate_paths", _not_called)
+    assert tvar2.simulate.MAX_BURN_IN == cli.MAX_DEPTH
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    out = tmp_path / "out.csv"
+    code = cli.main(["simulate", "--config", cfg, "--out", str(out), "--t",
+                     "500000", "--paths", "1"] + argv)
+    assert code == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -499,10 +519,10 @@ README_DIGESTS = [
     (["acf", "--t", "10", "--max-lag", "4"],
      "5c82096836d734b50cbd532c6db3712758b4890cf990e0f3430f1a39911ddc16"),
     (["simulate", "--t", "40", "--paths", "200", "--seed", "7", "--aggregate"],
-     "62dfa4ac02a49818a296b203769ee062d47b6f65dc2128869729c0199e78e5c1"),
+     "cd652db6b98df5c47ed190f612870dbb0e22a7c4db2ec91bdc8a917d783a3742"),
     (["simulate", "--t", "40", "--length", "3", "--paths", "20", "--burn-in",
       "50", "--seed", "7"],
-     "42b1cd945c1646d0ff1ceb5435d62eb9a509d279da9d7eab0101624988c7c7eb"),
+     "c5a13628cd986bdb4a6d3361d0dca8e901a144db700563223a521642c2bc8e4f"),
     (["stationarity", "--matrices"],
      "6d3395fd844f893db8fb30902c6081c62e1a0b7e6279a8f3f490fbd61e2929b6"),
     (["decompose-verify", "--n", "3", "--t", "12"],

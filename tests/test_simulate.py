@@ -47,8 +47,10 @@ def test_config_validation():
     (25_000, 4_000, 4),
 ])
 def test_over_cap_ensemble_is_rejected(n_paths, burn_in, length):
+    # a uniform block draws every burn-in step
     with pytest.raises(ValueError, match="paths"):
-        _config(n_paths=n_paths, burn_in=burn_in, length=length)
+        _config(n_paths=n_paths, burn_in=burn_in, length=length,
+                innovations="uniform")
 
 
 @pytest.mark.parametrize("n_paths, burn_in, length", [
@@ -56,9 +58,26 @@ def test_over_cap_ensemble_is_rejected(n_paths, burn_in, length):
     (1, 390_624, 1), (256, 390_624, 1),    # 256 * 390 625 = MAX_PATH_STEPS
 ])
 def test_ensemble_at_or_under_the_cap_is_accepted(n_paths, burn_in, length):
-    assert _config(n_paths=n_paths, burn_in=burn_in,
-                   length=length).n_paths == n_paths
+    assert _config(n_paths=n_paths, burn_in=burn_in, length=length,
+                   innovations="uniform").n_paths == n_paths
     assert sim.MAX_PATH_STEPS == 10**8
+
+
+@pytest.mark.parametrize("burn_in", [0, 500, 10**6])
+def test_normal_cap_counts_two_start_rows_whatever_the_burn_in(burn_in):
+    # a normal block draws 2 + length rows: 256 * (2 + 390 623) = the cap
+    assert _config(n_paths=1, burn_in=burn_in, length=390_623).length
+    with pytest.raises(ValueError, match=r"paths.*\(2 \+ length\)"):
+        _config(n_paths=1, burn_in=burn_in, length=390_624)
+
+
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+def test_burn_in_over_its_cap_is_rejected(innovations):
+    assert sim.MAX_BURN_IN == 10**6
+    with pytest.raises(ValueError, match="burn_in"):
+        _config(n_paths=1, burn_in=sim.MAX_BURN_IN + 1, length=1,
+                innovations=innovations)
+    assert _config(n_paths=1, burn_in=sim.MAX_BURN_IN, length=1).burn_in
 
 
 @pytest.mark.parametrize("seed", [-1, -2**63, 2**63, 2**64])
@@ -115,35 +134,56 @@ def test_worker_count_does_not_change_results():
 
 
 def _reference_paths(config):
-    """The stream contract (version 2), spelled out: one
+    """The stream contract (version 3), spelled out: one
     Generator(Philox(key=[seed, b])) per block b of SUB_BLOCK paths, drawn
-    as one full-width time-major array (uniform draws u mapped to
-    u * 2 sqrt(3) - sqrt(3)), sigma scaling, then the path-major recursion
-    ((phi0 + phi1*y1) + phi2*y2) + eps from zero initial conditions."""
-    total = config.burn_in + config.length
-    tuples = [config.schedule.at(t)
-              for t in range(config.t_end - total + 1, config.t_end + 1)]
+    as one full-width time-major array, then the path-major recursion
+    ((phi0 + phi1*y1) + phi2*y2) + sigma*eps.  Uniform blocks draw every
+    burn-in step (u mapped to u * 2 sqrt(3) - sqrt(3)) and start from zero.
+    Normal blocks draw two rows z, then the kept steps only, and start from
+    x_B = m + L z: the burn-in state's mean and clamped Cholesky factor,
+    propagated step by step from m = 0, P = 0."""
+    times = range(config.t_end - config.length - config.burn_in + 1,
+                  config.t_end + 1)
+    tuples = [config.schedule.at(t) for t in times]
+    normal = config.innovations == "normal"
+    m0 = m1 = p00 = p01 = p11 = 0.0
+    if normal:
+        for tup in tuples[:config.burn_in]:
+            a = tup.phi1 * p00 + tup.phi2 * p01
+            b = tup.phi1 * p01 + tup.phi2 * p11
+            p00, p01, p11 = (a * tup.phi1 + b * tup.phi2) + tup.sigma2, a, p00
+            m0, m1 = (tup.phi0 + tup.phi1 * m0) + tup.phi2 * m1, m0
+        tuples = tuples[config.burn_in:]
+    l00 = math.sqrt(max(p00, 0.0))
+    l10 = p01 / l00 if l00 else 0.0
+    l11 = math.sqrt(max(p11 - l10 * l10, 0.0))
     sigma = np.sqrt(np.array([tup.sigma2 for tup in tuples]))
     coeffs = np.array([(tup.phi0, tup.phi1, tup.phi2) for tup in tuples])
     root3 = math.sqrt(3.0)
-    blocks = []
+    blocks, starts = [], []
     for b in range(-(-config.n_paths // sim.SUB_BLOCK)):
         rng = np.random.Generator(np.random.Philox(key=[config.seed, b]))
-        if config.innovations == "uniform":
-            draw = rng.random((total, sim.SUB_BLOCK)) * (2.0 * root3) - root3
+        if normal:
+            starts.append(rng.standard_normal((2, sim.SUB_BLOCK)))
+            draw = rng.standard_normal((len(tuples), sim.SUB_BLOCK))
         else:
-            draw = rng.standard_normal((total, sim.SUB_BLOCK))
+            draw = rng.random((len(tuples), sim.SUB_BLOCK)) * (2.0 * root3) - root3
         blocks.append(draw)
     eps = np.hstack(blocks)[:, :config.n_paths].T * sigma
     y_prev = np.zeros(config.n_paths)
     y_prev2 = np.zeros(config.n_paths)
+    if normal:
+        z0, z1 = np.hstack(starts)[:, :config.n_paths]
+        y_prev = m0 + l00 * z0
+        y_prev2 = (m1 + l10 * z0) + l11 * z1
     out = np.empty((config.n_paths, config.length))
-    for j in range(total):
+    skip = len(tuples) - config.length
+    for j in range(len(tuples)):
         phi0, phi1, phi2 = coeffs[j]
         y = phi0 + phi1 * y_prev + phi2 * y_prev2 + eps[:, j]
         y_prev2, y_prev = y_prev, y
-        if j >= config.burn_in:
-            out[:, j - config.burn_in] = y
+        if j >= skip:
+            out[:, j - skip] = y
     return out
 
 
@@ -181,10 +221,93 @@ def test_slab_edges_match_per_path_reference(monkeypatch, innovations, lanes,
     assert np.array_equal(simulate_paths(cfg).values, _reference_paths(cfg))
 
 
-# sha256 of the float64 bytes, recorded with stream contract version 2
+@pytest.mark.parametrize("schedule", [STABLE, SEASONS], ids=["constant",
+                                                               "periodic"])
+@pytest.mark.parametrize("burn_in", [1, 2, 3, 50, 300])
+def test_start_law_is_the_zero_start_forecast(schedule, burn_in):
+    # x_B after B steps from zero is the B-step forecast from (0, 0): its
+    # mean is the point, and P_B[0, 0] the mean square error, sum of
+    # xi^2 sigma2 over the Green functions
+    t = 57
+    (m0, m1), (p00, p01, p11) = sim._propagate(
+        schedule.window(t - burn_in + 1, t))
+    now = forecast(schedule, t, burn_in, (0.0, 0.0))
+    assert m0 == pytest.approx(now.point, rel=1e-13)
+    assert p00 == pytest.approx(now.mse, rel=1e-13)
+    if burn_in >= 2:
+        before = forecast(schedule, t - 1, burn_in - 1, (0.0, 0.0))
+        assert m1 == pytest.approx(before.point, rel=1e-13)
+        assert p11 == pytest.approx(before.mse, rel=1e-13)
+
+
+def test_start_law_near_the_unit_root_is_the_stationary_variance():
+    # roots 0.980 and 0.020: the zero start is forgotten as 0.980^(2B),
+    # 1.1e-9 of the variance at B = 500 and 2e-18 at B = 1000
+    near = ConstantSchedule(0.01, 1.0, -0.02, 1.0)
+    var = unconditional_variance(near, 1000).variance
+    for burn_in, rel in ((500, 2e-9), (1000, 1e-11)):
+        _, (p00, _, _) = sim._propagate(near.window(1001 - burn_in, 1000))
+        assert p00 == pytest.approx(var, rel=rel)
+
+
+def test_start_law_without_burn_in_is_a_zero_start():
+    assert sim._start_law(SEASONS.window(1, 0)) == ((0.0, 0.0),
+                                                    (0.0, 0.0, 0.0))
+
+
+def test_start_law_after_one_step_is_rank_one():
+    # P_1 = diag(sigma2, 0): the factor's lower-right entry is 0, not nan
+    row = SEASONS.window(3, 3)
+    (m0, m1), (l00, l10, l11) = sim._start_law(row)
+    assert (m0, m1) == (row[0, 0], 0.0)
+    assert (l00, l10, l11) == (math.sqrt(row[0, 3]), 0.0, 0.0)
+    ens = simulate_paths(_config(schedule=SEASONS, n_paths=300, burn_in=1))
+    assert ens.nonfinite_paths == 0
+
+
+@pytest.mark.parametrize("phi1, phi2", [(2.5, 0.3), (3.0, -1.5)],
+                         ids=["P-overflows-to-inf", "P-overflows-to-nan"])
+def test_overflowed_start_law_flags_every_path(phi1, phi2):
+    explosive = ConstantSchedule(0.0, phi1, phi2, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = sim._start_law(explosive.window(1, 900))
+        ensemble = simulate_paths(SimulationConfig(explosive, 300, 1000, 3,
+                                                   seed=1, burn_in=900))
+    assert not all(map(math.isfinite, law[1]))
+    assert ensemble.nonfinite_paths == 300
+
+
+@pytest.mark.parametrize("burn_in", [0, 1, 50, 1000])
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+def test_block_draws_two_start_rows_or_its_burn_in(monkeypatch, innovations,
+                                                   burn_in):
+    # each block's bit generator ends where a fresh one ends after drawing
+    # 2 + length rows (normal) or burn_in + length rows (uniform): both
+    # go on to give the same raw words
+    made, real = [], np.random.Philox
+    monkeypatch.setattr(np.random, "Philox",
+                        lambda key: made.append((key, real(key=key)))
+                        or made[-1][1])
+    cfg = _config(schedule=SEASONS, n_paths=300, burn_in=burn_in, length=8,
+                  innovations=innovations)
+    simulate_paths(cfg)
+    assert [key for key, _ in made] == [[cfg.seed, 0], [cfg.seed, 1]]
+    for key, bit_generator in made:
+        fresh = np.random.Generator(real(key=key))
+        if innovations == "normal":
+            fresh.standard_normal((2 + cfg.length, sim.SUB_BLOCK))
+        else:
+            fresh.random((burn_in + cfg.length, sim.SUB_BLOCK))
+        assert np.array_equal(bit_generator.random_raw(8),
+                              fresh.bit_generator.random_raw(8))
+
+
+# sha256 of the float64 bytes: uniform recorded with stream contract
+# version 2 and unchanged in version 3, normal recorded with version 3
 PINNED_DIGESTS = {
     "normal":
-        "15e458281d65aca849287d24b2689ddbd82d7a6b85b98f0188c0abce388f38f2",
+        "8de1ed450b631c4455f2e054429cbb884fbe2203b4527df73251a5578c16f691",
     "uniform":
         "b487a8ceb9724b50f77abc47dde6f4d180d5c0b91eb7f97106b7dde85e11a470",
 }
@@ -362,7 +485,7 @@ def test_stream_version():
     # PINNED_DIGESTS and the simulate README digests in test_cli.py pin
     # this version of the stream contract: any change to those digests
     # requires bumping STREAM_VERSION
-    assert sim.STREAM_VERSION == 2
+    assert sim.STREAM_VERSION == 3
 
 
 def test_pure_noise_limit():

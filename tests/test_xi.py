@@ -81,6 +81,18 @@ def test_stream_stops_at_the_break_window_edge():
         next(stream)
 
 
+def test_stream_floor_moves_no_bit_and_still_reads_past_it():
+    # a floor only shapes the windows: past it, one time at a time, down to
+    # the schedule's earliest time
+    s = BreakSchedule(50, 40, [7], [(0, 0.5, 0.1, 1), (0, 0.2, -0.1, 1)])
+    # xi_{50,i} reads back to time 51 - i: i = 41 reaches the edge at 10
+    whole = list(islice(xi_stream(s, 50), 42))
+    floored = xi_stream(s, 50, 45)
+    assert list(islice(floored, 42)) == whole
+    with pytest.raises(ScheduleError, match="t=9 outside"):
+        next(floored)
+
+
 EDGE_DEPTHS = (31, 32, 33, 63, 64, 65, 1000)
 
 

@@ -169,14 +169,14 @@ def _draw_lane(config: SimulationConfig, streams: list, sigma: np.ndarray,
         np.multiply(rows[:, :width], sigma, out=y[2:2 + len(rows), b:b + width])
 
 
-def _propagate(coeffs: np.ndarray, mean=(0.0, 0.0), cov=(0.0, 0.0, 0.0)):
-    """The law of the state x_s = (y_s, y_{s-1}) after the coefficient rows
-    ``coeffs`` (oldest first), from a state of mean ``mean`` and covariance
-    ``cov`` = (P00, P01, P11): m_s = A_s m_{s-1} + (phi0, 0) and
+def _propagate(coeffs: np.ndarray):
+    """Mean (m0, m1) and covariance (P00, P01, P11) of the state
+    x_s = (y_s, y_{s-1}) after the coefficient rows ``coeffs`` (oldest
+    first) from zero: m_s = A_s m_{s-1} + (phi0, 0) and
     P_s = A_s P_{s-1} A_s^T + diag(sigma2, 0), A_s = [[phi1, phi2], [1, 0]].
     The rows are read DRAW_ROWS at a time, never as one list.  Python
     floats overflow to inf and nan without a warning."""
-    (m0, m1), (p00, p01, p11) = mean, cov
+    m0 = m1 = p00 = p01 = p11 = 0.0
     for j0 in range(0, len(coeffs), DRAW_ROWS):
         for phi0, phi1, phi2, sigma2 in coeffs[j0:j0 + DRAW_ROWS].tolist():
             a = phi1 * p00 + phi2 * p01     # (A P)[0, 0]

@@ -27,6 +27,7 @@ Ensembles are read-only.  The last one simulated is remembered by a weak
 reference, so ``empirical_forecast_error`` on an equal config reuses it
 while its caller still holds it, instead of simulating it again.
 """
+
 from __future__ import annotations
 
 import math
@@ -201,9 +202,9 @@ def _start_law(burn: np.ndarray):
 def _simulate_chunk(config: SimulationConfig, first_path: int,
                     coeffs: np.ndarray, start, out: np.ndarray, pool) -> None:
     """Simulate paths first_path .. first_path + len(out) - 1 into ``out``
-    over the coefficient rows ``coeffs``, whose last len(out[0]) are kept,
-    drawing lanes 1.. on ``pool``; first_path is a multiple of SUB_BLOCK.
-    ``start`` is None for a zero start, or the (m, L) of ``_start_law``:
+    over the coefficient rows ``coeffs``, keeping the last ``config.length``
+    steps and drawing lanes 1.. on ``pool``; first_path is a multiple of
+    SUB_BLOCK.  ``start`` is None for a zero start, or the (m, L) of ``_start_law``:
     each block then draws z from its first two rows, and x = m + L z."""
     n_paths = len(out)
     total = len(coeffs)

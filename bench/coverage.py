@@ -6,13 +6,13 @@ Usage, from the root of a checkout:
 
 It runs pytest in this process (by default the tier-1 suite, `-q
 --continue-on-collection-errors`, on tests/) with a line tracer
-installed through sys.settrace and threading.settrace, so the draw
-threads that simulate_paths starts are traced too; code run in child
-processes is not.  It then prints `path:line` for every line of a
-src/tvar2 module that holds an instruction of some code object of that
-module and raised no trace event, and exits with pytest's exit status.
-pytest's own report goes to standard error, so standard output holds the
-list alone.  Only the standard library is used.  Tracing slows the suite
+installed through sys.settrace and threading.settrace, so code that a
+test runs on a thread of its own (the concurrent-caller tests) is traced
+too; code run in child processes is not.  It then prints `path:line` for
+every line of a src/tvar2 module that holds an instruction of some code
+object of that module and raised no trace event, and exits with
+pytest's exit status.  pytest's own report goes to standard error, so
+standard output holds the list alone.  Only the standard library is used.  Tracing slows the suite
 down about twofold.
 """
 

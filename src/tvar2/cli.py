@@ -50,8 +50,8 @@ _HELP = {
     "nmax": "series truncation cap",
     "seed": "master seed, in [0, 2**63)",
     "workers": "accepted (>= 1) but has no effect: each block of 256 paths "
-               "draws one stream keyed by (seed, block), the blocks are drawn "
-               "on one thread per usable core, and the recursion is serial",
+               "draws one stream keyed by (seed, block), so the paths do not "
+               "depend on how the work is shared out",
     "burn_in": "steps run from zero before the kept values, in [0, 10**6]; "
                "a normal path draws its state after them from its exact "
                "Gaussian law, a uniform path runs them",

@@ -1,26 +1,23 @@
 """Monte Carlo path generation for time-varying AR(2) schedules.
 
 Random stream contract, version ``STREAM_VERSION``: path p belongs to the
-block b = p // SUB_BLOCK, and block b is one counter-based Philox stream
-keyed by (master seed, b), drawn time-major at full block width.  A path's
-values therefore depend on neither the ensemble size nor how paths are
-chunked.  With normal innovations the state x_B = (y_B, y_{B-1}) after
-the burn-in is exactly Gaussian, so no burn-in step is drawn: its mean m
-and covariance P are propagated over the burn-in coefficients, and the
-block's first two rows z give x_B = m + L z, L the lower Cholesky factor
-of P; the next ``length`` rows are the kept innovations.  Uniform
+block b = p // SUB_BLOCK, and block b is one SFC64 stream seeded through
+``SeedSequence([master seed, b])``, drawn time-major at full block width.
+A path's values therefore depend on neither the ensemble size nor how
+paths are chunked.  With normal innovations the state x_B = (y_B, y_{B-1})
+after the burn-in is exactly Gaussian, so no burn-in step is drawn: its
+mean m and covariance P are propagated over the burn-in coefficients, and
+the block's first two rows z give x_B = m + L z, L the lower Cholesky
+factor of P; the next ``length`` rows are the kept innovations.  Uniform
 innovations start from zero and draw every burn-in step, since their x_B
 is not Gaussian.  Chunks hold whole blocks and are simulated in slabs of
-DRAW_ROWS time steps: each block continues its stream, scaled by sigma,
-into its own columns of a time-major (DRAW_ROWS + 2) x chunk array whose
-first two rows carry the last two steps of the slab before (the start
-state, at the first slab).  The blocks are shared out over LANES threads,
-one per usable core, since numpy releases the interpreter lock while it
-draws and multiplies; the threads belong to the ``simulate_paths`` call
-and are joined before it returns.  The recursion then runs serially over
-the slab, in place, and only kept steps go out, so the bits depend on
-neither the slab height, the number of lanes nor ``workers``, which has
-no effect.  Statistics are collected at fixed anchor times, never
+DRAW_ROWS time steps: the calling thread continues each block's stream,
+scaled by sigma, into its own columns of a time-major (DRAW_ROWS + 2) x
+chunk array whose first two rows carry the last two steps of the slab
+before (the start state, at the first slab).  The recursion then runs
+over the slab, in place, and only kept steps go out, so the bits depend
+on neither the slab height nor ``workers``, which has no effect; no thread
+is started.  Statistics are collected at fixed anchor times, never
 time-averaged: the moments are themselves functions of time.
 
 Ensembles are read-only.  The last one simulated is remembered by a weak
@@ -31,7 +28,6 @@ while its caller still holds it, instead of simulating it again.
 from __future__ import annotations
 
 import math
-import os
 import weakref
 from dataclasses import dataclass, field
 
@@ -51,12 +47,9 @@ MAX_PATH_STEPS = 10**8
 # cap on burn_in, the CLI's MAX_DEPTH: a normal ensemble walks its burn-in
 # coefficients once in Python to find the law of its start state
 MAX_BURN_IN = 10**6
-# lanes that draw a chunk's blocks at once: one per core this process may use
-LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
 # the version of the stream contract above; any change to the simulated
 # bits (and so to a pinned ensemble digest) must bump it
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 # (config, weak reference to its ensemble) of the last simulate_paths call;
 # the weak reference keeps no ensemble alive after its caller drops it
@@ -148,28 +141,6 @@ class EmpiricalMoments:
     autocovariances: tuple[EstimateWithSE, ...] = field(default=())
 
 
-def _draw_lane(config: SimulationConfig, streams: list, sigma: np.ndarray,
-               y: np.ndarray, block: np.ndarray, lane: int, lanes: int) -> None:
-    """Draw the next len(sigma) steps of blocks lane, lane + lanes, ... of a
-    chunk from their ``streams`` through the buffer ``block``, and write
-    each, scaled by sigma, into its own columns of ``y[2:]``."""
-    n_paths = y.shape[1]
-    rows = block[:len(sigma)]
-    root3 = math.sqrt(3.0)
-    for b in range(lane * SUB_BLOCK, n_paths, lanes * SUB_BLOCK):
-        # the block is drawn at full width even where the ensemble ends
-        # inside it; each draw continues the block's stream
-        rng = streams[b // SUB_BLOCK]
-        if config.innovations == "uniform":
-            rng.random(out=rows)
-            rows *= 2.0 * root3
-            rows -= root3
-        else:
-            rng.standard_normal(out=rows)
-        width = min(SUB_BLOCK, n_paths - b)
-        np.multiply(rows[:, :width], sigma, out=y[2:2 + len(rows), b:b + width])
-
-
 def _propagate(coeffs: np.ndarray):
     """Mean (m0, m1) and covariance (P00, P01, P11) of the state
     x_s = (y_s, y_{s-1}) after the coefficient rows ``coeffs`` (oldest
@@ -200,18 +171,18 @@ def _start_law(burn: np.ndarray):
 
 
 def _simulate_chunk(config: SimulationConfig, first_path: int,
-                    coeffs: np.ndarray, start, out: np.ndarray, pool) -> None:
+                    coeffs: np.ndarray, start, out: np.ndarray) -> None:
     """Simulate paths first_path .. first_path + len(out) - 1 into ``out``
     over the coefficient rows ``coeffs``, keeping the last ``config.length``
-    steps and drawing lanes 1.. on ``pool``; first_path is a multiple of
-    SUB_BLOCK.  ``start`` is None for a zero start, or the (m, L) of ``_start_law``:
-    each block then draws z from its first two rows, and x = m + L z."""
+    steps; first_path is a multiple of SUB_BLOCK.  ``start`` is None for a
+    zero start, or the (m, L) of ``_start_law``: each block then draws z
+    from its first two rows, and x = m + L z."""
     n_paths = len(out)
     total = len(coeffs)
     skip = total - config.length       # burn-in steps the kernel runs
     sigma = np.sqrt(coeffs[:, 3])[:, None]
-    streams = [np.random.Generator(np.random.Philox(
-        key=[config.seed, (first_path + b) // SUB_BLOCK]))
+    streams = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        [config.seed, (first_path + b) // SUB_BLOCK])))
         for b in range(0, n_paths, SUB_BLOCK)]
     # the slab of steps j0 .. j0 + height - 1: y[i + 2] holds step j0 + i,
     # rows 0 and 1 the two steps before j0 (at j0 = 0, the start state)
@@ -226,22 +197,24 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
         with np.errstate(over="ignore", invalid="ignore"):
             y[1] = m0 + l00 * z0                     # y_B
             y[0] = (m1 + l10 * z0) + l11 * z1        # y_{B-1}
-    # the calling thread draws lane 0 and the pool the others; every lane
-    # writes only its own blocks' columns, so the bits do not depend on
-    # the number of lanes
-    lanes = min(LANES, len(streams))
-    blocks = [np.empty((height, SUB_BLOCK)) for _ in range(lanes)]
+    block = np.empty((height, SUB_BLOCK))
     acc, tmp = np.empty((2, n_paths))
+    uniform = config.innovations == "uniform"
+    root3 = math.sqrt(3.0)
     for j0 in range(0, total, height):
         n = min(height, total - j0)
-        slab = (config, streams, sigma[j0:j0 + n], y)
-        futures = [pool.submit(_draw_lane, *slab, blocks[lane], lane, lanes)
-                   for lane in range(1, lanes)]
-        try:
-            _draw_lane(*slab, blocks[0], 0, lanes)
-        finally:
-            for future in futures:
-                future.result()
+        rows, scale = block[:n], sigma[j0:j0 + n]
+        for b, rng in zip(range(0, n_paths, SUB_BLOCK), streams):
+            # the block is drawn at full width even where the ensemble ends
+            # inside it; each draw continues the block's stream
+            if uniform:
+                rng.random(out=rows)
+                rows *= 2.0 * root3
+                rows -= root3
+            else:
+                rng.standard_normal(out=rows)
+            width = min(SUB_BLOCK, n_paths - b)
+            np.multiply(rows[:, :width], scale, out=y[2:2 + n, b:b + width])
         # ((phi0 + phi1*y1) + phi2*y2) + eps, operand order kept bit for bit;
         # a list of the slab's coefficient rows, never of the whole window
         with np.errstate(over="ignore", invalid="ignore"):
@@ -262,7 +235,6 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     """Generate the ensemble; bit-identical for a given config and seed,
     whatever ``workers`` and ``CHUNK_TARGET``.  Every call runs the kernel
     and returns a new ensemble."""
-    from concurrent.futures import ThreadPoolExecutor
     global _last_ensemble
     coeffs = config.schedule.window(
         config.t_end - config.length - config.burn_in + 1, config.t_end)
@@ -272,11 +244,9 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
         coeffs = coeffs[config.burn_in:]
     values = np.empty((config.n_paths, config.length))
     chunk = max(1, CHUNK_TARGET // SUB_BLOCK) * SUB_BLOCK
-    with ThreadPoolExecutor(max(1, LANES - 1),
-                            thread_name_prefix="tvar2-draw") as pool:
-        for first in range(0, config.n_paths, chunk):
-            _simulate_chunk(config, first, coeffs, start,
-                            values[first:first + chunk], pool)
+    for first in range(0, config.n_paths, chunk):
+        _simulate_chunk(config, first, coeffs, start,
+                        values[first:first + chunk])
     times = np.arange(config.t_end - config.length + 1, config.t_end + 1,
                       dtype=np.int64)
     values.flags.writeable = False

@@ -519,10 +519,10 @@ README_DIGESTS = [
     (["acf", "--t", "10", "--max-lag", "4"],
      "5c82096836d734b50cbd532c6db3712758b4890cf990e0f3430f1a39911ddc16"),
     (["simulate", "--t", "40", "--paths", "200", "--seed", "7", "--aggregate"],
-     "cd652db6b98df5c47ed190f612870dbb0e22a7c4db2ec91bdc8a917d783a3742"),
+     "a1bca5ab96c469181ead3ede5b8f36047494d0d1b6eeef325b84902ce4f56b25"),
     (["simulate", "--t", "40", "--length", "3", "--paths", "20", "--burn-in",
       "50", "--seed", "7"],
-     "c5a13628cd986bdb4a6d3361d0dca8e901a144db700563223a521642c2bc8e4f"),
+     "548c4a0f01fddb91c626a28767120c2baed47ad249be50a9e78303cb2242ded5"),
     (["stationarity", "--matrices"],
      "6d3395fd844f893db8fb30902c6081c62e1a0b7e6279a8f3f490fbd61e2929b6"),
     (["decompose-verify", "--n", "3", "--t", "12"],

@@ -82,7 +82,8 @@ def test_burn_in_over_its_cap_is_rejected(innovations):
 
 @pytest.mark.parametrize("seed", [-1, -2**63, 2**63, 2**64])
 def test_seed_outside_the_key_range_is_rejected(seed):
-    # Philox keys are 64-bit words, so -2**63 would wrap onto 2**63
+    # the documented seed range of the CLI and the library: a seed outside
+    # it is rejected rather than reduced onto one inside it
     with pytest.raises(ValueError, match="seed"):
         _config(seed=seed)
     assert _config(seed=2**63 - 1).seed == 2**63 - 1
@@ -120,9 +121,8 @@ def test_different_seed_differs():
 
 
 def test_worker_count_does_not_change_results():
-    # streams are keyed per block of SUB_BLOCK paths and the blocks are
-    # shared out over LANES threads, not workers: workers is accepted but
-    # has no effect, whatever the chunking
+    # streams are keyed per block of SUB_BLOCK paths, not per worker:
+    # workers is accepted but has no effect, whatever the chunking
     old = sim.CHUNK_TARGET
     sim.CHUNK_TARGET = 64
     try:
@@ -134,9 +134,9 @@ def test_worker_count_does_not_change_results():
 
 
 def _reference_paths(config):
-    """The stream contract (version 3), spelled out: one
-    Generator(Philox(key=[seed, b])) per block b of SUB_BLOCK paths, drawn
-    as one full-width time-major array, then the path-major recursion
+    """The stream contract (version 4), spelled out: one
+    Generator(SFC64(SeedSequence([seed, b]))) per block b of SUB_BLOCK
+    paths, drawn as one full-width time-major array, then the path-major recursion
     ((phi0 + phi1*y1) + phi2*y2) + sigma*eps.  Uniform blocks draw every
     burn-in step (u mapped to u * 2 sqrt(3) - sqrt(3)) and start from zero.
     Normal blocks draw two rows z, then the kept steps only, and start from
@@ -162,7 +162,8 @@ def _reference_paths(config):
     root3 = math.sqrt(3.0)
     blocks, starts = [], []
     for b in range(-(-config.n_paths // sim.SUB_BLOCK)):
-        rng = np.random.Generator(np.random.Philox(key=[config.seed, b]))
+        rng = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence([config.seed, b])))
         if normal:
             starts.append(rng.standard_normal((2, sim.SUB_BLOCK)))
             draw = rng.standard_normal((len(tuples), sim.SUB_BLOCK))
@@ -207,14 +208,12 @@ SLAB_SHAPES = [(0, 20), (7, 5), (8, 5), (9, 5), (2, 3), (8, 8), (5, 30)]
 
 @pytest.mark.parametrize("burn_in, length", SLAB_SHAPES)
 @pytest.mark.parametrize("target", [64, 300, 1000])
-@pytest.mark.parametrize("lanes", [1, 2, 3])
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])
-def test_slab_edges_match_per_path_reference(monkeypatch, innovations, lanes,
-                                             target, burn_in, length):
+def test_slab_edges_match_per_path_reference(monkeypatch, innovations, target,
+                                             burn_in, length):
     # 700 paths: CHUNK_TARGET 64 and 300 give chunks of one block, 1000 of
-    # three, so only the last can share a chunk's blocks over the lanes
+    # three
     monkeypatch.setattr(sim, "DRAW_ROWS", 8)
-    monkeypatch.setattr(sim, "LANES", lanes)
     monkeypatch.setattr(sim, "CHUNK_TARGET", target)
     cfg = _config(schedule=SEASONS, n_paths=700, t_end=64, burn_in=burn_in,
                   length=length, innovations=innovations)
@@ -285,16 +284,16 @@ def test_block_draws_two_start_rows_or_its_burn_in(monkeypatch, innovations,
     # each block's bit generator ends where a fresh one ends after drawing
     # 2 + length rows (normal) or burn_in + length rows (uniform): both
     # go on to give the same raw words
-    made, real = [], np.random.Philox
-    monkeypatch.setattr(np.random, "Philox",
-                        lambda key: made.append((key, real(key=key)))
+    made, real = [], np.random.SFC64
+    monkeypatch.setattr(np.random, "SFC64",
+                        lambda seed: made.append((seed, real(seed)))
                         or made[-1][1])
     cfg = _config(schedule=SEASONS, n_paths=300, burn_in=burn_in, length=8,
                   innovations=innovations)
     simulate_paths(cfg)
-    assert [key for key, _ in made] == [[cfg.seed, 0], [cfg.seed, 1]]
-    for key, bit_generator in made:
-        fresh = np.random.Generator(real(key=key))
+    assert [seed.entropy for seed, _ in made] == [[cfg.seed, 0], [cfg.seed, 1]]
+    for seed, bit_generator in made:
+        fresh = np.random.Generator(real(np.random.SeedSequence(seed.entropy)))
         if innovations == "normal":
             fresh.standard_normal((2 + cfg.length, sim.SUB_BLOCK))
         else:
@@ -303,13 +302,12 @@ def test_block_draws_two_start_rows_or_its_burn_in(monkeypatch, innovations,
                               fresh.bit_generator.random_raw(8))
 
 
-# sha256 of the float64 bytes: uniform recorded with stream contract
-# version 2 and unchanged in version 3, normal recorded with version 3
+# sha256 of the float64 bytes, both recorded with stream contract version 4
 PINNED_DIGESTS = {
     "normal":
-        "8de1ed450b631c4455f2e054429cbb884fbe2203b4527df73251a5578c16f691",
+        "4f47818f31f99460674cf1a97ae6bd4bbfe9712b0f31ff608a2d5b5c2d3236dd",
     "uniform":
-        "b487a8ceb9724b50f77abc47dde6f4d180d5c0b91eb7f97106b7dde85e11a470",
+        "ab29b205f90b33e0a28f11da3738acb81368cb3d5d3e095a0f04b9b6cb24b832",
 }
 
 
@@ -348,36 +346,10 @@ def test_chunk_boundaries_cut_no_block(monkeypatch, target):
     assert np.array_equal(simulate_paths(cfg).values, default)
 
 
-@pytest.mark.parametrize("target", [64, 300, 1000, sim.CHUNK_TARGET])
-@pytest.mark.parametrize("lanes", [1, 2, 3])
-def test_lane_count_does_not_change_results(monkeypatch, lanes, target):
-    # six blocks, the last one partial: CHUNK_TARGET 64 and 300 give chunks
-    # of one block (drawn inline), 1000 of three, the default one of six
-    cfg = _config(n_paths=1300, burn_in=40)
-    default = simulate_paths(cfg).values
-    monkeypatch.setattr(sim, "LANES", lanes)
-    monkeypatch.setattr(sim, "CHUNK_TARGET", target)
-    assert np.array_equal(simulate_paths(cfg).values, default)
-
-
-def _no_thread(*args, **kwargs):
-    raise AssertionError("a single lane reached a draw thread")
-
-
-@pytest.mark.parametrize("lanes, n_paths", [(1, 1300), (3, 256)])
-def test_single_lane_draws_inline(monkeypatch, lanes, n_paths):
-    from concurrent.futures import ThreadPoolExecutor
-    monkeypatch.setattr(sim, "LANES", lanes)
-    monkeypatch.setattr(ThreadPoolExecutor, "submit", _no_thread)
-    simulate_paths(_config(n_paths=n_paths, burn_in=40))
-
-
-def test_concurrent_callers_get_the_same_bits(monkeypatch):
-    # more callers than cores, each over three lanes on draw threads of its
-    # own; a short switch interval interleaves them often
+def test_concurrent_callers_get_the_same_bits():
+    # more callers than cores; a short switch interval interleaves them often
     cfg = _config(n_paths=1300, burn_in=40)
     expected = simulate_paths(cfg).values
-    monkeypatch.setattr(sim, "LANES", 3)
     same = []
     callers = [threading.Thread(target=lambda: same.append(np.array_equal(
         simulate_paths(cfg).values, expected))) for _ in range(6)]
@@ -395,10 +367,17 @@ def test_concurrent_callers_get_the_same_bits(monkeypatch):
 
 
 def test_no_draw_thread_outlives_the_call(monkeypatch):
-    # six blocks over two lanes: the second lane draws on a thread that the
-    # call starts and joins before it returns
-    monkeypatch.setattr(sim, "LANES", 2)
+    # simulate_paths starts no thread: six blocks over two chunks are all
+    # drawn on the calling thread
+    monkeypatch.setattr(sim, "CHUNK_TARGET", 1000)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread.name)
+                        or start(thread))
+    before = set(threading.enumerate())
     simulate_paths(_config(n_paths=1300, burn_in=40))
+    assert started == []
+    assert set(threading.enumerate()) == before
     assert not [thread.name for thread in threading.enumerate()
                 if thread.name.startswith("tvar2-draw")]
 
@@ -413,20 +392,23 @@ def test_import_starts_no_thread_pool():
     done = _run_python(
         "import sys, threading, tvar2\n"
         "assert 'concurrent.futures' not in sys.modules\n"
+        "assert threading.active_count() == 1\n"
+        "tvar2.simulate_paths(tvar2.SimulationConfig(\n"
+        "    tvar2.ConstantSchedule(0.4, 1.2, -0.32, 1.0), 600, 60, 8, seed=1))\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
         "assert threading.active_count() == 1\n")
     assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_draws_on_its_own_pool():
-    # the parent's pool threads do not exist in a forked child; without a
-    # pool of its own the child would wait on them forever
+    # a forked child simulates the parent's bits; no thread of the parent,
+    # which would not exist in the child, takes part in the call
     done = _run_python(
         "import os, signal, sys\n"
         "import numpy as np\n"
         "import tvar2.simulate as sim\n"
         "from tvar2 import ConstantSchedule, SimulationConfig\n"
-        "sim.LANES = 2\n"
         "cfg = SimulationConfig(ConstantSchedule(0.4, 1.2, -0.32, 1.0),\n"
         "                       600, 60, 8, seed=1)\n"
         "parent = sim.simulate_paths(cfg).values\n"
@@ -485,7 +467,7 @@ def test_stream_version():
     # PINNED_DIGESTS and the simulate README digests in test_cli.py pin
     # this version of the stream contract: any change to those digests
     # requires bumping STREAM_VERSION
-    assert sim.STREAM_VERSION == 3
+    assert sim.STREAM_VERSION == 4
 
 
 def test_pure_noise_limit():

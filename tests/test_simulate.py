@@ -503,6 +503,25 @@ def test_moments_match_series_values():
         assert abs(est.value - cov.value) < 4 * est.se
 
 
+def test_single_path_moments_have_no_standard_error():
+    ens = simulate_paths(_config(n_paths=1))
+    stats = empirical_moments(ens, 60)
+    assert stats.mean.value == ens.at(60)[0]
+    assert stats.mean.se == math.inf
+    assert (stats.variance.value, stats.variance.se) == (0.0, math.inf)
+
+
+def test_requests_outside_the_ensemble_are_rejected():
+    cfg = _config(n_paths=300)
+    ens = simulate_paths(cfg)
+    with pytest.raises(ValueError, match="not in simulated range"):
+        ens.at(61)
+    with pytest.raises(ValueError, match="max_lag"):
+        empirical_moments(ens, 60, max_lag=-1)
+    with pytest.raises(ValueError, match="k must be"):
+        empirical_forecast_error(cfg, 60, 0)
+
+
 def test_forecast_error_one_step():
     cfg = _config(n_paths=40000)
     mean, variance = empirical_forecast_error(cfg, 60, 1)

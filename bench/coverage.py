@@ -12,8 +12,8 @@ too; code run in child processes is not.  It then prints `path:line` for
 every line of a src/tvar2 module that holds an instruction of some code
 object of that module and raised no trace event, and exits with
 pytest's exit status.  pytest's own report goes to standard error, so
-standard output holds the list alone.  Only the standard library is used.  Tracing slows the suite
-down about twofold.
+standard output holds the list alone.  Only the standard library is
+used.  Tracing slows the suite down about twofold.
 """
 
 from __future__ import annotations

@@ -136,11 +136,11 @@ def test_worker_count_does_not_change_results():
 def _reference_paths(config):
     """The stream contract (version 4), spelled out: one
     Generator(SFC64(SeedSequence([seed, b]))) per block b of SUB_BLOCK
-    paths, drawn as one full-width time-major array, then the path-major recursion
-    ((phi0 + phi1*y1) + phi2*y2) + sigma*eps.  Uniform blocks draw every
-    burn-in step (u mapped to u * 2 sqrt(3) - sqrt(3)) and start from zero.
-    Normal blocks draw two rows z, then the kept steps only, and start from
-    x_B = m + L z: the burn-in state's mean and clamped Cholesky factor,
+    paths, drawn as one full-width time-major array, then the path-major
+    recursion ((phi0 + phi1*y1) + phi2*y2) + sigma*eps.  Uniform blocks draw
+    every burn-in step (u mapped to u * 2 sqrt(3) - sqrt(3)) and start from
+    zero.  Normal blocks draw two rows z, then the kept steps only, and start
+    from x_B = m + L z: the burn-in state's mean and clamped Cholesky factor,
     propagated step by step from m = 0, P = 0."""
     times = range(config.t_end - config.length - config.burn_in + 1,
                   config.t_end + 1)
@@ -211,8 +211,8 @@ SLAB_SHAPES = [(0, 20), (7, 5), (8, 5), (9, 5), (2, 3), (8, 8), (5, 30)]
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])
 def test_slab_edges_match_per_path_reference(monkeypatch, innovations, target,
                                              burn_in, length):
-    # 700 paths: CHUNK_TARGET 64 and 300 give chunks of one block, 1000 of
-    # three
+    # 700 paths: CHUNK_TARGET 64 and 300 give chunks of one block, 1000
+    # chunks of three
     monkeypatch.setattr(sim, "DRAW_ROWS", 8)
     monkeypatch.setattr(sim, "CHUNK_TARGET", target)
     cfg = _config(schedule=SEASONS, n_paths=700, t_end=64, burn_in=burn_in,
@@ -291,9 +291,11 @@ def test_block_draws_two_start_rows_or_its_burn_in(monkeypatch, innovations,
     cfg = _config(schedule=SEASONS, n_paths=300, burn_in=burn_in, length=8,
                   innovations=innovations)
     simulate_paths(cfg)
-    assert [seed.entropy for seed, _ in made] == [[cfg.seed, 0], [cfg.seed, 1]]
+    assert [seed.entropy for seed, _ in made] == [[cfg.seed, 0],
+                                                  [cfg.seed, 1]]
     for seed, bit_generator in made:
-        fresh = np.random.Generator(real(np.random.SeedSequence(seed.entropy)))
+        fresh = np.random.Generator(real(np.random.SeedSequence(
+            seed.entropy)))
         if innovations == "normal":
             fresh.standard_normal((2 + cfg.length, sim.SUB_BLOCK))
         else:
@@ -393,8 +395,9 @@ def test_import_starts_no_thread_pool():
         "import sys, threading, tvar2\n"
         "assert 'concurrent.futures' not in sys.modules\n"
         "assert threading.active_count() == 1\n"
-        "tvar2.simulate_paths(tvar2.SimulationConfig(\n"
-        "    tvar2.ConstantSchedule(0.4, 1.2, -0.32, 1.0), 600, 60, 8, seed=1))\n"
+        "schedule = tvar2.ConstantSchedule(0.4, 1.2, -0.32, 1.0)\n"
+        "tvar2.simulate_paths(tvar2.SimulationConfig(schedule, 600, 60, 8,\n"
+        "                                            seed=1))\n"
         "assert 'concurrent.futures' not in sys.modules\n"
         "assert threading.active_count() == 1\n")
     assert done.returncode == 0, done.stderr

@@ -208,15 +208,17 @@ SLAB_SHAPES = [(0, 20), (7, 5), (8, 5), (9, 5), (2, 3), (8, 8), (5, 30)]
 
 @pytest.mark.parametrize("burn_in, length", SLAB_SHAPES)
 @pytest.mark.parametrize("target", [64, 300, 1000])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])
-def test_slab_edges_match_per_path_reference(monkeypatch, innovations, target,
-                                             burn_in, length):
+def test_slab_edges_match_per_path_reference(monkeypatch, innovations, workers,
+                                             target, burn_in, length):
     # 700 paths: CHUNK_TARGET 64 and 300 give chunks of one block, 1000
-    # chunks of three
+    # chunks of three; workers is a no-op, so every count gives the
+    # reference bits
     monkeypatch.setattr(sim, "DRAW_ROWS", 8)
     monkeypatch.setattr(sim, "CHUNK_TARGET", target)
     cfg = _config(schedule=SEASONS, n_paths=700, t_end=64, burn_in=burn_in,
-                  length=length, innovations=innovations)
+                  length=length, innovations=innovations, workers=workers)
     assert np.array_equal(simulate_paths(cfg).values, _reference_paths(cfg))
 
 

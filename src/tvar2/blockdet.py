@@ -8,7 +8,7 @@ product of within-segment continuants, and a set bit couples its two
 segments through the lag-2 coefficient at that boundary.  A segment's
 factor depends only on the bits at its two ends, so the sum is one entry
 of a product of d + 1 2x2 transfer matrices and is evaluated in linear
-time.  An assembled block-matrix determinant is kept as a test oracle.
+time.  Its block-matrix oracle is re-exported from ``_oracles``.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._oracles import ORACLE_CAP, assemble_block_matrix, block_determinant_oracle
 from .schedules import (BreakSchedule, CyclicalSchedule, PeriodicSchedule,
                         Schedule, ScheduleError, cut_list, season_of)
-from .xi import (ORACLE_CAP, _capped, constant_xi, fundamental_matrix,
-                 green_functions, xi)
+from .xi import constant_xi, green_functions, xi
 
 
 class PeriodEndError(ScheduleError):
@@ -143,26 +141,6 @@ def xi_abar_decomposed(schedule: BreakSchedule, t: int, k: int) -> float:
         return constant_xi(tup.phi1, tup.phi2, depth)
 
     return xi_block_decomposed(schedule, t, spec, segment_xi)
-
-
-def assemble_block_matrix(schedule: Schedule, t: int,
-                          spec: BlockSpec) -> np.ndarray:
-    """Dense block-tridiagonal matrix: the within-segment continuant
-    matrices on the diagonal, joined at each boundary by its coupling phi2
-    below the diagonal and -1 above.  Test oracle: its determinant equals
-    the recurrence value of xi_{t,total}."""
-    k = spec.total
-    _capped(k)
-    mat = fundamental_matrix(schedule, t, k)
-    for b, coupling in zip(spec.boundaries, spec.couplings):
-        mat[k - b, k - b - 1] = coupling   # first row of the newer segment
-    return mat
-
-
-def block_determinant_oracle(schedule: Schedule, t: int,
-                             spec: BlockSpec) -> float:
-    """Determinant of the assembled block matrix."""
-    return float(np.linalg.det(assemble_block_matrix(schedule, t, spec)))
 
 
 def relative_deviation(value: float, reference: float) -> float:

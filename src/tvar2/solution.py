@@ -3,7 +3,7 @@
 The value at the anchor time t decomposes into a homogeneous part carrying
 the two initial conditions (y_{t-k}, y_{t-k-1}) and a particular part
 carrying the drifts and innovations from t-k+1 to t, all weighted by the
-fundamental solutions.
+fundamental solutions.  Its test oracles are re-exported from ``_oracles``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ._oracles import forward_recursion, particular_solution_determinant_oracle
 from .schedules import Schedule
-from .xi import _capped, fundamental_matrix, green_functions
+from .xi import green_functions
 
 
 @dataclass(frozen=True)
@@ -61,38 +62,3 @@ def evaluate_solution(sol: GeneralSolution, y_init: tuple[float, float],
     for i in range(k):
         value += sol.innovation_weights[i] * innovations[k - 1 - i]
     return float(value)
-
-
-def forward_recursion(schedule: Schedule, t: int, k: int,
-                      y_init: tuple[float, float],
-                      innovations: Sequence[float]) -> float:
-    """Brute-force oracle: iterate the defining recursion k steps forward."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if len(innovations) != k:
-        raise ValueError(f"expected {k} innovations, got {len(innovations)}")
-    y_prev, y_prev2 = y_init
-    rows = schedule.window(t - k + 1, t).tolist()
-    for (phi0, phi1, phi2, _), eps in zip(rows, innovations):
-        y = phi0 + phi1 * y_prev + phi2 * y_prev2 + eps
-        y_prev2, y_prev = y_prev, y
-    return float(y_prev)
-
-
-def particular_solution_determinant_oracle(schedule: Schedule, t: int, k: int,
-                                           innovations: Sequence[float]
-                                           ) -> float:
-    """Test oracle for the particular part: determinant of the core matrix
-    augmented on the left by the forcing column phi0 + innovation.
-
-    Equals the particular part of ``evaluate_solution`` (zero initial values).
-    Innovations are ordered oldest to newest, as everywhere else.
-    """
-    if k < 1:
-        raise ValueError("oracle requires k >= 1")
-    _capped(k)
-    if len(innovations) != k:
-        raise ValueError(f"expected {k} innovations, got {len(innovations)}")
-    mat = fundamental_matrix(schedule, t, k)
-    mat[:, 0] = schedule.window(t - k + 1, t)[:, 0] + np.asarray(innovations, float)
-    return float(np.linalg.det(mat))

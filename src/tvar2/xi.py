@@ -5,8 +5,8 @@ holding the lag coefficients from time t-k+1 up to t.  These determinants
 are the Green functions (moving-average weights) of the process anchored
 at time t.  One generator runs their three-term recurrence, window by
 window back from the anchor; ``green_functions`` tables and ``xi_stream``
-streams are its values, and every other result reads one of them.  A
-direct determinant of the assembled matrix is kept as a test-only oracle.
+streams are its values, and every other result reads one of them.  The
+determinant oracles live in ``_oracles``, re-exported here by name.
 """
 
 from __future__ import annotations
@@ -17,15 +17,12 @@ from typing import Iterator
 
 import numpy as np
 
+from ._oracles import (ORACLE_CAP, OracleCapError, fundamental_matrix,
+                       second_fundamental_matrix, xi_determinant_oracle,
+                       xi_second_determinant_oracle)
 from .schedules import Schedule
 
-ORACLE_CAP = 64
-
 REPEATED_ROOT_TOL = 1e-9
-
-
-class OracleCapError(ValueError):
-    """Determinant oracle asked for a size beyond its testing cap."""
 
 
 @dataclass(frozen=True)
@@ -99,55 +96,6 @@ def xi_second(schedule: Schedule, t: int, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     return schedule.at(t - k + 1).phi2 * xi(schedule, t, k - 1)
-
-
-def fundamental_matrix(schedule: Schedule, t: int, k: int) -> np.ndarray:
-    """Dense k x k tridiagonal matrix whose determinant is xi_{t,k}.
-
-    Row i (1-based) carries time t-k+i: diagonal phi1, subdiagonal phi2,
-    superdiagonal -1.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rows = schedule.window(t - k + 1, t)
-    mat = np.diag(rows[:, 1])
-    i = np.arange(k - 1)
-    mat[i + 1, i] = rows[1:, 2]
-    mat[i, i + 1] = -1.0
-    return mat
-
-
-def second_fundamental_matrix(schedule: Schedule, t: int, k: int) -> np.ndarray:
-    """Matrix for the second fundamental solution: first column is
-    (phi2(t-k+1), 0, ...), the rest as in ``fundamental_matrix``."""
-    mat = fundamental_matrix(schedule, t, k)
-    mat[0, 0] = schedule.at(t - k + 1).phi2
-    if k >= 2:
-        mat[1, 0] = 0.0
-    return mat
-
-
-def _capped(k: int) -> None:
-    """The size check every determinant oracle makes before it builds its
-    k x k matrix."""
-    if k > ORACLE_CAP:
-        raise OracleCapError(f"oracle cap {ORACLE_CAP} exceeded (k={k})")
-
-
-def xi_determinant_oracle(schedule: Schedule, t: int, k: int) -> float:
-    """Test oracle: xi_{t,k} via direct LU determinant of the assembled matrix."""
-    if k < 1:
-        raise ValueError("oracle requires k >= 1")
-    _capped(k)
-    return float(np.linalg.det(fundamental_matrix(schedule, t, k)))
-
-
-def xi_second_determinant_oracle(schedule: Schedule, t: int, k: int) -> float:
-    """Test oracle for the second fundamental solution."""
-    if k < 1:
-        raise ValueError("oracle requires k >= 1")
-    _capped(k)
-    return float(np.linalg.det(second_fundamental_matrix(schedule, t, k)))
 
 
 def constant_xi(phi1: float, phi2: float, k: int) -> float:

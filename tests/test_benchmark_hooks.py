@@ -74,3 +74,41 @@ def test_layer_tracer_counts_the_steps_of_a_green_table(monkeypatch):
         tracer.uninstall()
     assert tracer.counters["xi.steps.xi"] == table.depth + 1 == 31
     assert metrics["xi.ns_per_step"][0] > 0
+
+
+PERIODIC = """
+schema_version: 1
+schedule:
+  kind: periodic
+  seasons:
+    - {phi0: 0.2, phi1: 0.6, phi2: -0.1, sigma2: 1.0}
+    - {phi0: 0.0, phi1: -0.4, phi2: 0.2, sigma2: 1.5}
+"""
+
+
+def test_layer_tracer_wraps_the_reexported_oracles(monkeypatch, tmp_path):
+    # the oracles are defined in tvar2._oracles, which the tracer does not
+    # patch; the CLI reaches them through the names xi, solution and
+    # blockdet re-export, and those must still open spans
+    monkeypatch.syspath_prepend(PERFBENCH)
+    layertrace = importlib.import_module("layertrace")
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text(PERIODIC)
+    out = str(tmp_path / "out.csv")
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        verified = tvar2.cli.main(["verify", "--config", str(cfg), "--t", "24",
+                                   "--out", out])
+        after_verify = tracer.span_counts()
+        decomposed = tvar2.cli.main(["decompose-verify", "--config", str(cfg),
+                                     "--n", "2", "--out", out])
+        after_decompose = tracer.span_counts()
+    finally:
+        tracer.uninstall()
+    assert verified == decomposed == 0
+    assert after_verify["xi.xi_determinant_oracle"] == 12
+    assert after_verify["solution.forward_recursion"] == 1
+    block = "blockdet.block_determinant_oracle"
+    assert after_decompose[block] == after_verify[block] + 1

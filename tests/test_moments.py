@@ -126,6 +126,21 @@ def test_tol_validation():
         autocovariance(s, 5, 1, n_max=0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda s: forecast(s, 5, 0, (0.0, 0.0)), "k must be >= 1"),
+    (lambda s: forecast_error_weights(s, 5, 0), "k must be >= 1"),
+    (lambda s: autocovariance(s, 5, -1), "k must be >= 0"),
+    (lambda s: autocovariance_recursion(s, 5, 0),
+     "recursion form requires k >= 1"),
+    (lambda s: assumption_a1_diagnostic(s, range(5), 0, 10.0),
+     "n must be >= 1"),
+], ids=["forecast-k0", "error-weights-k0", "acf-lag-negative",
+        "acf-recursion-lag0", "a1-diagnostic-n0"])
+def test_argument_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(ConstantSchedule(0.0, 0.5, 0.0, 1.0))
+
+
 def test_summability_diagnostic_stable_vs_explosive():
     stable = ConstantSchedule(1.0, 0.5, 0.1, 1.0)
     good = assumption_a1_diagnostic(stable, range(10, 14), n=200, bound=50.0)

@@ -79,3 +79,13 @@ def test_innovation_length_checked():
     sol = general_solution(s, 5, 3)
     with pytest.raises(ValueError, match="expected 3 innovations"):
         evaluate_solution(sol, (0.0, 0.0), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda s: general_solution(s, 5, -1), "k must be >= 0"),
+    (lambda s: evaluate_solution(general_solution(s, 5, 3), (0.0, 0.0),
+                                 [1.0] * 4), "expected 3 innovations, got 4"),
+], ids=["lookback-negative", "too-many-innovations"])
+def test_argument_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(ConstantSchedule(0.0, 0.5, 0.1, 1.0))

@@ -171,6 +171,22 @@ def test_oracle_cap():
         assert np.all(np.isfinite(oracle(at)))
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda s: green_functions(s, 5, 2).xi(3), IndexError,
+     r"depth 3 not in table \(-1..2\)"),
+    (lambda s: green_functions(s, 5, 2).xi(-2), IndexError,
+     r"depth -2 not in table"),
+    (lambda s: green_functions(s, 5, -1), ValueError, "k_max must be >= 0"),
+    (lambda s: xi(s, 5, -2), ValueError, "k must be >= -1"),
+    (lambda s: xi_second(s, 5, 0), ValueError, "k must be >= 1"),
+    (lambda s: constant_xi(0.5, 0.1, -2), ValueError, "k must be >= -1"),
+], ids=["table-past-depth", "table-below-minus-one", "green-k-max-negative",
+        "xi-k-below-minus-one", "xi-second-k0", "constant-xi-k-below-minus-one"])
+def test_argument_guards(call, error, match):
+    with pytest.raises(error, match=match):
+        call(ConstantSchedule(0.0, 0.5, 0.1, 1.0))
+
+
 def test_constant_closed_form_distinct_roots():
     # 1 - 1.2 z + 0.32 z^2 factors with roots 0.8 and 0.4
     for k in range(31):

@@ -53,7 +53,7 @@ DETERMINANT_ORACLES = {
     "xi": lambda s, k: xi_determinant_oracle(s, T, k),
     "xi-second": lambda s, k: xi_second_determinant_oracle(s, T, k),
     "particular": lambda s, k: particular_solution_determinant_oracle(
-        s, T, k, [0.0] * max(k, 0)),
+        s, T, k, [0.0] * k),
     "assemble-block": lambda s, k: assemble_block_matrix(s, T, _spec(k)),
     "block": lambda s, k: block_determinant_oracle(s, T, _spec(k)),
 }

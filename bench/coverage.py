@@ -10,14 +10,16 @@ installed through sys.settrace and threading.settrace, so code that a
 test runs on a thread of its own (the concurrent-caller tests) is traced
 too; code run in child processes is not.  It then prints `path:line` for
 every line of a src/tvar2 module that holds an instruction of some code
-object of that module and raised no trace event, and exits with
-pytest's exit status.  pytest's own report goes to standard error, so
-standard output holds the list alone.  Only the standard library is
-used.  Tracing slows the suite down about twofold.
+object of that module, outside the body of an `if TYPE_CHECKING:` block,
+and raised no trace event, and exits with pytest's exit status.
+pytest's own report goes to standard error, so standard output holds
+the list alone.  Only the standard library is used.  Tracing slows the
+suite down about twofold.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import os
 import sys
@@ -29,18 +31,34 @@ TIER1 = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          os.path.join(ROOT, "tests")]
 
 
+def type_checking_lines(tree: ast.AST) -> set[int]:
+    """Lines of the bodies of ``if TYPE_CHECKING:`` (or ``if
+    typing.TYPE_CHECKING:``) blocks, which run only under a type checker;
+    their ``else`` branches run and are not included."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and (
+                getattr(node.test, "id", None) == "TYPE_CHECKING"
+                or getattr(node.test, "attr", None) == "TYPE_CHECKING"):
+            for stmt in node.body:
+                lines.update(range(stmt.lineno, stmt.end_lineno + 1))
+    return lines
+
+
 def statement_lines(path: str) -> set[int]:
     """Lines of ``path`` that hold an instruction of the module's code or
-    of any code object nested in it."""
+    of any code object nested in it, except those of ``if TYPE_CHECKING:``
+    bodies."""
     with open(path) as fh:
-        todo = [compile(fh.read(), path, "exec")]
+        source = fh.read()
+    todo = [compile(source, path, "exec")]
     lines = set()
     while todo:
         code = todo.pop()
         lines.update(line for _, _, line in code.co_lines()
                      if line is not None)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
-    return lines
+    return lines - type_checking_lines(ast.parse(source, path))
 
 
 def unexecuted(package: str, run) -> tuple[object, list[tuple[str, int]]]:

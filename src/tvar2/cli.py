@@ -16,6 +16,8 @@ import os
 import sys
 from itertools import chain, count, islice, repeat
 
+import numpy as np
+
 from . import config as config_mod
 from .blockdet import (PeriodEndError, decomposition_report, segment_layout,
                        xi_abar_decomposed, xi_car_decomposed, xi_par_decomposed)
@@ -125,18 +127,35 @@ def _cmd_simulate(args, schedule, out):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     ensemble = simulate_paths(cfg)
-    times = ensemble.times.tolist()
     if args.aggregate:
-        stats = (empirical_moments(ensemble, t) for t in times)
+        stats = (empirical_moments(ensemble, t)
+                 for t in ensemble.times.tolist())
         _write_rows(out, "t,stat,value,se\n", _MOMENTS,
                     ((m.anchor, m.mean.value, m.mean.se,
                       m.anchor, m.variance.value, m.variance.se)
                      for m in stats))
     else:
-        paths = (zip(repeat(p), times, ensemble.values[p].tolist())
-                 for p in range(cfg.n_paths))
-        _write_rows(out, "path,t,y\n", _INDEXED, chain.from_iterable(paths))
+        _write_paths(out, ensemble)
     return EXIT_OK
+
+
+def _write_paths(out, ensemble) -> None:
+    """Write the raw ``path,t,y`` rows of ``ensemble``, path by path, in
+    batches of BATCH_ROWS.  Each batch's flat argument list is filled by
+    slice assignment from its path, t and y columns, gathered for the
+    batch alone; the ints are Python ints, so every t in int64 prints
+    exactly."""
+    out.write("path,t,y\n")
+    n_paths, length = ensemble.values.shape
+    args = [None] * (3 * BATCH_ROWS)
+    for r0 in range(0, n_paths * length, BATCH_ROWS):
+        paths, steps = np.divmod(
+            np.arange(r0, min(r0 + BATCH_ROWS, n_paths * length)), length)
+        del args[3 * len(paths):]
+        args[0::3] = paths.tolist()
+        args[1::3] = ensemble.times[steps].tolist()
+        args[2::3] = ensemble.values[paths, steps].tolist()
+        out.write((_INDEXED * len(paths)) % tuple(args))
 
 
 def _cmd_stationarity(args, schedule, out):

@@ -15,10 +15,11 @@ DRAW_ROWS time steps: the calling thread continues each block's stream,
 scaled by sigma, into its own columns of a time-major (DRAW_ROWS + 2) x
 chunk array whose first two rows carry the last two steps of the slab
 before (the start state, at the first slab).  The recursion then runs
-over the slab, in place, and only kept steps go out, so the bits depend
-on neither the slab height nor ``workers``, which has no effect; no thread
-is started.  Statistics are collected at fixed anchor times, never
-time-averaged: the moments are themselves functions of time.
+over the slab, in place, and only kept steps go out, each as one row of
+the time-major ensemble, so the bits depend on neither the slab height
+nor ``workers``, which has no effect; no thread is started.
+Statistics are collected at fixed anchor times, never time-averaged: the
+moments are themselves functions of time.
 
 Ensembles are read-only.  The last one simulated is remembered by a weak
 reference, so ``empirical_forecast_error`` on an equal config reuses it
@@ -107,7 +108,11 @@ class SimulationConfig:
 @dataclass(frozen=True)
 class PathEnsemble:
     """Simulated values: ``values[p, j]`` is path p at time ``times[j]``.
-    ``simulate_paths`` hands out both arrays read-only."""
+
+    ``simulate_paths`` stores the ensemble time-major, one C-contiguous row
+    per kept time, and hands out ``values`` as its transpose: the same
+    (paths, times) array, F-contiguous, so ``at(t)`` is one contiguous row.
+    Both arrays and the base of ``values`` are read-only."""
 
     times: np.ndarray
     values: np.ndarray
@@ -119,7 +124,8 @@ class PathEnsemble:
         return int(np.count_nonzero(~np.isfinite(self.values).all(axis=1)))
 
     def at(self, t: int) -> np.ndarray:
-        """Cross-section of all paths at time t."""
+        """Cross-section of all paths at time t (contiguous in an ensemble
+        from ``simulate_paths``)."""
         idx = int(t) - int(self.times[0])
         if not 0 <= idx < len(self.times):
             raise ValueError(f"t={t} not in simulated range "
@@ -172,12 +178,13 @@ def _start_law(burn: np.ndarray):
 
 def _simulate_chunk(config: SimulationConfig, first_path: int,
                     coeffs: np.ndarray, start, out: np.ndarray) -> None:
-    """Simulate paths first_path .. first_path + len(out) - 1 into ``out``
-    over the coefficient rows ``coeffs``, keeping the last ``config.length``
-    steps; first_path is a multiple of SUB_BLOCK.  ``start`` is None for a
-    zero start, or the (m, L) of ``_start_law``: each block then draws z
-    from its first two rows, and x = m + L z."""
-    n_paths = len(out)
+    """Simulate paths first_path .. first_path + out.shape[1] - 1 into the
+    time-major ``out``, one row per kept step, over the coefficient rows
+    ``coeffs``, keeping the last ``config.length`` steps; first_path is a
+    multiple of SUB_BLOCK.  ``start`` is None for a zero start, or the
+    (m, L) of ``_start_law``: each block then draws z from its first two
+    rows, and x = m + L z."""
+    n_paths = out.shape[1]
     total = len(coeffs)
     skip = total - config.length       # burn-in steps the kernel runs
     sigma = np.sqrt(coeffs[:, 3])[:, None]
@@ -227,7 +234,7 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
                 np.add(acc, y[i + 2], out=y[i + 2])
         kept = max(j0, skip)    # the slab's first kept step
         if kept < j0 + n:
-            out[:, kept - skip:j0 + n - skip] = y[2 + kept - j0:2 + n].T
+            out[kept - skip:j0 + n - skip] = y[2 + kept - j0:2 + n]
         y[:2] = y[n:n + 2]
 
 
@@ -242,16 +249,18 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     if config.innovations == "normal":
         start = _start_law(coeffs[:config.burn_in])
         coeffs = coeffs[config.burn_in:]
-    values = np.empty((config.n_paths, config.length))
+    time_major = np.empty((config.length, config.n_paths))
     chunk = max(1, CHUNK_TARGET // SUB_BLOCK) * SUB_BLOCK
     for first in range(0, config.n_paths, chunk):
         _simulate_chunk(config, first, coeffs, start,
-                        values[first:first + chunk])
+                        time_major[:, first:first + chunk])
     times = np.arange(config.t_end - config.length + 1, config.t_end + 1,
                       dtype=np.int64)
-    values.flags.writeable = False
+    # read-only before the view is taken, so neither the view nor its base
+    # can be written
+    time_major.flags.writeable = False
     times.flags.writeable = False
-    ensemble = PathEnsemble(times, values)
+    ensemble = PathEnsemble(times, time_major.T)
     _last_ensemble = (config, weakref.ref(ensemble))
     return ensemble
 
@@ -263,14 +272,17 @@ def _mean_se(sample: np.ndarray) -> EstimateWithSE:
 
 
 def _variance_se(sample: np.ndarray) -> EstimateWithSE:
-    """Sample variance with its large-sample standard error
-    sqrt((m4 - s^4) / n), m4 the central fourth moment."""
+    """Sample variance s^2 with its large-sample standard error
+    sqrt(max(m4 - s^4, 0) / n), m4 = mean(c^2 * c^2) the central fourth
+    moment of the centered sample c, squared twice instead of raised to
+    the power 4, which numpy evaluates through libm ``pow`` per element."""
     n = len(sample)
     if n < 2:
         return EstimateWithSE(0.0, math.inf)
     centered = sample - sample.mean()
     s2 = float(centered.dot(centered) / (n - 1))
-    m4 = float(np.mean(centered ** 4))
+    squared = centered * centered
+    m4 = float(np.mean(squared * squared))
     se = math.sqrt(max(m4 - s2 * s2, 0.0) / n)
     return EstimateWithSE(s2, se)
 

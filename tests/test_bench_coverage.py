@@ -50,3 +50,28 @@ def test_a_function_never_called_is_listed(coverage, tmp_path, monkeypatch):
     # import, and the body of called are not
     assert missed == [(mod, 6), (mod, 7)]
     assert sys.gettrace() is trace_before
+
+
+TYPED = '''\
+import typing
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from collections import OrderedDict
+    from fractions import (
+        Fraction)
+else:
+    VALUE = 1
+if typing.TYPE_CHECKING:
+    import decimal
+'''
+
+
+def test_type_checking_bodies_are_not_statements(coverage, tmp_path):
+    # the bodies (lines 5 to 7, and 11) run only under a type checker; the
+    # tests and the else branch run
+    path = tmp_path / "typed.py"
+    path.write_text(TYPED)
+    lines = coverage.statement_lines(str(path))
+    assert {1, 2, 4, 9, 10} <= lines
+    assert not lines & {5, 6, 7, 11}

@@ -613,15 +613,19 @@ def test_green_rows_at_the_batch_edges(tmp_path, k):
                                              enumerate(values.tolist())])
 
 
-@pytest.mark.parametrize("paths", [256, 257])
-def test_raw_simulate_rows_at_the_batch_edges(tmp_path, paths):
-    # 4 rows per path: exactly one batch, and one batch and four rows
+@pytest.mark.parametrize("paths, length, t", [(256, 4, 40), (257, 4, 40),
+                                              (3, 1500, 2**62)])
+def test_raw_simulate_rows_at_the_batch_edges(tmp_path, paths, length, t):
+    # 4 rows per path: exactly one batch, and one batch and four rows; then
+    # paths longer than a batch, each crossing a batch edge, at the anchor's
+    # range edge, whose times print exactly
     cfg = _write(tmp_path, "p.yaml", PERIODIC)
-    code, text = _run(tmp_path, ["simulate", "--config", cfg, "--t", "40",
-                                 "--length", "4", "--paths", str(paths),
-                                 "--burn-in", "30", "--seed", "11"])
+    code, text = _run(tmp_path, ["simulate", "--config", cfg, "--t", str(t),
+                                 "--length", str(length), "--paths",
+                                 str(paths), "--burn-in", "30", "--seed",
+                                 "11"])
     ensemble = tvar2.simulate_paths(tvar2.SimulationConfig(
-        _schedule(PERIODIC), paths, 40, 4, 11, burn_in=30))
+        _schedule(PERIODIC), paths, t, length, 11, burn_in=30))
     times = ensemble.times.tolist()
     assert code == 0
     assert text == _reference_csv("path,t,y", [

@@ -198,6 +198,11 @@ def test_kernel_matches_per_path_reference(monkeypatch, innovations):
     assert cfg.n_paths % sim.SUB_BLOCK != 0
     ens = simulate_paths(cfg)
     assert np.array_equal(ens.values, _reference_paths(cfg))
+    # stored time-major: values is the F-contiguous transpose, and each
+    # cross-section one contiguous row
+    assert ens.values.shape == (700, 8)
+    assert ens.values.flags.f_contiguous
+    assert all(ens.at(t).flags.c_contiguous for t in ens.times.tolist())
 
 
 # (burn_in, length) against slabs of 8 steps: no burn-in, a burn-in ending
@@ -516,6 +521,37 @@ def test_single_path_moments_have_no_standard_error():
     assert (stats.variance.value, stats.variance.se) == (0.0, math.inf)
 
 
+def _variance_se_power_form(sample):
+    """The standard error with m4 = mean(centered ** 4), through pow."""
+    n = len(sample)
+    centered = sample - sample.mean()
+    s2 = float(centered.dot(centered) / (n - 1))
+    m4 = float(np.mean(centered ** 4))
+    return math.sqrt(max(m4 - s2 * s2, 0.0) / n)
+
+
+@pytest.mark.parametrize("n, draws", [(2, 50), (3, 50), (100, 50),
+                                      (24_000, 4)])
+@pytest.mark.parametrize("family", ["normal", "student-t3"])
+def test_variance_se_matches_the_power_form(n, draws, family):
+    rng = np.random.default_rng([n, len(family)])
+    for _ in range(draws):
+        sample = (rng.standard_normal(n) if family == "normal"
+                  else rng.standard_t(3, n))
+        got = sim._variance_se(sample)
+        centered = sample - sample.mean()
+        assert got.value == float(centered.dot(centered) / (n - 1))
+        assert got.se == pytest.approx(_variance_se_power_form(sample),
+                                       rel=1e-15, abs=0.0)
+
+
+def test_overflowed_sample_has_a_nonfinite_variance_se():
+    sample = np.array([1e200, -1e200, 3.0, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = sim._variance_se(sample)
+    assert not math.isfinite(got.se)
+
+
 def test_requests_outside_the_ensemble_are_rejected():
     cfg = _config(n_paths=300)
     ens = simulate_paths(cfg)
@@ -592,8 +628,10 @@ def test_nonfinite_paths_counts_paths_not_values():
 
 def test_ensemble_is_read_only():
     ensemble = simulate_paths(_config(n_paths=200))
-    with pytest.raises(ValueError):
-        ensemble.values[0, 0] = 1.0
+    # the time-major array behind values is read-only too
+    for values in (ensemble.values, ensemble.values.T, ensemble.values.base):
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0
     with pytest.raises(ValueError):
         ensemble.times[0] = 0
 

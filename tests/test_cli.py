@@ -614,7 +614,8 @@ def test_green_rows_at_the_batch_edges(tmp_path, k):
 
 
 @pytest.mark.parametrize("paths, length, t", [(256, 4, 40), (257, 4, 40),
-                                              (3, 1500, 2**62)])
+                                              (3, 1500, 2**62)],
+                         ids=["256", "257", "3x1500-at-2**62"])
 def test_raw_simulate_rows_at_the_batch_edges(tmp_path, paths, length, t):
     # 4 rows per path: exactly one batch, and one batch and four rows; then
     # paths longer than a batch, each crossing a batch edge, at the anchor's

@@ -75,13 +75,23 @@ _LABELLED = "%s,%s\n"
 _WORD = {True: "true", False: "false", None: "indeterminate"}
 
 
+def _write_batches(out, header: str, template: str, batches) -> None:
+    """Write ``header``, then each of ``batches``, the flat arguments of
+    whole rows, through the one-row ``template`` repeated once per row:
+    one % and one write per batch.  Every CSV row goes through here."""
+    out.write(header)
+    fields = template.count("%")   # no template holds a literal %%
+    for batch in batches:
+        out.write((template * (len(batch) // fields)) % tuple(batch))
+
+
 def _write_rows(out, header: str, template: str, rows) -> None:
     """Write ``header``, then the tuples of ``rows`` through the one-row
-    ``template``, one batch of BATCH_ROWS rows per % and write at a time."""
-    out.write(header)
+    ``template``, BATCH_ROWS rows at a time."""
     rows = iter(rows)
-    while batch := list(islice(rows, BATCH_ROWS)):
-        out.write((template * len(batch)) % tuple(chain.from_iterable(batch)))
+    _write_batches(out, header, template,
+                   (tuple(chain.from_iterable(batch)) for batch in
+                    iter(lambda: list(islice(rows, BATCH_ROWS)), [])))
 
 
 def _check_range(args, name: str, low, high=None) -> None:
@@ -135,27 +145,24 @@ def _cmd_simulate(args, schedule, out):
                       m.anchor, m.variance.value, m.variance.se)
                      for m in stats))
     else:
-        _write_paths(out, ensemble)
+        _write_batches(out, "path,t,y\n", _INDEXED, _path_batches(ensemble))
     return EXIT_OK
 
 
-def _write_paths(out, ensemble) -> None:
-    """Write the raw ``path,t,y`` rows of ``ensemble``, path by path, in
-    batches of BATCH_ROWS.  Each batch's flat argument list is filled by
-    slice assignment from its path, t and y columns, gathered for the
-    batch alone; the ints are Python ints, so every t in int64 prints
-    exactly."""
-    out.write("path,t,y\n")
+def _path_batches(ensemble):
+    """The raw ``path,t,y`` rows of ``ensemble``, path by path, as flat
+    argument lists of BATCH_ROWS rows.  Each list is filled by slice
+    assignment from its path, t and y columns, gathered for the batch
+    alone; the ints are Python ints, so every t in int64 prints exactly."""
     n_paths, length = ensemble.values.shape
-    args = [None] * (3 * BATCH_ROWS)
     for r0 in range(0, n_paths * length, BATCH_ROWS):
         paths, steps = np.divmod(
             np.arange(r0, min(r0 + BATCH_ROWS, n_paths * length)), length)
-        del args[3 * len(paths):]
+        args = [None] * (3 * len(paths))
         args[0::3] = paths.tolist()
         args[1::3] = ensemble.times[steps].tolist()
         args[2::3] = ensemble.values[paths, steps].tolist()
-        out.write((_INDEXED * len(paths)) % tuple(args))
+        yield args
 
 
 def _cmd_stationarity(args, schedule, out):

@@ -530,8 +530,14 @@ def _variance_se_power_form(sample):
     return s2, math.sqrt(max(m4 - s2 * s2, 0.0) / n)
 
 
+# At n = 4 and 5, m4 and s^4 are close, so m4 - s^4 cancels and the last
+# bits of m4 weigh more: the two forms were seen up to 1.1e-12 apart on
+# normal, Student-t(3) and Cauchy samples.  Elsewhere they agree to 1e-15.
+_SE_REL = {4: 1e-11, 5: 1e-11}
+
+
 @pytest.mark.parametrize("n, draws", [(2, 50), (3, 50), (100, 50),
-                                      (24_000, 4)])
+                                      (24_000, 4), (4, 200), (5, 200)])
 @pytest.mark.parametrize("family", ["normal", "student-t3"])
 def test_variance_se_matches_the_power_form(n, draws, family):
     rng = np.random.default_rng([n, len(family)])
@@ -541,7 +547,7 @@ def test_variance_se_matches_the_power_form(n, draws, family):
         got = sim._variance_se(sample)
         s2, se = _variance_se_power_form(sample)
         assert got.value == s2
-        assert got.se == pytest.approx(se, rel=1e-15, abs=0.0)
+        assert got.se == pytest.approx(se, rel=_SE_REL.get(n, 1e-15), abs=0.0)
 
 
 def test_overflowed_sample_has_a_nonfinite_variance_se():

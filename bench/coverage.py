@@ -10,8 +10,8 @@ installed through sys.settrace and threading.settrace, so code that a
 test runs on a thread of its own (the concurrent-caller tests) is traced
 too; code run in child processes is not.  It then prints `path:line` for
 every line of a src/tvar2 module that holds an instruction of some code
-object of that module, outside the body of an `if TYPE_CHECKING:` block,
-and raised no trace event, and exits with pytest's exit status.
+object of that module, outside the body of an `if TYPE_CHECKING:` or
+`if __name__ == "__main__":` block, and raised no trace event, and exits with pytest's exit status.
 pytest's own report goes to standard error, so standard output holds
 the list alone.  Only the standard library is used.  Tracing slows the
 suite down about twofold.
@@ -31,15 +31,27 @@ TIER1 = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          os.path.join(ROOT, "tests")]
 
 
-def type_checking_lines(tree: ast.AST) -> set[int]:
+def _runs_elsewhere(test: ast.expr) -> bool:
+    """Whether an ``if`` on ``test`` runs its body only under a type
+    checker (``TYPE_CHECKING``, ``typing.TYPE_CHECKING``) or only when the
+    module is the main program (``__name__ == "__main__"``)."""
+    if isinstance(test, ast.Compare):
+        return (getattr(test.left, "id", None) == "__name__"
+                and isinstance(test.ops[0], ast.Eq)
+                and getattr(test.comparators[0], "value", None) == "__main__")
+    return (getattr(test, "id", None) == "TYPE_CHECKING"
+            or getattr(test, "attr", None) == "TYPE_CHECKING")
+
+
+def skipped_lines(tree: ast.AST) -> set[int]:
     """Lines of the bodies of ``if TYPE_CHECKING:`` (or ``if
-    typing.TYPE_CHECKING:``) blocks, which run only under a type checker;
-    their ``else`` branches run and are not included."""
+    typing.TYPE_CHECKING:``) blocks, which run only under a type checker,
+    and of ``if __name__ == "__main__":`` blocks, which run only in a
+    process of their own that the tracer does not follow; their ``else``
+    branches run here and are not included."""
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.If) and (
-                getattr(node.test, "id", None) == "TYPE_CHECKING"
-                or getattr(node.test, "attr", None) == "TYPE_CHECKING"):
+        if isinstance(node, ast.If) and _runs_elsewhere(node.test):
             for stmt in node.body:
                 lines.update(range(stmt.lineno, stmt.end_lineno + 1))
     return lines
@@ -48,7 +60,7 @@ def type_checking_lines(tree: ast.AST) -> set[int]:
 def statement_lines(path: str) -> set[int]:
     """Lines of ``path`` that hold an instruction of the module's code or
     of any code object nested in it, except those of ``if TYPE_CHECKING:``
-    bodies."""
+    and ``if __name__ == "__main__":`` bodies."""
     with open(path) as fh:
         source = fh.read()
     todo = [compile(source, path, "exec")]
@@ -58,7 +70,7 @@ def statement_lines(path: str) -> set[int]:
         lines.update(line for _, _, line in code.co_lines()
                      if line is not None)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
-    return lines - type_checking_lines(ast.parse(source, path))
+    return lines - skipped_lines(ast.parse(source, path))
 
 
 def unexecuted(package: str, run) -> tuple[object, list[tuple[str, int]]]:

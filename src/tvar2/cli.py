@@ -94,11 +94,11 @@ def _write_rows(out, header: str, template: str, rows) -> None:
                     iter(lambda: list(islice(rows, BATCH_ROWS)), [])))
 
 
-def _check_range(args, name: str, low, high=None) -> None:
+def _check_range(args, name: str, low, high) -> None:
     value = getattr(args, name)
-    if value < low or (high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigError(f"key {name!r} must be {bound} (got {value})")
+    if not low <= value <= high:
+        raise ConfigError(
+            f"key {name!r} must be in [{low}, {high}] (got {value})")
 
 
 def _cmd_green(args, schedule, out):
@@ -204,7 +204,6 @@ def _cmd_decompose_verify(args, schedule, out):
 
 
 def _cmd_verify(args, schedule, out):
-    import numpy as np
     _check_range(args, "seed", 0, 2**63 - 1)
     rng = np.random.default_rng(args.seed)
     t = args.t
@@ -312,7 +311,10 @@ class _OutFile:
 
     def write(self, text: str) -> int:
         if self.fh is None:
-            self.fh = open(self.path, "w", newline="")
+            try:
+                self.fh = open(self.path, "w", newline="")
+            except OSError as exc:
+                raise ConfigError(f"cannot open --out: {exc}") from None
         return self.fh.write(text)
 
     def __enter__(self):

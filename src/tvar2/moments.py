@@ -185,15 +185,14 @@ def autocovariance_recursion(schedule: Schedule, t: int, k: int,
                              tol: float = DEFAULT_TOL,
                              n_max: int = DEFAULT_N_MAX) -> Autocovariance:
     """Cov(y_t, y_{t-k}) via the recursion form
-    xi_{t,k} * Var(y_{t-k}) + phi2(t-k+1) * xi_{t,k-1} * Cov(y_{t-k}, y_{t-k-1}),
-    with both right-hand moments grounded in the series forms."""
+    xi_{t,k} * Var(y_{t-k}) + phi2(t-k+1) * xi_{t,k-1} * Cov(y_{t-k}, y_{t-k-1}):
+    the general solution's weights w0, w1 on the series moments at t-k."""
     if k < 1:
         raise ValueError("recursion form requires k >= 1")
-    table = green_functions(schedule, t, k)
+    sol = general_solution(schedule, t, k)
     var = autocovariance(schedule, t - k, 0, tol, n_max)
     cov1 = autocovariance(schedule, t - k, 1, tol, n_max)
-    value = (table.xi(k) * var.value
-             + schedule.at(t - k + 1).phi2 * table.xi(k - 1) * cov1.value)
+    value = sol.w0 * var.value + sol.w1 * cov1.value
     return Autocovariance(int(t), int(k), max(var.depth, cov1.depth),
                           float(value), max(var.tail_bound, cov1.tail_bound),
                           var.converged and cov1.converged)

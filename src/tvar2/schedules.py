@@ -148,11 +148,9 @@ class GenericSchedule(Schedule):
         super().__init__(sigma2_bounds)
         self._fn = fn
 
-    def _tuple_at(self, t: int) -> CoefficientTuple:
-        return _as_tuple(self._fn(t))
-
     def _rows_between(self, t_lo: int, t_hi: int) -> np.ndarray:
-        newest_first = [self._tuple_at(t) for t in range(t_hi, t_lo - 1, -1)]
+        newest_first = [_as_tuple(self._fn(t))
+                        for t in range(t_hi, t_lo - 1, -1)]
         return _rows(reversed(newest_first)).reshape(-1, 4)
 
 

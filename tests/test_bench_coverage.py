@@ -75,3 +75,31 @@ def test_type_checking_bodies_are_not_statements(coverage, tmp_path):
     lines = coverage.statement_lines(str(path))
     assert {1, 2, 4, 9, 10} <= lines
     assert not lines & {5, 6, 7, 11}
+
+
+MAIN = '''\
+import sys
+
+
+def main():
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
+elif __name__ != "__main__":
+    NAME = __name__
+if __name__ == "other":
+    OTHER = 1
+'''
+
+
+def test_main_program_bodies_are_not_statements(coverage, tmp_path):
+    # the body of the __main__ block (line 9) runs only as a program of its
+    # own; the test itself, the elif branch and any other test on __name__
+    # run on import
+    path = tmp_path / "program.py"
+    path.write_text(MAIN)
+    lines = coverage.statement_lines(str(path))
+    assert {1, 4, 5, 8, 10, 11, 12, 13} <= lines
+    assert 9 not in lines

@@ -1,5 +1,8 @@
 import argparse
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -112,6 +115,46 @@ def test_unknown_key_exits_2(tmp_path, capsys):
 def test_missing_config_file_exits_2(tmp_path):
     code = cli.main(["green", "--config", str(tmp_path / "absent.yaml")])
     assert code == 2
+
+
+@pytest.mark.parametrize("out", ["missing_dir/o.csv", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys, out):
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    code = cli.main(["green", "--config", cfg, "--t", "50", "--k", "3",
+                     "--out", str(tmp_path / out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot open --out: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "missing_dir").exists()
+
+
+def _run_module(tmp_path, argv):
+    """``python -m tvar2.cli`` in a process of its own, run in tmp_path."""
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(tvar2.__file__))}
+    return subprocess.run([sys.executable, "-m", "tvar2.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          timeout=60)
+
+
+def test_module_entry_point_matches_main(tmp_path):
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    argv = ["green", "--config", cfg, "--t", "10", "--k", "4"]
+    done = _run_module(tmp_path, argv)
+    out = tmp_path / "out.csv"
+    code = cli.main(argv + ["--out", str(out)])
+    assert (done.returncode, done.stderr) == (code, b"")
+    assert done.stdout == out.read_bytes()
+
+    failed = _run_module(tmp_path, argv + ["--out", "missing_dir/o.csv"])
+    assert failed.returncode == 2
+    assert failed.stdout == b""
+    assert failed.stderr.startswith(b"config error: cannot open --out: ")
+    assert failed.stderr.count(b"\n") == 1
+    assert not (tmp_path / "missing_dir").exists()
 
 
 def test_domain_error_exits_1(tmp_path, capsys):
@@ -456,12 +499,27 @@ REJECTED = [
     (CONSTANT.replace("phi1: 1.2", "phi1: .nan"), "phi1 must be finite"),
     (CONSTANT.replace("phi1: 1.2", "phi1: [1.2"), "invalid YAML"),
     (CONSTANT.replace("  kind", "kind"), "invalid YAML"),
+    ("[schema_version, 1]", "config must be a mapping"),
+    ("schema_version: 1\nschedule: constant\n", "schedule must be a mapping"),
+    (_edit(CONSTANT, "  t: 10\n  k: 4", "  - t"), "params must be a mapping"),
+    (_edit(CYCLICAL, "- {phi0: 0.0, phi1: 0.5, phi2: -0.2, sigma2: 1.0}",
+           "- 0.5"), "cycles[0] must be a mapping"),
+    (_edit(CONSTANT, "sigma2: 1.0", "sigma2: 1.0\n  sigma2_bounds: [2, 1]"),
+     "sigma2 bounds must satisfy 0 <= lower < upper"),
+    ("schema_version: 1\nschedule: {kind: periodic, seasons: []}\n",
+     "need at least one season"),
+    (_edit(CYCLICAL, "period: 6", "period: 0"), "period must be >= 1"),
+    (_edit(BREAKS, "horizon: 10", "horizon: 0"), "horizon must be >= 1"),
 ] + [(_edit(config, old, new), f"key {key!r}") for config, old, new, key in MISTYPED]
 
 
 @pytest.mark.parametrize("config, message", REJECTED,
                          ids=["sigma2-negative", "unknown-key", "phi1-nan",
-                              "unclosed-list", "bad-indent"] + MISTYPED_IDS)
+                              "unclosed-list", "bad-indent", "config-not-mapping",
+                              "schedule-not-mapping", "params-not-mapping",
+                              "cycle-not-mapping", "sigma2-bounds-order",
+                              "no-seasons", "period-0", "horizon-0"]
+                         + MISTYPED_IDS)
 def test_mistyped_config_exits_2_without_out_file(tmp_path, capsys, yaml_pairs,
                                                   config, message):
     cfg = _write(tmp_path, "c.yaml", config)

@@ -171,10 +171,18 @@ REJECTED = [
      "schema_version"),
     ("schedule: [unclosed", "invalid YAML"),
     (CONSTANT_YAML.replace("phi1: 1.2", "phi1: {1.2"), "invalid YAML"),
+    ("[schema_version, 1]", "^config must be a mapping$"),
+    ("schema_version: 1\nschedule: constant\n", "^schedule must be a mapping$"),
+    (CONSTANT_YAML.replace("  t: 10\n  k: 3", "  - t"),
+     "^params must be a mapping$"),
+    (_edit(CYCLICAL_YAML, "- {phi0: 0.0, phi1: -0.3, phi2: 0.4, sigma2: 1.0}",
+           "- 0.4"), r"^cycles\[1\] must be a mapping$"),
 ] + [(_edit(text, old, new), re.escape(repr(key)))
      for text, old, new, key in MISTYPED]
 REJECTED_IDS = ["unknown-top-level-key", "unknown-param-key", "no-schema-version",
-                "unclosed-list", "unclosed-mapping"] + MISTYPED_IDS
+                "unclosed-list", "unclosed-mapping", "config-not-mapping",
+                "schedule-not-mapping", "params-not-mapping",
+                "cycle-not-mapping"] + MISTYPED_IDS
 
 
 @pytest.mark.parametrize("text, pattern", REJECTED, ids=REJECTED_IDS)

@@ -371,8 +371,18 @@ def test_empty_break_window_has_no_rows(t_lo, t_hi):
      "sigma2 must be > 0 (cycle 2)"),
     (lambda: BreakSchedule(50, 10, [3], [(0, 0.1, 0.1, 0), (0, 0.1, 0.1, 1)]),
      "sigma2 must be > 0 (regime 1)"),
+    (lambda: ConstantSchedule(0, 0.1, 0.1, 1, sigma2_bounds=(2.0, 1.0)),
+     "sigma2 bounds must satisfy 0 <= lower < upper"),
+    (lambda: ConstantSchedule(0, 0.1, 0.1, 1, sigma2_bounds=(-1.0, 1.0)),
+     "sigma2 bounds must satisfy 0 <= lower < upper"),
+    (lambda: PeriodicSchedule([]), "need at least one season"),
+    (lambda: CyclicalSchedule(0, [], [(0, 0.1, 0.1, 1)]),
+     "period must be >= 1"),
+    (lambda: BreakSchedule(50, 0, [], [(0, 0.1, 0.1, 1)]),
+     "horizon must be >= 1"),
 ], ids=["cycle-order", "cycle-edge", "break-order", "block-edge",
         "cycle-count", "regime-count", "season-sigma2", "cycle-sigma2",
-        "regime-sigma2"])
+        "regime-sigma2", "sigma2-bounds-order", "sigma2-bounds-negative",
+        "no-seasons", "period-0", "horizon-0"])
 def test_declared_tables_keep_their_messages(build, message):
     assert _message(build) == message

@@ -11,7 +11,8 @@ test runs on a thread of its own (the concurrent-caller tests) is traced
 too; code run in child processes is not.  It then prints `path:line` for
 every line of a src/tvar2 module that holds an instruction of some code
 object of that module, outside the body of an `if TYPE_CHECKING:` or
-`if __name__ == "__main__":` block, and raised no trace event, and exits with pytest's exit status.
+`if __name__ == "__main__":` block, and raised no trace event, and
+exits with pytest's exit status.
 pytest's own report goes to standard error, so standard output holds
 the list alone.  Only the standard library is used.  Tracing slows the
 suite down about twofold.
@@ -31,27 +32,19 @@ TIER1 = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          os.path.join(ROOT, "tests")]
 
 
-def _runs_elsewhere(test: ast.expr) -> bool:
-    """Whether an ``if`` on ``test`` runs its body only under a type
-    checker (``TYPE_CHECKING``, ``typing.TYPE_CHECKING``) or only when the
-    module is the main program (``__name__ == "__main__"``)."""
-    if isinstance(test, ast.Compare):
-        return (getattr(test.left, "id", None) == "__name__"
-                and isinstance(test.ops[0], ast.Eq)
-                and getattr(test.comparators[0], "value", None) == "__main__")
-    return (getattr(test, "id", None) == "TYPE_CHECKING"
-            or getattr(test, "attr", None) == "TYPE_CHECKING")
+# tests of the if blocks whose bodies run only under a type checker, or
+# only in a process of their own, which the tracer does not follow; as
+# ast.unparse writes them
+ELSEWHERE = {"TYPE_CHECKING", "typing.TYPE_CHECKING", "__name__ == '__main__'"}
 
 
 def skipped_lines(tree: ast.AST) -> set[int]:
-    """Lines of the bodies of ``if TYPE_CHECKING:`` (or ``if
-    typing.TYPE_CHECKING:``) blocks, which run only under a type checker,
-    and of ``if __name__ == "__main__":`` blocks, which run only in a
-    process of their own that the tracer does not follow; their ``else``
-    branches run here and are not included."""
+    """Lines of the bodies of ``if TYPE_CHECKING:``, ``if
+    typing.TYPE_CHECKING:`` and ``if __name__ == "__main__":`` blocks; their
+    ``else`` branches run here and are not included."""
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.If) and _runs_elsewhere(node.test):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ELSEWHERE:
             for stmt in node.body:
                 lines.update(range(stmt.lineno, stmt.end_lineno + 1))
     return lines

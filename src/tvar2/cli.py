@@ -336,6 +336,12 @@ def main(argv=None) -> int:
         _resolve(args, params, flags, defaults)
         if "t" in flags and args.t is not None:
             _check_range(args, "t", -MAX_ANCHOR, MAX_ANCHOR)
+        # fail before computing; the file itself still opens at the first
+        # write, so a rejected run leaves an existing file alone
+        directory = os.path.dirname(args.out or "") or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"cannot open --out: {directory!r} is not a "
+                              f"directory")
     except (OSError, ConfigError, ScheduleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

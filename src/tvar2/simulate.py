@@ -4,20 +4,26 @@ Random stream contract, version ``STREAM_VERSION``: path p belongs to the
 block b = p // SUB_BLOCK, and block b is one SFC64 stream seeded through
 ``SeedSequence([master seed, b])``, drawn time-major at full block width.
 A path's values therefore depend on neither the ensemble size nor how
-paths are chunked.  With normal innovations the state x_B = (y_B, y_{B-1})
-after the burn-in is exactly Gaussian, so no burn-in step is drawn: its
-mean m and covariance P are propagated over the burn-in coefficients, and
-the block's first two rows z give x_B = m + L z, L the lower Cholesky
-factor of P; the next ``length`` rows are the kept innovations.  Uniform
-innovations start from zero and draw every burn-in step, since their x_B
-is not Gaussian.  Chunks hold whole blocks and are simulated in slabs of
-DRAW_ROWS time steps: the calling thread continues each block's stream,
-scaled by sigma, into its own columns of a time-major (DRAW_ROWS + 2) x
-chunk array whose first two rows carry the last two steps of the slab
-before (the start state, at the first slab).  The recursion then runs
-over the slab, in place, and only kept steps go out, each as one row of
-the time-major ensemble, so the bits depend on neither the slab height
-nor ``workers``, which has no effect; no thread is started.
+paths are chunked.  No path runs its burn-in step by step; both families
+walk the burn-in coefficients once in Python to find how the state
+x_B = (y_B, y_{B-1}) after it is made.  With normal innovations x_B is
+exactly Gaussian: its mean m and covariance P are propagated over the
+burn-in coefficients, and the block's first two rows z give x_B = m + L z,
+L the lower Cholesky factor of P.  With uniform innovations x_B is, by the
+general solution, a weighted sum of the burn-in draws: the block draws its
+B burn-in rows u, DRAW_ROWS at a time, and x_B = c + W u, each slab of u
+contracted with its columns of the (2, B) weights W by ``np.einsum`` (no
+BLAS, whose bits depend on the CPU) at the full block width.  The next
+``length`` rows of either family are the kept innovations.  Chunks hold
+whole blocks and run their kept steps in slabs of DRAW_ROWS time steps:
+the calling thread continues each block's stream, scaled by sigma, into
+its own columns of a time-major (DRAW_ROWS + 2) x chunk array whose first
+two rows carry the last two steps of the slab before (x_B, at the first
+slab).  The recursion then runs over the slab, in place, and each step
+goes out as one row of the time-major ensemble, so the kept steps' bits
+depend on neither the slab height nor ``workers``, which has no effect;
+no thread is started.  A uniform start's bits depend on DRAW_ROWS, which
+sets how its sum is split.
 Statistics are collected at fixed anchor times, never time-averaged: the
 moments are themselves functions of time.
 
@@ -45,12 +51,13 @@ DRAW_ROWS = 128         # time steps per slab; bounds its height
 # blocks, since every block is drawn at full width, times the rows each
 # block draws, 2 + length (normal) or burn_in + length (uniform)
 MAX_PATH_STEPS = 10**8
-# cap on burn_in, the CLI's MAX_DEPTH: a normal ensemble walks its burn-in
-# coefficients once in Python to find the law of its start state
+# cap on burn_in, the CLI's MAX_DEPTH: both families walk their burn-in
+# coefficients once in Python, a normal ensemble to find the law of its
+# start state, a uniform one the general solution's weights on its draws
 MAX_BURN_IN = 10**6
 # the version of the stream contract above; any change to the simulated
 # bits (and so to a pinned ensemble digest) must bump it
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 # (config, weak reference to its ensemble) of the last simulate_paths call;
 # the weak reference keeps no ensemble alive after its caller drops it
@@ -64,9 +71,10 @@ class SimulationConfig:
     Each path is the recursion run ``burn_in`` steps from zero initial
     conditions, then the final ``length`` values ending at ``t_end``, which
     are kept.  ``innovations`` is "normal" or "uniform" (scaled to unit
-    variance either way, then by sigma_t).  A normal path draws its state
-    after the burn-in from that state's exact Gaussian law instead of
-    running the burn-in steps; a uniform path runs them.
+    variance either way, then by sigma_t).  No path runs the burn-in
+    steps: a normal path draws its state after them from that state's
+    exact Gaussian law, and a uniform path sums its burn-in draws with the
+    general solution's weights.
     """
 
     schedule: Schedule
@@ -176,40 +184,80 @@ def _start_law(burn: np.ndarray):
     return mean, (l00, l10, math.sqrt(d) if not d < 0.0 else 0.0)
 
 
+def _uniform_start(schedule: Schedule, t_b: int, burn: np.ndarray):
+    """(c, W) of the state x_B = (y_B, y_{B-1}) after the burn-in rows
+    ``burn`` (oldest first, ending at t_b) from zero, as a map of a block's
+    raw uniform burn-in draws u, one row per step: x_B = c + W u.  By the
+    general solution y_B = sum_i xi_{t_B,i} (phi0(t_B-i) + sigma eps), so
+    the rows of W are the innovation weights w of ``general_solution`` at
+    (t_B, B) and at (t_B - 1, B - 1), oldest first, with a 0 for time t_B
+    in the second, times sigma and the map eps = u 2 sqrt(3) - sqrt(3):
+    W = 2 sqrt(3) (w sigma) and c = drift - sqrt(3) sum(w sigma).  An
+    overflowed weight gives a non-finite (c, W)."""
+    n = len(burn)
+    now = general_solution(schedule, t_b, n)
+    before = general_solution(schedule, t_b - 1, max(n - 1, 0))
+    weights = np.zeros((2, n))
+    weights[0] = now.innovation_weights[::-1]
+    weights[1, :-1] = before.innovation_weights[::-1]
+    root3 = math.sqrt(3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights *= np.sqrt(burn[:, 3])
+        c = np.array([now.drift, before.drift]) - root3 * weights.sum(axis=1)
+        return c, (2.0 * root3) * weights
+
+
 def _simulate_chunk(config: SimulationConfig, first_path: int,
                     coeffs: np.ndarray, start, out: np.ndarray) -> None:
     """Simulate paths first_path .. first_path + out.shape[1] - 1 into the
-    time-major ``out``, one row per kept step, over the coefficient rows
-    ``coeffs``, keeping the last ``config.length`` steps; first_path is a
-    multiple of SUB_BLOCK.  ``start`` is None for a zero start, or the
-    (m, L) of ``_start_law``: each block then draws z from its first two
-    rows, and x = m + L z."""
+    time-major ``out``, one row per kept step, over the kept coefficient
+    rows ``coeffs``; first_path is a multiple of SUB_BLOCK.  ``start`` is
+    the (m, L) of ``_start_law`` for normal innovations: each block draws z
+    from its first two rows, and x_B = m + L z.  For uniform ones it is the
+    (c, W) of ``_uniform_start``: each block draws its B burn-in rows
+    DRAW_ROWS at a time and adds W times each slab of them to c."""
     n_paths = out.shape[1]
-    total = len(coeffs)
-    skip = total - config.length       # burn-in steps the kernel runs
+    length = len(coeffs)
     sigma = np.sqrt(coeffs[:, 3])[:, None]
     streams = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
         [config.seed, (first_path + b) // SUB_BLOCK])))
         for b in range(0, n_paths, SUB_BLOCK)]
     # the slab of steps j0 .. j0 + height - 1: y[i + 2] holds step j0 + i,
-    # rows 0 and 1 the two steps before j0 (at j0 = 0, the start state)
-    height = min(DRAW_ROWS, total)
-    y = np.zeros((height + 2, n_paths))
-    if start is not None:
-        (m0, m1), (l00, l10, l11) = start
-        z = np.empty((len(streams), 2, SUB_BLOCK))
-        for rng, rows in zip(streams, z):
-            rng.standard_normal(out=rows)
-        z0, z1 = (z[:, i].reshape(-1)[:n_paths] for i in (0, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
+    # rows 0 and 1 the two steps before j0 (at j0 = 0, x_B)
+    height = min(DRAW_ROWS, length)
+    y = np.empty((height + 2, n_paths))
+    uniform = config.innovations == "uniform"
+    with np.errstate(over="ignore", invalid="ignore"):
+        if uniform:
+            c, weights = start
+            burn = weights.shape[1]
+            draws = np.empty((min(DRAW_ROWS, burn), SUB_BLOCK))
+            x = np.empty((2, SUB_BLOCK))
+            for b, rng in zip(range(0, n_paths, SUB_BLOCK), streams):
+                x[:] = c[:, None]
+                for j0 in range(0, burn, DRAW_ROWS):
+                    u = draws[:min(DRAW_ROWS, burn - j0)]
+                    rng.random(out=u)
+                    # at the full block width, so no path's bits depend
+                    # on where the ensemble ends
+                    x += np.einsum("ik,kj->ij", weights[:, j0:j0 + len(u)],
+                                   u, optimize=False)
+                width = min(SUB_BLOCK, n_paths - b)
+                y[1, b:b + width] = x[0, :width]     # y_B
+                y[0, b:b + width] = x[1, :width]     # y_{B-1}
+        else:
+            (m0, m1), (l00, l10, l11) = start
+            z = np.empty((len(streams), 2, SUB_BLOCK))
+            for rng, rows in zip(streams, z):
+                rng.standard_normal(out=rows)
+            z0, z1 = (z[:, i].reshape(-1)[:n_paths] for i in (0, 1))
             y[1] = m0 + l00 * z0                     # y_B
             y[0] = (m1 + l10 * z0) + l11 * z1        # y_{B-1}
     block = np.empty((height, SUB_BLOCK))
     acc, tmp = np.empty((2, n_paths))
-    uniform = config.innovations == "uniform"
     root3 = math.sqrt(3.0)
-    for j0 in range(0, total, height):
-        n = min(height, total - j0)
+    for j0 in range(0, length, height):
+        n = min(height, length - j0)
         rows, scale = block[:n], sigma[j0:j0 + n]
         for b, rng in zip(range(0, n_paths, SUB_BLOCK), streams):
             # the block is drawn at full width even where the ensemble ends
@@ -232,9 +280,7 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
                 np.multiply(phi2, y[i], out=tmp)
                 np.add(acc, tmp, out=acc)
                 np.add(acc, y[i + 2], out=y[i + 2])
-        kept = max(j0, skip)    # the slab's first kept step
-        if kept < j0 + n:
-            out[kept - skip:j0 + n - skip] = y[2 + kept - j0:2 + n]
+        out[j0:j0 + n] = y[2:2 + n]
         y[:2] = y[n:n + 2]
 
 
@@ -243,12 +289,13 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     whatever ``workers`` and ``CHUNK_TARGET``.  Every call runs the kernel
     and returns a new ensemble."""
     global _last_ensemble
-    coeffs = config.schedule.window(
-        config.t_end - config.length - config.burn_in + 1, config.t_end)
-    start = None
+    t_b = config.t_end - config.length    # the burn-in's last time
+    coeffs = config.schedule.window(t_b - config.burn_in + 1, config.t_end)
+    burn, coeffs = coeffs[:config.burn_in], coeffs[config.burn_in:]
     if config.innovations == "normal":
-        start = _start_law(coeffs[:config.burn_in])
-        coeffs = coeffs[config.burn_in:]
+        start = _start_law(burn)
+    else:
+        start = _uniform_start(config.schedule, t_b, burn)
     time_major = np.empty((config.length, config.n_paths))
     chunk = max(1, CHUNK_TARGET // SUB_BLOCK) * SUB_BLOCK
     for first in range(0, config.n_paths, chunk):

@@ -131,6 +131,36 @@ def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys, out):
     assert not (tmp_path / "missing_dir").exists()
 
 
+@pytest.mark.parametrize("out", ["missing_dir/o.csv", "kept.csv/o.csv"],
+                         ids=["missing-directory", "directory-is-a-file"])
+def test_out_directory_is_checked_before_computing(tmp_path, monkeypatch,
+                                                   capsys, out):
+    # the k = 999 999 table would take a third of a second to compute
+    monkeypatch.setattr(cli, "green_functions", _not_called)
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"t,i,xi\n1,0,1\n")
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    code = cli.main(["green", "--config", cfg, "--t", "40", "--k", "999999",
+                     "--out", str(tmp_path / out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot open --out: ")
+    assert kept.read_bytes() == b"t,i,xi\n1,0,1\n"
+    assert not (tmp_path / "missing_dir").exists()
+
+
+def test_rejected_run_leaves_an_existing_out_file_alone(tmp_path):
+    # the --out file opens at the first write, so a run rejected before
+    # it neither truncates nor removes the file
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"t,i,xi\n1,0,1\n")
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    code = cli.main(["green", "--config", cfg, "--t", "40", "--k", "1000000",
+                     "--out", str(kept)])
+    assert code == 2
+    assert kept.read_bytes() == b"t,i,xi\n1,0,1\n"
+
+
 def _run_module(tmp_path, argv):
     """``python -m tvar2.cli`` in a process of its own, run in tmp_path."""
     env = {**os.environ,

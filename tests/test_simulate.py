@@ -15,10 +15,10 @@ import pytest
 
 import tvar2
 import tvar2.simulate as sim
-from tvar2 import (ConstantSchedule, PeriodicSchedule, SimulationConfig,
-                   autocovariance, empirical_forecast_error, empirical_moments,
-                   forecast, simulate_paths, unconditional_mean,
-                   unconditional_variance)
+from tvar2 import (ConstantSchedule, CyclicalSchedule, PeriodicSchedule,
+                   SimulationConfig, autocovariance, empirical_forecast_error,
+                   empirical_moments, forecast, general_solution,
+                   simulate_paths, unconditional_mean, unconditional_variance)
 
 STABLE = ConstantSchedule(0.4, 1.2, -0.32, 1.0)
 SEASONS = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
@@ -133,59 +133,100 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(one.values, eight.values)
 
 
+def _blocks(config):
+    """One Generator(SFC64(SeedSequence([seed, b]))) per block b of
+    SUB_BLOCK paths."""
+    return [np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence([config.seed, b])))
+        for b in range(-(-config.n_paths // sim.SUB_BLOCK))]
+
+
 def _reference_paths(config):
-    """The stream contract (version 4), spelled out: one
-    Generator(SFC64(SeedSequence([seed, b]))) per block b of SUB_BLOCK
-    paths, drawn as one full-width time-major array, then the path-major
-    recursion ((phi0 + phi1*y1) + phi2*y2) + sigma*eps.  Uniform blocks draw
-    every burn-in step (u mapped to u * 2 sqrt(3) - sqrt(3)) and start from
-    zero.  Normal blocks draw two rows z, then the kept steps only, and start
-    from x_B = m + L z: the burn-in state's mean and clamped Cholesky factor,
-    propagated step by step from m = 0, P = 0."""
-    times = range(config.t_end - config.length - config.burn_in + 1,
-                  config.t_end + 1)
+    """The stream contract (version 5), spelled out: each block's stream is
+    drawn as one full-width time-major array, first the rows that make the
+    start x_B = (y_B, y_{B-1}), then the kept rows; each path runs the
+    path-major recursion ((phi0 + phi1*y1) + phi2*y2) + sigma*eps over its
+    kept steps only.  Normal blocks draw two rows z and start from
+    x_B = m + L z: the burn-in state's mean and clamped Cholesky factor,
+    propagated step by step from m = 0, P = 0.  Uniform blocks draw their
+    B burn-in rows u and start from the general solution's sum over them:
+    with w the innovation weights of general_solution at (t_B, B) and
+    (t_B - 1, B - 1), oldest first (0 for time t_B in the second), times
+    sigma, x_B = c + W u, W = 2 sqrt(3) w and c = drift - sqrt(3) sum(w),
+    W u summed as one einsum per slab of DRAW_ROWS rows at full block
+    width.  Kept uniform draws map u to u * 2 sqrt(3) - sqrt(3)."""
+    t_b = config.t_end - config.length
+    times = range(t_b - config.burn_in + 1, config.t_end + 1)
     tuples = [config.schedule.at(t) for t in times]
+    burn, tuples = tuples[:config.burn_in], tuples[config.burn_in:]
     normal = config.innovations == "normal"
     m0 = m1 = p00 = p01 = p11 = 0.0
     if normal:
-        for tup in tuples[:config.burn_in]:
+        for tup in burn:
             a = tup.phi1 * p00 + tup.phi2 * p01
             b = tup.phi1 * p01 + tup.phi2 * p11
             p00, p01, p11 = (a * tup.phi1 + b * tup.phi2) + tup.sigma2, a, p00
             m0, m1 = (tup.phi0 + tup.phi1 * m0) + tup.phi2 * m1, m0
-        tuples = tuples[config.burn_in:]
     l00 = math.sqrt(max(p00, 0.0))
     l10 = p01 / l00 if l00 else 0.0
     l11 = math.sqrt(max(p11 - l10 * l10, 0.0))
+    root3 = math.sqrt(3.0)
+    if not normal:
+        n_burn = config.burn_in
+        now = general_solution(config.schedule, t_b, n_burn)
+        before = general_solution(config.schedule, t_b - 1, max(n_burn - 1, 0))
+        burn_sigma = np.sqrt([tup.sigma2 for tup in burn])
+        # [:n_burn]: at B = 0 there is no time t_B to give a 0
+        w = np.array([now.innovation_weights[::-1] * burn_sigma,
+                      np.append(before.innovation_weights[::-1], 0.0)[:n_burn]
+                      * burn_sigma])
+        c = [now.drift - root3 * w[0].sum(), before.drift - root3 * w[1].sum()]
+        weights = (2.0 * root3) * w
     sigma = np.sqrt(np.array([tup.sigma2 for tup in tuples]))
     coeffs = np.array([(tup.phi0, tup.phi1, tup.phi2) for tup in tuples])
-    root3 = math.sqrt(3.0)
     blocks, starts = [], []
-    for b in range(-(-config.n_paths // sim.SUB_BLOCK)):
-        rng = np.random.Generator(np.random.SFC64(
-            np.random.SeedSequence([config.seed, b])))
+    for rng in _blocks(config):
         if normal:
-            starts.append(rng.standard_normal((2, sim.SUB_BLOCK)))
+            z0, z1 = rng.standard_normal((2, sim.SUB_BLOCK))
+            starts.append(((m1 + l10 * z0) + l11 * z1, m0 + l00 * z0))
             draw = rng.standard_normal((len(tuples), sim.SUB_BLOCK))
         else:
+            u = rng.random((config.burn_in, sim.SUB_BLOCK))
+            x = np.array([np.full(sim.SUB_BLOCK, c[0]),
+                          np.full(sim.SUB_BLOCK, c[1])])
+            for j0 in range(0, config.burn_in, sim.DRAW_ROWS):
+                j1 = j0 + sim.DRAW_ROWS
+                x += np.einsum("ik,kj->ij", weights[:, j0:j1], u[j0:j1],
+                               optimize=False)
+            starts.append((x[1], x[0]))
             draw = rng.random((len(tuples), sim.SUB_BLOCK)) * (2.0 * root3) - root3
         blocks.append(draw)
     eps = np.hstack(blocks)[:, :config.n_paths].T * sigma
-    y_prev = np.zeros(config.n_paths)
-    y_prev2 = np.zeros(config.n_paths)
-    if normal:
-        z0, z1 = np.hstack(starts)[:, :config.n_paths]
-        y_prev = m0 + l00 * z0
-        y_prev2 = (m1 + l10 * z0) + l11 * z1
+    y_prev2, y_prev = np.hstack(starts)[:, :config.n_paths]
     out = np.empty((config.n_paths, config.length))
-    skip = len(tuples) - config.length
     for j in range(len(tuples)):
         phi0, phi1, phi2 = coeffs[j]
         y = phi0 + phi1 * y_prev + phi2 * y_prev2 + eps[:, j]
         y_prev2, y_prev = y_prev, y
-        if j >= skip:
-            out[:, j - skip] = y
+        out[:, j] = y
     return out
+
+
+def _drawn_burn_in_paths(config):
+    """Uniform paths run from zero through every burn-in step and kept
+    step of the plain per-path float recursion, from the same draws."""
+    rows = config.schedule.window(
+        config.t_end - config.length - config.burn_in + 1, config.t_end)
+    root3 = math.sqrt(3.0)
+    draws = np.hstack([rng.random((len(rows), sim.SUB_BLOCK))
+                       for rng in _blocks(config)])[:, :config.n_paths]
+    eps = (draws * (2.0 * root3) - root3) * np.sqrt(rows[:, 3:])
+    y_prev = y_prev2 = np.zeros(config.n_paths)
+    values = []
+    for (phi0, phi1, phi2, _), e in zip(rows.tolist(), eps):
+        y_prev2, y_prev = y_prev, phi0 + phi1 * y_prev + phi2 * y_prev2 + e
+        values.append(y_prev)
+    return np.array(values[-config.length:]).T
 
 
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])
@@ -225,6 +266,46 @@ def test_slab_edges_match_per_path_reference(monkeypatch, innovations, workers,
     cfg = _config(schedule=SEASONS, n_paths=700, t_end=64, burn_in=burn_in,
                   length=length, innovations=innovations, workers=workers)
     assert np.array_equal(simulate_paths(cfg).values, _reference_paths(cfg))
+
+
+NEAR_UNIT_ROOT = ConstantSchedule(0.01, 1.0, -0.02, 1.0)   # roots 0.98, 0.02
+CYCLES = CyclicalSchedule(6, [2, 4], [(0.0, 0.5, -0.2, 1.0),
+                                      (0.0, -0.3, 0.4, 1.0),
+                                      (0.0, 0.8, -0.1, 1.0)])
+
+
+@pytest.mark.parametrize("burn_in", [1, 130, 500])
+@pytest.mark.parametrize("schedule", [SEASONS, NEAR_UNIT_ROOT, CYCLES],
+                         ids=["periodic", "near-unit-root", "cyclical"])
+def test_uniform_start_has_the_law_of_a_drawn_burn_in(schedule, burn_in):
+    # the weighted sum of the burn-in draws is the recursion run through
+    # them, up to rounding: the same draws give the same paths
+    cfg = _config(schedule=schedule, n_paths=700, t_end=700, length=10,
+                  burn_in=burn_in, innovations="uniform")
+    got = simulate_paths(cfg).values
+    plain = _drawn_burn_in_paths(cfg)
+    assert np.all(np.abs(got - plain) <= 1e-12 * np.maximum(np.abs(plain), 1))
+
+
+def test_uniform_start_without_burn_in_is_a_zero_start():
+    c, weights = sim._uniform_start(SEASONS, 40, SEASONS.window(41, 40))
+    assert c.tolist() == [0.0, 0.0]
+    assert weights.shape == (2, 0)
+    cfg = _config(schedule=SEASONS, n_paths=300, burn_in=0,
+                  innovations="uniform")
+    assert np.array_equal(simulate_paths(cfg).values, _drawn_burn_in_paths(cfg))
+
+
+def test_uniform_start_after_one_step_is_rank_one():
+    # y_B = phi0 + sigma eps and y_{B-1} = 0: W = [[2 sqrt(3) sigma], [0]]
+    row = SEASONS.window(3, 3)
+    c, weights = sim._uniform_start(SEASONS, 3, row)
+    sigma, root3 = math.sqrt(row[0, 3]), math.sqrt(3.0)
+    assert c.tolist() == [row[0, 0] - root3 * sigma, 0.0]
+    assert weights.tolist() == [[2.0 * root3 * sigma], [0.0]]
+    ens = simulate_paths(_config(schedule=SEASONS, n_paths=300, burn_in=1,
+                                 innovations="uniform"))
+    assert ens.nonfinite_paths == 0
 
 
 @pytest.mark.parametrize("schedule", [STABLE, SEASONS], ids=["constant",
@@ -284,6 +365,21 @@ def test_overflowed_start_law_flags_every_path(phi1, phi2):
     assert ensemble.nonfinite_paths == 300
 
 
+@pytest.mark.parametrize("phi1, phi2", [(2.5, 0.3), (3.0, -1.5)],
+                         ids=["weights-overflow-to-inf",
+                              "weights-overflow-to-nan"])
+def test_overflowed_uniform_start_flags_every_path(phi1, phi2):
+    explosive = ConstantSchedule(0.0, phi1, phi2, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, weights = sim._uniform_start(explosive, 900, explosive.window(1, 900))
+        ensemble = simulate_paths(SimulationConfig(
+            explosive, 300, 903, 3, seed=1, burn_in=900,
+            innovations="uniform"))
+    assert not np.isfinite(weights).all()
+    assert ensemble.nonfinite_paths == 300
+
+
 @pytest.mark.parametrize("burn_in", [0, 1, 50, 1000])
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])
 def test_block_draws_two_start_rows_or_its_burn_in(monkeypatch, innovations,
@@ -311,13 +407,23 @@ def test_block_draws_two_start_rows_or_its_burn_in(monkeypatch, innovations,
                               fresh.bit_generator.random_raw(8))
 
 
-# sha256 of the float64 bytes, both recorded with stream contract version 4
+# sha256 of the float64 bytes: normal recorded with stream contract
+# version 4 (its bits are the same under version 5), uniform with version 5
 PINNED_DIGESTS = {
     "normal":
         "4f47818f31f99460674cf1a97ae6bd4bbfe9712b0f31ff608a2d5b5c2d3236dd",
     "uniform":
-        "ab29b205f90b33e0a28f11da3738acb81368cb3d5d3e095a0f04b9b6cb24b832",
+        "589199356ac1daaefd89bfc07c0317024a54ea28af5f3c177ca7dbea009c8556",
 }
+# the ensemble PINNED_DIGESTS pins, in the words of a child process
+_PINNED_ENSEMBLE = (
+    "import hashlib, tvar2\n"
+    "seasons = tvar2.PeriodicSchedule([(0.2, 0.6, -0.1, 1.0),\n"
+    "    (0.0, -0.4, 0.2, 1.5), (0.1, 0.8, -0.3, 0.8), (0.3, 0.1, 0.25, 1.2)])\n"
+    "cfg = tvar2.SimulationConfig(seasons, 300, 64, 8, seed=20240817,\n"
+    "                             burn_in=50, innovations={innovations!r})\n"
+    "print(hashlib.sha256(tvar2.simulate_paths(cfg).values.tobytes())\n"
+    "      .hexdigest())\n")
 
 
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])
@@ -327,6 +433,19 @@ def test_ensemble_digest_is_pinned(innovations):
     values = simulate_paths(cfg).values
     assert (hashlib.sha256(values.tobytes()).hexdigest()
             == PINNED_DIGESTS[innovations])
+
+
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {"OPENBLAS_CORETYPE": "Nehalem"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+], ids=["one-blas-thread", "nehalem-blas", "baseline-simd"])
+def test_uniform_digest_holds_across_blas_and_cpu_features(env):
+    # the uniform start sums by einsum, not BLAS, whose kernel (picked by
+    # CPU) and thread count could change the bits
+    done = _run_python(_PINNED_ENSEMBLE.format(innovations="uniform"), env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == PINNED_DIGESTS["uniform"]
 
 
 def test_path_prefix_stability():
@@ -391,8 +510,9 @@ def test_no_draw_thread_outlives_the_call(monkeypatch):
                 if thread.name.startswith("tvar2-draw")]
 
 
-def _run_python(code):
-    env = {**os.environ, "PYTHONPATH": str(Path(tvar2.__file__).parents[1])}
+def _run_python(code, env=None):
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": str(Path(tvar2.__file__).parents[1])}
     return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                           capture_output=True, text=True)
 
@@ -464,20 +584,55 @@ def test_wide_long_ensemble_keeps_one_slab_of_scratch():
     assert peak < full_window / 4
 
 
+def test_uniform_burn_in_keeps_no_slab_of_its_steps():
+    # 8192 paths, 990 burn-in and 10 kept steps: the burn-in draws go
+    # DRAW_ROWS rows of one block at a time into the start's sum, and the
+    # slab holds the kept steps only, (10 + 2) x 8192, not DRAW_ROWS + 2
+    cfg = SimulationConfig(SEASONS, 8192, 1000, 10, seed=1, burn_in=990,
+                           innovations="uniform")
+    burn_in_slab = (sim.DRAW_ROWS + 2) * cfg.n_paths * 8
+    tracemalloc.start()
+    try:
+        simulate_paths(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < burn_in_slab / 2
+
+
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])
 def test_block_drawn_over_several_calls_continues_its_stream(monkeypatch,
                                                              innovations):
+    # 40 burn-in and 8 kept steps in calls of 7 rows.  The kept steps' bits
+    # do not depend on DRAW_ROWS; a uniform start's sum is split by it, so
+    # those paths are the reference's at DRAW_ROWS = 7, and each block's
+    # bit generator ends where one drawing 40 + 8 rows in one call ends
     cfg = _config(n_paths=300, burn_in=40, innovations=innovations)
     one_call = simulate_paths(cfg).values
-    monkeypatch.setattr(sim, "DRAW_ROWS", 7)    # 48 time steps: 7 calls
-    assert np.array_equal(simulate_paths(cfg).values, one_call)
+    made, real = [], np.random.SFC64
+    monkeypatch.setattr(np.random, "SFC64",
+                        lambda seed: made.append((seed, real(seed)))
+                        or made[-1][1])
+    monkeypatch.setattr(sim, "DRAW_ROWS", 7)
+    seven_rows = simulate_paths(cfg).values
+    if innovations == "normal":
+        assert np.array_equal(seven_rows, one_call)
+    else:
+        monkeypatch.setattr(np.random, "SFC64", real)
+        assert np.array_equal(seven_rows, _reference_paths(cfg))
+        for seed, bit_generator in made:
+            fresh = np.random.Generator(real(np.random.SeedSequence(
+                seed.entropy)))
+            fresh.random((cfg.burn_in + cfg.length, sim.SUB_BLOCK))
+            assert np.array_equal(bit_generator.random_raw(8),
+                                  fresh.bit_generator.random_raw(8))
 
 
 def test_stream_version():
     # PINNED_DIGESTS and the simulate README digests in test_cli.py pin
     # this version of the stream contract: any change to those digests
     # requires bumping STREAM_VERSION
-    assert sim.STREAM_VERSION == 4
+    assert sim.STREAM_VERSION == 5
 
 
 def test_pure_noise_limit():

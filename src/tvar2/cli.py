@@ -56,7 +56,8 @@ _HELP = {
                "depend on how the work is shared out",
     "burn_in": "steps run from zero before the kept values, in [0, 10**6]; "
                "a normal path draws its state after them from its exact "
-               "Gaussian law, a uniform path runs them",
+               "Gaussian law, a uniform path as the general solution's "
+               "weighted sum of its burn-in draws",
     "innovations": "normal or uniform",
     "aggregate": "emit per-time mean/variance instead of raw paths",
     "matrices": "also print the stacked parameter matrices",

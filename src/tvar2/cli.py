@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from itertools import chain, count, islice, repeat
@@ -102,6 +103,12 @@ def _check_range(args, name: str, low, high) -> None:
             f"key {name!r} must be in [{low}, {high}] (got {value})")
 
 
+def _check_finite(args, name: str) -> None:
+    value = getattr(args, name)
+    if not math.isfinite(value):
+        raise ConfigError(f"key {name!r} must be finite (got {value})")
+
+
 def _cmd_green(args, schedule, out):
     _check_range(args, "k", 0, MAX_DEPTH - 1)
     values = green_functions(schedule, args.t, args.k).values.tolist()
@@ -111,6 +118,8 @@ def _cmd_green(args, schedule, out):
 
 def _cmd_forecast(args, schedule, out):
     _check_range(args, "k", 1, MAX_DEPTH)
+    _check_finite(args, "y0")
+    _check_finite(args, "y1")
     result = forecast(schedule, args.t, args.k, (args.y0, args.y1))
     _write_rows(out, "t,k,point,mse\n", _FORECAST,
                 [(args.t, args.k, result.point, result.mse)])
@@ -120,6 +129,7 @@ def _cmd_forecast(args, schedule, out):
 def _cmd_acf(args, schedule, out):
     _check_range(args, "max_lag", 0, MAX_DEPTH - 1)
     _check_range(args, "nmax", 1, MAX_DEPTH)
+    _check_finite(args, "tol")
     if not args.tol > 0:
         raise ConfigError("key 'tol' must be > 0")
     covs = (autocovariance(schedule, args.t, k, args.tol, args.nmax)
@@ -339,10 +349,14 @@ def main(argv=None) -> int:
             _check_range(args, "t", -MAX_ANCHOR, MAX_ANCHOR)
         # fail before computing; the file itself still opens at the first
         # write, so a rejected run leaves an existing file alone
-        directory = os.path.dirname(args.out or "") or "."
-        if not os.path.isdir(directory):
-            raise ConfigError(f"cannot open --out: {directory!r} is not a "
-                              f"directory")
+        if args.out is not None:
+            directory = os.path.dirname(args.out) or "."
+            if not os.path.isdir(directory):
+                raise ConfigError(f"cannot open --out: {directory!r} is not "
+                                  f"a directory")
+            if not args.out or os.path.isdir(args.out):
+                raise ConfigError(f"cannot open --out: {args.out!r} is "
+                                  f"{'a directory' if args.out else 'empty'}")
     except (OSError, ConfigError, ScheduleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -101,8 +101,8 @@ def _truncated_sum(terms: Iterable[float], tol: float,
     Returns (value, n_used, tail_bound, converged); tail_bound is the sum of
     absolute values over the final window, an empirical residual indicator.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be > 0 and finite (got {tol})")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     window = _tail_window(tol)

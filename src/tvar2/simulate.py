@@ -14,16 +14,15 @@ general solution, a weighted sum of the burn-in draws: the block draws its
 B burn-in rows u, DRAW_ROWS at a time, and x_B = c + W u, each slab of u
 contracted with its columns of the (2, B) weights W by ``np.einsum`` (no
 BLAS, whose bits depend on the CPU) at the full block width.  The next
-``length`` rows of either family are the kept innovations.  Chunks hold
-whole blocks and run their kept steps in slabs of DRAW_ROWS time steps:
-the calling thread continues each block's stream, scaled by sigma, into
-its own columns of a time-major (DRAW_ROWS + 2) x chunk array whose first
-two rows carry the last two steps of the slab before (x_B, at the first
-slab).  The recursion then runs over the slab, in place, and each step
-goes out as one row of the time-major ensemble, so the kept steps' bits
-depend on neither the slab height nor ``workers``, which has no effect;
-no thread is started.  A uniform start's bits depend on DRAW_ROWS, which
-sets how its sum is split.
+``length`` rows of either family are the kept innovations.  The ensemble
+is time-major, two start rows and then one row per kept step, and each
+chunk of whole blocks is simulated in place in its columns of it: x_B
+goes into the start rows, the calling thread continues each block's
+stream DRAW_ROWS steps at a time, scaled by sigma, straight into the kept
+rows, and the recursion then runs over them in place.  So the kept
+steps' bits depend on neither DRAW_ROWS nor ``workers``, which has no
+effect; no thread is started.  A uniform start's bits depend on
+DRAW_ROWS, which sets how its sum is split.
 Statistics are collected at fixed anchor times, never time-averaged: the
 moments are themselves functions of time.
 
@@ -44,9 +43,9 @@ from .schedules import Schedule
 from .solution import general_solution
 
 DEFAULT_BURN_IN = 500
-CHUNK_TARGET = 20_000   # paths per chunk; bounds the width of a slab
+CHUNK_TARGET = 20_000   # paths per chunk; bounds its scratch rows' width
 SUB_BLOCK = 256         # paths per random stream; chunks hold whole blocks
-DRAW_ROWS = 128         # time steps per slab; bounds its height
+DRAW_ROWS = 128         # time steps per draw call; bounds the draw buffer
 # cap on the values an ensemble draws: paths rounded up to whole SUB_BLOCK
 # blocks, since every block is drawn at full width, times the rows each
 # block draws, 2 + length (normal) or burn_in + length (uniform)
@@ -118,7 +117,8 @@ class PathEnsemble:
     """Simulated values: ``values[p, j]`` is path p at time ``times[j]``.
 
     ``simulate_paths`` stores the ensemble time-major, one C-contiguous row
-    per kept time, and hands out ``values`` as its transpose: the same
+    per time, the two start rows before the kept ones, and hands out
+    ``values`` as the transpose of the view past the start rows: the
     (paths, times) array, F-contiguous, so ``at(t)`` is one contiguous row.
     Both arrays and the base of ``values`` are read-only."""
 
@@ -209,23 +209,20 @@ def _uniform_start(schedule: Schedule, t_b: int, burn: np.ndarray):
 
 def _simulate_chunk(config: SimulationConfig, first_path: int,
                     coeffs: np.ndarray, start, out: np.ndarray) -> None:
-    """Simulate paths first_path .. first_path + out.shape[1] - 1 into the
-    time-major ``out``, one row per kept step, over the kept coefficient
-    rows ``coeffs``; first_path is a multiple of SUB_BLOCK.  ``start`` is
-    the (m, L) of ``_start_law`` for normal innovations: each block draws z
-    from its first two rows, and x_B = m + L z.  For uniform ones it is the
-    (c, W) of ``_uniform_start``: each block draws its B burn-in rows
-    DRAW_ROWS at a time and adds W times each slab of them to c."""
+    """Simulate paths first_path .. first_path + out.shape[1] - 1 in place
+    in the time-major ``out`` over the kept coefficient rows ``coeffs``:
+    rows 0 and 1 take x_B, as y_{B-1} and y_B, and row j + 2 kept step j;
+    first_path is a multiple of SUB_BLOCK.  ``start`` is the (m, L) of
+    ``_start_law`` for normal innovations: each block draws z from its
+    first two rows, and x_B = m + L z.  For uniform ones it is the (c, W)
+    of ``_uniform_start``: each block draws its B burn-in rows DRAW_ROWS at
+    a time and adds W times each slab of them to c."""
     n_paths = out.shape[1]
     length = len(coeffs)
     sigma = np.sqrt(coeffs[:, 3])[:, None]
     streams = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
         [config.seed, (first_path + b) // SUB_BLOCK])))
         for b in range(0, n_paths, SUB_BLOCK)]
-    # the slab of steps j0 .. j0 + height - 1: y[i + 2] holds step j0 + i,
-    # rows 0 and 1 the two steps before j0 (at j0 = 0, x_B)
-    height = min(DRAW_ROWS, length)
-    y = np.empty((height + 2, n_paths))
     uniform = config.innovations == "uniform"
     with np.errstate(over="ignore", invalid="ignore"):
         if uniform:
@@ -243,21 +240,21 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
                     x += np.einsum("ik,kj->ij", weights[:, j0:j0 + len(u)],
                                    u, optimize=False)
                 width = min(SUB_BLOCK, n_paths - b)
-                y[1, b:b + width] = x[0, :width]     # y_B
-                y[0, b:b + width] = x[1, :width]     # y_{B-1}
+                out[1, b:b + width] = x[0, :width]     # y_B
+                out[0, b:b + width] = x[1, :width]     # y_{B-1}
         else:
             (m0, m1), (l00, l10, l11) = start
             z = np.empty((len(streams), 2, SUB_BLOCK))
             for rng, rows in zip(streams, z):
                 rng.standard_normal(out=rows)
             z0, z1 = (z[:, i].reshape(-1)[:n_paths] for i in (0, 1))
-            y[1] = m0 + l00 * z0                     # y_B
-            y[0] = (m1 + l10 * z0) + l11 * z1        # y_{B-1}
-    block = np.empty((height, SUB_BLOCK))
+            out[1] = m0 + l00 * z0                     # y_B
+            out[0] = (m1 + l10 * z0) + l11 * z1        # y_{B-1}
+    block = np.empty((min(DRAW_ROWS, length), SUB_BLOCK))
     acc, tmp = np.empty((2, n_paths))
     root3 = math.sqrt(3.0)
-    for j0 in range(0, length, height):
-        n = min(height, length - j0)
+    for j0 in range(0, length, DRAW_ROWS):
+        n = min(DRAW_ROWS, length - j0)
         rows, scale = block[:n], sigma[j0:j0 + n]
         for b, rng in zip(range(0, n_paths, SUB_BLOCK), streams):
             # the block is drawn at full width even where the ensemble ends
@@ -269,19 +266,18 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
             else:
                 rng.standard_normal(out=rows)
             width = min(SUB_BLOCK, n_paths - b)
-            np.multiply(rows[:, :width], scale, out=y[2:2 + n, b:b + width])
+            np.multiply(rows[:, :width], scale,
+                        out=out[j0 + 2:j0 + 2 + n, b:b + width])
         # ((phi0 + phi1*y1) + phi2*y2) + eps, operand order kept bit for bit;
-        # a list of the slab's coefficient rows, never of the whole window
+        # a list of DRAW_ROWS coefficient rows, never of the whole window
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, (phi0, phi1, phi2, _) in enumerate(
-                    coeffs[j0:j0 + n].tolist()):
-                np.multiply(phi1, y[i + 1], out=acc)
+            for j, (phi0, phi1, phi2, _) in enumerate(
+                    coeffs[j0:j0 + n].tolist(), j0):
+                np.multiply(phi1, out[j + 1], out=acc)
                 np.add(phi0, acc, out=acc)
-                np.multiply(phi2, y[i], out=tmp)
+                np.multiply(phi2, out[j], out=tmp)
                 np.add(acc, tmp, out=acc)
-                np.add(acc, y[i + 2], out=y[i + 2])
-        out[j0:j0 + n] = y[2:2 + n]
-        y[:2] = y[n:n + 2]
+                np.add(acc, out[j + 2], out=out[j + 2])
 
 
 def simulate_paths(config: SimulationConfig) -> PathEnsemble:
@@ -296,7 +292,8 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
         start = _start_law(burn)
     else:
         start = _uniform_start(config.schedule, t_b, burn)
-    time_major = np.empty((config.length, config.n_paths))
+    # two start rows, then one row per kept step
+    time_major = np.empty((config.length + 2, config.n_paths))
     chunk = max(1, CHUNK_TARGET // SUB_BLOCK) * SUB_BLOCK
     for first in range(0, config.n_paths, chunk):
         _simulate_chunk(config, first, coeffs, start,
@@ -307,7 +304,7 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     # can be written
     time_major.flags.writeable = False
     times.flags.writeable = False
-    ensemble = PathEnsemble(times, time_major.T)
+    ensemble = PathEnsemble(times, time_major[2:].T)
     _last_ensemble = (config, weakref.ref(ensemble))
     return ensemble
 

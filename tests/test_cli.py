@@ -131,22 +131,27 @@ def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys, out):
     assert not (tmp_path / "missing_dir").exists()
 
 
-@pytest.mark.parametrize("out", ["missing_dir/o.csv", "kept.csv/o.csv"],
-                         ids=["missing-directory", "directory-is-a-file"])
+@pytest.mark.parametrize("out", ["missing_dir/o.csv", "kept.csv/o.csv",
+                                 "sub", "sub/", ""],
+                         ids=["missing-directory", "directory-is-a-file",
+                              "a-directory", "a-directory-with-slash",
+                              "empty"])
 def test_out_directory_is_checked_before_computing(tmp_path, monkeypatch,
                                                    capsys, out):
     # the k = 999 999 table would take a third of a second to compute
     monkeypatch.setattr(cli, "green_functions", _not_called)
     kept = tmp_path / "kept.csv"
     kept.write_bytes(b"t,i,xi\n1,0,1\n")
+    (tmp_path / "sub").mkdir()
     cfg = _write(tmp_path, "c.yaml", PERIODIC)
     code = cli.main(["green", "--config", cfg, "--t", "40", "--k", "999999",
-                     "--out", str(tmp_path / out)])
+                     "--out", os.path.join(tmp_path, out) if out else ""])
     assert code == 2
     assert capsys.readouterr().err.startswith(
         "config error: cannot open --out: ")
     assert kept.read_bytes() == b"t,i,xi\n1,0,1\n"
-    assert not (tmp_path / "missing_dir").exists()
+    assert sorted(os.listdir(tmp_path)) == ["c.yaml", "kept.csv", "sub"]
+    assert os.listdir(tmp_path / "sub") == []
 
 
 def test_rejected_run_leaves_an_existing_out_file_alone(tmp_path):
@@ -342,18 +347,48 @@ def test_all_subcommands_deterministic(tmp_path):
     (BREAKS, ["decompose-verify", "--t", "49"], 2),
     (BREAKS + "params:\n  t: 49\n", ["decompose-verify"], 2),
     (PERIODIC, ["decompose-verify", "--n", "2", "--t", "9"], 2),
+    (PERIODIC, ["acf", "--t", "5", "--tol", "inf"], 2),
+    (PERIODIC, ["acf", "--t", "5", "--tol", "nan"], 2),
+    (PERIODIC + "params:\n  tol: .inf\n", ["acf", "--t", "5"], 2),
+    (PERIODIC, ["forecast", "--t", "40", "--k", "3", "--y0", "nan"], 2),
+    (PERIODIC, ["forecast", "--t", "40", "--k", "3", "--y0", "inf"], 2),
+    (PERIODIC, ["forecast", "--t", "40", "--k", "3", "--y1=-inf"], 2),
+    (PERIODIC + "params:\n  y0: .nan\n", ["forecast", "--t", "40", "--k",
+                                           "3"], 2),
+    (PERIODIC + "params:\n  y1: .inf\n", ["forecast", "--t", "40", "--k",
+                                           "3"], 2),
     # fails after the header is written: the series runs past the window
     (BREAKS, ["acf", "--t", "50", "--max-lag", "2"], 1),
 ], ids=["acf-tol-0", "acf-nmax-0", "acf-max-lag-negative", "green-k-negative",
         "simulate-paths-negative", "forecast-k-0", "decompose-verify-n-0",
         "decompose-verify-breaks-t-flag", "decompose-verify-breaks-t-yaml",
-        "decompose-verify-t-off-period-end", "acf-past-break-window"])
+        "decompose-verify-t-off-period-end", "acf-tol-inf", "acf-tol-nan",
+        "acf-tol-inf-yaml", "forecast-y0-nan", "forecast-y0-inf",
+        "forecast-y1-minus-inf", "forecast-y0-nan-yaml",
+        "forecast-y1-inf-yaml", "acf-past-break-window"])
 def test_failed_command_leaves_no_out_file(tmp_path, config, argv, exit_code):
     cfg = _write(tmp_path, "c.yaml", config)
     out = tmp_path / "out.csv"
     code = cli.main([argv[0], "--config", cfg, "--out", str(out)] + argv[1:])
     assert code == exit_code
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["acf", "--t", "40", "--tol", "inf"], "tol"),
+    (["forecast", "--t", "40", "--k", "3", "--y0", "nan"], "y0"),
+    (["forecast", "--t", "40", "--k", "3", "--y1", "inf"], "y1"),
+], ids=["acf-tol-inf", "forecast-y0-nan", "forecast-y1-inf"])
+def test_nonfinite_float_flag_exits_2_before_any_output(tmp_path, monkeypatch,
+                                                        capsys, argv, name):
+    monkeypatch.setattr(cli, "autocovariance", _not_called)
+    monkeypatch.setattr(cli, "forecast", _not_called)
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    assert cli.main([argv[0], "--config", cfg] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: key '{name}' must be "
+                                   f"finite")
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])

@@ -126,6 +126,13 @@ def test_tol_validation():
         autocovariance(s, 5, 1, n_max=0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_nonfinite_tol_is_rejected(tol):
+    s = ConstantSchedule(0.0, 0.5, 0.0, 1.0)
+    with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+        autocovariance(s, 5, 0, tol=tol)
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda s: forecast(s, 5, 0, (0.0, 0.0)), "k must be >= 1"),
     (lambda s: forecast_error_weights(s, 5, 0), "k must be >= 1"),

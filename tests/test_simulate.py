@@ -587,7 +587,8 @@ def test_wide_long_ensemble_keeps_one_slab_of_scratch():
 def test_uniform_burn_in_keeps_no_slab_of_its_steps():
     # 8192 paths, 990 burn-in and 10 kept steps: the burn-in draws go
     # DRAW_ROWS rows of one block at a time into the start's sum, and the
-    # slab holds the kept steps only, (10 + 2) x 8192, not DRAW_ROWS + 2
+    # kept steps straight into the ensemble, so no (DRAW_ROWS + 2)-row
+    # array of the chunk's paths is ever held
     cfg = SimulationConfig(SEASONS, 8192, 1000, 10, seed=1, burn_in=990,
                            innovations="uniform")
     burn_in_slab = (sim.DRAW_ROWS + 2) * cfg.n_paths * 8
@@ -598,6 +599,21 @@ def test_uniform_burn_in_keeps_no_slab_of_its_steps():
     finally:
         tracemalloc.stop()
     assert peak < burn_in_slab / 2
+
+
+def test_kept_steps_are_simulated_in_the_ensemble():
+    # 8192 paths over 100 kept steps: the draws are scaled into the
+    # ensemble's own rows and the recursion runs there, so past the
+    # ensemble itself no slab of the chunk's paths is held or copied out
+    cfg = SimulationConfig(SEASONS, 8192, 1000, 100, seed=1)
+    slab = (min(sim.DRAW_ROWS, cfg.length) + 2) * cfg.n_paths * 8
+    tracemalloc.start()
+    try:
+        values = simulate_paths(cfg).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - values.nbytes < slab / 2
 
 
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])

@@ -117,8 +117,11 @@ def test_missing_config_file_exits_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("out", ["missing_dir/o.csv", "."],
-                         ids=["missing-directory", "a-directory"])
+# a name over the file system's 255-byte limit passes the early checks and
+# fails only when the file is opened, at the first write
+@pytest.mark.parametrize("out", ["missing_dir/o.csv", ".", "o" * 300],
+                         ids=["missing-directory", "a-directory",
+                              "name-too-long"])
 def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys, out):
     cfg = _write(tmp_path, "c.yaml", PERIODIC)
     code = cli.main(["green", "--config", cfg, "--t", "50", "--k", "3",

@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -89,23 +89,45 @@ def forecast_error_weights(schedule: Schedule, t: int, k: int) -> np.ndarray:
 
 
 def _tail_window(tol: float) -> int:
+    """Terms in the trailing window that must be negligible; rejects a tol
+    that is not positive and finite."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be > 0 and finite (got {tol})")
     return max(10, math.ceil(math.log(1.0 / tol)))
 
 
-def _truncated_sum(terms: Iterable[float], tol: float,
-                   n_max: int) -> tuple[float, int, float, bool]:
-    """Sum terms one at a time until the last window of them is negligible
-    relative to a finite partial sum, or n_max is hit, or a term is not
-    finite; no term past the one that decides is read.
+_FIRST_PREFIX = 64   # terms of an array series' first prefix; each next is 4x
+_WINDOW_FLOATS = 1 << 16   # sizes a prefix's window test copies at a time
+
+
+def _truncated_sum(terms: Iterable[float] | Callable[[int], np.ndarray],
+                   tol: float, n_max: int) -> tuple[float, int, float, bool]:
+    """Sum terms until the last window of them is negligible relative to a
+    finite partial sum, or n_max is hit, or a term is not finite.
+
+    ``terms`` is an iterable of terms, added one at a time, and no term
+    past the one that decides is read: the path of generic and
+    abrupt-breaks schedules.  Or it is a function returning the first d
+    terms as an array, the path of constant, periodic and cyclical ones
+    (see ``_season_cache``): d grows from _FIRST_PREFIX fourfold up to
+    n_max until a prefix decides, so it reads terms past the one that
+    decides, and the result is the one the iterable of the same terms
+    gives, to the bit.
 
     Returns (value, n_used, tail_bound, converged); tail_bound is the sum of
     absolute values over the final window, an empirical residual indicator.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be > 0 and finite (got {tol})")
+    window = _tail_window(tol)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    window = _tail_window(tol)
+    if callable(terms):
+        d = min(_FIRST_PREFIX, n_max)
+        # an explosive series overflows its products and sums to inf, and
+        # inf * 0 or inf - inf to nan, as the loop's floats do silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            while (decided := _decide(terms(d), tol, n_max, window)) is None:
+                d = min(4 * d, n_max)
+        return decided
     recent = deque(maxlen=window)
     total, n = 0.0, 0
     for term in terms:
@@ -126,11 +148,102 @@ def _truncated_sum(terms: Iterable[float], tol: float,
     return total, n, float(sum(recent)), False
 
 
+def _decide(terms: np.ndarray, tol: float, n_max: int,
+            window: int) -> tuple[float, int, float, bool] | None:
+    """What adding the prefix ``terms`` one at a time decides, as the loop
+    of ``_truncated_sum`` does; None if it decides nothing before its end
+    and a longer prefix may still be read."""
+    d = len(terms)
+    finite = np.isfinite(terms)
+    m = d if finite.all() else int(finite.argmin())   # terms before a non-finite one
+    sizes = np.abs(terms[:m])
+    # totals[n] is the sum of the first n terms, added in order from 0.0 as
+    # `total += term` adds them, so a -0.0 first term gives 0.0
+    totals = np.concatenate(([0.0], terms[:m])).cumsum()
+    bars = tol * np.maximum(1.0, np.abs(totals[1:]))
+    # term n, at index n - 1, stops the sum if it is under its bar with a
+    # finite total, and the window of terms ending at it is too
+    ends = np.flatnonzero((sizes < bars) & np.isfinite(totals[1:]))
+    ends = ends[ends >= window - 1]
+    back = np.arange(window)
+    step = max(1, _WINDOW_FLOATS // window)
+    for lo in range(0, len(ends), step):   # a bounded block of windows at a time
+        part = ends[lo:lo + step]
+        part = part[sizes[part[:, None] - back].max(axis=1) < bars[part]]
+        if len(part):
+            n = int(part[0]) + 1
+            return (float(totals[n]), n, float(sum(sizes[n - window:n].tolist())),
+                    True)
+    if m < d:
+        return float(totals[m]), m, math.inf, False
+    if d < n_max:
+        return None
+    return float(totals[d]), d, float(sum(sizes[-window:].tolist())), False
+
+
 def _column(schedule: Schedule, t: int, j: int) -> Iterator[float]:
     """Coefficient column j (phi0, phi1, phi2, sigma2) at times t, t-1, ...,
     down to the schedule's earliest time: only a value past it raises."""
     for rows in schedule.walk_back(t, schedule.earliest):
         yield from rows[:, j].tolist()
+
+
+# floats one schedule's season cache holds at most (8 MiB); a stream that
+# would take it past this is read afresh for each series instead
+_CACHE_FLOATS = 1 << 20
+_NO_VALUES = np.empty(0)
+
+
+class _SeasonCache(dict):
+    """(stream, season) -> (values, source) for one tiled schedule: the
+    prefix read so far of a stream and the iterator it was read from.
+    ``held`` counts the floats of every prefix; it is kept without a lock,
+    so threads that race can miscount by one prefix."""
+
+    held = 0
+
+
+def _season_cache(schedule: Schedule) -> _SeasonCache | None:
+    """The schedule's season cache, made on first use, if its series may
+    read past the term that decides: a constant, periodic or cyclical
+    schedule whose seasons all have sigma2 inside its bounds, so that no
+    time raises.  None for every other schedule, whose series stay lazy."""
+    cache = vars(schedule).get("_season_cache", False)
+    if cache is False:
+        rows, (lo, hi) = schedule._season_rows, schedule.sigma2_bounds
+        tiled = rows is not None and bool(
+            ((lo < rows[:, 3]) & (rows[:, 3] < hi)).all())
+        cache = vars(schedule).setdefault("_season_cache",
+                                          _SeasonCache() if tiled else None)
+    return cache
+
+
+def _season_prefix(schedule: Schedule, stream: str, t: int,
+                   d: int) -> np.ndarray:
+    """The first d values of a stream at time t of a tiled schedule:
+    ``"xi"`` is xi_{t,0}, xi_{t,1}, ... from ``xi_stream``; ``"phi0"`` and
+    ``"sigma2"`` are that column at t, t-1, ....  Each depends only on the
+    season of t, so one prefix serves the whole season: it is read from
+    the stream of the first t asked for, and grows by pulling on that same
+    stream, so no time is read twice for it.  The values are read-only."""
+    cache = schedule._season_cache
+    key = (stream, (t - 1) % len(schedule._season_rows))
+    # out of the cache while it grows, so two threads never pull on one
+    # source: one that finds no entry reads its own, and the last put back stays
+    values, source = cache.pop(key, (_NO_VALUES, None))
+    held = len(values)
+    if held < d:
+        if source is None:
+            source = (xi_stream(schedule, t) if stream == "xi" else
+                      _column(schedule, t, 0 if stream == "phi0" else 3))
+        values = np.concatenate((values, np.fromiter(source, float, d - held)))
+        values.flags.writeable = False
+    if cache.held - held + len(values) <= _CACHE_FLOATS:
+        cache[key] = values, source
+        cache.held += len(values) - held
+    else:
+        cache.held -= held
+    return values[:d]
 
 
 def _mean_terms(schedule: Schedule, t: int) -> Iterator[float]:
@@ -148,10 +261,36 @@ def _covariance_terms(schedule: Schedule, t: int, k: int) -> Iterator[float]:
     return (a * b * s for a, b, s in zip(anchor, lagged, sigma2))
 
 
+def _mean_series(schedule: Schedule, t: int):
+    """The terms of E(y_t) as ``_truncated_sum`` reads them: the first d
+    as one array on a tiled schedule, else ``_mean_terms``."""
+    if _season_cache(schedule) is None:
+        return _mean_terms(schedule, t)
+
+    def prefix(d: int) -> np.ndarray:
+        return (_season_prefix(schedule, "xi", t, d)
+                * _season_prefix(schedule, "phi0", t, d))
+    return prefix
+
+
+def _covariance_series(schedule: Schedule, t: int, k: int):
+    """The terms of Cov(y_t, y_{t-k}) as ``_truncated_sum`` reads them: the
+    first d as one array on a tiled schedule, in the operand order of
+    ``_covariance_terms``, else ``_covariance_terms``."""
+    if _season_cache(schedule) is None:
+        return _covariance_terms(schedule, t, k)
+
+    def prefix(d: int) -> np.ndarray:
+        return (_season_prefix(schedule, "xi", t, k + d)[k:]
+                * _season_prefix(schedule, "xi", t - k, d)
+                * _season_prefix(schedule, "sigma2", t - k, d))
+    return prefix
+
+
 def unconditional_mean(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
                        n_max: int = DEFAULT_N_MAX) -> MomentSummary:
     """Truncated series for E(y_t): sum of xi_{t,i} * phi0(t-i)."""
-    value, n, tail, converged = _truncated_sum(_mean_terms(schedule, t), tol,
+    value, n, tail, converged = _truncated_sum(_mean_series(schedule, t), tol,
                                                n_max)
     return MomentSummary(int(t), n, value, math.nan, tail, converged)
 
@@ -177,7 +316,7 @@ def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
     if k < 0:
         raise ValueError("k must be >= 0")
     value, n, tail, converged = _truncated_sum(
-        _covariance_terms(schedule, t, k), tol, n_max)
+        _covariance_series(schedule, t, k), tol, n_max)
     return Autocovariance(int(t), int(k), n, value, tail, converged)
 
 

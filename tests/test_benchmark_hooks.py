@@ -5,11 +5,13 @@ and perfbench/selftest.py patches names bound in ``tvar2.cli``.  A
 refactor that drops one should fail here, not in a benchmark run.
 """
 
+import gc
 import importlib
 import os
 
 import tvar2
 import tvar2.cli
+import tvar2.config
 import tvar2.moments
 import tvar2.schedules
 
@@ -45,13 +47,18 @@ def test_layer_tracer_installs_counts_and_uninstalls(monkeypatch):
             next(stream)
         stream.close()
         s.at(3)
+        # a cached xi stream counts its steps when the schedule that holds
+        # it is freed
+        del s
+        gc.collect()
         metrics = layertrace.layer_metrics(tracer, 0, 0, 0)
     finally:
         tracer.uninstall()
     assert metrics["moments.series.calls"][0] == 2
-    assert metrics["moments.series.terms"][0] > 0
+    assert metrics["moments.series.terms"][0] > tvar2.moments._FIRST_PREFIX
     assert tracer.counters["xi.steps.none"] == 4
-    assert tracer.counters["xi.steps.moments"] == metrics["moments.series.terms"][0]
+    # the variance and the mean at t read one xi prefix of their season
+    assert tracer.counters["xi.steps.moments"] == tvar2.moments._FIRST_PREFIX
     assert metrics["schedules.at.calls"][0] == 1
     assert tracer.span_counts()["moments.forecast"] == 1
     assert (XI.xi_stream, tvar2.moments._truncated_sum,
@@ -112,3 +119,34 @@ def test_layer_tracer_wraps_the_reexported_oracles(monkeypatch, tmp_path):
     assert after_verify["solution.forward_recursion"] == 1
     block = "blockdet.block_determinant_oracle"
     assert after_decompose[block] == after_verify[block] + 1
+
+
+def test_traced_acf_counts_one_series_per_lag(monkeypatch, tmp_path):
+    # the lags of an acf share the schedule's xi prefixes, so the tracer
+    # counts fewer xi steps than the lazy walks read: k + n of the anchor
+    # and n of the lagged stream for a lag k series of n terms
+    monkeypatch.syspath_prepend(PERFBENCH)
+    layertrace = importlib.import_module("layertrace")
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text(PERIODIC)
+    out = tmp_path / "acf.csv"
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        code = tvar2.cli.main(["acf", "--config", str(cfg), "--t", "5001",
+                               "--max-lag", "20", "--out", str(out)])
+        gc.collect()   # frees the schedule, whose cached streams count then
+        metrics = layertrace.layer_metrics(tracer, 0, 0, 0)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    schedule = tvar2.config.load(PERIODIC)[0]
+    covs = [tvar2.autocovariance(schedule, 5001, k) for k in range(21)]
+    assert out.read_text() == "t,k,gamma,converged\n" + "".join(
+        tvar2.cli._ACF % (c.anchor, c.lag, c.value, tvar2.cli._WORD[c.converged])
+        for c in covs)
+    assert metrics["moments.series.calls"][0] == 21
+    assert metrics["moments.series.terms"][0] == sum(c.depth for c in covs)
+    lazy = sum(c.lag + c.depth + (c.depth if c.lag else 0) for c in covs)
+    assert 0 < metrics["xi.steps"][0] < lazy

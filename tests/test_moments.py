@@ -1,14 +1,17 @@
 import math
+import threading
 import warnings
 from collections import Counter, deque
 
+import numpy as np
 import pytest
 
 import tvar2.moments
-from tvar2 import (BreakSchedule, ConstantSchedule, CyclicalSchedule,
-                   PeriodicSchedule, ScheduleError, autocovariance,
-                   autocovariance_recursion, forecast, forecast_error_weights,
-                   general_solution, unconditional_mean, unconditional_variance)
+from tvar2 import (BreakSchedule, CoefficientTuple, ConstantSchedule,
+                   CyclicalSchedule, GenericSchedule, PeriodicSchedule,
+                   ScheduleError, autocovariance, autocovariance_recursion,
+                   forecast, forecast_error_weights, general_solution,
+                   green_functions, unconditional_mean, unconditional_variance)
 from tvar2.moments import (DEFAULT_TOL, _tail_window,
                            assumption_a1_diagnostic)
 from conftest import random_schedule
@@ -141,8 +144,12 @@ def test_nonfinite_tol_is_rejected(tol):
      "recursion form requires k >= 1"),
     (lambda s: assumption_a1_diagnostic(s, range(5), 0, 10.0),
      "n must be >= 1"),
+    *[(lambda s, tol=tol: assumption_a1_diagnostic(s, range(5), 50, 10.0, tol),
+       "tol must be > 0 and finite") for tol in (0.0, -1.0, math.inf, math.nan)],
 ], ids=["forecast-k0", "error-weights-k0", "acf-lag-negative",
-        "acf-recursion-lag0", "a1-diagnostic-n0"])
+        "acf-recursion-lag0", "a1-diagnostic-n0", "a1-diagnostic-tol0",
+        "a1-diagnostic-tol-negative", "a1-diagnostic-tol-inf",
+        "a1-diagnostic-tol-nan"])
 def test_argument_guards(call, match):
     with pytest.raises(ValueError, match=match):
         call(ConstantSchedule(0.0, 0.5, 0.0, 1.0))
@@ -277,8 +284,9 @@ def test_break_series_converges_inside_a_short_window():
 
 
 def test_one_autocovariance_reads_each_time_once_per_walk(monkeypatch):
-    # the anchor, lagged and sigma2 walks each read a time once: no table
-    # is rebuilt as the series deepens
+    # the xi and sigma2 walks each read a time once: no table is rebuilt
+    # as the series deepens, and on a one-season schedule the anchor and
+    # lagged xi are one prefix, read by one walk
     s = ConstantSchedule(0.0, 1.0, -0.02, 1.0)
     reads = Counter()
     window = s.window
@@ -290,7 +298,162 @@ def test_one_autocovariance_reads_each_time_once_per_walk(monkeypatch):
     monkeypatch.setattr(s, "window", counted)
     cov = autocovariance(s, 5000, 5)
     assert cov.converged and cov.depth > 500
-    assert max(reads.values()) == 3
+    assert max(reads.values()) == 2
+
+
+# --- the array path of constant, periodic and cyclical schedules: its
+# oracle is the lazy path of a generic schedule with the same coefficients
+
+def _as_generic(s):
+    tuples = [CoefficientTuple(*row) for row in s._season_rows.tolist()]
+    return GenericSchedule(lambda t: tuples[(t - 1) % len(tuples)])
+
+
+def _bits(result):
+    value = getattr(result, "value", getattr(result, "mean", None))
+    return (value.hex(), result.depth, result.tail_bound.hex(), result.converged)
+
+
+def _acf_bits(s, t, lags, tol=DEFAULT_TOL, n_max=10_000):
+    return [_bits(autocovariance(s, t, k, tol, n_max)) for k in lags]
+
+
+# (phi0, phi1, phi2, sigma2) tuples past the random draws' range
+EDGE_SEASONS = [
+    [(0.01, 1.0, -0.02, 1.0)],                            # near the unit root
+    [(0.0, 1.05, -0.02, 1.0)],                            # explosive
+    [(0.1, 1.5, -0.02, 1.0)],                             # overflows
+    [(0.0, 1.5, 0.0, 1.0), (0.2, 0.9, 0.05, 2.0)],        # explosive periodic
+    [(-0.0, -0.0, 0.0, 1.0)],                             # -0.0 terms
+    [(-0.0, 0.0, -0.0, 1.0), (0.0, -0.0, 0.0, 0.5)],
+]
+
+
+def _random_tiled(rng, draw, first_edge=0):
+    """A fresh constant, periodic (1-8 seasons) or cyclical schedule;
+    one draw in four uses the seasons of the next edge case."""
+    if draw % 4 == 3:
+        seasons = EDGE_SEASONS[(first_edge + draw // 4) % len(EDGE_SEASONS)]
+        return (ConstantSchedule(*seasons[0]) if len(seasons) == 1
+                else PeriodicSchedule(seasons))
+
+    def tup():
+        return (float(rng.uniform(-1, 1)), float(rng.uniform(-1.1, 1.1)),
+                float(rng.uniform(-0.5, 0.4)), float(rng.uniform(0.2, 2.0)))
+    kind = draw % 3
+    if kind == 0:
+        return ConstantSchedule(*tup())
+    if kind == 1:
+        return PeriodicSchedule([tup() for _ in range(int(rng.integers(1, 9)))])
+    period = int(rng.integers(2, 9))
+    cuts = sorted(rng.choice(np.arange(1, period), int(rng.integers(0, period)),
+                             replace=False).tolist())
+    return CyclicalSchedule(period, cuts, [tup() for _ in range(len(cuts) + 1)])
+
+
+# 352 schedules; at n_max 10 000 each run takes four of the six edge cases
+@pytest.mark.parametrize("tol, n_max, draws, first_edge", [
+    (1e-12, 50, 160, 0), (1e-3, 50, 160, 0), (1e-12, 10_000, 16, 0),
+    (1e-3, 10_000, 16, 3)])
+def test_array_series_equal_the_lazy_series_to_the_bit(tol, n_max, draws,
+                                                       first_edge):
+    rng = np.random.default_rng(int(tol < 1e-6) + n_max)
+    for draw in range(draws):
+        s = _random_tiled(rng, draw, first_edge)
+        generic = _as_generic(s)
+        t = int(rng.integers(-1000, 10**6))
+        # one fresh schedule for every lag, so that the lags share its cache
+        assert _acf_bits(s, t, range(21), tol, n_max) == \
+            _acf_bits(generic, t, range(21), tol, n_max), (draw, s._season_rows)
+        assert _bits(unconditional_mean(s, t, tol, n_max)) == \
+            _bits(unconditional_mean(generic, t, tol, n_max))
+        assert s._season_cache is not None and generic._season_cache is None
+
+
+def test_cached_prefixes_equal_fresh_ones():
+    s = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
+                          (0.1, 0.8, -0.3, 0.8)])
+    for k in range(21):
+        autocovariance(s, 1000, k)
+    unconditional_mean(s, 1001)
+    prefix = tvar2.moments._season_prefix
+    for t in (4000, 4001, 4002):   # each season, read from an earlier t
+        held = {stream: len(s._season_cache[stream, (t - 1) % 3][0])
+                for stream in ("xi", "sigma2")}
+        assert held["xi"] >= 64 and held["sigma2"] >= 64
+        xi = prefix(s, "xi", t, held["xi"])
+        assert not xi.flags.writeable
+        assert xi.tolist() == green_functions(s, t, held["xi"] - 1).values.tolist()
+        assert prefix(s, "sigma2", t, held["sigma2"]).tolist() == \
+            s.window(t - held["sigma2"] + 1, t)[::-1, 3].tolist()
+    d = len(s._season_cache["phi0", 1][0])
+    assert prefix(s, "phi0", 1001, d).tolist() == \
+        s.window(1001 - d + 1, 1001)[::-1, 0].tolist()
+
+
+def test_season_cache_holds_at_most_its_cap(monkeypatch):
+    seasons = [(0.01, 1.0, -0.02, 1.0), (0.0, 0.99, -0.01, 2.0)]
+    uncapped = PeriodicSchedule(seasons)
+    want = _acf_bits(uncapped, 5000, range(21))
+    assert uncapped._season_cache.held > 3000
+    monkeypatch.setattr(tvar2.moments, "_CACHE_FLOATS", 3000)
+    s = PeriodicSchedule(seasons)
+    # a stream that would take the cache past its cap is read afresh
+    assert _acf_bits(s, 5000, range(21)) == want
+    cache = s._season_cache
+    assert 0 < cache.held == sum(len(v) for v, _ in cache.values()) <= 3000
+    assert len(cache) < len(uncapped._season_cache)
+
+
+def test_series_of_a_schedule_that_would_raise_stay_lazy():
+    # sigma2 of the second season is outside the declared bounds: reading
+    # it raises, so its series may not read past the term that decides
+    s = PeriodicSchedule([(0.0, 0.1, 0.0, 1.0)] * 63 + [(0.0, 0.1, 0.0, 9.0)],
+                         sigma2_bounds=(0.5, 2.0))
+    assert tvar2.moments._season_cache(s) is None
+    cov = autocovariance(s, 63, 0, tol=1e-6)
+    assert cov.converged and cov.depth < 63
+    with pytest.raises(ScheduleError, match="sigma2=9.0 at t=64"):
+        autocovariance(s, 64, 0, tol=1e-6)
+
+
+def test_explosive_acf_emits_no_warnings():
+    # (schedule, max lag, whether its terms overflow before n_max)
+    cases = [(ConstantSchedule(0.0, 1.05, -0.02, 1.0), 4, False),
+             (ConstantSchedule(0.0, 1.5, -0.02, 1.0), 20, True),
+             (PeriodicSchedule([(0.0, 1.5, 0.0, 1.0), (0.0, 0.9, 0.05, 2.0)]),
+              20, True)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, max_lag, overflows in cases:
+            for k in range(max_lag + 1):
+                cov = autocovariance(s, 5000, k)
+                assert not cov.converged
+                assert math.isinf(cov.tail_bound) == overflows
+                assert overflows or cov.depth == 10_000
+
+
+def test_threads_sharing_one_schedule_get_the_single_thread_series():
+    seasons = [(0.2, 0.6, -0.1, 1.0), (0.01, 0.99, -0.02, 1.5),
+               (0.1, 0.8, -0.3, 0.8)]
+    want = _acf_bits(PeriodicSchedule(seasons), 7000, range(21))
+    shared = PeriodicSchedule(seasons)
+    start = threading.Barrier(4)
+    got, errors = [], []
+
+    def caller():
+        try:
+            start.wait()
+            got.append(_acf_bits(shared, 7000, range(21)))
+        except Exception as exc:   # "generator already executing", say
+            errors.append(exc)
+
+    callers = [threading.Thread(target=caller) for _ in range(4)]
+    for thread in callers:
+        thread.start()
+    for thread in callers:
+        thread.join()
+    assert errors == [] and got == [want] * 4
 
 
 def test_forecast_point_is_the_general_solution(rng):

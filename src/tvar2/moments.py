@@ -9,6 +9,7 @@ schedules are legitimate forecasting inputs).
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -198,9 +199,14 @@ class _SeasonCache(dict):
     """(stream, season) -> (values, source) for one tiled schedule: the
     prefix read so far of a stream and the iterator it was read from.
     ``held`` counts the floats of every prefix; it is kept without a lock,
-    so threads that race can miscount by one prefix."""
+    so threads that race can miscount by one prefix.  The iterators read
+    ``reader``, a copy of the schedule made before the cache was set on
+    it: they do not hold the schedule, so the cache goes with it."""
 
-    held = 0
+    def __init__(self, schedule: Schedule):
+        super().__init__()
+        self.held = 0
+        self.reader = copy.copy(schedule)
 
 
 def _season_cache(schedule: Schedule) -> _SeasonCache | None:
@@ -213,8 +219,8 @@ def _season_cache(schedule: Schedule) -> _SeasonCache | None:
         rows, (lo, hi) = schedule._season_rows, schedule.sigma2_bounds
         tiled = rows is not None and bool(
             ((lo < rows[:, 3]) & (rows[:, 3] < hi)).all())
-        cache = vars(schedule).setdefault("_season_cache",
-                                          _SeasonCache() if tiled else None)
+        cache = vars(schedule).setdefault(
+            "_season_cache", _SeasonCache(schedule) if tiled else None)
     return cache
 
 
@@ -234,8 +240,9 @@ def _season_prefix(schedule: Schedule, stream: str, t: int,
     held = len(values)
     if held < d:
         if source is None:
-            source = (xi_stream(schedule, t) if stream == "xi" else
-                      _column(schedule, t, 0 if stream == "phi0" else 3))
+            reader = cache.reader
+            source = (xi_stream(reader, t) if stream == "xi" else
+                      _column(reader, t, 0 if stream == "phi0" else 3))
         values = np.concatenate((values, np.fromiter(source, float, d - held)))
         values.flags.writeable = False
     if cache.held - held + len(values) <= _CACHE_FLOATS:

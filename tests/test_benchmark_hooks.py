@@ -5,7 +5,6 @@ and perfbench/selftest.py patches names bound in ``tvar2.cli``.  A
 refactor that drops one should fail here, not in a benchmark run.
 """
 
-import gc
 import importlib
 import os
 
@@ -47,10 +46,9 @@ def test_layer_tracer_installs_counts_and_uninstalls(monkeypatch):
             next(stream)
         stream.close()
         s.at(3)
-        # a cached xi stream counts its steps when the schedule that holds
-        # it is freed
+        # a cached xi stream counts its steps when it closes, as the
+        # schedule that holds it is freed
         del s
-        gc.collect()
         metrics = layertrace.layer_metrics(tracer, 0, 0, 0)
     finally:
         tracer.uninstall()
@@ -136,7 +134,6 @@ def test_traced_acf_counts_one_series_per_lag(monkeypatch, tmp_path):
         tracer.active = True
         code = tvar2.cli.main(["acf", "--config", str(cfg), "--t", "5001",
                                "--max-lag", "20", "--out", str(out)])
-        gc.collect()   # frees the schedule, whose cached streams count then
         metrics = layertrace.layer_metrics(tracer, 0, 0, 0)
     finally:
         tracer.uninstall()

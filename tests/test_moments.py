@@ -1,6 +1,8 @@
+import gc
 import math
 import threading
 import warnings
+import weakref
 from collections import Counter, deque
 
 import numpy as np
@@ -403,6 +405,21 @@ def test_season_cache_holds_at_most_its_cap(monkeypatch):
     cache = s._season_cache
     assert 0 < cache.held == sum(len(v) for v, _ in cache.values()) <= 3000
     assert len(cache) < len(uncapped._season_cache)
+
+
+def test_season_cache_goes_with_its_schedule():
+    # the cached streams read a copy of the schedule, not the schedule, so
+    # no reference cycle keeps the cache alive until a collection
+    s = PeriodicSchedule([(0.0, 0.99, -0.01, 1.0), (0.1, 0.5, 0.1, 2.0)])
+    for k in range(3):
+        autocovariance(s, 900, k)
+    cache = weakref.ref(s._season_cache)
+    gc.disable()
+    try:
+        del s
+        assert cache() is None
+    finally:
+        gc.enable()
 
 
 def test_series_of_a_schedule_that_would_raise_stay_lazy():

@@ -9,7 +9,6 @@ schedules are legitimate forecasting inputs).
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -189,27 +188,12 @@ def _column(schedule: Schedule, t: int, j: int) -> Iterator[float]:
         yield from rows[:, j].tolist()
 
 
-# floats one schedule's season cache holds at most (8 MiB); a stream that
-# would take it past this is read afresh for each series instead
+# floats one schedule's season cache holds at most (8 MiB); a prefix that
+# would take it past this is returned without being kept
 _CACHE_FLOATS = 1 << 20
-_NO_VALUES = np.empty(0)
 
 
-class _SeasonCache(dict):
-    """(stream, season) -> (values, source) for one tiled schedule: the
-    prefix read so far of a stream and the iterator it was read from.
-    ``held`` counts the floats of every prefix; it is kept without a lock,
-    so threads that race can miscount by one prefix.  The iterators read
-    ``reader``, a copy of the schedule made before the cache was set on
-    it: they do not hold the schedule, so the cache goes with it."""
-
-    def __init__(self, schedule: Schedule):
-        super().__init__()
-        self.held = 0
-        self.reader = copy.copy(schedule)
-
-
-def _season_cache(schedule: Schedule) -> _SeasonCache | None:
+def _season_cache(schedule: Schedule) -> dict | None:
     """The schedule's season cache, made on first use, if its series may
     read past the term that decides: a constant, periodic or cyclical
     schedule whose seasons all have sigma2 inside its bounds, so that no
@@ -219,8 +203,7 @@ def _season_cache(schedule: Schedule) -> _SeasonCache | None:
         rows, (lo, hi) = schedule._season_rows, schedule.sigma2_bounds
         tiled = rows is not None and bool(
             ((lo < rows[:, 3]) & (rows[:, 3] < hi)).all())
-        cache = vars(schedule).setdefault(
-            "_season_cache", _SeasonCache(schedule) if tiled else None)
+        cache = vars(schedule).setdefault("_season_cache", {} if tiled else None)
     return cache
 
 
@@ -229,27 +212,25 @@ def _season_prefix(schedule: Schedule, stream: str, t: int,
     """The first d values of a stream at time t of a tiled schedule:
     ``"xi"`` is xi_{t,0}, xi_{t,1}, ... from ``xi_stream``; ``"phi0"`` and
     ``"sigma2"`` are that column at t, t-1, ....  Each depends only on the
-    season of t, so one prefix serves the whole season: it is read from
-    the stream of the first t asked for, and grows by pulling on that same
-    stream, so no time is read twice for it.  The values are read-only."""
+    season of t, so the cache keeps one read-only array per (stream,
+    season).  One too short is read again from t, _FIRST_PREFIX values
+    longer than asked, so the longer anchors of the next lags fit in it."""
     cache = schedule._season_cache
     key = (stream, (t - 1) % len(schedule._season_rows))
-    # out of the cache while it grows, so two threads never pull on one
-    # source: one that finds no entry reads its own, and the last put back stays
-    values, source = cache.pop(key, (_NO_VALUES, None))
-    held = len(values)
-    if held < d:
-        if source is None:
-            reader = cache.reader
-            source = (xi_stream(reader, t) if stream == "xi" else
-                      _column(reader, t, 0 if stream == "phi0" else 3))
-        values = np.concatenate((values, np.fromiter(source, float, d - held)))
+    values = cache.get(key)
+    if values is None or len(values) < d:
+        n = d + _FIRST_PREFIX
+        if stream == "xi":
+            values = np.fromiter(xi_stream(schedule, t, t - n + 2), float, n)
+        else:
+            column = 0 if stream == "phi0" else 3
+            values = schedule.window(t - n + 1, t)[::-1, column].copy()
         values.flags.writeable = False
-    if cache.held - held + len(values) <= _CACHE_FLOATS:
-        cache[key] = values, source
-        cache.held += len(values) - held
-    else:
-        cache.held -= held
+        # the other entries as they are now: a thread may store one meanwhile,
+        # and the last array stored for a key is the one kept
+        others = sum(len(v) for k, v in list(cache.items()) if k != key)
+        if others + n <= _CACHE_FLOATS:
+            cache[key] = values
     return values[:d]
 
 

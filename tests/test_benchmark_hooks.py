@@ -17,6 +17,7 @@ import tvar2.schedules
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 XI = importlib.import_module("tvar2.xi")
+SEASONS = [(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5)]
 
 # names perfbench/selftest.py replaces in tvar2.cli
 SELFTEST_CLI_NAMES = ("forecast", "green_functions", "autocovariance",
@@ -38,7 +39,8 @@ def test_layer_tracer_installs_counts_and_uninstalls(monkeypatch):
     tracer.install()
     try:
         tracer.active = True
-        s = tvar2.PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5)])
+        # a generic schedule's series read one xi step per term
+        s = tvar2.GenericSchedule(lambda t: SEASONS[(t - 1) % 2])
         tvar2.unconditional_variance(s, 41)
         tvar2.forecast(s, 41, 5, (1.0, 0.0))
         stream = XI.xi_stream(s, 41)
@@ -46,21 +48,37 @@ def test_layer_tracer_installs_counts_and_uninstalls(monkeypatch):
             next(stream)
         stream.close()
         s.at(3)
-        # a cached xi stream counts its steps when it closes, as the
-        # schedule that holds it is freed
-        del s
         metrics = layertrace.layer_metrics(tracer, 0, 0, 0)
     finally:
         tracer.uninstall()
     assert metrics["moments.series.calls"][0] == 2
-    assert metrics["moments.series.terms"][0] > tvar2.moments._FIRST_PREFIX
+    assert metrics["moments.series.terms"][0] > 0
     assert tracer.counters["xi.steps.none"] == 4
-    # the variance and the mean at t read one xi prefix of their season
-    assert tracer.counters["xi.steps.moments"] == tvar2.moments._FIRST_PREFIX
+    assert tracer.counters["xi.steps.moments"] == metrics["moments.series.terms"][0]
     assert metrics["schedules.at.calls"][0] == 1
     assert tracer.span_counts()["moments.forecast"] == 1
     assert (XI.xi_stream, tvar2.moments._truncated_sum,
             tvar2.schedules.Schedule.at, tvar2.cli.forecast) == originals
+
+
+def test_layer_tracer_counts_the_xi_prefix_of_a_tiled_series(monkeypatch):
+    # the variance and the mean at t share one cached xi prefix of the
+    # season of t, and the tracer counts its steps as it is read
+    monkeypatch.syspath_prepend(PERFBENCH)
+    layertrace = importlib.import_module("layertrace")
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        s = tvar2.PeriodicSchedule(SEASONS)
+        summary = tvar2.unconditional_variance(s, 41)
+        metrics = layertrace.layer_metrics(tracer, 0, 0, 0)
+    finally:
+        tracer.uninstall()
+    assert metrics["moments.series.calls"][0] == 2
+    assert summary.depth <= tvar2.moments._FIRST_PREFIX
+    assert tracer.counters["xi.steps.moments"] == len(s._season_cache["xi", 0]) \
+        == 2 * tvar2.moments._FIRST_PREFIX
 
 
 def test_layer_tracer_counts_the_steps_of_a_green_table(monkeypatch):

@@ -286,10 +286,9 @@ def test_break_series_converges_inside_a_short_window():
 
 
 def test_one_autocovariance_reads_each_time_once_per_walk(monkeypatch):
-    # the xi and sigma2 walks each read a time once: no table is rebuilt
-    # as the series deepens, and on a one-season schedule the anchor and
-    # lagged xi are one prefix, read by one walk
-    s = ConstantSchedule(0.0, 1.0, -0.02, 1.0)
+    # the anchor, lagged and sigma2 walks each read a time once: no table
+    # is rebuilt as the series deepens (the lazy path of a generic schedule)
+    s = _as_generic(ConstantSchedule(0.0, 1.0, -0.02, 1.0))
     reads = Counter()
     window = s.window
 
@@ -300,7 +299,28 @@ def test_one_autocovariance_reads_each_time_once_per_walk(monkeypatch):
     monkeypatch.setattr(s, "window", counted)
     cov = autocovariance(s, 5000, 5)
     assert cov.converged and cov.depth > 500
-    assert max(reads.values()) == 2
+    assert max(reads.values()) == 3
+
+
+def test_acf_lags_of_a_tiled_schedule_share_its_season_reads(monkeypatch):
+    # each prefix of 64, 256 and 1024 terms reads the xi and the sigma2
+    # stream of the one season again from t, a time once each; the other
+    # lags find both long enough and read nothing
+    s = ConstantSchedule(0.0, 1.0, -0.02, 1.0)
+    reads = Counter()
+    window = s.window
+
+    def counted(t_lo, t_hi):
+        reads.update(range(t_lo, t_hi + 1))
+        return window(t_lo, t_hi)
+
+    monkeypatch.setattr(s, "window", counted)
+    cov = autocovariance(s, 5000, 5)
+    assert cov.converged and 256 < cov.depth <= 1024
+    assert max(reads.values()) == 2 * 3
+    before = reads.copy()
+    assert all(autocovariance(s, 5000, k).converged for k in range(21))
+    assert reads == before
 
 
 # --- the array path of constant, periodic and cyclical schedules: its
@@ -380,7 +400,7 @@ def test_cached_prefixes_equal_fresh_ones():
     unconditional_mean(s, 1001)
     prefix = tvar2.moments._season_prefix
     for t in (4000, 4001, 4002):   # each season, read from an earlier t
-        held = {stream: len(s._season_cache[stream, (t - 1) % 3][0])
+        held = {stream: len(s._season_cache[stream, (t - 1) % 3])
                 for stream in ("xi", "sigma2")}
         assert held["xi"] >= 64 and held["sigma2"] >= 64
         xi = prefix(s, "xi", t, held["xi"])
@@ -388,7 +408,7 @@ def test_cached_prefixes_equal_fresh_ones():
         assert xi.tolist() == green_functions(s, t, held["xi"] - 1).values.tolist()
         assert prefix(s, "sigma2", t, held["sigma2"]).tolist() == \
             s.window(t - held["sigma2"] + 1, t)[::-1, 3].tolist()
-    d = len(s._season_cache["phi0", 1][0])
+    d = len(s._season_cache["phi0", 1])
     assert prefix(s, "phi0", 1001, d).tolist() == \
         s.window(1001 - d + 1, 1001)[::-1, 0].tolist()
 
@@ -397,23 +417,21 @@ def test_season_cache_holds_at_most_its_cap(monkeypatch):
     seasons = [(0.01, 1.0, -0.02, 1.0), (0.0, 0.99, -0.01, 2.0)]
     uncapped = PeriodicSchedule(seasons)
     want = _acf_bits(uncapped, 5000, range(21))
-    assert uncapped._season_cache.held > 3000
     monkeypatch.setattr(tvar2.moments, "_CACHE_FLOATS", 3000)
     s = PeriodicSchedule(seasons)
-    # a stream that would take the cache past its cap is read afresh
+    # a prefix that would take the cache past its cap is not kept
     assert _acf_bits(s, 5000, range(21)) == want
-    cache = s._season_cache
-    assert 0 < cache.held == sum(len(v) for v, _ in cache.values()) <= 3000
-    assert len(cache) < len(uncapped._season_cache)
+    held = sum(map(len, s._season_cache.values()))
+    assert 0 < held <= 3000 < sum(map(len, uncapped._season_cache.values()))
 
 
 def test_season_cache_goes_with_its_schedule():
-    # the cached streams read a copy of the schedule, not the schedule, so
-    # no reference cycle keeps the cache alive until a collection
+    # the cache holds arrays only, so no reference cycle keeps them alive
+    # until a collection
     s = PeriodicSchedule([(0.0, 0.99, -0.01, 1.0), (0.1, 0.5, 0.1, 2.0)])
     for k in range(3):
         autocovariance(s, 900, k)
-    cache = weakref.ref(s._season_cache)
+    cache = weakref.ref(s._season_cache["xi", 1])
     gc.disable()
     try:
         del s

@@ -36,6 +36,7 @@ EXIT_DOMAIN = 1
 EXIT_CONFIG = 2
 FLOAT_FORMAT = "%.15g"
 BATCH_ROWS = 1024   # CSV rows formatted and written per out.write call
+RAW_BATCH_ROWS = 8192   # the same for the raw simulate rows' array kernel
 
 # Output size caps, and SimulationConfig's MAX_PATH_STEPS and MAX_BURN_IN: a
 # request over one is a config error (exit 2), before anything is computed
@@ -156,24 +157,184 @@ def _cmd_simulate(args, schedule, out):
                       m.anchor, m.variance.value, m.variance.se)
                      for m in stats))
     else:
-        _write_batches(out, "path,t,y\n", _INDEXED, _path_batches(ensemble))
+        out.write("path,t,y\n")
+        for text in _path_batches(ensemble):
+            out.write(text)
     return EXIT_OK
 
 
 def _path_batches(ensemble):
-    """The raw ``path,t,y`` rows of ``ensemble``, path by path, as flat
-    argument lists of BATCH_ROWS rows.  Each list is filled by slice
-    assignment from its path, t and y columns, gathered for the batch
-    alone; the ints are Python ints, so every t in int64 prints exactly."""
+    """The raw ``path,t,y`` rows of ``ensemble``, path by path, as the text
+    of RAW_BATCH_ROWS rows at a time, gathered from the ensemble for that
+    batch alone and formatted by _indexed_rows."""
     n_paths, length = ensemble.values.shape
-    for r0 in range(0, n_paths * length, BATCH_ROWS):
+    for r0 in range(0, n_paths * length, RAW_BATCH_ROWS):
         paths, steps = np.divmod(
-            np.arange(r0, min(r0 + BATCH_ROWS, n_paths * length)), length)
-        args = [None] * (3 * len(paths))
-        args[0::3] = paths.tolist()
-        args[1::3] = ensemble.times[steps].tolist()
-        args[2::3] = ensemble.values[paths, steps].tolist()
-        yield args
+            np.arange(r0, min(r0 + RAW_BATCH_ROWS, n_paths * length)), length)
+        yield _indexed_rows(paths, ensemble.times[steps],
+                            ensemble.values[paths, steps])
+
+
+# The array kernel of the raw simulate rows.  A row is built in quads,
+# little-endian uint32 words of four ASCII bytes; NUL bytes pad each field
+# out to whole quads and are dropped from the batch's text at the end.  The
+# quad tables map each group g of four decimal digits to its characters:
+# at _FULL + g every digit, at _LEAD + g with the leading zeros blanked (0
+# all blank: a quad above a number's first digit), at _UNITS + g the same
+# but 0 as "0" (a number's last quad), and at _TRAIL + g with the trailing
+# zeros blanked (0 all blank: a quad past a float's last digit).  The top
+# table holds a NUL, the point and the first two fraction digits g, at
+# [g] in full and at [100 + g] with trailing zeros blanked, 0 all blank: a
+# float without fraction digits prints no point.
+_FULL, _LEAD, _UNITS, _TRAIL = (np.uint64(i * 10**4) for i in range(4))
+# the separator and the sign, bytes 0 and 1 of a field's first quad
+_COMMA, _MINUS = np.uint32(ord(",")), np.uint32(ord("-") << 8)
+_NEWLINE = ord("\n")
+# ',' and a float's %.15g, right-aligned in the 22 bytes of the longest
+# (-1.23456789012345e-308), then a pad: six quads, once NUL replaces space
+_OTHER = "," + FLOAT_FORMAT.replace("%", "%22") + " "
+# the %.15g of zero, infinity and nan, at 2 * kind + sign bit
+_SPELLED = ("0", "-0", "inf", "-inf", "nan", "nan")
+
+
+# 10**0..10**18 as exact floats, their Veltkamp halves and the same as ints
+_POW10 = np.array([float(10**q) for q in range(19)])
+_POW10_HIGH = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LOW = _POW10 - _POW10_HIGH
+_POW10_INT = _POW10.astype(np.int64)
+
+
+@functools.cache
+def _quad_tables():
+    """The quad tables, the top table and the six quads of each of
+    _SPELLED, with two blank rows after them for the floats that are not
+    spelled.  Built on first use, so importing tvar2 does not build them."""
+    full = [f"{g:04d}" for g in range(10**4)]
+    lead = [d.lstrip("0").rjust(4) for d in full]
+    trail = [d.rstrip("0").ljust(4) for d in full]
+    top = ([" ." + d[2:] for d in full[:100]] + ["    "]
+           + [(" ." + d[2:].rstrip("0")).ljust(4) for d in full[1:100]])
+    spelled = ["," + word.rjust(22) + " " for word in _SPELLED + ("", "")]
+    text = "".join(full + lead + ["   0"] + lead[1:] + trail + top + spelled)
+    quads = np.frombuffer(text.replace(" ", "\0").encode("ascii"), "<u4")
+    return (quads[:4 * 10**4], quads[4 * 10**4:4 * 10**4 + 200],
+            quads[4 * 10**4 + 200:].reshape(8, 6))
+
+
+def _int_quads(out, col, nq, mag) -> None:
+    """Write the uint64 array ``mag`` right-aligned into the nq quad columns
+    of ``out`` from col on, leading zeros blanked."""
+    quads = _quad_tables()[0]
+    table = _UNITS
+    for k in range(col + nq - 1, col - 1, -1):
+        high = mag // 10**4
+        np.take(quads, mag - high * 10**4 + np.where(high == 0, table, _FULL),
+                out=out[:, k])
+        table, mag = _LEAD, high
+
+
+def _int_field(x):
+    """The uint64 magnitudes of the int64 array ``x`` and the quads that
+    hold them with room for a separator and a sign."""
+    mag = np.where(x < 0, -x, x).view(np.uint64)   # -(-2**63) is 2**63 here
+    return mag, (len(str(mag.max())) + 5) // 4
+
+
+def _decimal(a):
+    """(n, e, exact) for an array ``a`` of floats in [1e-4, 1e15): n is
+    ``a * 10**(14 - e)`` rounded half to even to an int in [10**14, 10**15),
+    the 15 significant digits of %.15g.  ``exact`` is false where e is not
+    proven to be the decimal exponent of n's value, in [-4, 14]."""
+    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 14)
+    scaled = a * 134217729.0   # 2**27 + 1
+    a_high = scaled - (scaled - a)
+    a_low = a - a_high
+    for _ in range(2):
+        # a * 10**q is exactly prod + err (Dekker's two-product), so the
+        # range test is exact; log10 may put e one off near a power of ten
+        q = 14 - e
+        prod = a * _POW10[q]
+        err = (((a_high * _POW10_HIGH[q] - prod) + a_high * _POW10_LOW[q]
+                + a_low * _POW10_HIGH[q]) + a_low * _POW10_LOW[q])
+        low = (prod < 1e14) | ((prod == 1e14) & (err < 0))
+        high = (prod > 1e15) | ((prod == 1e15) & (err >= 0))
+        if not (low.any() or high.any()):
+            break
+        e = np.clip(e - low + high, -4, 14)
+    # prod's fraction is a multiple of its ulp (at most 1/8) and |err| is at
+    # most half of one, so err decides only where prod itself ends in .5
+    whole = np.floor(prod)
+    half = (prod - whole) - 0.5
+    n = whole.astype(np.int64)
+    odd = (n & 1) == 1
+    n += (half > 0) | ((half == 0) & ((err > 0) | ((err == 0) & odd)))
+    carry = n == 10**15
+    n[carry] = 10**14
+    e += carry
+    return n, np.minimum(e, 14), ~(low | high) & (e <= 14)
+
+
+def _indexed_rows(i, j, y) -> str:
+    """The text of ``_INDEXED % row`` for each row (i, j, y) of the int64
+    arrays i, j and the float64 array y.  A float in the fixed-notation
+    range of %.15g prints from _decimal's digits where they are exact, any
+    other from _other_quads."""
+    quads, top, _ = _quad_tables()
+    a = np.abs(y)
+    fixed = (a >= 1e-4) & (a < 1e15)
+    n, e, exact = _decimal(np.where(fixed, a, 1.0))
+    fixed &= exact
+    # each int, then the integer part of |y|, each with room for ',' and
+    # '-' in its first quad; then the point and 18 fraction digits in five
+    # quads, and the newline
+    ints = [(x, sep) + _int_field(x) for x, sep in ((i, 0), (j, _COMMA))]
+    n_int = (max(int(e.max()), 0) + 6) // 4     # |y| < 1 prints 0
+    out = np.empty((len(y), ints[0][3] + ints[1][3] + n_int + 6), "<u4",
+                   order="F")
+    col = 0
+    for x, sep, mag, nq in ints:
+        _int_quads(out, col, nq, mag)
+        out[:, col] |= sep | (x < 0) * _MINUS
+        col += nq
+    # n's digits split at the point
+    unit = _POW10_INT[14 - e]
+    whole = n // unit
+    frac = ((n - whole * unit) * _POW10_INT[4 + e]).view(np.uint64)
+    _int_quads(out, col, n_int, whole.view(np.uint64))
+    out[:, col] |= _COMMA | np.signbit(y) * _MINUS
+    first = frac // 10**16
+    frac -= first * 10**16
+    zero = np.ones(len(y), bool)     # every fraction digit further on is 0
+    for k in range(col + n_int + 4, col + n_int, -1):
+        high = frac // 10**4
+        group = frac - high * 10**4
+        np.take(quads, group + np.where(zero, _TRAIL, _FULL), out=out[:, k])
+        zero &= group == 0
+        frac = high
+    np.take(top, first + zero * np.uint64(100), out=out[:, col + n_int])
+    out[:, col + n_int + 5] = _NEWLINE
+    rest = np.flatnonzero(~fixed)
+    if len(rest):
+        out[rest, col + 6:col + n_int + 5] = 0
+        out[rest, col:col + 6] = _other_quads(y[rest])
+    return out.tobytes(order="C").translate(None, b"\0").decode("ascii")
+
+
+def _other_quads(y):
+    """Six quads for each float of ``y``: ``,`` and its %.15g, right-aligned
+    in 22 bytes.  Zeros, infinities and nan take their fixed strings; the
+    other floats go through one FLOAT_FORMAT % for all of them."""
+    kind = np.where(np.isfinite(y) & (y != 0), 3,
+                    np.isinf(y) + 2 * np.isnan(y))
+    block = _quad_tables()[2][2 * kind + np.signbit(y)]
+    other = np.flatnonzero(kind == 3)
+    if len(other):
+        values = y[other].tolist()
+        text = np.frombuffer(((_OTHER * len(values)) % tuple(values))
+                             .encode("ascii"), np.uint8)
+        block[other] = np.where(text == ord(" "), 0, text).view("<u4") \
+            .reshape(len(values), 6)
+    return block
 
 
 def _cmd_stationarity(args, schedule, out):

@@ -1,9 +1,11 @@
 import argparse
+import functools
 import hashlib
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tvar2
@@ -739,13 +741,23 @@ def test_green_rows_at_the_batch_edges(tmp_path, k):
                                              enumerate(values.tolist())])
 
 
-@pytest.mark.parametrize("paths, length, t", [(256, 4, 40), (257, 4, 40),
-                                              (3, 1500, 2**62)],
-                         ids=["256", "257", "3x1500-at-2**62"])
+RAW_EDGES = [
+    # 4 rows per path: exactly one batch, and one batch and one path; one
+    # row per path: one batch and one row
+    ("one-batch", cli.RAW_BATCH_ROWS // 4, 4, 40),
+    ("one-batch-and-a-path", cli.RAW_BATCH_ROWS // 4 + 1, 4, 40),
+    ("one-batch-and-a-row", cli.RAW_BATCH_ROWS + 1, 1, 40),
+    # at the anchor's range edges, whose times print exactly: paths inside
+    # one batch, then paths longer than a batch, each crossing a batch edge
+    ("3x1500-at-2**62", 3, 1500, 2**62),
+    ("3x1500-at--2**62", 3, 1500, -2**62),
+    ("3-longer-than-a-batch-at--2**62", 3, cli.RAW_BATCH_ROWS + 1500, -2**62),
+]
+
+
+@pytest.mark.parametrize("paths, length, t", [case[1:] for case in RAW_EDGES],
+                         ids=[case[0] for case in RAW_EDGES])
 def test_raw_simulate_rows_at_the_batch_edges(tmp_path, paths, length, t):
-    # 4 rows per path: exactly one batch, and one batch and four rows; then
-    # paths longer than a batch, each crossing a batch edge, at the anchor's
-    # range edge, whose times print exactly
     cfg = _write(tmp_path, "p.yaml", PERIODIC)
     code, text = _run(tmp_path, ["simulate", "--config", cfg, "--t", str(t),
                                  "--length", str(length), "--paths",
@@ -758,6 +770,125 @@ def test_raw_simulate_rows_at_the_batch_edges(tmp_path, paths, length, t):
     assert text == _reference_csv("path,t,y", [
         (p, t, y) for p in range(paths)
         for t, y in zip(times, ensemble.values[p].tolist())])
+
+
+@pytest.mark.parametrize("config, paths, length, expect", [
+    # phi1 = 2.5 from a zero start: fixed notation, then exponent form, then
+    # overflow to inf and -inf, then nan
+    (CONSTANT.replace("phi1: 1.2", "phi1: 2.5").replace("phi2: -0.32",
+                                                        "phi2: 0.0"),
+     20, 800, (",-1.", "e+", ",inf\n", ",-inf\n", ",nan\n")),
+    # sigma2 at its floor: |y| < 1e-4, every value in exponent form
+    (CONSTANT.replace("sigma2: 1.0", "sigma2: 2e-12"), 3000, 4, ("e-",)),
+], ids=["explosive", "tiny"])
+def test_raw_simulate_rows_that_fall_back(tmp_path, config, paths, length,
+                                          expect):
+    # the floats that the array kernel leaves to FLOAT_FORMAT % and the
+    # spelled strings keep the bytes of the % writer
+    cfg = _write(tmp_path, "c.yaml", config)
+    code, text = _run(tmp_path, ["simulate", "--config", cfg, "--t", "5000",
+                                 "--length", str(length), "--paths",
+                                 str(paths), "--burn-in", "0", "--seed", "5"])
+    ensemble = tvar2.simulate_paths(tvar2.SimulationConfig(
+        _schedule(config), paths, 5000, length, 5, burn_in=0))
+    times = ensemble.times.tolist()
+    assert code == 0
+    assert text == _reference_csv("path,t,y", [
+        (p, t, y) for p in range(paths)
+        for t, y in zip(times, ensemble.values[p].tolist())])
+    assert all(word in text for word in expect)
+
+
+def _kernel_cases():
+    """Seeded (i, j, y) columns for the raw-row kernel, 2.1e6 rows in all:
+    float64 bit patterns; each decade from 1e-5 to 1e16 with the nearest
+    floats around each power of ten; exact ties at the 15th digit (16
+    significant digits ending in 5, as c / 2**k); zeros, infinities, nans,
+    subnormals and the edges of fixed notation.  The ints cover int64, the
+    anchors at +-2**62 (+ 1500) and +-(2**63 - 1) included."""
+    rng = np.random.default_rng(24)
+    bits = rng.integers(0, 2**64, 2 * 10**5, dtype=np.uint64).view(np.float64)
+    # the floats nearest 1e-5 .. 1e17, read from text, not from numpy's pow
+    powers = np.array([float(f"1e{d}") for d in range(-5, 18)])
+    signs = np.where(rng.random(80000) < 0.5, -1.0, 1.0)
+    decades = np.concatenate([(1 + 9 * rng.random(80000)) * power * signs
+                              for power in powers[:-1]])
+    near = [powers]
+    for toward in (0.0, np.inf):
+        step = powers
+        for _ in range(8):
+            step = np.nextafter(step, toward)
+            near.append(step)
+    ties = []
+    for k in range(1, 23):      # c * 5**k has 16 digits and ends in 5
+        c = rng.integers(-(-10**15 // 5**k), 10**16 // 5**k, 6000) | 1
+        ties.append(c[c < 2**53] / 2.0**k)
+    fixed = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+             2.2250738585072014e-308, 1e15, -1e15, 999999999999999.5,
+             999999999999999.4, 1e-4, -1e-4, 9.99999999999999949e-5,
+             0.5, 1.5, 2.5, 1e300, -1e-300, 1.0, -1.0]
+    subnormal = rng.integers(1, 2**52, 10000, dtype=np.uint64).view(
+        np.float64)
+    y = np.concatenate([bits, decades, np.concatenate(near).ravel(),
+                        np.concatenate(ties), -np.concatenate(ties), fixed,
+                        subnormal, -subnormal])
+    anchors = np.array([0, 1, -1, 2**62 + 1500, -(2**62 + 1500), 2**62,
+                        -2**62, 2**63 - 1, -(2**63 - 1), -2**63])
+    i = rng.integers(-2**63, 2**63, len(y), dtype=np.int64)
+    i[:len(anchors)] = anchors
+    j = rng.integers(-10**6, 10**6, len(y)) // 10**rng.integers(0, 7, len(y))
+    j[-len(anchors):] = anchors
+    return i, j, y
+
+
+CHUNK = 2**16
+
+
+@functools.cache
+def _kernel_reference():
+    """The % reference text of each CHUNK rows of _kernel_cases, and its
+    sha256."""
+    i, j, y = _kernel_cases()
+    texts = [_reference_csv("", zip(i[r0:r0 + CHUNK].tolist(),
+                                    j[r0:r0 + CHUNK].tolist(),
+                                    y[r0:r0 + CHUNK].tolist()))
+             for r0 in range(0, len(y), CHUNK)]
+    return texts, [hashlib.sha256(t.encode()).hexdigest() for t in texts]
+
+
+def _kernel_texts():
+    i, j, y = _kernel_cases()
+    return [cli._indexed_rows(i[r0:r0 + CHUNK], j[r0:r0 + CHUNK],
+                              y[r0:r0 + CHUNK])
+            for r0 in range(0, len(y), CHUNK)]
+
+
+def test_array_rows_equal_the_percent_reference():
+    assert len(_kernel_cases()[2]) >= 2 * 10**6
+    for got, want in zip(_kernel_texts(), _kernel_reference()[0],
+                         strict=True):
+        if got != want:     # name the first row that differs
+            for line, expected in zip(got.splitlines(), want.splitlines()):
+                assert line == expected
+        assert got == want
+
+
+def test_array_rows_do_not_depend_on_simd_log10():
+    # numpy's baseline SIMD routines: log10 may round differently, but the
+    # kernel corrects its decimal exponent, so the bytes do not move
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES":
+           "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join([os.path.dirname(__file__),
+                                          os.path.dirname(os.path.dirname(
+                                              tvar2.__file__))])}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import hashlib, test_cli\n"
+         "for text in test_cli._kernel_texts():\n"
+         "    print(hashlib.sha256(text.encode()).hexdigest())\n"],
+        env=env, timeout=300, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == _kernel_reference()[1]
 
 
 def test_acf_nonfinite_rows(tmp_path):

@@ -81,7 +81,8 @@ _WORD = {True: "true", False: "false", None: "indeterminate"}
 def _write_batches(out, header: str, template: str, batches) -> None:
     """Write ``header``, then each of ``batches``, the flat arguments of
     whole rows, through the one-row ``template`` repeated once per row:
-    one % and one write per batch.  Every CSV row goes through here."""
+    one % and one write per batch.  Every CSV row but the raw simulate
+    rows (see _indexed_rows) goes through here."""
     out.write(header)
     fields = template.count("%")   # no template holds a literal %%
     for batch in batches:
@@ -223,7 +224,7 @@ def _quad_tables():
 
 def _int_quads(out, col, nq, mag) -> None:
     """Write the uint64 array ``mag`` right-aligned into the nq quad columns
-    of ``out`` from col on, leading zeros blanked."""
+    of ``out`` from col on, leading zeros blanked (0 prints as 0)."""
     quads = _quad_tables()[0]
     table = _UNITS
     for k in range(col + nq - 1, col - 1, -1):
@@ -231,13 +232,6 @@ def _int_quads(out, col, nq, mag) -> None:
         np.take(quads, mag - high * 10**4 + np.where(high == 0, table, _FULL),
                 out=out[:, k])
         table, mag = _LEAD, high
-
-
-def _int_field(x):
-    """The uint64 magnitudes of the int64 array ``x`` and the quads that
-    hold them with room for a separator and a sign."""
-    mag = np.where(x < 0, -x, x).view(np.uint64)   # -(-2**63) is 2**63 here
-    return mag, (len(str(mag.max())) + 5) // 4
 
 
 def _decimal(a):
@@ -287,7 +281,10 @@ def _indexed_rows(i, j, y) -> str:
     # each int, then the integer part of |y|, each with room for ',' and
     # '-' in its first quad; then the point and 18 fraction digits in five
     # quads, and the newline
-    ints = [(x, sep) + _int_field(x) for x, sep in ((i, 0), (j, _COMMA))]
+    ints = []
+    for x, sep in ((i, 0), (j, _COMMA)):
+        mag = np.where(x < 0, -x, x).view(np.uint64)   # 2**63 for -2**63
+        ints.append((x, sep, mag, (len(str(mag.max())) + 5) // 4))
     n_int = (max(int(e.max()), 0) + 6) // 4     # |y| < 1 prints 0
     out = np.empty((len(y), ints[0][3] + ints[1][3] + n_int + 6), "<u4",
                    order="F")

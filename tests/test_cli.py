@@ -799,13 +799,14 @@ def test_raw_simulate_rows_that_fall_back(tmp_path, config, paths, length,
     assert all(word in text for word in expect)
 
 
+@functools.cache
 def _kernel_cases():
-    """Seeded (i, j, y) columns for the raw-row kernel, 2.1e6 rows in all:
+    """Seeded (i, j, y) columns for the raw-row kernel, 2.24e6 rows in all:
     float64 bit patterns; each decade from 1e-5 to 1e16 with the nearest
     floats around each power of ten; exact ties at the 15th digit (16
     significant digits ending in 5, as c / 2**k); zeros, infinities, nans,
     subnormals and the edges of fixed notation.  The ints cover int64, the
-    anchors at +-2**62 (+ 1500) and +-(2**63 - 1) included."""
+    anchors at +-2**62 (+ 1500), +-(2**63 - 1) and -2**63 included."""
     rng = np.random.default_rng(24)
     bits = rng.integers(0, 2**64, 2 * 10**5, dtype=np.uint64).view(np.float64)
     # the floats nearest 1e-5 .. 1e17, read from text, not from numpy's pow

@@ -10,11 +10,18 @@ x_B = (y_B, y_{B-1}) after it is made.  With normal innovations x_B is
 exactly Gaussian: its mean m and covariance P are propagated over the
 burn-in coefficients, and the block's first two rows z give x_B = m + L z,
 L the lower Cholesky factor of P.  With uniform innovations x_B is, by the
-general solution, a weighted sum of the burn-in draws: the block draws its
-B burn-in rows u, DRAW_ROWS at a time, and x_B = c + W u, each slab of u
-contracted with its columns of the (2, B) weights W by ``np.einsum`` (no
-BLAS, whose bits depend on the CPU) at the full block width.  The next
-``length`` rows of either family are the kept innovations.  The ensemble
+general solution, a weighted sum of the burn-in draws.  Their weights
+decay on a stationary schedule, so only the K newest burn-in steps are
+drawn: the oldest B - K steps are dropped while their summed |weight|
+stays at most 2^-53 (float64's unit roundoff) of each row's total, and
+their innovations sit at their mean 0.  That moves x_B by at most 2^-54
+of the summed |weights|, below the rounding of the sum itself.  A
+near-unit-root, explosive or overflowed schedule, or B <= 1, keeps all B
+steps and the bits of version 5.  The block draws its K rows u, DRAW_ROWS
+at a time, and x_B = c + W u, each slab of u contracted with its columns
+of the (2, K) weights W by ``np.einsum`` (no BLAS, whose bits depend on
+the CPU) at the full block width.  The next ``length`` rows of either
+family are the kept innovations.  The ensemble
 is time-major, two start rows and then one row per kept step, and each
 chunk of whole blocks is simulated in place in its columns of it: x_B
 goes into the start rows, the calling thread continues each block's
@@ -48,15 +55,18 @@ SUB_BLOCK = 256         # paths per random stream; chunks hold whole blocks
 DRAW_ROWS = 128         # time steps per draw call; bounds the draw buffer
 # cap on the values an ensemble draws: paths rounded up to whole SUB_BLOCK
 # blocks, since every block is drawn at full width, times the rows each
-# block draws, 2 + length (normal) or burn_in + length (uniform)
+# block draws, 2 + length (normal) or at most burn_in + length (uniform)
 MAX_PATH_STEPS = 10**8
 # cap on burn_in, the CLI's MAX_DEPTH: both families walk their burn-in
 # coefficients once in Python, a normal ensemble to find the law of its
 # start state, a uniform one the general solution's weights on its draws
 MAX_BURN_IN = 10**6
+# float64's unit roundoff: a uniform start draws no burn-in step whose
+# weights sum to at most this share of the total (see _unresolved)
+RESOLUTION = 2.0**-53
 # the version of the stream contract above; any change to the simulated
 # bits (and so to a pinned ensemble digest) must bump it
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 # (config, weak reference to its ensemble) of the last simulate_paths call;
 # the weak reference keeps no ensemble alive after its caller drops it
@@ -73,7 +83,12 @@ class SimulationConfig:
     variance either way, then by sigma_t).  No path runs the burn-in
     steps: a normal path draws its state after them from that state's
     exact Gaussian law, and a uniform path sums its burn-in draws with the
-    general solution's weights.
+    general solution's weights.  A uniform path draws only the K newest
+    burn-in steps, those whose weights reach float64 resolution; the
+    older ones sit at their mean, which moves its start by at most 2^-54
+    of the summed |weights|.  The MAX_PATH_STEPS cap still counts
+    burn_in + length rows per uniform block, a conservative bound on the
+    K + length it draws.
     """
 
     schedule: Schedule
@@ -103,7 +118,8 @@ class SimulationConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         # rows drawn per block: a normal block draws its start state from
-        # two rows, a uniform one every burn-in step
+        # two rows, a uniform one at most every burn-in step (K of them,
+        # known only once the weights are built, so the cap counts all B)
         normal = self.innovations == "normal"
         steps = (2 if normal else self.burn_in) + self.length
         if -(-self.n_paths // SUB_BLOCK) * SUB_BLOCK * steps > MAX_PATH_STEPS:
@@ -192,8 +208,11 @@ def _uniform_start(schedule: Schedule, t_b: int, burn: np.ndarray):
     the rows of W are the innovation weights w of ``general_solution`` at
     (t_B, B) and at (t_B - 1, B - 1), oldest first, with a 0 for time t_B
     in the second, times sigma and the map eps = u 2 sqrt(3) - sqrt(3):
-    W = 2 sqrt(3) (w sigma) and c = drift - sqrt(3) sum(w sigma).  An
-    overflowed weight gives a non-finite (c, W)."""
+    W = 2 sqrt(3) (w sigma) and c = drift - sqrt(3) sum(w sigma).  The
+    oldest columns are dropped, their innovations set to their mean 0,
+    while their summed |w sigma| stays within RESOLUTION of each row's
+    total: W keeps the K newest columns and c sums over them.  An
+    overflowed weight gives a non-finite (c, W) with every column kept."""
     n = len(burn)
     now = general_solution(schedule, t_b, n)
     before = general_solution(schedule, t_b - 1, max(n - 1, 0))
@@ -203,8 +222,26 @@ def _uniform_start(schedule: Schedule, t_b: int, burn: np.ndarray):
     root3 = math.sqrt(3.0)
     with np.errstate(over="ignore", invalid="ignore"):
         weights *= np.sqrt(burn[:, 3])
+        weights = weights[:, _unresolved(weights):]
         c = np.array([now.drift, before.drift]) - root3 * weights.sum(axis=1)
         return c, (2.0 * root3) * weights
+
+
+def _unresolved(weights: np.ndarray) -> int:
+    """Number of oldest columns of the (2, B) weights whose summed |w| is
+    at most RESOLUTION times its row's total in both rows; 0 if a weight
+    is not finite.  The running sums are sequential (``np.cumsum``, each
+    one the previous plus one term), not numpy's SIMD-dispatched pairwise
+    ``sum``, so the count is the same on every CPU."""
+    if not weights.size:
+        return 0
+    running = np.abs(weights)
+    np.cumsum(running, axis=1, out=running)
+    totals = running[:, -1]
+    if not np.isfinite(totals).all():
+        return 0
+    return int(min(np.searchsorted(row, RESOLUTION * total, side="right")
+                   for row, total in zip(running, totals.tolist())))
 
 
 def _simulate_chunk(config: SimulationConfig, first_path: int,
@@ -215,8 +252,8 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
     first_path is a multiple of SUB_BLOCK.  ``start`` is the (m, L) of
     ``_start_law`` for normal innovations: each block draws z from its
     first two rows, and x_B = m + L z.  For uniform ones it is the (c, W)
-    of ``_uniform_start``: each block draws its B burn-in rows DRAW_ROWS at
-    a time and adds W times each slab of them to c."""
+    of ``_uniform_start``: each block draws its K kept burn-in rows
+    DRAW_ROWS at a time and adds W times each slab of them to c."""
     n_paths = out.shape[1]
     length = len(coeffs)
     sigma = np.sqrt(coeffs[:, 3])[:, None]

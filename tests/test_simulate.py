@@ -15,8 +15,9 @@ import pytest
 
 import tvar2
 import tvar2.simulate as sim
-from tvar2 import (ConstantSchedule, CyclicalSchedule, PeriodicSchedule,
-                   SimulationConfig, autocovariance, empirical_forecast_error,
+from tvar2 import (ConstantSchedule, CyclicalSchedule, GenericSchedule,
+                   PeriodicSchedule, SimulationConfig, autocovariance,
+                   empirical_forecast_error,
                    empirical_moments, forecast, general_solution,
                    simulate_paths, unconditional_mean, unconditional_variance)
 
@@ -141,20 +142,54 @@ def _blocks(config):
         for b in range(-(-config.n_paths // sim.SUB_BLOCK))]
 
 
+def _burn_in_weights(config):
+    """The (2, B) innovation weights w of general_solution at (t_B, B) and
+    (t_B - 1, B - 1), oldest first (0 for time t_B in the second), times
+    sigma, and the two drifts: the whole burn-in's map, as in version 5."""
+    t_b, n_burn = config.t_end - config.length, config.burn_in
+    now = general_solution(config.schedule, t_b, n_burn)
+    before = general_solution(config.schedule, t_b - 1, max(n_burn - 1, 0))
+    burn_sigma = np.sqrt([config.schedule.at(t).sigma2
+                          for t in range(t_b - n_burn + 1, t_b + 1)])
+    # [:n_burn]: at B = 0 there is no time t_B to give a 0
+    w = np.array([now.innovation_weights[::-1] * burn_sigma,
+                  np.append(before.innovation_weights[::-1], 0.0)[:n_burn]
+                  * burn_sigma]).reshape(2, n_burn)
+    return w, (now.drift, before.drift)
+
+
+def _kept_burn_in(w):
+    """K: the burn-in columns left after dropping the oldest ones while
+    their |w|, summed one at a time from the oldest, stays at most 2^-53
+    times the row's total (the same running sum's last value) in both
+    rows; all of them when a total is not finite."""
+    dropped = w.shape[1]
+    for row in w.tolist():
+        running, sums = 0.0, []
+        for v in row:
+            running += abs(v)
+            sums.append(running)
+        if not math.isfinite(running):
+            return w.shape[1]
+        dropped = min(dropped, sum(s <= 2.0**-53 * running for s in sums))
+    return w.shape[1] - dropped
+
+
 def _reference_paths(config):
-    """The stream contract (version 5), spelled out: each block's stream is
+    """The stream contract (version 6), spelled out: each block's stream is
     drawn as one full-width time-major array, first the rows that make the
     start x_B = (y_B, y_{B-1}), then the kept rows; each path runs the
     path-major recursion ((phi0 + phi1*y1) + phi2*y2) + sigma*eps over its
     kept steps only.  Normal blocks draw two rows z and start from
     x_B = m + L z: the burn-in state's mean and clamped Cholesky factor,
-    propagated step by step from m = 0, P = 0.  Uniform blocks draw their
-    B burn-in rows u and start from the general solution's sum over them:
-    with w the innovation weights of general_solution at (t_B, B) and
-    (t_B - 1, B - 1), oldest first (0 for time t_B in the second), times
-    sigma, x_B = c + W u, W = 2 sqrt(3) w and c = drift - sqrt(3) sum(w),
-    W u summed as one einsum per slab of DRAW_ROWS rows at full block
-    width.  Kept uniform draws map u to u * 2 sqrt(3) - sqrt(3)."""
+    propagated step by step from m = 0, P = 0.  Uniform blocks draw only
+    the K newest burn-in rows u and start from the general solution's sum
+    over them: with w the burn-in weights times sigma and K from
+    _kept_burn_in, the older innovations sit at their mean 0, and
+    x_B = c + W u, W = 2 sqrt(3) w[:, B-K:] and
+    c = drift - sqrt(3) sum(w[:, B-K:]), W u summed as one einsum per slab
+    of DRAW_ROWS rows at full block width.  Kept uniform draws map u to
+    u * 2 sqrt(3) - sqrt(3)."""
     t_b = config.t_end - config.length
     times = range(t_b - config.burn_in + 1, config.t_end + 1)
     tuples = [config.schedule.at(t) for t in times]
@@ -172,15 +207,10 @@ def _reference_paths(config):
     l11 = math.sqrt(max(p11 - l10 * l10, 0.0))
     root3 = math.sqrt(3.0)
     if not normal:
-        n_burn = config.burn_in
-        now = general_solution(config.schedule, t_b, n_burn)
-        before = general_solution(config.schedule, t_b - 1, max(n_burn - 1, 0))
-        burn_sigma = np.sqrt([tup.sigma2 for tup in burn])
-        # [:n_burn]: at B = 0 there is no time t_B to give a 0
-        w = np.array([now.innovation_weights[::-1] * burn_sigma,
-                      np.append(before.innovation_weights[::-1], 0.0)[:n_burn]
-                      * burn_sigma])
-        c = [now.drift - root3 * w[0].sum(), before.drift - root3 * w[1].sum()]
+        w, drifts = _burn_in_weights(config)
+        n_kept = _kept_burn_in(w)
+        w = w[:, config.burn_in - n_kept:]
+        c = [drifts[0] - root3 * w[0].sum(), drifts[1] - root3 * w[1].sum()]
         weights = (2.0 * root3) * w
     sigma = np.sqrt(np.array([tup.sigma2 for tup in tuples]))
     coeffs = np.array([(tup.phi0, tup.phi1, tup.phi2) for tup in tuples])
@@ -191,10 +221,10 @@ def _reference_paths(config):
             starts.append(((m1 + l10 * z0) + l11 * z1, m0 + l00 * z0))
             draw = rng.standard_normal((len(tuples), sim.SUB_BLOCK))
         else:
-            u = rng.random((config.burn_in, sim.SUB_BLOCK))
+            u = rng.random((n_kept, sim.SUB_BLOCK))
             x = np.array([np.full(sim.SUB_BLOCK, c[0]),
                           np.full(sim.SUB_BLOCK, c[1])])
-            for j0 in range(0, config.burn_in, sim.DRAW_ROWS):
+            for j0 in range(0, n_kept, sim.DRAW_ROWS):
                 j1 = j0 + sim.DRAW_ROWS
                 x += np.einsum("ik,kj->ij", weights[:, j0:j1], u[j0:j1],
                                optimize=False)
@@ -214,13 +244,18 @@ def _reference_paths(config):
 
 def _drawn_burn_in_paths(config):
     """Uniform paths run from zero through every burn-in step and kept
-    step of the plain per-path float recursion, from the same draws."""
+    step of the plain per-path float recursion, from the same draws: the
+    B - K oldest burn-in innovations at their mean 0, the K newest and the
+    kept ones drawn."""
     rows = config.schedule.window(
         config.t_end - config.length - config.burn_in + 1, config.t_end)
+    n_drawn = _kept_burn_in(_burn_in_weights(config)[0]) + config.length
     root3 = math.sqrt(3.0)
-    draws = np.hstack([rng.random((len(rows), sim.SUB_BLOCK))
+    draws = np.hstack([rng.random((n_drawn, sim.SUB_BLOCK))
                        for rng in _blocks(config)])[:, :config.n_paths]
-    eps = (draws * (2.0 * root3) - root3) * np.sqrt(rows[:, 3:])
+    eps = np.zeros((len(rows), config.n_paths))
+    eps[len(rows) - n_drawn:] = ((draws * (2.0 * root3) - root3)
+                                 * np.sqrt(rows[len(rows) - n_drawn:, 3:]))
     y_prev = y_prev2 = np.zeros(config.n_paths)
     values = []
     for (phi0, phi1, phi2, _), e in zip(rows.tolist(), eps):
@@ -278,13 +313,113 @@ CYCLES = CyclicalSchedule(6, [2, 4], [(0.0, 0.5, -0.2, 1.0),
 @pytest.mark.parametrize("schedule", [SEASONS, NEAR_UNIT_ROOT, CYCLES],
                          ids=["periodic", "near-unit-root", "cyclical"])
 def test_uniform_start_has_the_law_of_a_drawn_burn_in(schedule, burn_in):
-    # the weighted sum of the burn-in draws is the recursion run through
-    # them, up to rounding: the same draws give the same paths
+    # the weighted sum of the K newest burn-in draws is the recursion run
+    # through them from the older steps' mean path, up to rounding: the
+    # same draws give the same paths
     cfg = _config(schedule=schedule, n_paths=700, t_end=700, length=10,
                   burn_in=burn_in, innovations="uniform")
     got = simulate_paths(cfg).values
     plain = _drawn_burn_in_paths(cfg)
     assert np.all(np.abs(got - plain) <= 1e-12 * np.maximum(np.abs(plain), 1))
+
+
+EXPLOSIVE = ConstantSchedule(0.0, 1.5, -0.02, 1.0)
+# the periodic schedule read time by time, through no season table
+SEASONS_GENERIC = GenericSchedule(SEASONS.at)
+
+
+@pytest.mark.parametrize("burn_in", [0, 1, 500])
+@pytest.mark.parametrize("schedule", [SEASONS, CYCLES, NEAR_UNIT_ROOT,
+                                      EXPLOSIVE, SEASONS_GENERIC],
+                         ids=["periodic", "cyclical", "near-unit-root",
+                              "explosive-1.5", "generic-periodic"])
+def test_dropped_burn_in_moves_the_start_below_float64_resolution(schedule,
+                                                                  burn_in):
+    # one full draw of the B burn-in rows u: x_B by the map over the K
+    # newest rows and by the full map over all B differ by the dropped
+    # noise, at most 1/2 sum_dropped |W_ij| <= 2^-54 sum_j |W_ij| in each
+    # row, plus the rounding of the sums
+    cfg = _config(schedule=schedule, t_end=710, length=10, burn_in=burn_in,
+                  innovations="uniform")
+    t_b = cfg.t_end - cfg.length
+    w, drifts = _burn_in_weights(cfg)
+    c, weights = sim._uniform_start(schedule, t_b,
+                                    schedule.window(t_b - burn_in + 1, t_b))
+    n_kept = weights.shape[1]
+    assert n_kept == _kept_burn_in(w)
+    root3 = math.sqrt(3.0)
+    full = (2.0 * root3) * w
+    c_full = np.array([drifts[0] - root3 * w[0].sum(),
+                       drifts[1] - root3 * w[1].sum()])
+    if schedule in (NEAR_UNIT_ROOT, EXPLOSIVE) or burn_in <= 1:
+        # nothing is dropped: the map of the whole burn-in, bit for bit
+        assert n_kept == burn_in
+        assert np.array_equal(weights, full) and np.array_equal(c, c_full)
+    else:
+        assert n_kept < burn_in // 4
+    if schedule is SEASONS_GENERIC:
+        assert n_kept == sim._uniform_start(
+            SEASONS, t_b, SEASONS.window(t_b - burn_in + 1, t_b))[1].shape[1]
+    totals = [math.fsum(abs(v) for v in row) for row in full.tolist()]
+    for row, total in zip(full[:, :burn_in - n_kept].tolist(), totals):
+        assert 0.5 * math.fsum(map(abs, row)) <= 2.0**-54 * total * (1 + 1e-12)
+    u = np.random.default_rng(burn_in).random((burn_in, sim.SUB_BLOCK))
+    kept = c[:, None] + np.einsum("ik,kj->ij", weights, u[burn_in - n_kept:],
+                                  optimize=False)
+    whole = c_full[:, None] + np.einsum("ik,kj->ij", full, u, optimize=False)
+    totals = np.array(totals)[:, None]
+    rounding = 2 * (burn_in + 4) * 2.0**-53 * (np.abs(drifts)[:, None] + totals)
+    assert np.all(np.abs(kept - whole) <= 2.0**-54 * totals + rounding)
+
+
+@pytest.mark.parametrize("n_paths, target, draw_rows", [
+    (1, 20_000, 128), (300, 20_000, 7), (700, 64, 7), (700, 300, 128)])
+def test_kept_burn_in_rows_depend_on_no_ensemble_setting(
+        monkeypatch, n_paths, target, draw_rows):
+    # K is a property of the schedule and the burn-in window alone: each
+    # block's bit generator ends where a fresh one drawing K + length
+    # rows ends, whatever the paths, the chunking and the draw calls
+    monkeypatch.setattr(sim, "CHUNK_TARGET", target)
+    monkeypatch.setattr(sim, "DRAW_ROWS", draw_rows)
+    made, real = [], np.random.SFC64
+    monkeypatch.setattr(np.random, "SFC64",
+                        lambda seed: made.append((seed, real(seed)))
+                        or made[-1][1])
+    cfg = _config(schedule=SEASONS, n_paths=n_paths, burn_in=500,
+                  innovations="uniform")
+    simulate_paths(cfg)
+    n_kept = _kept_burn_in(_burn_in_weights(cfg)[0])
+    assert n_kept < cfg.burn_in // 4
+    assert len(made) == -(-n_paths // sim.SUB_BLOCK)
+    for seed, bit_generator in made:
+        fresh = np.random.Generator(real(np.random.SeedSequence(
+            seed.entropy)))
+        fresh.random((n_kept + cfg.length, sim.SUB_BLOCK))
+        assert np.array_equal(bit_generator.random_raw(8),
+                              fresh.bit_generator.random_raw(8))
+
+
+def test_dropped_columns_follow_the_sequential_running_sum():
+    # the kernel's count of dropped columns is the one-term-at-a-time rule
+    # of _kept_burn_in on decaying, flat, zero, tied and non-finite rows
+    rng = np.random.default_rng(5)
+    cases = [np.zeros((2, 0)), np.zeros((2, 1)), np.ones((2, 7)),
+             np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+             # the first column's |w| is exactly 2^-53 of the total
+             np.array([[1.0, 2.0**53 - 1.0], [1.0, 2.0**53 - 1.0]]),
+             np.array([[1.0, 2.0**53 - 2.0], [1.0, 2.0**53 - 2.0]])]
+    for _ in range(200):
+        n = int(rng.integers(1, 400))
+        ratios = rng.uniform(0.5, 1.0, size=(2, 1))
+        cases.append(rng.normal(size=(2, n)) * ratios ** np.arange(n)[::-1])
+    for inf in (math.inf, math.nan):
+        bad = rng.normal(size=(2, 50)) * 0.5 ** np.arange(50)[::-1]
+        bad[1, 3] = inf
+        cases.append(bad)
+    dropped = [sim._unresolved(w) for w in cases]
+    assert dropped == [w.shape[1] - _kept_burn_in(w) for w in cases]
+    assert dropped[4:6] == [1, 0]
+    assert dropped[-2:] == [0, 0]
 
 
 def test_uniform_start_without_burn_in_is_a_zero_start():
@@ -385,8 +520,9 @@ def test_overflowed_uniform_start_flags_every_path(phi1, phi2):
 def test_block_draws_two_start_rows_or_its_burn_in(monkeypatch, innovations,
                                                    burn_in):
     # each block's bit generator ends where a fresh one ends after drawing
-    # 2 + length rows (normal) or burn_in + length rows (uniform): both
-    # go on to give the same raw words
+    # 2 + length rows (normal) or K + length rows (uniform), K the burn-in
+    # rows whose weights reach float64 resolution: both go on to give the
+    # same raw words
     made, real = [], np.random.SFC64
     monkeypatch.setattr(np.random, "SFC64",
                         lambda seed: made.append((seed, real(seed)))
@@ -402,18 +538,22 @@ def test_block_draws_two_start_rows_or_its_burn_in(monkeypatch, innovations,
         if innovations == "normal":
             fresh.standard_normal((2 + cfg.length, sim.SUB_BLOCK))
         else:
-            fresh.random((burn_in + cfg.length, sim.SUB_BLOCK))
+            n_kept = _kept_burn_in(_burn_in_weights(cfg)[0])
+            # the weights decay: past B = 1, fewer rows than B are drawn
+            assert n_kept == burn_in if burn_in <= 1 else n_kept < burn_in
+            fresh.random((n_kept + cfg.length, sim.SUB_BLOCK))
         assert np.array_equal(bit_generator.random_raw(8),
                               fresh.bit_generator.random_raw(8))
 
 
 # sha256 of the float64 bytes: normal recorded with stream contract
-# version 4 (its bits are the same under version 5), uniform with version 5
+# version 4 (its bits are the same under versions 5 and 6), uniform with
+# version 6 (its 50 burn-in steps keep 47 drawn rows)
 PINNED_DIGESTS = {
     "normal":
         "4f47818f31f99460674cf1a97ae6bd4bbfe9712b0f31ff608a2d5b5c2d3236dd",
     "uniform":
-        "589199356ac1daaefd89bfc07c0317024a54ea28af5f3c177ca7dbea009c8556",
+        "71dbca7164bf8598af0970a2d78dbc0dc4febe856c14a4c12062760821ec220b",
 }
 # the uniform ensemble PINNED_DIGESTS pins, in the words of a child process
 _PINNED_UNIFORM = (
@@ -648,7 +788,7 @@ def test_stream_version():
     # PINNED_DIGESTS and the simulate README digests in test_cli.py pin
     # this version of the stream contract: any change to those digests
     # requires bumping STREAM_VERSION
-    assert sim.STREAM_VERSION == 5
+    assert sim.STREAM_VERSION == 6
 
 
 def test_pure_noise_limit():

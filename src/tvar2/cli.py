@@ -59,7 +59,12 @@ _HELP = {
     "burn_in": "steps run from zero before the kept values, in [0, 10**6]; "
                "a normal path draws its state after them from its exact "
                "Gaussian law, a uniform path as the general solution's "
-               "weighted sum of its burn-in draws",
+               "weighted sum of its burn-in draws, drawing only the newest "
+               "steps whose weights reach float64 resolution (the rest at "
+               "their mean 0 move the state by at most 2**-54 of the summed "
+               "|weights|; near-unit-root and explosive schedules draw all "
+               "of them); the size cap counts burn_in + length rows per "
+               "uniform block",
     "innovations": "normal or uniform",
     "aggregate": "emit per-time mean/variance instead of raw paths",
     "matrices": "also print the stacked parameter matrices",

@@ -229,8 +229,8 @@ def _uniform_start(schedule: Schedule, t_b: int, burn: np.ndarray):
 
 def _unresolved(weights: np.ndarray) -> int:
     """Number of oldest columns of the (2, B) weights whose summed |w| is
-    at most RESOLUTION times its row's total in both rows; 0 if a weight
-    is not finite.  The running sums are sequential (``np.cumsum``, each
+    at most RESOLUTION times its row's total in both rows; 0 if a total
+    is not finite (a weight or the sum overflowed).  The running sums are sequential (``np.cumsum``, each
     one the previous plus one term), not numpy's SIMD-dispatched pairwise
     ``sum``, so the count is the same on every CPU."""
     if not weights.size:

@@ -188,7 +188,7 @@ def _column(schedule: Schedule, t: int, j: int) -> Iterator[float]:
         yield from rows[:, j].tolist()
 
 
-# floats one schedule's season cache holds at most (8 MiB); a prefix that
+# floats one schedule's season cache holds at most (8 MiB); an entry that
 # would take it past this is returned without being kept
 _CACHE_FLOATS = 1 << 20
 
@@ -197,7 +197,10 @@ def _season_cache(schedule: Schedule) -> dict | None:
     """The schedule's season cache, made on first use, if its series may
     read past the term that decides: a constant, periodic or cyclical
     schedule whose seasons all have sigma2 inside its bounds, so that no
-    time raises.  None for every other schedule, whose series stay lazy."""
+    time raises.  None for every other schedule, whose series stay lazy.
+    Besides the prefixes of ``_season_prefix`` it holds the simulation's
+    burn-in start laws (``tvar2.simulate``), which also depend only on a
+    season."""
     cache = vars(schedule).get("_season_cache", False)
     if cache is False:
         rows, (lo, hi) = schedule._season_rows, schedule.sigma2_bounds
@@ -226,12 +229,24 @@ def _season_prefix(schedule: Schedule, stream: str, t: int,
             column = 0 if stream == "phi0" else 3
             values = schedule.window(t - n + 1, t)[::-1, column].copy()
         values.flags.writeable = False
-        # the other entries as they are now: a thread may store one meanwhile,
-        # and the last array stored for a key is the one kept
-        others = sum(len(v) for k, v in list(cache.items()) if k != key)
-        if others + n <= _CACHE_FLOATS:
-            cache[key] = values
+        _keep(cache, key, values)
     return values[:d]
+
+
+def _floats(entry) -> int:
+    """Floats a season-cache entry holds: an array, or a tuple of arrays,
+    tuples and floats."""
+    return sum(map(np.size, entry)) if isinstance(entry, tuple) else entry.size
+
+
+def _keep(cache: dict, key, entry) -> None:
+    """Store ``entry`` under ``key`` unless the cache would then hold more
+    than _CACHE_FLOATS floats."""
+    # the other entries as they are now: a thread may store one meanwhile,
+    # and the last entry stored for a key is the one kept
+    others = sum(_floats(v) for k, v in list(cache.items()) if k != key)
+    if others + _floats(entry) <= _CACHE_FLOATS:
+        cache[key] = entry
 
 
 def _mean_terms(schedule: Schedule, t: int) -> Iterator[float]:

@@ -29,9 +29,22 @@ stream DRAW_ROWS steps at a time, scaled by sigma, straight into the kept
 rows, and the recursion then runs over them in place.  So the kept
 steps' bits depend on neither DRAW_ROWS nor ``workers``, which has no
 effect; no thread is started.  A uniform start's bits depend on
-DRAW_ROWS, which sets how its sum is split.
+DRAW_ROWS, which sets how its sum is split.  On a constant, periodic or
+cyclical schedule the start, (m, L) or (c, W), depends only on the
+family, the season of t_B and B, so it is kept in the schedule's season
+cache (``moments._season_cache``) and a schedule object shared between
+calls computes it once per season.
+
 Statistics are collected at fixed anchor times, never time-averaged: the
-moments are themselves functions of time.
+moments are themselves functions of time.  ``empirical_moments`` answers
+one anchor per call from row tables kept with the ensemble: its first
+call builds the mean, the variance and their standard errors of every
+kept row, and the first call asking for lag k the lag-k autocovariances
+and their standard errors.  Each row is reduced on its own, so every
+value has the bits of that anchor's row reduced alone.  The rows are
+read in slabs of at most _SLAB_FLOATS values, so no temporary grows with
+the ensemble, save the C-contiguous copy of a user-built ensemble whose
+rows are not contiguous.
 
 Ensembles are read-only.  The last one simulated is remembered by a weak
 reference, so ``empirical_forecast_error`` on an equal config reuses it
@@ -46,6 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .moments import _keep, _season_cache
 from .schedules import Schedule
 from .solution import general_solution
 
@@ -67,6 +81,9 @@ RESOLUTION = 2.0**-53
 # the version of the stream contract above; any change to the simulated
 # bits (and so to a pinned ensemble digest) must bump it
 STREAM_VERSION = 6
+# values the ensemble statistics reduce at a time, whole rows of at most
+# this many (at least one row): bounds each of their temporaries
+_SLAB_FLOATS = 1 << 15
 
 # (config, weak reference to its ensemble) of the last simulate_paths call;
 # the weak reference keeps no ensemble alive after its caller drops it
@@ -244,6 +261,32 @@ def _unresolved(weights: np.ndarray) -> int:
                    for row, total in zip(running, totals.tolist())))
 
 
+def _start(config: SimulationConfig, t_b: int, burn: np.ndarray):
+    """The ``start`` of ``_simulate_chunk`` after the burn-in rows ``burn``
+    ending at t_b: ``_start_law``'s (m, L) for normal innovations,
+    ``_uniform_start``'s (c, W) for uniform ones.  On a schedule with a
+    season cache (``moments._season_cache``) the burn-in rows, and so the
+    start, depend only on the family, the season of t_b and burn_in: the
+    start is kept there under that key, read-only, within the cache's
+    float cap."""
+    schedule = config.schedule
+    cache = _season_cache(schedule)
+    if cache is not None:
+        key = (config.innovations, (t_b - 1) % len(schedule._season_rows),
+               config.burn_in)
+        start = cache.get(key)
+        if start is not None:
+            return start
+    if config.innovations == "normal":
+        start = _start_law(burn)
+    else:
+        c, weights = start = _uniform_start(schedule, t_b, burn)
+        c.flags.writeable = weights.flags.writeable = False
+    if cache is not None:
+        _keep(cache, key, start)
+    return start
+
+
 def _simulate_chunk(config: SimulationConfig, first_path: int,
                     coeffs: np.ndarray, start, out: np.ndarray) -> None:
     """Simulate paths first_path .. first_path + out.shape[1] - 1 in place
@@ -325,10 +368,7 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     t_b = config.t_end - config.length    # the burn-in's last time
     coeffs = config.schedule.window(t_b - config.burn_in + 1, config.t_end)
     burn, coeffs = coeffs[:config.burn_in], coeffs[config.burn_in:]
-    if config.innovations == "normal":
-        start = _start_law(burn)
-    else:
-        start = _uniform_start(config.schedule, t_b, burn)
+    start = _start(config, t_b, burn)
     # two start rows, then one row per kept step
     time_major = np.empty((config.length + 2, config.n_paths))
     chunk = max(1, CHUNK_TARGET // SUB_BLOCK) * SUB_BLOCK
@@ -346,42 +386,96 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     return ensemble
 
 
-def _mean_se(sample: np.ndarray) -> EstimateWithSE:
-    n = len(sample)
-    se = float(sample.std(ddof=1) / math.sqrt(n)) if n >= 2 else math.inf
-    return EstimateWithSE(float(sample.mean()), se)
-
-
-def _variance_se(sample: np.ndarray) -> EstimateWithSE:
-    """Sample variance s^2 with its large-sample standard error
-    sqrt(max(m4 - s^4, 0) / n), m4 = mean(c^2 * c^2) the central fourth
-    moment of the centered sample c, squared twice instead of raised to
-    the power 4, which numpy evaluates through libm ``pow`` per element."""
-    n = len(sample)
+def _row_moments(rows: np.ndarray, variance: bool):
+    """Each row's sample mean and its standard error s / sqrt(n), and if
+    ``variance`` also its sample variance s^2 with the large-sample
+    standard error sqrt(max(m4 - s^4, 0) / n); every se is inf and s^2 is 0
+    for fewer than two values.  Each row of the C-contiguous ``rows`` is
+    reduced on its own, pairwise, so it gets the bits of ``row.mean()``
+    and ``row.std(ddof=1)``, the root of its centered squares' sum over
+    n - 1.  Its s^2 is its own centered dot product (BLAS) over n - 1, and
+    m4 = mean(c^2 * c^2) the central fourth moment, the squares squared
+    again in place instead of raised to the power 4, which numpy evaluates
+    through libm ``pow`` per element."""
+    n = rows.shape[1]
+    mean = rows.mean(axis=1)
     if n < 2:
-        return EstimateWithSE(0.0, math.inf)
-    centered = sample - sample.mean()
-    s2 = float(centered.dot(centered) / (n - 1))
-    squared = centered * centered
-    m4 = float(np.mean(squared * squared))
-    se = math.sqrt(max(m4 - s2 * s2, 0.0) / n)
-    return EstimateWithSE(s2, se)
+        inf = np.full(len(rows), math.inf)
+        return (mean, inf, np.zeros(len(rows)), inf) if variance else (mean, inf)
+    centered = rows - mean[:, None]
+    if variance:
+        s2 = np.array([float(row.dot(row) / (n - 1)) for row in centered])
+    squares = np.square(centered, out=centered)
+    se = np.sqrt(squares.sum(axis=1) / (n - 1)) / math.sqrt(n)
+    if not variance:
+        return mean, se
+    m4 = np.square(squares, out=squares).mean(axis=1)
+    return mean, se, s2, np.sqrt(np.maximum(m4 - s2 * s2, 0.0) / n)
+
+
+def _sample_moments(sample: np.ndarray):
+    """(mean, variance) of one sample, each with its standard error (see
+    ``_row_moments``)."""
+    mean, mean_se, s2, se = _row_moments(sample[None], True)
+    return (EstimateWithSE(float(mean[0]), float(mean_se[0])),
+            EstimateWithSE(float(s2[0]), float(se[0])))
+
+
+def _slabs(rows: np.ndarray, first: int = 0):
+    """(j0, j1) of the slabs of rows first.. that the statistics reduce at
+    a time: at most _SLAB_FLOATS values each, and at least one row."""
+    step = max(1, _SLAB_FLOATS // max(rows.shape[1], 1))
+    return ((j0, min(j0 + step, len(rows)))
+            for j0 in range(first, len(rows), step))
+
+
+def _moment_table(ensemble: PathEnsemble, lag: int) -> tuple:
+    """Statistics of every kept row of ``ensemble``, as read-only arrays
+    indexed by row: (mean, its se, variance, its se) for lag 0, and for
+    a lag k >= 1 (autocovariance, its se) of each row j >= k with row
+    j - k (nan in the first k rows).  Each is built the first time it is
+    asked for and kept with the ensemble, so later anchors only index
+    it.  The rows are ``ensemble.values.T`` made C-contiguous (a view for
+    an ensemble from ``simulate_paths``), reduced a slab at a time."""
+    tables = vars(ensemble).setdefault("_moment_tables", {})
+    table = tables.get(lag)
+    if table is not None:
+        return table
+    rows = np.ascontiguousarray(ensemble.values.T)
+    if lag:
+        mean = _moment_table(ensemble, 0)[0]
+        parts = [(np.full(lag, math.nan),) * 2]
+        for j0, j1 in _slabs(rows, lag):
+            products = rows[j0:j1] - mean[j0:j1, None]
+            products *= rows[j0 - lag:j1 - lag] - mean[j0 - lag:j1 - lag, None]
+            parts.append(_row_moments(products, False))
+    else:
+        parts = [_row_moments(rows[j0:j1], True) for j0, j1 in _slabs(rows)]
+    table = tuple(np.concatenate(column) for column in zip(*parts))
+    for column in table:
+        column.flags.writeable = False
+    # a thread may have built the same table meanwhile; one is kept
+    return tables.setdefault(lag, table)
 
 
 def empirical_moments(ensemble: PathEnsemble, t: int,
                       max_lag: int = 0) -> EmpiricalMoments:
-    """Cross-path sample mean, variance and autocovariances at anchor t."""
+    """Cross-path sample mean, variance and autocovariances at anchor t,
+    read from the ensemble's row tables (see ``_moment_table``)."""
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    anchor = ensemble.at(t)
-    anchor_centered = anchor - anchor.mean()
-    autocovs = []
-    for k in range(1, max_lag + 1):
-        lagged = ensemble.at(t - k)
-        products = anchor_centered * (lagged - lagged.mean())
-        autocovs.append(_mean_se(products))
-    return EmpiricalMoments(int(t), _mean_se(anchor), _variance_se(anchor),
-                            tuple(autocovs))
+    ensemble.at(t)
+    j = int(t) - int(ensemble.times[0])
+    if max_lag > j:
+        ensemble.at(t - (j + 1))    # raises: the first lag before the ensemble
+    mean, mean_se, variance, variance_se = _moment_table(ensemble, 0)
+    autocovs = tuple(EstimateWithSE(float(value[j]), float(se[j]))
+                     for value, se in (_moment_table(ensemble, k)
+                                       for k in range(1, max_lag + 1)))
+    return EmpiricalMoments(int(t), EstimateWithSE(float(mean[j]),
+                                                   float(mean_se[j])),
+                            EstimateWithSE(float(variance[j]),
+                                           float(variance_se[j])), autocovs)
 
 
 def empirical_forecast_error(config: SimulationConfig, t: int, k: int
@@ -411,4 +505,4 @@ def empirical_forecast_error(config: SimulationConfig, t: int, k: int
     predicted = (sol.drift + sol.w0 * ensemble.at(t - k)
                  + sol.w1 * ensemble.at(t - k - 1))
     errors = ensemble.at(t) - predicted
-    return _mean_se(errors), _variance_se(errors)
+    return _sample_moments(errors)

@@ -15,8 +15,9 @@ import pytest
 
 import tvar2
 import tvar2.simulate as sim
-from tvar2 import (ConstantSchedule, CyclicalSchedule, GenericSchedule,
-                   PeriodicSchedule, SimulationConfig, autocovariance,
+from tvar2 import (BreakSchedule, ConstantSchedule, CyclicalSchedule,
+                   GenericSchedule, PeriodicSchedule, SimulationConfig,
+                   autocovariance,
                    empirical_forecast_error,
                    empirical_moments, forecast, general_solution,
                    simulate_paths, unconditional_mean, unconditional_variance)
@@ -615,12 +616,24 @@ def test_chunk_boundaries_cut_no_block(monkeypatch, target):
 
 
 def test_concurrent_callers_get_the_same_bits():
-    # more callers than cores; a short switch interval interleaves them often
+    # more callers than cores; a short switch interval interleaves them often.
+    # Half simulate; half read the statistics of one shared ensemble, whose
+    # row tables they race to build
     cfg = _config(n_paths=1300, burn_in=40)
     expected = simulate_paths(cfg).values
+    shared = simulate_paths(cfg)
+    moments = [_moment_bits(_reference_moments(shared, t, j))
+               for j, t in enumerate(shared.times.tolist())]
+
+    def read_moments():
+        return [_moment_bits(empirical_moments(shared, t, j))
+                for j, t in enumerate(shared.times.tolist())] == moments
+
     same = []
     callers = [threading.Thread(target=lambda: same.append(np.array_equal(
-        simulate_paths(cfg).values, expected))) for _ in range(6)]
+        simulate_paths(cfg).values, expected))) for _ in range(3)]
+    callers += [threading.Thread(target=lambda: same.append(read_moments()))
+                for _ in range(3)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -855,7 +868,7 @@ def test_variance_se_matches_the_power_form(n, draws, family):
     for _ in range(draws):
         sample = (rng.standard_normal(n) if family == "normal"
                   else rng.standard_t(3, n))
-        got = sim._variance_se(sample)
+        got = sim._sample_moments(sample)[1]
         s2, se = _variance_se_power_form(sample)
         assert got.value == s2
         assert got.se == pytest.approx(se, rel=_SE_REL.get(n, 1e-15), abs=0.0)
@@ -864,7 +877,7 @@ def test_variance_se_matches_the_power_form(n, draws, family):
 def test_overflowed_sample_has_a_nonfinite_variance_se():
     sample = np.array([1e200, -1e200, 3.0, 0.5])
     with np.errstate(over="ignore", invalid="ignore"):
-        got = sim._variance_se(sample)
+        got = sim._sample_moments(sample)[1]
     assert not math.isfinite(got.se)
 
 
@@ -1000,3 +1013,238 @@ def test_recorded_ensemble_is_not_kept_alive():
     del ensemble
     gc.collect()
     assert ref() is None
+
+
+def _reference_mean_se(sample):
+    n = len(sample)
+    se = float(sample.std(ddof=1) / math.sqrt(n)) if n >= 2 else math.inf
+    return sim.EstimateWithSE(float(sample.mean()), se)
+
+
+def _reference_variance_se(sample):
+    n = len(sample)
+    if n < 2:
+        return sim.EstimateWithSE(0.0, math.inf)
+    centered = sample - sample.mean()
+    s2 = float(centered.dot(centered) / (n - 1))
+    squared = centered * centered
+    m4 = float(np.mean(squared * squared))
+    return sim.EstimateWithSE(s2, math.sqrt(max(m4 - s2 * s2, 0.0) / n))
+
+
+def _reference_moments(ensemble, t, max_lag=0):
+    """empirical_moments one anchor at a time, each row centered afresh."""
+    if max_lag < 0:
+        raise ValueError("max_lag must be >= 0")
+    anchor = ensemble.at(t)
+    anchor_centered = anchor - anchor.mean()
+    autocovs = []
+    for k in range(1, max_lag + 1):
+        lagged = ensemble.at(t - k)
+        products = anchor_centered * (lagged - lagged.mean())
+        autocovs.append(_reference_mean_se(products))
+    return sim.EmpiricalMoments(int(t), _reference_mean_se(anchor),
+                                _reference_variance_se(anchor),
+                                tuple(autocovs))
+
+
+def _moment_bits(moments):
+    """float.hex of every value and se: nan matches nan, and -0.0 not 0.0."""
+    estimates = (moments.mean, moments.variance, *moments.autocovariances)
+    return (moments.anchor,
+            [(e.value.hex(), e.se.hex()) for e in estimates])
+
+
+def _assert_reference_bits(ensemble, seed=0):
+    """Every anchor at every max_lag it admits, in shuffled order and
+    twice, gives the reference bits."""
+    order = [(j, int(t)) for j, t in enumerate(ensemble.times)] * 2
+    np.random.default_rng(seed).shuffle(order)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for j, t in order:
+            want = _moment_bits(_reference_moments(ensemble, t, j))
+            for max_lag in range(j + 1):
+                got = _moment_bits(empirical_moments(ensemble, t, max_lag))
+                assert got == (t, want[1][:2 + max_lag]), (j, max_lag)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 257, 2000, 20_481])
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+def test_moment_tables_give_the_per_anchor_bits(n_paths, innovations):
+    # 20 481 paths span two simulation chunks, and take one row per slab
+    for length in range(1, 13):
+        ensemble = simulate_paths(SimulationConfig(
+            SEASONS, n_paths, 100 + length, length, seed=length, burn_in=20,
+            innovations=innovations))
+        _assert_reference_bits(ensemble, length)
+
+
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+def test_moment_tables_of_an_overflowed_ensemble_give_the_per_anchor_bits(
+        innovations):
+    # rows of finite values, then of +-inf, then of nan (0 * inf)
+    ensemble = simulate_paths(SimulationConfig(
+        ConstantSchedule(0.0, 1e40, 0.0, 1.0), 300, 100, 12, seed=1,
+        burn_in=0, innovations=innovations))
+    values = ensemble.values
+    assert np.isfinite(values[:, 0]).all() and np.isinf(values[:, 8]).all()
+    assert np.isnan(values[:, -1]).all()
+    _assert_reference_bits(ensemble)
+    # and rows mixing finite values with an inf or a nan
+    mixed = ensemble.values[:, :8].copy()
+    mixed[3, 2], mixed[5, 4], mixed[7, 4], mixed[9, 6] = (
+        np.inf, -np.inf, np.nan, np.nan)
+    _assert_reference_bits(sim.PathEnsemble(ensemble.times[:8], mixed))
+
+
+@pytest.mark.parametrize("n_paths", [100, 257, 2000])
+def test_forecast_errors_keep_the_per_sample_bits(n_paths):
+    cfg = _config(schedule=SEASONS, n_paths=n_paths, length=8)
+    ensemble = simulate_paths(cfg)
+    for k in (1, 3, 6):
+        sol = general_solution(SEASONS, 60, k)
+        errors = ensemble.at(60) - (sol.drift + sol.w0 * ensemble.at(60 - k)
+                                    + sol.w1 * ensemble.at(59 - k))
+        want = (_reference_mean_se(errors), _reference_variance_se(errors))
+        got = empirical_forecast_error(cfg, 60, k)
+        assert ([(e.value.hex(), e.se.hex()) for e in got]
+                == [(e.value.hex(), e.se.hex()) for e in want])
+
+
+def test_user_built_ensemble_gives_the_reference_bits():
+    ensemble = simulate_paths(_config(n_paths=700, length=6))
+    c_ordered = sim.PathEnsemble(ensemble.times.copy(),
+                                 np.ascontiguousarray(ensemble.values))
+    assert c_ordered.values.flags.c_contiguous
+    _assert_reference_bits(c_ordered)
+    # and the same bits as the ensemble it copies
+    for t in ensemble.times.tolist():
+        assert (_moment_bits(empirical_moments(c_ordered, t, 0))
+                == _moment_bits(empirical_moments(ensemble, t, 0)))
+
+
+def test_two_ensembles_never_share_a_table():
+    ensemble = simulate_paths(_config(n_paths=500, length=4))
+    empirical_moments(ensemble, 60, 2)
+    scaled = dataclasses.replace(ensemble, values=ensemble.values * 3.0)
+    same = simulate_paths(_config(n_paths=500, length=4))
+    for other in (scaled, same):
+        assert (_moment_bits(empirical_moments(other, 60, 2))
+                == _moment_bits(_reference_moments(other, 60, 2)))
+        tables, held = ensemble._moment_tables, other._moment_tables
+        assert tables is not held
+        assert not any(np.shares_memory(a, b) for lag in tables
+                       for a in tables[lag] for b in held[lag])
+    assert (empirical_moments(scaled, 60).variance.value
+            != empirical_moments(ensemble, 60).variance.value)
+
+
+def test_moment_tables_are_read_only():
+    ensemble = simulate_paths(_config(n_paths=300, length=4))
+    empirical_moments(ensemble, 60, 3)
+    assert sorted(ensemble._moment_tables) == [0, 1, 2, 3]
+    for table in ensemble._moment_tables.values():
+        for column in table:
+            with pytest.raises(ValueError):
+                column[-1] = 0.0
+
+
+def _outcome(moments, ensemble, t, max_lag):
+    try:
+        return _moment_bits(moments(ensemble, t, max_lag))
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_rejected_requests_raise_the_per_anchor_messages():
+    # times 57..60: each bad anchor, lag and max_lag, alone and together,
+    # raises the message the per-anchor reference raises first
+    ensemble = simulate_paths(_config(n_paths=300, length=4))
+    messages = set()
+    for t in (50, 56, 57, 58, 60, 61, 70):
+        for max_lag in (-3, -1, 0, 1, 3, 4, 9):
+            want = _outcome(_reference_moments, ensemble, t, max_lag)
+            assert _outcome(empirical_moments, ensemble, t, max_lag) == want
+            if isinstance(want, str):
+                messages.add(want)
+    assert {"max_lag must be >= 0", "t=56 not in simulated range [57, 60]",
+            "t=61 not in simulated range [57, 60]"} <= messages
+
+
+# fresh tiled schedules, each with an empty season cache
+TILED = {
+    "periodic": lambda: PeriodicSchedule([
+        (0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5), (0.1, 0.8, -0.3, 0.8),
+        (0.3, 0.1, 0.25, 1.2)]),
+    "cyclical": lambda: CyclicalSchedule(6, [2, 4], [(0.0, 0.5, -0.2, 1.0),
+                                                     (0.0, -0.3, 0.4, 1.0),
+                                                     (0.0, 0.8, -0.1, 1.0)]),
+    "near-unit-root": lambda: ConstantSchedule(0.01, 1.0, -0.02, 1.0),
+}
+
+
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+@pytest.mark.parametrize("kind", sorted(TILED))
+def test_start_laws_from_the_season_cache_keep_the_bits(kind, innovations):
+    # every season twice on one schedule, the second time from its cache,
+    # against the same ensemble on a fresh schedule
+    shared = TILED[kind]()
+    for t_end in range(400, 414):
+        cfg = _config(schedule=shared, n_paths=300, t_end=t_end, length=3,
+                      burn_in=120, innovations=innovations)
+        fresh = dataclasses.replace(cfg, schedule=TILED[kind]())
+        assert np.array_equal(simulate_paths(cfg).values,
+                              simulate_paths(fresh).values), t_end
+    period = len(shared._season_rows)
+    starts = [key for key in shared._season_cache if len(key) == 3]
+    assert sorted(starts) == [(innovations, season, 120)
+                              for season in range(period)]
+    for key in starts:
+        if innovations == "uniform":
+            assert not any(a.flags.writeable
+                           for a in shared._season_cache[key])
+
+
+def test_season_cache_with_start_laws_holds_at_most_its_cap(monkeypatch):
+    # near the unit root a uniform start keeps every burn-in column: 2 B
+    # weights per (season, B), on top of the acf's xi prefixes
+    seasons = [(0.01, 1.0, -0.02, 1.0), (0.0, 0.99, -0.01, 2.0)]
+
+    def fill(schedule):
+        acf = [autocovariance(schedule, 5000, k) for k in range(21)]
+        return acf, [simulate_paths(_config(
+            schedule=schedule, n_paths=300, t_end=t_end, length=2,
+            burn_in=burn_in, innovations=innovations)).values
+            for burn_in in (300, 400, 500) for t_end in (900, 901)
+            for innovations in ("normal", "uniform")]
+
+    uncapped = PeriodicSchedule(seasons)
+    want_acf, want = fill(uncapped)
+    monkeypatch.setattr(tvar2.moments, "_CACHE_FLOATS", 3000)
+    s = PeriodicSchedule(seasons)
+    acf, got = fill(s)
+    assert acf == want_acf
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    held = sum(map(tvar2.moments._floats, s._season_cache.values()))
+    every = sum(map(tvar2.moments._floats, uncapped._season_cache.values()))
+    assert 0 < held <= 3000 < every
+    # xi prefixes and start laws are both held
+    assert {len(key) for key in s._season_cache} == {2, 3}
+
+
+@pytest.mark.parametrize("schedule", [
+    SEASONS_GENERIC,
+    BreakSchedule(400, 390, [100, 200], [(0.0, 0.5, -0.2, 1.0),
+                                         (0.0, -0.4, 0.3, 1.0),
+                                         (0.0, 0.9, -0.5, 1.0)]),
+    # sigma2 of the last season is outside the declared bounds
+    PeriodicSchedule([(0.0, 0.1, 0.0, 1.0)] * 63 + [(0.0, 0.1, 0.0, 9.0)],
+                     sigma2_bounds=(0.5, 2.0)),
+], ids=["generic", "breaks", "sigma2-out-of-bounds"])
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+def test_untiled_schedules_keep_no_start_law(schedule, innovations):
+    cfg = _config(schedule=schedule, n_paths=300, t_end=62, length=4,
+                  burn_in=40, innovations=innovations)
+    assert np.array_equal(simulate_paths(cfg).values, _reference_paths(cfg))
+    assert tvar2.moments._season_cache(schedule) is None

@@ -1069,9 +1069,10 @@ def _assert_reference_bits(ensemble, seed=0):
                 assert got == (t, want[1][:2 + max_lag]), (j, max_lag)
 
 
-@pytest.mark.parametrize("n_paths", [1, 2, 3, 257, 2000, 20_481])
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 257, 2000, 5000, 20_481])
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])
 def test_moment_tables_give_the_per_anchor_bits(n_paths, innovations):
+    # a slab holds 6 rows of 5000 paths, so 7 or more rows span two slabs;
     # 20 481 paths span two simulation chunks, and take one row per slab
     for length in range(1, 13):
         ensemble = simulate_paths(SimulationConfig(

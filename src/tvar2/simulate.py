@@ -464,7 +464,7 @@ def empirical_moments(ensemble: PathEnsemble, t: int,
     read from the ensemble's row tables (see ``_moment_table``)."""
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    ensemble.at(t)
+    ensemble.at(t)                  # raises for an anchor outside the ensemble
     j = int(t) - int(ensemble.times[0])
     if max_lag > j:
         ensemble.at(t - (j + 1))    # raises: the first lag before the ensemble

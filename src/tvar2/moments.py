@@ -198,9 +198,9 @@ def _season_cache(schedule: Schedule) -> dict | None:
     read past the term that decides: a constant, periodic or cyclical
     schedule whose seasons all have sigma2 inside its bounds, so that no
     time raises.  None for every other schedule, whose series stay lazy.
-    Besides the prefixes of ``_season_prefix`` it holds the simulation's
-    burn-in start laws (``tvar2.simulate``), which also depend only on a
-    season."""
+    Its entries are kept by ``_season_cached``: the prefixes of
+    ``_season_prefix`` and the simulation's burn-in start laws
+    (``tvar2.simulate``), which also depend only on a season."""
     cache = vars(schedule).get("_season_cache", False)
     if cache is False:
         rows, (lo, hi) = schedule._season_rows, schedule.sigma2_bounds
@@ -208,6 +208,24 @@ def _season_cache(schedule: Schedule) -> dict | None:
             ((lo < rows[:, 3]) & (rows[:, 3] < hi)).all())
         cache = vars(schedule).setdefault("_season_cache", {} if tiled else None)
     return cache
+
+
+def _season_cached(schedule: Schedule, tag, t: int, compute: Callable,
+                   fits: Callable | None = None):
+    """``compute()``, an entry that depends only on ``tag`` and the season
+    of time t.  A schedule with a season cache keeps it under (tag,
+    season), within _CACHE_FLOATS, and computes it again only when
+    ``fits`` rejects the kept one; any other schedule computes it on every
+    call."""
+    cache = _season_cache(schedule)
+    if cache is None:
+        return compute()
+    key = (tag, (t - 1) % len(schedule._season_rows))
+    entry = cache.get(key)
+    if entry is None or (fits is not None and not fits(entry)):
+        entry = compute()
+        _keep(cache, key, entry)
+    return entry
 
 
 def _season_prefix(schedule: Schedule, stream: str, t: int,
@@ -218,10 +236,7 @@ def _season_prefix(schedule: Schedule, stream: str, t: int,
     season of t, so the cache keeps one read-only array per (stream,
     season).  One too short is read again from t, _FIRST_PREFIX values
     longer than asked, so the longer anchors of the next lags fit in it."""
-    cache = schedule._season_cache
-    key = (stream, (t - 1) % len(schedule._season_rows))
-    values = cache.get(key)
-    if values is None or len(values) < d:
+    def read() -> np.ndarray:
         n = d + _FIRST_PREFIX
         if stream == "xi":
             values = np.fromiter(xi_stream(schedule, t, t - n + 2), float, n)
@@ -229,8 +244,9 @@ def _season_prefix(schedule: Schedule, stream: str, t: int,
             column = 0 if stream == "phi0" else 3
             values = schedule.window(t - n + 1, t)[::-1, column].copy()
         values.flags.writeable = False
-        _keep(cache, key, values)
-    return values[:d]
+        return values
+    return _season_cached(schedule, stream, t, read,
+                          lambda values: len(values) >= d)[:d]
 
 
 def _floats(entry) -> int:

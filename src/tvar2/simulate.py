@@ -37,14 +37,18 @@ calls computes it once per season.
 
 Statistics are collected at fixed anchor times, never time-averaged: the
 moments are themselves functions of time.  ``empirical_moments`` answers
-one anchor per call from row tables kept with the ensemble: its first
-call builds the mean, the variance and their standard errors of every
-kept row, and the first call asking for lag k the lag-k autocovariances
-and their standard errors.  Each row is reduced on its own, so every
-value has the bits of that anchor's row reduced alone.  The rows are
-read in slabs of at most _SLAB_FLOATS values, so no temporary grows with
-the ensemble, save the C-contiguous copy of a user-built ensemble whose
-rows are not contiguous.
+one anchor per call from tables of slabs of rows: the kept rows are cut
+into slabs of at most _SLAB_FLOATS values, and the first call that reads
+a slab builds the mean, the variance and their standard errors of each
+of its rows, and the first asking for lag k there the rows' lag-k
+autocovariances and their standard errors.  Each row is reduced on its
+own, so every value has the bits of that anchor's row reduced alone, and
+no temporary grows with the ensemble: a call reduces one slab per lag
+and the lag-0 slabs of the rows those lags reach back to, and copies no
+more than a slab of a user-built ensemble whose rows are not
+contiguous.  The tables are kept with an ensemble whose values
+nothing can write, as ``simulate_paths`` returns them, and are built
+afresh on every call for any other.
 
 Ensembles are read-only.  The last one simulated is remembered by a weak
 reference, so ``empirical_forecast_error`` on an equal config reuses it
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import _keep, _season_cache
+from .moments import _season_cached
 from .schedules import Schedule
 from .solution import general_solution
 
@@ -82,7 +86,9 @@ RESOLUTION = 2.0**-53
 # bits (and so to a pinned ensemble digest) must bump it
 STREAM_VERSION = 6
 # values the ensemble statistics reduce at a time, whole rows of at most
-# this many (at least one row): bounds each of their temporaries
+# this many (at least one row): bounds each of their temporaries.  2^14
+# keeps them under glibc's mmap threshold but was slower in-process at
+# 2000 and 5000 paths (one more slab per request outweighs the faults)
 _SLAB_FLOATS = 1 << 15
 
 # (config, weak reference to its ensemble) of the last simulate_paths call;
@@ -265,26 +271,17 @@ def _start(config: SimulationConfig, t_b: int, burn: np.ndarray):
     """The ``start`` of ``_simulate_chunk`` after the burn-in rows ``burn``
     ending at t_b: ``_start_law``'s (m, L) for normal innovations,
     ``_uniform_start``'s (c, W) for uniform ones.  On a schedule with a
-    season cache (``moments._season_cache``) the burn-in rows, and so the
-    start, depend only on the family, the season of t_b and burn_in: the
-    start is kept there under that key, read-only, within the cache's
-    float cap."""
-    schedule = config.schedule
-    cache = _season_cache(schedule)
-    if cache is not None:
-        key = (config.innovations, (t_b - 1) % len(schedule._season_rows),
-               config.burn_in)
-        start = cache.get(key)
-        if start is not None:
-            return start
-    if config.innovations == "normal":
-        start = _start_law(burn)
-    else:
-        c, weights = start = _uniform_start(schedule, t_b, burn)
+    season cache the burn-in rows, and so the start, depend only on the
+    family, burn_in and the season of t_b, so the start is kept there,
+    read-only (``moments._season_cached``)."""
+    def compute():
+        if config.innovations == "normal":
+            return _start_law(burn)
+        c, weights = start = _uniform_start(config.schedule, t_b, burn)
         c.flags.writeable = weights.flags.writeable = False
-    if cache is not None:
-        _keep(cache, key, start)
-    return start
+        return start
+    return _season_cached(config.schedule,
+                          (config.innovations, config.burn_in), t_b, compute)
 
 
 def _simulate_chunk(config: SimulationConfig, first_path: int,
@@ -421,61 +418,93 @@ def _sample_moments(sample: np.ndarray):
             EstimateWithSE(float(s2[0]), float(se[0])))
 
 
-def _slabs(rows: np.ndarray, first: int = 0):
-    """(j0, j1) of the slabs of rows first.. that the statistics reduce at
-    a time: at most _SLAB_FLOATS values each, and at least one row."""
-    step = max(1, _SLAB_FLOATS // max(rows.shape[1], 1))
-    return ((j0, min(j0 + step, len(rows)))
-            for j0 in range(first, len(rows), step))
+def _frozen(values: np.ndarray) -> bool:
+    """Whether nothing can write ``values``: it and every array it views
+    are read-only, as for an ensemble from ``simulate_paths``."""
+    while isinstance(values, np.ndarray):
+        if values.flags.writeable:
+            return False
+        values = values.base
+    return values is None
 
 
-def _moment_table(ensemble: PathEnsemble, lag: int) -> tuple:
-    """Statistics of every kept row of ``ensemble``, as read-only arrays
-    indexed by row: (mean, its se, variance, its se) for lag 0, and for
-    a lag k >= 1 (autocovariance, its se) of each row j >= k with row
-    j - k (nan in the first k rows).  Each is built the first time it is
-    asked for and kept with the ensemble, so later anchors only index
-    it.  The rows are ``ensemble.values.T`` made C-contiguous (a view for
-    an ensemble from ``simulate_paths``), reduced a slab at a time."""
-    tables = vars(ensemble).setdefault("_moment_tables", {})
-    table = tables.get(lag)
+def _slab_rows(values: np.ndarray) -> int:
+    """Kept rows per slab of the statistics: whole rows of at most
+    _SLAB_FLOATS values, and at least one row."""
+    return max(1, _SLAB_FLOATS // max(values.shape[0], 1))
+
+
+def _slab_table(values: np.ndarray, tables: dict, lag: int,
+                slab: int) -> tuple:
+    """Statistics of the kept rows j of slab ``slab`` of the ensemble
+    ``values``, rows slab * step .. (step of ``_slab_rows``), as read-only
+    arrays indexed by j - slab * step: (mean, its se, variance, its se)
+    for lag 0, and for a lag k >= 1 (autocovariance, its se) of row j with
+    row j - k (nan for j < k).  Each is built the first time it is asked
+    for and kept in ``tables`` under (lag, slab), so later anchors in the
+    slab only index it.  The rows reduced are those of ``values.T`` made
+    C-contiguous: a view for an ensemble from ``simulate_paths``, a copy
+    of the slab for a user-built one."""
+    table = tables.get((lag, slab))
     if table is not None:
         return table
-    rows = np.ascontiguousarray(ensemble.values.T)
+    step = _slab_rows(values)
+    j0, j1 = slab * step, min(slab * step + step, values.shape[1])
     if lag:
-        mean = _moment_table(ensemble, 0)[0]
-        parts = [(np.full(lag, math.nan),) * 2]
-        for j0, j1 in _slabs(rows, lag):
-            products = rows[j0:j1] - mean[j0:j1, None]
-            products *= rows[j0 - lag:j1 - lag] - mean[j0 - lag:j1 - lag, None]
-            parts.append(_row_moments(products, False))
+        lo = max(j0, lag)
+        products = (np.ascontiguousarray(values[:, lo:j1].T)
+                    - _slab_means(values, tables, lo, j1)[:, None])
+        products *= (values[:, lo - lag:j1 - lag].T
+                     - _slab_means(values, tables, lo - lag, j1 - lag)[:, None])
+        table = _row_moments(products, False)
+        if lo > j0:
+            table = tuple(np.concatenate((np.full(lo - j0, math.nan), column))
+                          for column in table)
     else:
-        parts = [_row_moments(rows[j0:j1], True) for j0, j1 in _slabs(rows)]
-    table = tuple(np.concatenate(column) for column in zip(*parts))
+        table = _row_moments(np.ascontiguousarray(values[:, j0:j1].T), True)
     for column in table:
         column.flags.writeable = False
-    # a thread may have built the same table meanwhile; one is kept
-    return tables.setdefault(lag, table)
+    # a thread may have built the same slab meanwhile; one is kept
+    return tables.setdefault((lag, slab), table)
+
+
+def _slab_means(values: np.ndarray, tables: dict, j0: int,
+                j1: int) -> np.ndarray:
+    """The means of kept rows j0 .. j1 - 1, from their lag-0 slabs."""
+    step = _slab_rows(values)
+    first, last = j0 // step, (j1 - 1) // step
+    means = [_slab_table(values, tables, 0, slab)[0]
+             for slab in range(first, last + 1)]
+    means = means[0] if first == last else np.concatenate(means)
+    return means[j0 - first * step:j1 - first * step]
 
 
 def empirical_moments(ensemble: PathEnsemble, t: int,
                       max_lag: int = 0) -> EmpiricalMoments:
     """Cross-path sample mean, variance and autocovariances at anchor t,
-    read from the ensemble's row tables (see ``_moment_table``)."""
+    read from the tables of the slab of rows that holds t (see
+    ``_slab_table``).  They are kept with the ensemble when nothing can
+    write its values, and built for this call alone otherwise."""
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     ensemble.at(t)                  # raises for an anchor outside the ensemble
     j = int(t) - int(ensemble.times[0])
     if max_lag > j:
         ensemble.at(t - (j + 1))    # raises: the first lag before the ensemble
-    mean, mean_se, variance, variance_se = _moment_table(ensemble, 0)
-    autocovs = tuple(EstimateWithSE(float(value[j]), float(se[j]))
-                     for value, se in (_moment_table(ensemble, k)
+    values = ensemble.values
+    tables = vars(ensemble).get("_moment_tables")
+    if tables is None:
+        tables = (vars(ensemble).setdefault("_moment_tables", {})
+                  if _frozen(values) else {})
+    slab, i = divmod(j, _slab_rows(values))
+    mean, mean_se, variance, variance_se = _slab_table(values, tables, 0, slab)
+    autocovs = tuple(EstimateWithSE(float(value[i]), float(se[i]))
+                     for value, se in (_slab_table(values, tables, k, slab)
                                        for k in range(1, max_lag + 1)))
-    return EmpiricalMoments(int(t), EstimateWithSE(float(mean[j]),
-                                                   float(mean_se[j])),
-                            EstimateWithSE(float(variance[j]),
-                                           float(variance_se[j])), autocovs)
+    return EmpiricalMoments(int(t), EstimateWithSE(float(mean[i]),
+                                                   float(mean_se[i])),
+                            EstimateWithSE(float(variance[i]),
+                                           float(variance_se[i])), autocovs)
 
 
 def empirical_forecast_error(config: SimulationConfig, t: int, k: int

@@ -617,8 +617,8 @@ def test_chunk_boundaries_cut_no_block(monkeypatch, target):
 
 def test_concurrent_callers_get_the_same_bits():
     # more callers than cores; a short switch interval interleaves them often.
-    # Half simulate; half read the statistics of one shared ensemble, whose
-    # row tables they race to build
+    # Six simulate; three more read the statistics of one shared ensemble,
+    # whose row tables they race to build
     cfg = _config(n_paths=1300, burn_in=40)
     expected = simulate_paths(cfg).values
     shared = simulate_paths(cfg)
@@ -631,7 +631,7 @@ def test_concurrent_callers_get_the_same_bits():
 
     same = []
     callers = [threading.Thread(target=lambda: same.append(np.array_equal(
-        simulate_paths(cfg).values, expected))) for _ in range(3)]
+        simulate_paths(cfg).values, expected))) for _ in range(6)]
     callers += [threading.Thread(target=lambda: same.append(read_moments()))
                 for _ in range(3)]
     interval = sys.getswitchinterval()
@@ -644,7 +644,7 @@ def test_concurrent_callers_get_the_same_bits():
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
-    assert same == [True] * 6
+    assert same == [True] * 9
 
 
 def test_no_draw_thread_outlives_the_call(monkeypatch):
@@ -1128,15 +1128,18 @@ def test_user_built_ensemble_gives_the_reference_bits():
 def test_two_ensembles_never_share_a_table():
     ensemble = simulate_paths(_config(n_paths=500, length=4))
     empirical_moments(ensemble, 60, 2)
-    scaled = dataclasses.replace(ensemble, values=ensemble.values * 3.0)
+    tripled = ensemble.values * 3.0
+    tripled.flags.writeable = False     # so its tables are kept too
+    scaled = dataclasses.replace(ensemble, values=tripled)
     same = simulate_paths(_config(n_paths=500, length=4))
     for other in (scaled, same):
         assert (_moment_bits(empirical_moments(other, 60, 2))
                 == _moment_bits(_reference_moments(other, 60, 2)))
         tables, held = ensemble._moment_tables, other._moment_tables
         assert tables is not held
-        assert not any(np.shares_memory(a, b) for lag in tables
-                       for a in tables[lag] for b in held[lag])
+        assert sorted(tables) == sorted(held)
+        assert not any(np.shares_memory(a, b) for key in tables
+                       for a in tables[key] for b in held[key])
     assert (empirical_moments(scaled, 60).variance.value
             != empirical_moments(ensemble, 60).variance.value)
 
@@ -1144,11 +1147,61 @@ def test_two_ensembles_never_share_a_table():
 def test_moment_tables_are_read_only():
     ensemble = simulate_paths(_config(n_paths=300, length=4))
     empirical_moments(ensemble, 60, 3)
-    assert sorted(ensemble._moment_tables) == [0, 1, 2, 3]
+    # every row of 300 paths is in slab 0
+    assert sorted(ensemble._moment_tables) == [(0, 0), (1, 0), (2, 0), (3, 0)]
     for table in ensemble._moment_tables.values():
         for column in table:
             with pytest.raises(ValueError):
                 column[-1] = 0.0
+
+
+def test_writable_ensemble_is_read_afresh_on_every_call():
+    # a user-built ensemble whose values (or their base) can be written
+    # keeps no table: each call reads the values as they are now
+    ensemble = simulate_paths(_config(n_paths=400, length=5))
+    values = ensemble.values.copy()
+    view = values[:]
+    view.flags.writeable = False
+    for user in (sim.PathEnsemble(ensemble.times, values),
+                 sim.PathEnsemble(ensemble.times, view)):
+        before = _moment_bits(empirical_moments(user, 60, 2))
+        assert before == _moment_bits(_reference_moments(user, 60, 2))
+        values[:, 2:] += 1.0
+        after = _moment_bits(empirical_moments(user, 60, 2))
+        assert after != before
+        assert after == _moment_bits(_reference_moments(user, 60, 2))
+        assert "_moment_tables" not in vars(user)
+
+
+def test_one_anchor_builds_only_the_slabs_it_reads(monkeypatch):
+    # 4 rows of 300 paths a slab: anchor j = 21 is row 1 of slab 5, and its
+    # lags 1 and 2 read the means of rows 19 and 20 from slab 4
+    monkeypatch.setattr(sim, "_SLAB_FLOATS", 1200)
+    ensemble = simulate_paths(_config(n_paths=300, t_end=99, length=40))
+    t = int(ensemble.times[21])
+    assert (_moment_bits(empirical_moments(ensemble, t, 2))
+            == _moment_bits(_reference_moments(ensemble, t, 2)))
+    assert sorted(ensemble._moment_tables) == [(0, 4), (0, 5), (1, 5), (2, 5)]
+    assert all(len(column) == 4 for table in ensemble._moment_tables.values()
+               for column in table)
+
+
+def test_one_anchor_of_a_user_built_ensemble_copies_no_more_than_a_slab():
+    # 6000 paths over 60 C-ordered times (2.9 MB): the rows a call reads
+    # are copied contiguous a slab (5 rows, 240 kB) at a time, never the
+    # whole ensemble
+    ensemble = simulate_paths(_config(n_paths=6000, t_end=99, length=60))
+    user = sim.PathEnsemble(ensemble.times,
+                            np.ascontiguousarray(ensemble.values))
+    t = int(ensemble.times[37])
+    tracemalloc.start()
+    try:
+        got = empirical_moments(user, t, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _moment_bits(got) == _moment_bits(_reference_moments(user, t, 7))
+    assert peak < user.values.nbytes / 3
 
 
 def _outcome(moments, ensemble, t, max_lag):
@@ -1198,8 +1251,11 @@ def test_start_laws_from_the_season_cache_keep_the_bits(kind, innovations):
         assert np.array_equal(simulate_paths(cfg).values,
                               simulate_paths(fresh).values), t_end
     period = len(shared._season_rows)
-    starts = [key for key in shared._season_cache if len(key) == 3]
-    assert sorted(starts) == [(innovations, season, 120)
+    # a start is kept under ((family, burn_in), season), a prefix under
+    # (stream, season)
+    starts = [key for key in shared._season_cache
+              if isinstance(key[0], tuple)]
+    assert sorted(starts) == [((innovations, 120), season)
                               for season in range(period)]
     for key in starts:
         if innovations == "uniform":
@@ -1231,7 +1287,7 @@ def test_season_cache_with_start_laws_holds_at_most_its_cap(monkeypatch):
     every = sum(map(tvar2.moments._floats, uncapped._season_cache.values()))
     assert 0 < held <= 3000 < every
     # xi prefixes and start laws are both held
-    assert {len(key) for key in s._season_cache} == {2, 3}
+    assert {type(tag) for tag, _ in s._season_cache} == {str, tuple}
 
 
 @pytest.mark.parametrize("schedule", [

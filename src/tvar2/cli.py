@@ -83,24 +83,15 @@ _LABELLED = "%s,%s\n"
 _WORD = {True: "true", False: "false", None: "indeterminate"}
 
 
-def _write_batches(out, header: str, template: str, batches) -> None:
-    """Write ``header``, then each of ``batches``, the flat arguments of
-    whole rows, through the one-row ``template`` repeated once per row:
-    one % and one write per batch.  Every CSV row but the raw simulate
-    rows (see _indexed_rows) goes through here."""
-    out.write(header)
-    fields = template.count("%")   # no template holds a literal %%
-    for batch in batches:
-        out.write((template * (len(batch) // fields)) % tuple(batch))
-
-
 def _write_rows(out, header: str, template: str, rows) -> None:
     """Write ``header``, then the tuples of ``rows`` through the one-row
-    ``template``, BATCH_ROWS rows at a time."""
+    ``template`` repeated once per row, BATCH_ROWS rows at a time: one %
+    and one write per batch.  Every CSV row but the raw simulate rows (see
+    _indexed_rows) goes through here."""
+    out.write(header)
     rows = iter(rows)
-    _write_batches(out, header, template,
-                   (tuple(chain.from_iterable(batch)) for batch in
-                    iter(lambda: list(islice(rows, BATCH_ROWS)), [])))
+    while batch := list(islice(rows, BATCH_ROWS)):
+        out.write((template * len(batch)) % tuple(chain.from_iterable(batch)))
 
 
 def _check_range(args, name: str, low, high) -> None:

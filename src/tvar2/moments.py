@@ -109,9 +109,9 @@ def _truncated_sum(terms: Iterable[float] | Callable[[int], np.ndarray],
     past the one that decides is read: the path of generic and
     abrupt-breaks schedules.  Or it is a function returning the first d
     terms as an array, the path of constant, periodic and cyclical ones
-    (see ``_season_cache``): d grows from _FIRST_PREFIX fourfold up to
-    n_max until a prefix decides, so it reads terms past the one that
-    decides, and the result is the one the iterable of the same terms
+    (see ``Schedule.season_cached``): d grows from _FIRST_PREFIX fourfold
+    up to n_max until a prefix decides, so it reads terms past the one
+    that decides, and the result is the one the iterable of the same terms
     gives, to the bit.
 
     Returns (value, n_used, tail_bound, converged); tail_bound is the sum of
@@ -188,54 +188,15 @@ def _column(schedule: Schedule, t: int, j: int) -> Iterator[float]:
         yield from rows[:, j].tolist()
 
 
-# floats one schedule's season cache holds at most (8 MiB); an entry that
-# would take it past this is returned without being kept
-_CACHE_FLOATS = 1 << 20
-
-
-def _season_cache(schedule: Schedule) -> dict | None:
-    """The schedule's season cache, made on first use, if its series may
-    read past the term that decides: a constant, periodic or cyclical
-    schedule whose seasons all have sigma2 inside its bounds, so that no
-    time raises.  None for every other schedule, whose series stay lazy.
-    Its entries are kept by ``_season_cached``: the prefixes of
-    ``_season_prefix`` and the simulation's burn-in start laws
-    (``tvar2.simulate``), which also depend only on a season."""
-    cache = vars(schedule).get("_season_cache", False)
-    if cache is False:
-        rows, (lo, hi) = schedule._season_rows, schedule.sigma2_bounds
-        tiled = rows is not None and bool(
-            ((lo < rows[:, 3]) & (rows[:, 3] < hi)).all())
-        cache = vars(schedule).setdefault("_season_cache", {} if tiled else None)
-    return cache
-
-
-def _season_cached(schedule: Schedule, tag, t: int, compute: Callable,
-                   fits: Callable | None = None):
-    """``compute()``, an entry that depends only on ``tag`` and the season
-    of time t.  A schedule with a season cache keeps it under (tag,
-    season), within _CACHE_FLOATS, and computes it again only when
-    ``fits`` rejects the kept one; any other schedule computes it on every
-    call."""
-    cache = _season_cache(schedule)
-    if cache is None:
-        return compute()
-    key = (tag, (t - 1) % len(schedule._season_rows))
-    entry = cache.get(key)
-    if entry is None or (fits is not None and not fits(entry)):
-        entry = compute()
-        _keep(cache, key, entry)
-    return entry
-
-
 def _season_prefix(schedule: Schedule, stream: str, t: int,
                    d: int) -> np.ndarray:
-    """The first d values of a stream at time t of a tiled schedule:
-    ``"xi"`` is xi_{t,0}, xi_{t,1}, ... from ``xi_stream``; ``"phi0"`` and
-    ``"sigma2"`` are that column at t, t-1, ....  Each depends only on the
-    season of t, so the cache keeps one read-only array per (stream,
-    season).  One too short is read again from t, _FIRST_PREFIX values
-    longer than asked, so the longer anchors of the next lags fit in it."""
+    """The first d values of a stream at time t of a schedule with a
+    season cache: ``"xi"`` is xi_{t,0}, xi_{t,1}, ... from ``xi_stream``;
+    ``"phi0"`` and ``"sigma2"`` are that column at t, t-1, ....  Each
+    depends only on the season of t, so the cache keeps one read-only array
+    per (stream, season) (``Schedule.season_cached``).  One too short is
+    read again from t, _FIRST_PREFIX values longer than asked, so the
+    longer anchors of the next lags fit in it."""
     def read() -> np.ndarray:
         n = d + _FIRST_PREFIX
         if stream == "xi":
@@ -245,24 +206,8 @@ def _season_prefix(schedule: Schedule, stream: str, t: int,
             values = schedule.window(t - n + 1, t)[::-1, column].copy()
         values.flags.writeable = False
         return values
-    return _season_cached(schedule, stream, t, read,
-                          lambda values: len(values) >= d)[:d]
-
-
-def _floats(entry) -> int:
-    """Floats a season-cache entry holds: an array, or a tuple of arrays,
-    tuples and floats."""
-    return sum(map(np.size, entry)) if isinstance(entry, tuple) else entry.size
-
-
-def _keep(cache: dict, key, entry) -> None:
-    """Store ``entry`` under ``key`` unless the cache would then hold more
-    than _CACHE_FLOATS floats."""
-    # the other entries as they are now: a thread may store one meanwhile,
-    # and the last entry stored for a key is the one kept
-    others = sum(_floats(v) for k, v in list(cache.items()) if k != key)
-    if others + _floats(entry) <= _CACHE_FLOATS:
-        cache[key] = entry
+    return schedule.season_cached(stream, t, read,
+                                  lambda values: len(values) >= d)[:d]
 
 
 def _mean_terms(schedule: Schedule, t: int) -> Iterator[float]:
@@ -283,7 +228,7 @@ def _covariance_terms(schedule: Schedule, t: int, k: int) -> Iterator[float]:
 def _mean_series(schedule: Schedule, t: int):
     """The terms of E(y_t) as ``_truncated_sum`` reads them: the first d
     as one array on a tiled schedule, else ``_mean_terms``."""
-    if _season_cache(schedule) is None:
+    if schedule._season_cache is None:
         return _mean_terms(schedule, t)
 
     def prefix(d: int) -> np.ndarray:
@@ -296,7 +241,7 @@ def _covariance_series(schedule: Schedule, t: int, k: int):
     """The terms of Cov(y_t, y_{t-k}) as ``_truncated_sum`` reads them: the
     first d as one array on a tiled schedule, in the operand order of
     ``_covariance_terms``, else ``_covariance_terms``."""
-    if _season_cache(schedule) is None:
+    if schedule._season_cache is None:
         return _covariance_terms(schedule, t, k)
 
     def prefix(d: int) -> np.ndarray:

@@ -16,6 +16,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_SIGMA2_BOUNDS = (1e-12, 1e12)
+# floats one schedule's season cache holds at most (8 MiB); an entry that
+# would take it past this is returned without being kept
+_CACHE_FLOATS = 1 << 20
 
 
 class ScheduleError(ValueError):
@@ -79,25 +82,66 @@ def cut_list(cuts: Sequence[int], total: int, name: str,
     return cuts
 
 
+def _floats(entry) -> int:
+    """Floats a season-cache entry holds: an array, or a tuple of arrays,
+    tuples and floats."""
+    return sum(map(np.size, entry)) if isinstance(entry, tuple) else entry.size
+
+
 class Schedule:
     """Base class: a pure map from integer time to a CoefficientTuple.
 
     Schedules are immutable after construction and safe to evaluate
     concurrently.  Consumers read coefficients through ``window``, the one
     place where sigma2 is checked against zero and the user-declared
-    ``sigma2_bounds``; ``at`` is its one-row view.
+    ``sigma2_bounds``; ``at`` is its one-row view.  A kind tiled by
+    season may also keep entries that depend only on a season, in its
+    season cache (see ``season_cached``).
     """
 
     kind = "generic"
     earliest: float = -math.inf   # earliest time the schedule answers for
     # (phi0, phi1, phi2, sigma2) of seasons 1..period, for kinds tiled by season
     _season_rows: np.ndarray | None = None
+    _season_cache: dict | None = None
 
     def __init__(self, sigma2_bounds: tuple[float, float] = DEFAULT_SIGMA2_BOUNDS):
         lo, hi = float(sigma2_bounds[0]), float(sigma2_bounds[1])
         if not 0.0 <= lo < hi:
             raise ScheduleError("sigma2 bounds must satisfy 0 <= lower < upper")
         self.sigma2_bounds = (lo, hi)
+
+    def _tile(self, rows: np.ndarray) -> None:
+        """Tile time by the season table ``rows``.  The schedule gets a
+        season cache only if every season's sigma2 lies inside its bounds,
+        so that no time raises and a reader may read past what it needs."""
+        self._season_rows = rows
+        lo, hi = self.sigma2_bounds
+        if ((lo < rows[:, 3]) & (rows[:, 3] < hi)).all():
+            self._season_cache = {}
+
+    def season_cached(self, tag, t: int, compute: Callable,
+                      fits: Callable | None = None):
+        """``compute()``, an entry that depends only on ``tag`` and the
+        season of time t.  A schedule with a season cache keeps it under
+        (tag, season), within _CACHE_FLOATS, and computes it again only
+        when ``fits`` rejects the kept one; any other schedule computes it
+        on every call.  The cache keeps the series prefixes of
+        ``tvar2.moments`` and the burn-in start laws of ``tvar2.simulate``."""
+        cache = self._season_cache
+        if cache is None:
+            return compute()
+        key = (tag, (t - 1) % len(self._season_rows))
+        entry = cache.get(key)
+        if entry is None or (fits is not None and not fits(entry)):
+            entry = compute()
+            # the other entries as they are now: a thread may store one
+            # meanwhile, and the last entry stored for a key is the one kept
+            others = sum(_floats(v) for k, v in list(cache.items())
+                         if k != key)
+            if others + _floats(entry) <= _CACHE_FLOATS:
+                cache[key] = entry
+        return entry
 
     def _rows_between(self, t_lo: int, t_hi: int) -> np.ndarray:
         # the season of t_lo, then offsets from it: any Python int works
@@ -165,7 +209,7 @@ class ConstantSchedule(Schedule):
         _check_sigma2(float(sigma2))
         self.coefficients = CoefficientTuple(float(phi0), float(phi1),
                                              float(phi2), float(sigma2))
-        self._season_rows = _rows([self.coefficients])
+        self._tile(_rows([self.coefficients]))
 
 
 def season_of(t: int, period: int) -> int:
@@ -182,8 +226,9 @@ class PeriodicSchedule(Schedule):
         super().__init__(sigma2_bounds)
         if len(seasons) < 1:
             raise ScheduleError("need at least one season")
-        self.seasons, self._season_rows = _table(seasons, "season")
+        self.seasons, rows = _table(seasons, "season")
         self.period = len(self.seasons)
+        self._tile(rows)
 
 
 class CyclicalSchedule(Schedule):
@@ -205,7 +250,7 @@ class CyclicalSchedule(Schedule):
                                    "period")
         self.cycles, rows = _table(cycles, "cycle", len(self.boundaries) + 1)
         lengths = np.diff((0,) + self.boundaries + (period,))
-        self._season_rows = np.repeat(rows, lengths, axis=0)
+        self._tile(np.repeat(rows, lengths, axis=0))
 
 
 class BreakSchedule(Schedule):

@@ -32,8 +32,9 @@ effect; no thread is started.  A uniform start's bits depend on
 DRAW_ROWS, which sets how its sum is split.  On a constant, periodic or
 cyclical schedule the start, (m, L) or (c, W), depends only on the
 family, the season of t_B and B, so it is kept in the schedule's season
-cache (``moments._season_cache``) and a schedule object shared between
-calls computes it once per season.
+cache (``Schedule.season_cached``) and a schedule object shared between
+calls computes it once per season; only that computation reads the
+burn-in coefficients.
 
 Statistics are collected at fixed anchor times, never time-averaged: the
 moments are themselves functions of time.  ``empirical_moments`` answers
@@ -63,7 +64,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import _season_cached
 from .schedules import Schedule
 from .solution import general_solution
 
@@ -267,21 +267,23 @@ def _unresolved(weights: np.ndarray) -> int:
                    for row, total in zip(running, totals.tolist())))
 
 
-def _start(config: SimulationConfig, t_b: int, burn: np.ndarray):
-    """The ``start`` of ``_simulate_chunk`` after the burn-in rows ``burn``
-    ending at t_b: ``_start_law``'s (m, L) for normal innovations,
+def _start(config: SimulationConfig, t_b: int):
+    """The ``start`` of ``_simulate_chunk`` after the burn_in rows ending at
+    t_b: ``_start_law``'s (m, L) for normal innovations,
     ``_uniform_start``'s (c, W) for uniform ones.  On a schedule with a
     season cache the burn-in rows, and so the start, depend only on the
     family, burn_in and the season of t_b, so the start is kept there,
-    read-only (``moments._season_cached``)."""
+    read-only (``Schedule.season_cached``), and the rows are read only to
+    compute it."""
     def compute():
+        burn = config.schedule.window(t_b - config.burn_in + 1, t_b)
         if config.innovations == "normal":
             return _start_law(burn)
         c, weights = start = _uniform_start(config.schedule, t_b, burn)
         c.flags.writeable = weights.flags.writeable = False
         return start
-    return _season_cached(config.schedule,
-                          (config.innovations, config.burn_in), t_b, compute)
+    return config.schedule.season_cached((config.innovations, config.burn_in),
+                                         t_b, compute)
 
 
 def _simulate_chunk(config: SimulationConfig, first_path: int,
@@ -363,9 +365,10 @@ def simulate_paths(config: SimulationConfig) -> PathEnsemble:
     and returns a new ensemble."""
     global _last_ensemble
     t_b = config.t_end - config.length    # the burn-in's last time
-    coeffs = config.schedule.window(t_b - config.burn_in + 1, config.t_end)
-    burn, coeffs = coeffs[:config.burn_in], coeffs[config.burn_in:]
-    start = _start(config, t_b, burn)
+    # the kept rows before the burn-in's, so that an error names the newest
+    # bad time, as one window over both would
+    coeffs = config.schedule.window(t_b + 1, config.t_end)
+    start = _start(config, t_b)
     # two start rows, then one row per kept step
     time_major = np.empty((config.length + 2, config.n_paths))
     chunk = max(1, CHUNK_TARGET // SUB_BLOCK) * SUB_BLOCK

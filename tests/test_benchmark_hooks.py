@@ -13,6 +13,7 @@ import tvar2.cli
 import tvar2.config
 import tvar2.moments
 import tvar2.schedules
+import tvar2.simulate
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -28,6 +29,13 @@ SELFTEST_CLI_NAMES = ("forecast", "green_functions", "autocovariance",
 def test_cli_binds_the_names_the_selftest_patches():
     for name in SELFTEST_CLI_NAMES:
         assert callable(getattr(tvar2.cli, name)), name
+
+
+def test_simulate_binds_the_chunk_target_the_montecarlo_check_reads():
+    # perfbench/workloads.py digests an ensemble of more than CHUNK_TARGET
+    # paths, which spans chunks, to check that its bits hold across workers
+    assert isinstance(tvar2.simulate.CHUNK_TARGET, int)
+    assert tvar2.simulate.CHUNK_TARGET > 0
 
 
 def test_layer_tracer_installs_counts_and_uninstalls(monkeypatch):

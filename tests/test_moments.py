@@ -417,7 +417,7 @@ def test_season_cache_holds_at_most_its_cap(monkeypatch):
     seasons = [(0.01, 1.0, -0.02, 1.0), (0.0, 0.99, -0.01, 2.0)]
     uncapped = PeriodicSchedule(seasons)
     want = _acf_bits(uncapped, 5000, range(21))
-    monkeypatch.setattr(tvar2.moments, "_CACHE_FLOATS", 3000)
+    monkeypatch.setattr(tvar2.schedules, "_CACHE_FLOATS", 3000)
     s = PeriodicSchedule(seasons)
     # a prefix that would take the cache past its cap is not kept
     assert _acf_bits(s, 5000, range(21)) == want
@@ -445,7 +445,7 @@ def test_series_of_a_schedule_that_would_raise_stay_lazy():
     # it raises, so its series may not read past the term that decides
     s = PeriodicSchedule([(0.0, 0.1, 0.0, 1.0)] * 63 + [(0.0, 0.1, 0.0, 9.0)],
                          sigma2_bounds=(0.5, 2.0))
-    assert tvar2.moments._season_cache(s) is None
+    assert s._season_cache is None
     cov = autocovariance(s, 63, 0, tol=1e-6)
     assert cov.converged and cov.depth < 63
     with pytest.raises(ScheduleError, match="sigma2=9.0 at t=64"):

@@ -6,7 +6,8 @@ import pytest
 
 from tvar2 import (BlockSpec, BreakSchedule, CoefficientTuple, ConstantSchedule,
                    CyclicalSchedule, GenericSchedule, PeriodicSchedule, ScheduleError,
-                   forecast, green_functions, season_of, unconditional_variance)
+                   SimulationConfig, autocovariance, forecast, green_functions,
+                   season_of, simulate_paths, unconditional_variance)
 
 
 @dataclass(frozen=True)
@@ -386,3 +387,29 @@ def test_empty_break_window_has_no_rows(t_lo, t_hi):
         "no-seasons", "period-0", "horizon-0"])
 def test_declared_tables_keep_their_messages(build, message):
     assert _message(build) == message
+
+
+def test_season_cache_is_decided_at_construction():
+    # a kind tiled by season whose every sigma2 lies inside its bounds holds
+    # an empty cache before any call; every other schedule holds none
+    periodic = PeriodicSchedule([(0.0, 0.5, -0.2, 1.0), (0.1, -0.3, 0.2, 2.0)])
+    tiled = [ConstantSchedule(0.1, 0.5, -0.2, 1.0), periodic,
+             CyclicalSchedule(4, [2], [(0.0, 0.5, -0.2, 1.0),
+                                       (0.0, -0.3, 0.4, 1.0)])]
+    for s in tiled:
+        assert vars(s)["_season_cache"] == {}, s.kind
+    untiled = [
+        PeriodicSchedule([(0.0, 0.1, 0.0, 1.0), (0.0, 0.1, 0.0, 9.0)],
+                         sigma2_bounds=(0.5, 2.0)),
+        GenericSchedule(periodic.at),
+        BreakSchedule(400, 390, [100], [(0.0, 0.5, -0.2, 1.0),
+                                        (0.0, -0.4, 0.3, 1.0)])]
+    for s in untiled:
+        assert s._season_cache is None, s.kind
+    # the xi prefixes of a series and the start laws of a simulation share
+    # the one dict
+    cache = periodic._season_cache
+    autocovariance(periodic, 100, 1)
+    simulate_paths(SimulationConfig(periodic, 300, 100, 2, 7, burn_in=20))
+    assert periodic._season_cache is cache
+    assert {type(tag) for tag, _ in cache} == {str, tuple}

@@ -1278,13 +1278,13 @@ def test_season_cache_with_start_laws_holds_at_most_its_cap(monkeypatch):
 
     uncapped = PeriodicSchedule(seasons)
     want_acf, want = fill(uncapped)
-    monkeypatch.setattr(tvar2.moments, "_CACHE_FLOATS", 3000)
+    monkeypatch.setattr(tvar2.schedules, "_CACHE_FLOATS", 3000)
     s = PeriodicSchedule(seasons)
     acf, got = fill(s)
     assert acf == want_acf
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    held = sum(map(tvar2.moments._floats, s._season_cache.values()))
-    every = sum(map(tvar2.moments._floats, uncapped._season_cache.values()))
+    held = sum(map(tvar2.schedules._floats, s._season_cache.values()))
+    every = sum(map(tvar2.schedules._floats, uncapped._season_cache.values()))
     assert 0 < held <= 3000 < every
     # xi prefixes and start laws are both held
     assert {type(tag) for tag, _ in s._season_cache} == {str, tuple}
@@ -1304,4 +1304,24 @@ def test_untiled_schedules_keep_no_start_law(schedule, innovations):
     cfg = _config(schedule=schedule, n_paths=300, t_end=62, length=4,
                   burn_in=40, innovations=innovations)
     assert np.array_equal(simulate_paths(cfg).values, _reference_paths(cfg))
-    assert tvar2.moments._season_cache(schedule) is None
+    assert schedule._season_cache is None
+
+
+@pytest.mark.parametrize("innovations", ["normal", "uniform"])
+def test_a_kept_start_law_reads_only_the_kept_rows(monkeypatch, innovations):
+    # the burn-in rows are read only to compute a start, so a second
+    # ensemble in the same season of a shared schedule reads `length` rows
+    shared = TILED["periodic"]()
+    window, read = shared.window, []
+
+    def counting(t_lo, t_hi):
+        rows = window(t_lo, t_hi)
+        read.append(len(rows))
+        return rows
+    monkeypatch.setattr(shared, "window", counting)
+    cfg = _config(schedule=shared, n_paths=300, t_end=400, length=10,
+                  burn_in=500, innovations=innovations)
+    simulate_paths(cfg)
+    read.clear()
+    simulate_paths(dataclasses.replace(cfg, t_end=404))
+    assert sum(read) == 10

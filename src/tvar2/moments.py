@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .schedules import Schedule
-from .solution import general_solution
+from .solution import _running_sums, general_solution
 from .xi import green_functions, xi_stream
 
 DEFAULT_TOL = 1e-12
@@ -75,7 +75,7 @@ def forecast(schedule: Schedule, t: int, k: int,
     point = sol.w0 * y_init[0] + sol.w1 * y_init[1] + sol.drift
     sigma2 = schedule.window(t - k + 1, t)[::-1, 3]
     with np.errstate(over="ignore", invalid="ignore"):
-        mse = sum((sol.innovation_weights ** 2 * sigma2).tolist())
+        mse = _running_sums(sol.innovation_weights ** 2 * sigma2)[-1]
     return ForecastResult(int(t), int(k), float(point), sol.innovation_weights,
                           float(mse))
 
@@ -157,9 +157,8 @@ def _decide(terms: np.ndarray, tol: float, n_max: int,
     finite = np.isfinite(terms)
     m = d if finite.all() else int(finite.argmin())   # terms before a non-finite one
     sizes = np.abs(terms[:m])
-    # totals[n] is the sum of the first n terms, added in order from 0.0 as
-    # `total += term` adds them, so a -0.0 first term gives 0.0
-    totals = np.concatenate(([0.0], terms[:m])).cumsum()
+    # totals[n] is the sum of the first n terms, as `total += term` adds them
+    totals = _running_sums(terms[:m])
     bars = tol * np.maximum(1.0, np.abs(totals[1:]))
     # term n, at index n - 1, stops the sum if it is under its bar with a
     # finite total, and the window of terms ending at it is too

@@ -43,13 +43,13 @@ into slabs of at most _SLAB_FLOATS values, and the first call that reads
 a slab builds the mean, the variance and their standard errors of each
 of its rows, and the first asking for lag k there the rows' lag-k
 autocovariances and their standard errors.  Each row is reduced on its
-own, so every value has the bits of that anchor's row reduced alone, and
-no temporary grows with the ensemble: a call reduces one slab per lag
-and the lag-0 slabs of the rows those lags reach back to, and copies no
-more than a slab of a user-built ensemble whose rows are not
-contiguous.  The tables are kept with an ensemble whose values
-nothing can write, as ``simulate_paths`` returns them, and are built
-afresh on every call for any other.
+own, pairwise and with no BLAS call, so every value has the bits of that
+anchor's row reduced alone, on any CPU, and no temporary grows with the
+ensemble: a call reduces one slab per lag and the lag-0 slabs of the rows
+those lags reach back to, and copies no more than a slab of a user-built
+ensemble whose rows are not contiguous.  The tables are kept with an
+ensemble whose values nothing can write, as ``simulate_paths`` returns
+them, and are built afresh on every call for any other.
 
 Ensembles are read-only.  The last one simulated is remembered by a weak
 reference, so ``empirical_forecast_error`` on an equal config reuses it
@@ -392,21 +392,20 @@ def _row_moments(rows: np.ndarray, variance: bool):
     standard error sqrt(max(m4 - s^4, 0) / n); every se is inf and s^2 is 0
     for fewer than two values.  Each row of the C-contiguous ``rows`` is
     reduced on its own, pairwise, so it gets the bits of ``row.mean()``
-    and ``row.std(ddof=1)``, the root of its centered squares' sum over
-    n - 1.  Its s^2 is its own centered dot product (BLAS) over n - 1, and
-    m4 = mean(c^2 * c^2) the central fourth moment, the squares squared
-    again in place instead of raised to the power 4, which numpy evaluates
-    through libm ``pow`` per element."""
+    and ``row.var(ddof=1)``, its centered squares' sum over n - 1, whose
+    root over sqrt(n) is the mean's se.  No BLAS call, whose kernel is
+    picked by CPU, sets a bit.  m4 = mean(c^2 * c^2) is the central fourth
+    moment, the squares squared again in place instead of raised to the
+    power 4, which numpy evaluates through libm ``pow`` per element."""
     n = rows.shape[1]
     mean = rows.mean(axis=1)
     if n < 2:
         inf = np.full(len(rows), math.inf)
         return (mean, inf, np.zeros(len(rows)), inf) if variance else (mean, inf)
     centered = rows - mean[:, None]
-    if variance:
-        s2 = np.array([float(row.dot(row) / (n - 1)) for row in centered])
     squares = np.square(centered, out=centered)
-    se = np.sqrt(squares.sum(axis=1) / (n - 1)) / math.sqrt(n)
+    s2 = squares.sum(axis=1) / (n - 1)
+    se = np.sqrt(s2) / math.sqrt(n)
     if not variance:
         return mean, se
     m4 = np.square(squares, out=squares).mean(axis=1)

@@ -34,6 +34,12 @@ class GeneralSolution:
     innovation_weights: np.ndarray
 
 
+def _running_sums(values: np.ndarray) -> np.ndarray:
+    """[0.0, v0, v0 + v1, ...], added one at a time from 0.0 (-0.0 + 0.0 is
+    0.0): not pairwise as numpy's sum, nor compensated as Python 3.12's."""
+    return np.concatenate(([0.0], values)).cumsum()
+
+
 def general_solution(schedule: Schedule, t: int, k: int) -> GeneralSolution:
     """Decompose y_t into homogeneous and particular parts at lookback k."""
     if k < 0:
@@ -44,7 +50,7 @@ def general_solution(schedule: Schedule, t: int, k: int) -> GeneralSolution:
     weights = table.values[:k].copy()
     newest_first = schedule.window(t - k + 1, t)[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = float(sum((weights * newest_first[:, 0]).tolist()))
+        drift = float(_running_sums(weights * newest_first[:, 0])[-1])
     w0 = table.xi(k)
     w1 = float(newest_first[-1, 2]) * table.xi(k - 1)
     return GeneralSolution(int(t), int(k), w0, w1, drift, weights)

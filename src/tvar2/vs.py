@@ -78,7 +78,7 @@ def par24_restriction(schedule: PeriodicSchedule) -> tuple[float, bool]:
     The two nonzero eigenvalues of the stacked companion are those of the
     2 x 2 period matrix M = A_4 A_3 A_2 A_1, A_s = [[phi1(s), phi2(s)],
     [1, 0]]: the roots of z^2 - a z + b with a = tr M and b = det M, both
-    read from the product M itself.
+    read from M multiplied in Python floats (no BLAS, so the same on any CPU).
 
     Returns (value, satisfied). ``value`` is the eight-term expression
     |a - b|; on its own it is not a stationarity test, since
@@ -91,9 +91,9 @@ def par24_restriction(schedule: PeriodicSchedule) -> tuple[float, bool]:
     """
     if schedule.period != 4:
         raise ScheduleError("restriction is defined for 4 seasons")
-    m = np.eye(2)
-    for s in schedule.seasons:
-        m = np.array([[s.phi1, s.phi2], [1.0, 0.0]]) @ m
-    a = float(m[0, 0] + m[1, 1])
-    b = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    for phi1, phi2 in schedule._season_rows[:, 1:3].tolist():
+        m00, m01, m10, m11 = (phi1 * m00 + phi2 * m10,
+                              phi1 * m01 + phi2 * m11, m00, m01)
+    a, b = m00 + m11, m00 * m11 - m01 * m10
     return abs(a - b), abs(b) < 1.0 and abs(a) < 1.0 + b

@@ -589,6 +589,71 @@ def test_uniform_digest_holds_across_blas_and_cpu_features(env):
     assert done.stdout.strip() == PINNED_DIGESTS["uniform"]
 
 
+# one digest line each for the statistics of two normal periodic ensembles,
+# the CSV of a 25 000-path `simulate --aggregate` and par24_restriction on
+# seeded random four-season schedules
+_KERNEL_FREE = r"""
+import hashlib, os, tempfile
+import numpy as np, tvar2, tvar2.cli
+seasons = tvar2.PeriodicSchedule([(0.2, 0.6, -0.1, 1.0),
+    (0.0, -0.4, 0.2, 1.5), (0.1, 0.8, -0.3, 0.8), (0.3, 0.1, 0.25, 1.2)])
+stats = hashlib.sha256()
+for n_paths in (2000, 24_000):
+    cfg = tvar2.SimulationConfig(seasons, n_paths, t_end=510, length=10,
+                                 seed=n_paths)
+    ensemble = tvar2.simulate_paths(cfg)
+    estimates = [e for j, t in enumerate(ensemble.times.tolist())
+                 for m in [tvar2.empirical_moments(ensemble, t, min(2, j))]
+                 for e in (m.mean, m.variance, *m.autocovariances)]
+    for k in (1, 2, 5):
+        estimates += tvar2.empirical_forecast_error(cfg, 510, k)
+    for e in estimates:
+        stats.update(f"{e.value.hex()} {e.se.hex()}\n".encode())
+print(stats.hexdigest())
+with tempfile.TemporaryDirectory() as work:
+    config, out = os.path.join(work, "cyclical.yaml"), os.path.join(work, "out.csv")
+    with open(config, "w") as f:
+        f.write("schema_version: 1\nschedule:\n  kind: cyclical\n  period: 6\n"
+                "  boundaries: [2, 4]\n  cycles:\n"
+                "    - {phi0: 0.0, phi1: 0.5, phi2: -0.2, sigma2: 1.0}\n"
+                "    - {phi0: 0.0, phi1: -0.3, phi2: 0.4, sigma2: 1.0}\n"
+                "    - {phi0: 0.0, phi1: 0.8, phi2: -0.1, sigma2: 1.0}\n")
+    assert tvar2.cli.main(["simulate", "--config", config, "--t", "51234",
+                           "--paths", "25000", "--length", "4", "--seed", "11",
+                           "--aggregate", "--out", out]) == 0
+    with open(out, "rb") as f:
+        print(hashlib.sha256(f.read()).hexdigest())
+restriction = hashlib.sha256()
+rng = np.random.default_rng(30)
+for _ in range(400):
+    phi = rng.uniform(-1.5, 1.5, (4, 2)).tolist()
+    value, ok = tvar2.par24_restriction(
+        tvar2.PeriodicSchedule([(0.0, a, b, 1.0) for a, b in phi]))
+    restriction.update(f"{value.hex()} {ok}\n".encode())
+print(restriction.hexdigest())
+"""
+
+
+@pytest.fixture(scope="module")
+def kernel_free_digests():
+    done = _run_python(_KERNEL_FREE)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_CORETYPE": "Nehalem"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+], ids=["nehalem-blas", "baseline-simd"])
+def test_statistics_and_restriction_hold_across_blas_and_cpu_features(
+        env, kernel_free_digests):
+    # s^2 is a pairwise sum and the period matrix is multiplied out in
+    # Python floats, so no BLAS kernel, picked by CPU, sets a bit
+    done = _run_python(_KERNEL_FREE, env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == kernel_free_digests
+
+
 def test_path_prefix_stability():
     # the first paths of a larger ensemble equal the smaller ensemble
     small = simulate_paths(_config(n_paths=100))
@@ -849,7 +914,7 @@ def _variance_se_power_form(sample):
     """(s^2, se) with m4 = mean(centered ** 4), through pow."""
     n = len(sample)
     centered = sample - sample.mean()
-    s2 = float(centered.dot(centered) / (n - 1))
+    s2 = float(sample.var(ddof=1))
     m4 = float(np.mean(centered ** 4))
     return s2, math.sqrt(max(m4 - s2 * s2, 0.0) / n)
 
@@ -1026,7 +1091,7 @@ def _reference_variance_se(sample):
     if n < 2:
         return sim.EstimateWithSE(0.0, math.inf)
     centered = sample - sample.mean()
-    s2 = float(centered.dot(centered) / (n - 1))
+    s2 = float(sample.var(ddof=1))
     squared = centered * centered
     m4 = float(np.mean(squared * squared))
     return sim.EstimateWithSE(s2, math.sqrt(max(m4 - s2 * s2, 0.0) / n))

@@ -1,7 +1,11 @@
+import functools
+import operator
+
+import numpy as np
 import pytest
 
-from tvar2 import (ConstantSchedule, evaluate_solution, forward_recursion,
-                   general_solution)
+from tvar2 import (ConstantSchedule, evaluate_solution, forecast,
+                   forward_recursion, general_solution)
 from tvar2.solution import particular_solution_determinant_oracle
 from conftest import random_schedule
 
@@ -89,3 +93,20 @@ def test_innovation_length_checked():
 def test_argument_guards(call, match):
     with pytest.raises(ValueError, match=match):
         call(ConstantSchedule(0.0, 0.5, 0.1, 1.0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 40, 300])
+@pytest.mark.parametrize("phi0", ["random", "-0.0"])
+def test_drift_and_mse_add_their_terms_one_at_a_time(k, phi0):
+    # newest first from 0.0, as a loop adds them: not pairwise, as numpy's
+    # sum adds, nor compensated, as Python 3.12's sum adds.  A -0.0 first
+    # term therefore gives 0.0
+    s = (ConstantSchedule(-0.0, 0.5, -0.2, 1.3) if phi0 == "-0.0" else
+         random_schedule(np.random.default_rng(k), -k, 5, coeff_range=0.5))
+    sol = general_solution(s, 5, k)
+    newest_first = s.window(6 - k, 5)[::-1]
+    terms = (sol.innovation_weights * newest_first[:, 0]).tolist()
+    squares = (sol.innovation_weights ** 2 * newest_first[:, 3]).tolist()
+    assert sol.drift.hex() == functools.reduce(operator.add, terms, 0.0).hex()
+    assert (forecast(s, 5, k, (0.0, 0.0)).mse.hex()
+            == functools.reduce(operator.add, squares, 0.0).hex())

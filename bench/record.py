@@ -16,8 +16,10 @@ BENCHMARK.json (run_seconds, unless --seconds is given) and the
 benchmark code each side holds.
 
 The workload's entry in --out holds both commit ids, each run's raw
-metrics, correctness and failures, each side's environment record, and
-per metric and side the median and quartiles (statistics.quantiles,
+metrics, correctness and failures, each side's environment record (with
+the PYTHONDONTWRITEBYTECODE value the runs inherit, null when unset: when
+set, every probe of a fresh tree compiles tvar2 from source), and per
+metric and side the median and quartiles (statistics.quantiles,
 n=4) over the seeds.  With at least MIN_PAIRS pairs it also holds a
 "gain" entry per end-to-end metric: wins and losses of the change over
 the pairs, the ratio of medians, the base's interquartile distance, and
@@ -85,7 +87,9 @@ def run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict
     lines = out.stdout.strip().splitlines()
     detail, result = json.loads(lines[-2])["detail"], json.loads(lines[-1])
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"], "environment": detail["environment"],
+            "failed": result["failed"],
+            "environment": {**detail["environment"], "PYTHONDONTWRITEBYTECODE":
+                            os.environ.get("PYTHONDONTWRITEBYTECODE")},
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 

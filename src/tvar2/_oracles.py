@@ -6,9 +6,11 @@ matrix.  ``xi_determinant_oracle`` and ``xi_second_determinant_oracle``
 check the recurrence in ``xi``; ``particular_solution_determinant_oracle``
 and ``forward_recursion`` (the defining recursion iterated forward) check
 the general solution in ``solution``; ``block_determinant_oracle`` checks
-the transfer-product decomposition in ``blockdet``.  Each determinant is
-a dense O(k^3) one, so every determinant oracle refuses k > ORACLE_CAP.
-``xi``, ``solution`` and ``blockdet`` re-export the oracles that check them.
+the transfer-product decomposition in ``blockdet``; ``stacked_var_radius``
+checks the period-matrix radius of ``vs.stationarity_check``.  Each
+determinant is a dense O(k^3) one, so every determinant oracle refuses
+k > ORACLE_CAP.  ``xi``, ``solution`` and ``blockdet`` re-export the
+oracles that check them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .schedules import Schedule
 
 if TYPE_CHECKING:
     from .blockdet import BlockSpec
+    from .vs import VSMatrices
 
 ORACLE_CAP = 64
 
@@ -131,3 +134,10 @@ def block_determinant_oracle(schedule: Schedule, t: int,
                              spec: BlockSpec) -> float:
     """Determinant of the assembled block matrix."""
     return float(np.linalg.det(assemble_block_matrix(schedule, t, spec)))
+
+
+def stacked_var_radius(vs: VSMatrices) -> float:
+    """Test oracle: spectral radius of phi0_mat^-1 phi1_mat, the stacked
+    companion, by a dense LAPACK solve and eigendecomposition."""
+    return float(max(abs(np.linalg.eigvals(
+        np.linalg.solve(vs.phi0_mat, vs.phi1_mat)))))

@@ -3,11 +3,14 @@
 Stacking one period of observations turns the periodic model into a
 constant-coefficient first-order vector autoregression; the process is
 stationary when the spectral radius of the implied companion pencil is
-below one.
+below one.  Its nonzero eigenvalues are those of the 2 x 2 period matrix
+M = A_l ... A_1, A_s = [[phi1(s), phi2(s)], [1, 0]]; both checks read
+(tr M, det M) from M multiplied in Python floats, the same on any CPU.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +61,32 @@ def build_vs(schedule: PeriodicSchedule) -> VSMatrices:
     return VSMatrices(l, rows[:, l:], rows[:, :l])
 
 
+def _period_trace_det(seasons: list) -> tuple[float, float]:
+    """(tr M, det M) of M = A_l ... A_1 from the seasons' (phi1, phi2)."""
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    for phi1, phi2 in seasons:
+        m00, m01, m10, m11 = (phi1 * m00 + phi2 * m10,
+                              phi1 * m01 + phi2 * m11, m00, m01)
+    return m00 + m11, m00 * m11 - m01 * m10
+
+
 def stationarity_check(vs: VSMatrices) -> StationarityVerdict:
     """Spectral radius of the companion pencil; stationary iff below one.
 
-    Within ``BOUNDARY_BAND`` of one the verdict is reported as
-    indeterminate rather than forced either way.
+    The radius is the larger root modulus of z^2 - a z + b, a = tr M and
+    b = det M, with each season's (phi1, phi2) read back from the band
+    ``build_vs`` fills.  Where a^2 or a product of M's entries passes the
+    float range (entries near 1e154) it raises ``ArithmeticError``.
+    Within ``BOUNDARY_BAND`` of one the verdict is indeterminate.
     """
-    companion = np.linalg.solve(vs.phi0_mat, vs.phi1_mat)
-    rho = float(max(abs(np.linalg.eigvals(companion)), default=0.0))
+    l = vs.period
+    cols = np.arange(l)[:, None] + np.arange(l - 2, l)   # build_vs's band
+    band = np.take_along_axis(np.hstack([vs.phi1_mat, vs.phi0_mat]), cols, 1)
+    a, b = _period_trace_det(np.where(cols < l, band, -band)[:, ::-1].tolist())
+    d = a * a - 4.0 * b
+    rho = math.sqrt(b) if d < 0.0 else (abs(a) + math.sqrt(d)) / 2
+    if not math.isfinite(rho):
+        raise ArithmeticError("overflow in the period matrix's radius")
     margin = 1.0 - rho
     if abs(margin) < BOUNDARY_BAND:
         return StationarityVerdict(rho, margin, None)
@@ -75,25 +96,17 @@ def stationarity_check(vs: VSMatrices) -> StationarityVerdict:
 def par24_restriction(schedule: PeriodicSchedule) -> tuple[float, bool]:
     """The eight-term nonlinear restriction for a four-season order-2 model.
 
-    The two nonzero eigenvalues of the stacked companion are those of the
-    2 x 2 period matrix M = A_4 A_3 A_2 A_1, A_s = [[phi1(s), phi2(s)],
-    [1, 0]]: the roots of z^2 - a z + b with a = tr M and b = det M, both
-    read from M multiplied in Python floats (no BLAS, so the same on any CPU).
-
-    Returns (value, satisfied). ``value`` is the eight-term expression
-    |a - b|; on its own it is not a stationarity test, since
-    ``|a - b| < 1`` is neither necessary nor sufficient. ``satisfied`` is
-    the Schur-Cohn/Jury pair ``|b| < 1 and |a| < 1 + b``, which holds
-    exactly when both roots lie inside the unit circle (spectral radius
-    below one) away from the boundary. With all lag-2 coefficients zero
-    the value is the absolute product of the four seasonal lag-1
-    coefficients and the flag says that it is below one.
+    With a = tr M and b = det M of the period matrix, whose eigenvalues are
+    the roots of z^2 - a z + b, returns (value, satisfied). ``value`` is
+    the eight-term expression |a - b|; on its own it is not a stationarity
+    test, since ``|a - b| < 1`` is neither necessary nor sufficient.
+    ``satisfied`` is the Schur-Cohn/Jury pair ``|b| < 1 and |a| < 1 + b``,
+    which holds exactly when both roots lie inside the unit circle
+    (spectral radius below one) away from the boundary. With all lag-2
+    coefficients zero the value is the absolute product of the four
+    seasonal lag-1 coefficients and the flag says that it is below one.
     """
     if schedule.period != 4:
         raise ScheduleError("restriction is defined for 4 seasons")
-    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    for phi1, phi2 in schedule._season_rows[:, 1:3].tolist():
-        m00, m01, m10, m11 = (phi1 * m00 + phi2 * m10,
-                              phi1 * m01 + phi2 * m11, m00, m01)
-    a, b = m00 + m11, m00 * m11 - m01 * m10
+    a, b = _period_trace_det(schedule._season_rows[:, 1:3].tolist())
     return abs(a - b), abs(b) < 1.0 and abs(a) < 1.0 + b

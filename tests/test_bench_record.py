@@ -151,17 +151,22 @@ def _commit(repo, value: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def test_each_side_runs_its_committed_files(tmp_path, monkeypatch):
+def _bench_repo(tmp_path, run_py=FAKE_RUN):
+    """A repository with a stand-in perfbench/run.py and two commits, whose
+    src/value.txt reads 1.0 and 2.0."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "src").mkdir()
-    (repo / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (repo / "perfbench" / "run.py").write_text(run_py)
     (repo / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 1,
          "end_to_end": [{"name": "requests_per_s", "better": "higher"}]}))
     subprocess.run(["git", "init", "-q", str(repo)], check=True)
-    base = _commit(repo, "1.0")
-    change = _commit(repo, "2.0")
+    return repo, _commit(repo, "1.0"), _commit(repo, "2.0")
+
+
+def test_each_side_runs_its_committed_files(tmp_path, monkeypatch):
+    repo, base, change = _bench_repo(tmp_path)
     (repo / "src" / "value.txt").write_text("3.0")     # an uncommitted edit
     monkeypatch.chdir(repo)
 
@@ -180,3 +185,25 @@ def test_each_side_runs_its_committed_files(tmp_path, monkeypatch):
     record.extract(change, str(dest))
     assert (dest / "src" / "value.txt").read_text() == "2.0"
     assert not (dest / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_environment_records_the_bytecode_setting_the_runs_inherit(
+        tmp_path, monkeypatch, value):
+    # the stand-in reports the flag its interpreter actually ran with
+    fake = FAKE_RUN.replace('{"python": "stand-in"}',
+                            '{"dont_write_bytecode": sys.flags.dont_write_bytecode}')
+    repo, base, _ = _bench_repo(tmp_path, "import sys\n" + fake)
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    monkeypatch.chdir(repo)
+    assert record.main(["--base", base, "--workload", "w", "--seeds", "5",
+                        "--out", "BENCH_t.json"]) == 0
+    with open(repo / "BENCH_t.json") as fh:
+        runs = json.load(fh)["workloads"]["w"]["runs"]
+    for side in ("base", "change"):
+        assert runs[side][0]["environment"] == {
+            "dont_write_bytecode": int(value is not None),
+            "PYTHONDONTWRITEBYTECODE": value}

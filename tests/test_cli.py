@@ -934,6 +934,22 @@ def test_stationarity_rows_match_the_reference(tmp_path):
         ("margin", verdict.margin), ("stationary", verdict.stationary)])
 
 
+@pytest.mark.parametrize("phi1, phi2", [(1e200, 1e200), (1e60, 0.0)])
+def test_stationarity_overflow_is_named_and_leaves_no_csv(tmp_path, capsys,
+                                                          phi1, phi2):
+    # the period matrix of six such seasons overflows; the unit-triangular
+    # pencil is not singular, so no linear-algebra error may stand in for it
+    season = f"    - {{phi0: 0.0, phi1: {phi1!r}, phi2: {phi2!r}, sigma2: 1.0}}\n"
+    cfg = _write(tmp_path, "big.yaml", "schema_version: 1\nschedule:\n"
+                 "  kind: periodic\n  seasons:\n" + season * 6)
+    code, text = _run(tmp_path, ["stationarity", "--config", cfg,
+                                 "--matrices"])
+    assert code == 1 and text == ""
+    assert not (tmp_path / "out.csv").exists()
+    assert capsys.readouterr().err == (
+        "error: overflow in the period matrix's radius\n")
+
+
 @pytest.mark.parametrize("argv, digest", README_DIGESTS,
                          ids=[" ".join(argv) for argv, _ in README_DIGESTS])
 def test_standard_output_holds_the_pinned_bytes(tmp_path, capsys, argv,

@@ -98,8 +98,9 @@ def test_each_oracle_has_one_implementation():
             if hasattr(module, name):
                 assert getattr(module, name) is getattr(oracles, name), (
                     module.__name__, name)
+    # no module but the oracles calls LAPACK, whose kernel is picked by CPU
     package = os.path.dirname(oracles.__file__)
     for filename in sorted(os.listdir(package)):
         if filename.endswith(".py") and filename != "_oracles.py":
             with open(os.path.join(package, filename)) as fh:
-                assert "linalg.det" not in fh.read(), filename
+                assert "linalg" not in fh.read(), filename

@@ -590,8 +590,9 @@ def test_uniform_digest_holds_across_blas_and_cpu_features(env):
 
 
 # one digest line each for the statistics of two normal periodic ensembles,
-# the CSV of a 25 000-path `simulate --aggregate` and par24_restriction on
-# seeded random four-season schedules
+# the CSV of a 25 000-path `simulate --aggregate`, par24_restriction on
+# seeded random four-season schedules and the `stationarity --matrices` CSV
+# of a seeded nine-season schedule
 _KERNEL_FREE = r"""
 import hashlib, os, tempfile
 import numpy as np, tvar2, tvar2.cli
@@ -623,6 +624,15 @@ with tempfile.TemporaryDirectory() as work:
                            "--aggregate", "--out", out]) == 0
     with open(out, "rb") as f:
         print(hashlib.sha256(f.read()).hexdigest())
+    seasons = np.random.default_rng(3).uniform(-0.9, 0.9, (9, 3)).tolist()
+    with open(config, "w") as f:
+        f.write("schema_version: 1\nschedule:\n  kind: periodic\n  seasons:\n"
+                + "".join(f"    - {{phi0: {a!r}, phi1: {b!r}, phi2: {c!r}, "
+                          "sigma2: 1.0}\n" for a, b, c in seasons))
+    assert tvar2.cli.main(["stationarity", "--config", config, "--matrices",
+                           "--out", out]) == 0
+    with open(out, "rb") as f:
+        stationarity = hashlib.sha256(f.read()).hexdigest()
 restriction = hashlib.sha256()
 rng = np.random.default_rng(30)
 for _ in range(400):
@@ -631,6 +641,7 @@ for _ in range(400):
         tvar2.PeriodicSchedule([(0.0, a, b, 1.0) for a, b in phi]))
     restriction.update(f"{value.hex()} {ok}\n".encode())
 print(restriction.hexdigest())
+print(stationarity)
 """
 
 

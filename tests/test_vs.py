@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import tvar2.vs
 from tvar2 import (BreakSchedule, ConstantSchedule, CyclicalSchedule,
                    GenericSchedule, PeriodicSchedule, ScheduleError, build_vs,
                    par24_restriction, stationarity_check,
                    unconditional_variance)
+from tvar2._oracles import stacked_var_radius
 
 
 def _par(phi1s, phi2s=None, sigma2=1.0):
@@ -134,7 +136,7 @@ def _entry_rule_matrices(s):
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 7])
-def test_matrices_match_the_entry_rules_bit_for_bit(rng, l):
+def test_matrices_match_the_entry_rules_bit_for_bit(rng, monkeypatch, l):
     # signed zeros included: a zero coefficient inside the period is -0.0
     phis = [[0.0, -0.0, float(rng.normal())][int(rng.integers(3))]
             for _ in range(2 * l)]
@@ -143,6 +145,35 @@ def test_matrices_match_the_entry_rules_bit_for_bit(rng, l):
     m0, m1 = _entry_rule_matrices(s)
     assert vs.phi0_mat.tobytes() == m0.tobytes()
     assert vs.phi1_mat.tobytes() == m1.tobytes()
+    # the verdict reads every season's (phi1, phi2) back from the band,
+    # undoing the negation exactly, so -0.0 and 0.0 come back as they went in
+    read, trace_det = [], tvar2.vs._period_trace_det
+    monkeypatch.setattr(tvar2.vs, "_period_trace_det",
+                        lambda seasons: read.append(seasons) or
+                        trace_det(seasons))
+    stationarity_check(vs)
+    assert np.array(read[0]).tobytes() == s._season_rows[:, 1:3].tobytes()
+
+
+def test_verdict_matches_the_stacked_var_oracle():
+    # 1500 seeded schedules of 2 to 12 seasons; coefficients in +-1.2 make
+    # about one in six nonstationary.  Both algorithms round differently,
+    # and the radius loses digits where it is small or where the two roots
+    # of z^2 - (tr M) z + det M nearly coincide (they move with the square
+    # root of a rounding error there): the widest relative gap on these
+    # draws is 5.7e-13, so 1e-11 still catches any wrong formula.
+    rng = np.random.default_rng(31)
+    verdicts = set()
+    for _ in range(1500):
+        l = int(rng.integers(2, 13))
+        phi = rng.uniform(-1.2, 1.2, (l, 2))
+        vs = build_vs(_par(list(phi[:, 0]), list(phi[:, 1])))
+        verdict, rho = stationarity_check(vs), stacked_var_radius(vs)
+        assert verdict.spectral_radius == pytest.approx(rho, rel=1e-11)
+        if abs(1.0 - rho) >= tvar2.vs.BOUNDARY_BAND:
+            assert verdict.stationary is (rho < 1.0)
+            verdicts.add(verdict.stationary)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("schedule", [

@@ -160,8 +160,9 @@ def test_verdict_matches_the_stacked_var_oracle():
     # about one in six nonstationary.  Both algorithms round differently,
     # and the radius loses digits where it is small or where the two roots
     # of z^2 - (tr M) z + det M nearly coincide (they move with the square
-    # root of a rounding error there): the widest relative gap on these
-    # draws is 5.7e-13, so 1e-11 still catches any wrong formula.
+    # root of a rounding error there).  The widest relative gap on these
+    # draws is 5.7e-13 under one LAPACK kernel; 1e-11 leaves room for the
+    # others, and a wrong root formula misses it by far more.
     rng = np.random.default_rng(31)
     verdicts = set()
     for _ in range(1500):

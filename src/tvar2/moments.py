@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .schedules import Schedule
-from .solution import _running_sums, general_solution
+from .solution import _running_sums, _solution, general_solution
 from .xi import green_functions, xi_stream
 
 DEFAULT_TOL = 1e-12
@@ -68,14 +68,14 @@ def forecast(schedule: Schedule, t: int, k: int,
              y_init: tuple[float, float]) -> ForecastResult:
     """Optimal (least-squares) linear k-step predictor of y_t from
     (y_{t-k}, y_{t-k-1}): the general solution without innovations, with
-    its error weights and mean square error."""
+    its error weights and mean square error, all from one window read."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    sol = general_solution(schedule, t, k)
+    rows = schedule.window(t - k + 1, t)[::-1]
+    sol = _solution(t, rows)
     point = sol.w0 * y_init[0] + sol.w1 * y_init[1] + sol.drift
-    sigma2 = schedule.window(t - k + 1, t)[::-1, 3]
     with np.errstate(over="ignore", invalid="ignore"):
-        mse = _running_sums(sol.innovation_weights ** 2 * sigma2)[-1]
+        mse = _running_sums(sol.innovation_weights ** 2 * rows[:, 3])[-1]
     return ForecastResult(int(t), int(k), float(point), sol.innovation_weights,
                           float(mse))
 

@@ -5,8 +5,8 @@ block b = p // SUB_BLOCK, and block b is one SFC64 stream seeded through
 ``SeedSequence([master seed, b])``, drawn time-major at full block width.
 A path's values therefore depend on neither the ensemble size nor how
 paths are chunked.  No path runs its burn-in step by step; both families
-walk the burn-in coefficients once in Python to find how the state
-x_B = (y_B, y_{B-1}) after it is made.  With normal innovations x_B is
+read the burn-in coefficients once and walk those rows in Python to find
+how the state x_B = (y_B, y_{B-1}) after it is made.  With normal innovations x_B is
 exactly Gaussian: its mean m and covariance P are propagated over the
 burn-in coefficients, and the block's first two rows z give x_B = m + L z,
 L the lower Cholesky factor of P.  With uniform innovations x_B is, by the
@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .schedules import Schedule
-from .solution import general_solution
+from .solution import _solution, general_solution
 
 DEFAULT_BURN_IN = 500
 CHUNK_TARGET = 20_000   # paths per chunk; bounds its scratch rows' width
@@ -76,8 +76,8 @@ DRAW_ROWS = 128         # time steps per draw call; bounds the draw buffer
 # block draws, 2 + length (normal) or at most burn_in + length (uniform)
 MAX_PATH_STEPS = 10**8
 # cap on burn_in, the CLI's MAX_DEPTH: both families walk their burn-in
-# coefficients once in Python, a normal ensemble to find the law of its
-# start state, a uniform one the general solution's weights on its draws
+# rows in Python, a normal ensemble once to find the law of its start
+# state, a uniform one twice for the general solutions' weights on its draws
 MAX_BURN_IN = 10**6
 # float64's unit roundoff: a uniform start draws no burn-in step whose
 # weights sum to at most this share of the total (see _unresolved)
@@ -223,13 +223,13 @@ def _start_law(burn: np.ndarray):
     return mean, (l00, l10, math.sqrt(d) if not d < 0.0 else 0.0)
 
 
-def _uniform_start(schedule: Schedule, t_b: int, burn: np.ndarray):
+def _uniform_start(burn: np.ndarray):
     """(c, W) of the state x_B = (y_B, y_{B-1}) after the burn-in rows
-    ``burn`` (oldest first, ending at t_b) from zero, as a map of a block's
-    raw uniform burn-in draws u, one row per step: x_B = c + W u.  By the
-    general solution y_B = sum_i xi_{t_B,i} (phi0(t_B-i) + sigma eps), so
-    the rows of W are the innovation weights w of ``general_solution`` at
-    (t_B, B) and at (t_B - 1, B - 1), oldest first, with a 0 for time t_B
+    ``burn`` (oldest first) from zero, as a map of a block's raw uniform
+    burn-in draws u, one row per step: x_B = c + W u.  By the general
+    solution y_B = sum_i xi_{t_B,i} (phi0(t_B-i) + sigma eps), so the rows
+    of W are the innovation weights w of the general solution of all B
+    rows and of all but the newest, oldest first, with a 0 for time t_B
     in the second, times sigma and the map eps = u 2 sqrt(3) - sqrt(3):
     W = 2 sqrt(3) (w sigma) and c = drift - sqrt(3) sum(w sigma).  The
     oldest columns are dropped, their innovations set to their mean 0,
@@ -237,8 +237,7 @@ def _uniform_start(schedule: Schedule, t_b: int, burn: np.ndarray):
     total: W keeps the K newest columns and c sums over them.  An
     overflowed weight gives a non-finite (c, W) with every column kept."""
     n = len(burn)
-    now = general_solution(schedule, t_b, n)
-    before = general_solution(schedule, t_b - 1, max(n - 1, 0))
+    now, before = _solution(n, burn[::-1]), _solution(n - 1, burn[-2::-1])
     weights = np.zeros((2, n))
     weights[0] = now.innovation_weights[::-1]
     weights[1, :-1] = before.innovation_weights[::-1]
@@ -279,7 +278,7 @@ def _start(config: SimulationConfig, t_b: int):
         burn = config.schedule.window(t_b - config.burn_in + 1, t_b)
         if config.innovations == "normal":
             return _start_law(burn)
-        c, weights = start = _uniform_start(config.schedule, t_b, burn)
+        c, weights = start = _uniform_start(burn)
         c.flags.writeable = weights.flags.writeable = False
         return start
     return config.schedule.season_cached((config.innovations, config.burn_in),

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._oracles import forward_recursion, particular_solution_determinant_oracle
 from .schedules import Schedule
-from .xi import green_functions
+from .xi import _walk
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,24 @@ def _running_sums(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], values)).cumsum()
 
 
+def _solution(t: int, rows: np.ndarray) -> GeneralSolution:
+    """The general solution at anchor t, lookback k = len(rows), of the
+    rows of times t, t-1, ..., t-k+1 (newest first); reads no schedule."""
+    k = len(rows)
+    values = np.fromiter(_walk((rows,)), float, k + 1)
+    weights = values[:k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = float(_running_sums(weights * rows[:, 0])[-1])
+    w1 = float(rows[-1, 2]) * float(values[k - 1]) if k else 0.0
+    return GeneralSolution(int(t), k, float(values[k]), w1, drift, weights)
+
+
 def general_solution(schedule: Schedule, t: int, k: int) -> GeneralSolution:
-    """Decompose y_t into homogeneous and particular parts at lookback k."""
+    """Decompose y_t into homogeneous and particular parts at lookback k,
+    from one read of the coefficient window t-k+1 .. t."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return GeneralSolution(int(t), 0, 1.0, 0.0, 0.0, np.empty(0))
-    table = green_functions(schedule, t, k)
-    weights = table.values[:k].copy()
-    newest_first = schedule.window(t - k + 1, t)[::-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = float(_running_sums(weights * newest_first[:, 0])[-1])
-    w0 = table.xi(k)
-    w1 = float(newest_first[-1, 2]) * table.xi(k - 1)
-    return GeneralSolution(int(t), int(k), w0, w1, drift, weights)
+    return _solution(t, schedule.window(t - k + 1, t)[::-1])
 
 
 def evaluate_solution(sol: GeneralSolution, y_init: tuple[float, float],

@@ -70,21 +70,39 @@ def _period_trace_det(seasons: list) -> tuple[float, float]:
     return m00 + m11, m00 * m11 - m01 * m10
 
 
+def _radius(a: float, b: float) -> float:
+    """The larger root modulus of z^2 - a z + b."""
+    d = a * a - 4.0 * b
+    return math.sqrt(b) if d < 0.0 else (abs(a) + math.sqrt(d)) / 2
+
+
 def stationarity_check(vs: VSMatrices) -> StationarityVerdict:
     """Spectral radius of the companion pencil; stationary iff below one.
 
     The radius is the larger root modulus of z^2 - a z + b, a = tr M and
     b = det M, with each season's (phi1, phi2) read back from the band
     ``build_vs`` fills.  Where a^2 or a product of M's entries passes the
-    float range (entries near 1e154) it raises ``ArithmeticError``.
+    float range (entries near 1e154), M is multiplied again from seasons
+    rescaled by a power of two and the radius scaled back; a radius past
+    the float range raises ``ArithmeticError``.
     Within ``BOUNDARY_BAND`` of one the verdict is indeterminate.
     """
     l = vs.period
     cols = np.arange(l)[:, None] + np.arange(l - 2, l)   # build_vs's band
     band = np.take_along_axis(np.hstack([vs.phi1_mat, vs.phi0_mat]), cols, 1)
-    a, b = _period_trace_det(np.where(cols < l, band, -band)[:, ::-1].tolist())
-    d = a * a - 4.0 * b
-    rho = math.sqrt(b) if d < 0.0 else (abs(a) + math.sqrt(d)) / 2
+    seasons = np.where(cols < l, band, -band)[:, ::-1].tolist()
+    rho = _radius(*_period_trace_det(seasons))
+    if not math.isfinite(rho):
+        # (phi1 / c, phi2 / c^2) give A_s' = D A_s D^-1 / c, D = diag(1, c):
+        # M' has M's radius over c^l, exactly so for c = 2^e
+        e = max(max(math.frexp(p1)[1], (math.frexp(p2)[1] + 1) // 2)
+                for p1, p2 in seasons)
+        rho = _radius(*_period_trace_det([
+            (math.ldexp(p1, -e), math.ldexp(p2, -2 * e)) for p1, p2 in seasons]))
+        try:
+            rho = math.ldexp(rho, e * l)
+        except OverflowError:
+            rho = math.inf
     if not math.isfinite(rho):
         raise ArithmeticError("overflow in the period matrix's radius")
     margin = 1.0 - rho

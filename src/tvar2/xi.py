@@ -4,16 +4,16 @@ xi(schedule, t, k) is the determinant of the k x k tridiagonal matrix
 holding the lag coefficients from time t-k+1 up to t.  These determinants
 are the Green functions (moving-average weights) of the process anchored
 at time t.  One generator runs their three-term recurrence, window by
-window back from the anchor; ``green_functions`` tables and ``xi_stream``
-streams are its values, and every other result reads one of them.  The
-determinant oracles live in ``_oracles``, re-exported here by name.
+window back from the anchor; ``green_functions`` tables, ``xi_stream``
+streams and general solutions read its values, and every other result
+reads one of them.  Oracles live in ``_oracles``, re-exported by name.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from ._oracles import (ORACLE_CAP, OracleCapError, fundamental_matrix,
 from .schedules import Schedule
 
 REPEATED_ROOT_TOL = 1e-9
+_WALK_ROWS = 4096   # rows a walk lists at a time; bounds its lists
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,16 @@ class XiTable:
         return float(self.values[i])
 
 
-def _walk(schedule: Schedule, t: int, floor: float) -> Iterator[float]:
+def _walk(windows: Iterable[np.ndarray]) -> Iterator[float]:
     """xi_{t,0}, xi_{t,1}, ...: the one run of the first-row recurrence
     xi_{t,i} = phi1(t-i+1) * xi_{t,i-1} + phi2(t-i+2) * xi_{t,i-2},
-    over ``Schedule.walk_back`` windows from t that stop at ``floor``.
-    xi_{t,i} reads back to time t-i+1, so only a value that needs a time
-    below the floor reads one."""
+    over the rows of times t, t-1, ... in ``windows`` (each newest first),
+    listed _WALK_ROWS at a time.  xi_{t,i} reads back to time t-i+1, so
+    only a value that needs a time past the windows read takes the next."""
     yield 1.0
     prev2, prev, phi2 = 1.0, None, []
-    for rows in schedule.walk_back(t, floor):
+    for rows in (window[j:j + _WALK_ROWS] for window in windows
+                 for j in range(0, len(window), _WALK_ROWS)):
         phi1 = rows[:, 1].tolist()
         phi2 = phi2[-1:] + rows[:, 2].tolist()
         if prev is None:   # xi_{t,1} = phi1(t) exactly, a -0.0 included
@@ -68,11 +70,12 @@ def _walk(schedule: Schedule, t: int, floor: float) -> Iterator[float]:
 
 def xi_stream(schedule: Schedule, t: int,
               floor: float | None = None) -> Iterator[float]:
-    """Yield xi_{t,0}, xi_{t,1}, ... lazily for a fixed anchor t, reading
-    coefficient windows down to ``floor`` (default the schedule's earliest
-    time): only a value past it reads one time at a time, and past the
-    schedule's earliest time raises."""
-    return _walk(schedule, t, schedule.earliest if floor is None else floor)
+    """Yield xi_{t,0}, xi_{t,1}, ... lazily for a fixed anchor t, walking
+    the ``Schedule.walk_back`` windows from t down to ``floor`` (default
+    the schedule's earliest time): only a value past it reads one time at
+    a time, and past the schedule's earliest time raises."""
+    return _walk(schedule.walk_back(
+        t, schedule.earliest if floor is None else floor))
 
 
 def green_functions(schedule: Schedule, t: int, k_max: int) -> XiTable:

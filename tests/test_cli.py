@@ -950,6 +950,21 @@ def test_stationarity_overflow_is_named_and_leaves_no_csv(tmp_path, capsys,
         "error: overflow in the period matrix's radius\n")
 
 
+@pytest.mark.parametrize("phi1, phi2", [(1e30, 0.0), (1e30, 1e30)])
+def test_stationarity_of_a_finite_radius_past_the_matrix_range(
+        tmp_path, phi1, phi2):
+    # M's entries (1e180) square past the float range, its radius does not:
+    # the verdict reads M again from seasons scaled by a power of two
+    season = f"    - {{phi0: 0.0, phi1: {phi1!r}, phi2: {phi2!r}, sigma2: 1.0}}\n"
+    cfg = _write(tmp_path, "big.yaml", "schema_version: 1\nschedule:\n"
+                 "  kind: periodic\n  seasons:\n" + season * 6)
+    code, text = _run(tmp_path, ["stationarity", "--config", cfg])
+    rows = dict(line.split(",") for line in text.splitlines())
+    assert code == 0 and rows["stationary"] == "false"
+    assert float(rows["spectral_radius"]) == pytest.approx(1e180, rel=1e-12)
+    assert float(rows["margin"]) == pytest.approx(-1e180, rel=1e-12)
+
+
 @pytest.mark.parametrize("argv, digest", README_DIGESTS,
                          ids=[" ".join(argv) for argv, _ in README_DIGESTS])
 def test_standard_output_holds_the_pinned_bytes(tmp_path, capsys, argv,

@@ -344,8 +344,7 @@ def test_dropped_burn_in_moves_the_start_below_float64_resolution(schedule,
                   innovations="uniform")
     t_b = cfg.t_end - cfg.length
     w, drifts = _burn_in_weights(cfg)
-    c, weights = sim._uniform_start(schedule, t_b,
-                                    schedule.window(t_b - burn_in + 1, t_b))
+    c, weights = sim._uniform_start(schedule.window(t_b - burn_in + 1, t_b))
     n_kept = weights.shape[1]
     assert n_kept == _kept_burn_in(w)
     root3 = math.sqrt(3.0)
@@ -360,7 +359,7 @@ def test_dropped_burn_in_moves_the_start_below_float64_resolution(schedule,
         assert n_kept < burn_in // 4
     if schedule is SEASONS_GENERIC:
         assert n_kept == sim._uniform_start(
-            SEASONS, t_b, SEASONS.window(t_b - burn_in + 1, t_b))[1].shape[1]
+            SEASONS.window(t_b - burn_in + 1, t_b))[1].shape[1]
     totals = [math.fsum(abs(v) for v in row) for row in full.tolist()]
     for row, total in zip(full[:, :burn_in - n_kept].tolist(), totals):
         assert 0.5 * math.fsum(map(abs, row)) <= 2.0**-54 * total * (1 + 1e-12)
@@ -424,7 +423,7 @@ def test_dropped_columns_follow_the_sequential_running_sum():
 
 
 def test_uniform_start_without_burn_in_is_a_zero_start():
-    c, weights = sim._uniform_start(SEASONS, 40, SEASONS.window(41, 40))
+    c, weights = sim._uniform_start(SEASONS.window(41, 40))
     assert c.tolist() == [0.0, 0.0]
     assert weights.shape == (2, 0)
     cfg = _config(schedule=SEASONS, n_paths=300, burn_in=0,
@@ -435,7 +434,7 @@ def test_uniform_start_without_burn_in_is_a_zero_start():
 def test_uniform_start_after_one_step_is_rank_one():
     # y_B = phi0 + sigma eps and y_{B-1} = 0: W = [[2 sqrt(3) sigma], [0]]
     row = SEASONS.window(3, 3)
-    c, weights = sim._uniform_start(SEASONS, 3, row)
+    c, weights = sim._uniform_start(row)
     sigma, root3 = math.sqrt(row[0, 3]), math.sqrt(3.0)
     assert c.tolist() == [row[0, 0] - root3 * sigma, 0.0]
     assert weights.tolist() == [[2.0 * root3 * sigma], [0.0]]
@@ -508,7 +507,7 @@ def test_overflowed_uniform_start_flags_every_path(phi1, phi2):
     explosive = ConstantSchedule(0.0, phi1, phi2, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        c, weights = sim._uniform_start(explosive, 900, explosive.window(1, 900))
+        c, weights = sim._uniform_start(explosive.window(1, 900))
         ensemble = simulate_paths(SimulationConfig(
             explosive, 300, 903, 3, seed=1, burn_in=900,
             innovations="uniform"))

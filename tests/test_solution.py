@@ -1,11 +1,15 @@
 import functools
 import operator
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from tvar2 import (ConstantSchedule, evaluate_solution, forecast,
-                   forward_recursion, general_solution)
+import tvar2.simulate as sim
+from tvar2 import (BreakSchedule, ConstantSchedule, GenericSchedule,
+                   PeriodicSchedule, ScheduleError, SimulationConfig,
+                   evaluate_solution, forecast, forward_recursion,
+                   general_solution, green_functions, xi, xi_second)
 from tvar2.solution import particular_solution_determinant_oracle
 from conftest import random_schedule
 
@@ -110,3 +114,96 @@ def test_drift_and_mse_add_their_terms_one_at_a_time(k, phi0):
     assert sol.drift.hex() == functools.reduce(operator.add, terms, 0.0).hex()
     assert (forecast(s, 5, k, (0.0, 0.0)).mse.hex()
             == functools.reduce(operator.add, squares, 0.0).hex())
+
+
+# --- the general solution is the xi kernel's: one walk over one window,
+# pinned bit for bit to the green table, xi and xi_second of the same times
+
+_PINNED = {
+    # season 3 holds a -0.0 phi1 (and a -0.0 phi0): anchors at t = 3 + 4n
+    "tiled": (PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
+                                (-0.0, -0.0, -0.3, 0.8),
+                                (0.3, 0.99, 0.25, 1.2)]), 7),
+    # weights decay as 0.98^i: still normal floats at i = 9000
+    "generic": (GenericSchedule(lambda t: (0.1 * (t % 5) - 0.2,
+                                           0.99 + 0.005 * (t % 3), -0.02,
+                                           1.0 + 0.1 * (t % 4))), 11),
+    "breaks": (BreakSchedule(100, 40, [10, 25], [(0.1, 0.5, -0.2, 1.0),
+                                                 (-0.0, -0.0, 0.3, 2.0),
+                                                 (0.4, 1.1, -0.5, 0.5)]), 100),
+    "overflow-to-inf": (ConstantSchedule(0.5, 2.5, 0.3, 1.0), 3),
+    "overflow-to-nan": (ConstantSchedule(0.5, 3.0, -1.5, 1.0), 3),
+}
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+# k past 4096 walks more than one slice of rows; the break window holds 41
+@pytest.mark.parametrize("name, k", [
+    (name, k) for name in _PINNED
+    for k in (0, 1, 2, 3, 41, 900, 4096, 4097, 9000)
+    if name != "breaks" or k <= 41])
+def test_general_solution_is_the_xi_kernel_bit_for_bit(name, k):
+    s, t = _PINNED[name]
+    sol = general_solution(s, t, k)
+    rows = s.window(t - k + 1, t)[::-1].tolist()
+    assert _hex(sol.innovation_weights) == _hex(
+        green_functions(s, t, k).values[:k])
+    assert sol.w0.hex() == xi(s, t, k).hex()
+    assert sol.w1.hex() == (xi_second(s, t, k) if k else 0.0).hex()
+    w = sol.innovation_weights.tolist()
+    assert sol.drift.hex() == functools.reduce(
+        operator.add, [x * r[0] for x, r in zip(w, rows)], 0.0).hex()
+    if k:
+        mse = functools.reduce(operator.add,
+                               [x * x * r[3] for x, r in zip(w, rows)], 0.0)
+        result = forecast(s, t, k, (0.0, 0.0))
+        assert result.mse.hex() == mse.hex()
+        assert _hex(result.error_weights) == _hex(w)
+    if name == "tiled" and k:   # xi_{t,1} is phi1(t) = -0.0 itself
+        assert (w + [sol.w0])[1].hex() == "-0x0.0p+0"
+
+
+def test_general_solution_raises_as_the_xi_kernel_reads():
+    s, t = _PINNED["breaks"]
+    bounded = GenericSchedule(
+        lambda t: (0.0, 0.5, -0.2, 9.0 if t == 37 else 1.0),
+        sigma2_bounds=(0.5, 5.0))
+    for schedule, t, k, text in [
+            (s, t, 42, "t=59 outside break-schedule window [60, 100]"),
+            (s, 101, 1, "t=101 outside break-schedule window [60, 100]"),
+            (bounded, 50, 20, "sigma2=9.0 at t=37 outside declared bounds "
+                              "(0.5, 5.0)")]:
+        for call in (lambda: xi(schedule, t, k),
+                     lambda: general_solution(schedule, t, k),
+                     lambda: forecast(schedule, t, k, (0.0, 0.0))):
+            with pytest.raises(ScheduleError) as info:
+                call()
+            assert str(info.value) == text
+
+
+@pytest.mark.parametrize("burn_in", [1, 2, 300])
+def test_each_general_solution_reads_each_time_once(monkeypatch, burn_in):
+    # general_solution, forecast and a uniform start read the window of
+    # their times once, and walk the rows of that one read
+    s = GenericSchedule(lambda t: (0.1, 0.5, -0.2, 1.0 + 0.1 * (t % 3)))
+    reads = Counter()
+    window = s.window
+
+    def counted(t_lo, t_hi):
+        reads.update(range(t_lo, t_hi + 1))
+        return window(t_lo, t_hi)
+
+    monkeypatch.setattr(s, "window", counted)
+    t, k = 50, burn_in
+    once = Counter(range(t - k + 1, t + 1))
+    for call in (lambda: general_solution(s, t, k),
+                 lambda: forecast(s, t, k, (0.0, 0.0)),
+                 lambda: sim._start(SimulationConfig(
+                     s, 256, t + 3, 3, seed=1, burn_in=k,
+                     innovations="uniform"), t)):
+        reads.clear()
+        call()
+        assert reads == once

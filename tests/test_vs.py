@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,23 @@ def test_verdict_matches_the_stacked_var_oracle():
             assert verdict.stationary is (rho < 1.0)
             verdicts.add(verdict.stationary)
     assert verdicts == {True, False}
+
+
+def test_radius_past_the_matrix_range_scales_exactly():
+    # (phi1 c, phi2 c^2) scale M's radius by c^l; with c = 2^E and c^l near
+    # 2^700, a^2 and det M overflow, and the power-of-two rescaling gives
+    # the unscaled radius times c^l bit for bit
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        l = int(rng.integers(2, 13))
+        phi = rng.uniform(-1.2, 1.2, (l, 2))
+        scale = -(-700 // l)
+        rho = stationarity_check(build_vs(_par(
+            list(phi[:, 0]), list(phi[:, 1])))).spectral_radius
+        big = stationarity_check(build_vs(_par(
+            list(np.ldexp(phi[:, 0], scale)),
+            list(np.ldexp(phi[:, 1], 2 * scale))))).spectral_radius
+        assert big == math.ldexp(rho, scale * l)
 
 
 @pytest.mark.parametrize("schedule", [

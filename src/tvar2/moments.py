@@ -72,12 +72,11 @@ def forecast(schedule: Schedule, t: int, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     rows = schedule.window(t - k + 1, t)[::-1]
-    sol = _solution(t, rows)
-    point = sol.w0 * y_init[0] + sol.w1 * y_init[1] + sol.drift
+    w0, w1, drift, weights = _solution(rows)
+    point = w0 * y_init[0] + w1 * y_init[1] + drift
     with np.errstate(over="ignore", invalid="ignore"):
-        mse = _running_sums(sol.innovation_weights ** 2 * rows[:, 3])[-1]
-    return ForecastResult(int(t), int(k), float(point), sol.innovation_weights,
-                          float(mse))
+        mse = _running_sums(weights ** 2 * rows[:, 3])[-1]
+    return ForecastResult(int(t), int(k), float(point), weights, float(mse))
 
 
 def forecast_error_weights(schedule: Schedule, t: int, k: int) -> np.ndarray:

@@ -236,16 +236,14 @@ def _uniform_start(burn: np.ndarray):
     while their summed |w sigma| stays within RESOLUTION of each row's
     total: W keeps the K newest columns and c sums over them.  An
     overflowed weight gives a non-finite (c, W) with every column kept."""
-    n = len(burn)
-    now, before = _solution(n, burn[::-1]), _solution(n - 1, burn[-2::-1])
-    weights = np.zeros((2, n))
-    weights[0] = now.innovation_weights[::-1]
-    weights[1, :-1] = before.innovation_weights[::-1]
+    weights = np.zeros((2, len(burn)))
+    *_, drift_now, weights[0, ::-1] = _solution(burn[::-1])
+    *_, drift_before, weights[1, -2::-1] = _solution(burn[-2::-1])
     root3 = math.sqrt(3.0)
     with np.errstate(over="ignore", invalid="ignore"):
         weights *= np.sqrt(burn[:, 3])
         weights = weights[:, _unresolved(weights):]
-        c = np.array([now.drift, before.drift]) - root3 * weights.sum(axis=1)
+        c = np.array([drift_now, drift_before]) - root3 * weights.sum(axis=1)
         return c, (2.0 * root3) * weights
 
 

@@ -40,16 +40,17 @@ def _running_sums(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], values)).cumsum()
 
 
-def _solution(t: int, rows: np.ndarray) -> GeneralSolution:
-    """The general solution at anchor t, lookback k = len(rows), of the
-    rows of times t, t-1, ..., t-k+1 (newest first); reads no schedule."""
+def _solution(rows: np.ndarray) -> tuple:
+    """(w0, w1, drift, innovation weights) of the general solution at
+    lookback k = len(rows), of the rows of times t, t-1, ..., t-k+1 (newest
+    first); reads no schedule and knows no t."""
     k = len(rows)
     values = np.fromiter(_walk((rows,)), float, k + 1)
     weights = values[:k]
     with np.errstate(over="ignore", invalid="ignore"):
         drift = float(_running_sums(weights * rows[:, 0])[-1])
     w1 = float(rows[-1, 2]) * float(values[k - 1]) if k else 0.0
-    return GeneralSolution(int(t), k, float(values[k]), w1, drift, weights)
+    return float(values[k]), w1, drift, weights
 
 
 def general_solution(schedule: Schedule, t: int, k: int) -> GeneralSolution:
@@ -57,7 +58,8 @@ def general_solution(schedule: Schedule, t: int, k: int) -> GeneralSolution:
     from one read of the coefficient window t-k+1 .. t."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _solution(t, schedule.window(t - k + 1, t)[::-1])
+    return GeneralSolution(int(t), k, *_solution(
+        schedule.window(t - k + 1, t)[::-1]))
 
 
 def evaluate_solution(sol: GeneralSolution, y_init: tuple[float, float],

@@ -76,15 +76,51 @@ def _radius(a: float, b: float) -> float:
     return math.sqrt(b) if d < 0.0 else (abs(a) + math.sqrt(d)) / 2
 
 
+def _times(x: tuple, y: tuple) -> tuple:
+    """x y of two floats kept as (m, e) = m 2^e, m = 0 or 1/2 <= |m| < 1."""
+    m, k = math.frexp(x[0] * y[0])
+    return m, x[1] + y[1] + k
+
+
+def _plus(x: tuple, y: tuple) -> tuple:
+    """x + y of two such pairs, aligned at the larger nonzero exponent."""
+    e = max(x[1] if x[0] else y[1], y[1] if y[0] else x[1]) + 1
+    m, k = math.frexp(math.ldexp(x[0], x[1] - e) + math.ldexp(y[0], y[1] - e))
+    return m, e + k
+
+
+def _wide_radius(seasons: list) -> float:
+    """The radius of M = A_l ... A_1 where M's entries pass the float range.
+
+    Each entry of M, then tr M and det M, is carried as a float mantissa
+    and an integer exponent, and the roots of z^2 - a z + b are scaled by
+    a power of two to unit size: every scaling is exact, so the radius has
+    the plain product's bits wherever no value of it falls subnormal.
+    ``OverflowError`` for a radius past the float range.
+    """
+    one, zero = math.frexp(1.0), math.frexp(0.0)
+    m00, m01, m10, m11 = one, zero, zero, one
+    for phi1, phi2 in seasons:
+        p1, p2 = math.frexp(phi1), math.frexp(phi2)
+        m00, m01, m10, m11 = (_plus(_times(p1, m00), _times(p2, m10)),
+                              _plus(_times(p1, m01), _times(p2, m11)), m00, m01)
+    (ma, ea), (mb, eb) = _plus(m00, m11), _plus(
+        _times(m00, m11), _times(m01, (-m10[0], m10[1])))
+    fa, fb = ea, -(-eb // 2)                  # |a| < 2^fa, |b| < 4^fb
+    f = max(fa if ma else fb, fb if mb else fa)
+    return math.ldexp(_radius(math.ldexp(ma, ea - f),
+                              math.ldexp(mb, eb - 2 * f)), f)
+
+
 def stationarity_check(vs: VSMatrices) -> StationarityVerdict:
     """Spectral radius of the companion pencil; stationary iff below one.
 
     The radius is the larger root modulus of z^2 - a z + b, a = tr M and
     b = det M, with each season's (phi1, phi2) read back from the band
     ``build_vs`` fills.  Where a^2 or a product of M's entries passes the
-    float range (entries near 1e154), M is multiplied again from seasons
-    rescaled by a power of two and the radius scaled back; a radius past
-    the float range raises ``ArithmeticError``.
+    float range (entries near 1e154), M is multiplied again with an
+    integer exponent kept beside each value, and the radius scaled back;
+    a radius past the float range raises ``ArithmeticError``.
     Within ``BOUNDARY_BAND`` of one the verdict is indeterminate.
     """
     l = vs.period
@@ -93,14 +129,8 @@ def stationarity_check(vs: VSMatrices) -> StationarityVerdict:
     seasons = np.where(cols < l, band, -band)[:, ::-1].tolist()
     rho = _radius(*_period_trace_det(seasons))
     if not math.isfinite(rho):
-        # (phi1 / c, phi2 / c^2) give A_s' = D A_s D^-1 / c, D = diag(1, c):
-        # M' has M's radius over c^l, exactly so for c = 2^e
-        e = max(max(math.frexp(p1)[1], (math.frexp(p2)[1] + 1) // 2)
-                for p1, p2 in seasons)
-        rho = _radius(*_period_trace_det([
-            (math.ldexp(p1, -e), math.ldexp(p2, -2 * e)) for p1, p2 in seasons]))
         try:
-            rho = math.ldexp(rho, e * l)
+            rho = _wide_radius(seasons)
         except OverflowError:
             rho = math.inf
     if not math.isfinite(rho):

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -658,6 +659,22 @@ README_DIGESTS = [
     (["verify"],
      "0d978ac58a4ac1bb053470e3de2426460cf68c3f4ac2ab185f5dac830a0fef27"),
 ]
+
+
+@pytest.mark.parametrize("phi1s, rho", [
+    ([1.2] * 3000, float(Fraction(1.2) ** 3000)),
+    ([1e200, 1e200, 1e-200], 1e200)], ids=["3000x1.2", "1e200-1e200-1e-200"])
+def test_stationarity_of_seasons_far_apart_in_scale(tmp_path, phi1s, rho):
+    # a^2 overflows and the small seasons sit far below the large ones:
+    # the radius is printed, never a stationary verdict from an underflow
+    cfg = _write(tmp_path, "far.yaml", "schema_version: 1\nschedule:\n"
+                 "  kind: periodic\n  seasons:\n" + "".join(
+                     f"    - {{phi0: 0.0, phi1: {p!r}, phi2: 0.0, sigma2: 1.0}}\n"
+                     for p in phi1s))
+    code, text = _run(tmp_path, ["stationarity", "--config", cfg])
+    rows = dict(line.split(",") for line in text.splitlines())
+    assert code == 0 and rows["stationary"] == "false"
+    assert float(rows["spectral_radius"]) == pytest.approx(rho, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv, digest", README_DIGESTS,

@@ -1,4 +1,7 @@
 import math
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -194,6 +197,58 @@ def test_radius_past_the_matrix_range_scales_exactly():
             list(np.ldexp(phi[:, 0], scale)),
             list(np.ldexp(phi[:, 1], 2 * scale))))).spectral_radius
         assert big == math.ldexp(rho, scale * l)
+
+
+def _exact_radius(seasons):
+    """M's radius to 40 digits, M multiplied in exact rationals."""
+    m00, m01, m10, m11 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    for phi1, phi2 in map(lambda p: map(Fraction, p), seasons):
+        m00, m01, m10, m11 = (phi1 * m00 + phi2 * m10,
+                              phi1 * m01 + phi2 * m11, m00, m01)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, b = (Decimal(q.numerator) / q.denominator
+                for q in (m00 + m11, m00 * m11 - m01 * m10))
+        d = a * a - 4 * b
+        return b.sqrt() if d < 0 else (abs(a) + d.sqrt()) / 2
+
+
+def test_radius_past_the_matrix_range_matches_exact_arithmetic():
+    # seasons from 1e-250 to 1e250 of either sign, a lag-2 half of them
+    # zero: M's entries pass the float range and span more of it than one
+    # float holds, yet the radius matches M multiplied exactly, or the
+    # overflow is named where the radius passes the float range
+    rng = np.random.default_rng(33)
+    named = checked = 0
+    while checked < 150 or named < 150:
+        l = int(rng.integers(2, 13))
+        phi = 10.0 ** rng.uniform(-250, 250, (l, 2))
+        phi[:, 1] *= rng.integers(0, 2, l)
+        phi *= rng.choice([-1.0, 1.0], (l, 2))
+        seasons = phi.tolist()
+        if math.isfinite(tvar2.vs._radius(*tvar2.vs._period_trace_det(seasons))):
+            continue                    # the plain product's branch
+        rho, vs = _exact_radius(seasons), build_vs(_par(*phi.T.tolist()))
+        if rho > Decimal(sys.float_info.max):
+            with pytest.raises(ArithmeticError, match="period matrix's radius"):
+                stationarity_check(vs)
+            named += 1
+        elif rho > Decimal("1e-300"):
+            verdict = stationarity_check(vs)
+            assert abs(Decimal(verdict.spectral_radius) / rho - 1) < 1e-12
+            assert verdict.stationary is (rho < 1)
+            checked += 1
+
+
+@pytest.mark.parametrize("phi1s", [[1.2] * 3000, [1e200, 1e200, 1e-200]],
+                         ids=["3000x1.2", "1e200-1e200-1e-200"])
+def test_radius_of_seasons_far_apart_in_scale(phi1s):
+    # a^2 overflows; scaled down as one, the small seasons would underflow
+    # to a radius of 0 and a stationary verdict
+    verdict = stationarity_check(build_vs(_par(phi1s)))
+    rho = _exact_radius([(p, 0.0) for p in phi1s])
+    assert abs(Decimal(verdict.spectral_radius) / rho - 1) < 1e-12
+    assert verdict.stationary is False
 
 
 @pytest.mark.parametrize("schedule", [

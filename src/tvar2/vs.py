@@ -5,12 +5,14 @@ constant-coefficient first-order vector autoregression; the process is
 stationary when the spectral radius of the implied companion pencil is
 below one.  Its nonzero eigenvalues are those of the 2 x 2 period matrix
 M = A_l ... A_1, A_s = [[phi1(s), phi2(s)], [1, 0]]; both checks read
-(tr M, det M) from M multiplied in Python floats, the same on any CPU.
+(tr M, det M) from one product of M in Python floats, each value with an
+integer exponent kept beside it, the same on any CPU.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,21 +63,6 @@ def build_vs(schedule: PeriodicSchedule) -> VSMatrices:
     return VSMatrices(l, rows[:, l:], rows[:, :l])
 
 
-def _period_trace_det(seasons: list) -> tuple[float, float]:
-    """(tr M, det M) of M = A_l ... A_1 from the seasons' (phi1, phi2)."""
-    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    for phi1, phi2 in seasons:
-        m00, m01, m10, m11 = (phi1 * m00 + phi2 * m10,
-                              phi1 * m01 + phi2 * m11, m00, m01)
-    return m00 + m11, m00 * m11 - m01 * m10
-
-
-def _radius(a: float, b: float) -> float:
-    """The larger root modulus of z^2 - a z + b."""
-    d = a * a - 4.0 * b
-    return math.sqrt(b) if d < 0.0 else (abs(a) + math.sqrt(d)) / 2
-
-
 def _times(x: tuple, y: tuple) -> tuple:
     """x y of two floats kept as (m, e) = m 2^e, m = 0 or 1/2 <= |m| < 1."""
     m, k = math.frexp(x[0] * y[0])
@@ -89,14 +76,18 @@ def _plus(x: tuple, y: tuple) -> tuple:
     return m, e + k
 
 
-def _wide_radius(seasons: list) -> float:
-    """The radius of M = A_l ... A_1 where M's entries pass the float range.
+def _float(x: tuple) -> float:
+    """The float of such a pair, signed infinity past the float range."""
+    big = x[0] and x[1] > sys.float_info.max_exp
+    return math.copysign(math.inf, x[0]) if big else math.ldexp(*x)
 
-    Each entry of M, then tr M and det M, is carried as a float mantissa
-    and an integer exponent, and the roots of z^2 - a z + b are scaled by
-    a power of two to unit size: every scaling is exact, so the radius has
-    the plain product's bits wherever no value of it falls subnormal.
-    ``OverflowError`` for a radius past the float range.
+
+def _trace_det(seasons: list) -> tuple[tuple, tuple]:
+    """(tr M, det M) of M = A_l ... A_1 from the seasons' (phi1, phi2).
+
+    Each entry of M, then tr M and det M, is carried as such a pair, so no
+    value over- or underflows, and each has the bits of M multiplied out in
+    plain floats wherever those stay normal.
     """
     one, zero = math.frexp(1.0), math.frexp(0.0)
     m00, m01, m10, m11 = one, zero, zero, one
@@ -104,12 +95,8 @@ def _wide_radius(seasons: list) -> float:
         p1, p2 = math.frexp(phi1), math.frexp(phi2)
         m00, m01, m10, m11 = (_plus(_times(p1, m00), _times(p2, m10)),
                               _plus(_times(p1, m01), _times(p2, m11)), m00, m01)
-    (ma, ea), (mb, eb) = _plus(m00, m11), _plus(
-        _times(m00, m11), _times(m01, (-m10[0], m10[1])))
-    fa, fb = ea, -(-eb // 2)                  # |a| < 2^fa, |b| < 4^fb
-    f = max(fa if ma else fb, fb if mb else fa)
-    return math.ldexp(_radius(math.ldexp(ma, ea - f),
-                              math.ldexp(mb, eb - 2 * f)), f)
+    return _plus(m00, m11), _plus(_times(m00, m11),
+                                  _times(m01, (-m10[0], m10[1])))
 
 
 def stationarity_check(vs: VSMatrices) -> StationarityVerdict:
@@ -117,23 +104,24 @@ def stationarity_check(vs: VSMatrices) -> StationarityVerdict:
 
     The radius is the larger root modulus of z^2 - a z + b, a = tr M and
     b = det M, with each season's (phi1, phi2) read back from the band
-    ``build_vs`` fills.  Where a^2 or a product of M's entries passes the
-    float range (entries near 1e154), M is multiplied again with an
-    integer exponent kept beside each value, and the radius scaled back;
-    a radius past the float range raises ``ArithmeticError``.
+    ``build_vs`` fills.  The roots are scaled by a power of two to unit
+    size and the radius scaled back; every scaling is exact, so seasons
+    far apart in scale neither overflow nor underflow, and a radius past
+    the float range raises ``ArithmeticError``.
     Within ``BOUNDARY_BAND`` of one the verdict is indeterminate.
     """
     l = vs.period
     cols = np.arange(l)[:, None] + np.arange(l - 2, l)   # build_vs's band
     band = np.take_along_axis(np.hstack([vs.phi1_mat, vs.phi0_mat]), cols, 1)
     seasons = np.where(cols < l, band, -band)[:, ::-1].tolist()
-    rho = _radius(*_period_trace_det(seasons))
-    if not math.isfinite(rho):
-        try:
-            rho = _wide_radius(seasons)
-        except OverflowError:
-            rho = math.inf
-    if not math.isfinite(rho):
+    (ma, ea), (mb, eb) = _trace_det(seasons)
+    fa, fb = ea, -(-eb // 2)                  # |a| < 2^fa, |b| < 4^fb
+    f = max(fa if ma else fb, fb if mb else fa)
+    a, b = math.ldexp(ma, ea - f), math.ldexp(mb, eb - 2 * f)  # roots / 2^f
+    d = a * a - 4.0 * b
+    r, k = math.frexp(math.sqrt(b) if d < 0.0 else (abs(a) + math.sqrt(d)) / 2)
+    rho = _float((r, f + k))
+    if rho == math.inf:
         raise ArithmeticError("overflow in the period matrix's radius")
     margin = 1.0 - rho
     if abs(margin) < BOUNDARY_BAND:
@@ -156,5 +144,7 @@ def par24_restriction(schedule: PeriodicSchedule) -> tuple[float, bool]:
     """
     if schedule.period != 4:
         raise ScheduleError("restriction is defined for 4 seasons")
-    a, b = _period_trace_det(schedule._season_rows[:, 1:3].tolist())
-    return abs(a - b), abs(b) < 1.0 and abs(a) < 1.0 + b
+    a, b = _trace_det(schedule._season_rows[:, 1:3].tolist())
+    value = abs(_float(_plus(a, (-b[0], b[1]))))
+    a, b = _float(a), _float(b)
+    return value, abs(b) < 1.0 and abs(a) < 1.0 + b

@@ -661,20 +661,27 @@ README_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("phi1s, rho", [
-    ([1.2] * 3000, float(Fraction(1.2) ** 3000)),
-    ([1e200, 1e200, 1e-200], 1e200)], ids=["3000x1.2", "1e200-1e200-1e-200"])
-def test_stationarity_of_seasons_far_apart_in_scale(tmp_path, phi1s, rho):
-    # a^2 overflows and the small seasons sit far below the large ones:
-    # the radius is printed, never a stationary verdict from an underflow
+@pytest.mark.parametrize("phi1s, rho, stationary", [
+    ([1.2] * 3000, float(Fraction(1.2) ** 3000), "false"),
+    ([1e200, 1e200, 1e-200], 1e200, "false"),
+    ([1e-200, 1e-200, 1e200, 1e200], 0.9999999999999998, "indeterminate"),
+    ([1e-170, 1.0], 1e-170, "true"),
+], ids=["3000x1.2", "1e200-1e200-1e-200", "1e-200-1e-200-1e200-1e200",
+        "1e-170-1"])
+def test_stationarity_of_seasons_far_apart_in_scale(tmp_path, phi1s, rho,
+                                                    stationary):
+    # a^2 overflows, or the small seasons sit far below the large ones, or
+    # a^2 underflows: the radius is printed, never a verdict from an
+    # overflow or an underflow
     cfg = _write(tmp_path, "far.yaml", "schema_version: 1\nschedule:\n"
                  "  kind: periodic\n  seasons:\n" + "".join(
                      f"    - {{phi0: 0.0, phi1: {p!r}, phi2: 0.0, sigma2: 1.0}}\n"
                      for p in phi1s))
     code, text = _run(tmp_path, ["stationarity", "--config", cfg])
     rows = dict(line.split(",") for line in text.splitlines())
-    assert code == 0 and rows["stationary"] == "false"
-    assert float(rows["spectral_radius"]) == pytest.approx(rho, rel=1e-12)
+    assert code == 0 and rows["stationary"] == stationary
+    assert float(rows["spectral_radius"]) == pytest.approx(rho, rel=1e-12,
+                                                           abs=0.0)
 
 
 @pytest.mark.parametrize("argv, digest", README_DIGESTS,

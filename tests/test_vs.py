@@ -152,8 +152,8 @@ def test_matrices_match_the_entry_rules_bit_for_bit(rng, monkeypatch, l):
     assert vs.phi1_mat.tobytes() == m1.tobytes()
     # the verdict reads every season's (phi1, phi2) back from the band,
     # undoing the negation exactly, so -0.0 and 0.0 come back as they went in
-    read, trace_det = [], tvar2.vs._period_trace_det
-    monkeypatch.setattr(tvar2.vs, "_period_trace_det",
+    read, trace_det = [], tvar2.vs._trace_det
+    monkeypatch.setattr(tvar2.vs, "_trace_det",
                         lambda seasons: read.append(seasons) or
                         trace_det(seasons))
     stationarity_check(vs)
@@ -226,8 +226,6 @@ def test_radius_past_the_matrix_range_matches_exact_arithmetic():
         phi[:, 1] *= rng.integers(0, 2, l)
         phi *= rng.choice([-1.0, 1.0], (l, 2))
         seasons = phi.tolist()
-        if math.isfinite(tvar2.vs._radius(*tvar2.vs._period_trace_det(seasons))):
-            continue                    # the plain product's branch
         rho, vs = _exact_radius(seasons), build_vs(_par(*phi.T.tolist()))
         if rho > Decimal(sys.float_info.max):
             with pytest.raises(ArithmeticError, match="period matrix's radius"):
@@ -240,15 +238,84 @@ def test_radius_past_the_matrix_range_matches_exact_arithmetic():
             checked += 1
 
 
-@pytest.mark.parametrize("phi1s", [[1.2] * 3000, [1e200, 1e200, 1e-200]],
-                         ids=["3000x1.2", "1e200-1e200-1e-200"])
-def test_radius_of_seasons_far_apart_in_scale(phi1s):
-    # a^2 overflows; scaled down as one, the small seasons would underflow
-    # to a radius of 0 and a stationary verdict
+@pytest.mark.parametrize("phi1s, stationary", [
+    ([1.2] * 3000, False), ([1e200, 1e200, 1e-200], False),
+    ([1e-200, 1e-200, 1e200, 1e200], None), ([1e-170, 1.0], True),
+], ids=["3000x1.2", "1e200-1e200-1e-200", "1e-200-1e-200-1e200-1e200",
+        "1e-170-1"])
+def test_radius_of_seasons_far_apart_in_scale(phi1s, stationary):
+    # a^2 overflows, or an entry of M or a^2 underflows in plain floats:
+    # the first seasons' 1e-400 read as 0 gives a radius of 0, and a^2 read
+    # as 0 gives half of 1e-170; an exponent per value keeps each radius
     verdict = stationarity_check(build_vs(_par(phi1s)))
     rho = _exact_radius([(p, 0.0) for p in phi1s])
     assert abs(Decimal(verdict.spectral_radius) / rho - 1) < 1e-12
-    assert verdict.stationary is False
+    assert verdict.stationary is stationary
+
+
+@pytest.mark.parametrize("phi1s, phi2s, value, satisfied", [
+    ([1e-200, 1e-200, 1e200, 1e200], None, 0.9999999999999998, True),
+    ([1e200] * 4, [1e200] * 4, math.inf, False),
+], ids=["1e-200-1e-200-1e200-1e200", "4x1e200"])
+def test_restriction_of_seasons_far_apart_in_scale(phi1s, phi2s, value,
+                                                   satisfied):
+    # plain floats read tr M = 0 (an entry underflowed) or inf - inf; the
+    # value comes from the exponent form, infinite past the float range
+    assert par24_restriction(_par(phi1s, phi2s)) == (value, satisfied)
+
+
+def _float_reference(seasons):
+    """The radius and the restriction's (value, flag) from M = A_l ... A_1
+    multiplied out in plain floats, the product the pinned bits came from;
+    None once a product or sum leaves the normal range other than at an
+    exact 0."""
+    stray = []
+
+    def checked(value, exact_zero):
+        if not (sys.float_info.min <= abs(value) <= sys.float_info.max
+                or value == 0 and exact_zero):
+            stray.append(value)
+        return value
+
+    def times(x, y):
+        return checked(x * y, x == 0 or y == 0)
+
+    def plus(x, y):
+        return checked(x + y, x == -y)
+
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    for phi1, phi2 in seasons:
+        m00, m01, m10, m11 = (plus(times(phi1, m00), times(phi2, m10)),
+                              plus(times(phi1, m01), times(phi2, m11)),
+                              m00, m01)
+    a, b = plus(m00, m11), plus(times(m00, m11), -times(m01, m10))
+    d = plus(times(a, a), -times(4.0, b))
+    rho = math.sqrt(b) if d < 0 else times(plus(abs(a), math.sqrt(d)), 0.5)
+    flag = abs(b) < 1.0 and abs(a) < plus(1.0, b)
+    return None if stray else (rho, abs(plus(a, -b)), flag)
+
+
+def test_radius_and_restriction_match_the_float_product():
+    # seeded schedules of 2 to 12 seasons and of 4, coefficients in +-0.9,
+    # +-1.2 and +-3 with one in ten a zero of either sign: wherever the
+    # plain float product stays normal, the exponent form gives its bits
+    rng = np.random.default_rng(34)
+    compared = 0
+    while compared < 3000:
+        l = int(rng.integers(2, 13))
+        width = (0.9, 1.2, 3.0)[compared % 3]
+        phi = rng.uniform(-width, width, (l + 4, 2))
+        phi = np.where(rng.random(phi.shape) < 0.1, np.copysign(0.0, phi), phi)
+        seasons, four = phi[:l].tolist(), phi[l:].tolist()
+        want, want4 = _float_reference(seasons), _float_reference(four)
+        if want is None or want4 is None:
+            continue
+        vs = build_vs(_par(*zip(*seasons)))
+        rho, (value, ok) = (stationarity_check(vs).spectral_radius,
+                            par24_restriction(_par(*zip(*four))))
+        assert rho.hex() == want[0].hex()
+        assert (value.hex(), ok) == (want4[1].hex(), want4[2])
+        compared += 1
 
 
 @pytest.mark.parametrize("schedule", [

@@ -63,6 +63,12 @@ def build_vs(schedule: PeriodicSchedule) -> VSMatrices:
     return VSMatrices(l, rows[:, l:], rows[:, :l])
 
 
+def _radius(a: float, b: float) -> float:
+    """The larger root modulus of z^2 - a z + b."""
+    d = a * a - 4.0 * b
+    return math.sqrt(b) if d < 0.0 else (abs(a) + math.sqrt(d)) / 2
+
+
 def _times(x: tuple, y: tuple) -> tuple:
     """x y of two floats kept as (m, e) = m 2^e, m = 0 or 1/2 <= |m| < 1."""
     m, k = math.frexp(x[0] * y[0])
@@ -117,9 +123,8 @@ def stationarity_check(vs: VSMatrices) -> StationarityVerdict:
     (ma, ea), (mb, eb) = _trace_det(seasons)
     fa, fb = ea, -(-eb // 2)                  # |a| < 2^fa, |b| < 4^fb
     f = max(fa if ma else fb, fb if mb else fa)
-    a, b = math.ldexp(ma, ea - f), math.ldexp(mb, eb - 2 * f)  # roots / 2^f
-    d = a * a - 4.0 * b
-    r, k = math.frexp(math.sqrt(b) if d < 0.0 else (abs(a) + math.sqrt(d)) / 2)
+    r, k = math.frexp(_radius(math.ldexp(ma, ea - f),
+                              math.ldexp(mb, eb - 2 * f)))
     rho = _float((r, f + k))
     if rho == math.inf:
         raise ArithmeticError("overflow in the period matrix's radius")
@@ -134,8 +139,9 @@ def par24_restriction(schedule: PeriodicSchedule) -> tuple[float, bool]:
 
     With a = tr M and b = det M of the period matrix, whose eigenvalues are
     the roots of z^2 - a z + b, returns (value, satisfied). ``value`` is
-    the eight-term expression |a - b|; on its own it is not a stationarity
-    test, since ``|a - b| < 1`` is neither necessary nor sufficient.
+    the eight-term expression |a - b|, infinite past the float range; on
+    its own it is not a stationarity test, since ``|a - b| < 1`` is neither
+    necessary nor sufficient.
     ``satisfied`` is the Schur-Cohn/Jury pair ``|b| < 1 and |a| < 1 + b``,
     which holds exactly when both roots lie inside the unit circle
     (spectral radius below one) away from the boundary. With all lag-2

@@ -7,7 +7,7 @@ check the recurrence in ``xi``; ``particular_solution_determinant_oracle``
 and ``forward_recursion`` (the defining recursion iterated forward) check
 the general solution in ``solution``; ``block_determinant_oracle`` checks
 the transfer-product decomposition in ``blockdet``; ``stacked_var_radius``
-checks the period-matrix radius of ``vs.stationarity_check``.  Each
+checks ``vs.stationarity_check`` on the matrices of ``vs.build_vs``.  Each
 determinant is a dense O(k^3) one, so every determinant oracle refuses
 k > ORACLE_CAP.  ``xi``, ``solution`` and ``blockdet`` re-export the
 oracles that check them.

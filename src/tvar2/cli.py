@@ -332,7 +332,7 @@ def _other_quads(y):
 
 def _cmd_stationarity(args, schedule, out):
     vs = build_vs(schedule)
-    verdict = stationarity_check(vs)
+    verdict = stationarity_check(schedule)
     matrices = (("phi0_mat", vs.phi0_mat), ("phi1_mat", vs.phi1_mat))
     rows = [(label, ",".join([FLOAT_FORMAT % v for v in row]))
             for label, mat in matrices if args.matrices for row in mat.tolist()]

@@ -5,8 +5,9 @@ constant-coefficient first-order vector autoregression; the process is
 stationary when the spectral radius of the implied companion pencil is
 below one.  Its nonzero eigenvalues are those of the 2 x 2 period matrix
 M = A_l ... A_1, A_s = [[phi1(s), phi2(s)], [1, 0]]; both checks read
-(tr M, det M) from one product of M in Python floats, each value with an
-integer exponent kept beside it, the same on any CPU.
+(tr M, det M) from the season table of any kind tiled by season, one
+product of M in Python floats, each value with an integer exponent kept
+beside it, the same on any CPU.  ``build_vs`` stacks periodic ones only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import PeriodicSchedule, ScheduleError
+from .schedules import PeriodicSchedule, Schedule, ScheduleError
 
 BOUNDARY_BAND = 1e-8
 
@@ -88,16 +89,19 @@ def _float(x: tuple) -> float:
     return math.copysign(math.inf, x[0]) if big else math.ldexp(*x)
 
 
-def _trace_det(seasons: list) -> tuple[tuple, tuple]:
-    """(tr M, det M) of M = A_l ... A_1 from the seasons' (phi1, phi2).
+def _trace_det(schedule: Schedule) -> tuple[tuple, tuple]:
+    """(tr M, det M) of M = A_l ... A_1 from the season table's (phi1, phi2).
 
     Each entry of M, then tr M and det M, is carried as such a pair, so no
     value over- or underflows, and each has the bits of M multiplied out in
     plain floats wherever those stay normal.
     """
+    if schedule._season_rows is None:
+        raise ScheduleError("the period matrix needs a schedule tiled by "
+                            f"season (got kind {schedule.kind!r})")
     one, zero = math.frexp(1.0), math.frexp(0.0)
     m00, m01, m10, m11 = one, zero, zero, one
-    for phi1, phi2 in seasons:
+    for phi1, phi2 in schedule._season_rows[:, 1:3].tolist():
         p1, p2 = math.frexp(phi1), math.frexp(phi2)
         m00, m01, m10, m11 = (_plus(_times(p1, m00), _times(p2, m10)),
                               _plus(_times(p1, m01), _times(p2, m11)), m00, m01)
@@ -105,22 +109,18 @@ def _trace_det(seasons: list) -> tuple[tuple, tuple]:
                                   _times(m01, (-m10[0], m10[1])))
 
 
-def stationarity_check(vs: VSMatrices) -> StationarityVerdict:
-    """Spectral radius of the companion pencil; stationary iff below one.
+def stationarity_check(schedule: Schedule) -> StationarityVerdict:
+    """Spectral radius of the period matrix; stationary iff below one.
 
     The radius is the larger root modulus of z^2 - a z + b, a = tr M and
-    b = det M, with each season's (phi1, phi2) read back from the band
-    ``build_vs`` fills.  The roots are scaled by a power of two to unit
-    size and the radius scaled back; every scaling is exact, so seasons
-    far apart in scale neither overflow nor underflow, and a radius past
-    the float range raises ``ArithmeticError``.
-    Within ``BOUNDARY_BAND`` of one the verdict is indeterminate.
+    b = det M, for any constant, periodic or cyclical schedule.  The roots
+    are scaled by a power of two to unit size and the radius scaled back;
+    every scaling is exact, so seasons far apart in scale neither overflow
+    nor underflow, and a radius past the float range raises
+    ``ArithmeticError``.  Within ``BOUNDARY_BAND`` of one the verdict is
+    indeterminate.
     """
-    l = vs.period
-    cols = np.arange(l)[:, None] + np.arange(l - 2, l)   # build_vs's band
-    band = np.take_along_axis(np.hstack([vs.phi1_mat, vs.phi0_mat]), cols, 1)
-    seasons = np.where(cols < l, band, -band)[:, ::-1].tolist()
-    (ma, ea), (mb, eb) = _trace_det(seasons)
+    (ma, ea), (mb, eb) = _trace_det(schedule)
     fa, fb = ea, -(-eb // 2)                  # |a| < 2^fa, |b| < 4^fb
     f = max(fa if ma else fb, fb if mb else fa)
     r, k = math.frexp(_radius(math.ldexp(ma, ea - f),
@@ -134,8 +134,8 @@ def stationarity_check(vs: VSMatrices) -> StationarityVerdict:
     return StationarityVerdict(rho, margin, rho < 1.0)
 
 
-def par24_restriction(schedule: PeriodicSchedule) -> tuple[float, bool]:
-    """The eight-term nonlinear restriction for a four-season order-2 model.
+def par24_restriction(schedule: Schedule) -> tuple[float, bool]:
+    """The eight-term restriction for an order-2 model of four seasons.
 
     With a = tr M and b = det M of the period matrix, whose eigenvalues are
     the roots of z^2 - a z + b, returns (value, satisfied). ``value`` is
@@ -148,9 +148,9 @@ def par24_restriction(schedule: PeriodicSchedule) -> tuple[float, bool]:
     coefficients zero the value is the absolute product of the four
     seasonal lag-1 coefficients and the flag says that it is below one.
     """
-    if schedule.period != 4:
+    a, b = _trace_det(schedule)
+    if len(schedule._season_rows) != 4:
         raise ScheduleError("restriction is defined for 4 seasons")
-    a, b = _trace_det(schedule._season_rows[:, 1:3].tolist())
     value = abs(_float(_plus(a, (-b[0], b[1]))))
     a, b = _float(a), _float(b)
     return value, abs(b) < 1.0 and abs(a) < 1.0 + b

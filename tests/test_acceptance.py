@@ -13,7 +13,7 @@ import pytest
 import tvar2.cli as cli
 from tvar2 import (ConstantSchedule, PeriodicSchedule, SimulationConfig,
                    autocovariance, block_determinant_oracle, block_spec,
-                   build_vs, constant_xi, empirical_forecast_error,
+                   constant_xi, empirical_forecast_error,
                    evaluate_solution, forecast, forward_recursion,
                    general_solution, green_functions, par24_restriction,
                    stationarity_check, unconditional_mean,
@@ -170,7 +170,7 @@ def test_criterion_5_forecast_error_monte_carlo():
 
     periodic = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
                                  (0.1, 0.8, -0.3, 0.8), (0.3, 0.1, 0.25, 1.2)])
-    assert stationarity_check(build_vs(periodic)).stationary is True
+    assert stationarity_check(periodic).stationary is True
     cfg = SimulationConfig(periodic, 100_000, 64, 7, seed=SEED, burn_in=300,
                            workers=4)
     _, variance = empirical_forecast_error(cfg, 64, 4)
@@ -201,7 +201,7 @@ def test_criterion_7_stationarity_cross_method():
     for _ in range(200):
         phi1s = rng.uniform(-1.4, 1.4, 4)
         s = PeriodicSchedule([(0.0, float(p), 0.0, 1.0) for p in phi1s])
-        verdict = stationarity_check(build_vs(s))
+        verdict = stationarity_check(s)
         product = abs(float(np.prod(phi1s)))
         if abs(product - 1.0) < 1e-8 or verdict.stationary is None:
             continue
@@ -212,7 +212,7 @@ def test_criterion_7_stationarity_cross_method():
         p2 = rng.uniform(-0.9, 0.9, 4)
         s = PeriodicSchedule([(0.0, float(a), float(b), 1.0)
                               for a, b in zip(p1, p2)])
-        verdict = stationarity_check(build_vs(s))
+        verdict = stationarity_check(s)
         value, satisfied = par24_restriction(s)
         if abs(value - 1.0) < 1e-8 or verdict.stationary is None:
             continue

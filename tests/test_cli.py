@@ -948,7 +948,7 @@ def test_stationarity_rows_match_the_reference(tmp_path):
     code, text = _run(tmp_path, ["stationarity", "--config", cfg,
                                  "--matrices"])
     vs = tvar2.build_vs(_schedule(PERIODIC))
-    verdict = tvar2.stationarity_check(vs)
+    verdict = tvar2.stationarity_check(_schedule(PERIODIC))
     assert code == 0
     assert text == _reference_csv("", [
         (label, *row) for label, mat in (("phi0_mat", vs.phi0_mat),
@@ -978,7 +978,7 @@ def test_stationarity_overflow_is_named_and_leaves_no_csv(tmp_path, capsys,
 def test_stationarity_of_a_finite_radius_past_the_matrix_range(
         tmp_path, phi1, phi2):
     # M's entries (1e180) square past the float range, its radius does not:
-    # the verdict reads M again from seasons scaled by a power of two
+    # each value of M carries its own exponent, so nothing overflows
     season = f"    - {{phi0: 0.0, phi1: {phi1!r}, phi2: {phi2!r}, sigma2: 1.0}}\n"
     cfg = _write(tmp_path, "big.yaml", "schema_version: 1\nschedule:\n"
                  "  kind: periodic\n  seasons:\n" + season * 6)

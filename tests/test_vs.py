@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -38,7 +39,7 @@ def test_all_zero_coefficients():
     vs = build_vs(_par([0.0] * 4))
     assert np.array_equal(vs.phi0_mat, np.eye(4))
     assert np.array_equal(vs.phi1_mat, np.zeros((4, 4)))
-    verdict = stationarity_check(vs)
+    verdict = stationarity_check(_par([0.0] * 4))
     assert verdict.stationary is True
     assert verdict.spectral_radius == 0.0
     assert verdict.margin == 1.0
@@ -55,18 +56,18 @@ def test_first_order_product_condition():
     vs = build_vs(s)
     nonzero = np.nonzero(vs.phi1_mat)
     assert list(zip(*nonzero)) == [(0, 3)]
-    verdict = stationarity_check(vs)
+    verdict = stationarity_check(s)
     assert verdict.stationary is True
     # |product of seasonal lag-1 coefficients| = 0.972 < 1
     assert abs(np.prod([0.5, 1.2, 0.9, 1.8])) == pytest.approx(0.972)
     scaled = _par([0.5 * 1.2 / 0.972, 1.2, 0.9, 1.8])  # product 1.2
-    assert stationarity_check(build_vs(scaled)).stationary is False
+    assert stationarity_check(scaled).stationary is False
 
 
 def test_first_order_product_matches_radius_random(rng):
     for _ in range(200):
         phi1s = rng.uniform(-1.4, 1.4, size=4)
-        verdict = stationarity_check(build_vs(_par(list(phi1s))))
+        verdict = stationarity_check(_par(list(phi1s)))
         product = abs(float(np.prod(phi1s)))
         if abs(product - 1.0) < 1e-8 or verdict.stationary is None:
             continue
@@ -101,7 +102,7 @@ def test_restriction_flag_follows_radius_not_value(phi2s, value, rho,
     s = _par([0.0] * 4, phi2s)
     got_value, ok = par24_restriction(s)
     assert got_value == pytest.approx(value, abs=1e-12)
-    verdict = stationarity_check(build_vs(s))
+    verdict = stationarity_check(s)
     assert verdict.spectral_radius == pytest.approx(rho, abs=1e-12)
     assert ok is stationary
     assert verdict.stationary is stationary
@@ -117,7 +118,7 @@ def test_variance_converges_when_stationary(rng):
         phi1s = list(rng.uniform(-0.9, 0.9, size=4))
         phi2s = list(rng.uniform(-0.9, 0.9, size=4))
         s = _par(phi1s, phi2s)
-        verdict = stationarity_check(build_vs(s))
+        verdict = stationarity_check(s)
         if verdict.stationary is True:
             for anchor in (101, 102, 103, 104):
                 assert unconditional_variance(s, anchor).converged
@@ -141,7 +142,7 @@ def _entry_rule_matrices(s):
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 7])
-def test_matrices_match_the_entry_rules_bit_for_bit(rng, monkeypatch, l):
+def test_matrices_match_the_entry_rules_bit_for_bit(rng, l):
     # signed zeros included: a zero coefficient inside the period is -0.0
     phis = [[0.0, -0.0, float(rng.normal())][int(rng.integers(3))]
             for _ in range(2 * l)]
@@ -150,14 +151,6 @@ def test_matrices_match_the_entry_rules_bit_for_bit(rng, monkeypatch, l):
     m0, m1 = _entry_rule_matrices(s)
     assert vs.phi0_mat.tobytes() == m0.tobytes()
     assert vs.phi1_mat.tobytes() == m1.tobytes()
-    # the verdict reads every season's (phi1, phi2) back from the band,
-    # undoing the negation exactly, so -0.0 and 0.0 come back as they went in
-    read, trace_det = [], tvar2.vs._trace_det
-    monkeypatch.setattr(tvar2.vs, "_trace_det",
-                        lambda seasons: read.append(seasons) or
-                        trace_det(seasons))
-    stationarity_check(vs)
-    assert np.array(read[0]).tobytes() == s._season_rows[:, 1:3].tobytes()
 
 
 def test_verdict_matches_the_stacked_var_oracle():
@@ -173,8 +166,8 @@ def test_verdict_matches_the_stacked_var_oracle():
     for _ in range(1500):
         l = int(rng.integers(2, 13))
         phi = rng.uniform(-1.2, 1.2, (l, 2))
-        vs = build_vs(_par(list(phi[:, 0]), list(phi[:, 1])))
-        verdict, rho = stationarity_check(vs), stacked_var_radius(vs)
+        s = _par(list(phi[:, 0]), list(phi[:, 1]))
+        verdict, rho = stationarity_check(s), stacked_var_radius(build_vs(s))
         assert verdict.spectral_radius == pytest.approx(rho, rel=1e-11)
         if abs(1.0 - rho) >= tvar2.vs.BOUNDARY_BAND:
             assert verdict.stationary is (rho < 1.0)
@@ -191,11 +184,11 @@ def test_radius_past_the_matrix_range_scales_exactly():
         l = int(rng.integers(2, 13))
         phi = rng.uniform(-1.2, 1.2, (l, 2))
         scale = -(-700 // l)
-        rho = stationarity_check(build_vs(_par(
-            list(phi[:, 0]), list(phi[:, 1])))).spectral_radius
-        big = stationarity_check(build_vs(_par(
+        rho = stationarity_check(_par(
+            list(phi[:, 0]), list(phi[:, 1]))).spectral_radius
+        big = stationarity_check(_par(
             list(np.ldexp(phi[:, 0], scale)),
-            list(np.ldexp(phi[:, 1], 2 * scale))))).spectral_radius
+            list(np.ldexp(phi[:, 1], 2 * scale)))).spectral_radius
         assert big == math.ldexp(rho, scale * l)
 
 
@@ -226,13 +219,13 @@ def test_radius_past_the_matrix_range_matches_exact_arithmetic():
         phi[:, 1] *= rng.integers(0, 2, l)
         phi *= rng.choice([-1.0, 1.0], (l, 2))
         seasons = phi.tolist()
-        rho, vs = _exact_radius(seasons), build_vs(_par(*phi.T.tolist()))
+        rho, s = _exact_radius(seasons), _par(*phi.T.tolist())
         if rho > Decimal(sys.float_info.max):
             with pytest.raises(ArithmeticError, match="period matrix's radius"):
-                stationarity_check(vs)
+                stationarity_check(s)
             named += 1
         elif rho > Decimal("1e-300"):
-            verdict = stationarity_check(vs)
+            verdict = stationarity_check(s)
             assert abs(Decimal(verdict.spectral_radius) / rho - 1) < 1e-12
             assert verdict.stationary is (rho < 1)
             checked += 1
@@ -247,7 +240,7 @@ def test_radius_of_seasons_far_apart_in_scale(phi1s, stationary):
     # a^2 overflows, or an entry of M or a^2 underflows in plain floats:
     # the first seasons' 1e-400 read as 0 gives a radius of 0, and a^2 read
     # as 0 gives half of 1e-170; an exponent per value keeps each radius
-    verdict = stationarity_check(build_vs(_par(phi1s)))
+    verdict = stationarity_check(_par(phi1s))
     rho = _exact_radius([(p, 0.0) for p in phi1s])
     assert abs(Decimal(verdict.spectral_radius) / rho - 1) < 1e-12
     assert verdict.stationary is stationary
@@ -310,9 +303,8 @@ def test_radius_and_restriction_match_the_float_product():
         want, want4 = _float_reference(seasons), _float_reference(four)
         if want is None or want4 is None:
             continue
-        vs = build_vs(_par(*zip(*seasons)))
-        rho, (value, ok) = (stationarity_check(vs).spectral_radius,
-                            par24_restriction(_par(*zip(*four))))
+        rho = stationarity_check(_par(*zip(*seasons))).spectral_radius
+        value, ok = par24_restriction(_par(*zip(*four)))
         assert rho.hex() == want[0].hex()
         assert (value.hex(), ok) == (want4[1].hex(), want4[2])
         compared += 1
@@ -331,9 +323,71 @@ def test_stacked_form_needs_a_periodic_schedule(schedule):
                                f"(got kind {schedule.kind!r})")
 
 
+_UNTILED = [BreakSchedule(10, 5, [2], [(0, 0.5, 0.1, 1), (0, 0.2, 0.1, 1)]),
+            GenericSchedule(lambda t: (0.0, 0.5, 0.1, 1.0))]
+
+
+def _untiled_message(schedule):
+    return ("the period matrix needs a schedule tiled by season "
+            f"(got kind {schedule.kind!r})")
+
+
+@pytest.mark.parametrize("schedule, message", [
+    (ConstantSchedule(0.0, 0.5, 0.1, 1.0),
+     "restriction is defined for 4 seasons"),
+    *[(s, _untiled_message(s)) for s in _UNTILED],
+], ids=["constant", *(s.kind for s in _UNTILED)])
+def test_restriction_of_other_kinds_is_a_schedule_error(schedule, message):
+    with pytest.raises(ScheduleError) as info:
+        par24_restriction(schedule)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("schedule", _UNTILED, ids=lambda s: s.kind)
+def test_verdict_needs_a_season_table(schedule):
+    with pytest.raises(ScheduleError) as info:
+        stationarity_check(schedule)
+    assert str(info.value) == _untiled_message(schedule)
+
+
+def test_constant_verdict_is_the_ar2_root_condition():
+    # M = A for one season: the radius is the larger |root| of
+    # z^2 - phi1 z - phi2, the classical AR(2) condition
+    rng = np.random.default_rng(34)
+    verdicts = set()
+    for phi1, phi2 in rng.uniform(-2.5, 2.5, (2000, 2)).tolist():
+        verdict = stationarity_check(ConstantSchedule(0.0, phi1, phi2, 1.0))
+        disc = cmath.sqrt(phi1 * phi1 + 4.0 * phi2)
+        rho = max(abs((phi1 + disc) / 2), abs((phi1 - disc) / 2))
+        assert verdict.spectral_radius == pytest.approx(rho, rel=1e-12)
+        if abs(1.0 - rho) >= tvar2.vs.BOUNDARY_BAND:
+            assert verdict.stationary is (rho < 1.0)
+            verdicts.add(verdict.stationary)
+    assert verdicts == {True, False}
+
+
+def test_cyclical_verdict_is_that_of_its_seasons():
+    # a cyclical schedule tiles its period by season as the periodic
+    # schedule of its season table does, so both answers share every bit
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        period = int(rng.integers(2, 13))
+        cuts = sorted(rng.choice(np.arange(1, period),
+                                 int(rng.integers(0, period)), replace=False))
+        cycles = [(0.0, *rng.uniform(-1.2, 1.2, 2), 1.0)
+                  for _ in range(len(cuts) + 1)]
+        cyc = CyclicalSchedule(period, cuts, cycles)
+        par = PeriodicSchedule(cyc._season_rows)
+        got, want = stationarity_check(cyc), stationarity_check(par)
+        assert (got.spectral_radius.hex(), got.margin.hex(), got.stationary) \
+            == (want.spectral_radius.hex(), want.margin.hex(), want.stationary)
+        if period == 4:
+            assert par24_restriction(cyc) == par24_restriction(par)
+
+
 def test_unit_period_product_is_indeterminate():
     # phi1 multiplies to exactly 1 over the period: radius 1, margin 0
-    verdict = stationarity_check(build_vs(_par([2.0, 0.5, 1.0, 1.0])))
+    verdict = stationarity_check(_par([2.0, 0.5, 1.0, 1.0]))
     assert verdict.stationary is None
     assert verdict.indeterminate
     assert verdict.margin == 0.0

@@ -947,8 +947,9 @@ def test_stationarity_rows_match_the_reference(tmp_path):
     cfg = _write(tmp_path, "p.yaml", PERIODIC)
     code, text = _run(tmp_path, ["stationarity", "--config", cfg,
                                  "--matrices"])
-    vs = tvar2.build_vs(_schedule(PERIODIC))
-    verdict = tvar2.stationarity_check(_schedule(PERIODIC))
+    schedule = _schedule(PERIODIC)
+    vs = tvar2.build_vs(schedule)
+    verdict = tvar2.stationarity_check(schedule)
     assert code == 0
     assert text == _reference_csv("", [
         (label, *row) for label, mat in (("phi0_mat", vs.phi0_mat),

@@ -36,10 +36,11 @@ def test_matrix_entry_rules_four_seasons():
 
 
 def test_all_zero_coefficients():
-    vs = build_vs(_par([0.0] * 4))
+    s = _par([0.0] * 4)
+    vs = build_vs(s)
     assert np.array_equal(vs.phi0_mat, np.eye(4))
     assert np.array_equal(vs.phi1_mat, np.zeros((4, 4)))
-    verdict = stationarity_check(_par([0.0] * 4))
+    verdict = stationarity_check(s)
     assert verdict.stationary is True
     assert verdict.spectral_radius == 0.0
     assert verdict.margin == 1.0
@@ -378,9 +379,10 @@ def test_cyclical_verdict_is_that_of_its_seasons():
                   for _ in range(len(cuts) + 1)]
         cyc = CyclicalSchedule(period, cuts, cycles)
         par = PeriodicSchedule(cyc._season_rows)
-        got, want = stationarity_check(cyc), stationarity_check(par)
-        assert (got.spectral_radius.hex(), got.margin.hex(), got.stationary) \
-            == (want.spectral_radius.hex(), want.margin.hex(), want.stationary)
+        got, want = (
+            (v.spectral_radius.hex(), v.margin.hex(), v.stationary)
+            for v in (stationarity_check(cyc), stationarity_check(par)))
+        assert got == want
         if period == 4:
             assert par24_restriction(cyc) == par24_restriction(par)
 

@@ -47,14 +47,20 @@ class StationarityVerdict:
         return self.stationary is None
 
 
-def build_vs(schedule: PeriodicSchedule) -> VSMatrices:
-    """Stack the periodic schedule into its vector-of-seasons matrices."""
+def stacked_period(schedule: Schedule) -> int:
+    """The number of seasons l of a schedule with a vector-of-seasons form:
+    a periodic one of at least 2 seasons.  ``ScheduleError`` otherwise."""
     if not isinstance(schedule, PeriodicSchedule):
         raise ScheduleError("stationarity check needs a periodic schedule "
                             f"(got kind {schedule.kind!r})")
-    l = schedule.period
-    if l < 2:
+    if schedule.period < 2:
         raise ScheduleError("vector-of-seasons form needs at least 2 seasons")
+    return schedule.period
+
+
+def build_vs(schedule: PeriodicSchedule) -> VSMatrices:
+    """Stack the periodic schedule into its vector-of-seasons matrices."""
+    l = stacked_period(schedule)
     # season s's row of [phi1_mat | phi0_mat] holds phi2(s), phi1(s) at
     # y_{s-2}, y_{s-1}, negated where they fall in this period
     rows = np.hstack([np.zeros((l, l)), np.eye(l)])

@@ -1,6 +1,7 @@
 import argparse
 import functools
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -216,8 +217,20 @@ def test_stationarity_verdict(tmp_path):
 
 
 def test_stationarity_needs_periodic(tmp_path, capsys):
-    cfg = _write(tmp_path, "c.yaml", CONSTANT)
-    assert cli.main(["stationarity", "--config", cfg]) == 1
+    one_season = PERIODIC[:PERIODIC.index("    - {phi0: 0.0")]
+    for name, text, message in (
+            ("c.yaml", CONSTANT, "stationarity check needs a periodic "
+                                 "schedule (got kind 'constant')"),
+            ("cy.yaml", CYCLICAL, "stationarity check needs a periodic "
+                                  "schedule (got kind 'cyclical')"),
+            ("p1.yaml", one_season, "vector-of-seasons form needs at least "
+                                    "2 seasons")):
+        cfg = _write(tmp_path, name, text)
+        for flags in ([], ["--matrices"]):
+            code, text_out = _run(tmp_path, ["stationarity", "--config", cfg]
+                                  + flags)
+            assert (code, text_out) == (1, "")
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_decompose_verify_each_kind(tmp_path):
@@ -752,16 +765,45 @@ def _schedule(text):
     return tvar2.load(text)[0]
 
 
-@pytest.mark.parametrize("k", [1022, 1023, 2047])
+@pytest.mark.parametrize("k", [
+    # k + 1 rows: one short of the cut (the % writer), the cut and one past
+    # it (the array kernel); then tables inside one kernel batch, and one
+    # short of a kernel batch, one batch, a batch and a row, two batches
+    cli.PERCENT_MAX_ROWS - 2, cli.PERCENT_MAX_ROWS - 1, cli.PERCENT_MAX_ROWS,
+    1022, 1023, 2047, cli.RAW_BATCH_ROWS - 2, cli.RAW_BATCH_ROWS - 1,
+    cli.RAW_BATCH_ROWS, 2 * cli.RAW_BATCH_ROWS - 1])
 def test_green_rows_at_the_batch_edges(tmp_path, k):
-    # k + 1 rows: one short of a batch, one batch, two batches
-    assert cli.BATCH_ROWS == 1024
     cfg = _write(tmp_path, "p.yaml", PERIODIC)
     code, text = _run(tmp_path, ["green", "--config", cfg, "--t", "97",
                                  "--k", str(k)])
     values = tvar2.green_functions(_schedule(PERIODIC), 97, k).values
     assert code == 0
     assert text == _reference_csv("t,i,xi", [(97, i, v) for i, v in
+                                             enumerate(values.tolist())])
+
+
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 2048])
+def test_percent_writer_at_its_batch_edges(rows):
+    # one short of a batch, one batch, a batch and a row, two batches
+    assert cli.BATCH_ROWS == 1024
+    y = np.random.default_rng(rows).normal(size=rows)
+    out = io.StringIO()
+    cli._write_rows(out, "t,i,xi\n", cli._INDEXED,
+                    zip([-7] * rows, range(rows), y.tolist()))
+    assert out.getvalue() == _reference_csv("t,i,xi", [
+        (-7, i, v) for i, v in enumerate(y.tolist())])
+
+
+def test_deep_constant_green_table(tmp_path):
+    # all but 45 values below 1e-4, 1823 of them subnormal: the exponent
+    # form of the array kernel
+    cfg = _write(tmp_path, "c.yaml", CONSTANT)
+    code, text = _run(tmp_path, ["green", "--config", cfg, "--t", "4242",
+                                 "--k", "5000"])
+    values = tvar2.green_functions(_schedule(CONSTANT), 4242, 5000).values
+    assert code == 0
+    assert np.count_nonzero(np.abs(values) < 2.0**-1022) >= 1800
+    assert text == _reference_csv("t,i,xi", [(4242, i, v) for i, v in
                                              enumerate(values.tolist())])
 
 
@@ -825,12 +867,19 @@ def test_raw_simulate_rows_that_fall_back(tmp_path, config, paths, length,
 
 @functools.cache
 def _kernel_cases():
-    """Seeded (i, j, y) columns for the raw-row kernel, 2.24e6 rows in all:
+    """Seeded (i, j, y) columns for the array kernel, 2.27e6 rows in all:
     float64 bit patterns; each decade from 1e-5 to 1e16 with the nearest
     floats around each power of ten; exact ties at the 15th digit (16
     significant digits ending in 5, as c / 2**k); zeros, infinities, nans,
-    subnormals and the edges of fixed notation.  The ints cover int64, the
-    anchors at +-2**62 (+ 1500), +-(2**63 - 1) and -2**63 included."""
+    subnormals and the edges of fixed notation.  For the exponent form:
+    odd c / 2**k below 2**10 / 2**20 .. 2**-30, which hold its exact ties
+    at e = -5 .. -7 (none has 16 digits at e = -8) and the values near
+    e = -8 .. -9 where 10**(14 - e) stops being a float; the values whose
+    15 digits carry into the next decade, or up to 1e-4
+    (9.999999999999995e-N), and the subnormal edges 5e-324 and 2**-1022,
+    each with its eight nearest floats on either side.  The ints cover
+    int64, the anchors at +-2**62 (+ 1500), +-(2**63 - 1) and -2**63
+    included."""
     rng = np.random.default_rng(24)
     bits = rng.integers(0, 2**64, 2 * 10**5, dtype=np.uint64).view(np.float64)
     # the floats nearest 1e-5 .. 1e17, read from text, not from numpy's pow
@@ -854,9 +903,18 @@ def _kernel_cases():
              0.5, 1.5, 2.5, 1e300, -1e-300, 1.0, -1.0]
     subnormal = rng.integers(1, 2**52, 10000, dtype=np.uint64).view(
         np.float64)
+    binary = (np.arange(1, 2**10, 2) / 2.0**np.arange(20, 31)[:, None]).ravel()
+    edges = [np.array([float(f"9.999999999999995e-{d}")
+                       for d in range(5, 324)] + [5e-324, 2.0**-1022])]
+    for toward in (0.0, np.inf):
+        step = edges[0]
+        for _ in range(8):
+            step = np.nextafter(step, toward)
+            edges.append(step)
+    edges = np.concatenate(edges)
     y = np.concatenate([bits, decades, np.concatenate(near).ravel(),
                         np.concatenate(ties), -np.concatenate(ties), fixed,
-                        subnormal, -subnormal])
+                        subnormal, -subnormal, binary, -binary, edges, -edges])
     anchors = np.array([0, 1, -1, 2**62 + 1500, -(2**62 + 1500), 2**62,
                         -2**62, 2**63 - 1, -(2**63 - 1), -2**63])
     i = rng.integers(-2**63, 2**63, len(y), dtype=np.int64)
@@ -882,8 +940,10 @@ def _kernel_reference():
 
 
 def _kernel_texts():
+    # i one value a row, j once per distinct value of the chunk
     i, j, y = _kernel_cases()
-    return [cli._indexed_rows(i[r0:r0 + CHUNK], j[r0:r0 + CHUNK],
+    return [cli._indexed_rows((i[r0:r0 + CHUNK], None),
+                              np.unique(j[r0:r0 + CHUNK], return_inverse=True),
                               y[r0:r0 + CHUNK])
             for r0 in range(0, len(y), CHUNK)]
 
@@ -897,6 +957,21 @@ def test_array_rows_equal_the_percent_reference():
             for line, expected in zip(got.splitlines(), want.splitlines()):
                 assert line == expected
         assert got == want
+
+
+def test_undecided_exponent_form_goes_through_percent(monkeypatch):
+    # with a bound too wide to decide many residues of the exponent form
+    # where 10**q is not a float, those values go through % instead, and
+    # the bytes of the last chunk (subnormals, exponent-form edges) hold
+    monkeypatch.setattr(cli, "_RESIDUE_ERROR", 0.25)
+    i, j, y = _kernel_cases()
+    r0 = (len(y) - 1) // CHUNK * CHUNK
+    small = np.abs(y[r0:])
+    small = small[(small > 0) & (small < 1e-8)]
+    assert np.count_nonzero(~cli._decimal(small)[2]) > len(small) // 4
+    with np.errstate(all="raise"):
+        text = cli._indexed_rows((i[r0:], None), (j[r0:], None), y[r0:])
+    assert text == _kernel_reference()[0][-1]
 
 
 def test_array_rows_do_not_depend_on_simd_log10():

@@ -874,7 +874,7 @@ def _kernel_cases():
     subnormals and the edges of fixed notation.  For the exponent form:
     odd c / 2**k below 2**10 / 2**20 .. 2**-30, which hold its exact ties
     at e = -5 .. -7 (none has 16 digits at e = -8) and the values near
-    e = -8 .. -9 where 10**(14 - e) stops being a float; the values whose
+    e = -8 .. -10 where 10**(14 - e) stops being a float; the values whose
     15 digits carry into the next decade, or up to 1e-4
     (9.999999999999995e-N), and the subnormal edges 5e-324 and 2**-1022,
     each with its eight nearest floats on either side.  The ints cover

@@ -12,6 +12,7 @@ import pytest
 
 import tvar2
 import tvar2.cli as cli
+from tvar2 import _rowkernel
 
 CONSTANT = """
 schema_version: 1
@@ -818,6 +819,10 @@ RAW_EDGES = [
     ("3x1500-at-2**62", 3, 1500, 2**62),
     ("3x1500-at--2**62", 3, 1500, -2**62),
     ("3-longer-than-a-batch-at--2**62", 3, cli.RAW_BATCH_ROWS + 1500, -2**62),
+    # 4 rows per path: 300 rows, the last table of the % writer; one row
+    # per path: 301 rows, the first of the array kernel
+    ("at-the-cut", 75, 4, 40),
+    ("one-past-the-cut", 301, 1, 40),
 ]
 
 
@@ -836,6 +841,44 @@ def test_raw_simulate_rows_at_the_batch_edges(tmp_path, paths, length, t):
     assert text == _reference_csv("path,t,y", [
         (p, t, y) for p in range(paths)
         for t, y in zip(times, ensemble.values[p].tolist())])
+
+
+def test_only_a_long_table_loads_the_kernel(tmp_path):
+    # in a fresh interpreter, since this one has loaded the kernel: the
+    # tables of 300 rows do not load it, those of 301 rows do
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    sim = ["--t", "40", "--burn-in", "30", "--seed", "11"]
+    runs = [["green", "--t", "97", "--k", "299"],
+            ["simulate", "--paths", "75", "--length", "4", *sim],
+            ["green", "--t", "97", "--k", "300"],
+            ["simulate", "--paths", "301", "--length", "1", *sim]]
+    argvs = [[*run, "--config", cfg, "--out", str(tmp_path / f"{n}.csv")]
+             for n, run in enumerate(runs)]
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(tvar2.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tvar2.cli\n"
+         "loaded = ['tvar2._rowkernel' in sys.modules]\n"
+         f"for argv in {argvs!r}:\n"
+         "    assert tvar2.cli.main(argv) == 0\n"
+         "    loaded.append('tvar2._rowkernel' in sys.modules)\n"
+         "print(loaded)\n"],
+        env=env, timeout=120, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[False, False, False, True, True]\n"
+    schedule = _schedule(PERIODIC)
+    for n, k in ((0, 299), (2, 300)):
+        values = tvar2.green_functions(schedule, 97, k).values.tolist()
+        assert (tmp_path / f"{n}.csv").read_text() == _reference_csv(
+            "t,i,xi", [(97, i, v) for i, v in enumerate(values)])
+    for n, paths, length in ((1, 75, 4), (3, 301, 1)):
+        ensemble = tvar2.simulate_paths(tvar2.SimulationConfig(
+            schedule, paths, 40, length, 11, burn_in=30))
+        assert (tmp_path / f"{n}.csv").read_text() == _reference_csv(
+            "path,t,y", [(p, t, y) for p in range(paths)
+                         for t, y in zip(ensemble.times.tolist(),
+                                         ensemble.values[p].tolist())])
 
 
 @pytest.mark.parametrize("config, paths, length, expect", [
@@ -942,9 +985,10 @@ def _kernel_reference():
 def _kernel_texts():
     # i one value a row, j once per distinct value of the chunk
     i, j, y = _kernel_cases()
-    return [cli._indexed_rows((i[r0:r0 + CHUNK], None),
-                              np.unique(j[r0:r0 + CHUNK], return_inverse=True),
-                              y[r0:r0 + CHUNK])
+    return [_rowkernel.indexed_rows((i[r0:r0 + CHUNK], None),
+                                    np.unique(j[r0:r0 + CHUNK],
+                                              return_inverse=True),
+                                    y[r0:r0 + CHUNK])
             for r0 in range(0, len(y), CHUNK)]
 
 
@@ -963,14 +1007,15 @@ def test_undecided_exponent_form_goes_through_percent(monkeypatch):
     # with a bound too wide to decide many residues of the exponent form
     # where 10**q is not a float, those values go through % instead, and
     # the bytes of the last chunk (subnormals, exponent-form edges) hold
-    monkeypatch.setattr(cli, "_RESIDUE_ERROR", 0.25)
+    monkeypatch.setattr(_rowkernel, "_RESIDUE_ERROR", 0.25)
     i, j, y = _kernel_cases()
     r0 = (len(y) - 1) // CHUNK * CHUNK
     small = np.abs(y[r0:])
     small = small[(small > 0) & (small < 1e-8)]
-    assert np.count_nonzero(~cli._decimal(small)[2]) > len(small) // 4
+    assert np.count_nonzero(~_rowkernel._decimal(small)[2]) > len(small) // 4
     with np.errstate(all="raise"):
-        text = cli._indexed_rows((i[r0:], None), (j[r0:], None), y[r0:])
+        text = _rowkernel.indexed_rows((i[r0:], None), (j[r0:], None),
+                                       y[r0:])
     assert text == _kernel_reference()[0][-1]
 
 

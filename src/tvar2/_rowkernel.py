@@ -22,15 +22,14 @@ import math
 
 import numpy as np
 
-from .cli import FLOAT_FORMAT
-
 _FULL, _LEAD, _UNITS, _TRAIL = (np.uint64(i * 10**4) for i in range(4))
 # the separator and the sign, bytes 0 and 1 of a field's first quad
 _COMMA, _MINUS = np.uint32(ord(",")), np.uint32(ord("-") << 8)
 _NEWLINE = ord("\n")
-# ',' and a float's %.15g, right-aligned in the 22 bytes of the longest
-# (-1.23456789012345e-308), then a pad: six quads, once NUL replaces space
-_OTHER = "," + FLOAT_FORMAT.replace("%", "%22") + " "
+# ',' and a float's %.15g, tvar2.cli's FLOAT_FORMAT, right-aligned in the 22
+# bytes of the longest (-1.23456789012345e-308), then a pad: six quads, once
+# NUL replaces space
+_OTHER = ",%22.15g "
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
 # |y| * 2**_SHIFT is normal, and so is 10**q * 2**-_SHIFT for q <= 338
 _SHIFT = 600
@@ -199,8 +198,7 @@ def indexed_rows(i, j, y) -> str:
 def _other_quads(y):
     """Six quads for each nonzero float of ``y``: ``,`` and its %.15g,
     right-aligned in 22 bytes.  Infinities and nan take their fixed
-    strings; the other floats go through one FLOAT_FORMAT % for all of
-    them."""
+    strings; the other floats go through one %.15g % for all of them."""
     kind = np.isinf(y) + 2 * np.isnan(y)
     block = _SPELLED[2 * kind + np.signbit(y)]
     other = np.flatnonzero(kind == 0)

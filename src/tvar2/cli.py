@@ -97,21 +97,7 @@ def _write_rows(out, header: str, template: str, rows) -> None:
         out.write((template * len(batch)) % tuple(chain.from_iterable(batch)))
 
 
-def _check_range(args, name: str, low, high) -> None:
-    value = getattr(args, name)
-    if not low <= value <= high:
-        raise ConfigError(
-            f"key {name!r} must be in [{low}, {high}] (got {value})")
-
-
-def _check_finite(args, name: str) -> None:
-    value = getattr(args, name)
-    if not math.isfinite(value):
-        raise ConfigError(f"key {name!r} must be finite (got {value})")
-
-
 def _cmd_green(args, schedule, out):
-    _check_range(args, "k", 0, MAX_DEPTH - 1)
     values = green_functions(schedule, args.t, args.k).values
     _write_indexed(out, "t,i,xi\n", np.array([args.t]), np.arange(args.k + 1),
                    values[None])
@@ -119,9 +105,6 @@ def _cmd_green(args, schedule, out):
 
 
 def _cmd_forecast(args, schedule, out):
-    _check_range(args, "k", 1, MAX_DEPTH)
-    _check_finite(args, "y0")
-    _check_finite(args, "y1")
     result = forecast(schedule, args.t, args.k, (args.y0, args.y1))
     _write_rows(out, "t,k,point,mse\n", _FORECAST,
                 [(args.t, args.k, result.point, result.mse)])
@@ -129,11 +112,6 @@ def _cmd_forecast(args, schedule, out):
 
 
 def _cmd_acf(args, schedule, out):
-    _check_range(args, "max_lag", 0, MAX_DEPTH - 1)
-    _check_range(args, "nmax", 1, MAX_DEPTH)
-    _check_finite(args, "tol")
-    if not args.tol > 0:
-        raise ConfigError("key 'tol' must be > 0")
     covs = (autocovariance(schedule, args.t, k, args.tol, args.nmax)
             for k in range(args.max_lag + 1))
     _write_rows(out, "t,k,gamma,converged\n", _ACF,
@@ -210,9 +188,6 @@ def _cmd_stationarity(args, schedule, out):
 
 
 def _cmd_decompose_verify(args, schedule, out):
-    # n bounds the layout before it is built; the total bounds the report's
-    # block-determinant oracle
-    _check_range(args, "n", 1, ORACLE_CAP)
     try:
         t, spec = segment_layout(schedule, args.t, args.n)
     except PeriodEndError as exc:
@@ -235,7 +210,6 @@ def _cmd_decompose_verify(args, schedule, out):
 
 
 def _cmd_verify(args, schedule, out):
-    _check_range(args, "seed", 0, 2**63 - 1)
     rng = np.random.default_rng(args.seed)
     t = args.t
     # (name, passed) of each check, written once all have run
@@ -275,25 +249,31 @@ def _cmd_verify(args, schedule, out):
 
 
 # subcommand -> (handler, help text, the flags it reads, its own defaults).
-# A flag is a run parameter of config.PARAMS or a switch; an own default of
-# None means the handler works the value out from the schedule.
+# A flag is a run parameter of config.PARAMS or a switch, mapped to the
+# closed interval _resolve holds its value to, or to None; simulate's other
+# rules are SimulationConfig's.  An own default of None means the handler
+# works the value out from the schedule.
+_ANCHOR = (-MAX_ANCHOR, MAX_ANCHOR)
 _COMMANDS = {
     "green": (_cmd_green, "table of Green functions (fundamental solutions)",
-              ("t", "k"), {}),
+              {"t": _ANCHOR, "k": (0, MAX_DEPTH - 1)}, {}),
     "forecast": (_cmd_forecast, "k-step point forecast and its mean square "
-                 "error", ("t", "k", "y0", "y1"), {}),
+                 "error", {"t": _ANCHOR, "k": (1, MAX_DEPTH), "y0": None,
+                           "y1": None}, {}),
     "acf": (_cmd_acf, "autocovariances of y_t at lags 0..max_lag",
-            ("t", "max_lag", "tol", "nmax"), {}),
+            {"t": _ANCHOR, "max_lag": (0, MAX_DEPTH - 1), "tol": None,
+             "nmax": (1, MAX_DEPTH)}, {}),
     "simulate": (_cmd_simulate, "Monte Carlo path ensemble",
-                 ("t", "seed", "paths", "length", "burn_in", "workers",
-                  "innovations", "aggregate"), {}),
+                 {"t": _ANCHOR, "seed": None, "paths": None, "length": None,
+                  "burn_in": None, "workers": None, "innovations": None,
+                  "aggregate": None}, {}),
     "stationarity": (_cmd_stationarity, "stacked-form stationarity verdict "
-                     "(periodic only)", ("matrices",), {}),
+                     "(periodic only)", {"matrices": None}, {}),
     "decompose-verify": (_cmd_decompose_verify, "three-way check of the "
-                         "boundary decomposition of xi", ("t", "n"),
-                         {"t": None}),
+                         "boundary decomposition of xi",
+                         {"t": _ANCHOR, "n": (1, ORACLE_CAP)}, {"t": None}),
     "verify": (_cmd_verify, "run the internal cross-check suite",
-               ("t", "seed"), {"t": 40}),
+               {"t": _ANCHOR, "seed": (0, 2**63 - 1)}, {"t": 40}),
 }
 
 
@@ -320,16 +300,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args, params: dict, flags, defaults: dict) -> None:
+def _resolve(args, params: dict, flags: dict, defaults: dict) -> None:
     """Fill each flag left unset on the command line from the config's
-    params, else from the subcommand's or the parameter table's default."""
-    for name in flags:
-        if getattr(args, name) is None:
+    params, else from the subcommand's or the parameter table's default,
+    and check its value: inside the flag's interval, finite if a float, and
+    tol > 0.  A value left to the handler (an own default of None) is not
+    checked."""
+    for name, interval in flags.items():
+        value = getattr(args, name)
+        if value is None:
             value = params.get(name, defaults.get(name, PARAMS[name][1]))
-            if value is None and name not in defaults:
+            if value is None:
+                if name in defaults:
+                    continue
                 raise ConfigError(
                     f"missing key {name!r} (set it in params or via --{name})")
             setattr(args, name, value)
+        if interval and not interval[0] <= value <= interval[1]:
+            raise ConfigError(f"key {name!r} must be in [{interval[0]}, "
+                              f"{interval[1]}] (got {value})")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"key {name!r} must be finite (got {value})")
+        if name == "tol" and not value > 0:
+            raise ConfigError("key 'tol' must be > 0")
 
 
 class _OutFile:
@@ -365,8 +358,6 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             schedule, params = config_mod.load(fh)
         _resolve(args, params, flags, defaults)
-        if "t" in flags and args.t is not None:
-            _check_range(args, "t", -MAX_ANCHOR, MAX_ANCHOR)
         # fail before computing; the file itself still opens at the first
         # write, so a rejected run leaves an existing file alone
         if args.out is not None:

@@ -555,6 +555,41 @@ def test_anchor_at_the_range_edge_runs(tmp_path, t):
     assert edge.replace(str(t), "12") == near
 
 
+RULED = [(command, name, interval)
+         for command, (_, _, flags, _) in cli._COMMANDS.items()
+         for name, interval in flags.items() if interval]
+
+
+@pytest.mark.parametrize("route", ["flag", "params"])
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("command, name, interval", RULED,
+                         ids=[f"{c}-{n}" for c, n, _ in RULED])
+def test_each_interval_is_held_on_both_routes(tmp_path, monkeypatch, capsys,
+                                              command, name, interval, side,
+                                              route):
+    for library in ("green_functions", "forecast", "autocovariance",
+                    "segment_layout", "simulate_paths", "general_solution"):
+        monkeypatch.setattr(cli, library, _not_called)
+    low, high = interval
+    value = low - 1 if side == "below" else high + 1
+    # the keys without a default, in range, unless they are the one ruled
+    argv = [arg for other, given in (("t", "40"), ("k", "3"))
+            if other != name and other in cli._COMMANDS[command][2]
+            for arg in (f"--{other}", given)]
+    text = PERIODIC
+    if route == "flag":
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    else:
+        text += f"params:\n  {name}: {value}\n"
+    cfg = _write(tmp_path, "c.yaml", text)
+    out = tmp_path / "out.csv"
+    code = cli.main([command, "--config", cfg, "--out", str(out)] + argv)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr() == ("", f"config error: key '{name}' must be "
+                                       f"in [{low}, {high}] (got {value})\n")
+
+
 MISTYPED = [
     (CYCLICAL, "period: 6", "period: x", "period"),
     (BREAKS, "anchor: 50", "anchor: 1.5", "anchor"),
@@ -879,6 +914,34 @@ def test_only_a_long_table_loads_the_kernel(tmp_path):
             "path,t,y", [(p, t, y) for p in range(paths)
                          for t, y in zip(ensemble.times.tolist(),
                                          ensemble.values[p].tolist())])
+
+
+def test_module_run_as_main_is_not_imported_again(tmp_path):
+    # python -m tvar2.cli runs cli.py as __main__; a table of 301 rows loads
+    # the array kernel, which must not import cli.py a second time
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    out = tmp_path / "out.csv"
+    argv = ["tvar2", "green", "--config", cfg, "--t", "97", "--k", "300",
+            "--out", str(out)]
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(tvar2.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import runpy, sys\n"
+         f"sys.argv = {argv!r}\n"
+         "try:\n"
+         "    runpy.run_module('tvar2.cli', run_name='__main__',"
+         " alter_sys=True)\n"
+         "except SystemExit as exc:\n"
+         "    assert exc.code == 0, exc.code\n"
+         "print(['tvar2.cli' in sys.modules,"
+         " 'tvar2._rowkernel' in sys.modules])\n"],
+        env=env, timeout=120, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[False, True]\n"
+    values = tvar2.green_functions(_schedule(PERIODIC), 97, 300).values
+    assert out.read_text() == _reference_csv(
+        "t,i,xi", [(97, i, v) for i, v in enumerate(values.tolist())])
 
 
 @pytest.mark.parametrize("config, paths, length, expect", [

@@ -54,20 +54,24 @@ def _rows(tuples) -> np.ndarray:
     return np.array([(c.phi0, c.phi1, c.phi2, c.sigma2) for c in tuples])
 
 
-def _check_sigma2(sigma2: float, where: str = "") -> None:
+def _check_sigma2(sigma2: float, bounds: tuple, where: str = "") -> None:
     if not sigma2 > 0.0:
         suffix = f" ({where})" if where else ""
         raise ScheduleError(f"sigma2 must be > 0{suffix}")
+    if not bounds[0] < sigma2 < bounds[1]:
+        at = f" at {where}" if where else ""
+        raise ScheduleError(
+            f"sigma2={sigma2}{at} outside declared bounds {bounds}")
 
 
-def _table(tuples: Sequence, label: str, expected: int | None = None):
-    """A declared kind's tuples (``expected`` many) and rows; sigma2 > 0."""
+def _table(tuples: Sequence, label: str, bounds: tuple, expected=None):
+    """A declared kind's checked tuples (``expected`` many) and rows."""
     if expected is not None and len(tuples) != expected:
         raise ScheduleError(
             f"expected {expected} {label} tuples, got {len(tuples)}")
     tuples = tuple(_as_tuple(c) for c in tuples)
     for j, tup in enumerate(tuples, start=1):
-        _check_sigma2(tup.sigma2, f"{label} {j}")
+        _check_sigma2(tup.sigma2, bounds, f"{label} {j}")
     return tuples, _rows(tuples)
 
 
@@ -92,11 +96,11 @@ class Schedule:
     """Base class: a pure map from integer time to a CoefficientTuple.
 
     Schedules are immutable after construction and safe to evaluate
-    concurrently.  Consumers read coefficients through ``window``, the one
-    place where sigma2 is checked against zero and the user-declared
-    ``sigma2_bounds``; ``at`` is its one-row view.  A kind tiled by
-    season may also keep entries that depend only on a season, in its
-    season cache (see ``season_cached``).
+    concurrently.  Consumers read coefficients through ``window``; ``at``
+    is its one-row view.  sigma2 is checked against zero and the declared
+    ``sigma2_bounds`` when a table is built, or by a generic schedule when
+    a time is read.  A kind tiled by season keeps entries that depend only
+    on a season in its season cache (see ``season_cached``).
     """
 
     kind = "generic"
@@ -112,21 +116,18 @@ class Schedule:
         self.sigma2_bounds = (lo, hi)
 
     def _tile(self, rows: np.ndarray) -> None:
-        """Tile time by the season table ``rows``.  The schedule gets a
-        season cache only if every season's sigma2 lies inside its bounds,
-        so that no time raises and a reader may read past what it needs."""
+        """Tile time by the checked season table ``rows``; no time raises,
+        so the season cache's readers may read past what they need."""
         self._season_rows = rows
-        lo, hi = self.sigma2_bounds
-        if ((lo < rows[:, 3]) & (rows[:, 3] < hi)).all():
-            self._season_cache = {}
+        self._season_cache = {}
 
     def season_cached(self, tag, t: int, compute: Callable,
                       fits: Callable | None = None):
         """``compute()``, an entry that depends only on ``tag`` and the
-        season of time t.  A schedule with a season cache keeps it under
-        (tag, season), within _CACHE_FLOATS, and computes it again only
-        when ``fits`` rejects the kept one; any other schedule computes it
-        on every call.  The cache keeps the series prefixes of
+        season of time t.  A schedule tiled by season keeps it under (tag,
+        season), within _CACHE_FLOATS, and computes it again only when
+        ``fits`` rejects the kept one; a generic or abrupt-breaks one
+        computes it on every call.  The cache keeps the series prefixes of
         ``tvar2.moments`` and the burn-in start laws of ``tvar2.simulate``."""
         cache = self._season_cache
         if cache is None:
@@ -143,26 +144,15 @@ class Schedule:
                 cache[key] = entry
         return entry
 
-    def _rows_between(self, t_lo: int, t_hi: int) -> np.ndarray:
-        # the season of t_lo, then offsets from it: any Python int works
-        period = len(self._season_rows)
-        seasons = ((t_lo - 1) % period + np.arange(t_hi - t_lo + 1)) % period
-        return self._season_rows[seasons]
-
     def window(self, t_lo: int, t_hi: int) -> np.ndarray:
         """Coefficients for times t_lo..t_hi (none if t_hi < t_lo) as an
         (n, 4) float array of (phi0, phi1, phi2, sigma2), oldest first.
         An error names the first bad time met walking back from t_hi."""
         t_lo, t_hi = int(t_lo), int(t_hi)
-        rows = self._rows_between(t_lo, t_hi)
-        lo, hi = self.sigma2_bounds
-        bad = np.flatnonzero(~((lo < rows[:, 3]) & (rows[:, 3] < hi)))
-        if len(bad):
-            t, value = t_lo + int(bad[-1]), float(rows[bad[-1], 3])
-            _check_sigma2(value, f"t={t}")
-            raise ScheduleError(
-                f"sigma2={value} at t={t} outside declared bounds ({lo}, {hi})")
-        return rows
+        # the season of t_lo, then offsets from it: any Python int works
+        period = len(self._season_rows)
+        seasons = ((t_lo - 1) % period + np.arange(t_hi - t_lo + 1)) % period
+        return self._season_rows[seasons]
 
     def walk_back(self, t: int, floor: float) -> Iterator[np.ndarray]:
         """Windows of times t, t-1, ..., each newest first: 32 rows, then
@@ -192,10 +182,17 @@ class GenericSchedule(Schedule):
         super().__init__(sigma2_bounds)
         self._fn = fn
 
-    def _rows_between(self, t_lo: int, t_hi: int) -> np.ndarray:
+    def window(self, t_lo: int, t_hi: int) -> np.ndarray:
+        t_lo, t_hi = int(t_lo), int(t_hi)
         newest_first = [_as_tuple(self._fn(t))
                         for t in range(t_hi, t_lo - 1, -1)]
-        return _rows(reversed(newest_first)).reshape(-1, 4)
+        rows = _rows(reversed(newest_first)).reshape(-1, 4)
+        lo, hi = self.sigma2_bounds
+        bad = np.flatnonzero(~((lo < rows[:, 3]) & (rows[:, 3] < hi)))
+        if len(bad):
+            _check_sigma2(float(rows[bad[-1], 3]), self.sigma2_bounds,
+                          f"t={t_lo + int(bad[-1])}")
+        return rows
 
 
 class ConstantSchedule(Schedule):
@@ -206,7 +203,7 @@ class ConstantSchedule(Schedule):
     def __init__(self, phi0=0.0, phi1=0.0, phi2=0.0, sigma2=1.0,
                  sigma2_bounds=DEFAULT_SIGMA2_BOUNDS):
         super().__init__(sigma2_bounds)
-        _check_sigma2(float(sigma2))
+        _check_sigma2(float(sigma2), self.sigma2_bounds)
         self.coefficients = CoefficientTuple(float(phi0), float(phi1),
                                              float(phi2), float(sigma2))
         self._tile(_rows([self.coefficients]))
@@ -226,7 +223,7 @@ class PeriodicSchedule(Schedule):
         super().__init__(sigma2_bounds)
         if len(seasons) < 1:
             raise ScheduleError("need at least one season")
-        self.seasons, rows = _table(seasons, "season")
+        self.seasons, rows = _table(seasons, "season", self.sigma2_bounds)
         self.period = len(self.seasons)
         self._tile(rows)
 
@@ -248,7 +245,8 @@ class CyclicalSchedule(Schedule):
             raise ScheduleError("period must be >= 1")
         self.boundaries = cut_list(boundaries, period, "cycle boundaries",
                                    "period")
-        self.cycles, rows = _table(cycles, "cycle", len(self.boundaries) + 1)
+        self.cycles, rows = _table(cycles, "cycle", self.sigma2_bounds,
+                                     len(self.boundaries) + 1)
         lengths = np.diff((0,) + self.boundaries + (period,))
         self._tile(np.repeat(rows, lengths, axis=0))
 
@@ -273,11 +271,12 @@ class BreakSchedule(Schedule):
         self.earliest = self.anchor - self.horizon
         self.offsets = cut_list(offsets, self.horizon, "break offsets",
                                 "horizon")
-        self.regimes, self._regime_rows = _table(regimes, "regime",
-                                                 len(self.offsets) + 1)
+        self.regimes, self._regime_rows = _table(
+            regimes, "regime", self.sigma2_bounds, len(self.offsets) + 1)
 
-    def _rows_between(self, t_lo: int, t_hi: int) -> np.ndarray:
+    def window(self, t_lo: int, t_hi: int) -> np.ndarray:
         # walking back from t_hi, the first time outside the window
+        t_lo, t_hi = int(t_lo), int(t_hi)
         bad = t_hi if t_hi > self.anchor else min(t_hi, self.earliest - 1)
         if t_lo <= bad:
             raise ScheduleError(f"t={bad} outside break-schedule window "

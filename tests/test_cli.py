@@ -303,6 +303,32 @@ def test_verify_passes(tmp_path):
         assert all(line.endswith(",pass") for line in out.splitlines())
 
 
+@pytest.mark.parametrize("anchor, horizon, passing", [
+    (50, 10, ()), (150, 100, (99, 100))], ids=["readme", "horizon-100"])
+def test_verify_on_abrupt_breaks_needs_the_window_around_t(
+        tmp_path, capsys, anchor, horizon, passing):
+    # its checks read t - 49 .. t + 50 and 12 steps of xi, so it passes only
+    # where all of that lies inside [anchor - horizon, anchor]
+    cfg = _write(tmp_path, "b.yaml", _edit(
+        BREAKS, "anchor: 50\n  horizon: 10",
+        f"anchor: {anchor}\n  horizon: {horizon}"))
+    window = f"outside break-schedule window [{anchor - horizon}, {anchor}]"
+    for t in [None, anchor - horizon, anchor - 5, anchor, 98, 99, 100, 101]:
+        argv = ["verify", "--config", cfg] + (["--t", str(t)] if t else [])
+        code, out = _run(tmp_path, argv, f"v{t}.csv")
+        err = capsys.readouterr().err
+        if t in passing:
+            assert code == 0 and err == "", t
+            assert all(line.endswith(",pass") for line in out.splitlines())
+        else:
+            assert code == 1 and out == "", t
+            assert err.startswith("error: t=") and window in err, t
+    if anchor == 50:
+        assert cli.main(["verify", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: t=39 outside break-schedule window [40, 50]\n")
+
+
 def test_simulate_deterministic_and_thread_invariant(tmp_path):
     cfg = _write(tmp_path, "c.yaml", CONSTANT)
     base = ["simulate", "--config", cfg, "--t", "40", "--length", "3",
@@ -651,6 +677,47 @@ def test_mistyped_config_exits_2_without_out_file(tmp_path, capsys, yaml_pairs,
         assert not out.exists(), pair
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err, pair
+
+
+# each declared kind with one entry outside its sigma2_bounds, and the entry
+# its load names
+OUT_OF_BOUNDS = {
+    "constant": (_edit(CONSTANT, "sigma2: 1.0", "sigma2: 1.0\n  sigma2_bounds: "
+                       "[0.5, 0.9]"),
+                 "sigma2=1.0 outside declared bounds (0.5, 0.9)"),
+    "periodic": (_edit(PERIODIC, "kind: periodic", "kind: periodic\n  "
+                       "sigma2_bounds: [0.5, 1.4]"),
+                 "sigma2=1.5 at season 2 outside declared bounds (0.5, 1.4)"),
+    "cyclical": (_edit(_edit(CYCLICAL, "phi2: -0.1, sigma2: 1.0", "phi2: "
+                             "-0.1, sigma2: 2.5"), "period: 6",
+                       "period: 6\n  sigma2_bounds: [0.5, 2.0]"),
+                 "sigma2=2.5 at cycle 3 outside declared bounds (0.5, 2.0)"),
+    "breaks": (_edit(_edit(BREAKS, "phi2: 0.3, sigma2: 1.0", "phi2: 0.3, "
+                           "sigma2: 0.1"), "anchor: 50",
+                     "anchor: 50\n  sigma2_bounds: [0.5, 2.0]"),
+               "sigma2=0.1 at regime 2 outside declared bounds (0.5, 2.0)"),
+}
+EVERY_COMMAND = [["green", "--t", "50", "--k", "4"], ["green", "--t", "50",
+                 "--k", "0"], ["forecast", "--t", "50", "--k", "3"],
+                 ["acf", "--t", "50", "--max-lag", "2"],
+                 ["simulate", "--t", "50", "--length", "2", "--paths", "30",
+                  "--burn-in", "5"], ["stationarity"], ["decompose-verify"],
+                 ["verify", "--t", "45"]]
+
+
+@pytest.mark.parametrize("kind", sorted(OUT_OF_BOUNDS))
+def test_entry_outside_sigma2_bounds_exits_2_at_load(tmp_path, capsys, kind):
+    # the declared table is checked once, when the config is loaded: no
+    # subcommand answers or writes, on standard output or to --out
+    config, message = OUT_OF_BOUNDS[kind]
+    cfg = _write(tmp_path, "c.yaml", config)
+    out = tmp_path / "out.csv"
+    for argv in EVERY_COMMAND:
+        for to in (["--out", str(out)], []):
+            assert cli.main([argv[0], "--config", cfg] + to + argv[1:]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists(), argv
+            assert captured.err == f"config error: {message}\n", argv
 
 
 @pytest.mark.parametrize("argv", [

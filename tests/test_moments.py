@@ -441,10 +441,16 @@ def test_season_cache_goes_with_its_schedule():
 
 
 def test_series_of_a_schedule_that_would_raise_stay_lazy():
-    # sigma2 of the second season is outside the declared bounds: reading
-    # it raises, so its series may not read past the term that decides
-    s = PeriodicSchedule([(0.0, 0.1, 0.0, 1.0)] * 63 + [(0.0, 0.1, 0.0, 9.0)],
-                         sigma2_bounds=(0.5, 2.0))
+    # sigma2 of the last season is outside the declared bounds: the table is
+    # refused when it is built, and a generic schedule of its values raises
+    # only where it is read, so its series may not read past the term that
+    # decides
+    seasons = [(0.0, 0.1, 0.0, 1.0)] * 63 + [(0.0, 0.1, 0.0, 9.0)]
+    with pytest.raises(ScheduleError) as info:
+        PeriodicSchedule(seasons, sigma2_bounds=(0.5, 2.0))
+    assert str(info.value) == ("sigma2=9.0 at season 64 outside declared "
+                               "bounds (0.5, 2.0)")
+    s = GenericSchedule(PeriodicSchedule(seasons).at, sigma2_bounds=(0.5, 2.0))
     assert s._season_cache is None
     cov = autocovariance(s, 63, 0, tol=1e-6)
     assert cov.converged and cov.depth < 63

@@ -8,6 +8,7 @@ from tvar2 import (BlockSpec, BreakSchedule, CoefficientTuple, ConstantSchedule,
                    CyclicalSchedule, GenericSchedule, PeriodicSchedule, ScheduleError,
                    SimulationConfig, autocovariance, forecast, green_functions,
                    season_of, simulate_paths, unconditional_variance)
+from tvar2.config import schedule_from_dict, schedule_to_dict
 
 
 @dataclass(frozen=True)
@@ -174,9 +175,15 @@ def test_validate_reports_sigma2_violation_without_raising():
 
 
 def test_validate_reports_bounds_violation():
-    s = ConstantSchedule(0, 0.5, 0.1, 5.0, sigma2_bounds=(1e-6, 1.0))
-    report = validate(s, 1, 3)
-    assert any("outside declared bounds" in f for f in report.findings)
+    # a declared table outside its bounds is refused when it is built
+    report = validate_params(
+        lambda: ConstantSchedule(0, 0.5, 0.1, 5.0, sigma2_bounds=(1e-6, 1.0)))
+    assert report.findings == (
+        "sigma2=5.0 outside declared bounds (1e-06, 1.0)",)
+    bounded = GenericSchedule(lambda t: (0.0, 0.5, 0.1, 5.0 if t == 2 else 0.5),
+                              sigma2_bounds=(1e-6, 1.0))
+    assert validate(bounded, 1, 3).findings == (
+        "sigma2=5.0 at t=2 outside declared bounds (1e-06, 1.0)",)
 
 
 def test_validate_params_captures_construction_error():
@@ -228,7 +235,11 @@ def _message(call):
 
 
 def test_window_errors_keep_their_messages():
-    bounded = ConstantSchedule(0, 0.5, 0.1, 5.0, sigma2_bounds=(1e-6, 1.0))
+    assert _message(lambda: ConstantSchedule(
+        0, 0.5, 0.1, 5.0, sigma2_bounds=(1e-6, 1.0))) == (
+        "sigma2=5.0 outside declared bounds (1e-06, 1.0)")
+    bounded = GenericSchedule(lambda t: (0.0, 0.5, 0.1, 5.0),
+                              sigma2_bounds=(1e-6, 1.0))
     assert _message(lambda: bounded.window(1, 3)) == _message(lambda: bounded.at(3))
     assert "sigma2=5.0 at t=3 outside declared bounds" in _message(
         lambda: bounded.window(1, 3))
@@ -242,24 +253,29 @@ def test_window_errors_keep_their_messages():
         lambda: breaks.window(40, 50))
 
 
-# each kind with sigma2 bounds that some times break, and times that cover
-# every season (breaks: both edges of the window); one periodic season is
-# given as integers
+# each kind with sigma2 bounds that some entries or times break: a declared
+# kind is refused when it is built, naming the first bad entry (one periodic
+# season is given as integers); a generic one raises at the bad times among
+# those given
 BOUNDED_KINDS = {
     "constant": (lambda: ConstantSchedule(0.5, 1.2, -0.32, 2.0,
-                                          sigma2_bounds=(1e-6, 1.5)), (-3, 3)),
+                                          sigma2_bounds=(1e-6, 1.5)),
+                 "sigma2=2.0 outside declared bounds (1e-06, 1.5)"),
     "periodic": (lambda: PeriodicSchedule([(0.1, 0.5, -0.2, 1.0),
                                            (0.2, -0.4, 0.3, 3.0),
                                            (0.3, 0.8, -0.1, 0.5),
                                            CoefficientTuple(0, 1, 0, 1)],
-                                          sigma2_bounds=(0.6, 2.0)), (-7, 12)),
+                                          sigma2_bounds=(0.6, 2.0)),
+                 "sigma2=3.0 at season 2 outside declared bounds (0.6, 2.0)"),
     "cyclical": (lambda: CyclicalSchedule(5, [2], [(0.0, 0.5, -0.2, 1.0),
                                                    (0.1, -0.3, 0.4, 4.0)],
-                                          sigma2_bounds=(1e-3, 2.0)), (-7, 12)),
+                                          sigma2_bounds=(1e-3, 2.0)),
+                 "sigma2=4.0 at cycle 2 outside declared bounds (0.001, 2.0)"),
     "breaks": (lambda: BreakSchedule(20, 6, [2, 4],
                                      [(0.0, 0.5, -0.2, 1.0), (0.0, -0.4, 0.3, 5.0),
                                       (0.0, 0.9, -0.5, 1.0)],
-                                     sigma2_bounds=(1e-3, 2.0)), (11, 23)),
+                                     sigma2_bounds=(1e-3, 2.0)),
+               "sigma2=5.0 at regime 2 outside declared bounds (0.001, 2.0)"),
     "generic": (lambda: GenericSchedule(
         lambda t: (0.01 * t, math.sin(t), math.cos(t),
                    0.0 if t % 5 == 0 else 1.0 + t % 3),
@@ -269,8 +285,11 @@ BOUNDED_KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(BOUNDED_KINDS))
 def test_at_is_the_one_row_window(kind):
-    build, (t_lo, t_hi) = BOUNDED_KINDS[kind]
-    s = build()
+    build, expected = BOUNDED_KINDS[kind]
+    if kind != "generic":
+        assert _message(build) == expected
+        return
+    s, (t_lo, t_hi) = build(), expected
 
     def read(call):
         try:
@@ -286,9 +305,7 @@ def test_at_is_the_one_row_window(kind):
             assert all(type(getattr(got, name)) is float
                        for name in ("phi0", "phi1", "phi2", "sigma2")), t
         outcomes.add(type(got))
-    # every constant time is out of bounds; the other kinds meet both outcomes
-    assert outcomes == ({str} if kind == "constant"
-                        else {CoefficientTuple, str})
+    assert outcomes == {CoefficientTuple, str}
 
 
 @pytest.mark.parametrize("t", [2**63 - 1, 10**20, -2**63])
@@ -381,26 +398,50 @@ def test_empty_break_window_has_no_rows(t_lo, t_hi):
      "period must be >= 1"),
     (lambda: BreakSchedule(50, 0, [], [(0, 0.1, 0.1, 1)]),
      "horizon must be >= 1"),
+    # the bounds are open, and a sigma2 <= 0 keeps its own message
+    (lambda: ConstantSchedule(0, 0.1, 0.1, 2.0, sigma2_bounds=(0.5, 2.0)),
+     "sigma2=2.0 outside declared bounds (0.5, 2.0)"),
+    (lambda: PeriodicSchedule([(0, 0.1, 0.1, 1), (0, 0.1, 0.1, 0.25)],
+                              sigma2_bounds=(0.5, 2.0)),
+     "sigma2=0.25 at season 2 outside declared bounds (0.5, 2.0)"),
+    (lambda: CyclicalSchedule(6, [2], [(0, 0.1, 0.1, 3), (0, 0.1, 0.1, 1)],
+                              sigma2_bounds=(0.5, 2.0)),
+     "sigma2=3.0 at cycle 1 outside declared bounds (0.5, 2.0)"),
+    (lambda: BreakSchedule(50, 10, [3, 6], [(0, 0.1, 0.1, 1)] * 2
+                           + [(0, 0.1, 0.1, 0.5)], sigma2_bounds=(0.5, 2.0)),
+     "sigma2=0.5 at regime 3 outside declared bounds (0.5, 2.0)"),
+    (lambda: PeriodicSchedule([(0, 0.1, 0.1, 9), (0, 0.1, 0.1, -1)],
+                              sigma2_bounds=(0.5, 2.0)),
+     "sigma2=9.0 at season 1 outside declared bounds (0.5, 2.0)"),
+    (lambda: ConstantSchedule(0, 0.1, 0.1, -1, sigma2_bounds=(0.5, 2.0)),
+     "sigma2 must be > 0"),
 ], ids=["cycle-order", "cycle-edge", "break-order", "block-edge",
         "cycle-count", "regime-count", "season-sigma2", "cycle-sigma2",
         "regime-sigma2", "sigma2-bounds-order", "sigma2-bounds-negative",
-        "no-seasons", "period-0", "horizon-0"])
+        "no-seasons", "period-0", "horizon-0", "constant-sigma2-bounds",
+        "season-sigma2-bounds", "cycle-sigma2-bounds", "regime-sigma2-bounds",
+        "first-bad-season", "constant-sigma2"])
 def test_declared_tables_keep_their_messages(build, message):
     assert _message(build) == message
 
 
 def test_season_cache_is_decided_at_construction():
-    # a kind tiled by season whose every sigma2 lies inside its bounds holds
-    # an empty cache before any call; every other schedule holds none
+    # every kind tiled by season holds an empty cache before any call, with
+    # bounds or without (a table outside them is not built); every other
+    # schedule holds none
     periodic = PeriodicSchedule([(0.0, 0.5, -0.2, 1.0), (0.1, -0.3, 0.2, 2.0)])
     tiled = [ConstantSchedule(0.1, 0.5, -0.2, 1.0), periodic,
              CyclicalSchedule(4, [2], [(0.0, 0.5, -0.2, 1.0),
-                                       (0.0, -0.3, 0.4, 1.0)])]
+                                       (0.0, -0.3, 0.4, 1.0)]),
+             PeriodicSchedule([(0.0, 0.1, 0.0, 1.0), (0.0, 0.1, 0.0, 1.5)],
+                              sigma2_bounds=(0.5, 2.0))]
     for s in tiled:
         assert vars(s)["_season_cache"] == {}, s.kind
+    assert _message(lambda: PeriodicSchedule(
+        [(0.0, 0.1, 0.0, 1.0), (0.0, 0.1, 0.0, 9.0)],
+        sigma2_bounds=(0.5, 2.0))) == (
+        "sigma2=9.0 at season 2 outside declared bounds (0.5, 2.0)")
     untiled = [
-        PeriodicSchedule([(0.0, 0.1, 0.0, 1.0), (0.0, 0.1, 0.0, 9.0)],
-                         sigma2_bounds=(0.5, 2.0)),
         GenericSchedule(periodic.at),
         BreakSchedule(400, 390, [100], [(0.0, 0.5, -0.2, 1.0),
                                         (0.0, -0.4, 0.3, 1.0)])]
@@ -413,3 +454,28 @@ def test_season_cache_is_decided_at_construction():
     simulate_paths(SimulationConfig(periodic, 300, 100, 2, 7, burn_in=20))
     assert periodic._season_cache is cache
     assert {type(tag) for tag, _ in cache} == {str, tuple}
+
+
+@pytest.mark.parametrize("kind", ["constant", "periodic", "cyclical"])
+def test_bounds_that_every_entry_holds_change_no_bit(kind):
+    # bounds one ulp outside the smallest and largest sigma2 keep the season
+    # cache, and every result reads the bits of the unbounded schedule
+    plain = WINDOW_KINDS[kind]()
+    sigma2 = plain._season_rows[:, 3]
+    tight = (float(np.nextafter(sigma2.min(), 0.0)),
+             float(np.nextafter(sigma2.max(), np.inf)))
+    section = {**schedule_to_dict(plain), "sigma2_bounds": list(tight)}
+    bounded = schedule_from_dict(section)
+    assert bounded.sigma2_bounds == tight
+    assert vars(bounded)["_season_cache"] == {}
+
+    def results(s):
+        yield green_functions(s, 100, 5000).values.tobytes()
+        for k in range(21):
+            yield repr(autocovariance(s, 100, k))
+        for innovations in ("normal", "uniform"):
+            yield simulate_paths(SimulationConfig(
+                s, 300, 100, 5, 7, burn_in=40,
+                innovations=innovations)).values.tobytes()
+    assert list(results(bounded)) == list(results(plain))
+    assert bounded._season_cache

@@ -1370,9 +1370,12 @@ def test_season_cache_with_start_laws_holds_at_most_its_cap(monkeypatch):
     BreakSchedule(400, 390, [100, 200], [(0.0, 0.5, -0.2, 1.0),
                                          (0.0, -0.4, 0.3, 1.0),
                                          (0.0, 0.9, -0.5, 1.0)]),
-    # sigma2 of the last season is outside the declared bounds
-    PeriodicSchedule([(0.0, 0.1, 0.0, 1.0)] * 63 + [(0.0, 0.1, 0.0, 9.0)],
-                     sigma2_bounds=(0.5, 2.0)),
+    # sigma2 at every 64th time is outside the declared bounds, and no time
+    # the run reads is one of them; a declared table of these values is
+    # refused when it is built
+    GenericSchedule(PeriodicSchedule([(0.0, 0.1, 0.0, 1.0)] * 63
+                                     + [(0.0, 0.1, 0.0, 9.0)]).at,
+                    sigma2_bounds=(0.5, 2.0)),
 ], ids=["generic", "breaks", "sigma2-out-of-bounds"])
 @pytest.mark.parametrize("innovations", ["normal", "uniform"])
 def test_untiled_schedules_keep_no_start_law(schedule, innovations):

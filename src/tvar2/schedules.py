@@ -71,7 +71,7 @@ def _table(tuples: Sequence, label: str, bounds: tuple, expected=None):
             f"expected {expected} {label} tuples, got {len(tuples)}")
     tuples = tuple(_as_tuple(c) for c in tuples)
     for j, tup in enumerate(tuples, start=1):
-        _check_sigma2(tup.sigma2, bounds, f"{label} {j}")
+        _check_sigma2(float(tup.sigma2), bounds, f"{label} {j}")
     return tuples, _rows(tuples)
 
 
@@ -147,7 +147,7 @@ class Schedule:
     def window(self, t_lo: int, t_hi: int) -> np.ndarray:
         """Coefficients for times t_lo..t_hi (none if t_hi < t_lo) as an
         (n, 4) float array of (phi0, phi1, phi2, sigma2), oldest first.
-        An error names the first bad time met walking back from t_hi."""
+        A kind that raises names the first bad time walking back from t_hi."""
         t_lo, t_hi = int(t_lo), int(t_hi)
         # the season of t_lo, then offsets from it: any Python int works
         period = len(self._season_rows)
@@ -246,7 +246,7 @@ class CyclicalSchedule(Schedule):
         self.boundaries = cut_list(boundaries, period, "cycle boundaries",
                                    "period")
         self.cycles, rows = _table(cycles, "cycle", self.sigma2_bounds,
-                                     len(self.boundaries) + 1)
+                                   len(self.boundaries) + 1)
         lengths = np.diff((0,) + self.boundaries + (period,))
         self._tile(np.repeat(rows, lengths, axis=0))
 
@@ -275,8 +275,8 @@ class BreakSchedule(Schedule):
             regimes, "regime", self.sigma2_bounds, len(self.offsets) + 1)
 
     def window(self, t_lo: int, t_hi: int) -> np.ndarray:
-        # walking back from t_hi, the first time outside the window
         t_lo, t_hi = int(t_lo), int(t_hi)
+        # walking back from t_hi, the first time outside the window
         bad = t_hi if t_hi > self.anchor else min(t_hi, self.earliest - 1)
         if t_lo <= bad:
             raise ScheduleError(f"t={bad} outside break-schedule window "

@@ -267,9 +267,9 @@ def _unresolved(weights: np.ndarray) -> int:
 def _start(config: SimulationConfig, t_b: int):
     """The ``start`` of ``_simulate_chunk`` after the burn_in rows ending at
     t_b: ``_start_law``'s (m, L) for normal innovations,
-    ``_uniform_start``'s (c, W) for uniform ones.  On a schedule with a
-    season cache the burn-in rows, and so the start, depend only on the
-    family, burn_in and the season of t_b, so the start is kept there,
+    ``_uniform_start``'s (c, W) for uniform ones.  On a tiled schedule
+    the burn-in rows, and so the start, depend only on the family, burn_in
+    and the season of t_b, so the start is kept in its season cache,
     read-only (``Schedule.season_cached``), and the rows are read only to
     compute it."""
     def compute():

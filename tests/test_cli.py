@@ -303,10 +303,11 @@ def test_verify_passes(tmp_path):
         assert all(line.endswith(",pass") for line in out.splitlines())
 
 
-@pytest.mark.parametrize("anchor, horizon, passing", [
-    (50, 10, ()), (150, 100, (99, 100))], ids=["readme", "horizon-100"])
+@pytest.mark.parametrize("anchor, horizon, passing, at_40", [
+    (50, 10, (), 39), (150, 100, (99, 100), 40)],
+    ids=["readme", "horizon-100"])
 def test_verify_on_abrupt_breaks_needs_the_window_around_t(
-        tmp_path, capsys, anchor, horizon, passing):
+        tmp_path, capsys, anchor, horizon, passing, at_40):
     # its checks read t - 49 .. t + 50 and 12 steps of xi, so it passes only
     # where all of that lies inside [anchor - horizon, anchor]
     cfg = _write(tmp_path, "b.yaml", _edit(
@@ -323,10 +324,8 @@ def test_verify_on_abrupt_breaks_needs_the_window_around_t(
         else:
             assert code == 1 and out == "", t
             assert err.startswith("error: t=") and window in err, t
-    if anchor == 50:
-        assert cli.main(["verify", "--config", cfg]) == 1
-        assert capsys.readouterr().err == (
-            "error: t=39 outside break-schedule window [40, 50]\n")
+        if t is None:   # the default t = 40
+            assert err == f"error: t={at_40} {window}\n"
 
 
 def test_simulate_deterministic_and_thread_invariant(tmp_path):
@@ -697,12 +696,16 @@ OUT_OF_BOUNDS = {
                      "anchor: 50\n  sigma2_bounds: [0.5, 2.0]"),
                "sigma2=0.1 at regime 2 outside declared bounds (0.5, 2.0)"),
 }
-EVERY_COMMAND = [["green", "--t", "50", "--k", "4"], ["green", "--t", "50",
-                 "--k", "0"], ["forecast", "--t", "50", "--k", "3"],
-                 ["acf", "--t", "50", "--max-lag", "2"],
-                 ["simulate", "--t", "50", "--length", "2", "--paths", "30",
-                  "--burn-in", "5"], ["stationarity"], ["decompose-verify"],
-                 ["verify", "--t", "45"]]
+EVERY_COMMAND = [
+    ["green", "--t", "50", "--k", "4"],
+    ["green", "--t", "50", "--k", "0"],
+    ["forecast", "--t", "50", "--k", "3"],
+    ["acf", "--t", "50", "--max-lag", "2"],
+    ["simulate", "--t", "50", "--length", "2", "--paths", "30", "--burn-in", "5"],
+    ["stationarity"],
+    ["decompose-verify"],
+    ["verify", "--t", "45"],
+]
 
 
 @pytest.mark.parametrize("kind", sorted(OUT_OF_BOUNDS))

@@ -3,8 +3,10 @@ import functools
 import hashlib
 import io
 import os
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -122,8 +124,8 @@ def test_missing_config_file_exits_2(tmp_path):
     assert code == 2
 
 
-# a name over the file system's 255-byte limit passes the early checks and
-# fails only when the file is opened, at the first write
+# a name over the file system's 255-byte limit fails the path's own stat,
+# before the staged file is created
 @pytest.mark.parametrize("out", ["missing_dir/o.csv", ".", "o" * 300],
                          ids=["missing-directory", "a-directory",
                               "name-too-long"])
@@ -172,6 +174,102 @@ def test_rejected_run_leaves_an_existing_out_file_alone(tmp_path):
                      "--out", str(kept)])
     assert code == 2
     assert kept.read_bytes() == b"t,i,xi\n1,0,1\n"
+
+
+@pytest.mark.parametrize("through_link", [False, True],
+                         ids=["file", "symlink"])
+def test_run_failing_after_its_header_leaves_the_out_file_alone(
+        tmp_path, capsys, through_link):
+    # acf writes its header, then reads past the break window and raises
+    (tmp_path / "data").mkdir()
+    kept = tmp_path / "data" / "kept.csv"
+    kept.write_bytes(b"t,i,xi\n1,0,1\n")
+    out = kept
+    if through_link:
+        out = tmp_path / "link.csv"
+        out.symlink_to("data/kept.csv")
+    cfg = _write(tmp_path, "b.yaml", BREAKS)
+    code = cli.main(["acf", "--config", cfg, "--t", "50", "--max-lag", "2",
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: t=")
+    assert kept.read_bytes() == b"t,i,xi\n1,0,1\n"
+    assert os.listdir(tmp_path / "data") == ["kept.csv"]
+    assert sorted(os.listdir(tmp_path)) == (
+        ["b.yaml", "data", "link.csv"] if through_link else ["b.yaml", "data"])
+    if through_link:
+        assert os.readlink(out) == "data/kept.csv"
+
+
+@pytest.mark.parametrize("kind", ["fifo", "device"])
+def test_out_that_is_not_a_regular_file_exits_2_before_computing(
+        tmp_path, monkeypatch, capsys, kind):
+    # without the check, open() would block on the FIFO until a reader came
+    monkeypatch.setattr(cli, "green_functions", _not_called)
+    out = str(tmp_path / "fifo") if kind == "fifo" else os.devnull
+    if kind == "fifo":
+        os.mkfifo(out)
+    cfg = _write(tmp_path, "c.yaml", PERIODIC)
+    code = cli.main(["green", "--config", cfg, "--t", "40", "--k", "3",
+                     "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot open --out: {out!r} is not a regular file\n")
+    mode = os.lstat(out).st_mode
+    assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISCHR(mode)
+    assert sorted(os.listdir(tmp_path)) == (
+        ["c.yaml", "fifo"] if kind == "fifo" else ["c.yaml"])
+
+
+@pytest.mark.parametrize("exists", [True, False],
+                         ids=["target-exists", "dangling-link"])
+def test_out_through_a_symlink_writes_its_target(tmp_path, exists):
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    argv = ["green", "--config", cfg, "--t", "10", "--k", "4"]
+    _, expected = _run(tmp_path, argv, "plain.csv")
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "t.csv"
+    if exists:
+        target.write_text("t,i,xi\n1,0,1\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to("data/t.csv")   # relative to the link, not the cwd
+    assert cli.main(argv + ["--out", str(link)]) == 0
+    assert os.readlink(link) == "data/t.csv"
+    assert target.read_text() == expected
+    assert os.listdir(tmp_path / "data") == ["t.csv"]
+
+
+def test_threads_writing_one_out_leave_one_whole_csv(tmp_path):
+    cfg = _write(tmp_path, "c.yaml", CONSTANT)
+    # tables of different lengths, so that interleaved writes show
+    argvs = [["green", "--config", cfg, "--t", str(t), "--k", str(k)]
+             for t, k in ((10, 60000), (11, 40000), (12, 20000), (13, 400))]
+    expected = [_run(tmp_path, argv, f"single{j}.csv")[1]
+                for j, argv in enumerate(argvs)]
+    out = tmp_path / "shared.csv"
+    start = threading.Barrier(4)
+    codes = []
+
+    def caller(argv):
+        start.wait()
+        codes.append(cli.main(argv + ["--out", str(out)]))
+
+    callers = [threading.Thread(target=caller, args=(argv,))
+               for argv in argvs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert codes == [0] * 4
+    assert out.read_text() in expected
+    assert sorted(os.listdir(tmp_path)) == ["c.yaml", "shared.csv"] + [
+        f"single{j}.csv" for j in range(4)]
 
 
 def _run_module(tmp_path, argv):
@@ -303,29 +401,32 @@ def test_verify_passes(tmp_path):
         assert all(line.endswith(",pass") for line in out.splitlines())
 
 
-@pytest.mark.parametrize("anchor, horizon, passing, at_40", [
-    (50, 10, (), 39), (150, 100, (99, 100), 40)],
-    ids=["readme", "horizon-100"])
+@pytest.mark.parametrize("anchor, horizon", [(50, 10), (150, 100)],
+                         ids=["readme", "horizon-100"])
 def test_verify_on_abrupt_breaks_needs_the_window_around_t(
-        tmp_path, capsys, anchor, horizon, passing, at_40):
-    # its checks read t - 49 .. t + 50 and 12 steps of xi, so it passes only
-    # where all of that lies inside [anchor - horizon, anchor]
+        tmp_path, capsys, anchor, horizon):
+    # no check reads past anchor - horizon, and each reads time t, so verify
+    # passes for every t in [anchor - horizon, anchor] and exits 1 elsewhere
     cfg = _write(tmp_path, "b.yaml", _edit(
         BREAKS, "anchor: 50\n  horizon: 10",
         f"anchor: {anchor}\n  horizon: {horizon}"))
-    window = f"outside break-schedule window [{anchor - horizon}, {anchor}]"
-    for t in [None, anchor - horizon, anchor - 5, anchor, 98, 99, 100, 101]:
+    earliest = anchor - horizon
+    window = f"outside break-schedule window [{earliest}, {anchor}]"
+    for t in [None, earliest - 1, earliest, earliest + 1, anchor - 5, anchor,
+              anchor + 1, 98, 99, 100, 101]:
         argv = ["verify", "--config", cfg] + (["--t", str(t)] if t else [])
         code, out = _run(tmp_path, argv, f"v{t}.csv")
         err = capsys.readouterr().err
-        if t in passing:
-            assert code == 0 and err == "", t
-            assert all(line.endswith(",pass") for line in out.splitlines())
+        at = 40 if t is None else t     # verify's default t
+        if earliest <= at <= anchor:
+            assert (code, err) == (0, ""), t
+            assert out.splitlines() == [
+                "green-recurrence-vs-determinant,pass",
+                "solution-closed-form-vs-recursion,pass",
+                "config-round-trip,pass"], t
         else:
-            assert code == 1 and out == "", t
-            assert err.startswith("error: t=") and window in err, t
-        if t is None:   # the default t = 40
-            assert err == f"error: t={at_40} {window}\n"
+            assert (code, out) == (1, ""), t
+            assert err == f"error: t={at} {window}\n", t
 
 
 def test_simulate_deterministic_and_thread_invariant(tmp_path):
@@ -1306,9 +1407,15 @@ def test_verify_fails_a_decomposition_off_the_recurrence(tmp_path,
     monkeypatch.setattr(cli, "xi_par_decomposed",
                         lambda *args: real(*args) * (1 + 1e-9))
     cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    (tmp_path / "out.csv").write_text("t,i,xi\n1,0,1\n")
     code, text = _run(tmp_path, ["verify", "--config", cfg, "--t", "24"])
     assert code == 1
     assert text.splitlines()[-1] == "periodic-decomposition,fail"
+    # the report of a check that fails is written whole, over the old file
+    assert text == ("green-recurrence-vs-determinant,pass\n"
+                    "solution-closed-form-vs-recursion,pass\n"
+                    "config-round-trip,pass\nperiodic-decomposition,fail\n")
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "p.yaml"]
 
 
 def test_verify_passes_a_decomposition_where_xi_cancels_to_tiny(tmp_path):

@@ -165,8 +165,8 @@ def test_out_directory_is_checked_before_computing(tmp_path, monkeypatch,
 
 
 def test_rejected_run_leaves_an_existing_out_file_alone(tmp_path):
-    # the --out file opens at the first write, so a run rejected before
-    # it neither truncates nor removes the file
+    # the flags are checked before the staged file is created, so a run
+    # rejected by them neither truncates nor removes the file
     kept = tmp_path / "kept.csv"
     kept.write_bytes(b"t,i,xi\n1,0,1\n")
     cfg = _write(tmp_path, "c.yaml", PERIODIC)
@@ -254,18 +254,18 @@ def test_threads_writing_one_out_leave_one_whole_csv(tmp_path):
         start.wait()
         codes.append(cli.main(argv + ["--out", str(out)]))
 
-    callers = [threading.Thread(target=caller, args=(argv,))
+    threads = [threading.Thread(target=caller, args=(argv,))
                for argv in argvs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=60)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(caller.is_alive() for caller in callers)
+    assert not any(thread.is_alive() for thread in threads)
     assert codes == [0] * 4
     assert out.read_text() in expected
     assert sorted(os.listdir(tmp_path)) == ["c.yaml", "shared.csv"] + [

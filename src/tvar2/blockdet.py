@@ -87,15 +87,20 @@ def xi_block_decomposed(schedule: Schedule, t: int, spec: BlockSpec,
     4(d + 1) calls of ``segment_xi``.
 
     ``segment_xi(anchor, depth)`` evaluates a within-segment continuant,
-    depths -1 and 0 included; by default the plain recurrence is used.  A
-    set selector bit takes one step off each of the two segments it joins.
+    depths -1 and 0 included; by default each regime's root closed form on
+    an abrupt-breaks schedule, the plain recurrence elsewhere.  A set
+    selector bit takes one step off each of the two segments it joins.
     Walking the segments from the anchor backwards, ``weights[p]`` sums the
     partial addends whose bit at the current segment's newer end is p, with
     that boundary's coupling applied; the segment's 2x2 transfer matrix,
     over p and the bit c at its older end, carries them to the next
     boundary.  The oldest segment has no older boundary, so c = 0 there.
     """
-    if segment_xi is None:
+    if segment_xi is None and isinstance(schedule, BreakSchedule):
+        def segment_xi(anchor: int, depth: int) -> float:
+            tup = schedule.at(anchor)  # segments never straddle a break
+            return constant_xi(tup.phi1, tup.phi2, depth)
+    elif segment_xi is None:
         segment_xi = partial(xi, schedule)
 
     b = (0,) + spec.boundaries + (spec.total,)
@@ -134,13 +139,7 @@ def xi_abar_decomposed(schedule: BreakSchedule, t: int, k: int) -> float:
     if t != schedule.anchor or k != schedule.horizon:
         raise ScheduleError(
             "decomposition requires the schedule's own anchor and horizon")
-    _, spec = segment_layout(schedule)
-
-    def segment_xi(anchor: int, depth: int) -> float:
-        tup = schedule.at(anchor)  # segments never straddle a break
-        return constant_xi(tup.phi1, tup.phi2, depth)
-
-    return xi_block_decomposed(schedule, t, spec, segment_xi)
+    return xi_block_decomposed(schedule, *segment_layout(schedule))
 
 
 def relative_deviation(value: float, reference: float) -> float:

@@ -23,14 +23,14 @@ import numpy as np
 
 from . import config as config_mod
 from .blockdet import (PeriodEndError, decomposition_report, segment_layout,
-                       xi_abar_decomposed, xi_car_decomposed, xi_par_decomposed)
+                       xi_block_decomposed, xi_par_decomposed)
 from .config import PARAMS, ConfigError
 from .moments import autocovariance, forecast
-from .schedules import CyclicalSchedule, PeriodicSchedule, ScheduleError
+from .schedules import PeriodicSchedule, ScheduleError
 from .simulate import (MAX_PATH_STEPS, SimulationConfig, empirical_moments,
                        simulate_paths)
 from .solution import evaluate_solution, forward_recursion, general_solution
-from .vs import build_vs, stacked_period, stationarity_check
+from .vs import build_vs, stationarity_check
 from .xi import ORACLE_CAP, green_functions, xi_determinant_oracle
 
 EXIT_OK = 0
@@ -72,8 +72,8 @@ _HELP = {
                "uniform block",
     "innovations": "normal or uniform",
     "aggregate": "emit per-time mean/variance instead of raw paths",
-    "matrices": "also print the stacked parameter matrices",
-    "n": "number of periods (periodic schedules)",
+    "matrices": "also print a periodic schedule's stacked matrices",
+    "n": "number of periods behind t (periodic schedules only; default 2)",
 }
 
 
@@ -173,7 +173,6 @@ def _write_indexed(out, header: str, outer, inner, values) -> None:
 
 
 def _cmd_stationarity(args, schedule, out):
-    stacked_period(schedule)    # the command's rules hold without --matrices
     verdict = stationarity_check(schedule)
     rows = []
     if args.matrices:
@@ -190,22 +189,23 @@ def _cmd_stationarity(args, schedule, out):
 
 
 def _cmd_decompose_verify(args, schedule, out):
+    periodic = isinstance(schedule, PeriodicSchedule)
+    n = PARAMS["n"][1] if args.n is None else args.n
     try:
-        t, spec = segment_layout(schedule, args.t, args.n)
+        t, spec = segment_layout(schedule, args.t, n)
     except PeriodEndError as exc:
         raise ConfigError(f"key 't' must end a period: {exc}") from None
     if args.t is not None and args.t != t:
         raise ConfigError(f"key 't' must be the {schedule.kind} anchor {t} "
                           f"or left unset (got {args.t})")
+    if args.n is not None and not periodic:
+        raise ConfigError(f"key 'n' must be left unset on a {schedule.kind} "
+                          f"schedule (got {args.n})")
     if spec.total > ORACLE_CAP:
         raise ConfigError(f"decomposition depth {spec.total} must be <= "
                           f"{ORACLE_CAP} (the block-determinant oracle's cap)")
-    if isinstance(schedule, PeriodicSchedule):
-        value = xi_par_decomposed(schedule, t, args.n)
-    elif isinstance(schedule, CyclicalSchedule):
-        value = xi_car_decomposed(schedule, t)
-    else:
-        value = xi_abar_decomposed(schedule, t, spec.total)
+    value = (xi_par_decomposed(schedule, t, n) if periodic
+             else xi_block_decomposed(schedule, t, spec))
     _write_rows(out, "method,value,rel_dev\n", _METHOD,
                 decomposition_report(schedule, t, spec, value))
     return EXIT_OK
@@ -271,11 +271,12 @@ _COMMANDS = {
                  {"t": _ANCHOR, "seed": None, "paths": None, "length": None,
                   "burn_in": None, "workers": None, "innovations": None,
                   "aggregate": None}, {}),
-    "stationarity": (_cmd_stationarity, "stacked-form stationarity verdict "
-                     "(periodic only)", {"matrices": None}, {}),
+    "stationarity": (_cmd_stationarity, "period-matrix stationarity verdict",
+                     {"matrices": None}, {}),
     "decompose-verify": (_cmd_decompose_verify, "three-way check of the "
                          "boundary decomposition of xi",
-                         {"t": _ANCHOR, "n": (1, ORACLE_CAP)}, {"t": None}),
+                         {"t": _ANCHOR, "n": (1, ORACLE_CAP)},
+                         {"t": None, "n": None}),
     "verify": (_cmd_verify, "run the internal cross-check suite",
                {"t": _ANCHOR, "seed": (0, 2**63 - 1)}, {"t": 40}),
 }

@@ -176,7 +176,7 @@ def parse_config(data) -> tuple[Schedule, dict]:
     _check_keys(mapping, ("schema_version", "schedule", "params"),
                 ("schedule",), "config")
     version = mapping.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
             f"key 'schema_version' must be {SCHEMA_VERSION} (got {version!r})")
     schedule = schedule_from_dict(mapping["schedule"])

@@ -122,6 +122,6 @@ def constant_xi(phi1: float, phi2: float, k: int) -> float:
         value = (k + 1) * lam ** k
     else:
         value = (lam1 ** (k + 1) - lam2 ** (k + 1)) / (lam1 - lam2)
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ArithmeticError(f"non-real xi from root formula: {value}")
+    # real for real phi1, phi2: conjugate roots give a real quotient, and
+    # real ones an imaginary part only from complex ** (polar form, k > 100)
     return value.real

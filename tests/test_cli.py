@@ -14,7 +14,8 @@ import pytest
 
 import tvar2
 import tvar2.cli as cli
-from tvar2 import _rowkernel
+from tvar2 import _rowkernel, build_vs
+from tvar2._oracles import stacked_var_radius
 
 CONSTANT = """
 schema_version: 1
@@ -315,21 +316,48 @@ def test_stationarity_verdict(tmp_path):
     assert lines["stationary"] == "true"
 
 
-def test_stationarity_needs_periodic(tmp_path, capsys):
+def _lag_polynomial_radius(phi1, phi2):
+    return max(abs(np.roots([1.0, -phi1, -phi2])))
+
+
+def test_stationarity_answers_each_kind_with_a_season_table(tmp_path, capsys):
+    # the verdict is the period matrix's, for constant, cyclical and
+    # one-season periodic schedules too; only --matrices needs a periodic
+    # schedule of two or more seasons
     one_season = PERIODIC[:PERIODIC.index("    - {phi0: 0.0")]
-    for name, text, message in (
-            ("c.yaml", CONSTANT, "stationarity check needs a periodic "
-                                 "schedule (got kind 'constant')"),
-            ("cy.yaml", CYCLICAL, "stationarity check needs a periodic "
-                                  "schedule (got kind 'cyclical')"),
-            ("p1.yaml", one_season, "vector-of-seasons form needs at least "
-                                    "2 seasons")):
+    cycles = tvar2.config.load(CYCLICAL)[0]
+    as_periodic = tvar2.PeriodicSchedule([
+        (c.phi0, c.phi1, c.phi2, c.sigma2) for c in map(cycles.at, range(1, 7))])
+    for name, text, want, message in (
+            ("c.yaml", CONSTANT, _lag_polynomial_radius(1.2, -0.32),
+             "the stacked form needs a periodic schedule (got kind "
+             "'constant')"),
+            ("cy.yaml", CYCLICAL, stacked_var_radius(build_vs(as_periodic)),
+             "the stacked form needs a periodic schedule (got kind "
+             "'cyclical')"),
+            ("p1.yaml", one_season, _lag_polynomial_radius(0.6, -0.1),
+             "vector-of-seasons form needs at least 2 seasons")):
         cfg = _write(tmp_path, name, text)
-        for flags in ([], ["--matrices"]):
-            code, text_out = _run(tmp_path, ["stationarity", "--config", cfg]
-                                  + flags)
-            assert (code, text_out) == (1, "")
-            assert capsys.readouterr().err == f"error: {message}\n"
+        code, text_out = _run(tmp_path, ["stationarity", "--config", cfg])
+        assert code == 0
+        rows = dict(line.split(",") for line in text_out.splitlines())
+        assert list(rows) == ["spectral_radius", "margin", "stationary"]
+        radius = float(rows["spectral_radius"])
+        assert abs(radius - want) <= 1e-12 * want
+        assert rows["stationary"] == "true"
+        code, text_out = _run(tmp_path, ["stationarity", "--config", cfg,
+                                         "--matrices"], "matrices.csv")
+        assert (code, text_out) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    cfg = _write(tmp_path, "b.yaml", BREAKS)
+    for flags in ([], ["--matrices"]):
+        code, text_out = _run(tmp_path, ["stationarity", "--config", cfg]
+                              + flags, "breaks.csv")
+        assert (code, text_out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: the period matrix needs a schedule tiled by season (got "
+            "kind 'abrupt-breaks')\n")
 
 
 def test_decompose_verify_each_kind(tmp_path):
@@ -388,6 +416,25 @@ def test_decompose_verify_t_off_a_period_end_exits_2(tmp_path, capsys, config,
     err = capsys.readouterr().err
     assert err.startswith("config error: key 't' must end a period")
     assert "not at the last season of a period" in err
+
+
+@pytest.mark.parametrize("config, extra", [
+    (CYCLICAL, ["--n", "5"]),
+    (BREAKS, ["--n", "5"]),
+    (CYCLICAL + "params:\n  n: 5\n", []),
+    (BREAKS + "params:\n  n: 5\n", []),
+], ids=["cyclical-flag", "breaks-flag", "cyclical-yaml", "breaks-yaml"])
+def test_decompose_verify_n_off_a_periodic_schedule_exits_2(tmp_path, capsys,
+                                                            config, extra):
+    # n counts periods of a periodic layout; a cyclical or abrupt-breaks
+    # layout has no n to read, so a given one is refused, not ignored
+    cfg = _write(tmp_path, "c.yaml", config)
+    code, text = _run(tmp_path, ["decompose-verify", "--config", cfg] + extra)
+    assert (code, text) == (2, "")
+    kind = tvar2.config.load(config)[0].kind
+    assert capsys.readouterr().err == (
+        f"config error: key 'n' must be left unset on a {kind} schedule "
+        "(got 5)\n")
 
 
 def test_verify_passes(tmp_path):
@@ -493,6 +540,10 @@ def test_all_subcommands_deterministic(tmp_path):
     (BREAKS, ["decompose-verify", "--t", "49"], 2),
     (BREAKS + "params:\n  t: 49\n", ["decompose-verify"], 2),
     (PERIODIC, ["decompose-verify", "--n", "2", "--t", "9"], 2),
+    (CYCLICAL, ["decompose-verify", "--n", "5"], 2),
+    (BREAKS, ["decompose-verify", "--n", "5"], 2),
+    (CYCLICAL + "params:\n  n: 1\n", ["decompose-verify"], 2),
+    (BREAKS + "params:\n  n: 1\n", ["decompose-verify"], 2),
     (PERIODIC, ["acf", "--t", "5", "--tol", "inf"], 2),
     (PERIODIC, ["acf", "--t", "5", "--tol", "nan"], 2),
     (PERIODIC + "params:\n  tol: .inf\n", ["acf", "--t", "5"], 2),
@@ -508,7 +559,9 @@ def test_all_subcommands_deterministic(tmp_path):
 ], ids=["acf-tol-0", "acf-nmax-0", "acf-max-lag-negative", "green-k-negative",
         "simulate-paths-negative", "forecast-k-0", "decompose-verify-n-0",
         "decompose-verify-breaks-t-flag", "decompose-verify-breaks-t-yaml",
-        "decompose-verify-t-off-period-end", "acf-tol-inf", "acf-tol-nan",
+        "decompose-verify-t-off-period-end", "decompose-verify-cyclical-n-flag",
+        "decompose-verify-breaks-n-flag", "decompose-verify-cyclical-n-yaml",
+        "decompose-verify-breaks-n-yaml", "acf-tol-inf", "acf-tol-nan",
         "acf-tol-inf-yaml", "forecast-y0-nan", "forecast-y0-inf",
         "forecast-y1-minus-inf", "forecast-y0-nan-yaml",
         "forecast-y1-inf-yaml", "acf-past-break-window"])

@@ -147,10 +147,15 @@ MISTYPED = [
     (CONSTANT_YAML, "k: 3", "k: 3.0", "k"),
     (CONSTANT_YAML, "t: 10", "t: true", "t"),
     (CONSTANT_YAML, "k: 3", "horizon: 3", "horizon"),
+    (CONSTANT_YAML, "schema_version: 1", "schema_version: true",
+     "schema_version"),
+    (CONSTANT_YAML, "schema_version: 1", "schema_version: 1.0",
+     "schema_version"),
 ]
 MISTYPED_IDS = ["period-x", "anchor-float", "offsets-scalar", "boundaries-item",
                 "sigma2-bounds-item", "t-string", "k-float", "k-integral-float",
-                "t-bool", "horizon-param"]
+                "t-bool", "horizon-param", "schema-version-bool",
+                "schema-version-float"]
 
 
 def test_params_read_as_their_type():

@@ -252,6 +252,58 @@ def test_series_equal_the_per_step_reference(monkeypatch, name, s, tol, n_max):
         assert sums[1][1] == 621
 
 
+def _exact_state_moments(s, period, t0, steps):
+    """Stationary mean and covariance of x_tau = (y_tau, y_(tau-1)) at tau =
+    t0, ..., t0 + steps: the period map ending at t0, x -> M x + d with
+    innovation covariance W, solved densely, then carried season by season."""
+    def step(tau):
+        c = s.at(tau)
+        return (np.array([[c.phi1, c.phi2], [1.0, 0.0]]),
+                np.array([c.phi0, 0.0]), np.diag([c.sigma2, 0.0]))
+
+    m, d, w = np.eye(2), np.zeros(2), np.zeros((2, 2))
+    for tau in range(t0 - period + 1, t0 + 1):
+        a, c, e = step(tau)
+        m, d, w = a @ m, a @ d + c, a @ w @ a.T + e
+    means = [np.linalg.solve(np.eye(2) - m, d)]
+    covs = [np.linalg.solve(np.eye(4) - np.kron(m, m),
+                            w.ravel()).reshape(2, 2)]
+    for tau in range(t0 + 1, t0 + steps + 1):
+        a, c, e = step(tau)
+        means.append(a @ means[-1] + c)
+        covs.append(a @ covs[-1] @ a.T + e)
+    return means, covs
+
+
+EXACT_CASES = {
+    "constant": (ConstantSchedule(0.5, 1.2, -0.32, 1.0), 1),
+    "near-unit-root": (ConstantSchedule(0.01, 1.0, -0.02, 1.0), 1),
+    "readme-periodic": (SERIES_CASES[0][1], 4),
+    "readme-cyclical": (CyclicalSchedule(6, [2, 4], [(0.0, 0.5, -0.2, 1.0),
+                                                     (0.0, -0.3, 0.4, 1.0),
+                                                     (0.0, 0.8, -0.1, 1.0)]),
+                        6),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_CASES)
+def test_tiled_series_equal_the_exact_season_moments(name):
+    s, period = EXACT_CASES[name]
+    t, lags = 12345, 20
+    _, covs = _exact_state_moments(s, period, t - lags, lags)
+    gamma0 = covs[-1][0, 0]
+    phi = np.eye(2)     # A_t ... A_(t-k+1): Cov(x_t, x_(t-k)) = phi Sigma
+    for k in range(lags + 1):
+        exact = (phi @ covs[lags - k])[0, 0]
+        assert abs(autocovariance(s, t, k).value - exact) <= 1e-10 * gamma0
+        c = s.at(t - k)
+        phi = phi @ np.array([[c.phi1, c.phi2], [1.0, 0.0]])
+    for t in (12345, 7, -40):
+        exact = _exact_state_moments(s, period, t, 0)[0][0][0]
+        got = unconditional_mean(s, t).mean
+        assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
+
+
 def test_overflowing_series_is_not_converged():
     s = ConstantSchedule(0.0, 1.5, -0.02, 1.0)
     var = unconditional_variance(s, 40)

@@ -320,7 +320,7 @@ def test_radius_and_restriction_match_the_float_product():
 def test_stacked_form_needs_a_periodic_schedule(schedule):
     with pytest.raises(ScheduleError) as info:
         build_vs(schedule)
-    assert str(info.value) == ("stationarity check needs a periodic schedule "
+    assert str(info.value) == ("the stacked form needs a periodic schedule "
                                f"(got kind {schedule.kind!r})")
 
 

@@ -209,6 +209,15 @@ def test_constant_closed_form_complex_roots_match_recurrence():
             table.xi(k), rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("phi1, phi2", [(-2.0, -1.0), (-1.0000001, 0.0)])
+def test_constant_closed_form_is_real_for_negative_real_roots(phi1, phi2):
+    # past k = 100 complex ** takes the polar form, whose phase pi leaves a
+    # negative real root's power an imaginary residue of about k * 1e-16
+    k = 10**6
+    want = green_functions(ConstantSchedule(0.0, phi1, phi2, 1.0), 0, k).xi(k)
+    assert constant_xi(phi1, phi2, k) == pytest.approx(want, rel=1e-13, abs=0)
+
+
 def test_constant_closed_form_agrees_with_schedule_recurrence(rng):
     for _ in range(20):
         phi1 = float(rng.uniform(-1.5, 1.5))

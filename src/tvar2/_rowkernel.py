@@ -1,5 +1,14 @@
 """The array kernel of the long t,i,value tables, ``indexed_rows``.
 
+Its bytes are those of ``tvar2.cli._INDEXED % row`` for every input.  An int
+prints from a table of 4-digit groups, over the whole int64 range.  A
+nonzero float below 1e15 prints from the 15 significant digits that
+``_decimal`` proves, in fixed notation where %.15g uses it and in exponent
+form below 1e-4, subnormals included.  Zeros, infinities and nan print
+from fixed strings, and any other float (one whose rounding ``_decimal``
+leaves undecided, or one that prints as 1e+15 or more) through one %
+call a batch.
+
 tvar2.cli imports it at its first table of more than PERCENT_MAX_ROWS
 rows, and its tables are built at that import.  A row is built in quads,
 little-endian uint32 words of four ASCII bytes; NUL bytes pad each field

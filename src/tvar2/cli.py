@@ -57,19 +57,12 @@ _HELP = {
     "y1": "value of y at t-k-1",
     "tol": "series truncation tolerance",
     "nmax": "series truncation cap",
+    "max_lag": "largest lag, in [0, 10**6 - 1]",
     "seed": "master seed, in [0, 2**63)",
-    "workers": "accepted (>= 1) but has no effect: each block of 256 paths "
-               "draws one stream keyed by (seed, block), so the paths do not "
-               "depend on how the work is shared out",
-    "burn_in": "steps run from zero before the kept values, in [0, 10**6]; "
-               "a normal path draws its state after them from its exact "
-               "Gaussian law, a uniform path as the general solution's "
-               "weighted sum of its burn-in draws, drawing only the newest "
-               "steps whose weights reach float64 resolution (the rest at "
-               "their mean 0 move the state by at most 2**-54 of the summed "
-               "|weights|; near-unit-root and explosive schedules draw all "
-               "of them); the size cap counts burn_in + length rows per "
-               "uniform block",
+    "paths": "number of paths, >= 1",
+    "length": "kept values per path, ending at t, >= 1",
+    "workers": ">= 1; accepted but has no effect",
+    "burn_in": "steps run from zero before the kept values, in [0, 10**6]",
     "innovations": "normal or uniform",
     "aggregate": "emit per-time mean/variance instead of raw paths",
     "matrices": "also print a periodic schedule's stacked matrices",
@@ -92,7 +85,9 @@ def _write_rows(out, header: str, template: str, rows) -> None:
     """Write ``header``, then the tuples of ``rows`` through the one-row
     ``template`` repeated once per row, BATCH_ROWS rows at a time: one %
     and one write per batch.  Every CSV row but those of the t,i,value
-    tables the array kernel writes (see _write_indexed) goes through here."""
+    tables the array kernel writes (see _write_indexed) goes through here,
+    so a command that fails on standard output has written its header and
+    the whole batches before the failure."""
     out.write(header)
     rows = iter(rows)
     while batch := list(islice(rows, BATCH_ROWS)):
@@ -300,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
             option = "--" + flag.replace("_", "-")
             if flag in PARAMS:
                 p.add_argument(option, type=PARAMS[flag][0],
-                               help=_HELP.get(flag))
+                               help=_HELP[flag])
             else:
                 p.add_argument(option, action="store_true", help=_HELP[flag])
     return parser
@@ -311,7 +306,13 @@ def _resolve(args, params: dict, flags: dict, defaults: dict) -> None:
     params, else from the subcommand's or the parameter table's default,
     and check its value: inside the flag's interval, finite if a float, and
     tol > 0.  A value left to the handler (an own default of None) is not
-    checked."""
+    checked.
+
+    The flags are checked in the order of the subcommand's entry, after the
+    config has loaded; ``main`` then opens --out, and the handler checks
+    the rules that need the schedule (decompose-verify's layout,
+    simulate's ``SimulationConfig``).  A request with two faults names the
+    first one met in that order."""
     for name, interval in flags.items():
         value = getattr(args, name)
         if value is None:
@@ -336,7 +337,17 @@ def _out_file(path: str):
     """Yield the --out file: staged beside the target before anything is
     computed, and moved onto it when the command returns, whatever the exit
     code, or removed if the command raises.  The target, ``path`` or the
-    target of the symlink it names, must be a regular file or a new one."""
+    target of the symlink it names, must be a regular file or a new one.
+
+    So the target is written whole or left as it was, and a new one is not
+    created by a command that raises.  The staged file is a hidden
+    ``.tvar2-<12 hex digits>.tmp`` beside the target, which a killed run
+    can leave behind.  A replaced target is a new file: it gets the
+    permissions ``open(path, "w")`` gives (0666 less the umask) and the
+    running user as owner, a hard link to the old file keeps the old text,
+    and a read-only file in a writable directory is replaced all the same.
+    Any other target, and a staged file that cannot be created, is a
+    ConfigError before anything is computed."""
     target, mode = path, stat.S_IFREG if path else 0   # '' names no file
     try:
         with contextlib.suppress(FileNotFoundError):   # a new file

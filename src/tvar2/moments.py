@@ -191,9 +191,9 @@ def _season_prefix(schedule: Schedule, stream: str, t: int,
     """The first d values of a stream at time t of a schedule with a
     season cache: ``"xi"`` is xi_{t,0}, xi_{t,1}, ... from ``xi_stream``;
     ``"phi0"`` and ``"sigma2"`` are that column at t, t-1, ....  Each
-    depends only on the season of t, so the cache keeps one read-only array
-    per (stream, season) (``Schedule.season_cached``).  One too short is
-    read again from t, _FIRST_PREFIX values longer than asked, so the
+    depends only on the season of t, so it is kept in the season cache
+    under the tag ``stream`` (``Schedule.season_cached``).  One too short
+    is read again from t, _FIRST_PREFIX values longer than asked, so the
     longer anchors of the next lags fit in it."""
     def read() -> np.ndarray:
         n = d + _FIRST_PREFIX

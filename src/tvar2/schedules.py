@@ -16,9 +16,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_SIGMA2_BOUNDS = (1e-12, 1e12)
-# floats one schedule's season cache holds at most (8 MiB); an entry that
-# would take it past this is returned without being kept
-_CACHE_FLOATS = 1 << 20
+_CACHE_FLOATS = 1 << 20   # see Schedule.season_cached
 
 
 class ScheduleError(ValueError):
@@ -116,8 +114,8 @@ class Schedule:
         self.sigma2_bounds = (lo, hi)
 
     def _tile(self, rows: np.ndarray) -> None:
-        """Tile time by the checked season table ``rows``; no time raises,
-        so the season cache's readers may read past what they need."""
+        """Tile time by the checked season table ``rows``, with an empty
+        season cache."""
         self._season_rows = rows
         self._season_cache = {}
 
@@ -125,10 +123,18 @@ class Schedule:
                       fits: Callable | None = None):
         """``compute()``, an entry that depends only on ``tag`` and the
         season of time t.  A schedule tiled by season keeps it under (tag,
-        season), within _CACHE_FLOATS, and computes it again only when
-        ``fits`` rejects the kept one; a generic or abrupt-breaks one
-        computes it on every call.  The cache keeps the series prefixes of
-        ``tvar2.moments`` and the burn-in start laws of ``tvar2.simulate``."""
+        season) and computes it again only when ``fits`` rejects the kept
+        one; a generic or abrupt-breaks one computes it on every call.  The
+        cache keeps the series prefixes of ``tvar2.moments`` and the
+        burn-in starts of ``tvar2.simulate``, read-only.
+
+        Its table was checked when the schedule was built, so no time a
+        tiled schedule answers for raises, and ``compute`` may read past
+        what the caller needs.  The cache holds at most _CACHE_FLOATS
+        floats (8 MiB), counted over every entry; an entry that would pass
+        that is returned but not kept.  It lives as long as the schedule
+        object, so only a caller that shares the object between calls
+        computes an entry once per season."""
         cache = self._season_cache
         if cache is None:
             return compute()

@@ -4,56 +4,15 @@ Random stream contract, version ``STREAM_VERSION``: path p belongs to the
 block b = p // SUB_BLOCK, and block b is one SFC64 stream seeded through
 ``SeedSequence([master seed, b])``, drawn time-major at full block width.
 A path's values therefore depend on neither the ensemble size nor how
-paths are chunked.  No path runs its burn-in step by step; both families
-read the burn-in coefficients once and walk those rows in Python to find
-how the state x_B = (y_B, y_{B-1}) after it is made.  With normal innovations x_B is
-exactly Gaussian: its mean m and covariance P are propagated over the
-burn-in coefficients, and the block's first two rows z give x_B = m + L z,
-L the lower Cholesky factor of P.  With uniform innovations x_B is, by the
-general solution, a weighted sum of the burn-in draws.  Their weights
-decay on a stationary schedule, so only the K newest burn-in steps are
-drawn: the oldest B - K steps are dropped while their summed |weight|
-stays at most 2^-53 (float64's unit roundoff) of each row's total, and
-their innovations sit at their mean 0.  That moves x_B by at most 2^-54
-of the summed |weights|, below the rounding of the sum itself.  A
-near-unit-root, explosive or overflowed schedule, or B <= 1, keeps all B
-steps and the bits of version 5.  The block draws its K rows u, DRAW_ROWS
-at a time, and x_B = c + W u, each slab of u contracted with its columns
-of the (2, K) weights W by ``np.einsum`` (no BLAS, whose bits depend on
-the CPU) at the full block width.  The next ``length`` rows of either
-family are the kept innovations.  The ensemble
-is time-major, two start rows and then one row per kept step, and each
-chunk of whole blocks is simulated in place in its columns of it: x_B
-goes into the start rows, the calling thread continues each block's
-stream DRAW_ROWS steps at a time, scaled by sigma, straight into the kept
-rows, and the recursion then runs over them in place.  So the kept
-steps' bits depend on neither DRAW_ROWS nor ``workers``, which has no
-effect; no thread is started.  A uniform start's bits depend on
-DRAW_ROWS, which sets how its sum is split.  On a constant, periodic or
-cyclical schedule the start, (m, L) or (c, W), depends only on the
-family, the season of t_B and B, so it is kept in the schedule's season
-cache (``Schedule.season_cached``) and a schedule object shared between
-calls computes it once per season; only that computation reads the
-burn-in coefficients.
+paths are chunked, nor on ``workers``, which has no effect; no thread is
+started.  No path runs its burn-in step by step: ``_start`` gives the law
+of the state after it, ``_simulate_chunk`` draws the start and the kept
+steps, and ``simulate_paths`` lays the ensemble out.
 
 Statistics are collected at fixed anchor times, never time-averaged: the
-moments are themselves functions of time.  ``empirical_moments`` answers
-one anchor per call from tables of slabs of rows: the kept rows are cut
-into slabs of at most _SLAB_FLOATS values, and the first call that reads
-a slab builds the mean, the variance and their standard errors of each
-of its rows, and the first asking for lag k there the rows' lag-k
-autocovariances and their standard errors.  Each row is reduced on its
-own, pairwise and with no BLAS call, so every value has the bits of that
-anchor's row reduced alone, on any CPU, and no temporary grows with the
-ensemble: a call reduces one slab per lag and the lag-0 slabs of the rows
-those lags reach back to, and copies no more than a slab of a user-built
-ensemble whose rows are not contiguous.  The tables are kept with an
-ensemble whose values nothing can write, as ``simulate_paths`` returns
-them, and are built afresh on every call for any other.
-
-Ensembles are read-only.  The last one simulated is remembered by a weak
-reference, so ``empirical_forecast_error`` on an equal config reuses it
-while its caller still holds it, instead of simulating it again.
+moments are themselves functions of time.  ``empirical_moments`` reads
+them from per-slab tables (``_slab_table``).  Ensembles are read-only,
+and ``empirical_forecast_error`` reuses the last one simulated.
 """
 
 from __future__ import annotations
@@ -79,9 +38,7 @@ MAX_PATH_STEPS = 10**8
 # rows in Python, a normal ensemble once to find the law of its start
 # state, a uniform one twice for the general solutions' weights on its draws
 MAX_BURN_IN = 10**6
-# float64's unit roundoff: a uniform start draws no burn-in step whose
-# weights sum to at most this share of the total (see _unresolved)
-RESOLUTION = 2.0**-53
+RESOLUTION = 2.0**-53   # float64's unit roundoff (see _uniform_start)
 # the version of the stream contract above; any change to the simulated
 # bits (and so to a pinned ensemble digest) must bump it
 STREAM_VERSION = 6
@@ -103,15 +60,8 @@ class SimulationConfig:
     Each path is the recursion run ``burn_in`` steps from zero initial
     conditions, then the final ``length`` values ending at ``t_end``, which
     are kept.  ``innovations`` is "normal" or "uniform" (scaled to unit
-    variance either way, then by sigma_t).  No path runs the burn-in
-    steps: a normal path draws its state after them from that state's
-    exact Gaussian law, and a uniform path sums its burn-in draws with the
-    general solution's weights.  A uniform path draws only the K newest
-    burn-in steps, those whose weights reach float64 resolution; the
-    older ones sit at their mean, which moves its start by at most 2^-54
-    of the summed |weights|.  The MAX_PATH_STEPS cap still counts
-    burn_in + length rows per uniform block, a conservative bound on the
-    K + length it draws.
+    variance either way, then by sigma_t).  ``_start`` says how the state
+    after the burn-in is drawn.
     """
 
     schedule: Schedule
@@ -231,11 +181,18 @@ def _uniform_start(burn: np.ndarray):
     of W are the innovation weights w of the general solution of all B
     rows and of all but the newest, oldest first, with a 0 for time t_B
     in the second, times sigma and the map eps = u 2 sqrt(3) - sqrt(3):
-    W = 2 sqrt(3) (w sigma) and c = drift - sqrt(3) sum(w sigma).  The
-    oldest columns are dropped, their innovations set to their mean 0,
-    while their summed |w sigma| stays within RESOLUTION of each row's
-    total: W keeps the K newest columns and c sums over them.  An
-    overflowed weight gives a non-finite (c, W) with every column kept."""
+    W = 2 sqrt(3) (w sigma) and c = drift - sqrt(3) sum(w sigma).
+
+    On a stationary schedule the weights decay, so the oldest columns are
+    dropped, their innovations set to their mean 0, while their summed
+    |w sigma| stays at most RESOLUTION (2^-53) of each row's total
+    (``_unresolved``): W keeps the K newest columns and c sums over them,
+    and each block draws only K burn-in rows.  That moves x_B by at most
+    2^-54 of the summed |W| per row, below the rounding of the sum itself,
+    so the law is the same to float64 resolution.  Weights that do not
+    decay that far within B (near-unit-root or explosive schedules), an
+    overflowed weight (a non-finite (c, W)) and B <= 1 keep all B columns,
+    the bits of stream contract version 5."""
     weights = np.zeros((2, len(burn)))
     *_, drift_now, weights[0, ::-1] = _solution(burn[::-1])
     *_, drift_before, weights[1, -2::-1] = _solution(burn[-2::-1])
@@ -292,7 +249,15 @@ def _simulate_chunk(config: SimulationConfig, first_path: int,
     ``_start_law`` for normal innovations: each block draws z from its
     first two rows, and x_B = m + L z.  For uniform ones it is the (c, W)
     of ``_uniform_start``: each block draws its K kept burn-in rows
-    DRAW_ROWS at a time and adds W times each slab of them to c."""
+    DRAW_ROWS at a time and adds W times each slab of them to c with
+    ``np.einsum``, not a BLAS product, whose kernel and so whose bits
+    depend on the CPU; DRAW_ROWS splits that sum, so it sets the bits of a
+    uniform start.  Each block then continues its stream DRAW_ROWS kept
+    steps at a time, scaled by sigma straight into its columns of ``out``,
+    and the recursion runs over those rows in place, so the kept steps'
+    bits do not depend on DRAW_ROWS.  The scratch memory is the draw
+    buffers of at most DRAW_ROWS x SUB_BLOCK values, two rows of the chunk
+    and, for normal innovations, its z, whatever the burn-in."""
     n_paths = out.shape[1]
     length = len(coeffs)
     sigma = np.sqrt(coeffs[:, 3])[:, None]

@@ -43,7 +43,8 @@ def _running_sums(values: np.ndarray) -> np.ndarray:
 def _solution(rows: np.ndarray) -> tuple:
     """(w0, w1, drift, innovation weights) of the general solution at
     lookback k = len(rows), of the rows of times t, t-1, ..., t-k+1 (newest
-    first); reads no schedule and knows no t."""
+    first); reads no schedule and knows no t.  Its xi are those of the one
+    generator ``xi._walk``, with the bits of ``green_functions``."""
     k = len(rows)
     values = np.fromiter(_walk((rows,)), float, k + 1)
     weights = values[:k]

@@ -3,6 +3,8 @@ import functools
 import hashlib
 import io
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -16,6 +18,10 @@ import tvar2
 import tvar2.cli as cli
 from tvar2 import _rowkernel, build_vs
 from tvar2._oracles import stacked_var_radius
+
+with open(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")) as _fh:
+    README = _fh.read()
 
 CONSTANT = """
 schema_version: 1
@@ -908,6 +914,30 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
                  for option in action.option_strings}
         assert flags == {"-h", "--help", "--config", "--out",
                          *reads[name].split()}, name
+    # the README's table of subcommands lists the same flags
+    table = re.search(r"^\| subcommand .*?\n((?:\|.*\n)+)", README, re.M)
+    listed = {}
+    for row in table.group(1).splitlines()[1:]:
+        cells = row.split("|")
+        listed[cells[1].strip(" `")] = re.findall(r"`(--[a-z0-9-]+)`",
+                                                  cells[-2])
+    assert listed == {name: flags.split() for name, flags in reads.items()}
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_help_describes_every_flag(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "--help"])
+    assert exc.value.code == 0
+    printed = "".join(capsys.readouterr().out.split())
+    subparser = next(action for action in cli._build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)
+                     ).choices[name]
+    helps = {option: action.help for action in subparser._actions
+             for option in action.option_strings}
+    for flag in cli._COMMANDS[name][2]:
+        text = helps["--" + flag.replace("_", "-")]
+        assert text and "".join(text.split()) in printed, flag
 
 
 # sha256 of the CSV each README command writes on the README periodic
@@ -932,6 +962,35 @@ README_DIGESTS = [
     (["verify"],
      "0d978ac58a4ac1bb053470e3de2426460cf68c3f4ac2ab185f5dac830a0fef27"),
 ]
+
+
+def test_readme_commands_are_the_pinned_ones():
+    block = re.search(r"^```sh\n(tvar2 .*?)^```", README, re.M | re.S)
+    shown = [shlex.split(line) for line in block.group(1).splitlines()]
+    assert all(argv[0] == "tvar2" and argv[2:4] == ["--config", "model.yaml"]
+               for argv in shown)
+    assert [argv[1:2] + argv[4:] for argv in shown] == [
+        argv for argv, _ in README_DIGESTS]
+
+
+def test_readme_library_tour_prints_what_it_shows():
+    lines = re.search(r"^```python\n(.*?)^```", README,
+                      re.M | re.S).group(1).splitlines()
+    scope, checked = {}, 0
+    for line, shown in zip(lines, lines[1:] + [""]):
+        if not line or line.startswith("#"):
+            continue
+        if not shown.startswith("# "):
+            exec(line, scope)
+            continue
+        # each number shown equals the value rounded to the digits shown
+        value = np.ravel(eval(line, scope))
+        numbers = re.findall(r"-?\d+\.\d*", shown)
+        assert len(numbers) == len(value), line
+        for text, v in zip(numbers, value.tolist()):
+            assert round(v, len(text.split(".")[1])) == float(text), line
+        checked += 1
+    assert checked == 2
 
 
 @pytest.mark.parametrize("phi1s, rho, stationary", [

@@ -896,6 +896,11 @@ def test_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _subparsers() -> dict:
+    return next(action for action in cli._build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_each_subcommand_accepts_only_the_flags_it_reads():
     reads = {"green": "--t --k",
              "forecast": "--t --k --y0 --y1",
@@ -905,11 +910,8 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
              "stationarity": "--matrices",
              "decompose-verify": "--t --n",
              "verify": "--t --seed"}
-    parser = cli._build_parser()
-    sub = next(action for action in parser._actions
-               if isinstance(action, argparse._SubParsersAction))
-    assert set(sub.choices) == set(reads)
-    for name, subparser in sub.choices.items():
+    assert set(_subparsers()) == set(reads)
+    for name, subparser in _subparsers().items():
         flags = {option for action in subparser._actions
                  for option in action.option_strings}
         assert flags == {"-h", "--help", "--config", "--out",
@@ -930,10 +932,7 @@ def test_help_describes_every_flag(capsys, name):
         cli.main([name, "--help"])
     assert exc.value.code == 0
     printed = "".join(capsys.readouterr().out.split())
-    subparser = next(action for action in cli._build_parser()._actions
-                     if isinstance(action, argparse._SubParsersAction)
-                     ).choices[name]
-    helps = {option: action.help for action in subparser._actions
+    helps = {option: action.help for action in _subparsers()[name]._actions
              for option in action.option_strings}
     for flag in cli._COMMANDS[name][2]:
         text = helps["--" + flag.replace("_", "-")]

@@ -1,0 +1,128 @@
+"""Time fresh interpreters importing tvar2 and running the README commands
+on two commits, and write a cold-start pair file.
+
+Usage, from the root of a checkout:
+
+    python3 bench/cold.py --base COMMIT --out COLD_n.json
+
+Each case is one fresh interpreter, timed from this process as the wall
+time from its start to its exit:
+- ``import``: ``import tvar2``;
+- ``montecarlo-setup``: ``import tvar2`` and the ``montecarlo`` workload's
+  schedule build, ``models.setup`` of perfbench/models.py, the work
+  perfbench/setup_probe.py times as ``setup_s``;
+- one case per line of the README's command block, run as the installed
+  ``tvar2`` script runs it, through ``tvar2.cli.main``, in a directory
+  holding the README's periodic example config as model.yaml, its CSV to
+  /dev/null.
+
+Each side runs in the committed files of its commit, extracted with
+record.extract: the change is the commit HEAD names, and the README is
+read from it.  Every case first runs once on each side untimed, so the
+timed runs read the bytecode that run wrote, as an installed package's
+do (none is written when PYTHONDONTWRITEBYTECODE is set; the file records
+its value).  Then MIN_PAIRS times, each case runs once on each side,
+alternating which side runs first.  The file holds every run's seconds
+and, per case, each side's median and quartiles and record.py's gain
+entry: wins and losses over the pairs, the ratio of medians, the base's
+interquartile distance, and whether a gain may be claimed.  It is
+rewritten after every pair.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+from record import MIN_PAIRS, extract, git, summarize
+
+SETUP = "import models\nimport tvar2\nmodels.setup('montecarlo', '.')\n"
+# what the console script pyproject.toml declares runs
+SCRIPT = "import sys\nfrom tvar2.cli import main\nsys.exit(main())\n"
+
+
+def cases(readme: str) -> tuple[dict, str]:
+    """Each case's name and interpreter arguments, and the README's
+    periodic example config, which its commands read as model.yaml."""
+    block = re.search(r"^```sh\n(tvar2 .*?)^```", readme, re.M | re.S).group(1)
+    config = next(text for text in re.findall(r"^```yaml\n(.*?)^```", readme,
+                                              re.M | re.S)
+                  if "kind: periodic" in text)
+    named = {"import": ["-c", "import tvar2"], "montecarlo-setup": ["-c", SETUP]}
+    for line in block.splitlines():
+        command = shlex.split(line)[1:]
+        named[" ".join(command)] = ["-c", SCRIPT, *command]
+    return named, config
+
+
+def time_run(argv: list, env: dict, cwd: str) -> float:
+    """Seconds from the start of ``argv`` to its exit, which must be 0."""
+    start = time.perf_counter()
+    done = subprocess.run(argv, env=env, cwd=cwd, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    elapsed = time.perf_counter() - start
+    if done.returncode != 0:
+        sys.exit(f"{argv} failed in {cwd} (exit {done.returncode}):\n{done.stderr}")
+    return elapsed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="commit to compare against")
+    parser.add_argument("--out", required=True, help="COLD_<n>.json to write")
+    args = parser.parse_args(argv)
+    commits = {"base": git("rev-parse", "--verify", args.base + "^{commit}"),
+               "change": git("rev-parse", "HEAD")}
+    record = {**{side: {"commit": commit} for side, commit in commits.items()},
+              "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+              "first": [], "runs": {"base": [], "change": []}}
+
+    roots = {side: tempfile.mkdtemp(prefix=f"cold-{side}-") for side in commits}
+    work = tempfile.mkdtemp(prefix="cold-work-")
+    try:
+        for side, root in roots.items():
+            extract(commits[side], root)
+        with open(os.path.join(roots["change"], "README.md")) as fh:
+            named, config = cases(fh.read())
+        with open(os.path.join(work, "model.yaml"), "w") as fh:
+            fh.write(config)
+        envs = {side: {**os.environ, "PYTHONPATH": os.pathsep.join(
+                    [os.path.join(root, "src"), os.path.join(root, "perfbench")])}
+                for side, root in roots.items()}
+
+        def once(side: str, case: list) -> float:
+            return time_run([sys.executable, *case], envs[side], work)
+
+        for side in roots:
+            for case in named.values():
+                once(side, case)
+        for i in range(MIN_PAIRS):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            metrics = {side: {} for side in order}
+            for name, case in named.items():
+                for side in order:
+                    metrics[side][name] = once(side, case)
+            for side in order:
+                record["runs"][side].append({"metrics": metrics[side]})
+            record["first"].append(order[0])
+            summarize(record, dict.fromkeys(named, "lower"))
+            print(f"pair {i + 1}: " + json.dumps(metrics), file=sys.stderr)
+            with open(args.out, "w") as fh:
+                json.dump(record, fh, indent=1)
+                fh.write("\n")
+    finally:
+        for root in (*roots.values(), work):
+            shutil.rmtree(root, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,132 @@
+"""bench/cold.py: the cases it runs and the pair file it writes, with the
+runs stubbed, so no interpreter is started or timed."""
+
+import importlib
+import json
+import os
+import subprocess
+
+import pytest
+
+import tvar2.config
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+
+README = """# a stand-in README
+
+```python
+import tvar2
+```
+
+```sh
+tvar2 green  --config model.yaml --t 10 --k 4
+tvar2 verify --config model.yaml
+```
+
+```yaml
+schema_version: 1
+schedule:
+  kind: constant
+```
+
+```yaml
+schedule:
+  kind: periodic
+```
+"""
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    return importlib.import_module("cold")
+
+
+def test_cases_are_the_imports_and_the_readme_commands(cold):
+    named, config = cold.cases(README)
+    assert config == "schedule:\n  kind: periodic\n"
+    assert named == {
+        "import": ["-c", "import tvar2"],
+        "montecarlo-setup": ["-c", cold.SETUP],
+        "green --config model.yaml --t 10 --k 4":
+            ["-c", cold.SCRIPT, "green", "--config", "model.yaml", "--t", "10",
+             "--k", "4"],
+        "verify --config model.yaml": ["-c", cold.SCRIPT, "verify", "--config",
+                                       "model.yaml"],
+    }
+
+
+def test_the_repository_readme_gives_its_eight_commands(cold):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        named, config = cold.cases(fh.read())
+    commands = [case[2:] for case in named.values() if case[1] == cold.SCRIPT]
+    assert len(commands) == 8 and len(named) == 10
+    assert all(argv[1:3] == ["--config", "model.yaml"] for argv in commands)
+    schedule = tvar2.config.load(config)[0]
+    assert isinstance(schedule, tvar2.PeriodicSchedule) and schedule.period == 4
+
+
+def _commit(repo, value: str) -> str:
+    (repo / "src" / "value.txt").write_text(value)
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c",
+           "user.email=bench@example.invalid", "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", value], check=True)
+    return subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_pair_file_alternates_sides_and_applies_the_claim_rule(
+        cold, tmp_path, monkeypatch):
+    # each side's stand-in time is the value its committed src/value.txt
+    # holds, except verify, which reads the same on both sides
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "README.md").write_text(README)
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    base, change = _commit(repo, "0.10"), _commit(repo, "0.06")
+    (repo / "src" / "value.txt").write_text("9.0")      # an uncommitted edit
+    calls = []
+
+    def stub(argv, env, cwd):
+        src = env["PYTHONPATH"].split(os.pathsep)[0]
+        with open(os.path.join(src, "value.txt")) as fh:
+            value = float(fh.read())
+        with open(os.path.join(cwd, "model.yaml")) as fh:
+            assert fh.read() == "schedule:\n  kind: periodic\n"
+        calls.append((os.path.basename(os.path.dirname(src)).split("-")[1],
+                      argv[1:]))
+        return 0.05 if "verify" in argv else value + 1e-4 * len(calls)
+
+    monkeypatch.setattr(cold, "time_run", stub)
+    monkeypatch.chdir(repo)
+    assert cold.main(["--base", base, "--out", "COLD_t.json"]) == 0
+    with open(repo / "COLD_t.json") as fh:
+        written = json.load(fh)
+
+    named, _ = cold.cases(README)
+    pairs = cold.MIN_PAIRS
+    # one untimed run of every case on each side, then the pairs
+    assert len(calls) == 2 * len(named) * (1 + pairs)
+    assert calls[:2 * len(named)] == [(side, case) for side in ("base", "change")
+                                      for case in named.values()]
+    assert calls[2 * len(named)][0] == "base"
+    assert calls[2 * len(named) * 2][0] == "change"
+    assert written["first"] == ["base", "change"] * (pairs // 2)
+    assert (written["base"]["commit"], written["change"]["commit"]) == (base, change)
+    assert written["PYTHONDONTWRITEBYTECODE"] == os.environ.get(
+        "PYTHONDONTWRITEBYTECODE")
+    runs = written["runs"]
+    assert [len(runs[side]) for side in ("base", "change")] == [pairs, pairs]
+    assert all(run["metrics"].keys() == named.keys()
+               for side in runs for run in runs[side])
+    assert written["summary"]["import"]["base"]["median"] == pytest.approx(
+        0.10, abs=0.01)
+    gain = written["gain"]
+    assert gain.keys() == named.keys()
+    assert (gain["import"]["wins"], gain["import"]["claimable"]) == (pairs, True)
+    assert gain["import"]["median_ratio"] == pytest.approx(0.6, abs=0.02)
+    verify = gain["verify --config model.yaml"]
+    assert (verify["wins"], verify["losses"], verify["claimable"]) == (0, 0, False)
+    assert "check" not in written

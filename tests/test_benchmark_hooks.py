@@ -69,6 +69,27 @@ def test_layer_tracer_installs_counts_and_uninstalls(monkeypatch):
             tvar2.schedules.Schedule.at, tvar2.cli.forecast) == originals
 
 
+def test_layer_tracer_leaves_every_package_name_as_it_was(monkeypatch):
+    # the tracer restores only the names it replaced in vars(tvar2); a name
+    # the package resolved lazily, and kept, while the tracer was installed
+    # would keep its wrapper after uninstall
+    monkeypatch.syspath_prepend(PERFBENCH)
+    layertrace = importlib.import_module("layertrace")
+    before = {name: getattr(tvar2, name) for name in tvar2.__all__}
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        during = {name: getattr(tvar2, name) for name in tvar2.__all__}
+    finally:
+        tracer.uninstall()
+    for name in ("forecast", "simulate_paths", "load", "xi", "green_functions"):
+        assert during[name] is not before[name], name
+    for name, value in before.items():
+        assert getattr(tvar2, name) is value, name
+    assert importlib.import_module("tvar2.xi") is XI
+    assert tvar2.xi is XI.xi
+
+
 def test_layer_tracer_counts_the_xi_prefix_of_a_tiled_series(monkeypatch):
     # the variance and the mean at t share one cached xi prefix of the
     # season of t, and the tracer counts its steps as it is read

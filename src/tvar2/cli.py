@@ -25,10 +25,10 @@ from . import config as config_mod
 from .blockdet import (PeriodEndError, decomposition_report, segment_layout,
                        xi_block_decomposed, xi_par_decomposed)
 from .config import PARAMS, ConfigError
-from .moments import autocovariance, forecast
+from .moments import DEFAULT_N_MAX, DEFAULT_TOL, autocovariance, forecast
 from .schedules import PeriodicSchedule, ScheduleError
-from .simulate import (MAX_PATH_STEPS, SimulationConfig, empirical_moments,
-                       simulate_paths)
+from .simulate import (DEFAULT_BURN_IN, MAX_PATH_STEPS, SimulationConfig,
+                       empirical_moments, simulate_paths)
 from .solution import evaluate_solution, forward_recursion, general_solution
 from .vs import build_vs, stationarity_check
 from .xi import ORACLE_CAP, green_functions, xi_determinant_oracle
@@ -261,11 +261,12 @@ _COMMANDS = {
                            "y1": None}, {}),
     "acf": (_cmd_acf, "autocovariances of y_t at lags 0..max_lag",
             {"t": _ANCHOR, "max_lag": (0, MAX_DEPTH - 1), "tol": None,
-             "nmax": (1, MAX_DEPTH)}, {}),
+             "nmax": (1, MAX_DEPTH)},
+            {"tol": DEFAULT_TOL, "nmax": DEFAULT_N_MAX}),
     "simulate": (_cmd_simulate, "Monte Carlo path ensemble",
                  {"t": _ANCHOR, "seed": None, "paths": None, "length": None,
                   "burn_in": None, "workers": None, "innovations": None,
-                  "aggregate": None}, {}),
+                  "aggregate": None}, {"burn_in": DEFAULT_BURN_IN}),
     "stationarity": (_cmd_stationarity, "period-matrix stationarity verdict",
                      {"matrices": None}, {}),
     "decompose-verify": (_cmd_decompose_verify, "three-way check of the "

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -34,29 +35,47 @@ EXPORTS = {
            "xi_determinant_oracle", "xi_second_determinant_oracle", "xi_stream"],
 }
 OWNERS = [(module, name) for module, names in EXPORTS.items() for name in names]
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _loaded_after(*steps: str) -> list:
+    """For each step, a fresh interpreter's loaded tvar2 modules and whether
+    it loaded PyYAML, after running the steps up to that one."""
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(tvar2.__file__))}
+    report = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'tvar2'),"
+              " 'yaml' in sys.modules)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + report.join(steps) + report],
+        env=env, timeout=120, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
 
 
 def test_import_loads_only_the_xi_kernel_and_the_schedules():
     # a caller that builds the montecarlo schedules and walks xi imports
     # neither PyYAML nor the modules of the other layers
-    env = {**os.environ,
-           "PYTHONPATH": os.path.dirname(os.path.dirname(tvar2.__file__))}
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\n"
-         "def loaded():\n"
-         "    return (sorted(m for m in sys.modules if m.split('.')[0] == 'tvar2'),\n"
-         "            'yaml' in sys.modules)\n"
-         "import tvar2\n"
-         "print(loaded())\n"
-         "from tvar2.schedules import (ConstantSchedule, CyclicalSchedule,\n"
-         "                             PeriodicSchedule)\n"
-         "print(loaded())\n"],
-        env=env, timeout=120, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    expect = repr((["tvar2", "tvar2._oracles", "tvar2.schedules", "tvar2.xi"],
-                   False))
-    assert done.stdout == f"{expect}\n{expect}\n"
+    expect = f"{['tvar2', 'tvar2._oracles', 'tvar2.schedules', 'tvar2.xi']} False"
+    assert _loaded_after(
+        "import tvar2\n",
+        "from tvar2.schedules import (ConstantSchedule, CyclicalSchedule,\n"
+        "                             PeriodicSchedule)\n") == [expect, expect]
+
+
+def test_loading_a_plain_config_loads_only_the_schedules():
+    # the README's periodic config is in the subset tvar2.config reads
+    # itself; the same config after a document marker is not
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        periodic = next(text for text in re.findall(r"```yaml\n(.*?)```",
+                                                    fh.read(), re.S)
+                        if "kind: periodic" in text)
+    marked = "---\n" + periodic
+    modules = ["tvar2", "tvar2._oracles", "tvar2.config", "tvar2.schedules",
+               "tvar2.xi"]
+    assert _loaded_after(
+        f"import tvar2.config\ntvar2.config.load({periodic!r})\n",
+        f"tvar2.config.load({marked!r})\n") == [
+        f"{modules} False", f"{modules} True"]
 
 
 def test_every_exported_name_is_its_owners_object():

@@ -11,10 +11,10 @@ time from its start to its exit:
 - ``montecarlo-setup``: ``import tvar2`` and the ``montecarlo`` workload's
   schedule build, ``models.setup`` of perfbench/models.py, the work
   perfbench/setup_probe.py times as ``setup_s``;
-- one case per line of the README's command block, run as the installed
-  ``tvar2`` script runs it, through ``tvar2.cli.main``, in a directory
-  holding the README's periodic example config as model.yaml, its CSV to
-  /dev/null.
+- one case per line of the README's command block, and ``KERNEL``, run
+  as the installed ``tvar2`` script runs it, through ``tvar2.cli.main``,
+  in a directory holding the README's periodic example config as
+  model.yaml, its CSV to /dev/null.
 
 Each side runs in the committed files of its commit, extracted with
 record.extract: the change is the commit HEAD names, and the README is
@@ -47,18 +47,22 @@ from record import MIN_PAIRS, extract, git, summarize
 SETUP = "import models\nimport tvar2\nmodels.setup('montecarlo', '.')\n"
 # what the console script pyproject.toml declares runs
 SCRIPT = "import sys\nfrom tvar2.cli import main\nsys.exit(main())\n"
+# a table long enough for tvar2.cli's array kernel, which the first such
+# table of a process imports: a cost no README command pays
+KERNEL = ["green", "--config", "model.yaml", "--t", "10", "--k", "5000"]
 
 
 def cases(readme: str) -> tuple[dict, str]:
-    """Each case's name and interpreter arguments, and the README's
-    periodic example config, which its commands read as model.yaml."""
+    """Each case's name and interpreter arguments, the README's commands
+    and then KERNEL, and the README's periodic example config, which they
+    read as model.yaml."""
     block = re.search(r"^```sh\n(tvar2 .*?)^```", readme, re.M | re.S).group(1)
     config = next(text for text in re.findall(r"^```yaml\n(.*?)^```", readme,
                                               re.M | re.S)
                   if "kind: periodic" in text)
     named = {"import": ["-c", "import tvar2"], "montecarlo-setup": ["-c", SETUP]}
-    for line in block.splitlines():
-        command = shlex.split(line)[1:]
+    for command in [shlex.split(line)[1:] for line in block.splitlines()] + [
+            KERNEL]:
         named[" ".join(command)] = ["-c", SCRIPT, *command]
     return named, config
 

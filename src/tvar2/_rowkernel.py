@@ -45,24 +45,40 @@ _SHIFT = 600
 # a bound on the error of _decimal's rounding residue where 10**q is inexact
 _RESIDUE_ERROR = 2.0**-48
 
-# the quad, top, tail and power tables, and the six quads of ',' and the
-# %.15g of infinity and nan at 2 * kind + sign bit (kind 0, finite, blank)
-_full = [f"{g:04d}" for g in range(10**4)]
-_lead = [d.lstrip("0").rjust(4) for d in _full]
+
+def _quad_table() -> np.ndarray:
+    """The quad table, from the decimal digits of the groups 0 .. 9999:
+    at _FULL + g every digit, at _LEAD + g and _UNITS + g each digit above
+    g's first blank (_UNITS keeping the last digit of 0), at _TRAIL + g
+    each digit past g's last nonzero one blank.  A quad's byte j is its
+    digit at place 10**(3 - j), or NUL where blank."""
+    g = np.arange(10**4)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    lead = g < place
+    blank = np.stack([np.zeros_like(lead), lead, lead & (place > 1),
+                      g % (10 * place) == 0])
+    chars = np.where(blank, 0, g // place % 10 + ord("0"))
+    quads = (chars << 8 * np.arange(4)).sum(axis=2).astype("<u4").ravel()
+    quads.flags.writeable = False
+    return quads
+
+
+# the top, tail and power tables, and the six quads of ',' and the %.15g
+# of infinity and nan at 2 * kind + sign bit (kind 0, finite, blank)
+_pairs = [f"{g:02d}" for g in range(100)]
 _text = "".join(
-    _full + _lead + ["   0"] + _lead[1:]
-    + [d.rstrip("0").ljust(4) for d in _full]
-    + [" ." + d[2:] for d in _full[:100]] + ["    "]
-    + [(" ." + d[2:].rstrip("0")).ljust(4) for d in _full[1:100]]
-    + [d[2:].rstrip("0").ljust(2) + "e-" for d in _full[:100]]
+    [" ." + d for d in _pairs] + ["    "]
+    + [(" ." + d.rstrip("0")).ljust(4) for d in _pairs[1:]]
+    + [d.rstrip("0").ljust(2) + "e-" for d in _pairs]
     + [f"{x:02d}".rjust(4) for x in range(325)]
     + ["," + word.rjust(22) + " "
        for word in ("", "", "inf", "-inf", "nan", "nan")])
-_QUADS, _TOP, _TAIL, _POWER, _SPELLED = np.split(
+_TOP, _TAIL, _POWER, _SPELLED = np.split(
     np.frombuffer(_text.replace(" ", "\0").encode("ascii"), "<u4"),
-    np.cumsum([4 * 10**4, 200, 100, 325]))
+    np.cumsum([200, 100, 325]))
 _SPELLED = _SPELLED.reshape(6, 6)
-del _full, _lead, _text
+_QUADS = _quad_table()
+del _pairs, _text
 
 # 10**q * 2**-_SHIFT for q in [0, 338] as double-doubles (_HIGH, _LOW),
 # exactly from Python ints (int / int rounds correctly; _LOW is 0 where

@@ -377,10 +377,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     run, _, flags, defaults = _COMMANDS[args.command]
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             schedule, params = config_mod.load(fh)
         _resolve(args, params, flags, defaults)
-    except (OSError, ConfigError, ScheduleError) as exc:
+    except (OSError, UnicodeDecodeError, ConfigError, ScheduleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

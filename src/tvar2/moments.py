@@ -1,10 +1,14 @@
 """Multi-step forecasts, forecast-error variance and unconditional moments.
 
 The k-step predictor and its mean square error are finite sums over the
-Green functions; unconditional mean, variance and autocovariances are the
-corresponding infinite series, truncated with an explicit tail test and an
-honest convergence flag (non-convergence is data, not an error: explosive
-schedules are legitimate forecasting inputs).
+Green functions.  On a constant, periodic or cyclical schedule whose
+verdict (``stationarity_check``) is stationary, the unconditional mean,
+variance and autocovariances are exact: they read the stationary moments
+of the state (y_t, y_{t-1}) at each season, the fixed point of the period
+map (``_stationary_moments``).  On every other schedule they are the
+corresponding infinite series, truncated with an explicit tail test and
+an honest convergence flag (non-convergence is data, not an error:
+explosive schedules are legitimate forecasting inputs).
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .schedules import Schedule
-from .solution import _running_sums, _solution, general_solution
+from .solution import _propagate, _running_sums, _solution, general_solution
+from .vs import stationarity_check
 from .xi import green_functions, xi_stream
 
 DEFAULT_TOL = 1e-12
@@ -42,6 +47,11 @@ class ForecastResult:
 
 @dataclass(frozen=True)
 class MomentSummary:
+    """The mean and variance of y at ``anchor``, with the depth, tail bound
+    and convergence of their series.  An exact summary (a schedule with
+    stationary season moments) has depth 0, tail_bound 0.0 and converged
+    True."""
+
     anchor: int
     depth: int
     mean: float
@@ -56,6 +66,10 @@ class MomentSummary:
 
 @dataclass(frozen=True)
 class Autocovariance:
+    """Cov(y_anchor, y_{anchor-lag}), with the depth, tail bound and
+    convergence of its series.  An exact one (a schedule with stationary
+    season moments) has depth 0, tail_bound 0.0 and converged True."""
+
     anchor: int
     lag: int
     depth: int
@@ -95,6 +109,15 @@ def _tail_window(tol: float) -> int:
     return max(10, math.ceil(math.log(1.0 / tol)))
 
 
+def _series_window(tol: float, n_max: int) -> int:
+    """``_tail_window(tol)``, once ``n_max`` is checked too: the arguments
+    of a series, checked in that order also where no series is summed."""
+    window = _tail_window(tol)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return window
+
+
 _FIRST_PREFIX = 64   # terms of an array series' first prefix; each next is 4x
 _WINDOW_FLOATS = 1 << 16   # sizes a prefix's window test copies at a time
 
@@ -116,9 +139,7 @@ def _truncated_sum(terms: Iterable[float] | Callable[[int], np.ndarray],
     Returns (value, n_used, tail_bound, converged); tail_bound is the sum of
     absolute values over the final window, an empirical residual indicator.
     """
-    window = _tail_window(tol)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    window = _series_window(tol, n_max)
     if callable(terms):
         d = min(_FIRST_PREFIX, n_max)
         # an explosive series overflows its products and sums to inf, and
@@ -186,17 +207,17 @@ def _column(schedule: Schedule, t: int, j: int) -> Iterator[float]:
         yield from rows[:, j].tolist()
 
 
-def _season_prefix(schedule: Schedule, stream: str, t: int,
-                   d: int) -> np.ndarray:
+def _season_prefix(schedule: Schedule, stream: str, t: int, d: int,
+                   longer: int = _FIRST_PREFIX) -> np.ndarray:
     """The first d values of a stream at time t of a schedule with a
     season cache: ``"xi"`` is xi_{t,0}, xi_{t,1}, ... from ``xi_stream``;
     ``"phi0"`` and ``"sigma2"`` are that column at t, t-1, ....  Each
     depends only on the season of t, so it is kept in the season cache
     under the tag ``stream`` (``Schedule.season_cached``).  One too short
-    is read again from t, _FIRST_PREFIX values longer than asked, so the
+    is read again from t, ``longer`` values longer than asked, so the
     longer anchors of the next lags fit in it."""
     def read() -> np.ndarray:
-        n = d + _FIRST_PREFIX
+        n = d + longer
         if stream == "xi":
             values = np.fromiter(xi_stream(schedule, t, t - n + 2), float, n)
         else:
@@ -249,8 +270,96 @@ def _covariance_series(schedule: Schedule, t: int, k: int):
     return prefix
 
 
+def _fixed_points(m: tuple, d: tuple, w: tuple) -> tuple:
+    """(mu, Sigma) with mu = M mu + d and Sigma = M Sigma M^T + W, for
+    M = ((m00, m01), (m10, m11)) of spectral radius below one, d = (d0, d1)
+    and the symmetric W and Sigma as (P00, P01, P11), by Smith's
+    doubling.  mu = sum_j M^j d and Sigma = sum_j M^j W M^jT are summed as
+    (mu + A mu, X + A X A^T) with A squared at each step, from (d, W) and
+    A = M, until a step adds nothing (at most 64 steps; A is then
+    M^(2^64)).  No step divides, and every term of Sigma's sum is positive
+    semidefinite."""
+    (a00, a01), (a10, a11) = m
+    mean, cov = d, w
+    for _ in range(64):
+        (u0, u1), (x00, x01, x11) = mean, cov
+        b00, b01 = a00 * x00 + a01 * x01, a00 * x01 + a01 * x11   # (A X)[0]
+        b10, b11 = a10 * x00 + a11 * x01, a10 * x01 + a11 * x11   # (A X)[1]
+        step = ((u0 + (a00 * u0 + a01 * u1), u1 + (a10 * u0 + a11 * u1)),
+                (x00 + (b00 * a00 + b01 * a01), x01 + (b00 * a10 + b01 * a11),
+                 x11 + (b10 * a10 + b11 * a11)))
+        if step == (mean, cov):
+            break
+        mean, cov = step
+        a00, a01, a10, a11 = (a00 * a00 + a01 * a10, a00 * a01 + a01 * a11,
+                              a10 * a00 + a11 * a10, a10 * a01 + a11 * a11)
+    return mean, cov
+
+
+def _stationary_moments(schedule: Schedule) -> np.ndarray:
+    """Rows (m0, m1, P00, P01, P11), the stationary mean and covariance of
+    the state x_t = (y_t, y_{t-1}) at each season of a schedule tiled by
+    season, in season order, where its verdict is stationary; no rows where
+    it is not, or where a moment is not finite.  Read-only.
+
+    One period of ``_propagate`` from zero ends at the last season with the
+    period map's drift d and noise W.  With the period matrix
+    M = A_l ... A_1 the state there solves mu = M mu + d (2 unknowns) and
+    Sigma = M Sigma M^T + W (3 unknowns), in Python floats
+    (``_fixed_points``); ``_propagate`` then carries it through seasons
+    1 .. l-1.
+    """
+    none = np.empty((0, 5))   # no season moments: the series answers
+    try:
+        if stationarity_check(schedule).stationary is not True:
+            return none
+    except ArithmeticError:   # a radius past the float range
+        return none
+    rows = schedule._season_rows
+    drift, noise = _propagate(rows)
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    for phi1, phi2 in rows[:, 1:3].tolist():
+        m00, m01, m10, m11 = (phi1 * m00 + phi2 * m10,
+                              phi1 * m01 + phi2 * m11, m00, m01)
+    mean, cov = _fixed_points(((m00, m01), (m10, m11)), drift, noise)
+    seasons = [mean + cov]
+    for row in range(len(rows) - 1):
+        mean, cov = _propagate(rows[row:row + 1], mean, cov)
+        seasons.append(mean + cov)
+    seasons = np.array(seasons[1:] + seasons[:1])
+    if not np.isfinite(seasons).all():
+        return none
+    seasons.flags.writeable = False
+    return seasons
+
+
+def _season_moments(schedule: Schedule) -> np.ndarray | None:
+    """``_stationary_moments(schedule)``, one entry of the season cache for
+    all seasons (kept under the season of time 1), or None where moments
+    are series: on a generic or abrupt-breaks schedule, and where that
+    entry has no rows."""
+    if schedule._season_cache is None:
+        return None
+    seasons = schedule.season_cached(
+        "moments", 1, lambda: _stationary_moments(schedule))
+    return seasons if len(seasons) else None
+
+
 def unconditional_mean(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
                        n_max: int = DEFAULT_N_MAX) -> MomentSummary:
+    """E(y_t): mu_{s(t)}[0] of the season moments where a schedule has
+    them (``_season_moments``; tol and n_max are only checked), else the
+    truncated series ``_series_mean``."""
+    seasons = _season_moments(schedule)
+    if seasons is None:
+        return _series_mean(schedule, t, tol, n_max)
+    _series_window(tol, n_max)
+    return MomentSummary(int(t), 0, float(seasons[(t - 1) % len(seasons), 0]),
+                         math.nan, 0.0, True)
+
+
+def _series_mean(schedule: Schedule, t: int, tol: float,
+                 n_max: int) -> MomentSummary:
     """Truncated series for E(y_t): sum of xi_{t,i} * phi0(t-i)."""
     value, n, tail, converged = _truncated_sum(_mean_series(schedule, t), tol,
                                                n_max)
@@ -259,8 +368,8 @@ def unconditional_mean(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
 
 def unconditional_variance(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
                            n_max: int = DEFAULT_N_MAX) -> MomentSummary:
-    """Truncated series for Var(y_t), the lag-0 autocovariance:
-    sum of xi_{t,i}^2 * sigma2(t-i).
+    """Var(y_t), the lag-0 autocovariance: exact where the schedule has
+    season moments, else the truncated series of xi_{t,i}^2 * sigma2(t-i).
 
     The summary also carries the mean, so ``second_moment`` is available.
     """
@@ -273,10 +382,33 @@ def unconditional_variance(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
 
 def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
                    n_max: int = DEFAULT_N_MAX) -> Autocovariance:
-    """Cov(y_t, y_{t-k}) via the series sum of
-    xi_{t,k+i} * xi_{t-k,i} * sigma2(t-k-i)."""
+    """Cov(y_t, y_{t-k}).  Where the schedule has season moments
+    (``_season_moments``; tol and n_max are only checked) it is
+    e1' A_t ... A_{t-k+1} Sigma_{s(t-k)} e1: the product's first row is the
+    general solution's (w0, w1) = (xi_{t,k}, phi2(t-k+1) * xi_{t,k-1}),
+    read from the season's cached xi prefix, so the lags of one anchor
+    share it: a prefix too short is read again twice as long.  Else the
+    truncated series ``_series_autocovariance``."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    seasons = _season_moments(schedule)
+    if seasons is None:
+        return _series_autocovariance(schedule, t, k, tol, n_max)
+    _series_window(tol, n_max)
+    period = len(seasons)
+    p00, p01 = seasons[(t - k - 1) % period, 2:4].tolist()
+    value = p00
+    if k:
+        xi = _season_prefix(schedule, "xi", t, k + 1, k + 1)
+        phi2 = schedule._season_rows[(t - k) % period, 2]
+        value = float(xi[k]) * p00 + float(phi2) * float(xi[k - 1]) * p01
+    return Autocovariance(int(t), int(k), 0, value, 0.0, True)
+
+
+def _series_autocovariance(schedule: Schedule, t: int, k: int, tol: float,
+                           n_max: int) -> Autocovariance:
+    """Cov(y_t, y_{t-k}) via the series sum of
+    xi_{t,k+i} * xi_{t-k,i} * sigma2(t-k-i)."""
     value, n, tail, converged = _truncated_sum(
         _covariance_series(schedule, t, k), tol, n_max)
     return Autocovariance(int(t), int(k), n, value, tail, converged)
@@ -287,7 +419,8 @@ def autocovariance_recursion(schedule: Schedule, t: int, k: int,
                              n_max: int = DEFAULT_N_MAX) -> Autocovariance:
     """Cov(y_t, y_{t-k}) via the recursion form
     xi_{t,k} * Var(y_{t-k}) + phi2(t-k+1) * xi_{t,k-1} * Cov(y_{t-k}, y_{t-k-1}):
-    the general solution's weights w0, w1 on the series moments at t-k."""
+    the general solution's weights w0, w1 on the moments at t-k of
+    ``autocovariance``."""
     if k < 1:
         raise ValueError("recursion form requires k >= 1")
     sol = general_solution(schedule, t, k)

@@ -125,8 +125,8 @@ class Schedule:
         season of time t.  A schedule tiled by season keeps it under (tag,
         season) and computes it again only when ``fits`` rejects the kept
         one; a generic or abrupt-breaks one computes it on every call.  The
-        cache keeps the series prefixes of ``tvar2.moments`` and the
-        burn-in starts of ``tvar2.simulate``, read-only.
+        cache keeps the prefixes and season moments of ``tvar2.moments``
+        and the burn-in starts of ``tvar2.simulate``, read-only.
 
         Its table was checked when the schedule was built, so no time a
         tiled schedule answers for raises, and ``compute`` may read past

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .schedules import Schedule
-from .solution import _solution, general_solution
+from .solution import _propagate, _solution, general_solution
 
 DEFAULT_BURN_IN = 500
 CHUNK_TARGET = 20_000   # paths per chunk; bounds its scratch rows' width
@@ -142,23 +142,6 @@ class EmpiricalMoments:
     mean: EstimateWithSE
     variance: EstimateWithSE
     autocovariances: tuple[EstimateWithSE, ...] = field(default=())
-
-
-def _propagate(coeffs: np.ndarray):
-    """Mean (m0, m1) and covariance (P00, P01, P11) of the state
-    x_s = (y_s, y_{s-1}) after the coefficient rows ``coeffs`` (oldest
-    first) from zero: m_s = A_s m_{s-1} + (phi0, 0) and
-    P_s = A_s P_{s-1} A_s^T + diag(sigma2, 0), A_s = [[phi1, phi2], [1, 0]].
-    The rows are read DRAW_ROWS at a time, never as one list.  Python
-    floats overflow to inf and nan without a warning."""
-    m0 = m1 = p00 = p01 = p11 = 0.0
-    for j0 in range(0, len(coeffs), DRAW_ROWS):
-        for phi0, phi1, phi2, sigma2 in coeffs[j0:j0 + DRAW_ROWS].tolist():
-            a = phi1 * p00 + phi2 * p01     # (A P)[0, 0]
-            b = phi1 * p01 + phi2 * p11     # (A P)[0, 1]
-            p00, p01, p11 = (a * phi1 + b * phi2) + sigma2, a, p00
-            m0, m1 = (phi0 + phi1 * m0) + phi2 * m1, m0
-    return (m0, m1), (p00, p01, p11)
 
 
 def _start_law(burn: np.ndarray):

@@ -3,6 +3,7 @@ import pytest
 import yaml
 
 import tvar2.config
+import tvar2.moments
 from tvar2 import CoefficientTuple, GenericSchedule
 
 
@@ -40,3 +41,12 @@ def yaml_pairs(monkeypatch):
         monkeypatch.setattr(tvar2.config, "_DUMPER", yaml.SafeDumper)
         yield "pure-python"
     return passes
+
+
+@pytest.fixture
+def series_only(monkeypatch):
+    """Answer every schedule's moments with the truncated series, as on a
+    schedule without exact season moments: the public functions then call
+    ``_series_mean`` and ``_series_autocovariance``, and a tiled schedule
+    keeps its season cache and array series."""
+    monkeypatch.setattr(tvar2.moments, "_season_moments", lambda schedule: None)

@@ -54,6 +54,8 @@ def test_cases_are_the_imports_and_the_readme_commands(cold):
              "--k", "4"],
         "verify --config model.yaml": ["-c", cold.SCRIPT, "verify", "--config",
                                        "model.yaml"],
+        "green --config model.yaml --t 10 --k 5000": ["-c", cold.SCRIPT,
+                                                      *cold.KERNEL],
     }
 
 
@@ -61,7 +63,8 @@ def test_the_repository_readme_gives_its_eight_commands(cold):
     with open(os.path.join(ROOT, "README.md")) as fh:
         named, config = cold.cases(fh.read())
     commands = [case[2:] for case in named.values() if case[1] == cold.SCRIPT]
-    assert len(commands) == 8 and len(named) == 10
+    assert len(commands) == 8 + 1 and len(named) == 11
+    assert commands[-1] == cold.KERNEL
     assert all(argv[1:3] == ["--config", "model.yaml"] for argv in commands)
     schedule = tvar2.config.load(config)[0]
     assert isinstance(schedule, tvar2.PeriodicSchedule) and schedule.period == 4
@@ -97,7 +100,7 @@ def test_pair_file_alternates_sides_and_applies_the_claim_rule(
             assert fh.read() == "schedule:\n  kind: periodic\n"
         calls.append((os.path.basename(os.path.dirname(src)).split("-")[1],
                       argv[1:]))
-        return 0.05 if "verify" in argv else value + 1e-4 * len(calls)
+        return 0.05 if "verify" in argv else value + 1e-5 * len(calls)
 
     monkeypatch.setattr(cold, "time_run", stub)
     monkeypatch.chdir(repo)

@@ -90,7 +90,8 @@ def test_layer_tracer_leaves_every_package_name_as_it_was(monkeypatch):
     assert tvar2.xi is XI.xi
 
 
-def test_layer_tracer_counts_the_xi_prefix_of_a_tiled_series(monkeypatch):
+def test_layer_tracer_counts_the_xi_prefix_of_a_tiled_series(monkeypatch,
+                                                              series_only):
     # the variance and the mean at t share one cached xi prefix of the
     # season of t, and the tracer counts its steps as it is read
     monkeypatch.syspath_prepend(PERFBENCH)
@@ -166,7 +167,8 @@ def test_layer_tracer_wraps_the_reexported_oracles(monkeypatch, tmp_path):
     assert after_decompose[block] == after_verify[block] + 1
 
 
-def test_traced_acf_counts_one_series_per_lag(monkeypatch, tmp_path):
+def test_traced_acf_counts_one_series_per_lag(monkeypatch, series_only,
+                                              tmp_path):
     # the lags of an acf share the schedule's xi prefixes, so the tracer
     # counts fewer xi steps than the lazy walks read: k + n of the anchor
     # and n of the lagged stream for a lag k series of n terms
@@ -194,3 +196,26 @@ def test_traced_acf_counts_one_series_per_lag(monkeypatch, tmp_path):
     assert metrics["moments.series.terms"][0] == sum(c.depth for c in covs)
     lazy = sum(c.lag + c.depth + (c.depth if c.lag else 0) for c in covs)
     assert 0 < metrics["xi.steps"][0] < lazy
+
+
+def test_traced_exact_acf_sums_no_series(monkeypatch, tmp_path):
+    # a stationary periodic schedule has season moments: its lags read the
+    # one xi prefix of the season of t, each read twice as long as asked
+    monkeypatch.syspath_prepend(PERFBENCH)
+    layertrace = importlib.import_module("layertrace")
+    cfg = tmp_path / "p.yaml"
+    cfg.write_text(PERIODIC)
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        code = tvar2.cli.main(["acf", "--config", str(cfg), "--t", "5001",
+                               "--max-lag", "20", "--out",
+                               str(tmp_path / "acf.csv")])
+        metrics = layertrace.layer_metrics(tracer, 0, 0, 0)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert metrics["moments.series.calls"][0] == 0
+    assert tracer.counters["xi.steps.moments"] == 4 + 10 + 22   # lags 1, 4, 10
+    assert tracer.span_counts()["moments.autocovariance"] == 21

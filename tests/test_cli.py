@@ -111,6 +111,38 @@ def test_acf_output(tmp_path):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+@pytest.mark.parametrize("config", [CONSTANT, PERIODIC, CYCLICAL])
+def test_stationary_acf_rows_are_exact_whatever_tol_and_nmax(tmp_path, config):
+    # the series of these lags is cut at 5 terms, or runs to a tolerance of
+    # 1e-3; an exact row ignores both and is always converged
+    cfg = _write(tmp_path, "s.yaml", config)
+    argv = ["acf", "--config", cfg, "--t", "5001", "--max-lag", "6"]
+    code, text = _run(tmp_path, argv)
+    assert code == 0
+    covs = [tvar2.autocovariance(_schedule(config), 5001, k) for k in range(7)]
+    assert text == _reference_csv("t,k,gamma,converged", [
+        (5001, c.lag, c.value, c.converged) for c in covs])
+    assert all((c.depth, c.tail_bound, c.converged) == (0, 0.0, True)
+               for c in covs)
+    for flags in (["--nmax", "5"], ["--tol", "1e-3"]):
+        assert _run(tmp_path, argv + flags) == (0, text)
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    # a config is UTF-8 text, whatever the locale: byte 0xe9 (latin-1 e
+    # acute) in a comment is no UTF-8
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(CONSTANT.encode() + b"# r\xe9sum\xe9\n")
+    out = tmp_path / "out.csv"
+    code = cli.main(["green", "--config", str(path), "--t", "1", "--k", "2",
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err == ("config error: 'utf-8' codec can't decode byte 0xe9 in "
+                   f"position {len(CONSTANT) + 3}: invalid continuation "
+                   "byte\n")
+
+
 def test_negative_sigma2_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.yaml",
                  CONSTANT.replace("sigma2: 1.0", "sigma2: -1.0"))
@@ -948,7 +980,7 @@ README_DIGESTS = [
     (["forecast", "--t", "10", "--k", "3", "--y0", "1", "--y1", "2"],
      "5a80d76c4e842ddd8c33ebc55d9c9053108b7b3744cfe9efe89ac2eb26d3c350"),
     (["acf", "--t", "10", "--max-lag", "4"],
-     "5c82096836d734b50cbd532c6db3712758b4890cf990e0f3430f1a39911ddc16"),
+     "8e93292d9ac4110a1633dc2e2dd58ff0b3bb6363b0cdce638b17551bdcb6579e"),
     (["simulate", "--t", "40", "--paths", "200", "--seed", "7", "--aggregate"],
      "a1bca5ab96c469181ead3ede5b8f36047494d0d1b6eeef325b84902ce4f56b25"),
     (["simulate", "--t", "40", "--length", "3", "--paths", "20", "--burn-in",
@@ -1346,6 +1378,30 @@ def test_array_rows_equal_the_percent_reference():
             for line, expected in zip(got.splitlines(), want.splitlines()):
                 assert line == expected
         assert got == want
+
+
+def test_kernel_tables_equal_the_string_built_ones():
+    # the tables as the kernel once built them, from 4 * 10**4 strings
+    full = [f"{g:04d}" for g in range(10**4)]
+    lead = [d.lstrip("0").rjust(4) for d in full]
+    text = "".join(
+        full + lead + ["   0"] + lead[1:]
+        + [d.rstrip("0").ljust(4) for d in full]
+        + [" ." + d[2:] for d in full[:100]] + ["    "]
+        + [(" ." + d[2:].rstrip("0")).ljust(4) for d in full[1:100]]
+        + [d[2:].rstrip("0").ljust(2) + "e-" for d in full[:100]]
+        + [f"{x:02d}".rjust(4) for x in range(325)]
+        + ["," + word.rjust(22) + " "
+           for word in ("", "", "inf", "-inf", "nan", "nan")])
+    *tables, spelled = np.split(
+        np.frombuffer(text.replace(" ", "\0").encode("ascii"), "<u4"),
+        np.cumsum([4 * 10**4, 200, 100, 325]))
+    for want, got in zip(tables + [spelled.reshape(6, 6)],
+                         (_rowkernel._QUADS, _rowkernel._TOP, _rowkernel._TAIL,
+                          _rowkernel._POWER, _rowkernel._SPELLED)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
 
 
 def test_undecided_exponent_form_goes_through_percent(monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import math
+from fractions import Fraction
 import threading
 import warnings
 import weakref
@@ -13,7 +14,8 @@ from tvar2 import (BreakSchedule, CoefficientTuple, ConstantSchedule,
                    CyclicalSchedule, GenericSchedule, PeriodicSchedule,
                    ScheduleError, autocovariance, autocovariance_recursion,
                    forecast, forecast_error_weights, general_solution,
-                   green_functions, unconditional_mean, unconditional_variance)
+                   green_functions, stationarity_check, unconditional_mean,
+                   unconditional_variance)
 from tvar2.moments import (DEFAULT_TOL, _tail_window,
                            assumption_a1_diagnostic)
 from conftest import random_schedule
@@ -88,7 +90,7 @@ def test_series_and_recursion_autocovariances_agree(rng):
     (ConstantSchedule(0.0, 1.0, -0.02, 1.0), 40),      # near the unit root
     (ConstantSchedule(0.0, 1.5, 0.0, 1.0), 40),        # explosive
 ], ids=["periodic", "near-unit-root", "explosive"])
-def test_autocovariance_carries_its_series_depth_and_tail(s, t):
+def test_autocovariance_carries_its_series_depth_and_tail(series_only, s, t):
     n, tail = tvar2.moments._truncated_sum(
         tvar2.moments._covariance_terms(s, t, 0), DEFAULT_TOL, 10_000)[1:3]
     cov = autocovariance(s, t, 0)
@@ -230,7 +232,8 @@ SERIES_CASES = [
 @pytest.mark.parametrize("name, s", SERIES_CASES, ids=[c[0] for c in SERIES_CASES])
 @pytest.mark.parametrize("tol, n_max", [(1e-12, 10_000), (1e-12, 100),
                                         (1e-12, 777), (1e-3, 5), (1e-3, 33)])
-def test_series_equal_the_per_step_reference(monkeypatch, name, s, tol, n_max):
+def test_series_equal_the_per_step_reference(monkeypatch, series_only, name,
+                                             s, tol, n_max):
     sums = []
     original = tvar2.moments._truncated_sum
     monkeypatch.setattr(tvar2.moments, "_truncated_sum",
@@ -354,7 +357,8 @@ def test_one_autocovariance_reads_each_time_once_per_walk(monkeypatch):
     assert max(reads.values()) == 3
 
 
-def test_acf_lags_of_a_tiled_schedule_share_its_season_reads(monkeypatch):
+def test_acf_lags_of_a_tiled_schedule_share_its_season_reads(monkeypatch,
+                                                             series_only):
     # each prefix of 64, 256 and 1024 terms reads the xi and the sigma2
     # stream of the one season again from t, a time once each; the other
     # lags find both long enough and read nothing
@@ -429,8 +433,8 @@ def _random_tiled(rng, draw, first_edge=0):
 @pytest.mark.parametrize("tol, n_max, draws, first_edge", [
     (1e-12, 50, 160, 0), (1e-3, 50, 160, 0), (1e-12, 10_000, 16, 0),
     (1e-3, 10_000, 16, 3)])
-def test_array_series_equal_the_lazy_series_to_the_bit(tol, n_max, draws,
-                                                       first_edge):
+def test_array_series_equal_the_lazy_series_to_the_bit(series_only, tol, n_max,
+                                                       draws, first_edge):
     rng = np.random.default_rng(int(tol < 1e-6) + n_max)
     for draw in range(draws):
         s = _random_tiled(rng, draw, first_edge)
@@ -444,7 +448,200 @@ def test_array_series_equal_the_lazy_series_to_the_bit(tol, n_max, draws,
         assert s._season_cache is not None and generic._season_cache is None
 
 
-def test_cached_prefixes_equal_fresh_ones():
+# --- the exact season moments of stationary constant, periodic and
+# cyclical schedules: their oracle is exact rational arithmetic
+
+def _with_radius(s, rho):
+    """``s`` with each (phi1, phi2) scaled to (c phi1, c^2 phi2): each A_s
+    becomes c D A_s D^-1, D = diag(1, 1/c), so the period matrix's radius
+    is c^l times its own, and c makes it rho."""
+    c = (rho / stationarity_check(s).spectral_radius) ** (1.0 / len(s._season_rows))
+
+    def scaled(tuples):
+        return [(x.phi0, c * x.phi1, c * c * x.phi2, x.sigma2) for x in tuples]
+    if s.kind == "constant":
+        return ConstantSchedule(*scaled([s.coefficients])[0])
+    if s.kind == "periodic":
+        return PeriodicSchedule(scaled(s.seasons))
+    return CyclicalSchedule(s.period, s.boundaries, scaled(s.cycles))
+
+
+def _rational_moments(s, t, lags):
+    """(E(y_t), [gamma_0(t), ..., gamma_lags(t)]) of a stationary tiled
+    schedule in exact rational arithmetic on its float coefficients: the
+    period map ending at the season of time 0, its fixed points solved by
+    Gauss-Jordan elimination, then carried time by time."""
+    rows = [[Fraction(x) for x in row] for row in s._season_rows.tolist()]
+    period = len(rows)
+
+    def a(tau):
+        return rows[(tau - 1) % period]
+
+    def step(m, p, tau):
+        phi0, phi1, phi2, sigma2 = a(tau)
+        ap = [phi1 * p[0][0] + phi2 * p[1][0], phi1 * p[0][1] + phi2 * p[1][1]]
+        return ([phi0 + phi1 * m[0] + phi2 * m[1], m[0]],
+                [[ap[0] * phi1 + ap[1] * phi2 + sigma2, ap[0]], [ap[0], p[0][0]]])
+
+    def solve(g, b):
+        g = [row + [v] for row, v in zip(g, b)]
+        for j in range(len(b)):
+            p = next(i for i in range(j, len(b)) if g[i][j])
+            g[j], g[p] = g[p], g[j]
+            g = [row if i == j else [x - row[j] / g[j][j] * y
+                                     for x, y in zip(row, g[j])]
+                 for i, row in enumerate(g)]
+        return [row[-1] / row[i] for i, row in enumerate(g)]
+
+    zero, one = Fraction(0), Fraction(1)
+    m, d, w = [[one, zero], [zero, one]], [zero, zero], [[zero] * 2] * 2
+    for tau in range(1 - period, 1):
+        phi1, phi2 = a(tau)[1:3]
+        m = [[phi1 * m[0][0] + phi2 * m[1][0], phi1 * m[0][1] + phi2 * m[1][1]],
+             m[0]]
+        d, w = step(d, w, tau)
+    (m00, m01), (m10, m11) = m
+    mean = solve([[1 - m00, -m01], [-m10, 1 - m11]], d)
+    p00, p01, p11 = solve([[1 - m00 * m00, -2 * m00 * m01, -m01 * m01],
+                           [-m00 * m10, 1 - m00 * m11 - m01 * m10, -m01 * m11],
+                           [-m10 * m10, -2 * m10 * m11, 1 - m11 * m11]],
+                          [w[0][0], w[0][1], w[1][1]])
+    cov = [[p00, p01], [p01, p11]]
+    # from time 0 to t - lags, a whole number of periods skipped first
+    start = t - lags - (t - lags) % period
+    history = [cov]
+    for tau in range(start + 1, t + 1):
+        mean, cov = step(mean, cov, tau)
+        history.append(cov)
+    gammas = []
+    for k in range(lags + 1):
+        row = [one, zero]   # e1' A_t ... A_(t-k+1)
+        for tau in range(t, t - k, -1):
+            phi1, phi2 = a(tau)[1:3]
+            row = [row[0] * phi1 + row[1], row[0] * phi2]
+        p = history[-1 - k]
+        gammas.append(row[0] * p[0][0] + row[1] * p[1][0])
+    return float(mean[0]), [float(g) for g in gammas]
+
+
+def _stationary_draws(seed, draws):
+    """Seeded random constant, periodic and cyclical schedules scaled to a
+    radius in (0.3, 0.999), one in three exactly 0.999, with an anchor."""
+    rng = np.random.default_rng(seed)
+    for draw in range(draws):
+        rho = 0.999 if draw % 3 == 0 else float(rng.uniform(0.3, 0.999))
+        s = _with_radius(_random_tiled(rng, 4 * draw), rho)
+        assert stationarity_check(s).stationary is True
+        yield s, int(rng.integers(-1000, 10**6))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_moments_equal_the_rational_reference(seed):
+    # the dense reference _exact_state_moments is itself off by up to
+    # 3.6e-10 gamma_0 on such schedules near radius 0.999: its 4 x 4 solve
+    # loses what the conditioning of I - M (x) M costs
+    for s, t in _stationary_draws(seed, 30):
+        mean, gammas = _rational_moments(s, t, 20)
+        for k, want in enumerate(gammas):
+            cov = autocovariance(s, t, k)
+            assert abs(cov.value - want) <= 1e-10 * gammas[0], (k, s._season_rows)
+            assert (cov.depth, cov.tail_bound, cov.converged) == (0, 0.0, True)
+        got = unconditional_mean(s, t)
+        assert abs(got.mean - mean) <= 1e-10 * max(1.0, abs(mean))
+        assert (got.depth, got.tail_bound, got.converged) == (0, 0.0, True)
+        var = unconditional_variance(s, t)
+        assert (var.mean, var.variance) == (got.mean, autocovariance(s, t, 0).value)
+        assert (var.depth, var.tail_bound, var.converged) == (0, 0.0, True)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_exact_moments_match_a_converged_series(tol):
+    # the series stops once its last window of terms is under
+    # tol * max(1, |sum|); the terms it leaves shrink by about the radius
+    # rho a period, so they add at most about l / (1 - rho) such terms
+    series = tvar2.moments._series_autocovariance
+    compared = 0
+    for s, t in _stationary_draws(4, 40):
+        rho = stationarity_check(s).spectral_radius
+        scale = tol * len(s._season_rows) / (1.0 - rho)
+        for k in range(21):
+            want = series(s, t, k, tol, 10_000)
+            if want.converged:
+                compared += 1
+                got = autocovariance(s, t, k, tol).value
+                assert abs(got - want.value) <= scale * max(1.0, abs(want.value))
+        want = tvar2.moments._series_mean(s, t, tol, 10_000)
+        if want.converged:
+            got = unconditional_mean(s, t, tol).mean
+            assert abs(got - want.mean) <= scale * max(1.0, abs(want.mean))
+    assert compared > 300
+
+
+def _indeterminate():
+    # radius 1 - 5e-9, inside BOUNDARY_BAND of one
+    s = ConstantSchedule(0.01, 1.0 - 5e-9, 0.0, 1.0)
+    assert stationarity_check(s).indeterminate
+    return s
+
+
+@pytest.mark.parametrize("s, t, tol", [
+    (ConstantSchedule(0.1, 1.05, -0.02, 1.0), 501, DEFAULT_TOL),
+    (PeriodicSchedule([(0.0, 1.5, 0.0, 1.0), (0.2, 0.9, 0.05, 2.0)]), 502,
+     DEFAULT_TOL),
+    (_indeterminate(), 503, DEFAULT_TOL),
+    (_as_generic(SERIES_CASES[0][1]), 501, DEFAULT_TOL),
+    (BreakSchedule(100, 40, [15], [(0.5, 0.3, 0.1, 1.0),
+                                   (0.2, 0.2, -0.1, 2.0)]), 100, 1e-6),
+    # a radius of 1e900, past the float range: stationarity_check raises
+    (PeriodicSchedule([(0.0, 1e300, 0.0, 1.0)] * 3), 501, DEFAULT_TOL),
+], ids=["explosive", "explosive-periodic", "indeterminate", "generic",
+        "abrupt-breaks", "radius-overflow"])
+def test_schedules_without_season_moments_keep_the_per_step_series(s, t, tol):
+    assert tvar2.moments._season_moments(s) is None
+    n_max = 777
+    mean = unconditional_mean(s, t, tol, n_max)
+    assert (mean.mean, mean.depth, mean.tail_bound, mean.converged) == \
+        _reference_mean(s, t, tol, n_max)
+    for k in (0, 1, 5):
+        cov = autocovariance(s, t, k, tol, n_max)
+        assert (cov.value, cov.depth, cov.tail_bound, cov.converged) == \
+            _reference_cov(s, t, k, tol, n_max)
+
+
+def test_exact_lags_share_one_moments_entry_and_a_doubling_xi_prefix(
+        monkeypatch):
+    s = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
+                          (0.1, 0.8, -0.3, 0.8)])
+    solved = []
+    original = tvar2.moments._stationary_moments
+    monkeypatch.setattr(tvar2.moments, "_stationary_moments",
+                        lambda s: solved.append(s) or original(s))
+    want = [autocovariance(PeriodicSchedule(s.seasons), 7001, k).value
+            for k in range(21)]
+    solved.clear()
+    assert [autocovariance(s, 7001, k).value for k in range(21)] == want
+    assert unconditional_mean(s, 7001).converged
+    # one solve for every season; the prefix of xi_7001 is read at lags 1,
+    # 4 and 10, each time twice as long as asked
+    assert solved == [s]
+    season = (7001 - 1) % 3
+    assert sorted(s._season_cache) == [("moments", 0), ("xi", season)]
+    assert len(s._season_cache["xi", season]) == 22
+    assert not s._season_cache["moments", 0].flags.writeable
+
+
+def test_season_moments_that_overflow_leave_the_series():
+    # radius 0.1, but the variance after the second season is 1e338
+    s = PeriodicSchedule([(0.0, 1e-170, 0.0, 1.0), (0.0, 1e169, 0.0, 1.0)])
+    assert stationarity_check(s).stationary is True
+    assert len(tvar2.moments._stationary_moments(s)) == 0
+    assert tvar2.moments._season_moments(s) is None
+    for k in (0, 1):
+        assert _bits(autocovariance(s, 10, k)) == _bits(
+            tvar2.moments._series_autocovariance(s, 10, k, DEFAULT_TOL, 10_000))
+
+
+def test_cached_prefixes_equal_fresh_ones(series_only):
     s = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
                           (0.1, 0.8, -0.3, 0.8)])
     for k in range(21):
@@ -465,7 +662,7 @@ def test_cached_prefixes_equal_fresh_ones():
         s.window(1001 - d + 1, 1001)[::-1, 0].tolist()
 
 
-def test_season_cache_holds_at_most_its_cap(monkeypatch):
+def test_season_cache_holds_at_most_its_cap(monkeypatch, series_only):
     seasons = [(0.01, 1.0, -0.02, 1.0), (0.0, 0.99, -0.01, 2.0)]
     uncapped = PeriodicSchedule(seasons)
     want = _acf_bits(uncapped, 5000, range(21))

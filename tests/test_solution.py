@@ -10,7 +10,7 @@ from tvar2 import (BreakSchedule, ConstantSchedule, GenericSchedule,
                    PeriodicSchedule, ScheduleError, SimulationConfig,
                    evaluate_solution, forecast, forward_recursion,
                    general_solution, green_functions, xi, xi_second)
-from tvar2.solution import particular_solution_determinant_oracle
+from tvar2.solution import _propagate, particular_solution_determinant_oracle
 from conftest import random_schedule
 
 
@@ -21,6 +21,18 @@ def test_zero_lookback_is_identity():
     assert sol.w1 == 0.0
     assert sol.drift == 0.0
     assert evaluate_solution(sol, (4.2, -1.0), []) == 4.2
+
+
+def test_propagation_resumes_from_any_state():
+    # the state after all rows is, to the bit, the state after the first j
+    # carried through the rest, across the lists of _WALK_ROWS rows
+    rows = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
+                             (0.1, 0.8, -0.3, 0.8)]).window(1, 5000)
+    whole = _propagate(rows)
+    for j in (0, 1, 4095, 4096, 4097, 5000):
+        assert _propagate(rows[j:], *_propagate(rows[:j])) == whole
+    start = ((1.0, 2.0), (3.0, 4.0, 5.0))
+    assert _propagate(rows[:0], *start) == start
 
 
 def test_one_step_reproduces_defining_recursion(rng):

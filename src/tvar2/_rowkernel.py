@@ -52,13 +52,15 @@ def _quad_table() -> np.ndarray:
     g's first blank (_UNITS keeping the last digit of 0), at _TRAIL + g
     each digit past g's last nonzero one blank.  A quad's byte j is its
     digit at place 10**(3 - j), or NUL where blank."""
-    g = np.arange(10**4)[:, None]
-    place = 10 ** np.arange(3, -1, -1)
+    g = np.arange(10**4, dtype=np.uint32)
+    place = np.array([1000, 100, 10, 1], np.uint32)[:, None]   # of byte j
+    shift = 8 * np.arange(4, dtype=np.uint32)[:, None]
+    chars = (g // place % 10 + ord("0")) << shift
     lead = g < place
     blank = np.stack([np.zeros_like(lead), lead, lead & (place > 1),
                       g % (10 * place) == 0])
-    chars = np.where(blank, 0, g // place % 10 + ord("0"))
-    quads = (chars << 8 * np.arange(4)).sum(axis=2).astype("<u4").ravel()
+    quads = np.where(blank, 0, chars).sum(axis=1, dtype=np.uint32)
+    quads = quads.ravel().astype("<u4")
     quads.flags.writeable = False
     return quads
 

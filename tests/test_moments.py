@@ -1,10 +1,10 @@
 import gc
 import math
-from fractions import Fraction
 import threading
 import warnings
 import weakref
 from collections import Counter, deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -455,7 +455,8 @@ def _with_radius(s, rho):
     """``s`` with each (phi1, phi2) scaled to (c phi1, c^2 phi2): each A_s
     becomes c D A_s D^-1, D = diag(1, 1/c), so the period matrix's radius
     is c^l times its own, and c makes it rho."""
-    c = (rho / stationarity_check(s).spectral_radius) ** (1.0 / len(s._season_rows))
+    period = len(s._season_rows)
+    c = (rho / stationarity_check(s).spectral_radius) ** (1.0 / period)
 
     def scaled(tuples):
         return [(x.phi0, c * x.phi1, c * c * x.phi2, x.sigma2) for x in tuples]

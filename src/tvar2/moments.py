@@ -1,14 +1,15 @@
 """Multi-step forecasts, forecast-error variance and unconditional moments.
 
 The k-step predictor and its mean square error are finite sums over the
-Green functions.  On a constant, periodic or cyclical schedule whose
-verdict (``stationarity_check``) is stationary, the unconditional mean,
-variance and autocovariances are exact: they read the stationary moments
-of the state (y_t, y_{t-1}) at each season, the fixed point of the period
-map (``_stationary_moments``).  On every other schedule they are the
-corresponding infinite series, truncated with an explicit tail test and
-an honest convergence flag (non-convergence is data, not an error:
-explosive schedules are legitimate forecasting inputs).
+Green functions.  On a constant, periodic or cyclical schedule one product
+of the period matrix M and the verdict on it (``_season_moments``) decide
+how a moment is obtained.  Where the verdict is stationary the moments are
+exact: the fixed point of the period map.  Where it is explosive and M has
+a real root larger in modulus than the other, an autocovariance is +inf or
+-inf, the sign its partial sums grow with.  Every other moment, the mean
+of an explosive schedule included, is its infinite series, summed term by
+term by one loop (``_truncated_sum``) with an explicit tail test and an
+honest convergence flag (non-convergence is data, not an error).
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .schedules import Schedule
 from .solution import _propagate, _running_sums, _solution, general_solution
-from .vs import stationarity_check
+from .vs import _float, _period_pairs, _verdict
 from .xi import green_functions, xi_stream
 
 DEFAULT_TOL = 1e-12
@@ -68,7 +69,9 @@ class MomentSummary:
 class Autocovariance:
     """Cov(y_anchor, y_{anchor-lag}), with the depth, tail bound and
     convergence of its series.  An exact one (a schedule with stationary
-    season moments) has depth 0, tail_bound 0.0 and converged True."""
+    season moments) has depth 0, tail_bound 0.0 and converged True; an
+    explosive one is +inf or -inf, with depth 0, tail_bound inf and
+    converged False."""
 
     anchor: int
     lag: int
@@ -118,36 +121,16 @@ def _series_window(tol: float, n_max: int) -> int:
     return window
 
 
-_FIRST_PREFIX = 64   # terms of an array series' first prefix; each next is 4x
-_WINDOW_FLOATS = 1 << 16   # sizes a prefix's window test copies at a time
-
-
-def _truncated_sum(terms: Iterable[float] | Callable[[int], np.ndarray],
-                   tol: float, n_max: int) -> tuple[float, int, float, bool]:
-    """Sum terms until the last window of them is negligible relative to a
-    finite partial sum, or n_max is hit, or a term is not finite.
-
-    ``terms`` is an iterable of terms, added one at a time, and no term
-    past the one that decides is read: the path of generic and
-    abrupt-breaks schedules.  Or it is a function returning the first d
-    terms as an array, the path of constant, periodic and cyclical ones
-    (see ``Schedule.season_cached``): d grows from _FIRST_PREFIX fourfold
-    up to n_max until a prefix decides, so it reads terms past the one
-    that decides, and the result is the one the iterable of the same terms
-    gives, to the bit.
+def _truncated_sum(terms: Iterable[float], tol: float,
+                   n_max: int) -> tuple[float, int, float, bool]:
+    """Sum terms one at a time until the last window of them is negligible
+    relative to a finite partial sum, or n_max is hit, or a term is not
+    finite; no term past the one that decides is read.
 
     Returns (value, n_used, tail_bound, converged); tail_bound is the sum of
     absolute values over the final window, an empirical residual indicator.
     """
     window = _series_window(tol, n_max)
-    if callable(terms):
-        d = min(_FIRST_PREFIX, n_max)
-        # an explosive series overflows its products and sums to inf, and
-        # inf * 0 or inf - inf to nan, as the loop's floats do silently
-        with np.errstate(over="ignore", invalid="ignore"):
-            while (decided := _decide(terms(d), tol, n_max, window)) is None:
-                d = min(4 * d, n_max)
-        return decided
     recent = deque(maxlen=window)
     total, n = 0.0, 0
     for term in terms:
@@ -168,38 +151,6 @@ def _truncated_sum(terms: Iterable[float] | Callable[[int], np.ndarray],
     return total, n, float(sum(recent)), False
 
 
-def _decide(terms: np.ndarray, tol: float, n_max: int,
-            window: int) -> tuple[float, int, float, bool] | None:
-    """What adding the prefix ``terms`` one at a time decides, as the loop
-    of ``_truncated_sum`` does; None if it decides nothing before its end
-    and a longer prefix may still be read."""
-    d = len(terms)
-    finite = np.isfinite(terms)
-    m = d if finite.all() else int(finite.argmin())   # terms before a non-finite one
-    sizes = np.abs(terms[:m])
-    # totals[n] is the sum of the first n terms, as `total += term` adds them
-    totals = _running_sums(terms[:m])
-    bars = tol * np.maximum(1.0, np.abs(totals[1:]))
-    # term n, at index n - 1, stops the sum if it is under its bar with a
-    # finite total, and the window of terms ending at it is too
-    ends = np.flatnonzero((sizes < bars) & np.isfinite(totals[1:]))
-    ends = ends[ends >= window - 1]
-    back = np.arange(window)
-    step = max(1, _WINDOW_FLOATS // window)
-    for lo in range(0, len(ends), step):   # a bounded block of windows at a time
-        part = ends[lo:lo + step]
-        part = part[sizes[part[:, None] - back].max(axis=1) < bars[part]]
-        if len(part):
-            n = int(part[0]) + 1
-            return (float(totals[n]), n, float(sum(sizes[n - window:n].tolist())),
-                    True)
-    if m < d:
-        return float(totals[m]), m, math.inf, False
-    if d < n_max:
-        return None
-    return float(totals[d]), d, float(sum(sizes[-window:].tolist())), False
-
-
 def _column(schedule: Schedule, t: int, j: int) -> Iterator[float]:
     """Coefficient column j (phi0, phi1, phi2, sigma2) at times t, t-1, ...,
     down to the schedule's earliest time: only a value past it raises."""
@@ -207,25 +158,17 @@ def _column(schedule: Schedule, t: int, j: int) -> Iterator[float]:
         yield from rows[:, j].tolist()
 
 
-def _season_prefix(schedule: Schedule, stream: str, t: int, d: int,
-                   longer: int = _FIRST_PREFIX) -> np.ndarray:
-    """The first d values of a stream at time t of a schedule with a
-    season cache: ``"xi"`` is xi_{t,0}, xi_{t,1}, ... from ``xi_stream``;
-    ``"phi0"`` and ``"sigma2"`` are that column at t, t-1, ....  Each
-    depends only on the season of t, so it is kept in the season cache
-    under the tag ``stream`` (``Schedule.season_cached``).  One too short
-    is read again from t, ``longer`` values longer than asked, so the
-    longer anchors of the next lags fit in it."""
+def _xi_prefix(schedule: Schedule, t: int, d: int) -> np.ndarray:
+    """xi_{t,0}, ..., xi_{t,d-1} of a tiled schedule, kept in its season
+    cache under "xi" (``Schedule.season_cached``).  One too short is read
+    again from t, twice as long as asked but no longer than the cache has
+    room for, so the lags 0..K of one anchor walk O(K) steps of xi."""
     def read() -> np.ndarray:
-        n = d + longer
-        if stream == "xi":
-            values = np.fromiter(xi_stream(schedule, t, t - n + 2), float, n)
-        else:
-            column = 0 if stream == "phi0" else 3
-            values = schedule.window(t - n + 1, t)[::-1, column].copy()
+        n = max(d, min(2 * d, schedule.season_room("xi", t)))
+        values = np.fromiter(xi_stream(schedule, t, t - n + 2), float, n)
         values.flags.writeable = False
         return values
-    return schedule.season_cached(stream, t, read,
+    return schedule.season_cached("xi", t, read,
                                   lambda values: len(values) >= d)[:d]
 
 
@@ -242,32 +185,6 @@ def _covariance_terms(schedule: Schedule, t: int, k: int) -> Iterator[float]:
         return (x * x * s for x, s in zip(anchor, sigma2))
     lagged = xi_stream(schedule, t - k)
     return (a * b * s for a, b, s in zip(anchor, lagged, sigma2))
-
-
-def _mean_series(schedule: Schedule, t: int):
-    """The terms of E(y_t) as ``_truncated_sum`` reads them: the first d
-    as one array on a tiled schedule, else ``_mean_terms``."""
-    if schedule._season_cache is None:
-        return _mean_terms(schedule, t)
-
-    def prefix(d: int) -> np.ndarray:
-        return (_season_prefix(schedule, "xi", t, d)
-                * _season_prefix(schedule, "phi0", t, d))
-    return prefix
-
-
-def _covariance_series(schedule: Schedule, t: int, k: int):
-    """The terms of Cov(y_t, y_{t-k}) as ``_truncated_sum`` reads them: the
-    first d as one array on a tiled schedule, in the operand order of
-    ``_covariance_terms``, else ``_covariance_terms``."""
-    if schedule._season_cache is None:
-        return _covariance_terms(schedule, t, k)
-
-    def prefix(d: int) -> np.ndarray:
-        return (_season_prefix(schedule, "xi", t, k + d)[k:]
-                * _season_prefix(schedule, "xi", t - k, d)
-                * _season_prefix(schedule, "sigma2", t - k, d))
-    return prefix
 
 
 def _fixed_points(m: tuple, d: tuple, w: tuple) -> tuple:
@@ -296,52 +213,71 @@ def _fixed_points(m: tuple, d: tuple, w: tuple) -> tuple:
     return mean, cov
 
 
-def _stationary_moments(schedule: Schedule) -> np.ndarray:
+def _stationary_moments(rows: np.ndarray, m: tuple) -> np.ndarray:
     """Rows (m0, m1, P00, P01, P11), the stationary mean and covariance of
-    the state x_t = (y_t, y_{t-1}) at each season of a schedule tiled by
-    season, in season order, where its verdict is stationary; no rows where
-    it is not, or where a moment is not finite.  Read-only.
-
-    One period of ``_propagate`` from zero ends at the last season with the
-    period map's drift d and noise W.  With the period matrix
-    M = A_l ... A_1 the state there solves mu = M mu + d (2 unknowns) and
-    Sigma = M Sigma M^T + W (3 unknowns), in Python floats
-    (``_fixed_points``); ``_propagate`` then carries it through seasons
-    1 .. l-1.
-    """
-    none = np.empty((0, 5))   # no season moments: the series answers
-    try:
-        if stationarity_check(schedule).stationary is not True:
-            return none
-    except ArithmeticError:   # a radius past the float range
-        return none
-    rows = schedule._season_rows
+    the state x_t = (y_t, y_{t-1}) at each season of the table ``rows``, in
+    season order, for its period matrix M of radius below one; no rows
+    where a moment is not finite.  One period of ``_propagate`` from zero ends
+    at the last season with the period map's drift d and noise W; the
+    state there solves mu = M mu + d and Sigma = M Sigma M^T + W in Python
+    floats (``_fixed_points``), and ``_propagate`` carries it through
+    seasons 1 .. l-1."""
     drift, noise = _propagate(rows)
-    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    for phi1, phi2 in rows[:, 1:3].tolist():
-        m00, m01, m10, m11 = (phi1 * m00 + phi2 * m10,
-                              phi1 * m01 + phi2 * m11, m00, m01)
-    mean, cov = _fixed_points(((m00, m01), (m10, m11)), drift, noise)
+    mean, cov = _fixed_points(m, drift, noise)
     seasons = [mean + cov]
     for row in range(len(rows) - 1):
         mean, cov = _propagate(rows[row:row + 1], mean, cov)
         seasons.append(mean + cov)
     seasons = np.array(seasons[1:] + seasons[:1])
-    if not np.isfinite(seasons).all():
-        return none
-    seasons.flags.writeable = False
-    return seasons
+    return seasons if np.isfinite(seasons).all() else np.empty((0, 5))
+
+
+def _dominant_directions(rows: np.ndarray, m: tuple) -> np.ndarray:
+    """Rows (u0, u1) at each season of the table ``rows``, in season order,
+    where its period matrix M has a real root lambda larger in modulus
+    than the other; no rows where they are complex or tie in modulus.  At
+    the last season u is M's eigenvector for lambda, at season s it is A_s
+    u of season s-1.  Started from zero, the state covariance grows as a
+    positive multiple of u u^T (the power method)."""
+    (m00, m01), (m10, m11) = m
+    a = m00 + m11
+    disc = a * a - 4.0 * (m00 * m11 - m01 * m10)
+    if not (disc > 0.0 and a):   # complex, tied in modulus, or not finite
+        return np.empty((0, 2))
+    lam = (a + math.copysign(math.sqrt(disc), a)) / 2
+    # (M - lambda I) u = 0 by M's first row, or its second where that row is 0
+    u = (m01, lam - m00) if m01 or lam != m00 else (lam - m11, m10)
+    seasons = []
+    for phi1, phi2 in rows[:, 1:3].tolist():
+        u = (phi1 * u[0] + phi2 * u[1], u[0])
+        seasons.append(u)
+    return np.array(seasons)
 
 
 def _season_moments(schedule: Schedule) -> np.ndarray | None:
-    """``_stationary_moments(schedule)``, one entry of the season cache for
-    all seasons (kept under the season of time 1), or None where moments
-    are series: on a generic or abrupt-breaks schedule, and where that
-    entry has no rows."""
+    """What one product of a tiled schedule's period matrix
+    (``vs._period_pairs``) and the verdict on it allow, one read-only
+    season-cache entry for all seasons: (l, 5) ``_stationary_moments`` where
+    stationary, (l, 2) ``_dominant_directions`` where explosive.  None where
+    every moment is a series: generic and abrupt-breaks schedules, an
+    indeterminate verdict, a radius past the float range, or no rows."""
     if schedule._season_cache is None:
         return None
-    seasons = schedule.season_cached(
-        "moments", 1, lambda: _stationary_moments(schedule))
+
+    def compute() -> np.ndarray:
+        pairs = _period_pairs(schedule)
+        try:
+            stationary = _verdict(pairs).stationary
+        except ArithmeticError:   # a radius past the float range
+            stationary = None
+        m00, m01, m10, m11 = map(_float, pairs)
+        entry = np.empty((0, 5))
+        if stationary is not None:
+            solve = _stationary_moments if stationary else _dominant_directions
+            entry = solve(schedule._season_rows, ((m00, m01), (m10, m11)))
+        entry.flags.writeable = False
+        return entry
+    seasons = schedule.season_cached("moments", 1, compute)
     return seasons if len(seasons) else None
 
 
@@ -349,9 +285,9 @@ def unconditional_mean(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
                        n_max: int = DEFAULT_N_MAX) -> MomentSummary:
     """E(y_t): mu_{s(t)}[0] of the season moments where a schedule has
     them (``_season_moments``; tol and n_max are only checked), else the
-    truncated series ``_series_mean``."""
+    truncated series ``_series_mean``, on an explosive schedule too."""
     seasons = _season_moments(schedule)
-    if seasons is None:
+    if seasons is None or seasons.shape[1] == 2:   # none, or directions
         return _series_mean(schedule, t, tol, n_max)
     _series_window(tol, n_max)
     return MomentSummary(int(t), 0, float(seasons[(t - 1) % len(seasons), 0]),
@@ -361,7 +297,7 @@ def unconditional_mean(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
 def _series_mean(schedule: Schedule, t: int, tol: float,
                  n_max: int) -> MomentSummary:
     """Truncated series for E(y_t): sum of xi_{t,i} * phi0(t-i)."""
-    value, n, tail, converged = _truncated_sum(_mean_series(schedule, t), tol,
+    value, n, tail, converged = _truncated_sum(_mean_terms(schedule, t), tol,
                                                n_max)
     return MomentSummary(int(t), n, value, math.nan, tail, converged)
 
@@ -383,26 +319,34 @@ def unconditional_variance(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
 def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
                    n_max: int = DEFAULT_N_MAX) -> Autocovariance:
     """Cov(y_t, y_{t-k}).  Where the schedule has season moments
-    (``_season_moments``; tol and n_max are only checked) it is
-    e1' A_t ... A_{t-k+1} Sigma_{s(t-k)} e1: the product's first row is the
-    general solution's (w0, w1) = (xi_{t,k}, phi2(t-k+1) * xi_{t,k-1}),
-    read from the season's cached xi prefix, so the lags of one anchor
-    share it: a prefix too short is read again twice as long.  Else the
-    truncated series ``_series_autocovariance``."""
+    (``_season_moments``; tol and n_max are only checked) it reads the
+    first row of A_t ... A_{t-k+1}, (w0, w1) = (xi_{t,k}, phi2(t-k+1) *
+    xi_{t,k-1}), from the cached ``_xi_prefix``.  A stationary row is
+    exact, w0 P00 + w1 P01 of season s(t-k).  An explosive one is
+    copysign(inf, c), c = (w0 u0 + w1 u1) u0, with depth 0, tail bound inf
+    and converged False.  Where c is 0 or not finite, and on every other
+    schedule, it is the truncated series ``_series_autocovariance``."""
     if k < 0:
         raise ValueError("k must be >= 0")
     seasons = _season_moments(schedule)
-    if seasons is None:
-        return _series_autocovariance(schedule, t, k, tol, n_max)
-    _series_window(tol, n_max)
-    period = len(seasons)
-    p00, p01 = seasons[(t - k - 1) % period, 2:4].tolist()
-    value = p00
-    if k:
-        xi = _season_prefix(schedule, "xi", t, k + 1, k + 1)
-        phi2 = schedule._season_rows[(t - k) % period, 2]
-        value = float(xi[k]) * p00 + float(phi2) * float(xi[k - 1]) * p01
-    return Autocovariance(int(t), int(k), 0, value, 0.0, True)
+    if seasons is not None:
+        _series_window(tol, n_max)
+        period = len(seasons)
+        w0, w1 = 1.0, 0.0
+        if k:
+            xi = _xi_prefix(schedule, t, k + 1)
+            phi2 = schedule._season_rows[(t - k) % period, 2]
+            w0, w1 = float(xi[k]), float(phi2) * float(xi[k - 1])
+        row = seasons[(t - k - 1) % period].tolist()
+        if len(row) == 5:   # (m0, m1, P00, P01, P11)
+            return Autocovariance(int(t), int(k), 0, w0 * row[2] + w1 * row[3],
+                                  0.0, True)
+        u0, u1 = row
+        c = (w0 * u0 + w1 * u1) * u0
+        if c and math.isfinite(c):
+            return Autocovariance(int(t), int(k), 0, math.copysign(math.inf, c),
+                                  math.inf, False)
+    return _series_autocovariance(schedule, t, k, tol, n_max)
 
 
 def _series_autocovariance(schedule: Schedule, t: int, k: int, tol: float,
@@ -410,7 +354,7 @@ def _series_autocovariance(schedule: Schedule, t: int, k: int, tol: float,
     """Cov(y_t, y_{t-k}) via the series sum of
     xi_{t,k+i} * xi_{t-k,i} * sigma2(t-k-i)."""
     value, n, tail, converged = _truncated_sum(
-        _covariance_series(schedule, t, k), tol, n_max)
+        _covariance_terms(schedule, t, k), tol, n_max)
     return Autocovariance(int(t), int(k), n, value, tail, converged)
 
 

@@ -124,9 +124,10 @@ class Schedule:
         """``compute()``, an entry that depends only on ``tag`` and the
         season of time t.  A schedule tiled by season keeps it under (tag,
         season) and computes it again only when ``fits`` rejects the kept
-        one; a generic or abrupt-breaks one computes it on every call.  The
-        cache keeps the prefixes and season moments of ``tvar2.moments``
-        and the burn-in starts of ``tvar2.simulate``, read-only.
+        one; a generic or abrupt-breaks one computes it on every call.  It
+        keeps the xi prefixes and the period-matrix entry of
+        ``tvar2.moments`` and the burn-in starts of ``tvar2.simulate``,
+        read-only.
 
         Its table was checked when the schedule was built, so no time a
         tiled schedule answers for raises, and ``compute`` may read past
@@ -142,13 +143,17 @@ class Schedule:
         entry = cache.get(key)
         if entry is None or (fits is not None and not fits(entry)):
             entry = compute()
-            # the other entries as they are now: a thread may store one
-            # meanwhile, and the last entry stored for a key is the one kept
-            others = sum(_floats(v) for k, v in list(cache.items())
-                         if k != key)
-            if others + _floats(entry) <= _CACHE_FLOATS:
+            # the room as it is now: a thread may store an entry meanwhile,
+            # and the last entry stored for a key is the one kept
+            if _floats(entry) <= self.season_room(tag, t):
                 cache[key] = entry
         return entry
+
+    def season_room(self, tag, t: int) -> int:
+        """Floats ``season_cached`` has room to keep under (tag, t)."""
+        key = (tag, (t - 1) % len(self._season_rows))
+        return _CACHE_FLOATS - sum(_floats(v) for k, v in
+                                   list(self._season_cache.items()) if k != key)
 
     def window(self, t_lo: int, t_hi: int) -> np.ndarray:
         """Coefficients for times t_lo..t_hi (none if t_hi < t_lo) as an

@@ -90,13 +90,11 @@ def _float(x: tuple) -> float:
     return math.copysign(math.inf, x[0]) if big else math.ldexp(*x)
 
 
-def _trace_det(schedule: Schedule) -> tuple[tuple, tuple]:
-    """(tr M, det M) of M = A_l ... A_1 from the season table's (phi1, phi2).
-
-    Each entry of M, then tr M and det M, is carried as such a pair, so no
-    value over- or underflows, and each has the bits of M multiplied out in
-    plain floats wherever those stay normal.
-    """
+def _period_pairs(schedule: Schedule) -> tuple:
+    """M = A_l ... A_1 from the season table's (phi1, phi2), as its entries
+    (m00, m01, m10, m11), each carried as such a pair, so no value over- or
+    underflows, and each has the bits of M multiplied out in plain floats
+    wherever those stay normal."""
     if schedule._season_rows is None:
         raise ScheduleError("the period matrix needs a schedule tiled by "
                             f"season (got kind {schedule.kind!r})")
@@ -106,6 +104,12 @@ def _trace_det(schedule: Schedule) -> tuple[tuple, tuple]:
         p1, p2 = math.frexp(phi1), math.frexp(phi2)
         m00, m01, m10, m11 = (_plus(_times(p1, m00), _times(p2, m10)),
                               _plus(_times(p1, m01), _times(p2, m11)), m00, m01)
+    return m00, m01, m10, m11
+
+
+def _trace_det(m: tuple) -> tuple[tuple, tuple]:
+    """(tr M, det M) as such pairs, from the pairs ``_period_pairs`` gives."""
+    m00, m01, m10, m11 = m
     return _plus(m00, m11), _plus(_times(m00, m11),
                                   _times(m01, (-m10[0], m10[1])))
 
@@ -121,7 +125,12 @@ def stationarity_check(schedule: Schedule) -> StationarityVerdict:
     ``ArithmeticError``.  Within ``BOUNDARY_BAND`` of one the verdict is
     indeterminate.
     """
-    (ma, ea), (mb, eb) = _trace_det(schedule)
+    return _verdict(_period_pairs(schedule))
+
+
+def _verdict(m: tuple) -> StationarityVerdict:
+    """``stationarity_check`` on the period matrix ``_period_pairs`` gives."""
+    (ma, ea), (mb, eb) = _trace_det(m)
     fa, fb = ea, -(-eb // 2)                  # |a| < 2^fa, |b| < 4^fb
     f = max(fa if ma else fb, fb if mb else fa)
     r, k = math.frexp(_radius(math.ldexp(ma, ea - f),
@@ -149,7 +158,7 @@ def par24_restriction(schedule: Schedule) -> tuple[float, bool]:
     coefficients zero the value is the absolute product of the four
     seasonal lag-1 coefficients and the flag says that it is below one.
     """
-    a, b = _trace_det(schedule)
+    a, b = _trace_det(_period_pairs(schedule))
     if len(schedule._season_rows) != 4:
         raise ScheduleError("restriction is defined for 4 seasons")
     value = abs(_float(_plus(a, (-b[0], b[1]))))

@@ -46,7 +46,7 @@ def yaml_pairs(monkeypatch):
 @pytest.fixture
 def series_only(monkeypatch):
     """Answer every schedule's moments with the truncated series, as on a
-    schedule without exact season moments: the public functions then call
-    ``_series_mean`` and ``_series_autocovariance``, and a tiled schedule
-    keeps its season cache and array series."""
+    schedule without a period-matrix entry: the public functions then call
+    ``_series_mean`` and ``_series_autocovariance``, the one series loop,
+    and a tiled schedule keeps its season cache."""
     monkeypatch.setattr(tvar2.moments, "_season_moments", lambda schedule: None)

@@ -90,10 +90,10 @@ def test_layer_tracer_leaves_every_package_name_as_it_was(monkeypatch):
     assert tvar2.xi is XI.xi
 
 
-def test_layer_tracer_counts_the_xi_prefix_of_a_tiled_series(monkeypatch,
-                                                              series_only):
-    # the variance and the mean at t share one cached xi prefix of the
-    # season of t, and the tracer counts its steps as it is read
+def test_layer_tracer_counts_the_xi_prefix_of_a_tiled_series(monkeypatch):
+    # the exact lags 0..10 at t share the cached xi prefix of the season of
+    # t, read at lags 1, 4 and 10, 4, 10 and 22 values long; the tracer
+    # counts its steps as it is read, and no series is summed
     monkeypatch.syspath_prepend(PERFBENCH)
     layertrace = importlib.import_module("layertrace")
     tracer = layertrace.Tracer()
@@ -101,14 +101,14 @@ def test_layer_tracer_counts_the_xi_prefix_of_a_tiled_series(monkeypatch,
     try:
         tracer.active = True
         s = tvar2.PeriodicSchedule(SEASONS)
-        summary = tvar2.unconditional_variance(s, 41)
+        covs = [tvar2.autocovariance(s, 41, k) for k in range(11)]
         metrics = layertrace.layer_metrics(tracer, 0, 0, 0)
     finally:
         tracer.uninstall()
-    assert metrics["moments.series.calls"][0] == 2
-    assert summary.depth <= tvar2.moments._FIRST_PREFIX
-    assert tracer.counters["xi.steps.moments"] == len(s._season_cache["xi", 0]) \
-        == 2 * tvar2.moments._FIRST_PREFIX
+    assert metrics["moments.series.calls"][0] == 0
+    assert all(c.depth == 0 and c.converged for c in covs)
+    assert len(s._season_cache["xi", 0]) == 22
+    assert tracer.counters["xi.steps.moments"] == 4 + 10 + 22
 
 
 def test_layer_tracer_counts_the_steps_of_a_green_table(monkeypatch):
@@ -169,9 +169,8 @@ def test_layer_tracer_wraps_the_reexported_oracles(monkeypatch, tmp_path):
 
 def test_traced_acf_counts_one_series_per_lag(monkeypatch, series_only,
                                               tmp_path):
-    # the lags of an acf share the schedule's xi prefixes, so the tracer
-    # counts fewer xi steps than the lazy walks read: k + n of the anchor
-    # and n of the lagged stream for a lag k series of n terms
+    # each lag's series walks its own xi streams, one step a term: k + n of
+    # the anchor and n of the lagged stream for a lag k series of n terms
     monkeypatch.syspath_prepend(PERFBENCH)
     layertrace = importlib.import_module("layertrace")
     cfg = tmp_path / "p.yaml"
@@ -195,7 +194,7 @@ def test_traced_acf_counts_one_series_per_lag(monkeypatch, series_only,
     assert metrics["moments.series.calls"][0] == 21
     assert metrics["moments.series.terms"][0] == sum(c.depth for c in covs)
     lazy = sum(c.lag + c.depth + (c.depth if c.lag else 0) for c in covs)
-    assert 0 < metrics["xi.steps"][0] < lazy
+    assert metrics["xi.steps"][0] == lazy > 0
 
 
 def test_traced_exact_acf_sums_no_series(monkeypatch, tmp_path):

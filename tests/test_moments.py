@@ -342,7 +342,7 @@ def test_break_series_converges_inside_a_short_window():
 
 def test_one_autocovariance_reads_each_time_once_per_walk(monkeypatch):
     # the anchor, lagged and sigma2 walks each read a time once: no table
-    # is rebuilt as the series deepens (the lazy path of a generic schedule)
+    # is rebuilt as the series deepens (the series of a generic schedule)
     s = _as_generic(ConstantSchedule(0.0, 1.0, -0.02, 1.0))
     reads = Counter()
     window = s.window
@@ -357,11 +357,10 @@ def test_one_autocovariance_reads_each_time_once_per_walk(monkeypatch):
     assert max(reads.values()) == 3
 
 
-def test_acf_lags_of_a_tiled_schedule_share_its_season_reads(monkeypatch,
-                                                             series_only):
-    # each prefix of 64, 256 and 1024 terms reads the xi and the sigma2
-    # stream of the one season again from t, a time once each; the other
-    # lags find both long enough and read nothing
+def test_acf_lags_of_a_tiled_schedule_share_its_season_reads(monkeypatch):
+    # the exact lags 0..20 read the xi prefix of the one season three times,
+    # 4, 10 and 22 values long, from t, a time once each; the lags asked
+    # again find it long enough and read nothing
     s = ConstantSchedule(0.0, 1.0, -0.02, 1.0)
     reads = Counter()
     window = s.window
@@ -371,16 +370,38 @@ def test_acf_lags_of_a_tiled_schedule_share_its_season_reads(monkeypatch,
         return window(t_lo, t_hi)
 
     monkeypatch.setattr(s, "window", counted)
-    cov = autocovariance(s, 5000, 5)
-    assert cov.converged and 256 < cov.depth <= 1024
-    assert max(reads.values()) == 2 * 3
+    covs = [autocovariance(s, 5000, k) for k in range(21)]
+    assert all((c.depth, c.converged) == (0, True) for c in covs)
+    assert max(reads.values()) == 3 and min(reads) == 5000 - 20
     before = reads.copy()
-    assert all(autocovariance(s, 5000, k).converged for k in range(21))
+    assert [autocovariance(s, 5000, k) for k in range(21)] == covs
     assert reads == before
 
 
-# --- the array path of constant, periodic and cyclical schedules: its
-# oracle is the lazy path of a generic schedule with the same coefficients
+def test_acf_lags_of_one_anchor_walk_xi_steps_linear_in_the_lag(monkeypatch):
+    # the prefix grows by doubling, but never past the room the cache has
+    # left, so it is kept: lags 0..K read it O(log K) times, and walk fewer
+    # than 4 (K + 1) steps of xi in all, where dropping a prefix past the
+    # room and walking 2k steps again at each lag k would take O(K^2)
+    monkeypatch.setattr(tvar2.schedules, "_CACHE_FLOATS", 5000)
+    stream, walked = tvar2.moments.xi_stream, Counter()
+
+    def counted(*args):
+        for value in stream(*args):
+            walked["steps"] += 1
+            yield value
+
+    monkeypatch.setattr(tvar2.moments, "xi_stream", counted)
+    s, lags = ConstantSchedule(0.1, 1.2, -0.32, 1.0), 4000
+    covs = [autocovariance(s, 10**6, k) for k in range(lags + 1)]
+    assert all((c.depth, c.converged) == (0, True) for c in covs)
+    assert len(s._season_cache["xi", 0]) > lags
+    assert walked["steps"] < 4 * (lags + 1)
+
+
+# --- the series of constant, periodic and cyclical schedules, which read
+# their season tables in windows (the array path before the one loop): its
+# oracle is the series of a generic schedule with the same coefficients
 
 def _as_generic(s):
     tuples = [CoefficientTuple(*row) for row in s._season_rows.tolist()]
@@ -586,8 +607,10 @@ def _indeterminate():
 
 
 @pytest.mark.parametrize("s, t, tol", [
-    (ConstantSchedule(0.1, 1.05, -0.02, 1.0), 501, DEFAULT_TOL),
-    (PeriodicSchedule([(0.0, 1.5, 0.0, 1.0), (0.2, 0.9, 0.05, 2.0)]), 502,
+    # explosive, its two roots tied in modulus (+-sqrt(1.5))
+    (ConstantSchedule(0.1, 0.0, 1.5, 1.0), 501, DEFAULT_TOL),
+    # explosive, its dominant pair complex
+    (PeriodicSchedule([(0.0, 0.5, -1.5, 1.0), (0.2, 0.9, -1.2, 2.0)]), 502,
      DEFAULT_TOL),
     (_indeterminate(), 503, DEFAULT_TOL),
     (_as_generic(SERIES_CASES[0][1]), 501, DEFAULT_TOL),
@@ -614,16 +637,17 @@ def test_exact_lags_share_one_moments_entry_and_a_doubling_xi_prefix(
     s = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
                           (0.1, 0.8, -0.3, 0.8)])
     solved = []
-    original = tvar2.moments._stationary_moments
-    monkeypatch.setattr(tvar2.moments, "_stationary_moments",
+    original = tvar2.moments._period_pairs
+    monkeypatch.setattr(tvar2.moments, "_period_pairs",
                         lambda s: solved.append(s) or original(s))
     want = [autocovariance(PeriodicSchedule(s.seasons), 7001, k).value
             for k in range(21)]
     solved.clear()
     assert [autocovariance(s, 7001, k).value for k in range(21)] == want
     assert unconditional_mean(s, 7001).converged
-    # one solve for every season; the prefix of xi_7001 is read at lags 1,
-    # 4 and 10, each time twice as long as asked
+    # one product of the period matrix and one solve for every season; the
+    # prefix of xi_7001 is read at lags 1, 4 and 10, each time twice as long
+    # as asked
     assert solved == [s]
     season = (7001 - 1) % 3
     assert sorted(s._season_cache) == [("moments", 0), ("xi", season)]
@@ -635,44 +659,38 @@ def test_season_moments_that_overflow_leave_the_series():
     # radius 0.1, but the variance after the second season is 1e338
     s = PeriodicSchedule([(0.0, 1e-170, 0.0, 1.0), (0.0, 1e169, 0.0, 1.0)])
     assert stationarity_check(s).stationary is True
-    assert len(tvar2.moments._stationary_moments(s)) == 0
     assert tvar2.moments._season_moments(s) is None
     for k in (0, 1):
         assert _bits(autocovariance(s, 10, k)) == _bits(
             tvar2.moments._series_autocovariance(s, 10, k, DEFAULT_TOL, 10_000))
 
 
-def test_cached_prefixes_equal_fresh_ones(series_only):
+def test_cached_prefixes_equal_fresh_ones():
     s = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
                           (0.1, 0.8, -0.3, 0.8)])
-    for k in range(21):
-        autocovariance(s, 1000, k)
-    unconditional_mean(s, 1001)
-    prefix = tvar2.moments._season_prefix
+    for t in (1000, 1001, 1002):
+        for k in range(21):
+            autocovariance(s, t, k)
     for t in (4000, 4001, 4002):   # each season, read from an earlier t
-        held = {stream: len(s._season_cache[stream, (t - 1) % 3])
-                for stream in ("xi", "sigma2")}
-        assert held["xi"] >= 64 and held["sigma2"] >= 64
-        xi = prefix(s, "xi", t, held["xi"])
+        held = len(s._season_cache["xi", (t - 1) % 3])
+        assert held == 22
+        xi = tvar2.moments._xi_prefix(s, t, held)
         assert not xi.flags.writeable
-        assert xi.tolist() == green_functions(s, t, held["xi"] - 1).values.tolist()
-        assert prefix(s, "sigma2", t, held["sigma2"]).tolist() == \
-            s.window(t - held["sigma2"] + 1, t)[::-1, 3].tolist()
-    d = len(s._season_cache["phi0", 1])
-    assert prefix(s, "phi0", 1001, d).tolist() == \
-        s.window(1001 - d + 1, 1001)[::-1, 0].tolist()
+        assert xi.tolist() == green_functions(s, t, held - 1).values.tolist()
 
 
-def test_season_cache_holds_at_most_its_cap(monkeypatch, series_only):
+def test_season_cache_holds_at_most_its_cap(monkeypatch):
     seasons = [(0.01, 1.0, -0.02, 1.0), (0.0, 0.99, -0.01, 2.0)]
+    lags = [*range(21), 1400, 1600, 2999, 3500]
     uncapped = PeriodicSchedule(seasons)
-    want = _acf_bits(uncapped, 5000, range(21))
+    want = _acf_bits(uncapped, 5000, lags)
     monkeypatch.setattr(tvar2.schedules, "_CACHE_FLOATS", 3000)
     s = PeriodicSchedule(seasons)
     # a prefix that would take the cache past its cap is not kept
-    assert _acf_bits(s, 5000, range(21)) == want
-    held = sum(map(len, s._season_cache.values()))
-    assert 0 < held <= 3000 < sum(map(len, uncapped._season_cache.values()))
+    assert _acf_bits(s, 5000, lags) == want
+    held = sum(entry.size for entry in s._season_cache.values())
+    assert 0 < held <= 3000 < sum(entry.size
+                                  for entry in uncapped._season_cache.values())
 
 
 def test_season_cache_goes_with_its_schedule():
@@ -709,19 +727,101 @@ def test_series_of_a_schedule_that_would_raise_stay_lazy():
 
 
 def test_explosive_acf_emits_no_warnings():
-    # (schedule, max lag, whether its terms overflow before n_max)
-    cases = [(ConstantSchedule(0.0, 1.05, -0.02, 1.0), 4, False),
-             (ConstantSchedule(0.0, 1.5, -0.02, 1.0), 20, True),
+    explosive = ConstantSchedule(0.0, 1.5, -0.02, 1.0)
+    cases = [(ConstantSchedule(0.0, 1.05, -0.02, 1.0), range(5)),
+             (explosive, range(21)),
              (PeriodicSchedule([(0.0, 1.5, 0.0, 1.0), (0.0, 0.9, 0.05, 2.0)]),
-              20, True)]
+              range(21))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for s, max_lag, overflows in cases:
-            for k in range(max_lag + 1):
+        for s, lags in cases:
+            for k in lags:
                 cov = autocovariance(s, 5000, k)
-                assert not cov.converged
-                assert math.isinf(cov.tail_bound) == overflows
-                assert overflows or cov.depth == 10_000
+                assert (cov.value, cov.depth, cov.tail_bound, cov.converged) \
+                    == (math.inf, 0, math.inf, False)
+        # xi_{t,1800} overflows, so c does too, and the row is the series,
+        # which stops at its first term, not finite
+        cov = autocovariance(explosive, 5000, 1800)
+        assert (cov.value, cov.depth, cov.tail_bound, cov.converged) == \
+            (0.0, 0, math.inf, False)
+
+
+# --- explosive constant, periodic and cyclical schedules: a row is +inf or
+# -inf where the period matrix has a real dominant root; its oracle is the
+# sign of a long partial sum of the loop series
+
+def _explosive_draws(seed, draws):
+    """Seeded random constant, periodic and cyclical schedules scaled to a
+    radius in (1.02, 1.6), with an anchor."""
+    rng = np.random.default_rng(seed)
+    for draw in range(draws):
+        rho = float(rng.uniform(1.02, 1.6))
+        s = _with_radius(_random_tiled(rng, 4 * draw), rho)
+        assert stationarity_check(s).stationary is False
+        yield s, int(rng.integers(-1000, 10**6))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_explosive_rows_take_the_sign_of_long_partial_sums(seed):
+    series = tvar2.moments._series_autocovariance
+    signed = 0
+    for s, t in _explosive_draws(seed, 12):
+        for k in range(11):
+            got = autocovariance(s, t, k, DEFAULT_TOL, 40_000)
+            want = series(s, t, k, DEFAULT_TOL, 40_000)
+            if got.depth or not math.isinf(got.value):   # the loop's row
+                assert _bits(got) == _bits(want), (k, s._season_rows)
+                continue
+            assert (got.tail_bound, got.converged) == (math.inf, False)
+            if abs(want.value) > 1e6:
+                signed += 1
+                assert math.copysign(1.0, got.value) == \
+                    math.copysign(1.0, want.value), (k, s._season_rows)
+    assert signed >= 90   # of 132 rows; the rest are the loop's
+
+
+@pytest.mark.parametrize("s", [ConstantSchedule(0.0, 0.0, 1.5, 1.0),
+                               ConstantSchedule(0.0, 0.5, -1.5, 1.0)],
+                         ids=["tie", "complex"])
+def test_explosive_ties_and_complex_roots_keep_the_series(s):
+    # roots +-sqrt(1.5), or a complex pair of modulus sqrt(1.5): the
+    # partial sums oscillate as they grow, so no sign is read off them
+    assert stationarity_check(s).stationary is False
+    assert tvar2.moments._season_moments(s) is None
+    for k in range(6):
+        assert _bits(autocovariance(s, 5000, k)) == _bits(
+            tvar2.moments._series_autocovariance(s, 5000, k, DEFAULT_TOL,
+                                                 10_000))
+    if s.coefficients.phi1 == 0.0:   # y_t and y_(t-1) are uncorrelated
+        cov = autocovariance(s, 5000, 1)
+        assert (cov.value, cov.converged) == (0.0, True)
+
+
+def test_explosive_rows_where_c_is_zero_keep_the_series():
+    # season 2's coefficients are 0, so y_t there is its innovation: the
+    # direction there is (0, u1), a row lagged into season 2 has c = 0, and
+    # its series converges
+    s = PeriodicSchedule([(0.0, 0.7, 1.5, 1.0), (0.0, 0.0, 0.0, 1.0)])
+    assert tvar2.moments._season_moments(s).tolist() == [[2.25, 0.0],
+                                                          [0.0, 2.25]]
+    for t, k, value in ((5000, 0, 1.0), (4999, 1, 0.7), (5000, 1, 0.0)):
+        cov = autocovariance(s, t, k)
+        assert _bits(cov) == _bits(tvar2.moments._series_autocovariance(
+            s, t, k, DEFAULT_TOL, 10_000))
+        assert cov.value == pytest.approx(value) and cov.converged
+    assert autocovariance(s, 4999, 0).value == math.inf
+
+
+def test_explosive_direction_off_the_period_matrixs_second_row():
+    # M = ((1.5, 0), (1, 0)): its first row puts no constraint on the
+    # eigenvector of 1.5, whose second row gives u = (1.5, 1)
+    s = ConstantSchedule(0.0, 1.5, 0.0, 1.0)
+    assert tvar2.moments._season_moments(s).tolist() == [[2.25, 1.5]]
+    for k in range(4):
+        cov = autocovariance(s, 40, k)
+        assert (cov.value, cov.depth, cov.converged) == (math.inf, 0, False)
+        want = tvar2.moments._series_autocovariance(s, 40, k, DEFAULT_TOL, 300)
+        assert want.value > 1e6
 
 
 def test_threads_sharing_one_schedule_get_the_single_thread_series():

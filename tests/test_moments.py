@@ -400,8 +400,8 @@ def test_acf_lags_of_one_anchor_walk_xi_steps_linear_in_the_lag(monkeypatch):
 
 
 # --- the series of constant, periodic and cyclical schedules, which read
-# their season tables in windows (the array path before the one loop): its
-# oracle is the series of a generic schedule with the same coefficients
+# their season tables in windows: its oracle is the series of a generic
+# schedule with the same coefficients
 
 def _as_generic(s):
     tuples = [CoefficientTuple(*row) for row in s._season_rows.tolist()]

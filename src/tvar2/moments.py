@@ -233,12 +233,15 @@ def _stationary_moments(rows: np.ndarray, m: tuple) -> np.ndarray:
 
 
 def _dominant_directions(rows: np.ndarray, m: tuple) -> np.ndarray:
-    """Rows (u0, u1) at each season of the table ``rows``, in season order,
-    where its period matrix M has a real root lambda larger in modulus
-    than the other; no rows where they are complex or tie in modulus.  At
-    the last season u is M's eigenvector for lambda, at season s it is A_s
-    u of season s-1.  Started from zero, the state covariance grows as a
-    positive multiple of u u^T (the power method)."""
+    """Rows (u0, lambda) at each season of the table ``rows``, in season
+    order, where its period matrix M has a real root lambda larger in
+    modulus than the other; no rows where they are complex, tie in modulus
+    or are not finite.  u is lambda's direction: at the last season M's
+    eigenvector, at season s A_s u of season s-1, each scaled by a power of
+    two so that no entry over- or underflows.  Started from zero, the state
+    covariance grows as a positive multiple of u u^T (the power method),
+    and A_t ... A_{t-k+1} carries u of season s(t-k) to lambda^n u of
+    season s(t), n the periods that end in between (``autocovariance``)."""
     (m00, m01), (m10, m11) = m
     a = m00 + m11
     disc = a * a - 4.0 * (m00 * m11 - m01 * m10)
@@ -249,9 +252,12 @@ def _dominant_directions(rows: np.ndarray, m: tuple) -> np.ndarray:
     u = (m01, lam - m00) if m01 or lam != m00 else (lam - m11, m10)
     seasons = []
     for phi1, phi2 in rows[:, 1:3].tolist():
-        u = (phi1 * u[0] + phi2 * u[1], u[0])
-        seasons.append(u)
-    return np.array(seasons)
+        e = math.frexp(max(abs(u[0]), abs(u[1])))[1]
+        u0, u1 = math.ldexp(u[0], -e), math.ldexp(u[1], -e)
+        u = (phi1 * u0 + phi2 * u1, u0)
+        seasons.append((u[0], lam))
+    seasons = np.array(seasons)
+    return seasons if np.isfinite(seasons).all() else np.empty((0, 2))
 
 
 def _season_moments(schedule: Schedule) -> np.ndarray | None:
@@ -319,12 +325,13 @@ def unconditional_variance(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
 def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
                    n_max: int = DEFAULT_N_MAX) -> Autocovariance:
     """Cov(y_t, y_{t-k}).  Where the schedule has season moments
-    (``_season_moments``; tol and n_max are only checked) it reads the
-    first row of A_t ... A_{t-k+1}, (w0, w1) = (xi_{t,k}, phi2(t-k+1) *
-    xi_{t,k-1}), from the cached ``_xi_prefix``.  A stationary row is
-    exact, w0 P00 + w1 P01 of season s(t-k).  An explosive one is
-    copysign(inf, c), c = (w0 u0 + w1 u1) u0, with depth 0, tail bound inf
-    and converged False.  Where c is 0 or not finite, and on every other
+    (``_season_moments``; tol and n_max are only checked), a stationary row
+    is exact, w0 P00 + w1 P01 of season s(t-k), where (w0, w1) = (xi_{t,k},
+    phi2(t-k+1) * xi_{t,k-1}), the first row of A_t ... A_{t-k+1}, comes
+    from the cached ``_xi_prefix``.  An explosive one is copysign(inf, c),
+    c = (w0 u0 + w1 u1) u0 of season s(t-k) = lambda^n v0 u0 with v the
+    direction of season s(t) (``_dominant_directions``), with depth 0,
+    tail bound inf and converged False.  Where c is 0, and on every other
     schedule, it is the truncated series ``_series_autocovariance``."""
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -332,19 +339,22 @@ def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
     if seasons is not None:
         _series_window(tol, n_max)
         period = len(seasons)
-        w0, w1 = 1.0, 0.0
-        if k:
-            xi = _xi_prefix(schedule, t, k + 1)
-            phi2 = schedule._season_rows[(t - k) % period, 2]
-            w0, w1 = float(xi[k]), float(phi2) * float(xi[k - 1])
         row = seasons[(t - k - 1) % period].tolist()
         if len(row) == 5:   # (m0, m1, P00, P01, P11)
+            w0, w1 = 1.0, 0.0
+            if k:
+                xi = _xi_prefix(schedule, t, k + 1)
+                phi2 = schedule._season_rows[(t - k) % period, 2]
+                w0, w1 = float(xi[k]), float(phi2) * float(xi[k - 1])
             return Autocovariance(int(t), int(k), 0, w0 * row[2] + w1 * row[3],
                                   0.0, True)
-        u0, u1 = row
-        c = (w0 * u0 + w1 * u1) * u0
-        if c and math.isfinite(c):
-            return Autocovariance(int(t), int(k), 0, math.copysign(math.inf, c),
+        u0, lam = row
+        v0 = float(seasons[(t - 1) % period, 0])
+        if u0 and v0:   # c's sign from the signs alone: no product overflows
+            n = (t - 1) // period - (t - k - 1) // period
+            negative = (u0 < 0) ^ (v0 < 0) ^ (lam < 0 and n % 2 == 1)
+            return Autocovariance(int(t), int(k), 0,
+                                  -math.inf if negative else math.inf,
                                   math.inf, False)
     return _series_autocovariance(schedule, t, k, tol, n_max)
 
@@ -364,9 +374,14 @@ def autocovariance_recursion(schedule: Schedule, t: int, k: int,
     """Cov(y_t, y_{t-k}) via the recursion form
     xi_{t,k} * Var(y_{t-k}) + phi2(t-k+1) * xi_{t,k-1} * Cov(y_{t-k}, y_{t-k-1}):
     the general solution's weights w0, w1 on the moments at t-k of
-    ``autocovariance``."""
+    ``autocovariance``.  On an explosive schedule with dominant directions
+    those moments are +-inf, their weighted sum inf - inf or 0 * inf, so
+    the row is ``autocovariance``'s."""
     if k < 1:
         raise ValueError("recursion form requires k >= 1")
+    seasons = _season_moments(schedule)
+    if seasons is not None and seasons.shape[1] == 2:   # directions
+        return autocovariance(schedule, t, k, tol, n_max)
     sol = general_solution(schedule, t, k)
     var = autocovariance(schedule, t - k, 0, tol, n_max)
     cov1 = autocovariance(schedule, t - k, 1, tol, n_max)

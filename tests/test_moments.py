@@ -739,11 +739,12 @@ def test_explosive_acf_emits_no_warnings():
                 cov = autocovariance(s, 5000, k)
                 assert (cov.value, cov.depth, cov.tail_bound, cov.converged) \
                     == (math.inf, 0, math.inf, False)
-        # xi_{t,1800} overflows, so c does too, and the row is the series,
-        # which stops at its first term, not finite
-        cov = autocovariance(explosive, 5000, 1800)
-        assert (cov.value, cov.depth, cov.tail_bound, cov.converged) == \
-            (0.0, 0, math.inf, False)
+        # xi_{t,1800} overflows, but c's sign is read off the directions,
+        # so the row stays inf where a sum of xi products would be nan
+        for k in (1800, 10**6):
+            cov = autocovariance(explosive, 5000, k)
+            assert (cov.value, cov.depth, cov.tail_bound, cov.converged) \
+                == (math.inf, 0, math.inf, False)
 
 
 # --- explosive constant, periodic and cyclical schedules: a row is +inf or
@@ -802,8 +803,8 @@ def test_explosive_rows_where_c_is_zero_keep_the_series():
     # direction there is (0, u1), a row lagged into season 2 has c = 0, and
     # its series converges
     s = PeriodicSchedule([(0.0, 0.7, 1.5, 1.0), (0.0, 0.0, 0.0, 1.0)])
-    assert tvar2.moments._season_moments(s).tolist() == [[2.25, 0.0],
-                                                          [0.0, 2.25]]
+    assert tvar2.moments._season_moments(s).tolist() == [[1.125, 1.5],
+                                                          [0.0, 1.5]]
     for t, k, value in ((5000, 0, 1.0), (4999, 1, 0.7), (5000, 1, 0.0)):
         cov = autocovariance(s, t, k)
         assert _bits(cov) == _bits(tvar2.moments._series_autocovariance(
@@ -814,14 +815,39 @@ def test_explosive_rows_where_c_is_zero_keep_the_series():
 
 def test_explosive_direction_off_the_period_matrixs_second_row():
     # M = ((1.5, 0), (1, 0)): its first row puts no constraint on the
-    # eigenvector of 1.5, whose second row gives u = (1.5, 1)
+    # eigenvector of 1.5, whose second row gives u = (1.5, 1), scaled by
+    # 1/2 to (0.75, 0.5) and carried by A to (1.125, 0.75)
     s = ConstantSchedule(0.0, 1.5, 0.0, 1.0)
-    assert tvar2.moments._season_moments(s).tolist() == [[2.25, 1.5]]
+    assert tvar2.moments._season_moments(s).tolist() == [[1.125, 1.5]]
     for k in range(4):
         cov = autocovariance(s, 40, k)
         assert (cov.value, cov.depth, cov.converged) == (math.inf, 0, False)
         want = tvar2.moments._series_autocovariance(s, 40, k, DEFAULT_TOL, 300)
         assert want.value > 1e6
+
+
+@pytest.mark.parametrize("s", [ConstantSchedule(0.0, 1.05, -0.02, 1.0),
+                               ConstantSchedule(0.0, 1.5, 0.0, 1.0)],
+                         ids=["explosive-1.05", "phi2-zero"])
+def test_explosive_recursion_rows_are_the_autocovariance_rows(s):
+    # the moments at t-k are +-inf, so w0 Var + w1 Cov would be nan
+    # (inf - inf, or 0 * inf where phi2 = 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(1, 5):
+            rec = autocovariance_recursion(s, 5000, k)
+            assert not math.isnan(rec.value)
+            assert _bits(rec) == _bits(autocovariance(s, 5000, k))
+
+
+def test_explosive_sign_alternates_with_a_negative_root():
+    # phi1 = -1.5: lambda = -1.5, so Cov(y_t, y_(t-k)) has the sign (-1)^k
+    s = ConstantSchedule(0.0, -1.5, 0.0, 1.0)
+    for k in range(6):
+        cov = autocovariance(s, 40, k)
+        assert cov.value == (-1) ** k * math.inf
+        want = tvar2.moments._series_autocovariance(s, 40, k, DEFAULT_TOL, 300)
+        assert math.copysign(1.0, want.value) == (-1) ** k
 
 
 def test_threads_sharing_one_schedule_get_the_single_thread_series():

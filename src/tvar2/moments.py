@@ -104,21 +104,15 @@ def forecast_error_weights(schedule: Schedule, t: int, k: int) -> np.ndarray:
     return green_functions(schedule, t, k - 1).values.copy()
 
 
-def _tail_window(tol: float) -> int:
+def _tail_window(tol: float, n_max: int = 1) -> int:
     """Terms in the trailing window that must be negligible; rejects a tol
-    that is not positive and finite."""
+    that is not positive and finite, then an n_max below 1: the arguments
+    of a series, checked in that order also where no series is summed."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be > 0 and finite (got {tol})")
-    return max(10, math.ceil(math.log(1.0 / tol)))
-
-
-def _series_window(tol: float, n_max: int) -> int:
-    """``_tail_window(tol)``, once ``n_max`` is checked too: the arguments
-    of a series, checked in that order also where no series is summed."""
-    window = _tail_window(tol)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return window
+    return max(10, math.ceil(math.log(1.0 / tol)))
 
 
 def _truncated_sum(terms: Iterable[float], tol: float,
@@ -130,7 +124,7 @@ def _truncated_sum(terms: Iterable[float], tol: float,
     Returns (value, n_used, tail_bound, converged); tail_bound is the sum of
     absolute values over the final window, an empirical residual indicator.
     """
-    window = _series_window(tol, n_max)
+    window = _tail_window(tol, n_max)
     recent = deque(maxlen=window)
     total, n = 0.0, 0
     for term in terms:
@@ -189,14 +183,14 @@ def _covariance_terms(schedule: Schedule, t: int, k: int) -> Iterator[float]:
 
 def _fixed_points(m: tuple, d: tuple, w: tuple) -> tuple:
     """(mu, Sigma) with mu = M mu + d and Sigma = M Sigma M^T + W, for
-    M = ((m00, m01), (m10, m11)) of spectral radius below one, d = (d0, d1)
+    M's entries m = (m00, m01, m10, m11), of radius below one, d = (d0, d1)
     and the symmetric W and Sigma as (P00, P01, P11), by Smith's
     doubling.  mu = sum_j M^j d and Sigma = sum_j M^j W M^jT are summed as
     (mu + A mu, X + A X A^T) with A squared at each step, from (d, W) and
     A = M, until a step adds nothing (at most 64 steps; A is then
     M^(2^64)).  No step divides, and every term of Sigma's sum is positive
     semidefinite."""
-    (a00, a01), (a10, a11) = m
+    a00, a01, a10, a11 = m
     mean, cov = d, w
     for _ in range(64):
         (u0, u1), (x00, x01, x11) = mean, cov
@@ -216,48 +210,43 @@ def _fixed_points(m: tuple, d: tuple, w: tuple) -> tuple:
 def _stationary_moments(rows: np.ndarray, m: tuple) -> np.ndarray:
     """Rows (m0, m1, P00, P01, P11), the stationary mean and covariance of
     the state x_t = (y_t, y_{t-1}) at each season of the table ``rows``, in
-    season order, for its period matrix M of radius below one; no rows
-    where a moment is not finite.  One period of ``_propagate`` from zero ends
-    at the last season with the period map's drift d and noise W; the
-    state there solves mu = M mu + d and Sigma = M Sigma M^T + W in Python
-    floats (``_fixed_points``), and ``_propagate`` carries it through
-    seasons 1 .. l-1."""
+    season order, for its period matrix M of radius below one.  One period
+    of ``_propagate`` from zero ends at the last season with the period
+    map's drift d and noise W; the state there solves mu = M mu + d and
+    Sigma = M Sigma M^T + W in Python floats (``_fixed_points``), and
+    ``_propagate`` carries it through seasons 1 .. l-1."""
     drift, noise = _propagate(rows)
     mean, cov = _fixed_points(m, drift, noise)
     seasons = [mean + cov]
     for row in range(len(rows) - 1):
         mean, cov = _propagate(rows[row:row + 1], mean, cov)
         seasons.append(mean + cov)
-    seasons = np.array(seasons[1:] + seasons[:1])
-    return seasons if np.isfinite(seasons).all() else np.empty((0, 5))
+    return np.array(seasons[1:] + seasons[:1])
 
 
 def _dominant_directions(rows: np.ndarray, m: tuple) -> np.ndarray:
     """Rows (u0, lambda) at each season of the table ``rows``, in season
     order, where its period matrix M has a real root lambda larger in
-    modulus than the other; no rows where they are complex, tie in modulus
-    or are not finite.  u is lambda's direction: at the last season M's
-    eigenvector, at season s A_s u of season s-1, each scaled by a power of
-    two so that no entry over- or underflows.  Started from zero, the state
-    covariance grows as a positive multiple of u u^T (the power method),
-    and A_t ... A_{t-k+1} carries u of season s(t-k) to lambda^n u of
-    season s(t), n the periods that end in between (``autocovariance``)."""
-    (m00, m01), (m10, m11) = m
+    modulus than the other; none where they are complex or tie in modulus
+    (or M is not finite).  u is M's eigenvector for lambda at the last
+    season and A_s u of season s-1 at season s, scaled by powers of two to
+    stay in range.  Started from zero, the state covariance grows as a
+    positive multiple of u u^T (the power method)."""
+    m00, m01, m10, m11 = m
     a = m00 + m11
     disc = a * a - 4.0 * (m00 * m11 - m01 * m10)
     if not (disc > 0.0 and a):   # complex, tied in modulus, or not finite
         return np.empty((0, 2))
     lam = (a + math.copysign(math.sqrt(disc), a)) / 2
     # (M - lambda I) u = 0 by M's first row, or its second where that row is 0
-    u = (m01, lam - m00) if m01 or lam != m00 else (lam - m11, m10)
+    u0, u1 = (m01, lam - m00) if m01 or lam != m00 else (lam - m11, m10)
     seasons = []
     for phi1, phi2 in rows[:, 1:3].tolist():
-        e = math.frexp(max(abs(u[0]), abs(u[1])))[1]
-        u0, u1 = math.ldexp(u[0], -e), math.ldexp(u[1], -e)
-        u = (phi1 * u0 + phi2 * u1, u0)
-        seasons.append((u[0], lam))
-    seasons = np.array(seasons)
-    return seasons if np.isfinite(seasons).all() else np.empty((0, 2))
+        e = math.frexp(max(abs(u0), abs(u1)))[1]
+        u0, u1 = math.ldexp(u0, -e), math.ldexp(u1, -e)
+        u0, u1 = phi1 * u0 + phi2 * u1, u0
+        seasons.append((u0, lam))
+    return np.array(seasons)
 
 
 def _season_moments(schedule: Schedule) -> np.ndarray | None:
@@ -266,7 +255,7 @@ def _season_moments(schedule: Schedule) -> np.ndarray | None:
     season-cache entry for all seasons: (l, 5) ``_stationary_moments`` where
     stationary, (l, 2) ``_dominant_directions`` where explosive.  None where
     every moment is a series: generic and abrupt-breaks schedules, an
-    indeterminate verdict, a radius past the float range, or no rows."""
+    indeterminate verdict, or a radius or an entry past the float range."""
     if schedule._season_cache is None:
         return None
 
@@ -276,11 +265,12 @@ def _season_moments(schedule: Schedule) -> np.ndarray | None:
             stationary = _verdict(pairs).stationary
         except ArithmeticError:   # a radius past the float range
             stationary = None
-        m00, m01, m10, m11 = map(_float, pairs)
         entry = np.empty((0, 5))
         if stationary is not None:
             solve = _stationary_moments if stationary else _dominant_directions
-            entry = solve(schedule._season_rows, ((m00, m01), (m10, m11)))
+            entry = solve(schedule._season_rows, tuple(map(_float, pairs)))
+        if not np.isfinite(entry).all():
+            entry = np.empty((0, 5))
         entry.flags.writeable = False
         return entry
     seasons = schedule.season_cached("moments", 1, compute)
@@ -295,7 +285,7 @@ def unconditional_mean(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
     seasons = _season_moments(schedule)
     if seasons is None or seasons.shape[1] == 2:   # none, or directions
         return _series_mean(schedule, t, tol, n_max)
-    _series_window(tol, n_max)
+    _tail_window(tol, n_max)
     return MomentSummary(int(t), 0, float(seasons[(t - 1) % len(seasons), 0]),
                          math.nan, 0.0, True)
 
@@ -325,19 +315,19 @@ def unconditional_variance(schedule: Schedule, t: int, tol: float = DEFAULT_TOL,
 def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
                    n_max: int = DEFAULT_N_MAX) -> Autocovariance:
     """Cov(y_t, y_{t-k}).  Where the schedule has season moments
-    (``_season_moments``; tol and n_max are only checked), a stationary row
-    is exact, w0 P00 + w1 P01 of season s(t-k), where (w0, w1) = (xi_{t,k},
-    phi2(t-k+1) * xi_{t,k-1}), the first row of A_t ... A_{t-k+1}, comes
-    from the cached ``_xi_prefix``.  An explosive one is copysign(inf, c),
-    c = (w0 u0 + w1 u1) u0 of season s(t-k) = lambda^n v0 u0 with v the
-    direction of season s(t) (``_dominant_directions``), with depth 0,
-    tail bound inf and converged False.  Where c is 0, and on every other
-    schedule, it is the truncated series ``_series_autocovariance``."""
+    (``_season_moments``; tol and n_max are only checked), with (w0, w1) =
+    (xi_{t,k}, phi2(t-k+1) xi_{t,k-1}) the first row of A_t ... A_{t-k+1},
+    a stationary row is exact, w0 P00 + w1 P01 of season s(t-k), w from the
+    cached ``_xi_prefix``.  An explosive one is copysign(inf, c), depth 0,
+    tail bound inf, converged False: c = (w0 u0 + w1 u1) u0 = lambda^n v0
+    u0, u and v the directions of seasons s(t-k) and s(t), n the periods
+    that end in between.  Where c is 0, and on every other schedule, it is
+    the truncated series ``_series_autocovariance``."""
     if k < 0:
         raise ValueError("k must be >= 0")
     seasons = _season_moments(schedule)
     if seasons is not None:
-        _series_window(tol, n_max)
+        _tail_window(tol, n_max)
         period = len(seasons)
         row = seasons[(t - k - 1) % period].tolist()
         if len(row) == 5:   # (m0, m1, P00, P01, P11)
@@ -350,11 +340,10 @@ def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
                                   0.0, True)
         u0, lam = row
         v0 = float(seasons[(t - 1) % period, 0])
-        if u0 and v0:   # c's sign from the signs alone: no product overflows
+        if u0 and v0:   # a product past the float range keeps its sign
             n = (t - 1) // period - (t - k - 1) // period
-            negative = (u0 < 0) ^ (v0 < 0) ^ (lam < 0 and n % 2 == 1)
-            return Autocovariance(int(t), int(k), 0,
-                                  -math.inf if negative else math.inf,
+            c = math.copysign(1.0, lam) ** n * v0 * u0
+            return Autocovariance(int(t), int(k), 0, math.copysign(math.inf, c),
                                   math.inf, False)
     return _series_autocovariance(schedule, t, k, tol, n_max)
 
@@ -374,9 +363,8 @@ def autocovariance_recursion(schedule: Schedule, t: int, k: int,
     """Cov(y_t, y_{t-k}) via the recursion form
     xi_{t,k} * Var(y_{t-k}) + phi2(t-k+1) * xi_{t,k-1} * Cov(y_{t-k}, y_{t-k-1}):
     the general solution's weights w0, w1 on the moments at t-k of
-    ``autocovariance``.  On an explosive schedule with dominant directions
-    those moments are +-inf, their weighted sum inf - inf or 0 * inf, so
-    the row is ``autocovariance``'s."""
+    ``autocovariance``; on an explosive schedule with dominant directions,
+    whose moments are +-inf, ``autocovariance`` itself."""
     if k < 1:
         raise ValueError("recursion form requires k >= 1")
     seasons = _season_moments(schedule)

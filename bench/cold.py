@@ -16,17 +16,20 @@ time from its start to its exit:
   in a directory holding the README's periodic example config as
   model.yaml, its CSV to /dev/null.
 
-Each side runs in the committed files of its commit, extracted with
-record.extract: the change is the commit HEAD names, and the README is
-read from it.  Every case first runs once on each side untimed, so the
-timed runs read the bytecode that run wrote, as an installed package's
-do (none is written when PYTHONDONTWRITEBYTECODE is set; the file records
-its value).  Then MIN_PAIRS times, each case runs once on each side,
-alternating which side runs first.  The file holds every run's seconds
-and, per case, each side's median and quartiles and record.py's gain
-entry: wins and losses over the pairs, the ratio of medians, the base's
-interquartile distance, and whether a gain may be claimed.  It is
-rewritten after every pair.
+Every case runs in both SETTINGS, whatever PYTHONDONTWRITEBYTECODE this
+process has: ``bytecode``, where the timed runs read the bytecode the
+first run wrote, as an installed package's do, and ``no bytecode``, with
+PYTHONDONTWRITEBYTECODE=1 in a tree that never gets any, where every run
+compiles tvar2 from source.  Each side and setting runs in its own copy
+of the committed files of its commit, extracted with record.extract: the
+change is the commit HEAD names, and the README is read from it.  Every
+case first runs once per side and setting untimed.  Then MIN_PAIRS
+times, each case runs once per side in each setting, alternating which
+side runs first.  The file holds every run's seconds and, per case and
+setting (``<setting>: <case>``), each side's median and quartiles and
+record.py's gain entry: wins and losses over the pairs, the ratio of
+medians, the base's interquartile distance, and whether a gain may be
+claimed.  It is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ SCRIPT = "import sys\nfrom tvar2.cli import main\nsys.exit(main())\n"
 # a table long enough for tvar2.cli's array kernel, which the first such
 # table of a process imports: a cost no README command pays
 KERNEL = ["green", "--config", "model.yaml", "--t", "10", "--k", "5000"]
+# setting -> the PYTHONDONTWRITEBYTECODE its runs get (None: unset)
+SETTINGS = {"bytecode": None, "no bytecode": "1"}
 
 
 def cases(readme: str) -> tuple[dict, str]:
@@ -65,6 +70,17 @@ def cases(readme: str) -> tuple[dict, str]:
             KERNEL]:
         named[" ".join(command)] = ["-c", SCRIPT, *command]
     return named, config
+
+
+def environment(root: str, setting: str) -> dict:
+    """This process's environment, with the tree ``root`` on PYTHONPATH and
+    the PYTHONDONTWRITEBYTECODE of ``setting``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")])}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    if SETTINGS[setting] is not None:
+        env["PYTHONDONTWRITEBYTECODE"] = SETTINGS[setting]
+    return env
 
 
 def time_run(argv: list, env: dict, cwd: str) -> float:
@@ -86,38 +102,39 @@ def main(argv=None) -> int:
     commits = {"base": git("rev-parse", "--verify", args.base + "^{commit}"),
                "change": git("rev-parse", "HEAD")}
     record = {**{side: {"commit": commit} for side, commit in commits.items()},
-              "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-              "first": [], "runs": {"base": [], "change": []}}
+              "settings": SETTINGS, "first": [],
+              "runs": {"base": [], "change": []}}
 
-    roots = {side: tempfile.mkdtemp(prefix=f"cold-{side}-") for side in commits}
+    roots = {(side, setting): tempfile.mkdtemp(prefix=f"cold-{side}-")
+             for side in commits for setting in SETTINGS}
     work = tempfile.mkdtemp(prefix="cold-work-")
     try:
-        for side, root in roots.items():
+        for (side, _), root in roots.items():
             extract(commits[side], root)
-        with open(os.path.join(roots["change"], "README.md")) as fh:
+        with open(os.path.join(roots["change", "bytecode"], "README.md")) as fh:
             named, config = cases(fh.read())
         with open(os.path.join(work, "model.yaml"), "w") as fh:
             fh.write(config)
-        envs = {side: {**os.environ, "PYTHONPATH": os.pathsep.join(
-                    [os.path.join(root, "src"), os.path.join(root, "perfbench")])}
-                for side, root in roots.items()}
+        envs = {key: environment(root, key[1]) for key, root in roots.items()}
 
-        def once(side: str, case: list) -> float:
-            return time_run([sys.executable, *case], envs[side], work)
+        def once(side: str, setting: str, case: list) -> float:
+            return time_run([sys.executable, *case], envs[side, setting], work)
 
-        for side in roots:
+        for side, setting in roots:
             for case in named.values():
-                once(side, case)
+                once(side, setting, case)
         for i in range(MIN_PAIRS):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             metrics = {side: {} for side in order}
             for name, case in named.items():
-                for side in order:
-                    metrics[side][name] = once(side, case)
+                for setting in SETTINGS:
+                    for side in order:
+                        metrics[side][f"{setting}: {name}"] = once(
+                            side, setting, case)
             for side in order:
                 record["runs"][side].append({"metrics": metrics[side]})
             record["first"].append(order[0])
-            summarize(record, dict.fromkeys(named, "lower"))
+            summarize(record, dict.fromkeys(metrics["base"], "lower"))
             print(f"pair {i + 1}: " + json.dumps(metrics), file=sys.stderr)
             with open(args.out, "w") as fh:
                 json.dump(record, fh, indent=1)

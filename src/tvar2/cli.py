@@ -6,11 +6,14 @@ config supplies the schedule and default run parameters; command-line
 flags override config values.  Exit codes: 0 success, 2 config error
 (including a flag out of range or over a size cap), 1 computation-domain
 error.
+
+A command line of whole ``--flag value`` pairs and switches is read from
+the ``_COMMANDS`` table; argparse, imported on first use, reads any other
+one, and prints help and usage errors (exit 2) as it always has.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import math
@@ -18,6 +21,7 @@ import os
 import stat
 import sys
 from itertools import chain, islice
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -278,10 +282,58 @@ _COMMANDS = {
 }
 
 
+# subcommand -> ({option: (dest, type, or None for a switch)}, the dest
+# defaults argparse gives): the options _read takes, each spelt out
+_OPTIONS = {
+    name: ({"--config": ("config", str), "--out": ("out", str),
+            **{"--" + flag.replace("_", "-"):
+               (flag, PARAMS[flag][0] if flag in PARAMS else None)
+               for flag in flags}},
+           {"config": None, "out": None,
+            **{flag: None if flag in PARAMS else False for flag in flags}})
+    for name, (_, _, flags, _) in _COMMANDS.items()}
+
+
+def _read(argv: list):
+    """The namespace ``_build_parser().parse_args(argv)`` gives, if argv is
+    a subcommand and then whole ``--flag value`` pairs and switches, each
+    option spelt out in full and --config among them; else None.  A value
+    is the next token, read by its flag's type, and a flag given twice
+    keeps its last value.
+
+    Only one such argv reads otherwise: a value that starts with '-' is a
+    value wherever float() reads it, as --y1 -3.7e-05 and --y0 -1. are,
+    where argparse takes such a token for an option and exits 2."""
+    table = _OPTIONS.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, defaults = table
+    args = {"command": argv[0], **defaults}
+    i = 1
+    try:
+        while i < len(argv):
+            dest, kind = options[argv[i]]
+            if kind is None:
+                args[dest] = True
+                i += 1
+                continue
+            value = argv[i + 1]
+            if not isinstance(value, str):
+                return None
+            if value[:1] == "-":
+                float(value)
+            args[dest] = kind(value)
+            i += 2
+    except (KeyError, IndexError, TypeError, ValueError):
+        return None
+    return None if args["config"] is None else SimpleNamespace(**args)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The parser of every subcommand, built on first use and kept for the
     process; each ``parse_args`` call still fills a fresh namespace."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="tvar2",
         description="Closed-form solutions, forecasts and moments of "
@@ -374,7 +426,12 @@ def _out_file(path: str):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code.  ``_read`` reads a well-formed one; argparse reads any
+    other, and for help or a usage error prints what it prints and raises
+    SystemExit."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or _build_parser().parse_args(argv)
     run, _, flags, defaults = _COMMANDS[args.command]
     try:
         with open(args.config, encoding="utf-8") as fh:

@@ -152,11 +152,13 @@ def _list(mapping: dict, key: str, read, size: int | None = None) -> list:
     return [read(item, f"{key}[{i}]") for i, item in enumerate(value)]
 
 
-def _coefficients(mapping: dict, prefix: str = "") -> dict:
-    return {key: _number(mapping[key], prefix + key) for key in _TUPLE_KEYS}
+def _coefficients(mapping: dict, prefix: str = "") -> tuple:
+    """The floats of the four coefficient keys, in ``_TUPLE_KEYS`` order: the
+    tuple the schedule constructors take as it is."""
+    return tuple([_number(mapping[key], prefix + key) for key in _TUPLE_KEYS])
 
 
-def _tuple_dict(value, where: str) -> dict:
+def _tuple(value, where: str) -> tuple:
     mapping = _require_mapping(value, where)
     _check_keys(mapping, _TUPLE_KEYS, _TUPLE_KEYS, where)
     return _coefficients(mapping, f"{where}.")
@@ -175,9 +177,9 @@ def schedule_from_dict(section: dict) -> Schedule:
     args = {key: _typed(mapping[key], key) for key in ints}
     args.update((key, _list(mapping, key, _typed)) for key in int_lists)
     if tuples:
-        args[tuples] = _list(mapping, tuples, _tuple_dict)
+        args[tuples] = _list(mapping, tuples, _tuple)
     else:
-        args.update(_coefficients(mapping))
+        args.update(zip(_TUPLE_KEYS, _coefficients(mapping)))
     if "sigma2_bounds" in mapping:
         args["sigma2_bounds"] = tuple(
             _list(mapping, "sigma2_bounds", _number, 2))

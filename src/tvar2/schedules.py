@@ -42,8 +42,6 @@ class CoefficientTuple:
 def _as_tuple(value) -> CoefficientTuple:
     if isinstance(value, CoefficientTuple):
         return value
-    if isinstance(value, dict):
-        return CoefficientTuple(**{k: float(v) for k, v in value.items()})
     phi0, phi1, phi2, sigma2 = value
     return CoefficientTuple(float(phi0), float(phi1), float(phi2), float(sigma2))
 

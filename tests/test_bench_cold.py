@@ -90,7 +90,7 @@ def test_pair_file_alternates_sides_and_applies_the_claim_rule(
     subprocess.run(["git", "init", "-q", str(repo)], check=True)
     base, change = _commit(repo, "0.10"), _commit(repo, "0.06")
     (repo / "src" / "value.txt").write_text("9.0")      # an uncommitted edit
-    calls = []
+    calls, trees = [], {}
 
     def stub(argv, env, cwd):
         src = env["PYTHONPATH"].split(os.pathsep)[0]
@@ -98,10 +98,14 @@ def test_pair_file_alternates_sides_and_applies_the_claim_rule(
             value = float(fh.read())
         with open(os.path.join(cwd, "model.yaml")) as fh:
             assert fh.read() == "schedule:\n  kind: periodic\n"
-        calls.append((os.path.basename(os.path.dirname(src)).split("-")[1],
-                      argv[1:]))
+        side = os.path.basename(os.path.dirname(src)).split("-")[1]
+        setting = next(name for name, flag in cold.SETTINGS.items()
+                       if env.get("PYTHONDONTWRITEBYTECODE") == flag)
+        trees.setdefault((side, setting), set()).add(src)
+        calls.append((side, setting, argv[1:]))
         return 0.05 if "verify" in argv else value + 1e-5 * len(calls)
 
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")   # not inherited
     monkeypatch.setattr(cold, "time_run", stub)
     monkeypatch.chdir(repo)
     assert cold.main(["--base", base, "--out", "COLD_t.json"]) == 0
@@ -109,27 +113,42 @@ def test_pair_file_alternates_sides_and_applies_the_claim_rule(
         written = json.load(fh)
 
     named, _ = cold.cases(README)
-    pairs = cold.MIN_PAIRS
-    # one untimed run of every case on each side, then the pairs
-    assert len(calls) == 2 * len(named) * (1 + pairs)
-    assert calls[:2 * len(named)] == [(side, case) for side in ("base", "change")
-                                      for case in named.values()]
-    assert calls[2 * len(named)][0] == "base"
-    assert calls[2 * len(named) * 2][0] == "change"
+    pairs, settings = cold.MIN_PAIRS, list(cold.SETTINGS)
+    # each side and setting runs in a tree of its own
+    assert sorted(trees) == [(side, setting) for side in ("base", "change")
+                             for setting in settings]
+    assert len(set.union(*trees.values())) == 4
+    assert all(len(srcs) == 1 for srcs in trees.values())
+    # one untimed run of every case per side and setting, then the pairs
+    per_pair = 2 * len(settings) * len(named)
+    assert len(calls) == per_pair * (1 + pairs)
+    assert calls[:per_pair] == [(side, setting, case)
+                                for side in ("base", "change")
+                                for setting in settings
+                                for case in named.values()]
+    assert calls[per_pair:per_pair + 4] == [
+        ("base", "bytecode", named["import"]),
+        ("change", "bytecode", named["import"]),
+        ("base", "no bytecode", named["import"]),
+        ("change", "no bytecode", named["import"])]
+    assert calls[2 * per_pair][0] == "change"
     assert written["first"] == ["base", "change"] * (pairs // 2)
     assert (written["base"]["commit"], written["change"]["commit"]) == (base, change)
-    assert written["PYTHONDONTWRITEBYTECODE"] == os.environ.get(
-        "PYTHONDONTWRITEBYTECODE")
+    assert written["settings"] == cold.SETTINGS
+    keys = {f"{setting}: {name}" for name in named for setting in settings}
     runs = written["runs"]
     assert [len(runs[side]) for side in ("base", "change")] == [pairs, pairs]
-    assert all(run["metrics"].keys() == named.keys()
+    assert all(run["metrics"].keys() == keys
                for side in runs for run in runs[side])
-    assert written["summary"]["import"]["base"]["median"] == pytest.approx(
-        0.10, abs=0.01)
     gain = written["gain"]
-    assert gain.keys() == named.keys()
-    assert (gain["import"]["wins"], gain["import"]["claimable"]) == (pairs, True)
-    assert gain["import"]["median_ratio"] == pytest.approx(0.6, abs=0.02)
-    verify = gain["verify --config model.yaml"]
-    assert (verify["wins"], verify["losses"], verify["claimable"]) == (0, 0, False)
+    assert gain.keys() == keys
+    for setting in settings:
+        assert written["summary"][f"{setting}: import"]["base"][
+            "median"] == pytest.approx(0.10, abs=0.01)
+        imported = gain[f"{setting}: import"]
+        assert (imported["wins"], imported["claimable"]) == (pairs, True)
+        assert imported["median_ratio"] == pytest.approx(0.6, abs=0.02)
+        verify = gain[f"{setting}: verify --config model.yaml"]
+        assert (verify["wins"], verify["losses"], verify["claimable"]) == (
+            0, 0, False)
     assert "check" not in written

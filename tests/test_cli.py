@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import functools
 import hashlib
 import io
@@ -1057,14 +1058,148 @@ def test_readme_command_bytes_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_parser_is_built_once_per_process(tmp_path):
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    # a well-formed command line builds no parser; the first one argparse
+    # reads (help, an error, an = form) builds it, and the rest reuse it
     cli._build_parser.cache_clear()
     cfg = _write(tmp_path, "c.yaml", CONSTANT)
     for argv in (["green"], ["forecast", "--k", "2"], ["acf"], ["green"]):
         code, _ = _run(tmp_path, [argv[0], "--config", cfg] + argv[1:])
         assert code == 0
+    assert cli._build_parser.cache_info().misses == 0
+    for argv, code in ((["green", "--help"], 0), (["green", "--k", "x3"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], "--config", cfg] + argv[1:])
+        assert exc.value.code == code
+    assert _run(tmp_path, ["green", "--config", cfg, "--k=2"])[0] == 0
     info = cli._build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--y1", "-3.7e-05"), ("--y0", "-1."), ("--y1", "-2E+3"), ("--y0", "-2"),
+])
+def test_negative_flag_value_in_any_float_form_runs(tmp_path, flag, value):
+    # argparse takes -3.7e-05 and -1. for options ("expected one
+    # argument"); the command line reader takes them as values, and they
+    # write what their = forms write
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    argv = ["forecast", "--config", cfg, "--t", "10", "--k", "3"]
+    code, spaced = _run(tmp_path, argv + [flag, value], "a.csv")
+    assert code == 0
+    assert _run(tmp_path, argv + [f"{flag}={value}"], "b.csv") == (0, spaced)
+
+
+@pytest.mark.parametrize("value", [3, b"3"])
+def test_value_that_is_not_a_string_raises_argparses_type_error(tmp_path,
+                                                                 value):
+    cfg = _write(tmp_path, "c.yaml", CONSTANT)
+    with pytest.raises(TypeError):
+        cli.main(["green", "--config", cfg, "--k", value])
+
+
+class _Handed(Exception):
+    """Raised in place of _resolve, with the namespace main hands on."""
+
+
+def _outcome(argv, read):
+    """What cli.main does with argv while ``cli._read`` is ``read``: the
+    namespace it hands on, with nan made comparable, or its exit code and
+    what it printed."""
+    def hand_on(args, *_):
+        raise _Handed({k: "nan" if v != v else v for k, v in vars(args).items()})
+
+    saved = cli._read, cli._resolve
+    cli._read, cli._resolve = read, hand_on
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except _Handed as handed:
+        return "namespace", handed.args[0]
+    except SystemExit as exc:
+        code = f"SystemExit {exc.code}"
+    finally:
+        cli._read, cli._resolve = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _random_argv(rng, cfg) -> list:
+    """A command line from the pieces users type: each subcommand's flags
+    with good, bad and negative values, other subcommands' flags,
+    abbreviations, = forms, help, stray words and missing values."""
+    if rng.random() < 0.03:
+        return rng.choice([[], ["-h"], ["gren", "--config", cfg],
+                           ["--config", cfg, "green"]])
+    name = rng.choice(list(cli._COMMANDS))
+    options = {o: kind for o, (_, kind) in cli._OPTIONS[name][0].items()}
+    others = sorted({o for table, _ in cli._OPTIONS.values() for o in table}
+                    - set(options))
+    values = {int: ["0", "3", "12", "-2", "+4", "1_0", "x3", "1.5", ""],
+              float: ["0.5", "1e-3", "-0.25", "-2", "nan", "inf", "x"],
+              str: ["normal", "uniform", "-1", "u"]}
+    odd = ["-3.7e-05", "-1.", "-inf", "-1e3", "-x", "-", "--", "-1 2", "a b"]
+    pieces = [["--config", cfg]] if rng.random() < 0.9 else []
+    mixed = rng.random() < 0.5   # else only whole pairs and switches
+    for _ in range(rng.randrange(6)):
+        option = rng.choice(list(options)[1:])
+        kind = options[option]
+        value = [] if kind is None else [rng.choice(
+            values[kind] + odd if rng.random() < 0.3 else values[kind][:4])]
+        pieces.append(rng.choice(
+            [[option] + value] if not mixed else (
+                4 * [[option] + value]
+                + [[option[:rng.randrange(2, len(option))]] + value,
+                   [option + "=" + value[0]] if value else [option],
+                   [rng.choice(others), "1"], [rng.choice(["-h", "--help"])],
+                   ["extra"], [option]])))
+    rng.shuffle(pieces)
+    return [name] + [token for piece in pieces for token in piece]
+
+
+def test_reader_answers_as_argparse_does(tmp_path, monkeypatch):
+    # on seeded command lines, each one the reader reads gives the
+    # namespace argparse gives, and each other one what argparse alone
+    # makes of it; the one exception is a value that starts with '-'
+    # which argparse takes for an option, read as its = form reads
+    import random
+    monkeypatch.chdir(tmp_path)   # no file is written, --out or other
+    cfg = _write(tmp_path, "c.yaml", CONSTANT)
+    rng = random.Random(47)
+    counts = {"read": 0, "passed on": 0, "negative": 0}
+    for _ in range(3000):
+        argv = _random_argv(rng, cfg)
+        read = cli._read(argv)
+        got = _outcome(argv, cli._read)
+        want = _outcome(argv, lambda argv: None)
+        if read is None:
+            counts["passed on"] += 1
+            assert got == want, argv
+            continue
+        counts["read"] += 1
+        assert got == ("namespace", {k: "nan" if v != v else v
+                                     for k, v in vars(read).items()}), argv
+        if got != want:
+            # --flag -3.7e-05 -> --flag=-3.7e-05, which argparse reads
+            counts["negative"] += 1
+            assert want[0] == "SystemExit 2" and "expected one argument" in (
+                want[2]), argv
+            options = cli._OPTIONS[argv[0]][0]
+            equal, i = argv[:1], 1
+            while i < len(argv):
+                if options[argv[i]][1] is None:
+                    equal.append(argv[i])
+                    i += 1
+                    continue
+                value = argv[i + 1]
+                if value.startswith("-"):
+                    float(value)   # only a float is read past argparse
+                    equal.append(f"{argv[i]}={value}")
+                else:
+                    equal += argv[i:i + 2]
+                i += 2
+            assert _outcome(equal, lambda argv: None) == got, argv
+    assert min(counts.values()) >= 50, counts
 
 
 def test_flag_does_not_leak_into_the_next_call(tmp_path):

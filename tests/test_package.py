@@ -3,6 +3,7 @@
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -76,6 +77,32 @@ def test_loading_a_plain_config_loads_only_the_schedules():
         f"import tvar2.config\ntvar2.config.load({periodic!r})\n",
         f"tvar2.config.load({marked!r})\n") == [
         f"{modules} False", f"{modules} True"]
+
+
+def test_readme_commands_do_not_import_argparse(tmp_path):
+    # each README command line is read without argparse; help imports it
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(r"^```sh\n(tvar2 .*?)^```", readme, re.M | re.S)
+    (tmp_path / "model.yaml").write_text(next(
+        text for text in re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        if "kind: periodic" in text))
+    commands = [shlex.split(line)[1:] + ["--out", "out.csv"]
+                for line in block.group(1).splitlines()]
+    run = ("import contextlib, sys\nfrom tvar2.cli import main\n"
+           f"for argv in {commands!r}:\n"
+           "    assert main(argv) == 0, argv\n"
+           "before = 'argparse' in sys.modules\n"
+           "with contextlib.suppress(SystemExit):\n"
+           "    main(['green', '--help'])\n"
+           "print(before, 'argparse' in sys.modules)\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(tvar2.__file__))}
+    done = subprocess.run([sys.executable, "-c", run], env=env, cwd=tmp_path,
+                          timeout=120, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len(commands) == 8
+    assert done.stdout.splitlines()[-1] == "False True"
 
 
 def test_every_exported_name_is_its_owners_object():

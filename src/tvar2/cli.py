@@ -320,8 +320,8 @@ def _read(argv: list):
             value = argv[i + 1]
             if not isinstance(value, str):
                 return None
-            if value[:1] == "-":
-                float(value)
+            if value.startswith("-"):
+                float(value)   # else argparse reads it, as an option
             args[dest] = kind(value)
             i += 2
     except (KeyError, IndexError, TypeError, ValueError):

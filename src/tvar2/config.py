@@ -153,8 +153,8 @@ def _list(mapping: dict, key: str, read, size: int | None = None) -> list:
 
 
 def _coefficients(mapping: dict, prefix: str = "") -> tuple:
-    """The floats of the four coefficient keys, in ``_TUPLE_KEYS`` order: the
-    tuple the schedule constructors take as it is."""
+    """The floats of the four coefficient keys, in ``_TUPLE_KEYS`` order, as
+    the schedule constructors take them."""
     return tuple([_number(mapping[key], prefix + key) for key in _TUPLE_KEYS])
 
 

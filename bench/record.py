@@ -11,16 +11,20 @@ alternating which side runs first.  Each side runs in the committed
 files of its commit, extracted with `git archive` into a temporary
 directory, so an edit made to the working tree while a recording runs
 is not measured under the change's commit id.  It then makes one
---trace 1 run per side at the first seed.  Runs use the settings of
-BENCHMARK.json (run_seconds, unless --seconds is given) and the
-benchmark code each side holds.
+--trace 1 run per side at each of the first three seeds, again
+alternating which side runs first, since one traced run per side reads
+any drift of the box's speed between the two as a change in every
+layer.  Runs use the settings of BENCHMARK.json (run_seconds, unless
+--seconds is given) and the benchmark code each side holds.
 
 The workload's entry in --out holds both commit ids, each run's raw
 metrics, correctness and failures, each side's environment record (with
 the PYTHONDONTWRITEBYTECODE value the runs inherit, null when unset: when
 set, every probe of a fresh tree compiles tvar2 from source), and per
 metric and side the median and quartiles (statistics.quantiles,
-n=4) over the seeds.  With at least MIN_PAIRS pairs it also holds a
+n=4) over the seeds.  Its "trace" entry holds, per side, the median of
+each per-layer metric over the traced runs, and "trace_runs" the seeds,
+which side ran first and each traced run's metrics.  With at least MIN_PAIRS pairs it also holds a
 "gain" entry per end-to-end metric: wins and losses of the change over
 the pairs, the ratio of medians, the base's interquartile distance, and
 whether a gain may be claimed (at least nine tenths of the pairs won and
@@ -198,9 +202,16 @@ def main(argv=None) -> int:
             entry["first"].append(order[0])
             summarize(entry, end_to_end, bounds)
             write()
-        entry["trace"] = {side: run(roots[side], args.workload, entry["seeds"][0],
-                                    seconds, 1)["metrics"]
+        traced = {"seeds": entry["seeds"][:3], "first": entry["first"][:3],
+                  "base": [], "change": []}
+        for seed, first in zip(traced["seeds"], traced["first"]):
+            for side in (first, "change" if first == "base" else "base"):
+                traced[side].append(run(roots[side], args.workload, seed,
+                                        seconds, 1)["metrics"])
+        entry["trace"] = {side: {name: statistics.median(r[name] for r in traced[side])
+                                 for name in traced[side][0]}
                           for side in ("base", "change")}
+        entry["trace_runs"] = traced
         write()
     finally:
         for root in roots.values():

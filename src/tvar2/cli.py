@@ -299,11 +299,9 @@ def _read(argv: list):
     a subcommand and then whole ``--flag value`` pairs and switches, each
     option spelt out in full and --config among them; else None.  A value
     is the next token, read by its flag's type, and a flag given twice
-    keeps its last value.
-
-    Only one such argv reads otherwise: a value that starts with '-' is a
-    value wherever float() reads it, as --y1 -3.7e-05 and --y0 -1. are,
-    where argparse takes such a token for an option and exits 2."""
+    keeps its last value.  A value that starts with '-' is a value
+    wherever float() reads it, as --y1 -3.7e-05 and --y0 -1. are, and
+    ``_joined`` spells such a pair as argparse reads it."""
     table = _OPTIONS.get(argv[0]) if argv else None
     if table is None:
         return None
@@ -327,6 +325,24 @@ def _read(argv: list):
     except (KeyError, IndexError, TypeError, ValueError):
         return None
     return None if args["config"] is None else SimpleNamespace(**args)
+
+
+def _joined(argv: list) -> list:
+    """argv with each value option of its subcommand, spelt out in full
+    and before any '--' token, joined as --flag=value to a next token that
+    starts with '-' and that float() reads: ``_read`` takes such a token
+    for the value, and argparse alone would take it for an option."""
+    options = _OPTIONS.get(argv[0], ({},))[0] if argv else {}
+    joined = argv[:1]
+    for token in argv[1:]:
+        if (options.get(joined[-1], (None, None))[1] and "--" not in joined
+                and isinstance(token, str) and token.startswith("-")):
+            with contextlib.suppress(ValueError):
+                float(token)
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
 
 
 @functools.cache
@@ -431,7 +447,7 @@ def main(argv=None) -> int:
     other, and for help or a usage error prints what it prints and raises
     SystemExit."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read(argv) or _build_parser().parse_args(argv)
+    args = _read(argv) or _build_parser().parse_args(_joined(argv))
     run, _, flags, defaults = _COMMANDS[args.command]
     try:
         with open(args.config, encoding="utf-8") as fh:

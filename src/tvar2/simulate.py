@@ -11,8 +11,9 @@ steps, and ``simulate_paths`` lays the ensemble out.
 
 Statistics are collected at fixed anchor times, never time-averaged: the
 moments are themselves functions of time.  ``empirical_moments`` reads
-them from per-slab tables (``_slab_table``).  Ensembles are read-only,
-and ``empirical_forecast_error`` reuses the last one simulated.
+them from one statistics table per lag over every kept row
+(``_moment_table``), built on the lag's first call.  Ensembles are
+read-only, and ``empirical_forecast_error`` reuses the last one simulated.
 """
 
 from __future__ import annotations
@@ -375,63 +376,43 @@ def _frozen(values: np.ndarray) -> bool:
     return values is None
 
 
-def _slab_rows(values: np.ndarray) -> int:
-    """Kept rows per slab of the statistics: whole rows of at most
-    _SLAB_FLOATS values, and at least one row."""
-    return max(1, _SLAB_FLOATS // max(values.shape[0], 1))
-
-
-def _slab_table(values: np.ndarray, tables: dict, lag: int,
-                slab: int) -> tuple:
-    """Statistics of the kept rows j of slab ``slab`` of the ensemble
-    ``values``, rows slab * step .. (step of ``_slab_rows``), as read-only
-    arrays indexed by j - slab * step: (mean, its se, variance, its se)
-    for lag 0, and for a lag k >= 1 (autocovariance, its se) of row j with
-    row j - k (nan for j < k).  Each is built the first time it is asked
-    for and kept in ``tables`` under (lag, slab), so later anchors in the
-    slab only index it.  The rows reduced are those of ``values.T`` made
-    C-contiguous: a view for an ensemble from ``simulate_paths``, a copy
-    of the slab for a user-built one."""
-    table = tables.get((lag, slab))
+def _moment_table(values: np.ndarray, tables: dict, lag: int) -> np.ndarray:
+    """Statistics of every kept row j of the ensemble ``values``, one
+    read-only array kept in ``tables`` under ``lag`` and built the first
+    time it is asked for: (mean, its se, variance, its se) for lag 0, and
+    for a lag k >= 1 (autocovariance, its se) of row j with row j - k, nan
+    for j < k, from lag 0's means.  The rows are reduced a slab at a time
+    (see _SLAB_FLOATS) from ``values.T`` made C-contiguous: a view for an
+    ensemble from ``simulate_paths``, a copy of the slab for a user-built
+    one."""
+    table = tables.get(lag)
     if table is not None:
         return table
-    step = _slab_rows(values)
-    j0, j1 = slab * step, min(slab * step + step, values.shape[1])
-    if lag:
-        lo = max(j0, lag)
-        products = (np.ascontiguousarray(values[:, lo:j1].T)
-                    - _slab_means(values, tables, lo, j1)[:, None])
-        products *= (values[:, lo - lag:j1 - lag].T
-                     - _slab_means(values, tables, lo - lag, j1 - lag)[:, None])
-        table = _row_moments(products, False)
-        if lo > j0:
-            table = tuple(np.concatenate((np.full(lo - j0, math.nan), column))
-                          for column in table)
-    else:
-        table = _row_moments(np.ascontiguousarray(values[:, j0:j1].T), True)
-    for column in table:
-        column.flags.writeable = False
-    # a thread may have built the same slab meanwhile; one is kept
-    return tables.setdefault((lag, slab), table)
-
-
-def _slab_means(values: np.ndarray, tables: dict, j0: int,
-                j1: int) -> np.ndarray:
-    """The means of kept rows j0 .. j1 - 1, from their lag-0 slabs."""
-    step = _slab_rows(values)
-    first, last = j0 // step, (j1 - 1) // step
-    means = [_slab_table(values, tables, 0, slab)[0]
-             for slab in range(first, last + 1)]
-    means = means[0] if first == last else np.concatenate(means)
-    return means[j0 - first * step:j1 - first * step]
+    rows = values.shape[1]
+    step = max(1, _SLAB_FLOATS // max(values.shape[0], 1))
+    means = _moment_table(values, tables, 0)[0] if lag else None
+    table = np.full((2 if lag else 4, rows), math.nan)
+    for j0 in range(lag, rows, step):
+        j1 = min(j0 + step, rows)
+        slab = np.ascontiguousarray(values[:, j0:j1].T)
+        if lag:
+            slab = slab - means[j0:j1, None]
+            slab *= (values[:, j0 - lag:j1 - lag].T
+                     - means[j0 - lag:j1 - lag, None])
+        table[:, j0:j1] = _row_moments(slab, not lag)
+    table.flags.writeable = False
+    # a thread may have built the same lag meanwhile; one is kept
+    return tables.setdefault(lag, table)
 
 
 def empirical_moments(ensemble: PathEnsemble, t: int,
                       max_lag: int = 0) -> EmpiricalMoments:
     """Cross-path sample mean, variance and autocovariances at anchor t,
-    read from the tables of the slab of rows that holds t (see
-    ``_slab_table``).  They are kept with the ensemble when nothing can
-    write its values, and built for this call alone otherwise."""
+    read from one statistics table per lag (see ``_moment_table``).  When
+    nothing can write the ensemble's values, the tables cover every kept
+    row and are kept with the ensemble, so the first call for a lag reduces
+    every row once and later calls only index it; otherwise each call
+    builds them afresh over the rows t - max_lag .. t alone."""
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     ensemble.at(t)                  # raises for an anchor outside the ensemble
@@ -441,17 +422,14 @@ def empirical_moments(ensemble: PathEnsemble, t: int,
     values = ensemble.values
     tables = vars(ensemble).get("_moment_tables")
     if tables is None:
-        tables = (vars(ensemble).setdefault("_moment_tables", {})
-                  if _frozen(values) else {})
-    slab, i = divmod(j, _slab_rows(values))
-    mean, mean_se, variance, variance_se = _slab_table(values, tables, 0, slab)
-    autocovs = tuple(EstimateWithSE(float(value[i]), float(se[i]))
-                     for value, se in (_slab_table(values, tables, k, slab)
-                                       for k in range(1, max_lag + 1)))
-    return EmpiricalMoments(int(t), EstimateWithSE(float(mean[i]),
-                                                   float(mean_se[i])),
-                            EstimateWithSE(float(variance[i]),
-                                           float(variance_se[i])), autocovs)
+        if _frozen(values):
+            tables = vars(ensemble).setdefault("_moment_tables", {})
+        else:
+            values, tables, j = values[:, j - max_lag:j + 1], {}, max_lag
+    # (value, se) pairs: the mean and the variance, then one a lag
+    pairs = [EstimateWithSE(*pair) for k in range(max_lag + 1) for pair in
+             _moment_table(values, tables, k)[:, j].reshape(-1, 2).tolist()]
+    return EmpiricalMoments(int(t), pairs[0], pairs[1], tuple(pairs[2:]))
 
 
 def empirical_forecast_error(config: SimulationConfig, t: int, k: int

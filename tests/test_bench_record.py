@@ -180,6 +180,9 @@ def test_each_side_runs_its_committed_files(tmp_path, monkeypatch):
             for side in ("base", "change")] == [[1.0], [2.0]]
     assert entry["trace"] == {"base": {"requests_per_s": 1.0},
                               "change": {"requests_per_s": 2.0}}
+    assert entry["trace_runs"] == {"seeds": [5], "first": ["base"],
+                                   "base": [{"requests_per_s": 1.0}],
+                                   "change": [{"requests_per_s": 2.0}]}
 
     dest = tmp_path / "extracted"
     record.extract(change, str(dest))
@@ -207,3 +210,35 @@ def test_environment_records_the_bytecode_setting_the_runs_inherit(
         assert runs[side][0]["environment"] == {
             "dont_write_bytecode": int(value is not None),
             "PYTHONDONTWRITEBYTECODE": value}
+
+
+def test_three_traced_runs_a_side_alternate_and_give_the_medians(tmp_path,
+                                                               monkeypatch):
+    # the stand-in's metric is its tree's value times the seed, and each
+    # run logs its side, seed and trace flag
+    log = tmp_path / "runs.log"
+    fake = FAKE_RUN.replace(
+        "value = float(fh.read())",
+        "value = float(fh.read())\n"
+        "seed, trace = sys.argv[sys.argv.index('--seed') + 1], "
+        "sys.argv[sys.argv.index('--trace') + 1]\n"
+        f"with open({str(log)!r}, 'a') as fh:\n"
+        "    fh.write(f'{value} {seed} {trace}\\n')\n"
+        "value *= int(seed)")
+    repo, base, _ = _bench_repo(tmp_path, "import sys\n" + fake)
+    monkeypatch.chdir(repo)
+    assert record.main(["--base", base, "--workload", "w", "--seeds", "5-8",
+                        "--out", "BENCH_t.json"]) == 0
+    traced = [line.split()[:2] for line in log.read_text().splitlines()
+              if line.endswith(" 1")]
+    # base first at seeds 5 and 7, the change first at seed 6
+    assert traced == [["1.0", "5"], ["2.0", "5"], ["2.0", "6"], ["1.0", "6"],
+                      ["1.0", "7"], ["2.0", "7"]]
+    with open(repo / "BENCH_t.json") as fh:
+        entry = json.load(fh)["workloads"]["w"]
+    assert entry["trace"] == {"base": {"requests_per_s": 6.0},
+                              "change": {"requests_per_s": 12.0}}
+    assert entry["trace_runs"]["seeds"] == [5, 6, 7]
+    assert entry["trace_runs"]["first"] == ["base", "change", "base"]
+    assert [r["requests_per_s"] for r in entry["trace_runs"]["change"]] == [
+        10.0, 12.0, 14.0]

@@ -1219,15 +1219,28 @@ def test_two_ensembles_never_share_a_table():
             != empirical_moments(ensemble, 60).variance.value)
 
 
-def test_moment_tables_are_read_only():
-    ensemble = simulate_paths(_config(n_paths=300, length=4))
-    empirical_moments(ensemble, 60, 3)
-    # every row of 300 paths is in slab 0
-    assert sorted(ensemble._moment_tables) == [(0, 0), (1, 0), (2, 0), (3, 0)]
-    for table in ensemble._moment_tables.values():
-        for column in table:
-            with pytest.raises(ValueError):
-                column[-1] = 0.0
+def test_lags_0_to_3_cover_every_row_in_under_a_third_of_the_values():
+    # 6000 paths over 60 times (2.9 MB): one call builds each lag's table
+    # over all 60 rows, a slab (5 rows, 240 kB) at a time, never holding a
+    # copy or a product array of the whole ensemble
+    ensemble = simulate_paths(_config(n_paths=6000, t_end=99, length=60))
+    t = int(ensemble.times[37])
+    tracemalloc.start()
+    try:
+        got = empirical_moments(ensemble, t, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _moment_bits(got) == _moment_bits(_reference_moments(ensemble, t, 3))
+    assert peak < ensemble.values.nbytes / 3
+    tables = ensemble._moment_tables
+    assert [tables[lag].shape for lag in sorted(tables)] == [
+        (4, 60), (2, 60), (2, 60), (2, 60)]
+    for lag, table in tables.items():
+        assert np.isnan(table[:, :lag]).all()
+        assert np.isfinite(table[:, lag:]).all()
+        with pytest.raises(ValueError):
+            table[0, -1] = 0.0
 
 
 def test_writable_ensemble_is_read_afresh_on_every_call():
@@ -1248,17 +1261,24 @@ def test_writable_ensemble_is_read_afresh_on_every_call():
         assert "_moment_tables" not in vars(user)
 
 
-def test_one_anchor_builds_only_the_slabs_it_reads(monkeypatch):
-    # 4 rows of 300 paths a slab: anchor j = 21 is row 1 of slab 5, and its
-    # lags 1 and 2 read the means of rows 19 and 20 from slab 4
-    monkeypatch.setattr(sim, "_SLAB_FLOATS", 1200)
-    ensemble = simulate_paths(_config(n_paths=300, t_end=99, length=40))
-    t = int(ensemble.times[21])
-    assert (_moment_bits(empirical_moments(ensemble, t, 2))
-            == _moment_bits(_reference_moments(ensemble, t, 2)))
-    assert sorted(ensemble._moment_tables) == [(0, 4), (0, 5), (1, 5), (2, 5)]
-    assert all(len(column) == 4 for table in ensemble._moment_tables.values()
-               for column in table)
+def test_first_call_reduces_each_slab_of_each_lag_once(monkeypatch):
+    # 5000 paths, so a slab holds 6 rows: over 37 rows lag 0 has 7 slabs
+    # and lags 1 and 2, which start at rows 1 and 2, have 6 each.  Later
+    # calls at any anchor and lag up to 2 only index the tables
+    calls = []
+    row_moments = sim._row_moments
+    monkeypatch.setattr(sim, "_row_moments",
+                        lambda rows, variance: calls.append(len(rows))
+                        or row_moments(rows, variance))
+    ensemble = simulate_paths(_config(n_paths=5000, t_end=99, length=37))
+    assert sim._SLAB_FLOATS // 5000 == 6
+    empirical_moments(ensemble, 99, 2)
+    assert calls == [6] * 6 + [1] + [6] * 6 + [6] * 5 + [5]
+    calls.clear()
+    for j, t in enumerate(ensemble.times.tolist()):
+        for max_lag in range(min(2, j) + 1):
+            empirical_moments(ensemble, t, max_lag)
+    assert calls == []
 
 
 def test_one_anchor_of_a_user_built_ensemble_copies_no_more_than_a_slab():

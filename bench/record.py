@@ -10,7 +10,7 @@ HEAD names when the recording starts, and once on the base commit,
 alternating which side runs first.  Each side runs in the committed
 files of its commit, extracted with `git archive` into a temporary
 directory, so an edit made to the working tree while a recording runs
-is not measured under the change's commit id.  It then makes one
+is not measured under the change's commit id.  It then makes a
 --trace 1 run per side at each of the first three seeds, again
 alternating which side runs first, since one traced run per side reads
 any drift of the box's speed between the two as a change in every
@@ -24,11 +24,12 @@ set, every probe of a fresh tree compiles tvar2 from source), and per
 metric and side the median and quartiles (statistics.quantiles,
 n=4) over the seeds.  Its "trace" entry holds, per side, the median of
 each per-layer metric over the traced runs, and "trace_runs" the seeds,
-which side ran first and each traced run's metrics.  With at least MIN_PAIRS pairs it also holds a
-"gain" entry per end-to-end metric: wins and losses of the change over
-the pairs, the ratio of medians, the base's interquartile distance, and
-whether a gain may be claimed (at least nine tenths of the pairs won and
-a median difference larger than the base's interquartile distance).  At
+which side ran first and each traced run's metrics.  With at least
+MIN_PAIRS pairs it also holds a "gain" entry per end-to-end metric:
+wins and losses of the change over the pairs, the ratio of medians, the
+base's interquartile distance, and whether a gain may be claimed (at
+least nine tenths of the pairs won and a median difference larger than
+the base's interquartile distance).  At
 any pair count it holds a "check" entry per end-to-end metric that has a
 bound in BENCHMARK.json: the no-regression state of the change, one of
 "worse" (its median worse than the base's by more than the bound),

@@ -11,6 +11,9 @@ time from its start to its exit:
 - ``montecarlo-setup``: ``import tvar2`` and the ``montecarlo`` workload's
   schedule build, ``models.setup`` of perfbench/models.py, the work
   perfbench/setup_probe.py times as ``setup_s``;
+- ``cli-setup``: the same for the ``cli`` workload, which loads its YAML
+  configs; ``models.prepare`` writes them into the working directory once,
+  untimed, before any case runs;
 - one case per line of the README's command block, and ``KERNEL``, run
   as the installed ``tvar2`` script runs it, through ``tvar2.cli.main``,
   in a directory holding the README's periodic example config as
@@ -26,10 +29,12 @@ change is the commit HEAD names, and the README is read from it.  Every
 case first runs once per side and setting untimed.  Then MIN_PAIRS
 times, each case runs once per side in each setting, alternating which
 side runs first.  The file holds every run's seconds and, per case and
-setting (``<setting>: <case>``), each side's median and quartiles and
-record.py's gain entry: wins and losses over the pairs, the ratio of
+setting (``<setting>: <case>``), each side's median and quartiles,
+record.py's gain entry (wins and losses over the pairs, the ratio of
 medians, the base's interquartile distance, and whether a gain may be
-claimed.  It is rewritten after every pair.
+claimed) and its interval entry (the per-pair ratios and the
+order-statistic interval for their median, with its coverage).  It is
+rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ import time
 from record import MIN_PAIRS, extract, git, summarize
 
 SETUP = "import models\nimport tvar2\nmodels.setup('montecarlo', '.')\n"
+CLI_SETUP = "import models\nimport tvar2\nmodels.setup('cli', '.')\n"
+# writes the configs CLI_SETUP loads
+PREPARE = "import models\nmodels.prepare('cli', '.')\n"
 # what the console script pyproject.toml declares runs
 SCRIPT = "import sys\nfrom tvar2.cli import main\nsys.exit(main())\n"
 # a table long enough for tvar2.cli's array kernel, which the first such
@@ -65,7 +73,8 @@ def cases(readme: str) -> tuple[dict, str]:
     config = next(text for text in re.findall(r"^```yaml\n(.*?)^```", readme,
                                               re.M | re.S)
                   if "kind: periodic" in text)
-    named = {"import": ["-c", "import tvar2"], "montecarlo-setup": ["-c", SETUP]}
+    named = {"import": ["-c", "import tvar2"], "montecarlo-setup": ["-c", SETUP],
+             "cli-setup": ["-c", CLI_SETUP]}
     for command in [shlex.split(line)[1:] for line in block.splitlines()] + [
             KERNEL]:
         named[" ".join(command)] = ["-c", SCRIPT, *command]
@@ -120,6 +129,7 @@ def main(argv=None) -> int:
         def once(side: str, setting: str, case: list) -> float:
             return time_run([sys.executable, *case], envs[side, setting], work)
 
+        once("change", "bytecode", ["-c", PREPARE])
         for side, setting in roots:
             for case in named.values():
                 once(side, setting, case)

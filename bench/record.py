@@ -4,6 +4,7 @@ Usage, from the root of a checkout:
 
     python3 bench/record.py --base COMMIT --workload NAME --seeds A-B
                             --out BENCH_n.json [--seconds S]
+                            [--reference LAYER]
 
 For each seed it runs perfbench/run.py once on the change, the commit
 HEAD names when the recording starts, and once on the base commit,
@@ -36,6 +37,18 @@ bound in BENCHMARK.json: the no-regression state of the change, one of
 "unresolved" (the base's interquartile distance over its median wider
 than the bound, and not every change run better than every base run) or
 "ok".
+Beside them, at any pair count, it holds an "interval" entry per
+end-to-end metric: each pair's ratio of the change's value to the base's,
+their median, and the distribution-free interval for that median from
+two order statistics of the ratios (the r-th smallest and the r-th
+largest, r the largest rank whose coverage is at least 95 %; with 10
+pairs the 2nd and 9th, 97.9 %), with its ranks and coverage.  Unlike the
+base's interquartile distance, the interval narrows as pairs are added.
+With --reference LAYER, a per-layer self time of BENCHMARK.json that no
+changed line runs, its "trace_ratio" entry holds, for every other
+per-layer self time, each traced run's ratio of that layer to the
+reference, per side, and their medians, which a box-speed swing common
+to both layers leaves level.
 Entries for other workloads already in --out are kept when both commit
 ids match.  The file is rewritten after every pair, so an interrupted
 recording keeps the pairs it finished.
@@ -46,6 +59,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -104,6 +118,35 @@ def spread(values: list) -> dict:
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def median_interval(ratios: list, level: float = 0.95) -> dict:
+    """The ratios, their median and the order-statistic interval for the
+    median: the r-th smallest and r-th largest ratio, r the largest rank
+    whose coverage 1 - 2 P(Binomial(n, 1/2) < r) is at least ``level``,
+    or 1 (the extremes, at their lower coverage) where none is."""
+    n = len(ratios)
+
+    def coverage(r: int) -> float:
+        return 1.0 - 2.0 * sum(math.comb(n, k) for k in range(r)) / 2 ** n
+    r = max([r for r in range(1, (n + 1) // 2 + 1) if coverage(r) >= level],
+            default=1)
+    ordered = sorted(ratios)
+    return {"ratios": ratios, "median": statistics.median(ratios),
+            "low": ordered[r - 1], "high": ordered[n - r],
+            "ranks": [r, n + 1 - r], "coverage": coverage(r)}
+
+
+def layer_ratios(traced: dict, reference: str, layers: list) -> dict:
+    """Per layer, each traced run's ratio of the layer to ``reference``,
+    per side, and the median of each side's ratios."""
+    ratios = {}
+    for name in layers:
+        sides = {side: [run[name] / run[reference] for run in traced[side]]
+                 for side in ("base", "change")}
+        ratios[name] = {**sides, "median": {
+            side: statistics.median(values) for side, values in sides.items()}}
+    return {"reference": reference, "layers": ratios}
+
+
 def regression_state(base: dict, change: dict, sign: int, bound: float) -> str:
     """The no-regression state of one end-to-end metric from the two sides'
     spreads; ``sign`` is 1 where higher is better, -1 where lower is."""
@@ -120,13 +163,17 @@ def summarize(entry: dict, end_to_end: dict, bounds: dict | None = None) -> None
     """Fill the entry's summary, its gain entries (from MIN_PAIRS pairs)
     and, for the metrics in ``bounds``, its no-regression checks."""
     runs = entry["runs"]
-    summary, gain, check = {}, {}, {}
+    summary, gain, check, interval = {}, {}, {}, {}
     for name in runs["base"][0]["metrics"]:
         sides = {side: spread([r["metrics"][name] for r in runs[side]])
                  for side in ("base", "change")}
         summary[name] = sides
         if name not in end_to_end:
             continue
+        if all(sides["base"]["values"]):
+            interval[name] = median_interval(
+                [c / b for b, c in zip(sides["base"]["values"],
+                                       sides["change"]["values"])])
         sign = 1 if end_to_end[name] == "higher" else -1
         if bounds and name in bounds:
             check[name] = {"state": regression_state(sides["base"], sides["change"],
@@ -147,7 +194,8 @@ def summarize(entry: dict, end_to_end: dict, bounds: dict | None = None) -> None
                           and sign * (change["median"] - base["median"]) > iqr),
         }
     entry["summary"] = summary
-    for key, value in (("gain", gain), ("check", check)):
+    for key, value in (("gain", gain), ("check", check),
+                       ("interval", interval)):
         if value:
             entry[key] = value
         else:
@@ -161,6 +209,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, help="A-B or a comma list")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--seconds", type=float, default=None)
+    parser.add_argument("--reference", default=None,
+                        help="a per-layer self time that no changed line runs")
     args = parser.parse_args(argv)
 
     with open("BENCHMARK.json") as fh:
@@ -168,6 +218,9 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
+    self_times = [m["name"] for m in spec.get("per_layer", ()) if m["unit"] == "s"]
+    if args.reference is not None and args.reference not in self_times:
+        parser.error(f"--reference must be one of {self_times}")
     commits = {"base": git("rev-parse", "--verify", args.base + "^{commit}"),
                "change": git("rev-parse", "HEAD")}
 
@@ -213,6 +266,10 @@ def main(argv=None) -> int:
                                  for name in traced[side][0]}
                           for side in ("base", "change")}
         entry["trace_runs"] = traced
+        if args.reference is not None:
+            entry["trace_ratio"] = layer_ratios(
+                traced, args.reference,
+                [name for name in self_times if name != args.reference])
         write()
     finally:
         for root in roots.values():

@@ -5,6 +5,11 @@ and ``tvar2.schedules``: enough to build a schedule and walk the ξ kernel.
 Every other name in ``__all__`` loads its module on first access, through
 the module ``__getattr__`` below (PEP 562), so a caller that only builds
 schedules and simulates never imports PyYAML, ``config`` or ``blockdet``.
+None of the three modules, nor ``config``, imports numpy at module level:
+a schedule keeps its tables as Python floats, so importing tvar2, loading
+a config and building schedules leave numpy unloaded, and the first call
+that hands out an array (``Schedule.window``, ``green_functions``, an
+oracle) loads it.
 
 ``xi`` names both a submodule and a function.  ``.xi`` is imported
 eagerly so that the function is bound over the submodule attribute the

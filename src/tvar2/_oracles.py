@@ -10,18 +10,20 @@ the transfer-product decomposition in ``blockdet``; ``stacked_var_radius``
 checks ``vs.stationarity_check`` on the matrices of ``vs.build_vs``.  Each
 determinant is a dense O(k^3) one, so every determinant oracle refuses
 k > ORACLE_CAP.  ``xi``, ``solution`` and ``blockdet`` re-export the
-oracles that check them.
+oracles that check them.  numpy is imported by the oracles that call it,
+so that ``import tvar2``, which imports this module through ``xi``, does
+not load it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from .schedules import Schedule
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .blockdet import BlockSpec
     from .vs import VSMatrices
 
@@ -45,6 +47,7 @@ def _sized(k: int, innovations: Sequence[float] | None = None) -> None:
 def _window_matrix(schedule: Schedule, t: int,
                    k: int) -> tuple[np.ndarray, np.ndarray]:
     """The window t-k+1 .. t and the ``fundamental_matrix`` built from it."""
+    import numpy as np
     if k < 1:
         raise ValueError("k must be >= 1")
     rows = schedule.window(t - k + 1, t)
@@ -75,12 +78,14 @@ def second_fundamental_matrix(schedule: Schedule, t: int, k: int) -> np.ndarray:
 
 def xi_determinant_oracle(schedule: Schedule, t: int, k: int) -> float:
     """Test oracle: xi_{t,k} via direct LU determinant of the assembled matrix."""
+    import numpy as np
     _sized(k)
     return float(np.linalg.det(fundamental_matrix(schedule, t, k)))
 
 
 def xi_second_determinant_oracle(schedule: Schedule, t: int, k: int) -> float:
     """Test oracle for the second fundamental solution."""
+    import numpy as np
     _sized(k)
     return float(np.linalg.det(second_fundamental_matrix(schedule, t, k)))
 
@@ -110,6 +115,7 @@ def particular_solution_determinant_oracle(schedule: Schedule, t: int, k: int,
     Equals the particular part of ``evaluate_solution`` (zero initial values).
     Innovations are ordered oldest to newest, as everywhere else.
     """
+    import numpy as np
     _sized(k, innovations)
     rows, mat = _window_matrix(schedule, t, k)
     mat[:, 0] = rows[:, 0] + np.asarray(innovations, float)
@@ -133,11 +139,13 @@ def assemble_block_matrix(schedule: Schedule, t: int,
 def block_determinant_oracle(schedule: Schedule, t: int,
                              spec: BlockSpec) -> float:
     """Determinant of the assembled block matrix."""
+    import numpy as np
     return float(np.linalg.det(assemble_block_matrix(schedule, t, spec)))
 
 
 def stacked_var_radius(vs: VSMatrices) -> float:
     """Test oracle: spectral radius of phi0_mat^-1 phi1_mat, the stacked
     companion, by a dense LAPACK solve and eigendecomposition."""
+    import numpy as np
     return float(max(abs(np.linalg.eigvals(
         np.linalg.solve(vs.phi0_mat, vs.phi1_mat)))))

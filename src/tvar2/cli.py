@@ -445,7 +445,8 @@ def main(argv=None) -> int:
     """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
     its exit code.  ``_read`` reads a well-formed one; argparse reads any
     other, and for help or a usage error prints what it prints and raises
-    SystemExit."""
+    SystemExit.  A reader that closes standard output early gets exit 1
+    and nothing on standard error."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv) or _build_parser().parse_args(_joined(argv))
     run, _, flags, defaults = _COMMANDS[args.command]
@@ -458,10 +459,20 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.out is None:
-            return run(args, schedule, sys.stdout)
-        with _out_file(args.out) as out:
-            return run(args, schedule, out)
+        if args.out is not None:
+            with _out_file(args.out) as out:
+                return run(args, schedule, out)
+        code = run(args, schedule, sys.stdout)
+        sys.stdout.flush()   # so a closed reader raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of standard output has gone: point it at os.devnull, so
+        # that the flush at exit does not raise again (the recipe of the
+        # signal module's documentation), and fail without a message
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_DOMAIN
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

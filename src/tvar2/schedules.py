@@ -5,15 +5,22 @@ coefficients and the innovation variance governing the process at that
 time.  Concrete variants cover the constant AR(2) case, seasonally
 periodic coefficients, cyclical (grouped-season) coefficients and
 piecewise-constant regimes separated by abrupt breaks.
+
+A tiled kind keeps its checked season table as a tuple of Python-float
+rows, and an abrupt-breaks schedule its regime table likewise.  The
+float64 arrays ``window`` reads are built from those tuples on first use,
+so building a schedule does not import numpy; the first ``window`` call
+does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SIGMA2_BOUNDS = (1e-12, 1e12)
 _CACHE_FLOATS = 1 << 20   # see Schedule.season_cached
@@ -46,8 +53,28 @@ def _as_tuple(value) -> CoefficientTuple:
     return CoefficientTuple(float(phi0), float(phi1), float(phi2), float(sigma2))
 
 
-def _rows(tuples) -> np.ndarray:
-    return np.array([(c.phi0, c.phi1, c.phi2, c.sigma2) for c in tuples])
+def _rows(tuples) -> tuple:
+    return tuple((c.phi0, c.phi1, c.phi2, c.sigma2) for c in tuples)
+
+
+class _Array:
+    """The float64 array of the table of Python-float rows that the instance
+    attribute ``table`` holds (None where it holds none), built on first
+    read and then kept in the instance's dict, where it shadows this
+    descriptor.  ``setdefault`` keeps one array when threads race."""
+
+    def __init__(self, table: str):
+        self.table = table
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, schedule, owner=None):
+        table = getattr(schedule, self.table, None)
+        if table is None:
+            return None
+        import numpy as np
+        return vars(schedule).setdefault(self.name, np.array(table))
 
 
 def _check_sigma2(sigma2: float, bounds: tuple, where: str = "") -> None:
@@ -61,7 +88,8 @@ def _check_sigma2(sigma2: float, bounds: tuple, where: str = "") -> None:
 
 
 def _table(tuples: Sequence, label: str, bounds: tuple, expected=None):
-    """A declared kind's checked tuples (``expected`` many) and rows."""
+    """A declared kind's checked tuples (``expected`` many) and their rows
+    of Python floats."""
     if expected is not None and len(tuples) != expected:
         raise ScheduleError(
             f"expected {expected} {label} tuples, got {len(tuples)}")
@@ -85,6 +113,7 @@ def cut_list(cuts: Sequence[int], total: int, name: str,
 def _floats(entry) -> int:
     """Floats a season-cache entry holds: an array, or a tuple of arrays,
     tuples and floats."""
+    import numpy as np
     return sum(map(np.size, entry)) if isinstance(entry, tuple) else entry.size
 
 
@@ -101,8 +130,10 @@ class Schedule:
 
     kind = "generic"
     earliest: float = -math.inf   # earliest time the schedule answers for
-    # (phi0, phi1, phi2, sigma2) of seasons 1..period, for kinds tiled by season
-    _season_rows: np.ndarray | None = None
+    # (phi0, phi1, phi2, sigma2) of seasons 1..period, for kinds tiled by
+    # season: the checked table, and its (period, 4) array
+    _season_table: tuple | None = None
+    _season_rows = _Array("_season_table")
     _season_cache: dict | None = None
 
     def __init__(self, sigma2_bounds: tuple[float, float] = DEFAULT_SIGMA2_BOUNDS):
@@ -111,10 +142,10 @@ class Schedule:
             raise ScheduleError("sigma2 bounds must satisfy 0 <= lower < upper")
         self.sigma2_bounds = (lo, hi)
 
-    def _tile(self, rows: np.ndarray) -> None:
+    def _tile(self, rows: tuple) -> None:
         """Tile time by the checked season table ``rows``, with an empty
         season cache."""
-        self._season_rows = rows
+        self._season_table = rows
         self._season_cache = {}
 
     def season_cached(self, tag, t: int, compute: Callable,
@@ -137,7 +168,7 @@ class Schedule:
         cache = self._season_cache
         if cache is None:
             return compute()
-        key = (tag, (t - 1) % len(self._season_rows))
+        key = (tag, (t - 1) % len(self._season_table))
         entry = cache.get(key)
         if entry is None or (fits is not None and not fits(entry)):
             entry = compute()
@@ -149,7 +180,7 @@ class Schedule:
 
     def season_room(self, tag, t: int) -> int:
         """Floats ``season_cached`` has room to keep under (tag, t)."""
-        key = (tag, (t - 1) % len(self._season_rows))
+        key = (tag, (t - 1) % len(self._season_table))
         return _CACHE_FLOATS - sum(_floats(v) for k, v in
                                    list(self._season_cache.items()) if k != key)
 
@@ -157,9 +188,10 @@ class Schedule:
         """Coefficients for times t_lo..t_hi (none if t_hi < t_lo) as an
         (n, 4) float array of (phi0, phi1, phi2, sigma2), oldest first.
         A kind that raises names the first bad time walking back from t_hi."""
+        import numpy as np
         t_lo, t_hi = int(t_lo), int(t_hi)
         # the season of t_lo, then offsets from it: any Python int works
-        period = len(self._season_rows)
+        period = len(self._season_table)
         seasons = ((t_lo - 1) % period + np.arange(t_hi - t_lo + 1)) % period
         return self._season_rows[seasons]
 
@@ -192,10 +224,11 @@ class GenericSchedule(Schedule):
         self._fn = fn
 
     def window(self, t_lo: int, t_hi: int) -> np.ndarray:
+        import numpy as np
         t_lo, t_hi = int(t_lo), int(t_hi)
         newest_first = [_as_tuple(self._fn(t))
                         for t in range(t_hi, t_lo - 1, -1)]
-        rows = _rows(reversed(newest_first)).reshape(-1, 4)
+        rows = np.array(_rows(reversed(newest_first))).reshape(-1, 4)
         lo, hi = self.sigma2_bounds
         bad = np.flatnonzero(~((lo < rows[:, 3]) & (rows[:, 3] < hi)))
         if len(bad):
@@ -256,8 +289,9 @@ class CyclicalSchedule(Schedule):
                                    "period")
         self.cycles, rows = _table(cycles, "cycle", self.sigma2_bounds,
                                    len(self.boundaries) + 1)
-        lengths = np.diff((0,) + self.boundaries + (period,))
-        self._tile(np.repeat(rows, lengths, axis=0))
+        ends = self.boundaries + (period,)
+        self._tile(tuple(row for row, lo, hi in zip(rows, (0,) + ends, ends)
+                         for _ in range(hi - lo)))
 
 
 class BreakSchedule(Schedule):
@@ -269,6 +303,7 @@ class BreakSchedule(Schedule):
     """
 
     kind = "abrupt-breaks"
+    _regime_rows = _Array("_regime_table")
 
     def __init__(self, anchor: int, horizon: int, offsets: Sequence[int],
                  regimes: Sequence, sigma2_bounds=DEFAULT_SIGMA2_BOUNDS):
@@ -280,10 +315,11 @@ class BreakSchedule(Schedule):
         self.earliest = self.anchor - self.horizon
         self.offsets = cut_list(offsets, self.horizon, "break offsets",
                                 "horizon")
-        self.regimes, self._regime_rows = _table(
+        self.regimes, self._regime_table = _table(
             regimes, "regime", self.sigma2_bounds, len(self.offsets) + 1)
 
     def window(self, t_lo: int, t_hi: int) -> np.ndarray:
+        import numpy as np
         t_lo, t_hi = int(t_lo), int(t_hi)
         # walking back from t_hi, the first time outside the window
         bad = t_hi if t_hi > self.anchor else min(t_hi, self.earliest - 1)

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._oracles import (ORACLE_CAP, OracleCapError, fundamental_matrix,
                        second_fundamental_matrix, xi_determinant_oracle,
                        xi_second_determinant_oracle)
 from .schedules import Schedule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 REPEATED_ROOT_TOL = 1e-9
 _WALK_ROWS = 4096   # rows a walk lists at a time; bounds its lists
@@ -81,6 +82,7 @@ def xi_stream(schedule: Schedule, t: int,
 def green_functions(schedule: Schedule, t: int, k_max: int) -> XiTable:
     """Table of xi_{t,0..k_max}: the Green functions anchored at time t,
     read from the coefficient window t-k_max+1 .. t."""
+    import numpy as np
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     return XiTable(int(t), np.fromiter(xi_stream(schedule, t, t - k_max + 1),

@@ -49,6 +49,7 @@ def test_cases_are_the_imports_and_the_readme_commands(cold):
     assert named == {
         "import": ["-c", "import tvar2"],
         "montecarlo-setup": ["-c", cold.SETUP],
+        "cli-setup": ["-c", cold.CLI_SETUP],
         "green --config model.yaml --t 10 --k 4":
             ["-c", cold.SCRIPT, "green", "--config", "model.yaml", "--t", "10",
              "--k", "4"],
@@ -63,7 +64,7 @@ def test_the_repository_readme_gives_its_eight_commands(cold):
     with open(os.path.join(ROOT, "README.md")) as fh:
         named, config = cold.cases(fh.read())
     commands = [case[2:] for case in named.values() if case[1] == cold.SCRIPT]
-    assert len(commands) == 8 + 1 and len(named) == 11
+    assert len(commands) == 8 + 1 and len(named) == 12
     assert commands[-1] == cold.KERNEL
     assert all(argv[1:3] == ["--config", "model.yaml"] for argv in commands)
     schedule = tvar2.config.load(config)[0]
@@ -119,7 +120,10 @@ def test_pair_file_alternates_sides_and_applies_the_claim_rule(
                              for setting in settings]
     assert len(set.union(*trees.values())) == 4
     assert all(len(srcs) == 1 for srcs in trees.values())
-    # one untimed run of every case per side and setting, then the pairs
+    # the cli configs written once, one untimed run of every case per side
+    # and setting, then the pairs
+    assert calls[0] == ("change", "bytecode", ["-c", cold.PREPARE])
+    del calls[0]
     per_pair = 2 * len(settings) * len(named)
     assert len(calls) == per_pair * (1 + pairs)
     assert calls[:per_pair] == [(side, setting, case)
@@ -151,4 +155,12 @@ def test_pair_file_alternates_sides_and_applies_the_claim_rule(
         verify = gain[f"{setting}: verify --config model.yaml"]
         assert (verify["wins"], verify["losses"], verify["claimable"]) == (
             0, 0, False)
+        interval = written["interval"][f"{setting}: import"]
+        assert len(interval["ratios"]) == pairs
+        assert (interval["ranks"], interval["coverage"]) == ([2, 9], 1002 / 1024)
+        assert 0.58 < interval["low"] <= interval["median"] <= interval[
+            "high"] < 0.62
+        assert written["interval"][f"{setting}: verify --config model.yaml"][
+            "ratios"] == [1.0] * pairs
+    assert written["interval"].keys() == keys
     assert "check" not in written

@@ -242,3 +242,98 @@ def test_three_traced_runs_a_side_alternate_and_give_the_medians(tmp_path,
     assert entry["trace_runs"]["first"] == ["base", "change", "base"]
     assert [r["requests_per_s"] for r in entry["trace_runs"]["change"]] == [
         10.0, 12.0, 14.0]
+
+
+# 1 - 2 P(Binomial(n, 1/2) < r) at the ranks median_interval picks
+@pytest.mark.parametrize("n, ranks, coverage", [
+    (5, [1, 5], 1 - 2 / 2 ** 5),            # no rank reaches 95 %
+    (10, [2, 9], 1 - 2 * 11 / 2 ** 10),     # 97.9 %
+    (20, [6, 15], 1 - 2 * 21700 / 2 ** 20),  # 95.9 %
+])
+def test_interval_takes_the_order_statistics_of_known_rank(n, ranks, coverage):
+    ratios = [1.0 + ((7 * i) % n) / 100 for i in range(n)]   # shuffled
+    got = record.median_interval(ratios)
+    assert got["ratios"] == ratios
+    assert (got["ranks"], got["coverage"]) == (ranks, coverage)
+    assert (got["low"], got["high"]) == (1.0 + (ranks[0] - 1) / 100,
+                                         1.0 + (ranks[1] - 1) / 100)
+    assert got["median"] == pytest.approx(1.0 + (n - 1) / 200)
+
+
+def test_interval_is_kept_beside_gain_and_check_at_any_pair_count():
+    base = [10.0 + i for i in range(10)]
+    entry = _entry(base, [b * 1.5 for b in base])
+    record.summarize(entry, END_TO_END, BOUNDS)
+    interval = entry["interval"]["requests_per_s"]
+    assert interval["ratios"] == pytest.approx([1.5] * 10)
+    assert set(entry) == {"runs", "summary", "gain", "check", "interval"}
+    assert "xi.steps" not in entry["interval"]
+    entry = _entry([10.0, 12.0], [11.0, 18.0])
+    record.summarize(entry, END_TO_END)
+    interval = entry["interval"]["requests_per_s"]
+    assert (interval["low"], interval["high"], interval["ranks"],
+            interval["coverage"]) == (1.1, 1.5, [1, 2], 0.5)
+    assert "gain" not in entry and "check" not in entry
+
+
+@pytest.mark.parametrize("name, low, high", [("BENCH_47.json", 0.77, 0.89),
+                                             ("BENCH_50.json", 0.82, 1.27)])
+def test_interval_from_the_stored_runs_of_a_pair_file(name, low, high):
+    # the cli latency_p50_ms of a claimed gain and of an unresolved check
+    with open(os.path.join(os.path.dirname(_PATH), os.pardir, name)) as fh:
+        entry = json.load(fh)["workloads"]["cli"]
+    record.summarize(entry, {"latency_p50_ms": "lower"})
+    interval = entry["interval"]["latency_p50_ms"]
+    assert (interval["low"], interval["high"]) == (
+        pytest.approx(low, abs=0.005), pytest.approx(high, abs=0.005))
+    assert interval["ranks"] == [2, 9]
+
+
+def test_layer_ratios_read_each_traced_run_against_the_reference():
+    # the reference doubles on the change's second run, and the layer with it
+    traced = {"base": [{"ref": 2.0, "a": 1.0}, {"ref": 2.0, "a": 1.2}],
+              "change": [{"ref": 2.0, "a": 0.8}, {"ref": 4.0, "a": 1.6}]}
+    assert record.layer_ratios(traced, "ref", ["a"]) == {
+        "reference": "ref", "layers": {"a": {
+            "base": [0.5, 0.6], "change": [0.4, 0.4],
+            "median": {"base": 0.55, "change": 0.4}}}}
+
+
+def test_layer_ratios_from_the_stored_runs_of_bench_50():
+    # montecarlo simulate.stats.self_s against simulate.self_s, which no
+    # line of that change runs: lower on the change in every pair
+    with open(os.path.join(os.path.dirname(_PATH), os.pardir,
+                           "BENCH_50.json")) as fh:
+        traced = json.load(fh)["workloads"]["montecarlo"]["trace_runs"]
+    ratios = record.layer_ratios(traced, "simulate.self_s",
+                                 ["simulate.stats.self_s"])["layers"][
+        "simulate.stats.self_s"]
+    assert ratios["base"] == pytest.approx([0.141, 0.151, 0.139], abs=5e-4)
+    assert ratios["change"] == pytest.approx([0.130, 0.138, 0.131], abs=5e-4)
+    assert all(c < b for b, c in zip(ratios["base"], ratios["change"]))
+
+
+def test_reference_option_writes_the_layer_ratios(tmp_path, monkeypatch):
+    fake = FAKE_RUN.replace(
+        '"metrics": {"requests_per_s": {"value": value}}',
+        '"metrics": {"requests_per_s": {"value": value},'
+        ' "a.self_s": {"value": value}, "b.self_s": {"value": 2.0},'
+        ' "a.calls": {"value": 3.0}}')
+    repo, base, _ = _bench_repo(tmp_path, fake)
+    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    spec["per_layer"] = [{"name": "a.self_s", "unit": "s"},
+                         {"name": "b.self_s", "unit": "s"},
+                         {"name": "a.calls", "unit": "count"}]
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.chdir(repo)
+    argv = ["--base", base, "--workload", "w", "--seeds", "5-6",
+            "--out", "BENCH_t.json"]
+    with pytest.raises(SystemExit):
+        record.main(argv + ["--reference", "a.calls"])
+    assert record.main(argv + ["--reference", "b.self_s"]) == 0
+    with open(repo / "BENCH_t.json") as fh:
+        entry = json.load(fh)["workloads"]["w"]
+    assert entry["trace_ratio"] == {"reference": "b.self_s", "layers": {
+        "a.self_s": {"base": [0.5, 0.5], "change": [1.0, 1.0],
+                     "median": {"base": 0.5, "change": 1.0}}}}
+    assert entry["interval"]["requests_per_s"]["ratios"] == [2.0, 2.0]

@@ -338,6 +338,45 @@ def test_module_entry_point_matches_main(tmp_path):
     assert not (tmp_path / "missing_dir").exists()
 
 
+@pytest.mark.parametrize("argv", [["green", "--t", "10", "--k", "100000"],
+                                  ["acf", "--t", "10", "--max-lag", "4000"]],
+                         ids=["kernel-table", "percent-rows"])
+def test_reader_closing_after_one_line_gets_exit_1_and_no_message(tmp_path,
+                                                                   argv):
+    # both tables are longer than a pipe holds, so the writer meets the
+    # closed pipe whatever the buffering of its standard output
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(tvar2.__file__))}
+    with subprocess.Popen([sys.executable, "-m", "tvar2.cli", argv[0],
+                           "--config", cfg, *argv[1:]], cwd=tmp_path, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"t,")
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 1)
+
+
+def test_broken_pipe_points_standard_output_at_devnull(tmp_path, capsys,
+                                                       monkeypatch):
+    cfg = _write(tmp_path, "p.yaml", PERIODIC)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    with open(tmp_path / "stdout", "w") as fh:
+        fd = fh.fileno()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(["green", "--config", cfg, "--t", "10", "--k", "4"]) == 1
+        devnull = os.stat(os.devnull)
+        assert (os.fstat(fd).st_ino, os.fstat(fd).st_dev) == (devnull.st_ino,
+                                                              devnull.st_dev)
+    assert capsys.readouterr().err == ""
+
+
 def test_domain_error_exits_1(tmp_path, capsys):
     cfg = _write(tmp_path, "c.yaml", BREAKS)
     # anchor outside the break window

@@ -79,6 +79,34 @@ def test_loading_a_plain_config_loads_only_the_schedules():
         f"{modules} False", f"{modules} True"]
 
 
+def test_numpy_loads_on_the_first_window_call():
+    # importing tvar2, loading every README config and building every kind
+    # read Python floats only; the first array a schedule hands out loads
+    # numpy
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        configs = re.findall(r"```yaml\n(.*?)```", fh.read(), re.S)
+    run = ("import sys\nimport tvar2, tvar2.config\n"
+           f"loaded = [tvar2.config.load(text)[0] for text in {configs!r}]\n"
+           "rows = [(0.0, 0.5, -0.2, 1.0), (0.1, -0.3, 0.4, 2.0)]\n"
+           "built = [tvar2.ConstantSchedule(0.0, 0.5, -0.2, 1.0),\n"
+           "         tvar2.PeriodicSchedule(rows),\n"
+           "         tvar2.CyclicalSchedule(5, [2], rows),\n"
+           "         tvar2.BreakSchedule(50, 10, [4], rows),\n"
+           "         tvar2.GenericSchedule(lambda t: rows[t % 2])]\n"
+           "print(sorted(s.kind for s in loaded + built),"
+           " 'numpy' in sys.modules)\n"
+           "built[1].window(1, 2)\n"
+           "print('numpy' in sys.modules)\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(tvar2.__file__))}
+    done = subprocess.run([sys.executable, "-c", run], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    kinds = sorted(["abrupt-breaks", "constant", "cyclical", "periodic"] * 2
+                   + ["generic"])
+    assert done.stdout.splitlines() == [f"{kinds} False", "True"]
+
+
 def test_readme_commands_do_not_import_argparse(tmp_path):
     # each README command line is read without argparse; help imports it
     with open(os.path.join(ROOT, "README.md")) as fh:

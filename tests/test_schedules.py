@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,6 +227,74 @@ def test_window_is_the_stacked_at_rows(kind):
                    for c in map(s.at, range(t_lo, t_hi + 1))]
         assert rows.shape == (len(stacked), 4)
         assert rows.tolist() == stacked
+
+
+# each kind's table, and its rows for the times 1..6 (the break schedule's
+# are 93..98), written out as floats
+EXPLICIT = {
+    "constant": ([(0.5, 1.2, -0.32, 2.0)], [(0.5, 1.2, -0.32, 2.0)] * 6),
+    "periodic": ([(0.1, 0.5, -0.2, 1.0), (0.2, -0.4, 0.3, 1.5),
+                  (0.3, 0.8, -0.1, 0.5)],
+                 [(0.1, 0.5, -0.2, 1.0), (0.2, -0.4, 0.3, 1.5),
+                  (0.3, 0.8, -0.1, 0.5)] * 2),
+    "cyclical": ([(0.0, 0.5, -0.2, 1.0)] * 2 + [(0.1, -0.3, 0.4, 2.0)] * 3,
+                 [(0.0, 0.5, -0.2, 1.0)] * 2 + [(0.1, -0.3, 0.4, 2.0)] * 3
+                 + [(0.0, 0.5, -0.2, 1.0)]),
+    "breaks": ([(0.0, 0.5, -0.2, 1.0), (0.0, -0.4, 0.3, 2.0),
+                (0.0, 0.9, -0.5, 0.5)],
+               [(0.0, 0.9, -0.5, 0.5)] + [(0.0, -0.4, 0.3, 2.0)] * 4
+               + [(0.0, 0.5, -0.2, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPLICIT))
+def test_arrays_built_on_first_read_hold_the_bits_of_the_rows(kind):
+    s = WINDOW_KINDS[kind]()
+    name, times = (("_regime_rows", (93, 98)) if kind == "breaks"
+                   else ("_season_rows", (1, 6)))
+    table, rows = (np.array(r) for r in EXPLICIT[kind])
+    assert name not in vars(s)
+    built = getattr(s, name)
+    assert vars(s)[name] is built and getattr(s, name) is built
+    assert (built.dtype, built.tobytes()) == (np.float64, table.tobytes())
+    window = s.window(*times)
+    assert (window.dtype, window.tobytes()) == (np.float64, rows.tobytes())
+
+
+def test_untiled_kinds_and_the_class_have_no_season_array():
+    for s in (WINDOW_KINDS["generic"](), WINDOW_KINDS["breaks"]()):
+        assert s._season_rows is None and "_season_rows" not in vars(s)
+    assert ConstantSchedule._season_rows is None
+    assert BreakSchedule._regime_rows is None
+
+
+def test_threads_making_the_first_window_call_keep_one_array(monkeypatch):
+    # each thread builds an array before either keeps one; both windows
+    # then read the one array the schedule keeps
+    s = WINDOW_KINDS["periodic"]()
+    both, built, kept = threading.Barrier(2), [], []
+    array = np.array
+
+    def build(*args, **kwargs):
+        if args and args[0] is s._season_table:
+            mine = array(*args, **kwargs)
+            built.append(mine)
+            both.wait(timeout=30)
+            return mine
+        return array(*args, **kwargs)
+
+    def caller():
+        s.window(1, 3)
+        kept.append(vars(s)["_season_rows"])
+
+    monkeypatch.setattr(np, "array", build)
+    threads = [threading.Thread(target=caller) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(built) == 2 and built[0] is not built[1]
+    assert kept[0] is kept[1] and any(kept[0] is a for a in built)
 
 
 def _message(call):

@@ -118,16 +118,16 @@ def spread(values: list) -> dict:
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def median_interval(ratios: list, level: float = 0.95) -> dict:
+def median_interval(ratios: list) -> dict:
     """The ratios, their median and the order-statistic interval for the
     median: the r-th smallest and r-th largest ratio, r the largest rank
-    whose coverage 1 - 2 P(Binomial(n, 1/2) < r) is at least ``level``,
-    or 1 (the extremes, at their lower coverage) where none is."""
+    whose coverage 1 - 2 P(Binomial(n, 1/2) < r) is at least 95 %, or 1
+    (the extremes, at their lower coverage) where none is."""
     n = len(ratios)
 
     def coverage(r: int) -> float:
         return 1.0 - 2.0 * sum(math.comb(n, k) for k in range(r)) / 2 ** n
-    r = max([r for r in range(1, (n + 1) // 2 + 1) if coverage(r) >= level],
+    r = max([r for r in range(1, (n + 1) // 2 + 1) if coverage(r) >= 0.95],
             default=1)
     ordered = sorted(ratios)
     return {"ratios": ratios, "median": statistics.median(ratios),

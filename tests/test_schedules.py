@@ -292,7 +292,8 @@ def test_threads_making_the_first_window_call_keep_one_array(monkeypatch):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
     assert len(built) == 2 and built[0] is not built[1]
     assert kept[0] is kept[1] and any(kept[0] is a for a in built)
 

@@ -33,8 +33,9 @@ setting (``<setting>: <case>``), each side's median and quartiles,
 record.py's gain entry (wins and losses over the pairs, the ratio of
 medians, the base's interquartile distance, and whether a gain may be
 claimed) and its interval entry (the per-pair ratios and the
-order-statistic interval for their median, with its coverage).  It is
-rewritten after every pair.
+order-statistic interval for their median, with its coverage, and the
+median ratio over the pairs each side ran first in).  It is rewritten
+after every pair.
 """
 
 from __future__ import annotations

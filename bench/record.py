@@ -44,6 +44,9 @@ two order statistics of the ratios (the r-th smallest and the r-th
 largest, r the largest rank whose coverage is at least 95 %; with 10
 pairs the 2nd and 9th, 97.9 %), with its ranks and coverage.  Unlike the
 base's interquartile distance, the interval narrows as pairs are added.
+Each interval entry also holds, under "median_by_first", the median
+ratio over the pairs where the base ran first and over those where the
+change did, so an effect of the order the two sides run in shows.
 With --reference LAYER, a per-layer self time of BENCHMARK.json that no
 changed line runs, its "trace_ratio" entry holds, for every other
 per-layer self time, each traced run's ratio of that layer to the
@@ -135,6 +138,15 @@ def median_interval(ratios: list) -> dict:
             "ranks": [r, n + 1 - r], "coverage": coverage(r)}
 
 
+def first_medians(ratios: list, first: list) -> dict:
+    """Per side, the median of the ratios of the pairs that side ran first
+    in; a side that never ran first is left out."""
+    groups = {}
+    for ratio, side in zip(ratios, first):
+        groups.setdefault(side, []).append(ratio)
+    return {side: statistics.median(group) for side, group in groups.items()}
+
+
 def layer_ratios(traced: dict, reference: str, layers: list) -> dict:
     """Per layer, each traced run's ratio of the layer to ``reference``,
     per side, and the median of each side's ratios."""
@@ -171,9 +183,12 @@ def summarize(entry: dict, end_to_end: dict, bounds: dict | None = None) -> None
         if name not in end_to_end:
             continue
         if all(sides["base"]["values"]):
-            interval[name] = median_interval(
-                [c / b for b, c in zip(sides["base"]["values"],
-                                       sides["change"]["values"])])
+            ratios = [c / b for b, c in zip(sides["base"]["values"],
+                                            sides["change"]["values"])]
+            interval[name] = median_interval(ratios)
+            if "first" in entry:
+                interval[name]["median_by_first"] = first_medians(
+                    ratios, entry["first"])
         sign = 1 if end_to_end[name] == "higher" else -1
         if bounds and name in bounds:
             check[name] = {"state": regression_state(sides["base"], sides["change"],

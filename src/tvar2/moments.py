@@ -207,13 +207,14 @@ def _fixed_points(m: tuple, d: tuple, w: tuple) -> tuple:
     return mean, cov
 
 
-def _stationary_moments(rows: np.ndarray, m: tuple) -> np.ndarray:
+def _stationary_moments(rows: tuple, m: tuple) -> np.ndarray:
     """Rows (m0, m1, P00, P01, P11), the stationary mean and covariance of
-    the state x_t = (y_t, y_{t-1}) at each season of the table ``rows``, in
-    season order, for its period matrix M of radius below one.  One period
-    of ``_propagate`` from zero ends at the last season with the period
-    map's drift d and noise W; the state there solves mu = M mu + d and
-    Sigma = M Sigma M^T + W in Python floats (``_fixed_points``), and
+    the state x_t = (y_t, y_{t-1}) at each season of the season table
+    ``rows`` (``Schedule._season_table``, rows of Python floats), in season
+    order, for its period matrix M of radius below one.  One period of
+    ``_propagate`` from zero ends at the last season with the period map's
+    drift d and noise W; the state there solves mu = M mu + d and Sigma =
+    M Sigma M^T + W in Python floats (``_fixed_points``), and
     ``_propagate`` carries it through seasons 1 .. l-1."""
     drift, noise = _propagate(rows)
     mean, cov = _fixed_points(m, drift, noise)
@@ -224,11 +225,12 @@ def _stationary_moments(rows: np.ndarray, m: tuple) -> np.ndarray:
     return np.array(seasons[1:] + seasons[:1])
 
 
-def _dominant_directions(rows: np.ndarray, m: tuple) -> np.ndarray:
-    """Rows (u0, lambda) at each season of the table ``rows``, in season
-    order, where its period matrix M has a real root lambda larger in
-    modulus than the other; none where they are complex or tie in modulus
-    (or M is not finite).  u is M's eigenvector for lambda at the last
+def _dominant_directions(rows: tuple, m: tuple) -> np.ndarray:
+    """Rows (u0, lambda) at each season of the season table ``rows`` (rows
+    of Python floats), in season order, where its period matrix M has a
+    real root lambda larger in modulus than the other; none where they are
+    complex or tie in modulus (or M is not finite).  u is M's eigenvector
+    for lambda at the last
     season and A_s u of season s-1 at season s, scaled by powers of two to
     stay in range.  Started from zero, the state covariance grows as a
     positive multiple of u u^T (the power method)."""
@@ -241,7 +243,7 @@ def _dominant_directions(rows: np.ndarray, m: tuple) -> np.ndarray:
     # (M - lambda I) u = 0 by M's first row, or its second where that row is 0
     u0, u1 = (m01, lam - m00) if m01 or lam != m00 else (lam - m11, m10)
     seasons = []
-    for phi1, phi2 in rows[:, 1:3].tolist():
+    for _, phi1, phi2, _ in rows:
         e = math.frexp(max(abs(u0), abs(u1)))[1]
         u0, u1 = math.ldexp(u0, -e), math.ldexp(u1, -e)
         u0, u1 = phi1 * u0 + phi2 * u1, u0
@@ -252,8 +254,9 @@ def _dominant_directions(rows: np.ndarray, m: tuple) -> np.ndarray:
 def _season_moments(schedule: Schedule) -> np.ndarray | None:
     """What one product of a tiled schedule's period matrix
     (``vs._period_pairs``) and the verdict on it allow, one read-only
-    season-cache entry for all seasons: (l, 5) ``_stationary_moments`` where
-    stationary, (l, 2) ``_dominant_directions`` where explosive.  None where
+    float64 season-cache entry for all seasons, both read from the tuple
+    season table: (l, 5) ``_stationary_moments`` where stationary, (l, 2)
+    ``_dominant_directions`` where explosive.  None where
     every moment is a series: generic and abrupt-breaks schedules, an
     indeterminate verdict, or a radius or an entry past the float range."""
     if schedule._season_cache is None:
@@ -268,7 +271,7 @@ def _season_moments(schedule: Schedule) -> np.ndarray | None:
         entry = np.empty((0, 5))
         if stationary is not None:
             solve = _stationary_moments if stationary else _dominant_directions
-            entry = solve(schedule._season_rows, tuple(map(_float, pairs)))
+            entry = solve(schedule._season_table, tuple(map(_float, pairs)))
         if not np.isfinite(entry).all():
             entry = np.empty((0, 5))
         entry.flags.writeable = False
@@ -334,8 +337,8 @@ def autocovariance(schedule: Schedule, t: int, k: int, tol: float = DEFAULT_TOL,
             w0, w1 = 1.0, 0.0
             if k:
                 xi = _xi_prefix(schedule, t, k + 1)
-                phi2 = schedule._season_rows[(t - k) % period, 2]
-                w0, w1 = float(xi[k]), float(phi2) * float(xi[k - 1])
+                phi2 = schedule._season_table[(t - k) % period][2]
+                w0, w1 = float(xi[k]), phi2 * float(xi[k - 1])
             return Autocovariance(int(t), int(k), 0, w0 * row[2] + w1 * row[3],
                                   0.0, True)
         u0, lam = row

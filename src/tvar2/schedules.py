@@ -7,10 +7,11 @@ periodic coefficients, cyclical (grouped-season) coefficients and
 piecewise-constant regimes separated by abrupt breaks.
 
 A tiled kind keeps its checked season table as a tuple of Python-float
-rows, and an abrupt-breaks schedule its regime table likewise.  The
-float64 arrays ``window`` reads are built from those tuples on first use,
-so building a schedule does not import numpy; the first ``window`` call
-does.
+rows, and an abrupt-breaks schedule its regime table likewise: the one
+table every reader takes.  ``window`` builds its float64 array from it,
+a tiled kind once into its season cache, an abrupt-breaks one on each
+call, so building a schedule does not import numpy; the first ``window``
+call does.
 """
 
 from __future__ import annotations
@@ -54,27 +55,8 @@ def _as_tuple(value) -> CoefficientTuple:
 
 
 def _rows(tuples) -> tuple:
-    return tuple((c.phi0, c.phi1, c.phi2, c.sigma2) for c in tuples)
-
-
-class _Array:
-    """The float64 array of the table of Python-float rows that the instance
-    attribute ``table`` holds (None where it holds none), built on first
-    read and then kept in the instance's dict, where it shadows this
-    descriptor.  ``setdefault`` keeps one array when threads race."""
-
-    def __init__(self, table: str):
-        self.table = table
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, schedule, owner=None):
-        table = getattr(schedule, self.table, None)
-        if table is None:
-            return None
-        import numpy as np
-        return vars(schedule).setdefault(self.name, np.array(table))
+    return tuple((float(c.phi0), float(c.phi1), float(c.phi2), float(c.sigma2))
+                 for c in tuples)
 
 
 def _check_sigma2(sigma2: float, bounds: tuple, where: str = "") -> None:
@@ -130,10 +112,9 @@ class Schedule:
 
     kind = "generic"
     earliest: float = -math.inf   # earliest time the schedule answers for
-    # (phi0, phi1, phi2, sigma2) of seasons 1..period, for kinds tiled by
-    # season: the checked table, and its (period, 4) array
+    # (phi0, phi1, phi2, sigma2) of seasons 1..period as Python floats, for
+    # kinds tiled by season: the checked table that every reader takes
     _season_table: tuple | None = None
-    _season_rows = _Array("_season_table")
     _season_cache: dict | None = None
 
     def __init__(self, sigma2_bounds: tuple[float, float] = DEFAULT_SIGMA2_BOUNDS):
@@ -156,7 +137,8 @@ class Schedule:
         one; a generic or abrupt-breaks one computes it on every call.  It
         keeps the xi prefixes and the period-matrix entry of
         ``tvar2.moments`` and the burn-in starts of ``tvar2.simulate``,
-        read-only.
+        read-only, and ``window``'s (period, 4) array of the table under
+        ("rows", 0), which ``window`` only indexes into a copy.
 
         Its table was checked when the schedule was built, so no time a
         tiled schedule answers for raises, and ``compute`` may read past
@@ -193,7 +175,8 @@ class Schedule:
         # the season of t_lo, then offsets from it: any Python int works
         period = len(self._season_table)
         seasons = ((t_lo - 1) % period + np.arange(t_hi - t_lo + 1)) % period
-        return self._season_rows[seasons]
+        return self.season_cached("rows", 1,
+                                  lambda: np.array(self._season_table))[seasons]
 
     def walk_back(self, t: int, floor: float) -> Iterator[np.ndarray]:
         """Windows of times t, t-1, ..., each newest first: 32 rows, then
@@ -303,7 +286,6 @@ class BreakSchedule(Schedule):
     """
 
     kind = "abrupt-breaks"
-    _regime_rows = _Array("_regime_table")
 
     def __init__(self, anchor: int, horizon: int, offsets: Sequence[int],
                  regimes: Sequence, sigma2_bounds=DEFAULT_SIGMA2_BOUNDS):
@@ -332,7 +314,8 @@ class BreakSchedule(Schedule):
         cuts = (0,) + self.offsets + (self.horizon + 1,)
         counts = [max(0, min(b, far + 1) - max(a, near))
                   for a, b in zip(cuts, cuts[1:])]
-        return np.repeat(self._regime_rows[::-1], counts[::-1], axis=0)
+        return np.repeat(np.array(self._regime_table[::-1]), counts[::-1],
+                         axis=0)
 
     def re_anchored(self, anchor: int) -> "BreakSchedule":
         """Copy with the same relative structure at a new anchor time."""

@@ -26,6 +26,7 @@ import numpy as np
 
 from .schedules import Schedule
 from .solution import _propagate, _solution, general_solution
+from .xi import _WALK_ROWS
 
 DEFAULT_BURN_IN = 500
 CHUNK_TARGET = 20_000   # paths per chunk; bounds its scratch rows' width
@@ -146,11 +147,15 @@ class EmpiricalMoments:
 
 
 def _start_law(burn: np.ndarray):
-    """(m, L) of the state after the burn-in rows ``burn`` from zero: its
+    """(m, L) of the state after the burn-in rows ``burn`` from zero, which
+    ``_propagate`` reads as lists of _WALK_ROWS rows, never as one list: its
     mean and the lower Cholesky factor (L00, L10, L11) of its covariance,
     each diagonal entry's square clamped at 0, so a singular P (no or one
     burn-in step) gives no nan.  An overflowed P gives a non-finite L."""
-    mean, (p00, p01, p11) = _propagate(burn)
+    mean, cov = (0.0, 0.0), (0.0, 0.0, 0.0)
+    for j in range(0, len(burn), _WALK_ROWS):
+        mean, cov = _propagate(burn[j:j + _WALK_ROWS].tolist(), mean, cov)
+    p00, p01, p11 = cov
     l00 = math.sqrt(p00) if not p00 < 0.0 else 0.0
     l10 = p01 / l00 if l00 else 0.0
     d = p11 - l10 * l10

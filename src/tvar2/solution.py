@@ -4,7 +4,7 @@ The value at the anchor time t decomposes into a homogeneous part carrying
 the two initial conditions (y_{t-k}, y_{t-k-1}) and a particular part
 carrying the drifts and innovations from t-k+1 to t, all weighted by the
 fundamental solutions.  ``_propagate`` carries the mean and covariance of
-the state (y_t, y_{t-1}) through a window of rows: the start of a
+the state (y_t, y_{t-1}) through rows of Python floats: the start of a
 simulated path and the exact season moments of ``tvar2.moments`` read
 it.  Its test oracles are re-exported from ``_oracles``.
 """
@@ -12,13 +12,13 @@ it.  Its test oracles are re-exported from ``_oracles``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._oracles import forward_recursion, particular_solution_determinant_oracle
 from .schedules import Schedule
-from .xi import _WALK_ROWS, _walk
+from .xi import _walk
 
 
 @dataclass(frozen=True)
@@ -43,22 +43,21 @@ def _running_sums(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], values)).cumsum()
 
 
-def _propagate(coeffs: np.ndarray, mean: tuple = (0.0, 0.0),
+def _propagate(coeffs: Iterable[Sequence[float]], mean: tuple = (0.0, 0.0),
                cov: tuple = (0.0, 0.0, 0.0)) -> tuple:
     """Mean (m0, m1) and covariance (P00, P01, P11) of the state
     x_s = (y_s, y_{s-1}) after the coefficient rows ``coeffs`` (oldest
-    first) from the state's ``mean`` and ``cov``, zero by default:
+    first), each (phi0, phi1, phi2, sigma2) of Python floats, from the
+    state's ``mean`` and ``cov``, zero by default:
     m_s = A_s m_{s-1} + (phi0, 0) and P_s = A_s P_{s-1} A_s^T +
-    diag(sigma2, 0), A_s = [[phi1, phi2], [1, 0]].  The rows are listed
-    _WALK_ROWS at a time, never as one list.  Python floats overflow
-    to inf and nan without a warning."""
+    diag(sigma2, 0), A_s = [[phi1, phi2], [1, 0]].  Python floats
+    overflow to inf and nan without a warning."""
     (m0, m1), (p00, p01, p11) = mean, cov
-    for j0 in range(0, len(coeffs), _WALK_ROWS):
-        for phi0, phi1, phi2, sigma2 in coeffs[j0:j0 + _WALK_ROWS].tolist():
-            a = phi1 * p00 + phi2 * p01     # (A P)[0, 0]
-            b = phi1 * p01 + phi2 * p11     # (A P)[0, 1]
-            p00, p01, p11 = (a * phi1 + b * phi2) + sigma2, a, p00
-            m0, m1 = (phi0 + phi1 * m0) + phi2 * m1, m0
+    for phi0, phi1, phi2, sigma2 in coeffs:
+        a = phi1 * p00 + phi2 * p01     # (A P)[0, 0]
+        b = phi1 * p01 + phi2 * p11     # (A P)[0, 1]
+        p00, p01, p11 = (a * phi1 + b * phi2) + sigma2, a, p00
+        m0, m1 = (phi0 + phi1 * m0) + phi2 * m1, m0
     return (m0, m1), (p00, p01, p11)
 
 

@@ -60,7 +60,7 @@ def build_vs(schedule: PeriodicSchedule) -> VSMatrices:
     # y_{s-2}, y_{s-1}, negated where they fall in this period
     rows = np.hstack([np.zeros((l, l)), np.eye(l)])
     cols = np.arange(l)[:, None] + np.arange(l - 2, l)
-    phi = schedule._season_rows[:, 2:0:-1]
+    phi = schedule.window(1, l)[:, 2:0:-1]
     np.put_along_axis(rows, cols, np.where(cols < l, phi, -phi), axis=1)
     return VSMatrices(l, rows[:, l:], rows[:, :l])
 
@@ -95,12 +95,12 @@ def _period_pairs(schedule: Schedule) -> tuple:
     (m00, m01, m10, m11), each carried as such a pair, so no value over- or
     underflows, and each has the bits of M multiplied out in plain floats
     wherever those stay normal."""
-    if schedule._season_rows is None:
+    if schedule._season_table is None:
         raise ScheduleError("the period matrix needs a schedule tiled by "
                             f"season (got kind {schedule.kind!r})")
     one, zero = math.frexp(1.0), math.frexp(0.0)
     m00, m01, m10, m11 = one, zero, zero, one
-    for phi1, phi2 in schedule._season_rows[:, 1:3].tolist():
+    for _, phi1, phi2, _ in schedule._season_table:
         p1, p2 = math.frexp(phi1), math.frexp(phi2)
         m00, m01, m10, m11 = (_plus(_times(p1, m00), _times(p2, m10)),
                               _plus(_times(p1, m01), _times(p2, m11)), m00, m01)
@@ -159,7 +159,7 @@ def par24_restriction(schedule: Schedule) -> tuple[float, bool]:
     seasonal lag-1 coefficients and the flag says that it is below one.
     """
     a, b = _trace_det(_period_pairs(schedule))
-    if len(schedule._season_rows) != 4:
+    if len(schedule._season_table) != 4:
         raise ScheduleError("restriction is defined for 4 seasons")
     value = abs(_float(_plus(a, (-b[0], b[1]))))
     a, b = _float(a), _float(b)

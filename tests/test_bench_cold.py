@@ -162,5 +162,6 @@ def test_pair_file_alternates_sides_and_applies_the_claim_rule(
             "high"] < 0.62
         assert written["interval"][f"{setting}: verify --config model.yaml"][
             "ratios"] == [1.0] * pairs
+        assert interval["median_by_first"].keys() == {"base", "change"}
     assert written["interval"].keys() == keys
     assert "check" not in written

@@ -289,6 +289,32 @@ def test_interval_from_the_stored_runs_of_a_pair_file(name, low, high):
     assert interval["ranks"] == [2, 9]
 
 
+def test_interval_splits_the_ratios_by_the_side_that_ran_first():
+    entry = _entry([10.0] * 5, [11.0, 12.0, 13.0, 9.0, 8.0])
+    entry["first"] = ["base", "change", "base", "change", "base"]
+    record.summarize(entry, END_TO_END)
+    assert entry["interval"]["requests_per_s"]["median_by_first"] == \
+        pytest.approx({"base": 1.1, "change": 1.05})
+    entry["first"] = ["base"] * 5
+    record.summarize(entry, END_TO_END)
+    assert entry["interval"]["requests_per_s"]["median_by_first"] == \
+        pytest.approx({"base": 1.1})
+
+
+@pytest.mark.parametrize("workload, base_first, change_first", [
+    ("montecarlo", 1.152, 0.809), ("cli", 1.180, 1.061)])
+def test_setup_s_of_bench_50_by_the_side_that_ran_first(workload, base_first,
+                                                        change_first):
+    # the side that runs second reads setup_s higher
+    with open(os.path.join(os.path.dirname(_PATH), os.pardir,
+                           "BENCH_50.json")) as fh:
+        entry = json.load(fh)["workloads"][workload]
+    record.summarize(entry, {"setup_s": "lower"})
+    assert entry["interval"]["setup_s"]["median_by_first"] == {
+        "base": pytest.approx(base_first, abs=5e-4),
+        "change": pytest.approx(change_first, abs=5e-4)}
+
+
 def test_layer_ratios_read_each_traced_run_against_the_reference():
     # the reference doubles on the change's second run, and the layer with it
     traced = {"base": [{"ref": 2.0, "a": 1.0}, {"ref": 2.0, "a": 1.2}],

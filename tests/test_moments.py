@@ -14,8 +14,8 @@ from tvar2 import (BreakSchedule, CoefficientTuple, ConstantSchedule,
                    CyclicalSchedule, GenericSchedule, PeriodicSchedule,
                    ScheduleError, autocovariance, autocovariance_recursion,
                    forecast, forecast_error_weights, general_solution,
-                   green_functions, stationarity_check, unconditional_mean,
-                   unconditional_variance)
+                   green_functions, par24_restriction, stationarity_check,
+                   unconditional_mean, unconditional_variance)
 from tvar2.moments import (DEFAULT_TOL, _tail_window,
                            assumption_a1_diagnostic)
 from conftest import random_schedule
@@ -404,7 +404,8 @@ def test_acf_lags_of_one_anchor_walk_xi_steps_linear_in_the_lag(monkeypatch):
 # schedule with the same coefficients
 
 def _as_generic(s):
-    tuples = [CoefficientTuple(*row) for row in s._season_rows.tolist()]
+    tuples = [CoefficientTuple(*row)
+              for row in np.array(s._season_table).tolist()]
     return GenericSchedule(lambda t: tuples[(t - 1) % len(tuples)])
 
 
@@ -463,7 +464,8 @@ def test_array_series_equal_the_lazy_series_to_the_bit(series_only, tol, n_max,
         t = int(rng.integers(-1000, 10**6))
         # one fresh schedule for every lag, so that the lags share its cache
         assert _acf_bits(s, t, range(21), tol, n_max) == \
-            _acf_bits(generic, t, range(21), tol, n_max), (draw, s._season_rows)
+            _acf_bits(generic, t, range(21), tol, n_max), \
+            (draw, np.array(s._season_table))
         assert _bits(unconditional_mean(s, t, tol, n_max)) == \
             _bits(unconditional_mean(generic, t, tol, n_max))
         assert s._season_cache is not None and generic._season_cache is None
@@ -476,7 +478,7 @@ def _with_radius(s, rho):
     """``s`` with each (phi1, phi2) scaled to (c phi1, c^2 phi2): each A_s
     becomes c D A_s D^-1, D = diag(1, 1/c), so the period matrix's radius
     is c^l times its own, and c makes it rho."""
-    period = len(s._season_rows)
+    period = len(np.array(s._season_table))
     c = (rho / stationarity_check(s).spectral_radius) ** (1.0 / period)
 
     def scaled(tuples):
@@ -493,7 +495,8 @@ def _rational_moments(s, t, lags):
     schedule in exact rational arithmetic on its float coefficients: the
     period map ending at the season of time 0, its fixed points solved by
     Gauss-Jordan elimination, then carried time by time."""
-    rows = [[Fraction(x) for x in row] for row in s._season_rows.tolist()]
+    rows = [[Fraction(x) for x in row]
+            for row in np.array(s._season_table).tolist()]
     period = len(rows)
 
     def a(tau):
@@ -566,7 +569,8 @@ def test_exact_moments_equal_the_rational_reference(seed):
         mean, gammas = _rational_moments(s, t, 20)
         for k, want in enumerate(gammas):
             cov = autocovariance(s, t, k)
-            assert abs(cov.value - want) <= 1e-10 * gammas[0], (k, s._season_rows)
+            assert abs(cov.value - want) <= 1e-10 * gammas[0], \
+                (k, np.array(s._season_table))
             assert (cov.depth, cov.tail_bound, cov.converged) == (0, 0.0, True)
         got = unconditional_mean(s, t)
         assert abs(got.mean - mean) <= 1e-10 * max(1.0, abs(mean))
@@ -585,7 +589,7 @@ def test_exact_moments_match_a_converged_series(tol):
     compared = 0
     for s, t in _stationary_draws(4, 40):
         rho = stationarity_check(s).spectral_radius
-        scale = tol * len(s._season_rows) / (1.0 - rho)
+        scale = tol * len(np.array(s._season_table)) / (1.0 - rho)
         for k in range(21):
             want = series(s, t, k, tol, 10_000)
             if want.converged:
@@ -650,9 +654,45 @@ def test_exact_lags_share_one_moments_entry_and_a_doubling_xi_prefix(
     # as asked
     assert solved == [s]
     season = (7001 - 1) % 3
-    assert sorted(s._season_cache) == [("moments", 0), ("xi", season)]
+    assert sorted(s._season_cache) == [("moments", 0), ("rows", 0),
+                                       ("xi", season)]
     assert len(s._season_cache["xi", season]) == 22
     assert not s._season_cache["moments", 0].flags.writeable
+
+
+TUPLE_READERS = {
+    "readme-periodic": lambda: PeriodicSchedule(SERIES_CASES[0][1].seasons),
+    "readme-cyclical": lambda: CyclicalSchedule(
+        6, [2, 4], EXACT_CASES["readme-cyclical"][0].cycles),
+    "explosive": lambda: ConstantSchedule(0.0, 1.05, -0.02, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", TUPLE_READERS)
+def test_period_matrix_and_exact_moments_read_only_the_tuple_table(
+        name, monkeypatch):
+    # on a fresh schedule, the verdict, the restriction and the exact
+    # moments build no array of the season table
+    def results(s):
+        yield stationarity_check(s)
+        if name == "readme-periodic":
+            yield par24_restriction(s)
+        yield autocovariance(s, 1001, 0)
+        if stationarity_check(s).stationary:
+            yield unconditional_mean(s, 1001)
+
+    want = [repr(r) for r in results(TUPLE_READERS[name]())]
+    s, array = TUPLE_READERS[name](), np.array
+
+    def refuse(*args, **kwargs):
+        if args and args[0] is s._season_table:
+            raise AssertionError("an array of the season table was built")
+        return array(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array", refuse)
+    assert [repr(r) for r in results(s)] == want
+    assert len(want) == {"readme-periodic": 4, "readme-cyclical": 3,
+                         "explosive": 2}[name]
 
 
 def test_season_moments_that_overflow_leave_the_series():
@@ -771,13 +811,15 @@ def test_explosive_rows_take_the_sign_of_long_partial_sums(seed):
             got = autocovariance(s, t, k, DEFAULT_TOL, 40_000)
             want = series(s, t, k, DEFAULT_TOL, 40_000)
             if got.depth or not math.isinf(got.value):   # the loop's row
-                assert _bits(got) == _bits(want), (k, s._season_rows)
+                assert _bits(got) == _bits(want), \
+                    (k, np.array(s._season_table))
                 continue
             assert (got.tail_bound, got.converged) == (math.inf, False)
             if abs(want.value) > 1e6:
                 signed += 1
                 assert math.copysign(1.0, got.value) == \
-                    math.copysign(1.0, want.value), (k, s._season_rows)
+                    math.copysign(1.0, want.value), \
+                    (k, np.array(s._season_table))
     assert signed >= 90   # of 132 rows; the rest are the loop's
 
 

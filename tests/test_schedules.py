@@ -1,6 +1,6 @@
 import math
-import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,55 +247,49 @@ EXPLICIT = {
 }
 
 
+@pytest.mark.parametrize("number", [np.float64, Fraction, int])
+def test_season_table_holds_python_floats_of_any_number_type(number):
+    # the exact moments read the table itself, so a CoefficientTuple of
+    # other numbers must give the bits of one of floats
+    plain = PeriodicSchedule([(1.0, 0.0, 0.0, 2.0), (3.0, 0.0, 0.0, 1.0)]
+                             if number is int else
+                             [(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5)])
+    s = PeriodicSchedule([CoefficientTuple(*map(number, row))
+                          for row in plain._season_table])
+    assert all(type(x) is float for row in s._season_table for x in row)
+    assert s._season_table == plain._season_table
+    for k in (0, 1, 5):
+        assert repr(autocovariance(s, 10, k)) == repr(autocovariance(plain,
+                                                                     10, k))
+
+
 @pytest.mark.parametrize("kind", sorted(EXPLICIT))
-def test_arrays_built_on_first_read_hold_the_bits_of_the_rows(kind):
+def test_arrays_built_on_first_read_hold_the_bits_of_the_rows(kind,
+                                                              monkeypatch):
+    # every window holds the bits of an explicit array of its rows; a tiled
+    # kind builds the array of its table once, on the first window call,
+    # and keeps it in its season cache under ("rows", 0)
     s = WINDOW_KINDS[kind]()
-    name, times = (("_regime_rows", (93, 98)) if kind == "breaks"
-                   else ("_season_rows", (1, 6)))
+    times = (93, 98) if kind == "breaks" else (1, 6)
     table, rows = (np.array(r) for r in EXPLICIT[kind])
-    assert name not in vars(s)
-    built = getattr(s, name)
-    assert vars(s)[name] is built and getattr(s, name) is built
-    assert (built.dtype, built.tobytes()) == (np.float64, table.tobytes())
-    window = s.window(*times)
-    assert (window.dtype, window.tobytes()) == (np.float64, rows.tobytes())
-
-
-def test_untiled_kinds_and_the_class_have_no_season_array():
-    for s in (WINDOW_KINDS["generic"](), WINDOW_KINDS["breaks"]()):
-        assert s._season_rows is None and "_season_rows" not in vars(s)
-    assert ConstantSchedule._season_rows is None
-    assert BreakSchedule._regime_rows is None
-
-
-def test_threads_making_the_first_window_call_keep_one_array(monkeypatch):
-    # each thread builds an array before either keeps one; both windows
-    # then read the one array the schedule keeps
-    s = WINDOW_KINDS["periodic"]()
-    both, built, kept = threading.Barrier(2), [], []
-    array = np.array
+    array, built = np.array, []
 
     def build(*args, **kwargs):
-        if args and args[0] is s._season_table:
-            mine = array(*args, **kwargs)
-            built.append(mine)
-            both.wait(timeout=30)
-            return mine
-        return array(*args, **kwargs)
-
-    def caller():
-        s.window(1, 3)
-        kept.append(vars(s)["_season_rows"])
+        made = array(*args, **kwargs)
+        if s._season_table is not None and args[0] is s._season_table:
+            built.append(made)
+        return made
 
     monkeypatch.setattr(np, "array", build)
-    threads = [threading.Thread(target=caller) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-    assert len(built) == 2 and built[0] is not built[1]
-    assert kept[0] is kept[1] and any(kept[0] is a for a in built)
+    for _ in range(2):
+        window = s.window(*times)
+        assert (window.dtype, window.tobytes()) == (np.float64, rows.tobytes())
+    if kind == "breaks":
+        assert s._season_cache is None and not built
+        return
+    assert len(built) == 1 and s._season_cache["rows", 0] is built[0]
+    assert (built[0].dtype, built[0].tobytes()) == (np.float64,
+                                                    table.tobytes())
 
 
 def _message(call):
@@ -531,7 +525,7 @@ def test_bounds_that_every_entry_holds_change_no_bit(kind):
     # bounds one ulp outside the smallest and largest sigma2 keep the season
     # cache, and every result reads the bits of the unbounded schedule
     plain = WINDOW_KINDS[kind]()
-    sigma2 = plain._season_rows[:, 3]
+    sigma2 = np.array(plain._season_table)[:, 3]
     tight = (float(np.nextafter(sigma2.min(), 0.0)),
              float(np.nextafter(sigma2.max(), np.inf)))
     section = {**schedule_to_dict(plain), "sigma2_bounds": list(tight)}

@@ -452,7 +452,7 @@ def test_start_law_is_the_zero_start_forecast(schedule, burn_in):
     # xi^2 sigma2 over the Green functions
     t = 57
     (m0, m1), (p00, p01, p11) = sim._propagate(
-        schedule.window(t - burn_in + 1, t))
+        schedule.window(t - burn_in + 1, t).tolist())
     now = forecast(schedule, t, burn_in, (0.0, 0.0))
     assert m0 == pytest.approx(now.point, rel=1e-13)
     assert p00 == pytest.approx(now.mse, rel=1e-13)
@@ -468,8 +468,18 @@ def test_start_law_near_the_unit_root_is_the_stationary_variance():
     near = ConstantSchedule(0.01, 1.0, -0.02, 1.0)
     var = unconditional_variance(near, 1000).variance
     for burn_in, rel in ((500, 2e-9), (1000, 1e-11)):
-        _, (p00, _, _) = sim._propagate(near.window(1001 - burn_in, 1000))
+        _, (p00, _, _) = sim._propagate(
+            near.window(1001 - burn_in, 1000).tolist())
         assert p00 == pytest.approx(var, rel=rel)
+
+
+def test_start_law_lists_a_long_burn_in_in_pieces_with_the_same_bits():
+    # the rows go to _propagate as lists of _WALK_ROWS rows, each piece
+    # carrying the state of the last
+    rows = SEASONS.window(1, 2 * sim._WALK_ROWS + 5)
+    mean, (p00, _, _) = sim._propagate(rows.tolist())
+    got, (l00, _, _) = sim._start_law(rows)
+    assert (got, l00) == (mean, math.sqrt(p00))
 
 
 def test_start_law_without_burn_in_is_a_zero_start():
@@ -1345,7 +1355,7 @@ def test_start_laws_from_the_season_cache_keep_the_bits(kind, innovations):
         fresh = dataclasses.replace(cfg, schedule=TILED[kind]())
         assert np.array_equal(simulate_paths(cfg).values,
                               simulate_paths(fresh).values), t_end
-    period = len(shared._season_rows)
+    period = len(np.array(shared._season_table))
     # a start is kept under ((family, burn_in), season), a prefix under
     # (stream, season)
     starts = [key for key in shared._season_cache

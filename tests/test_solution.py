@@ -25,9 +25,10 @@ def test_zero_lookback_is_identity():
 
 def test_propagation_resumes_from_any_state():
     # the state after all rows is, to the bit, the state after the first j
-    # carried through the rest, across the lists of _WALK_ROWS rows
+    # carried through the rest, at the cuts of _start_law's lists of
+    # _WALK_ROWS rows too
     rows = PeriodicSchedule([(0.2, 0.6, -0.1, 1.0), (0.0, -0.4, 0.2, 1.5),
-                             (0.1, 0.8, -0.3, 0.8)]).window(1, 5000)
+                             (0.1, 0.8, -0.3, 0.8)]).window(1, 5000).tolist()
     whole = _propagate(rows)
     for j in (0, 1, 4095, 4096, 4097, 5000):
         assert _propagate(rows[j:], *_propagate(rows[:j])) == whole

@@ -378,7 +378,7 @@ def test_cyclical_verdict_is_that_of_its_seasons():
         cycles = [(0.0, *rng.uniform(-1.2, 1.2, 2), 1.0)
                   for _ in range(len(cuts) + 1)]
         cyc = CyclicalSchedule(period, cuts, cycles)
-        par = PeriodicSchedule(cyc._season_rows)
+        par = PeriodicSchedule(np.array(cyc._season_table))
         got, want = (
             (v.spectral_radius.hex(), v.margin.hex(), v.stationary)
             for v in (stationarity_check(cyc), stationarity_check(par)))
